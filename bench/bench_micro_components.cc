@@ -1,5 +1,5 @@
 // Micro-benchmarks of the performance-critical components (google-benchmark):
-// shortest-path engines (plain vs A* vs partition-filtered vs oracle-cached),
+// shortest-path engines (plain vs partition-filtered vs oracle-cached),
 // request insertion (exhaustive vs DP), k-means, mobility clustering, and
 // the candidate indexes. These quantify the design choices DESIGN.md calls
 // out: filtered search settles fewer vertices; the oracle makes leg costs
@@ -18,8 +18,6 @@
 #include "matching/taxi_index.h"
 #include "mobility/mobility_clustering.h"
 #include "partition/bipartite_partitioner.h"
-#include "routing/astar.h"
-#include "routing/one_to_many.h"
 #include "sched/route_planner.h"
 #include "sim/engine.h"
 #include "spatial/grid_index.h"
@@ -54,16 +52,6 @@ void BM_Dijkstra(benchmark::State& state) {
 }
 BENCHMARK(BM_Dijkstra);
 
-void BM_AStar(benchmark::State& state) {
-  AStarSearch search(Net());
-  Rng rng(1);
-  for (auto _ : state) {
-    auto [a, b] = RandomPair(rng);
-    benchmark::DoNotOptimize(search.Cost(a, b));
-  }
-}
-BENCHMARK(BM_AStar);
-
 void BM_OracleCost(benchmark::State& state) {
   DistanceOracle oracle(Net());
   Rng rng(1);
@@ -81,10 +69,10 @@ void BM_OracleCost(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleCost);
 
-// Head-to-head of the three oracle backends on the dispatch-batch shape:
+// Head-to-head of the two oracle backends on the dispatch-batch shape:
 // one cold-ish point query plus an 8x16 many-to-many block per iteration.
-// Exact amortizes to table lookups, LRU pays row passes on eviction, CH
-// pays two upward sweeps per point query and |S|+|T| sweeps per block.
+// Exact amortizes to table lookups, CH pays two upward sweeps per point
+// query and |S|+|T| sweeps per block.
 void BM_OracleBackends(benchmark::State& state) {
   OracleOptions oopt;
   oopt.backend = static_cast<OracleBackend>(state.range(0));
@@ -108,7 +96,6 @@ void BM_OracleBackends(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleBackends)
     ->Arg(int(OracleBackend::kExact))
-    ->Arg(int(OracleBackend::kLru))
     ->Arg(int(OracleBackend::kCh));
 
 void BM_FilteredBasicLeg(benchmark::State& state) {
@@ -226,127 +213,6 @@ void BM_CandidateEval(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CandidateEval)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-// Per-pair vs batched leg-cost routing under the same candidate-evaluation
-// loop, in the LRU-oracle regime the batch layer targets: every dispatch
-// brings a FRESH request whose origin/destination rows are not cached, so
-// per-pair evaluation pays two full one-to-all Dijkstra rows per dispatch
-// while the batch primes those endpoint fans with truncated sweeps that
-// stop at the last candidate stop. batched:0 answers every DP leg with a
-// separate oracle query; batched:1 primes one InsertionCostBatch and the
-// DP reads a hash table. `oracle_q` counts oracle passes per dispatch and
-// `settled` the Dijkstra vertices settled per dispatch — those carry the
-// signal (batching collapses ~920 queries to ~73). Wall-clock on this
-// 1600-vertex micro grid runs ~20% BEHIND per-pair: a sweep's ball must
-// still reach the city-wide trip destination, which here is most of the
-// graph, and table priming adds fixed cost. The sign flips as |V| grows —
-// a row miss always settles |V| vertices while the sweep's ball tracks
-// the trip extent; at dispatcher level (fig06 workload, exact-mode
-// oracle) batched already edges out per-pair.
-void BM_InsertionEvalRouting(benchmark::State& state) {
-  const bool batched = state.range(0) == 1;
-  const int kCandidates = 48;
-  OracleOptions lru;
-  lru.max_exact_vertices = 0;  // force the LRU row cache, as on big maps
-  DistanceOracle oracle(Net(), lru);
-  Rng rng(23);
-  LegCostFn oracle_cost = [&](VertexId x, VertexId y) {
-    return oracle.Cost(x, y);
-  };
-  // Candidate schedules cluster in one district (candidates come from the
-  // searching range around a hot spot, paper's gamma), so their ~100 stop
-  // rows fit the row cache and stay hot across dispatches. Requests churn
-  // over the WHOLE city. A per-pair endpoint miss settles the whole graph
-  // (a row is one-to-all); the truncated sweep's ball stops once it has
-  // covered the district. That asymmetry grows with map size.
-  auto local_pair = [&] {
-    auto pick = [&] {
-      int32_t r = int32_t(rng.NextInt(0, 9));
-      int32_t c = int32_t(rng.NextInt(0, 9));
-      return VertexId(r * 40 + c);
-    };
-    return std::pair<VertexId, VertexId>{pick(), pick()};
-  };
-
-  std::vector<Schedule> schedules(kCandidates);
-  for (int c = 0; c < kCandidates; ++c) {
-    for (int i = 0; i < 2 + (c % 2); ++i) {
-      auto [o, d] = local_pair();
-      if (o == d) continue;
-      RideRequest r;
-      r.id = c * 8 + i;
-      r.origin = o;
-      r.destination = d;
-      r.direct_cost = oracle.Cost(o, d);
-      r.deadline = 3.0 * r.direct_cost;
-      InsertionResult ins =
-          FindBestInsertion(schedules[c], r, 0, 0.0, 0, 4, oracle_cost);
-      if (ins.found) schedules[c] = ins.schedule;
-    }
-  }
-  // A pool of probe requests, cycled so each iteration sees a cold-endpoint
-  // request like a live dispatch would. The row cache below fits the
-  // recurring district stop rows (hot every dispatch) but not the churning
-  // city-wide request endpoints — the steady state on city-scale networks:
-  // per-pair mode computes one-shot endpoint rows every dispatch, while
-  // batched mode serves endpoints with truncated sweeps that never touch
-  // the cache.
-  OracleOptions small = lru;
-  small.lru_rows = 128;
-  small.lru_shards = 1;  // per-shard capacity must fit the hot stop rows
-  DistanceOracle cold_oracle(Net(), small);
-  std::vector<RideRequest> probes(4096);
-  for (size_t i = 0; i < probes.size(); ++i) {
-    auto [o, d] = RandomPair(rng);
-    probes[i].id = RequestId(1000 + i);
-    probes[i].origin = o;
-    probes[i].destination = d;
-    probes[i].direct_cost = oracle.Cost(o, d);
-    probes[i].deadline = 3.0 * probes[i].direct_cost;
-  }
-  LegCostFn cold_cost = [&](VertexId x, VertexId y) {
-    return cold_oracle.Cost(x, y);
-  };
-
-  InsertionCostBatch batch(Net(), &cold_oracle);
-  std::vector<VertexId> walk;
-  const int64_t queries_before = cold_oracle.queries();
-  const int64_t misses_before = cold_oracle.row_misses();
-  size_t pi = 0;
-  for (auto _ : state) {
-    const RideRequest& probe = probes[pi++ % probes.size()];
-    LegCostFn cost = cold_cost;
-    if (batched) {
-      batch.Begin(probe.origin, probe.destination);
-      for (const Schedule& s : schedules) {
-        walk.clear();
-        walk.push_back(0);  // evaluation starts the walk at the taxi vertex
-        for (const ScheduleEvent& e : s.events()) walk.push_back(e.vertex);
-        batch.AddCandidate(walk);
-      }
-      batch.Prime();
-      cost = [&](VertexId x, VertexId y) { return batch.Cost(x, y); };
-    }
-    for (int i = 0; i < kCandidates; ++i) {
-      benchmark::DoNotOptimize(
-          FindBestInsertionDp(schedules[i], probe, 0, 0.0, 0, 4, cost));
-    }
-  }
-  state.counters["oracle_q"] =
-      benchmark::Counter(double(cold_oracle.queries() - queries_before),
-                         benchmark::Counter::kAvgIterations);
-  // Every row miss settles the whole graph; truncated sweeps report their
-  // own (smaller) settle counts.
-  double settled =
-      double(cold_oracle.row_misses() - misses_before) * Net().num_vertices() +
-      double(batch.stats().settled_vertices);
-  state.counters["settled"] =
-      benchmark::Counter(settled, benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_InsertionEvalRouting)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("batched");
 
 // S3: ReindexTaxi first removes the taxi's old entries from every
 // arrival-sorted partition list. Removal binary-searches each list by the

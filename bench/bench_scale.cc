@@ -24,7 +24,7 @@
 //                             twice, index first — the committed A/B pair.
 //                             Decision metrics must match between paths;
 //                             the routing counters in the trajectory lines
-//                             (settled_vertices, batch_queries,
+//                             (batch_queries, ch_upward_settled,
 //                             ellipse_pruned) carry the comparison.
 #include <chrono>
 #include <cstdlib>
@@ -145,17 +145,15 @@ int main() {
 
   // Historical trips only; the evaluation stream is produced lazily below.
   // MakeScenario with num_requests=0 never touches its oracle (historical
-  // trips come straight from the demand model), so a scratch LRU oracle —
-  // capped by lru_max_bytes on the big city — avoids paying for a second
-  // CH build.
+  // trips come straight from the demand model), so a scratch exact oracle,
+  // whose rows fill lazily and stay empty, avoids paying for a second CH
+  // build.
   DemandModelOptions dopt;
   dopt.day = DayType::kWorkday;
   dopt.seed = seed + 1;
   DemandModel demand(network, dopt);
   OracleOptions scratch;
-  if (network.num_vertices() > scratch.max_exact_vertices) {
-    scratch.backend = OracleBackend::kLru;
-  }
+  scratch.backend = OracleBackend::kExact;
   DistanceOracle scratch_oracle(network, scratch);
   ScenarioOptions hist;
   hist.num_requests = 0;

@@ -129,25 +129,10 @@ MTShareSystem::MTShareSystem(const RoadNetwork& network,
   oracle_ = std::make_unique<DistanceOracle>(network, config.oracle);
 }
 
-DistanceOracle* MTShareSystem::OracleFor(OracleBackend backend) {
-  if (backend == OracleBackend::kAuto || backend == oracle_->backend()) {
-    return oracle_.get();
-  }
-  std::lock_guard<std::mutex> lock(extra_oracle_mutex_);
-  std::unique_ptr<DistanceOracle>& slot =
-      extra_oracles_[static_cast<size_t>(backend)];
-  if (slot == nullptr) {
-    OracleOptions opts = config_.oracle;
-    opts.backend = backend;
-    slot = std::make_unique<DistanceOracle>(network_, opts);
-  }
-  return slot.get();
-}
-
 const ContractionHierarchy* MTShareSystem::BucketSearchCh(
     DistanceOracle* oracle) {
   if (oracle != nullptr && oracle->ch() != nullptr) return oracle->ch();
-  std::lock_guard<std::mutex> lock(extra_oracle_mutex_);
+  std::lock_guard<std::mutex> lock(bucket_ch_mutex_);
   if (bucket_ch_ == nullptr) {
     bucket_ch_ = std::make_unique<ContractionHierarchy>(
         ContractionHierarchy::Build(network_, config_.oracle.ch));
@@ -156,8 +141,8 @@ const ContractionHierarchy* MTShareSystem::BucketSearchCh(
 }
 
 std::unique_ptr<Dispatcher> MTShareSystem::MakeDispatcher(
-    SchemeKind scheme, std::vector<TaxiState>* fleet, DistanceOracle* oracle) {
-  if (oracle == nullptr) oracle = oracle_.get();
+    SchemeKind scheme, std::vector<TaxiState>* fleet) {
+  DistanceOracle* oracle = oracle_.get();
   MatchingConfig mc = config_.matching;
   std::unique_ptr<Dispatcher> d;
   switch (scheme) {
@@ -216,9 +201,7 @@ Result<Metrics> MTShareSystem::RunScenario(const ScenarioSpec& spec) {
   std::vector<TaxiState> fleet =
       MakeFleet(network_, spec.num_taxis, config_.taxi_capacity,
                 spec.fleet_seed, start_time);
-  DistanceOracle* oracle = OracleFor(spec.oracle_backend);
-  std::unique_ptr<Dispatcher> dispatcher =
-      MakeDispatcher(spec.scheme, &fleet, oracle);
+  std::unique_ptr<Dispatcher> dispatcher = MakeDispatcher(spec.scheme, &fleet);
   dispatcher->EnablePhaseTiming(spec.collect_phase_timing);
 
   // One pool per run: startup is microseconds against multi-second runs,
@@ -240,26 +223,26 @@ Result<Metrics> MTShareSystem::RunScenario(const ScenarioSpec& spec) {
   eopts.payment = config_.payment;
   SimulationEngine engine(network_, dispatcher.get(), &fleet, eopts);
 
-  const int64_t q0 = oracle->queries();
-  const int64_t h0 = oracle->row_hits();
-  const int64_t m0 = oracle->row_misses();
-  const ChQueryStats ch0 = oracle->ch_query_stats();
+  const int64_t q0 = oracle_->queries();
+  const int64_t h0 = oracle_->row_hits();
+  const int64_t m0 = oracle_->row_misses();
+  const ChQueryStats ch0 = oracle_->ch_query_stats();
   Metrics metrics = engine.Run(*source);
   // A mid-stream parse/order error ended the pull early; the partial run's
   // metrics are meaningless, so report the source failure instead.
   MTSHARE_RETURN_NOT_OK(source->status());
-  metrics.oracle_queries = oracle->queries() - q0;
-  metrics.oracle_row_hits = oracle->row_hits() - h0;
-  metrics.oracle_row_misses = oracle->row_misses() - m0;
-  metrics.oracle_backend = OracleBackendName(oracle->backend());
+  metrics.oracle_queries = oracle_->queries() - q0;
+  metrics.oracle_row_hits = oracle_->row_hits() - h0;
+  metrics.oracle_row_misses = oracle_->row_misses() - m0;
+  metrics.oracle_backend = OracleBackendName(oracle_->backend());
   // CH counters, as deltas of the shared oracle (its engines are all
   // checked back into the pool between dispatches, so the totals are
   // quiescent here). Preprocessing cost is per oracle, not per run.
-  const ChQueryStats ch1 = oracle->ch_query_stats();
-  metrics.routing.ch_active = oracle->backend() == OracleBackend::kCh;
-  metrics.routing.ch_shortcuts = oracle->ch_build_stats().shortcuts_added;
+  const ChQueryStats ch1 = oracle_->ch_query_stats();
+  metrics.routing.ch_active = oracle_->backend() == OracleBackend::kCh;
+  metrics.routing.ch_shortcuts = oracle_->ch_build_stats().shortcuts_added;
   metrics.routing.ch_preprocessing_ms =
-      oracle->ch_build_stats().preprocessing_ms;
+      oracle_->ch_build_stats().preprocessing_ms;
   metrics.routing.ch_point_queries = ch1.point_queries - ch0.point_queries;
   metrics.routing.ch_bucket_queries = ch1.bucket_queries - ch0.bucket_queries;
   metrics.routing.ch_upward_settled = ch1.upward_settled - ch0.upward_settled;

@@ -1,7 +1,6 @@
 #ifndef MTSHARE_CORE_MTSHARE_SYSTEM_H_
 #define MTSHARE_CORE_MTSHARE_SYSTEM_H_
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -86,13 +85,6 @@ struct ScenarioSpec {
   /// dispatch; set false to shave even that from latency-critical runs.
   bool collect_phase_timing = true;
 
-  /// Distance-oracle backend for this run. kAuto uses the system's default
-  /// oracle (built from SystemConfig::oracle); any other value selects a
-  /// per-backend oracle the system builds lazily on first use and then
-  /// shares across runs (backend comparison sweeps pay CH preprocessing
-  /// once, not per run).
-  OracleBackend oracle_backend = OracleBackend::kAuto;
-
   /// OK, or the first violated constraint.
   Status Validate() const;
 };
@@ -135,22 +127,15 @@ class MTShareSystem {
   /// spec.requests produces byte-identical decision metrics.
   Result<Metrics> RunScenario(const ScenarioSpec& spec);
 
-  /// Creates a dispatcher bound to `fleet` (advanced use: custom engines).
-  /// `oracle` = nullptr uses the system's default oracle.
+  /// Creates a dispatcher bound to `fleet` on the system's oracle
+  /// (advanced use: custom engines).
   std::unique_ptr<Dispatcher> MakeDispatcher(SchemeKind scheme,
-                                             std::vector<TaxiState>* fleet,
-                                             DistanceOracle* oracle = nullptr);
-
-  /// The oracle serving `backend` (kAuto = the system default). Non-default
-  /// backends are built lazily on first use and cached; safe to call from
-  /// concurrent RunScenario invocations.
-  DistanceOracle* OracleFor(OracleBackend backend);
+                                             std::vector<TaxiState>* fleet);
 
   /// The contraction hierarchy backing the ch_buckets candidate path for
   /// runs on `oracle`: the oracle's own CH when it is CH-backed, otherwise
   /// a system-owned hierarchy built lazily on first use and shared across
-  /// runs (same lifetime as the lazy per-backend oracles). Safe to call
-  /// from concurrent RunScenario invocations.
+  /// runs. Safe to call from concurrent RunScenario invocations.
   const ContractionHierarchy* BucketSearchCh(DistanceOracle* oracle);
 
   const RoadNetwork& network() const { return network_; }
@@ -181,13 +166,10 @@ class MTShareSystem {
   TransitionModel transitions_;
   std::unique_ptr<DistanceOracle> oracle_;
 
-  /// Lazily built per-backend oracles for ScenarioSpec::oracle_backend
-  /// overrides, indexed by OracleBackend value; creation serializes behind
-  /// the mutex so concurrent runs race safely.
-  std::mutex extra_oracle_mutex_;
-  std::array<std::unique_ptr<DistanceOracle>, 4> extra_oracles_;
   /// Lazily built CH for ch_buckets candidate search when the run's oracle
-  /// is not CH-backed (exact/LRU backends); guarded by extra_oracle_mutex_.
+  /// is the exact table; creation serializes behind the mutex so
+  /// concurrent runs race safely.
+  std::mutex bucket_ch_mutex_;
   std::unique_ptr<ContractionHierarchy> bucket_ch_;
 };
 

@@ -30,21 +30,10 @@ Status SystemConfig::Validate() const {
   if (matching.tmp <= 0.0) {
     return Status::InvalidArgument("T_mp must be positive");
   }
-  // Oracle sizing: each of these used to be consumed unchecked (a zero or
-  // negative shard count, say, reached ShardedLruCache as UB); reject them
-  // here so MTShareSystem::Create reports instead of misbehaving.
+  // Oracle sizing: reject non-positive knobs here so MTShareSystem::Create
+  // reports instead of misbehaving.
   if (oracle.max_exact_vertices <= 0) {
     return Status::InvalidArgument("oracle.max_exact_vertices must be positive");
-  }
-  if (oracle.lru_rows <= 0) {
-    return Status::InvalidArgument("oracle.lru_rows must be positive");
-  }
-  if (oracle.lru_shards <= 0) {
-    return Status::InvalidArgument("oracle.lru_shards must be positive");
-  }
-  if (oracle.lru_max_bytes < 0) {
-    return Status::InvalidArgument(
-        "oracle.lru_max_bytes must be non-negative (0 = uncapped)");
   }
   if (oracle.ch.witness_settle_limit <= 0) {
     return Status::InvalidArgument(

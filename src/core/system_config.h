@@ -19,8 +19,8 @@ struct SystemConfig {
   // --- matching / routing (Table II) ---
   MatchingConfig matching;
 
-  /// Distance-oracle backend and sizing (exact table / LRU rows /
-  /// contraction hierarchy; kAuto picks by graph size).
+  /// Distance-oracle backend and sizing (exact table or contraction
+  /// hierarchy; kAuto picks by graph size).
   OracleOptions oracle;
 
   // --- map partitioning ---

@@ -21,8 +21,9 @@ int32_t Scenario::CountOffline() const {
   return n;
 }
 
-Scenario MakeScenario(const RoadNetwork& network, const DemandModel& demand,
-                      DistanceOracle& oracle, const ScenarioOptions& options) {
+Scenario MakeScenario(const RoadNetwork& /*network*/,
+                      const DemandModel& demand, DistanceOracle& oracle,
+                      const ScenarioOptions& options) {
   MTSHARE_CHECK(options.rho > 1.0);
   MTSHARE_CHECK(options.offline_fraction >= 0.0 &&
                 options.offline_fraction <= 1.0);

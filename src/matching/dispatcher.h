@@ -74,7 +74,7 @@ struct MatchingConfig {
   /// Grid pitch of the baselines' spatial taxi index.
   double grid_cell_m = 500.0;
   /// When true (default), insertion evaluation primes an InsertionCostBatch
-  /// (one-to-many row passes / truncated sweeps) instead of issuing one
+  /// (batched oracle row passes or CH bucket sweeps) instead of issuing one
   /// oracle query per leg per candidate. Results are bit-identical either
   /// way; the toggle exists for the equivalence test and A/B benches.
   bool batched_routing = true;

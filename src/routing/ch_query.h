@@ -18,8 +18,7 @@ struct ChQueryStats {
   /// Bucket-based one-to-many / many-to-many passes answered.
   int64_t bucket_queries = 0;
   /// Vertices settled by upward searches (forward + backward, point and
-  /// bucket passes alike) — the CH counterpart of the truncated-Dijkstra
-  /// settled_vertices counter.
+  /// bucket passes alike).
   int64_t upward_settled = 0;
   /// (vertex, target, distance) entries deposited into buckets.
   int64_t bucket_entries = 0;

@@ -23,8 +23,6 @@ const char* OracleBackendName(OracleBackend backend) {
       return "auto";
     case OracleBackend::kExact:
       return "exact";
-    case OracleBackend::kLru:
-      return "lru";
     case OracleBackend::kCh:
       return "ch";
   }
@@ -36,8 +34,6 @@ bool ParseOracleBackend(std::string_view name, OracleBackend* out) {
     *out = OracleBackend::kAuto;
   } else if (name == "exact") {
     *out = OracleBackend::kExact;
-  } else if (name == "lru") {
-    *out = OracleBackend::kLru;
   } else if (name == "ch") {
     *out = OracleBackend::kCh;
   } else {
@@ -49,7 +45,6 @@ bool ParseOracleBackend(std::string_view name, OracleBackend* out) {
 DistanceOracle::DistanceOracle(const RoadNetwork& network,
                                const OracleOptions& options)
     : network_(network),
-      options_(options),
       backend_(ResolveBackend(network, options)) {
   switch (backend_) {
     case OracleBackend::kExact:
@@ -61,22 +56,6 @@ DistanceOracle::DistanceOracle(const RoadNetwork& network,
       }
       fill_mutex_ = std::make_unique<std::mutex[]>(kFillStripes);
       break;
-    case OracleBackend::kLru: {
-      const int32_t shards = std::max<int32_t>(1, options.lru_shards);
-      int64_t rows = options.lru_rows;
-      if (options.lru_max_bytes > 0) {
-        const int64_t row_bytes =
-            static_cast<int64_t>(network.num_vertices()) * sizeof(Seconds);
-        rows = std::min<int64_t>(
-            rows, std::max<int64_t>(shards,
-                                    options.lru_max_bytes /
-                                        std::max<int64_t>(1, row_bytes)));
-      }
-      cache_ =
-          std::make_unique<ShardedLruCache<VertexId, std::vector<Seconds>>>(
-              static_cast<int32_t>(rows), shards);
-      break;
-    }
     case OracleBackend::kCh:
       ch_ = std::make_unique<ContractionHierarchy>(
           ContractionHierarchy::Build(network, options.ch));
@@ -117,14 +96,6 @@ ChQueryStats DistanceOracle::ch_query_stats() const {
   return ch_stats_total_;
 }
 
-std::vector<Seconds> DistanceOracle::ComputeRow(VertexId source) const {
-  // A fresh engine per fill keeps the search state thread-local; fills are
-  // rare (once per row in exact mode, once per eviction cycle in LRU mode),
-  // so the O(V) buffer setup is noise next to the O(E log V) search.
-  DijkstraSearch dijkstra(network_);
-  return dijkstra.CostsFrom(source);
-}
-
 const std::vector<Seconds>& DistanceOracle::ExactRow(VertexId source) {
   if (exact_filled_[source].load(std::memory_order_acquire)) {
     exact_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -133,7 +104,11 @@ const std::vector<Seconds>& DistanceOracle::ExactRow(VertexId source) {
   std::lock_guard<std::mutex> lock(fill_mutex_[source % kFillStripes]);
   if (!exact_filled_[source].load(std::memory_order_relaxed)) {
     exact_misses_.fetch_add(1, std::memory_order_relaxed);
-    exact_rows_[source] = ComputeRow(source);
+    // A fresh engine per fill keeps the search state thread-local; each
+    // row fills once, so the O(V) buffer setup is noise next to the
+    // O(E log V) search.
+    DijkstraSearch dijkstra(network_);
+    exact_rows_[source] = dijkstra.CostsFrom(source);
     exact_filled_[source].store(1, std::memory_order_release);
   } else {
     exact_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -146,21 +121,11 @@ Seconds DistanceOracle::Cost(VertexId source, VertexId target) {
   MTSHARE_CHECK(target >= 0 && target < network_.num_vertices());
   queries_.fetch_add(1, std::memory_order_relaxed);
   if (source == target) return 0.0;
-  switch (backend_) {
-    case OracleBackend::kExact:
-      return ExactRow(source)[target];
-    case OracleBackend::kCh: {
-      std::unique_ptr<ChQuery> engine = BorrowChEngine();
-      Seconds cost = engine->Cost(source, target);
-      ReturnChEngine(std::move(engine));
-      return cost;
-    }
-    default: {
-      auto row = cache_->GetOrCompute(
-          source, [this](VertexId v) { return ComputeRow(v); });
-      return (*row)[target];
-    }
-  }
+  if (backend_ == OracleBackend::kExact) return ExactRow(source)[target];
+  std::unique_ptr<ChQuery> engine = BorrowChEngine();
+  Seconds cost = engine->Cost(source, target);
+  ReturnChEngine(std::move(engine));
+  return cost;
 }
 
 void DistanceOracle::CostMany(VertexId source,
@@ -176,29 +141,16 @@ void DistanceOracle::CostMany(VertexId source,
   // a row's own source entry is 0.0 and a CH bucket sweep meets a
   // same-vertex target at distance 0, so no special case is needed to
   // stay bit-identical to Cost().
-  switch (backend_) {
-    case OracleBackend::kExact: {
-      const std::vector<Seconds>& row = ExactRow(source);
-      out->clear();
-      out->reserve(targets.size());
-      for (VertexId t : targets) out->push_back(row[t]);
-      return;
-    }
-    case OracleBackend::kCh: {
-      std::unique_ptr<ChQuery> engine = BorrowChEngine();
-      engine->CostMany(source, targets, out);
-      ReturnChEngine(std::move(engine));
-      return;
-    }
-    default: {
-      auto row = cache_->GetOrCompute(
-          source, [this](VertexId v) { return ComputeRow(v); });
-      out->clear();
-      out->reserve(targets.size());
-      for (VertexId t : targets) out->push_back((*row)[t]);
-      return;
-    }
+  if (backend_ == OracleBackend::kExact) {
+    const std::vector<Seconds>& row = ExactRow(source);
+    out->clear();
+    out->reserve(targets.size());
+    for (VertexId t : targets) out->push_back(row[t]);
+    return;
   }
+  std::unique_ptr<ChQuery> engine = BorrowChEngine();
+  engine->CostMany(source, targets, out);
+  ReturnChEngine(std::move(engine));
 }
 
 void DistanceOracle::CostManyToMany(std::span<const VertexId> sources,
@@ -219,96 +171,42 @@ void DistanceOracle::CostManyToMany(std::span<const VertexId> sources,
     ReturnChEngine(std::move(engine));
     return;
   }
-  // Table / LRU: one row pass per source.
+  // Exact: one row pass per source.
   out->clear();
   out->reserve(sources.size() * targets.size());
   for (VertexId s : sources) {
-    if (backend_ == OracleBackend::kExact) {
-      const std::vector<Seconds>& row = ExactRow(s);
-      for (VertexId t : targets) out->push_back(row[t]);
-    } else {
-      auto row = cache_->GetOrCompute(
-          s, [this](VertexId v) { return ComputeRow(v); });
-      for (VertexId t : targets) out->push_back((*row)[t]);
-    }
-  }
-}
-
-const std::vector<Seconds>& DistanceOracle::Row(VertexId source) {
-  MTSHARE_CHECK(exact_mode());  // LRU rows can be evicted; use RowPtr()
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  return ExactRow(source);
-}
-
-std::shared_ptr<const std::vector<Seconds>> DistanceOracle::RowPtr(
-    VertexId source) {
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  switch (backend_) {
-    case OracleBackend::kExact: {
-      // Alias the table-owned row; the table lives as long as the oracle.
-      const std::vector<Seconds>& row = ExactRow(source);
-      return std::shared_ptr<const std::vector<Seconds>>(
-          std::shared_ptr<const void>(), &row);
-    }
-    case OracleBackend::kCh:
-      // No row store exists in CH mode; pay one Dijkstra. Callers on the
-      // hot path use CostMany/CostManyToMany instead.
-      return std::make_shared<const std::vector<Seconds>>(ComputeRow(source));
-    default:
-      return cache_->GetOrCompute(
-          source, [this](VertexId v) { return ComputeRow(v); });
+    const std::vector<Seconds>& row = ExactRow(s);
+    for (VertexId t : targets) out->push_back(row[t]);
   }
 }
 
 int64_t DistanceOracle::row_hits() const {
-  switch (backend_) {
-    case OracleBackend::kExact:
-      return exact_hits_.load(std::memory_order_relaxed);
-    case OracleBackend::kLru:
-      return cache_->hits();
-    default:
-      return 0;
-  }
+  return exact_hits_.load(std::memory_order_relaxed);
 }
 
 int64_t DistanceOracle::row_misses() const {
-  switch (backend_) {
-    case OracleBackend::kExact:
-      return exact_misses_.load(std::memory_order_relaxed);
-    case OracleBackend::kLru:
-      return cache_->misses();
-    default:
-      return 0;
-  }
+  return exact_misses_.load(std::memory_order_relaxed);
 }
 
 size_t DistanceOracle::MemoryBytes() const {
-  switch (backend_) {
-    case OracleBackend::kExact: {
-      size_t bytes = 0;
-      for (VertexId v = 0; v < network_.num_vertices(); ++v) {
-        if (exact_filled_[v].load(std::memory_order_acquire)) {
-          bytes += exact_rows_[v].size() * sizeof(Seconds);
-        }
+  if (backend_ == OracleBackend::kExact) {
+    size_t bytes = 0;
+    for (VertexId v = 0; v < network_.num_vertices(); ++v) {
+      if (exact_filled_[v].load(std::memory_order_acquire)) {
+        bytes += exact_rows_[v].size() * sizeof(Seconds);
       }
-      return bytes;
     }
-    case OracleBackend::kCh: {
-      std::lock_guard<std::mutex> lock(ch_pool_mutex_);
-      size_t bytes = ch_->MemoryBytes();
-      size_t engine_bytes = ch_engine_bytes_max_;
-      for (const std::unique_ptr<ChQuery>& engine : ch_pool_) {
-        engine_bytes = std::max(engine_bytes, engine->MemoryBytes());
-      }
-      // Every pooled engine is buffer-wise the same size; count the largest
-      // observed footprint once per engine ever created.
-      return bytes + ch_engines_created_ * engine_bytes;
-    }
-    default:
-      return cache_->MemoryBytes([](const std::vector<Seconds>& row) {
-        return row.size() * sizeof(Seconds);
-      });
+    return bytes;
   }
+  std::lock_guard<std::mutex> lock(ch_pool_mutex_);
+  size_t bytes = ch_->MemoryBytes();
+  size_t engine_bytes = ch_engine_bytes_max_;
+  for (const std::unique_ptr<ChQuery>& engine : ch_pool_) {
+    engine_bytes = std::max(engine_bytes, engine->MemoryBytes());
+  }
+  // Every pooled engine is buffer-wise the same size; count the largest
+  // observed footprint once per engine ever created.
+  return bytes + ch_engines_created_ * engine_bytes;
 }
 
 }  // namespace mtshare

@@ -8,7 +8,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/sharded_lru.h"
 #include "graph/road_network.h"
 #include "routing/ch_query.h"
 #include "routing/contraction_hierarchy.h"
@@ -18,16 +17,14 @@ namespace mtshare {
 
 /// Which cost backend the oracle runs on. kAuto resolves by graph size:
 /// dense exact table when it fits (<= max_exact_vertices), contraction
-/// hierarchy otherwise. kLru keeps the pre-CH row-cache behavior for
-/// comparison runs and memory-constrained setups.
+/// hierarchy otherwise.
 enum class OracleBackend {
   kAuto = 0,
   kExact,
-  kLru,
   kCh,
 };
 
-/// Lower-case stable name ("auto", "exact", "lru", "ch").
+/// Lower-case stable name ("auto", "exact", "ch").
 const char* OracleBackendName(OracleBackend backend);
 
 /// Parses a backend name (as accepted by mtshare_sim --oracle=). Returns
@@ -43,39 +40,22 @@ struct OracleOptions {
   /// Sec. V-A4); larger networks use the contraction hierarchy (kAuto).
   int32_t max_exact_vertices = 4200;
 
-  /// Number of one-to-all rows retained in LRU mode.
-  int32_t lru_rows = 4096;
-
-  /// Byte budget for the LRU row store (0 = uncapped). A row costs
-  /// num_vertices * sizeof(Seconds): on the 4900-vertex CI grids the
-  /// default 4096 rows fit comfortably, but on metropolitan graphs
-  /// (100k+ vertices, ~800 KB/row) the same row count would silently pin
-  /// multiple GB. The constructor clamps the retained row count to this
-  /// budget (never below one row per shard), so the row knob stays tuned
-  /// for small maps without making large maps pay for it.
-  int64_t lru_max_bytes = 256ll << 20;
-
-  /// Mutex stripes of the LRU row cache (concurrent queries only contend
-  /// when their source vertices hash to the same shard).
-  int32_t lru_shards = 16;
-
   /// Preprocessing knobs for the CH backend.
   ChOptions ch;
 };
 
 /// Shortest-path *cost* oracle with O(1) amortized queries, mirroring the
 /// paper's assumption that "the shortest path query will take O(1) time"
-/// (Sec. IV-C). Three backends — exact dense table, LRU-cached Dijkstra
-/// rows, contraction hierarchy — all bit-identical in the costs they
-/// return (arc costs are dyadic, see QuantizeTravelCost). Costs only —
-/// use DijkstraSearch/AStarSearch when the vertex sequence is needed.
+/// (Sec. IV-C). Two backends — exact dense table and contraction
+/// hierarchy — bit-identical in the costs they return (arc costs are
+/// dyadic, see QuantizeTravelCost). Costs only — use DijkstraSearch when
+/// the vertex sequence is needed.
 ///
 /// Thread-safe: the parallel matching engine issues Cost() queries from
 /// every pool worker concurrently. Exact mode fills each row exactly once
-/// behind striped mutexes and publishes it with an atomic flag; LRU mode
-/// delegates to a sharded, mutex-striped LRU cache (ShardedLruCache); CH
-/// mode checks stateful ChQuery engines in and out of a mutex-guarded
-/// pool (one engine per concurrently querying thread). Counters are
+/// behind striped mutexes and publishes it with an atomic flag; CH mode
+/// checks stateful ChQuery engines in and out of a mutex-guarded pool
+/// (one engine per concurrently querying thread). Counters are
 /// atomics / pool-mutex-guarded sums and surface through Metrics.
 class DistanceOracle {
  public:
@@ -96,27 +76,15 @@ class DistanceOracle {
 
   /// Many-to-many batch: row-major |sources| x |targets| cost matrix. In
   /// CH mode the targets' buckets are built once and every source pays a
-  /// single upward sweep (the dispatch-batch workload); table/LRU modes
-  /// pay one row pass per source. Counts |sources| queries and one
+  /// single upward sweep (the dispatch-batch workload); exact mode pays
+  /// one row pass per source. Counts |sources| queries and one
   /// batch_queries tick. Safe to call from any thread.
   void CostManyToMany(std::span<const VertexId> sources,
                       std::span<const VertexId> targets,
                       std::vector<Seconds>* out);
 
-  /// One-to-all row for `source`, exact mode only (rows are never evicted,
-  /// so the reference stays valid for the oracle's lifetime). Other modes
-  /// must use RowPtr(), whose shared_ptr owns the row.
-  const std::vector<Seconds>& Row(VertexId source);
-
-  /// One-to-all row for `source`; works in every mode and is safe against
-  /// concurrent eviction. In CH mode each call computes a fresh Dijkstra
-  /// row (no row store exists), so batch callers should prefer
-  /// CostMany/CostManyToMany.
-  std::shared_ptr<const std::vector<Seconds>> RowPtr(VertexId source);
-
   /// Resolved backend (never kAuto).
   OracleBackend backend() const { return backend_; }
-  bool exact_mode() const { return backend_ == OracleBackend::kExact; }
 
   int64_t queries() const {
     return queries_.load(std::memory_order_relaxed);
@@ -125,7 +93,7 @@ class DistanceOracle {
   int64_t batch_queries() const {
     return batch_queries_.load(std::memory_order_relaxed);
   }
-  /// Row-cache traffic: a hit served a query from a resident row, a miss
+  /// Exact-table traffic: a hit served a query from a resident row, a miss
   /// paid a one-to-all Dijkstra. (Same-vertex queries short-circuit and
   /// count toward neither; always zero in CH mode.)
   int64_t row_hits() const;
@@ -144,18 +112,16 @@ class DistanceOracle {
   /// queries.
   const ContractionHierarchy* ch() const { return ch_.get(); }
 
-  /// Resident bytes of the table / cache / CH index incl. pooled query
-  /// engines (Tab. IV memory accounting).
+  /// Resident bytes of the table / CH index incl. pooled query engines
+  /// (Tab. IV memory accounting).
   size_t MemoryBytes() const;
 
  private:
-  std::vector<Seconds> ComputeRow(VertexId source) const;
   const std::vector<Seconds>& ExactRow(VertexId source);
   std::unique_ptr<ChQuery> BorrowChEngine();
   void ReturnChEngine(std::unique_ptr<ChQuery> engine);
 
   const RoadNetwork& network_;
-  OracleOptions options_;
   OracleBackend backend_;
 
   /// Exact mode: dense row-major table, filled lazily one row at a time
@@ -168,9 +134,6 @@ class DistanceOracle {
   std::unique_ptr<std::mutex[]> fill_mutex_;
   std::atomic<int64_t> exact_hits_{0};
   std::atomic<int64_t> exact_misses_{0};
-
-  /// LRU mode.
-  std::unique_ptr<ShardedLruCache<VertexId, std::vector<Seconds>>> cache_;
 
   /// CH mode: immutable hierarchy + pool of per-thread query engines.
   /// Returned engines fold their counters into ch_stats_total_ (guarded by

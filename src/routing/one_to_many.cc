@@ -1,87 +1,14 @@
 #include "routing/one_to_many.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "common/logging.h"
 
 namespace mtshare {
 
-OneToManySearch::OneToManySearch(const RoadNetwork& network)
-    : network_(network),
-      dist_(network.num_vertices(), 0.0),
-      epoch_(network.num_vertices(), 0),
-      settled_(network.num_vertices(), 0),
-      target_(network.num_vertices(), 0) {}
-
-void OneToManySearch::CostsTo(VertexId source,
-                              std::span<const VertexId> targets,
-                              std::vector<Seconds>* out) {
-  MTSHARE_CHECK(source >= 0 && source < network_.num_vertices());
-  ++current_epoch_;
-  if (current_epoch_ == 0) {  // wrapped: hard reset
-    std::fill(epoch_.begin(), epoch_.end(), 0);
-    std::fill(settled_.begin(), settled_.end(), 0);
-    std::fill(target_.begin(), target_.end(), 0);
-    current_epoch_ = 1;
-  }
-  last_settled_ = 0;
-
-  int32_t remaining = 0;
-  for (VertexId t : targets) {
-    MTSHARE_CHECK(t >= 0 && t < network_.num_vertices());
-    if (target_[t] != current_epoch_) {
-      target_[t] = current_epoch_;
-      ++remaining;
-    }
-  }
-
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      queue;
-  dist_[source] = 0.0;
-  epoch_[source] = current_epoch_;
-  queue.push(QueueEntry{0.0, source});
-
-  while (!queue.empty() && remaining > 0) {
-    QueueEntry top = queue.top();
-    queue.pop();
-    if (epoch_[top.vertex] != current_epoch_ || top.cost > dist_[top.vertex] ||
-        settled_[top.vertex] == current_epoch_) {
-      continue;  // stale entry
-    }
-    settled_[top.vertex] = current_epoch_;
-    ++last_settled_;
-    if (target_[top.vertex] == current_epoch_) {
-      target_[top.vertex] = 0;  // epoch 0 is never current (wrap resets)
-      --remaining;
-    }
-    // Relaxation identical to DijkstraSearch::Run without weights/masks:
-    // the candidate distance is the same floating-point sum, so every
-    // settled value matches the full one-to-all row bit for bit.
-    for (const Arc& arc : network_.OutArcs(top.vertex)) {
-      VertexId next = arc.head;
-      Seconds cand = top.cost + arc.cost;
-      if (epoch_[next] != current_epoch_ || cand < dist_[next]) {
-        epoch_[next] = current_epoch_;
-        dist_[next] = cand;
-        queue.push(QueueEntry{cand, next});
-      }
-    }
-  }
-
-  out->clear();
-  out->reserve(targets.size());
-  for (VertexId t : targets) {
-    out->push_back(settled_[t] == current_epoch_ ? dist_[t] : kInfiniteCost);
-  }
-}
-
 InsertionCostBatch::InsertionCostBatch(const RoadNetwork& network,
                                        DistanceOracle* oracle)
-    : network_(network),
-      oracle_(oracle),
-      sweep_(network),
+    : oracle_(oracle),
       cid_epoch_(network.num_vertices(), 0),
       cid_(network.num_vertices(), 0) {
   MTSHARE_CHECK(oracle != nullptr);
@@ -185,19 +112,6 @@ void InsertionCostBatch::GatherRow(VertexId source,
   }
 }
 
-void InsertionCostBatch::FanFromEndpoint(VertexId endpoint,
-                                         std::span<const VertexId> targets) {
-  if (oracle_->exact_mode()) {
-    GatherRow(endpoint, targets);
-    return;
-  }
-  sweep_.CostsTo(endpoint, targets, &row_buf_);
-  settled_vertices_ += sweep_.last_settled_count();
-  for (size_t i = 0; i < targets.size(); ++i) {
-    Store(endpoint, targets[i], row_buf_[i]);
-  }
-}
-
 void InsertionCostBatch::GatherManyToMany(std::span<const VertexId> sources,
                                           std::span<const VertexId> targets) {
   if (sources.empty() || targets.empty()) return;
@@ -255,13 +169,11 @@ void InsertionCostBatch::Prime() {
     return;
   }
   if (!pending_stops_.empty()) {
-    // Origin/destination fans over the freshly seen stops. These sources
-    // are one-shot per request, so in LRU mode a truncated sweep beats
-    // computing (and caching) their full rows.
+    // Origin/destination fans over the freshly seen stops.
     target_buf_.assign(pending_stops_.begin(), pending_stops_.end());
     target_buf_.push_back(destination_);
-    FanFromEndpoint(origin_, target_buf_);
-    FanFromEndpoint(destination_, pending_stops_);
+    GatherRow(origin_, target_buf_);
+    GatherRow(destination_, pending_stops_);
     // Every stop also needs its costs *to* both request endpoints.
     for (VertexId s : pending_stops_) {
       int32_t c = cid_[s];
@@ -272,8 +184,7 @@ void InsertionCostBatch::Prime() {
     }
   }
   // Per-stop fans: one oracle row pass covers the stop's base-schedule
-  // successors plus both request endpoints. Stop rows recur across
-  // requests, so the row cache is the right backend here.
+  // successors plus both request endpoints.
   for (int32_t c : pending_sources_) {
     std::vector<VertexId>& targets = pending_succ_[c];
     if (!targets.empty()) GatherRow(cid_vertex_[c], targets);
@@ -303,14 +214,12 @@ Seconds InsertionCostBatch::Cost(VertexId a, VertexId b) const {
 BatchRoutingStats InsertionCostBatch::stats() const {
   BatchRoutingStats s;
   s.batch_queries = batch_queries_;
-  s.settled_vertices = settled_vertices_;
   s.fallback_queries = fallback_queries_.load(std::memory_order_relaxed);
   return s;
 }
 
 void InsertionCostBatch::ResetStats() {
   batch_queries_ = 0;
-  settled_vertices_ = 0;
   fallback_queries_.store(0, std::memory_order_relaxed);
 }
 

@@ -19,9 +19,6 @@ struct BatchRoutingStats {
   bool batched = false;
   /// CostMany row passes issued while priming insertion batches.
   int64_t batch_queries = 0;
-  /// Vertices settled by truncated one-to-many sweeps (LRU-mode oracles
-  /// only; exact-mode priming gathers from resident rows instead).
-  int64_t settled_vertices = 0;
   /// Candidate taxis skipped because the landmark lower bound proved the
   /// pickup unreachable before its deadline.
   int64_t lb_pruned = 0;
@@ -42,8 +39,7 @@ struct BatchRoutingStats {
   int64_t ch_point_queries = 0;
   /// Bucket-based one-to-many / many-to-many passes.
   int64_t ch_bucket_queries = 0;
-  /// Vertices settled by CH upward searches — compare against
-  /// settled_vertices of the truncated-Dijkstra path.
+  /// Vertices settled by CH upward searches.
   int64_t ch_upward_settled = 0;
   /// Entries deposited into CH buckets while priming batches.
   int64_t ch_bucket_entries = 0;
@@ -63,44 +59,6 @@ struct BatchRoutingStats {
   int64_t ellipse_pruned = 0;
 };
 
-/// Truncated Dijkstra: one forward search from `source` that stops as soon
-/// as every target is settled. Values are bit-identical to the
-/// corresponding entries of DijkstraSearch::CostsFrom(source) — identical
-/// relaxation arithmetic, and a settled vertex's distance is final
-/// regardless of settle order (strictly positive arc costs), so stopping
-/// early cannot change any reported value.
-///
-/// Not thread-safe; create one per thread.
-class OneToManySearch {
- public:
-  explicit OneToManySearch(const RoadNetwork& network);
-
-  /// Costs from `source` to each target, aligned with `targets`
-  /// (kInfiniteCost for unreachable; duplicates allowed).
-  void CostsTo(VertexId source, std::span<const VertexId> targets,
-               std::vector<Seconds>* out);
-
-  /// Vertices settled by the most recent CostsTo.
-  int64_t last_settled_count() const { return last_settled_; }
-
- private:
-  struct QueueEntry {
-    Seconds cost;
-    VertexId vertex;
-    bool operator>(const QueueEntry& other) const {
-      return cost > other.cost;
-    }
-  };
-
-  const RoadNetwork& network_;
-  std::vector<Seconds> dist_;
-  std::vector<uint32_t> epoch_;     // dist_[v] valid iff epoch_[v] == current
-  std::vector<uint32_t> settled_;   // settled iff settled_[v] == current
-  std::vector<uint32_t> target_;    // unsettled target iff == current
-  uint32_t current_epoch_ = 0;
-  int64_t last_settled_ = 0;
-};
-
 /// Primes every leg cost FindBestInsertionDp (and its FindBestInsertion
 /// fallback) can request for a request's insertion into candidate
 /// schedules, then serves them from a lock-free table. The legs of any
@@ -110,9 +68,8 @@ class OneToManySearch {
 /// -> every stop, every stop -> origin/destination, every base-adjacent
 /// stop pair, and origin -> destination.
 ///
-/// All costs are gathered via forward row passes (DistanceOracle::CostMany)
-/// or forward truncated sweeps (OneToManySearch) — the same direction the
-/// oracle computes rows in — so every table entry is bit-identical to
+/// All costs are gathered via oracle batch passes (DistanceOracle::CostMany
+/// / CostManyToMany), so every table entry is bit-identical to
 /// DistanceOracle::Cost for the same pair, and batched insertion evaluation
 /// produces bit-identical Metrics to the per-pair path.
 ///
@@ -138,12 +95,10 @@ class InsertionCostBatch {
   /// followed by its schedule stops, in schedule order.
   void AddCandidate(std::span<const VertexId> stops);
 
-  /// Primes all pairs registered since the last Prime(). LRU-mode oracles
-  /// service the origin/destination fans with truncated sweeps (a full row
-  /// compute for one-shot request endpoints would thrash the cache);
-  /// exact-mode oracles gather from resident rows via CostMany. Per-stop
-  /// fans always go through CostMany — stop rows are reused across
-  /// requests, so cache residency pays off.
+  /// Primes all pairs registered since the last Prime(). Exact-mode
+  /// oracles gather the origin/destination fans and the per-stop fans
+  /// from resident rows via CostMany; CH-mode oracles batch them into
+  /// bucket-based many-to-many passes (PrimeCh).
   void Prime();
 
   /// Primed leg cost; falls back to the oracle for unknown pairs.
@@ -172,9 +127,6 @@ class InsertionCostBatch {
   void Grow(int32_t needed);
   void Store(VertexId a, VertexId b, Seconds cost);
   void GatherRow(VertexId source, std::span<const VertexId> targets);
-  /// Request endpoints are one-shot sources: truncated sweep in LRU mode,
-  /// resident-row gather in exact mode.
-  void FanFromEndpoint(VertexId endpoint, std::span<const VertexId> targets);
   /// CH-mode priming: the endpoint fan and the per-stop fans each become
   /// one bucket-based many-to-many pass (targets' buckets built once, one
   /// upward sweep per source).
@@ -185,9 +137,7 @@ class InsertionCostBatch {
   void GatherManyToMany(std::span<const VertexId> sources,
                         std::span<const VertexId> targets);
 
-  const RoadNetwork& network_;
   DistanceOracle* oracle_;
-  OneToManySearch sweep_;
 
   VertexId origin_ = kInvalidVertex;
   VertexId destination_ = kInvalidVertex;
@@ -214,7 +164,6 @@ class InsertionCostBatch {
 
   mutable std::atomic<int64_t> fallback_queries_{0};
   int64_t batch_queries_ = 0;
-  int64_t settled_vertices_ = 0;
 };
 
 }  // namespace mtshare

@@ -136,11 +136,11 @@ class Metrics {
   size_t index_memory_bytes = 0;
   /// Distance-oracle traffic during the run (deltas of the shared oracle's
   /// counters; meaningful when runs do not overlap). Misses paid a
-  /// one-to-all Dijkstra; hits were served from the row table/cache.
+  /// one-to-all Dijkstra; hits were served from the exact row table.
   int64_t oracle_queries = 0;
   int64_t oracle_row_hits = 0;
   int64_t oracle_row_misses = 0;
-  /// Resolved backend of the oracle that served the run ("exact", "lru",
+  /// Resolved backend of the oracle that served the run ("exact" or
   /// "ch"); empty when the run bypassed RunScenario.
   std::string oracle_backend;
   /// Total driver income accumulated across the fleet.
@@ -151,8 +151,8 @@ class Metrics {
   /// run end (candidate search / filter / insertion / routing).
   PhaseTimers phases;
   /// Batched-routing counters harvested from the dispatcher at run end:
-  /// one-to-many batch passes, vertices settled by truncated sweeps,
-  /// lower-bound-pruned candidates, and per-pair fallback queries.
+  /// batch passes, lower-bound-pruned candidates, per-pair fallback
+  /// queries, CH and candidate-search counters.
   BatchRoutingStats routing;
   /// Dispatcher time spent probing offline encounters that were *not*
   /// served — measured by the engine but attached to no request record.

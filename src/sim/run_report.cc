@@ -134,7 +134,7 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   JsonWriter w(indent);
   w.BeginObject();
   w.Key("schema_version");
-  w.Int(6);
+  w.Int(7);
   w.Key("experiment");
   w.String(context.experiment);
   w.Key("scheme");
@@ -208,21 +208,17 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   w.Int(m.oracle_row_misses);
   w.EndObject();
 
-  // Batched insertion routing: how many one-to-many passes replaced
-  // per-pair queries, the truncated-sweep work they paid, lower-bound-
-  // pruned candidates, and table misses that fell back to the oracle
-  // (expected 0 — a nonzero value means the priming fan missed a leg
-  // shape). The ch_* counters describe the contraction-hierarchy backend
-  // (all zero when routing ran on the table/LRU backends);
-  // ch_upward_settled is directly comparable to settled_vertices.
+  // Batched insertion routing: how many batch passes replaced per-pair
+  // queries, lower-bound-pruned candidates, and table misses that fell
+  // back to the oracle (expected 0 — a nonzero value means the priming fan
+  // missed a leg shape). The ch_* counters describe the contraction-
+  // hierarchy backend (all zero when routing ran on the exact table).
   w.Key("routing");
   w.BeginObject();
   w.Key("batched");
   w.Int(m.routing.batched ? 1 : 0);
   w.Key("batch_queries");
   w.Int(m.routing.batch_queries);
-  w.Key("settled_vertices");
-  w.Int(m.routing.settled_vertices);
   w.Key("lb_pruned");
   w.Int(m.routing.lb_pruned);
   w.Key("fallback_queries");

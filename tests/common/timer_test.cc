@@ -17,7 +17,7 @@ TEST(WallTimerTest, UnitsConsistent) {
   WallTimer timer;
   // Burn a little CPU so elapsed is strictly positive.
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i * 1e-9;
+  for (int i = 0; i < 100000; ++i) sink = sink + i * 1e-9;
   double s = timer.ElapsedSeconds();
   double ms = timer.ElapsedMillis();
   double us = timer.ElapsedMicros();
@@ -30,7 +30,7 @@ TEST(WallTimerTest, UnitsConsistent) {
 TEST(WallTimerTest, RestartResets) {
   WallTimer timer;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i * 1e-9;
+  for (int i = 0; i < 100000; ++i) sink = sink + i * 1e-9;
   double before = timer.ElapsedSeconds();
   timer.Restart();
   EXPECT_LT(timer.ElapsedSeconds(), before + 1e-3);

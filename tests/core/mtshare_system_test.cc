@@ -36,15 +36,9 @@ TEST(SystemConfigTest, RejectsBadValues) {
 }
 
 TEST(SystemConfigTest, RejectsBadOracleOptions) {
-  // These previously reached the oracle unchecked (a non-positive shard
-  // count was UB in ShardedLruCache); Create must report them instead.
+  // These previously reached the oracle unchecked; Create must report them
+  // instead.
   SystemConfig c;
-  c.oracle.lru_rows = 0;
-  EXPECT_FALSE(c.Validate().ok());
-  c = SystemConfig{};
-  c.oracle.lru_shards = -1;
-  EXPECT_FALSE(c.Validate().ok());
-  c = SystemConfig{};
   c.oracle.max_exact_vertices = 0;
   EXPECT_FALSE(c.Validate().ok());
   c = SystemConfig{};
@@ -60,7 +54,7 @@ TEST(SystemConfigTest, RejectsBadOracleOptions) {
   RoadNetwork net = MakeGridCity(gopt);
   SystemConfig bad;
   bad.bipartite_partitioning = false;  // isolate the oracle failure
-  bad.oracle.lru_shards = 0;
+  bad.oracle.max_exact_vertices = -1;
   auto result = MTShareSystem::Create(net, {}, bad);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
@@ -188,15 +182,16 @@ TEST_F(MTShareSystemTest, ChBackendRunsBitIdenticalToExact) {
   // on the exact table and on the contraction hierarchy must produce the
   // same simulation down to the last served request and fare (all leg
   // costs are bit-identical, so every dispatch decision is too).
+  SystemConfig ch_config = config_;
+  ch_config.oracle.backend = OracleBackend::kCh;
+  MTShareSystem ch_system(net_, scenario_.HistoricalOdPairs(), ch_config);
   ScenarioSpec spec;
   spec.scheme = SchemeKind::kMtShare;
   spec.requests = &scenario_.requests;
   spec.num_taxis = 25;
-  spec.oracle_backend = OracleBackend::kExact;
   Result<Metrics> exact = system_->RunScenario(spec);
   ASSERT_TRUE(exact.ok());
-  spec.oracle_backend = OracleBackend::kCh;
-  Result<Metrics> ch = system_->RunScenario(spec);
+  Result<Metrics> ch = ch_system.RunScenario(spec);
   ASSERT_TRUE(ch.ok());
 
   EXPECT_EQ(exact.value().oracle_backend, "exact");

@@ -50,6 +50,7 @@ Metrics RunOnce(const RunOptions& opt) {
   config.kappa = 16;
   config.kt = 5;
   config.matching.candidate_search = opt.candidates;
+  config.oracle.backend = opt.oracle_backend;
   // Fresh system per run so dispatcher indexes and bucket stores start
   // cold and the comparison sees identical initial state.
   MTShareSystem system(net, scenario.HistoricalOdPairs(), config);
@@ -61,7 +62,6 @@ Metrics RunOnce(const RunOptions& opt) {
   spec.fleet_seed = opt.seed + 3;
   spec.event_driven = opt.event_driven;
   spec.num_threads = opt.num_threads;
-  spec.oracle_backend = opt.oracle_backend;
   Result<Metrics> run = system.RunScenario(spec);
   EXPECT_TRUE(run.ok()) << run.status();
   return std::move(run).value();

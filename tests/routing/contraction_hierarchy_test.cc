@@ -242,21 +242,6 @@ TEST(DistanceOracleChBackendTest, ManyToManyCountsAndMemory) {
   EXPECT_GT(oracle.MemoryBytes(), idle_bytes);
 }
 
-TEST(DistanceOracleChBackendTest, RowPtrFallsBackToDijkstraRow) {
-  GridCityOptions gopt;
-  gopt.rows = 7;
-  gopt.cols = 7;
-  RoadNetwork net = MakeGridCity(gopt);
-  OracleOptions copt;
-  copt.backend = OracleBackend::kCh;
-  DistanceOracle oracle(net, copt);
-  DijkstraSearch dijkstra(net);
-  auto row = oracle.RowPtr(3);
-  std::vector<Seconds> want = dijkstra.CostsFrom(3);
-  ASSERT_EQ(row->size(), want.size());
-  for (size_t i = 0; i < want.size(); ++i) EXPECT_EQ((*row)[i], want[i]);
-}
-
 TEST(QuantizeTravelCostTest, SnapsToDyadicGridAndStaysPositive) {
   // Quantized costs are exact multiples of 2^-20 s ...
   Seconds q = QuantizeTravelCost(123.456789);

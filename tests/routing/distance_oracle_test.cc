@@ -14,30 +14,10 @@ TEST(DistanceOracleTest, ExactModeMatchesDijkstra) {
   gopt.cols = 9;
   RoadNetwork net = MakeGridCity(gopt);
   DistanceOracle oracle(net);  // small -> exact
-  EXPECT_TRUE(oracle.exact_mode());
+  EXPECT_EQ(oracle.backend(), OracleBackend::kExact);
   DijkstraSearch dijkstra(net);
   Rng rng(91);
   for (int i = 0; i < 50; ++i) {
-    VertexId s = VertexId(rng.NextInt(0, net.num_vertices() - 1));
-    VertexId t = VertexId(rng.NextInt(0, net.num_vertices() - 1));
-    EXPECT_DOUBLE_EQ(oracle.Cost(s, t), dijkstra.Cost(s, t));
-  }
-}
-
-TEST(DistanceOracleTest, LruModeMatchesDijkstra) {
-  GridCityOptions gopt;
-  gopt.rows = 9;
-  gopt.cols = 9;
-  RoadNetwork net = MakeGridCity(gopt);
-  OracleOptions oopt;
-  oopt.backend = OracleBackend::kLru;  // auto would now pick CH here
-  oopt.max_exact_vertices = 10;
-  oopt.lru_rows = 8;
-  DistanceOracle oracle(net, oopt);
-  EXPECT_FALSE(oracle.exact_mode());
-  DijkstraSearch dijkstra(net);
-  Rng rng(93);
-  for (int i = 0; i < 80; ++i) {
     VertexId s = VertexId(rng.NextInt(0, net.num_vertices() - 1));
     VertexId t = VertexId(rng.NextInt(0, net.num_vertices() - 1));
     EXPECT_DOUBLE_EQ(oracle.Cost(s, t), dijkstra.Cost(s, t));
@@ -53,55 +33,6 @@ TEST(DistanceOracleTest, RowReuseAvoidsRecomputation) {
   for (VertexId t = 0; t < net.num_vertices(); ++t) oracle.Cost(0, t);
   EXPECT_EQ(oracle.row_misses(), 1);
   EXPECT_EQ(oracle.queries(), net.num_vertices());
-}
-
-TEST(DistanceOracleTest, LruEvictionStillCorrect) {
-  GridCityOptions gopt;
-  gopt.rows = 8;
-  gopt.cols = 8;
-  RoadNetwork net = MakeGridCity(gopt);
-  OracleOptions oopt;
-  oopt.backend = OracleBackend::kLru;  // auto would now pick CH here
-  oopt.max_exact_vertices = 1;
-  oopt.lru_rows = 2;  // tiny cache: constant eviction
-  DistanceOracle oracle(net, oopt);
-  DijkstraSearch dijkstra(net);
-  // Cycle through 4 sources repeatedly.
-  for (int round = 0; round < 3; ++round) {
-    for (VertexId s = 0; s < 4; ++s) {
-      EXPECT_DOUBLE_EQ(oracle.Cost(s, 20), dijkstra.Cost(s, 20));
-    }
-  }
-  EXPECT_GT(oracle.row_misses(), 4);  // evictions forced recomputation
-}
-
-TEST(DistanceOracleTest, LruByteCapClampsRetainedRows) {
-  // lru_rows was tuned on ~4.9k-vertex maps; on a 100k-vertex city the
-  // same row count is gigabytes. lru_max_bytes clamps the retained rows
-  // at construction: with a 1 KiB budget on 512-byte rows only 2 rows
-  // survive, so cycling 4 sources must evict (uncapped: all 4 fit).
-  GridCityOptions gopt;
-  gopt.rows = 8;
-  gopt.cols = 8;
-  RoadNetwork net = MakeGridCity(gopt);
-  OracleOptions capped;
-  capped.backend = OracleBackend::kLru;
-  capped.lru_rows = 64;
-  capped.lru_shards = 1;
-  capped.lru_max_bytes = net.num_vertices() * sizeof(Seconds) * 2;
-  OracleOptions uncapped = capped;
-  uncapped.lru_max_bytes = 0;
-  DistanceOracle capped_oracle(net, capped);
-  DistanceOracle uncapped_oracle(net, uncapped);
-  DijkstraSearch dijkstra(net);
-  for (int round = 0; round < 3; ++round) {
-    for (VertexId s = 0; s < 4; ++s) {
-      EXPECT_DOUBLE_EQ(capped_oracle.Cost(s, 20), dijkstra.Cost(s, 20));
-      EXPECT_DOUBLE_EQ(uncapped_oracle.Cost(s, 20), dijkstra.Cost(s, 20));
-    }
-  }
-  EXPECT_GT(capped_oracle.row_misses(), 4);  // cap forced evictions
-  EXPECT_EQ(uncapped_oracle.row_misses(), 4);  // all four rows retained
 }
 
 TEST(DistanceOracleTest, SelfCostIsZeroWithoutRowFetch) {
@@ -121,7 +52,7 @@ TEST(DistanceOracleTest, MemoryGrowsWithRows) {
   RoadNetwork net = MakeGridCity(gopt);
   DistanceOracle oracle(net);
   size_t before = oracle.MemoryBytes();
-  oracle.Row(0);
+  oracle.Cost(0, 1);
   EXPECT_GT(oracle.MemoryBytes(), before);
 }
 

@@ -8,7 +8,6 @@
 
 #include "common/random.h"
 #include "graph/graph_generators.h"
-#include "routing/dijkstra.h"
 #include "routing/distance_oracle.h"
 
 namespace mtshare {
@@ -23,59 +22,13 @@ RoadNetwork MakeNet(uint64_t seed, double one_way = 0.0) {
   return MakeGridCity(opt);
 }
 
-// The whole point of the batched layer: values must equal the full
-// one-to-all row BIT FOR BIT, not just within a tolerance — otherwise
-// batched and per-pair runs could diverge on deadline-edge insertions.
-TEST(OneToManySearchTest, MatchesFullDijkstraRowBitwise) {
-  RoadNetwork net = MakeNet(21, /*one_way=*/0.3);
-  OneToManySearch sweep(net);
-  DijkstraSearch dijkstra(net);
-  Rng rng(211);
-  std::vector<VertexId> targets;
-  std::vector<Seconds> got;
-  for (int round = 0; round < 40; ++round) {
-    VertexId source = VertexId(rng.NextInt(0, net.num_vertices() - 1));
-    targets.clear();
-    int n = static_cast<int>(rng.NextInt(1, 12));
-    for (int i = 0; i < n; ++i) {
-      targets.push_back(VertexId(rng.NextInt(0, net.num_vertices() - 1)));
-    }
-    targets.push_back(source);      // self target
-    targets.push_back(targets[0]);  // duplicate target
-    sweep.CostsTo(source, targets, &got);
-    ASSERT_EQ(got.size(), targets.size());
-    std::vector<Seconds> row = dijkstra.CostsFrom(source);
-    for (size_t i = 0; i < targets.size(); ++i) {
-      EXPECT_EQ(got[i], row[targets[i]])  // exact, no tolerance
-          << source << "->" << targets[i];
-    }
-    EXPECT_GT(sweep.last_settled_count(), 0);
-    EXPECT_LE(sweep.last_settled_count(), net.num_vertices());
-  }
-}
-
-TEST(OneToManySearchTest, TruncatesBeforeSettlingEverything) {
-  RoadNetwork net = MakeNet(22);
-  OneToManySearch sweep(net);
-  std::vector<Seconds> got;
-  // A target adjacent to the source settles after a handful of vertices.
-  VertexId source = 0;
-  VertexId near = net.OutArcs(source)[0].head;
-  std::vector<VertexId> targets{near};
-  sweep.CostsTo(source, targets, &got);
-  EXPECT_LT(sweep.last_settled_count(), net.num_vertices() / 2);
-}
-
 TEST(DistanceOracleTest, CostManyMatchesCostBitwiseInBothModes) {
   RoadNetwork net = MakeNet(23, /*one_way=*/0.2);
-  OracleOptions exact_opts;
-  DistanceOracle exact(net, exact_opts);
-  OracleOptions lru_opts;
-  lru_opts.backend = OracleBackend::kLru;
-  lru_opts.max_exact_vertices = 0;
-  DistanceOracle lru(net, lru_opts);
-  ASSERT_TRUE(exact.exact_mode());
-  ASSERT_FALSE(lru.exact_mode());
+  DistanceOracle exact(net);
+  OracleOptions ch_opts;
+  ch_opts.backend = OracleBackend::kCh;
+  DistanceOracle ch(net, ch_opts);
+  ASSERT_EQ(exact.backend(), OracleBackend::kExact);
 
   Rng rng(231);
   std::vector<VertexId> targets;
@@ -86,7 +39,7 @@ TEST(DistanceOracleTest, CostManyMatchesCostBitwiseInBothModes) {
     for (int i = 0; i < 8; ++i) {
       targets.push_back(VertexId(rng.NextInt(0, net.num_vertices() - 1)));
     }
-    for (DistanceOracle* oracle : {&exact, &lru}) {
+    for (DistanceOracle* oracle : {&exact, &ch}) {
       oracle->CostMany(source, targets, &got);
       ASSERT_EQ(got.size(), targets.size());
       for (size_t i = 0; i < targets.size(); ++i) {
@@ -116,15 +69,12 @@ class InsertionCostBatchTest
   InsertionCostBatchTest() : net_(MakeNet(25, /*one_way=*/0.25)) {
     OracleOptions opts;
     opts.backend = GetParam();
-    if (GetParam() != OracleBackend::kExact) opts.max_exact_vertices = 0;
     oracle_ = std::make_unique<DistanceOracle>(net_, opts);
     // The reference answers per-pair queries on the exact backend: all
     // backends must agree bit for bit, so cross-backend comparison is the
     // stronger check.
     reference_ = std::make_unique<DistanceOracle>(net_);
   }
-
-  bool lru() const { return GetParam() == OracleBackend::kLru; }
 
   RoadNetwork net_;
   std::unique_ptr<DistanceOracle> oracle_;
@@ -169,14 +119,7 @@ TEST_P(InsertionCostBatchTest, PrimedLegsMatchOracleBitwiseWithNoFallbacks) {
     }
     EXPECT_EQ(batch.stats().fallback_queries, 0) << "round " << round;
   }
-  BatchRoutingStats stats = batch.stats();
-  EXPECT_GT(stats.batch_queries, 0);
-  if (lru()) {
-    // LRU mode services the endpoint fans with truncated sweeps.
-    EXPECT_GT(stats.settled_vertices, 0);
-  } else {
-    EXPECT_EQ(stats.settled_vertices, 0);
-  }
+  EXPECT_GT(batch.stats().batch_queries, 0);
   if (GetParam() == OracleBackend::kCh) {
     // CH priming runs entirely on bucket-based many-to-many passes.
     ChQueryStats ch = oracle_->ch_query_stats();
@@ -212,8 +155,7 @@ TEST_P(InsertionCostBatchTest, IncrementalPrimingCoversLaterCandidates) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, InsertionCostBatchTest,
-    ::testing::Values(OracleBackend::kExact, OracleBackend::kLru,
-                      OracleBackend::kCh),
+    ::testing::Values(OracleBackend::kExact, OracleBackend::kCh),
     [](const ::testing::TestParamInfo<OracleBackend>& info) {
       std::string name = OracleBackendName(info.param);
       name[0] = static_cast<char>(std::toupper(name[0]));

@@ -375,7 +375,9 @@ TEST_F(RequestSourceTest, GeneratorSourceIsDeterministicSortedAndRunnable) {
     EXPECT_EQ(a[i].id, static_cast<RequestId>(i));
     EXPECT_GT(a[i].direct_cost, 0.0);
     EXPECT_GT(a[i].deadline, a[i].release_time);
-    if (i > 0) EXPECT_GE(a[i].release_time, a[i - 1].release_time);
+    if (i > 0) {
+      EXPECT_GE(a[i].release_time, a[i - 1].release_time);
+    }
     EXPECT_EQ(a[i].origin, b[i].origin);
     EXPECT_EQ(a[i].destination, b[i].destination);
     EXPECT_EQ(a[i].release_time, b[i].release_time);

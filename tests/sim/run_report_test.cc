@@ -39,7 +39,7 @@ bool HasKey(const std::string& json, const std::string& key) {
 }
 
 void ValidateReportSchema(const std::string& json) {
-  EXPECT_EQ(NumberAfter(json, "", "schema_version"), 6.0);
+  EXPECT_EQ(NumberAfter(json, "", "schema_version"), 7.0);
   for (const char* key :
        {"experiment", "scheme", "window", "num_taxis", "num_requests",
         "seed", "requests", "response_ms", "waiting_min", "detour_min",
@@ -51,8 +51,8 @@ void ValidateReportSchema(const std::string& json) {
   // Batched-routing section (schema_version 2). Counters are cumulative
   // and non-negative; fallbacks mean the priming fan missed a leg shape,
   // which is a bug by construction.
-  for (const char* key : {"batched", "batch_queries", "settled_vertices",
-                          "lb_pruned", "fallback_queries"}) {
+  for (const char* key :
+       {"batched", "batch_queries", "lb_pruned", "fallback_queries"}) {
     EXPECT_GE(NumberAfter(json, "routing", key), 0.0) << key;
   }
   EXPECT_EQ(NumberAfter(json, "routing", "fallback_queries"), 0.0);
@@ -316,12 +316,14 @@ TEST(MtshareSimCliTest, ReportFlagEmitsValidJson) {
 TEST(MtshareSimCliTest, RejectsMalformedNumericFlags) {
   // Regression: "--taxis=abc" used to atoi to 0 and run an empty fleet,
   // and "--seed=-1" / "--seed=abc" went through a double parse that
-  // silently fell back to the default seed.
+  // silently fell back to the default seed. A misspelled key ("--taxi")
+  // used to be ignored and run the default fleet; the removed LRU oracle
+  // backend is no longer a valid --oracle.
   for (const char* flag : {"--taxis=abc", "--requests=12x", "--rho=",
                            "--threads=-2", "--seed=4 2", "--seed=-1",
                            "--seed=abc", "--seed=4.5",
                            "--batch-window-ms=abc", "--batch-window-ms=-5",
-                           "--max-queue=x"}) {
+                           "--max-queue=x", "--oracle=lru", "--taxi=5"}) {
     std::string cmd = std::string(MTSHARE_SIM_BINARY) + " \"" +
                       std::string(flag) + "\" > /dev/null 2>&1";
     EXPECT_EQ(RunCommand(cmd), 2) << flag;

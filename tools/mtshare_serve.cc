@@ -22,7 +22,7 @@
 //                  omits                   (default 1.3)
 //   --seed         RNG seed                (default 42)
 //   --threads      matching worker threads (default 1; 0 = all cores)
-//   --oracle       auto | exact | lru | ch (default auto)
+//   --oracle       auto | exact | ch       (default auto)
 //   --candidates   index | ch_buckets      (default index) — candidate
 //                  search path (DESIGN.md §14); ch_buckets answers pickup
 //                  reachability with one backward CH sweep over last-stop
@@ -46,113 +46,30 @@
 //   --gauge-every  emit a gauge line to stderr every N decisions
 //                  (default 1000; 0 = silent)
 //   --input        read the request log from this file instead of stdin
-//   --report       write a schema-5 JSON run report here (includes the
+//   --report       write a schema-7 JSON run report here (includes the
 //                  "serve" admission/backpressure block)
 //
 // Exit codes: 0 success, 1 runtime failure (bad network file, malformed
-// request line, short write), 2 flag/usage errors.
+// request line, short write), 2 flag/usage errors (malformed values and
+// unknown flags).
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <string>
 
 #include "common/histogram.h"
-#include "common/string_util.h"
 #include "core/mtshare_system.h"
 #include "demand/trip_io.h"
+#include "flags.h"
 #include "graph/graph_generators.h"
 #include "graph/graph_io.h"
 #include "sim/request_source.h"
 #include "sim/run_report.h"
 
 using namespace mtshare;
-
-namespace {
-
-std::map<std::string, std::string> ParseArgs(int argc, char** argv,
-                                             bool* ok) {
-  std::map<std::string, std::string> args;
-  *ok = true;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unrecognized argument: %s\n", arg.c_str());
-      *ok = false;
-      continue;
-    }
-    size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      args[arg.substr(2)] = "1";
-    } else {
-      args[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-    }
-  }
-  return args;
-}
-
-/// Strict numeric flag lookup: malformed values ("abc", "12x", "") are a
-/// hard error instead of silently becoming 0 via atoi-style parsing.
-double GetD(const std::map<std::string, std::string>& args,
-            const std::string& key, double fallback, bool* ok) {
-  auto it = args.find(key);
-  if (it == args.end()) return fallback;
-  double value = 0.0;
-  if (!ParseDouble(Trim(it->second), &value)) {
-    std::fprintf(stderr, "invalid numeric value for --%s: '%s'\n",
-                 key.c_str(), it->second.c_str());
-    *ok = false;
-    return fallback;
-  }
-  return value;
-}
-
-/// Strict non-negative integer flag (counts: taxis, threads, ...).
-int32_t GetCount(const std::map<std::string, std::string>& args,
-                 const std::string& key, int32_t fallback, bool* ok) {
-  auto it = args.find(key);
-  if (it == args.end()) return fallback;
-  int64_t value = 0;
-  if (!ParseInt64(Trim(it->second), &value) || value < 0 ||
-      value > INT32_MAX) {
-    std::fprintf(stderr,
-                 "invalid value for --%s: '%s' (want an integer >= 0)\n",
-                 key.c_str(), it->second.c_str());
-    *ok = false;
-    return fallback;
-  }
-  return static_cast<int32_t>(value);
-}
-
-std::string GetS(const std::map<std::string, std::string>& args,
-                 const std::string& key, const std::string& fallback) {
-  auto it = args.find(key);
-  return it == args.end() ? fallback : it->second;
-}
-
-/// Strict unsigned 64-bit flag (RNG seeds). A double-based parse would
-/// silently round seeds above 2^53 and make negative inputs UB on the
-/// cast; ParseUint64 keeps full precision up to UINT64_MAX and rejects
-/// signs and garbage outright.
-uint64_t GetU64(const std::map<std::string, std::string>& args,
-                const std::string& key, uint64_t fallback, bool* ok) {
-  auto it = args.find(key);
-  if (it == args.end()) return fallback;
-  uint64_t value = 0;
-  if (!ParseUint64(Trim(it->second), &value)) {
-    std::fprintf(stderr,
-                 "invalid value for --%s: '%s' (want an unsigned integer)\n",
-                 key.c_str(), it->second.c_str());
-    *ok = false;
-    return fallback;
-  }
-  return value;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
 #ifdef SIGPIPE
@@ -162,11 +79,12 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
 #endif
   bool ok = true;
-  auto args = ParseArgs(argc, argv, &ok);
-  if (!ok || args.count("help")) {
+  FlagArgs args = ParseArgs(argc, argv, &ok);
+  const bool help = args.Find("help") != nullptr;
+  if (!ok || help) {
     std::fprintf(stderr,
                  "see the header of tools/mtshare_serve.cc for usage\n");
-    return args.count("help") ? 0 : 2;
+    return help ? 0 : 2;
   }
 
   std::optional<SchemeKind> scheme =
@@ -193,7 +111,7 @@ int main(int argc, char** argv) {
   config.matching.gamma_max_m = GetD(args, "gamma", 2500.0, &ok);
   if (!ParseOracleBackend(GetS(args, "oracle", "auto"),
                           &config.oracle.backend)) {
-    std::fprintf(stderr, "unknown --oracle (want auto|exact|lru|ch)\n");
+    std::fprintf(stderr, "unknown --oracle (want auto|exact|ch)\n");
     return 2;
   }
   if (!ParseCandidateSearch(GetS(args, "candidates", "index"),
@@ -218,6 +136,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --engine (want event|sweep)\n");
     return 2;
   }
+  const std::string input_path = GetS(args, "input", "");
+  const std::string report_path = GetS(args, "report", "");
+  // Every flag is read by now; anything left over is a typo.
+  if (!args.RejectUnread()) ok = false;
   if (!ok) return 2;  // every malformed flag already printed its error
 
   Status valid = config.Validate();
@@ -244,10 +166,10 @@ int main(int argc, char** argv) {
   dopt.day = peak ? DayType::kWorkday : DayType::kWeekend;
   dopt.seed = seed + 1;
   DemandModel demand(network, dopt);
+  // MakeScenario with num_requests = 0 never queries its oracle, so an
+  // exact one costs nothing here: its rows fill lazily and none is touched.
   OracleOptions scratch;
-  if (network.num_vertices() > scratch.max_exact_vertices) {
-    scratch.backend = OracleBackend::kLru;
-  }
+  scratch.backend = OracleBackend::kExact;
   DistanceOracle scratch_oracle(network, scratch);
   ScenarioOptions sopt;
   sopt.num_requests = 0;
@@ -264,7 +186,6 @@ int main(int argc, char** argv) {
 
   std::ifstream input_file;
   std::istream* in = &std::cin;
-  std::string input_path = GetS(args, "input", "");
   if (!input_path.empty()) {
     input_file.open(input_path);
     if (!input_file) {
@@ -377,7 +298,6 @@ int main(int argc, char** argv) {
                static_cast<long long>(m.serve.queue_depth),
                m.execution_seconds);
 
-  std::string report_path = GetS(args, "report", "");
   if (!report_path.empty()) {
     RunReportContext ctx;
     ctx.experiment = "mtshare_serve";

@@ -21,7 +21,7 @@
 //                  results identical for any value)
 //   --batched      batched insertion routing (default 1; 0 = per-pair
 //                  oracle queries; results identical either way)
-//   --oracle       auto | exact | lru | ch  (default auto: exact table for
+//   --oracle       auto | exact | ch       (default auto: exact table for
 //                  small graphs, contraction hierarchy for large ones;
 //                  results identical for every backend)
 //   --candidates   index | ch_buckets       (default index: each scheme's
@@ -44,111 +44,34 @@
 //   --per-request  write a per-request CSV record here
 //   --report       write a structured JSON run report here (percentiles,
 //                  per-phase dispatch breakdown; see EXPERIMENTS.md)
+//
+// Malformed values and unknown flags exit 2 with a diagnostic. Scenario
+// generation prices each request's direct trip on its own kAuto oracle, so
+// on maps above 4200 vertices the tool builds a contraction hierarchy
+// twice, once for the scenario and once for the system: one extra CH
+// preprocessing pass, about 5.6 s on the 105k-vertex city per
+// `ch_preprocessing_ms` in BENCH_scale.json.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <string>
 
-#include "common/string_util.h"
 #include "core/mtshare_system.h"
 #include "demand/trip_io.h"
+#include "flags.h"
 #include "graph/graph_generators.h"
 #include "graph/graph_io.h"
 #include "sim/run_report.h"
 
 using namespace mtshare;
 
-namespace {
-
-std::map<std::string, std::string> ParseArgs(int argc, char** argv,
-                                             bool* ok) {
-  std::map<std::string, std::string> args;
-  *ok = true;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unrecognized argument: %s\n", arg.c_str());
-      *ok = false;
-      continue;
-    }
-    size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      args[arg.substr(2)] = "1";
-    } else {
-      args[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-    }
-  }
-  return args;
-}
-
-/// Strict numeric flag lookup: malformed values ("abc", "12x", "") are a
-/// hard error instead of silently becoming 0 via atoi-style parsing.
-double GetD(const std::map<std::string, std::string>& args,
-            const std::string& key, double fallback, bool* ok) {
-  auto it = args.find(key);
-  if (it == args.end()) return fallback;
-  double value = 0.0;
-  if (!ParseDouble(Trim(it->second), &value)) {
-    std::fprintf(stderr, "invalid numeric value for --%s: '%s'\n",
-                 key.c_str(), it->second.c_str());
-    *ok = false;
-    return fallback;
-  }
-  return value;
-}
-
-/// Strict non-negative integer flag (counts: taxis, requests, threads...).
-int32_t GetCount(const std::map<std::string, std::string>& args,
-                 const std::string& key, int32_t fallback, bool* ok) {
-  auto it = args.find(key);
-  if (it == args.end()) return fallback;
-  int64_t value = 0;
-  if (!ParseInt64(Trim(it->second), &value) || value < 0 ||
-      value > INT32_MAX) {
-    std::fprintf(stderr,
-                 "invalid value for --%s: '%s' (want an integer >= 0)\n",
-                 key.c_str(), it->second.c_str());
-    *ok = false;
-    return fallback;
-  }
-  return static_cast<int32_t>(value);
-}
-
-std::string GetS(const std::map<std::string, std::string>& args,
-                 const std::string& key, const std::string& fallback) {
-  auto it = args.find(key);
-  return it == args.end() ? fallback : it->second;
-}
-
-/// Strict unsigned 64-bit flag (RNG seeds). A double-based parse would
-/// silently round seeds above 2^53 and make negative inputs UB on the
-/// cast; ParseUint64 keeps full precision up to UINT64_MAX and rejects
-/// signs and garbage outright.
-uint64_t GetU64(const std::map<std::string, std::string>& args,
-                const std::string& key, uint64_t fallback, bool* ok) {
-  auto it = args.find(key);
-  if (it == args.end()) return fallback;
-  uint64_t value = 0;
-  if (!ParseUint64(Trim(it->second), &value)) {
-    std::fprintf(stderr,
-                 "invalid value for --%s: '%s' (want an unsigned integer)\n",
-                 key.c_str(), it->second.c_str());
-    *ok = false;
-    return fallback;
-  }
-  return value;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   bool ok = true;
-  auto args = ParseArgs(argc, argv, &ok);
-  if (!ok || args.count("help")) {
+  FlagArgs args = ParseArgs(argc, argv, &ok);
+  const bool help = args.Find("help") != nullptr;
+  if (!ok || help) {
     std::fprintf(stderr, "see the header of tools/mtshare_sim.cc for usage\n");
-    return args.count("help") ? 0 : 2;
+    return help ? 0 : 2;
   }
 
   std::optional<SchemeKind> scheme = ParseScheme(GetS(args, "scheme", "mt-share"));
@@ -175,7 +98,7 @@ int main(int argc, char** argv) {
   config.matching.gamma_max_m = GetD(args, "gamma", 2500.0, &ok);
   config.matching.batched_routing = GetCount(args, "batched", 1, &ok) != 0;
   if (!ParseOracleBackend(GetS(args, "oracle", "auto"), &config.oracle.backend)) {
-    std::fprintf(stderr, "unknown --oracle (want auto|exact|lru|ch)\n");
+    std::fprintf(stderr, "unknown --oracle (want auto|exact|ch)\n");
     return 2;
   }
   if (!ParseCandidateSearch(GetS(args, "candidates", "index"),
@@ -206,6 +129,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --engine (want event|sweep)\n");
     return 2;
   }
+  const std::string save_requests = GetS(args, "save-requests", "");
+  const std::string report_path = GetS(args, "report", "");
+  const std::string per_request = GetS(args, "per-request", "");
+  // Every flag is read by now; anything left over is a typo.
+  if (!args.RejectUnread()) ok = false;
   if (!ok) return 2;  // every malformed flag already printed its error
 
   Status valid = config.Validate();
@@ -231,13 +159,9 @@ int main(int argc, char** argv) {
   dopt.day = peak ? DayType::kWorkday : DayType::kWeekend;
   dopt.seed = seed + 1;
   DemandModel demand(network, dopt);
-  // Scenario generation issues scattered point queries; don't pay CH
-  // preprocessing for them (every backend returns identical costs anyway).
-  OracleOptions scratch;
-  if (network.num_vertices() > scratch.max_exact_vertices) {
-    scratch.backend = OracleBackend::kLru;
-  }
-  DistanceOracle oracle(network, scratch);
+  // Prices every generated request's direct trip (see the header note on
+  // the extra CH build above 4200 vertices).
+  DistanceOracle oracle(network);
 
   Scenario scenario = MakeScenario(network, demand, oracle, sopt);
 
@@ -247,7 +171,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "system: %s\n", system.status().ToString().c_str());
     return 2;
   }
-  std::string save_requests = GetS(args, "save-requests", "");
   if (!save_requests.empty()) {
     Status saved = SaveRequestLog(save_requests, scenario.requests);
     if (!saved.ok()) {
@@ -284,15 +207,11 @@ int main(int argc, char** argv) {
   std::printf("fare_saving=%.1f%% driver_income=%.0f exec_s=%.2f\n",
               m.MeanFareSaving() * 100.0, m.total_driver_income,
               m.execution_seconds);
-  std::printf(
-      "oracle=%s settled_vertices=%lld ch_upward_settled=%lld "
-      "ch_shortcuts=%lld\n",
-      m.oracle_backend.c_str(),
-      static_cast<long long>(m.routing.settled_vertices),
-      static_cast<long long>(m.routing.ch_upward_settled),
-      static_cast<long long>(m.routing.ch_shortcuts));
+  std::printf("oracle=%s ch_upward_settled=%lld ch_shortcuts=%lld\n",
+              m.oracle_backend.c_str(),
+              static_cast<long long>(m.routing.ch_upward_settled),
+              static_cast<long long>(m.routing.ch_shortcuts));
 
-  std::string report_path = GetS(args, "report", "");
   if (!report_path.empty()) {
     RunReportContext ctx;
     ctx.experiment = "mtshare_sim";
@@ -309,7 +228,6 @@ int main(int argc, char** argv) {
     std::printf("run report written to %s\n", report_path.c_str());
   }
 
-  std::string per_request = GetS(args, "per-request", "");
   if (!per_request.empty()) {
     std::ofstream out(per_request);
     if (!out) {

@@ -15,9 +15,9 @@ if(NOT EXISTS "${REPORT_PATH}")
   message(FATAL_ERROR "report file was not written: ${REPORT_PATH}")
 endif()
 file(READ "${REPORT_PATH}" report)
-# Keys through schema_version 6 (the candidate-search routing counters).
+# Keys of schema_version 7 (through the candidate-search routing counters).
 foreach(key "schema_version" "response_ms" "p95" "phases" "dispatch_total_ms"
-        "routing" "batch_queries" "settled_vertices" "lb_pruned"
+        "routing" "batch_queries" "lb_pruned"
         "fallback_queries" "serve" "batch_window_ms" "admitted" "shed"
         "queue_depth" "candidate_search" "bucket_candidates"
         "bucket_maintenance_ms" "slots_screened" "ellipse_pruned")
