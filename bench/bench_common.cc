@@ -34,20 +34,6 @@ std::string SlugFromBanner(const std::string& experiment) {
   return slug.empty() ? "run" : slug;
 }
 
-/// MTSHARE_BENCH_ENGINE=sweep|event selects the advancement core for every
-/// bench run (default event, like the CLI). Decision metrics are identical
-/// either way, so this only matters for wall-clock A/B runs (fig21).
-bool BenchEventDriven() {
-  const char* env = std::getenv("MTSHARE_BENCH_ENGINE");
-  if (env == nullptr || env[0] == '\0') return true;
-  const std::string mode{Trim(env)};
-  if (mode == "event") return true;
-  if (mode == "sweep") return false;
-  std::fprintf(stderr,
-               "invalid MTSHARE_BENCH_ENGINE='%s' (want sweep|event)\n", env);
-  std::exit(2);
-}
-
 /// MTSHARE_BENCH_THREADS, strictly parsed: garbage ("abc", "-3") is a
 /// hard error instead of atoi's silent 0 ("all cores").
 int32_t BenchThreads() {
@@ -130,7 +116,6 @@ Metrics BenchEnv::Run(SchemeKind scheme, int32_t num_taxis) {
   spec.scheme = scheme;
   spec.requests = &scenario_.requests;
   spec.num_taxis = num_taxis;
-  spec.event_driven = BenchEventDriven();
   Result<Metrics> result = system_->RunScenario(spec);
   MTSHARE_CHECK(result.ok());
   Metrics metrics = std::move(result).value();
@@ -177,7 +162,6 @@ std::vector<Metrics> BenchEnv::RunAll(const std::vector<ScenarioSpec>& jobs) {
   std::vector<ScenarioSpec> resolved(jobs);
   for (ScenarioSpec& spec : resolved) {
     if (spec.requests == nullptr) spec.requests = &scenario_.requests;
-    spec.event_driven = BenchEventDriven();
   }
   ThreadPool pool(threads);
   pool.ParallelFor(jobs.size(), [&](size_t i) {

@@ -33,10 +33,8 @@ struct BenchScale {
 
 /// Scale adjusted for MTSHARE_BENCH_FAST.
 ///
-/// Two more environment knobs apply to every bench: MTSHARE_BENCH_THREADS
-/// caps the RunAll fan-out, and MTSHARE_BENCH_ENGINE=sweep|event picks the
-/// engine's advancement core for A/B wall-clock runs (default event;
-/// decision metrics are identical either way).
+/// One more environment knob applies to every bench: MTSHARE_BENCH_THREADS
+/// caps the RunAll fan-out.
 BenchScale GetScale();
 
 /// The bench city: a 48x48 perturbed grid, 150 m blocks (~7 km on a side,

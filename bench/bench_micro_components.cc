@@ -240,15 +240,11 @@ void BM_TaxiIndexReindex(benchmark::State& state) {
 }
 BENCHMARK(BM_TaxiIndexReindex)->Arg(256)->Arg(1024)->Arg(4096);
 
-// Advancement-core head-to-head on a fixed request stream while the fleet
-// grows 100 -> 10k. Demand is constant, so larger fleets are mostly idle —
-// the regime where the sweep core's per-boundary full-fleet walk wastes
-// the most work and the event core's heap pops only the taxis with
-// movement due. engine:0 is the legacy sweep, engine:1 the event core;
-// both make bit-identical decisions (see EngineEquivalenceTest).
+// Fleet advancement on a fixed request stream while the fleet grows
+// 100 -> 10k. Demand is constant, so larger fleets are mostly idle — the
+// regime where the engine's heap pops only the taxis with movement due.
 void BM_EngineAdvance(benchmark::State& state) {
   const int32_t fleet_size = int32_t(state.range(0));
-  const bool event_driven = state.range(1) == 1;
   static DistanceOracle oracle(Net());
   Rng rng(31);
   // One simulated hour of evenly released city-wide trips, ids dense from
@@ -276,21 +272,16 @@ void BM_EngineAdvance(benchmark::State& state) {
     NoSharingDispatcher dispatcher(Net(), &oracle, &fleet, mconfig);
     EngineOptions opts;
     opts.serve_offline = false;
-    opts.event_driven = event_driven;
     SimulationEngine engine(Net(), &dispatcher, &fleet, opts);
     state.ResumeTiming();
     benchmark::DoNotOptimize(engine.Run(requests));
   }
-  state.SetLabel(event_driven ? "event" : "sweep");
 }
 BENCHMARK(BM_EngineAdvance)
-    ->Args({100, 0})
-    ->Args({100, 1})
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->ArgNames({"fleet", "engine"})
+    ->Arg(100)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->ArgName("fleet")
     ->Unit(benchmark::kMillisecond);
 
 void BM_KMeansGeo(benchmark::State& state) {

@@ -216,7 +216,6 @@ Result<Metrics> MTShareSystem::RunScenario(const ScenarioSpec& spec) {
 
   EngineOptions eopts;
   eopts.serve_offline = spec.serve_offline;
-  eopts.event_driven = spec.event_driven;
   eopts.batch_window_ms = spec.batch_window_ms;
   eopts.max_queue = spec.max_queue;
   eopts.on_decision = spec.on_decision;

@@ -71,11 +71,6 @@ struct ScenarioSpec {
   uint64_t fleet_seed = 1;
   /// Enables offline-request encounters (street hails, Sec. IV-C2).
   bool serve_offline = true;
-  /// Advance the fleet with the event-driven core (min-heap of per-taxi
-  /// next-arc times) instead of the legacy per-boundary sweep. Decision
-  /// metrics are identical either way; false selects the sweep for
-  /// equivalence testing and perf comparison.
-  bool event_driven = true;
   /// Worker threads for candidate-schedule evaluation. 1 = sequential;
   /// results are bit-identical for every value (deterministic reduction).
   /// 0 = hardware concurrency.

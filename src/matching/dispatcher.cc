@@ -70,9 +70,8 @@ void Dispatcher::EnableChBucketSearch(const ContractionHierarchy* ch) {
 const std::vector<TaxiId>& Dispatcher::BucketSweep(VertexId origin,
                                                    Seconds budget) {
   // Anchors are read straight off the fleet, exactly as the index path's
-  // probes do (no sync here: the schemes do not sync during their scans
-  // either, and any lazy advance re-dirties the taxi via
-  // OnScheduleChanged, so the next sweep sees the moved location).
+  // probes do; every advance re-dirties the taxi via OnScheduleChanged, so
+  // the flush sees the moved location.
   buckets_->FlushDirty([this](TaxiId id) { return taxi(id).location; });
   buckets_->Sweep(origin, budget);
   return buckets_->found();
@@ -221,9 +220,6 @@ Dispatcher::CandidateEval Dispatcher::EvaluateCandidates(
     const std::vector<TaxiId>& candidates, const RideRequest& request,
     Seconds now) {
   ScopedPhaseTimer timer(phase_timers_, DispatchPhase::kInsertion);
-  // Materialize every candidate before any state is read — sequentially,
-  // ahead of the pool fan-out, so lazy advancement never runs on a worker.
-  for (TaxiId id : candidates) SyncTaxiState(id, now);
   // Reused per-call scratch: slots are overwritten by evaluate() (or their
   // `found` flag cleared on the skip path), so stale entries from the
   // previous request can never leak into the reduction.
@@ -258,19 +254,14 @@ Dispatcher::CandidateEval Dispatcher::EvaluateCandidates(
       }
     }
   }
-  LegCostFn cost;
-  if (config_.batched_routing) {
-    // Prime every leg the insertion walks can request with one-to-many
-    // passes, sequentially; workers then read the immutable table.
-    batch_.Begin(request.origin, request.destination);
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (!skip[i]) RegisterCandidateStops(taxi(candidates[i]));
-    }
-    batch_.Prime();
-    cost = BatchedCost();
-  } else {
-    cost = OracleCost();
+  // Prime every leg the insertion walks can request with one-to-many
+  // passes, sequentially; workers then read the immutable table.
+  batch_.Begin(request.origin, request.destination);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (!skip[i]) RegisterCandidateStops(taxi(candidates[i]));
   }
+  batch_.Prime();
+  const LegCostFn cost = BatchedCost();
   auto evaluate = [&](size_t i) {
     if (skip[i]) {
       results[i].found = false;  // slot may hold a previous request's result
@@ -380,7 +371,6 @@ RoutePlanner::PlannedRoute Dispatcher::PlanIdleCruise(TaxiId id, Seconds now) {
 DispatchOutcome Dispatcher::TryServeEncountered(const RideRequest& request,
                                                 TaxiId taxi_id, Seconds now) {
   DispatchOutcome outcome;
-  SyncTaxiState(taxi_id, now);
   const TaxiState& t = taxi(taxi_id);
   if (t.FreeSeats() < request.passengers) return outcome;
   // The taxi is physically at the request's origin: insert and re-plan.

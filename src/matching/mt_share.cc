@@ -30,11 +30,6 @@ MtShareDispatcher::MtShareDispatcher(const RoadNetwork& network,
   for (const TaxiState& t : *fleet_) index_.ReindexTaxi(t, t.location_time);
 }
 
-void MtShareDispatcher::OnTaxiMoved(TaxiId id) {
-  const TaxiState& t = taxi(id);
-  index_.OnTaxiMoved(t, t.location_time);
-}
-
 void MtShareDispatcher::OnTaxiAdvanced(TaxiId id, size_t from_pos,
                                        size_t to_pos) {
   index_.OnTaxiAdvanced(taxi(id), from_pos, to_pos);

@@ -13,12 +13,6 @@ NoSharingDispatcher::NoSharingDispatcher(const RoadNetwork& network,
   }
 }
 
-void NoSharingDispatcher::OnTaxiMoved(TaxiId id) {
-  // Busy taxis stay out of the idle index; position refresh happens when
-  // the schedule drains (OnScheduleCommitted).
-  (void)id;
-}
-
 void NoSharingDispatcher::OnScheduleCommitted(TaxiId id) {
   const TaxiState& t = taxi(id);
   if (t.Idle()) {

@@ -19,7 +19,6 @@ class NoSharingDispatcher : public Dispatcher {
 
   DispatchOutcome Dispatch(const RideRequest& request, Seconds now) override;
 
-  void OnTaxiMoved(TaxiId taxi) override;
   void OnScheduleCommitted(TaxiId taxi) override;
 
   bool ServesOfflineRequests() const override { return false; }

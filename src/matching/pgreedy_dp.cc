@@ -13,7 +13,10 @@ PGreedyDpDispatcher::PGreedyDpDispatcher(const RoadNetwork& network,
   }
 }
 
-void PGreedyDpDispatcher::OnTaxiMoved(TaxiId id) {
+void PGreedyDpDispatcher::OnTaxiAdvanced(TaxiId id, size_t from_pos,
+                                         size_t to_pos) {
+  (void)from_pos;
+  (void)to_pos;
   index_.Update(id, network_.coord(taxi(id).location));
 }
 

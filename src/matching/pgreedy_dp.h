@@ -22,7 +22,7 @@ class PGreedyDpDispatcher : public Dispatcher {
 
   DispatchOutcome Dispatch(const RideRequest& request, Seconds now) override;
 
-  void OnTaxiMoved(TaxiId taxi) override;
+  void OnTaxiAdvanced(TaxiId taxi, size_t from_pos, size_t to_pos) override;
   void OnScheduleCommitted(TaxiId taxi) override;
 
   size_t IndexMemoryBytes() const override { return index_.MemoryBytes(); }

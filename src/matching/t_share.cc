@@ -15,7 +15,10 @@ TShareDispatcher::TShareDispatcher(const RoadNetwork& network,
   }
 }
 
-void TShareDispatcher::OnTaxiMoved(TaxiId id) {
+void TShareDispatcher::OnTaxiAdvanced(TaxiId id, size_t from_pos,
+                                      size_t to_pos) {
+  (void)from_pos;
+  (void)to_pos;
   index_.Update(id, network_.coord(taxi(id).location));
 }
 
@@ -65,12 +68,10 @@ DispatchOutcome TShareDispatcher::Dispatch(const RideRequest& request,
   // inside the loop: the scan usually stops after one or two candidates, so
   // unlike the arg-min schemes there is no evaluation fan-out to
   // parallelize — speculatively scoring the whole candidate list would do
-  // strictly more work than the sequential early exit it replaces. Batched
-  // routing therefore primes incrementally, one candidate per Prime(), so
-  // the early exit keeps its win.
-  if (config_.batched_routing) {
-    batch_.Begin(request.origin, request.destination);
-  }
+  // strictly more work than the sequential early exit it replaces. Leg
+  // costs are therefore primed incrementally, one candidate per Prime(),
+  // so the early exit keeps its win.
+  batch_.Begin(request.origin, request.destination);
   // ch_buckets path: one backward CH sweep replaces the per-candidate
   // reachability probes, and the detour-ellipse screen skips candidates
   // (and their per-candidate Prime passes) whose every insertion slot is
@@ -106,16 +107,10 @@ DispatchOutcome TShareDispatcher::Dispatch(const RideRequest& request,
         if (!ComputeEllipseMask(t, request, now, &mask_buf_)) continue;
         mask = &mask_buf_;
       }
-      LegCostFn cost;
-      if (config_.batched_routing) {
-        RegisterCandidateStops(t);
-        batch_.Prime();
-        cost = BatchedCost();
-      } else {
-        cost = OracleCost();
-      }
+      RegisterCandidateStops(t);
+      batch_.Prime();
       ins = FindBestInsertionDp(t.schedule, request, t.location, now,
-                                t.onboard, t.capacity, cost, mask);
+                                t.onboard, t.capacity, BatchedCost(), mask);
     }
     if (!ins.found) continue;
     RoutePlanner::PlannedRoute route =

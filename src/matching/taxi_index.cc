@@ -94,41 +94,22 @@ void MtShareTaxiIndex::ReindexTaxiAt(const TaxiState& taxi, size_t pos,
   }
 }
 
-void MtShareTaxiIndex::OnTaxiMoved(const TaxiState& taxi, Seconds now) {
-  if (taxi.Idle()) {
-    ReindexTaxi(taxi, now);
-    return;
-  }
-  // Busy taxis: future memberships are route-derived and stay valid, but
-  // the moment the taxi crosses into a new partition its old
-  // current-partition entry is stale — the partition it left keeps
-  // advertising it with a past arrival time, inflating candidate lists
-  // with taxis that are no longer anywhere near. Reindex on crossing
-  // (memberships.front() is the current-partition entry by construction);
-  // moves within a partition keep the cheap early return.
-  if (static_cast<size_t>(taxi.id) >= taxi_partitions_.size() ||
-      taxi_partitions_[taxi.id].empty() ||
-      taxi_partitions_[taxi.id].front().partition !=
-          partitioning_.PartitionOf(taxi.location)) {
-    ReindexTaxi(taxi, now);
-  }
-}
-
 void MtShareTaxiIndex::OnTaxiAdvanced(const TaxiState& taxi, size_t from_pos,
                                       size_t to_pos) {
   if (taxi.Idle()) {
-    // The per-arc sweep reindexes an idle taxi at every step, but each
-    // reindex rebuilds the partition entries wholesale and the clustering
-    // Remove is idempotent — only the final one survives.
+    // One reindex at the span's end: a reindex rebuilds the partition
+    // entries wholesale and the clustering Remove is idempotent, so
+    // per-arc reindexes would leave the same state.
     Seconds now = to_pos < taxi.route.size() ? taxi.route.time(to_pos)
                                              : taxi.location_time;
     ReindexTaxiAt(taxi, to_pos, now);
     return;
   }
-  // Busy taxis: replay the crossing check at every stepped position. A
+  // Busy taxis: the crossing check runs at every stepped position. A
   // crossing must reindex *as of that position* — the route scan start and
   // the T_mp horizon both depend on where the crossing happened, so
-  // collapsing to one batch-end reindex would record different arrivals.
+  // collapsing to one span-end reindex would record different arrivals.
+  // memberships.front() is the current-partition entry by construction.
   for (size_t pos = from_pos + 1; pos <= to_pos; ++pos) {
     if (static_cast<size_t>(taxi.id) >= taxi_partitions_.size() ||
         taxi_partitions_[taxi.id].empty() ||

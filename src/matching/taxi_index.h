@@ -30,24 +30,17 @@ class MtShareTaxiIndex {
   /// committed or drained.
   void ReindexTaxi(const TaxiState& taxi, Seconds now);
 
-  /// Refresh when a taxi's location changed. Idle taxis reindex on every
-  /// move. Busy taxis' *future* memberships are route-derived and stay
-  /// valid between commits, but the current-partition entry goes stale the
-  /// moment the taxi crosses a partition border: the partition it left
-  /// keeps advertising it with a past arrival time. Crossing triggers a
-  /// reindex; moves within a partition stay O(1).
-  void OnTaxiMoved(const TaxiState& taxi, Seconds now);
-
-  /// Batched form of OnTaxiMoved for the event-driven engine: the taxi
-  /// advanced from route position `from_pos` through `to_pos`. Replays the
-  /// per-arc sweep exactly — for busy taxis every partition crossing
+  /// Refresh after the taxi advanced from route position `from_pos`
+  /// through `to_pos`. Idle taxis reindex once at `to_pos`. Busy taxis'
+  /// *future* memberships are route-derived and stay valid between
+  /// commits, but the current-partition entry goes stale the moment the
+  /// taxi crosses a partition border: the partition it left keeps
+  /// advertising it with a past arrival time. Every crossing therefore
   /// triggers a reindex *as of that position* (location, arrival horizon,
   /// and mobility vector evaluated at the crossing, so the clustering's
-  /// floating-point fold sees the identical Assign sequence); idle taxis
-  /// reindex once at `to_pos` (intermediate idle reindexes are fully
-  /// overwritten: partition entries are rebuilt and the clustering Remove
-  /// is idempotent). The caller must keep schedule-changing events outside
-  /// the batch (the engine splits batches at event arcs).
+  /// floating-point fold sees one Assign per crossing); moves within a
+  /// partition stay O(1). The caller must keep schedule-changing events
+  /// outside the span (the engine splits spans at event arcs).
   void OnTaxiAdvanced(const TaxiState& taxi, size_t from_pos, size_t to_pos);
 
   /// Registers a ride request in the mobility clustering (affects general

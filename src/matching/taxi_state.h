@@ -107,8 +107,8 @@ MobilityVector TaxiMobilityVector(const TaxiState& taxi,
 
 /// Same vector with the origin overridden — the taxi's mobility vector as
 /// it was (or will be) at `location`, given its current schedule. Used by
-/// the batched index updates to replay partition-crossing reindexes at the
-/// exact positions the per-arc sweep would have performed them.
+/// the span-batched index updates to reindex a taxi at the exact route
+/// position where it crossed a partition border.
 MobilityVector TaxiMobilityVectorFrom(const TaxiState& taxi,
                                       const RoadNetwork& network,
                                       VertexId location);

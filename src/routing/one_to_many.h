@@ -15,8 +15,6 @@ namespace mtshare {
 /// Counters of the batched insertion-routing layer, harvested into Metrics
 /// and the run report ("routing" section).
 struct BatchRoutingStats {
-  /// Whether the dispatcher ran with batched routing armed.
-  bool batched = false;
   /// CostMany row passes issued while priming insertion batches.
   int64_t batch_queries = 0;
   /// Candidate taxis skipped because the landmark lower bound proved the
@@ -70,8 +68,8 @@ struct BatchRoutingStats {
 ///
 /// All costs are gathered via oracle batch passes (DistanceOracle::CostMany
 /// / CostManyToMany), so every table entry is bit-identical to
-/// DistanceOracle::Cost for the same pair, and batched insertion evaluation
-/// produces bit-identical Metrics to the per-pair path.
+/// DistanceOracle::Cost for the same pair (InsertionCostBatchTest checks
+/// every primed leg on both backends).
 ///
 /// Usage: Begin(origin, dest) once per dispatch; AddCandidate + Prime for
 /// each candidate (or all candidates, then one Prime); Cost() from any
@@ -106,7 +104,7 @@ class InsertionCostBatch {
   Seconds Cost(VertexId a, VertexId b) const;
 
   /// Counters since the last ResetStats (fallbacks are cumulative across
-  /// Begin() calls; `batched`/`lb_pruned` are owned by the dispatcher).
+  /// Begin() calls; `lb_pruned` is owned by the dispatcher).
   BatchRoutingStats stats() const;
   void ResetStats();
 

@@ -3,8 +3,8 @@
 // reachability predicate the per-taxi probes answer, and the
 // detour-ellipse screen only clears provably infeasible insertion slots.
 // These tests run the whole system both ways for every scheme and compare
-// run outcomes field by field (the ISSUE 10 acceptance gate), and pin the
-// bucket-store consistency invariant under the event-driven engine.
+// run outcomes field by field, and pin the bucket-store consistency
+// invariant under the engine's span-batched advancement.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -23,7 +23,6 @@ struct RunOptions {
   SchemeKind scheme = SchemeKind::kMtShare;
   uint64_t seed = 11;
   CandidateSearch candidates = CandidateSearch::kIndex;
-  bool event_driven = true;
   int32_t num_threads = 1;
   OracleBackend oracle_backend = OracleBackend::kAuto;
 };
@@ -60,17 +59,16 @@ Metrics RunOnce(const RunOptions& opt) {
   spec.requests = &scenario.requests;
   spec.num_taxis = 24;
   spec.fleet_seed = opt.seed + 3;
-  spec.event_driven = opt.event_driven;
   spec.num_threads = opt.num_threads;
   Result<Metrics> run = system.RunScenario(spec);
   EXPECT_TRUE(run.ok()) << run.status();
   return std::move(run).value();
 }
 
-/// Asserts identical decisions. Unlike the engine-equivalence harness this
-/// deliberately does NOT compare oracle query counts — eliminating probes
-/// is the ch_buckets path's whole point; what must agree is every
-/// per-request decision field and the aggregate outcomes they roll into.
+/// Asserts identical decisions. This deliberately does NOT compare oracle
+/// query counts — eliminating probes is the ch_buckets path's whole point;
+/// what must agree is every per-request decision field and the aggregate
+/// outcomes they roll into.
 void ExpectIdenticalDecisions(const Metrics& a, const Metrics& b,
                               const std::string& label) {
   SCOPED_TRACE(label);
@@ -97,7 +95,7 @@ void ExpectIdenticalDecisions(const Metrics& a, const Metrics& b,
 }
 
 TEST(CandidateSearchEquivalenceTest, BucketsMatchIndexForEverySchemeAndSeed) {
-  for (uint64_t seed : {11u, 29u}) {
+  for (uint64_t seed : {11u, 29u, 47u}) {
     for (SchemeKind scheme :
          {SchemeKind::kNoSharing, SchemeKind::kTShare, SchemeKind::kPGreedyDp,
           SchemeKind::kMtShare, SchemeKind::kMtSharePro}) {
@@ -137,25 +135,6 @@ TEST(CandidateSearchEquivalenceTest, BucketsMatchIndexForEverySchemeAndSeed) {
   }
 }
 
-TEST(CandidateSearchEquivalenceTest, BucketsMatchAcrossEngineCores) {
-  // The dirty-anchor maintenance rides the engine's OnScheduleChanged
-  // notifications; both advancement cores must drive it to the same
-  // decisions (and to the index path's decisions).
-  RunOptions opt;
-  opt.scheme = SchemeKind::kMtShare;
-  opt.seed = 47;
-  opt.candidates = CandidateSearch::kChBuckets;
-  opt.event_driven = true;
-  Metrics event = RunOnce(opt);
-  opt.event_driven = false;
-  Metrics sweep = RunOnce(opt);
-  ExpectIdenticalDecisions(event, sweep, "event vs sweep core, ch_buckets");
-
-  opt.candidates = CandidateSearch::kIndex;
-  Metrics index_sweep = RunOnce(opt);
-  ExpectIdenticalDecisions(index_sweep, sweep, "index vs ch_buckets, sweep");
-}
-
 TEST(CandidateSearchEquivalenceTest, BucketsMatchUnderThreadedEvaluation) {
   // Slot masks are written sequentially before the pool fan-out; a
   // threaded run must reproduce the sequential decisions exactly.
@@ -190,8 +169,7 @@ TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
   // a taxi's bucket deposits either match its CURRENT location or the
   // taxi is marked dirty (so the next sweep rebuilds it). A missed
   // OnScheduleChanged call would leave a moved taxi clean with a stale
-  // anchor, which this callback catches at every dispatch of a full run
-  // under the lazy event-driven core.
+  // anchor, which this callback catches at every dispatch of a full run.
   GridCityOptions gopt;
   gopt.rows = 16;
   gopt.cols = 16;

@@ -54,7 +54,7 @@ TEST_F(TaxiIndexTest, ReindexMovesMembership) {
   // Move the idle taxi far away.
   VertexId far = net_.num_vertices() - 1;
   t.location = far;
-  index_->OnTaxiMoved(t, 5.0);
+  index_->OnTaxiAdvanced(t, 0, 0);
   PartitionId after = partitioning_.PartitionOf(far);
   if (before != after) {
     EXPECT_FALSE(InPartitionList(before, 0));
@@ -162,7 +162,7 @@ TEST_F(TaxiIndexTest, ClusterTaxisFiltersOutRequests) {
 }
 
 TEST_F(TaxiIndexTest, BusyTaxiCrossingPartitionDropsStaleEntry) {
-  // Regression: OnTaxiMoved used to early-return for busy taxis, so a taxi
+  // Regression: the move hook used to early-return for busy taxis, so a taxi
   // that crossed a partition border stayed listed in the partition it left
   // with a past arrival time — candidate search kept surfacing it there
   // for the rest of its trip.
@@ -198,7 +198,7 @@ TEST_F(TaxiIndexTest, BusyTaxiCrossingPartitionDropsStaleEntry) {
   t.location = path.vertices[cross];
   t.location_time = t.route.time(cross);
   t.route_pos = cross;
-  index_->OnTaxiMoved(t, t.location_time);
+  index_->OnTaxiAdvanced(t, 0, cross);
 
   EXPECT_FALSE(InPartitionList(start, 5)) << "stale entry left behind";
   PartitionId here = partitioning_.PartitionOf(t.location);
@@ -232,7 +232,7 @@ TEST_F(TaxiIndexTest, BusyTaxiMoveWithinPartitionKeepsEntryUntouched) {
   t.location = path.vertices[inside];
   t.location_time = t.route.time(inside);
   t.route_pos = inside;
-  index_->OnTaxiMoved(t, t.location_time);
+  index_->OnTaxiAdvanced(t, 0, inside);
 
   // Still listed with its ORIGINAL first-arrival time: within-partition
   // moves must not reindex (that is the cheap path the early return keeps).

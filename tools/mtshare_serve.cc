@@ -28,7 +28,6 @@
 //                  reachability with one backward CH sweep over last-stop
 //                  buckets and screens insertion slots with the
 //                  detour-ellipse bound. Decisions are identical.
-//   --engine       event | sweep           (default event)
 //   --rows/--cols  generated city size     (default 48x48)
 //   --network      edge-list CSV to load instead of generating
 //   --historical   historical trips for the mobility statistics
@@ -46,7 +45,7 @@
 //   --gauge-every  emit a gauge line to stderr every N decisions
 //                  (default 1000; 0 = silent)
 //   --input        read the request log from this file instead of stdin
-//   --report       write a schema-7 JSON run report here (includes the
+//   --report       write a schema-8 JSON run report here (includes the
 //                  "serve" admission/backpressure block)
 //
 // Exit codes: 0 success, 1 runtime failure (bad network file, malformed
@@ -131,11 +130,6 @@ int main(int argc, char** argv) {
   }
   const int32_t max_queue = GetCount(args, "max-queue", 0, &ok);
   const int32_t gauge_every = GetCount(args, "gauge-every", 1000, &ok);
-  const std::string engine_mode = GetS(args, "engine", "event");
-  if (engine_mode != "event" && engine_mode != "sweep") {
-    std::fprintf(stderr, "unknown --engine (want event|sweep)\n");
-    return 2;
-  }
   const std::string input_path = GetS(args, "input", "");
   const std::string report_path = GetS(args, "report", "");
   // Every flag is read by now; anything left over is a typo.
@@ -237,7 +231,6 @@ int main(int argc, char** argv) {
   spec.num_taxis = num_taxis;
   spec.fleet_seed = seed + 3;
   spec.num_threads = num_threads;
-  spec.event_driven = engine_mode == "event";
   spec.batch_window_ms = batch_window_ms;
   spec.max_queue = max_queue;
   spec.on_decision = [&](const RideRequest& r, const RequestRecord& rec) {

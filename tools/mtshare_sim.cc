@@ -19,8 +19,6 @@
 //   --seed         RNG seed                (default 42)
 //   --threads      matching worker threads (default 1; 0 = all cores;
 //                  results identical for any value)
-//   --batched      batched insertion routing (default 1; 0 = per-pair
-//                  oracle queries; results identical either way)
 //   --oracle       auto | exact | ch       (default auto: exact table for
 //                  small graphs, contraction hierarchy for large ones;
 //                  results identical for every backend)
@@ -29,9 +27,6 @@
 //                  probes; ch_buckets = last-stop CH bucket sweeps +
 //                  detour-ellipse slot pruning, DESIGN.md §14; dispatch
 //                  decisions identical either way)
-//   --engine       event | sweep            (default event: min-heap fleet
-//                  advancement; sweep = legacy per-boundary full-fleet
-//                  walk; decision metrics identical either way)
 //   --rows/--cols  generated city size     (default 48x48)
 //   --network      edge-list CSV to load instead of generating
 //   --batch-window-ms  batch-window ingest Δt, simulated ms (default 0 =
@@ -96,7 +91,6 @@ int main(int argc, char** argv) {
   config.rho = GetD(args, "rho", 1.3, &ok);
   config.taxi_capacity = GetCount(args, "capacity", 3, &ok);
   config.matching.gamma_max_m = GetD(args, "gamma", 2500.0, &ok);
-  config.matching.batched_routing = GetCount(args, "batched", 1, &ok) != 0;
   if (!ParseOracleBackend(GetS(args, "oracle", "auto"), &config.oracle.backend)) {
     std::fprintf(stderr, "unknown --oracle (want auto|exact|ch)\n");
     return 2;
@@ -124,11 +118,6 @@ int main(int argc, char** argv) {
     ok = false;
   }
   const int32_t max_queue = GetCount(args, "max-queue", 0, &ok);
-  const std::string engine_mode = GetS(args, "engine", "event");
-  if (engine_mode != "event" && engine_mode != "sweep") {
-    std::fprintf(stderr, "unknown --engine (want event|sweep)\n");
-    return 2;
-  }
   const std::string save_requests = GetS(args, "save-requests", "");
   const std::string report_path = GetS(args, "report", "");
   const std::string per_request = GetS(args, "per-request", "");
@@ -186,7 +175,6 @@ int main(int argc, char** argv) {
   spec.num_taxis = num_taxis;
   spec.fleet_seed = seed + 3;
   spec.num_threads = num_threads;
-  spec.event_driven = engine_mode == "event";
   spec.batch_window_ms = batch_window_ms;
   spec.max_queue = max_queue;
   Result<Metrics> run = system.value()->RunScenario(spec);

@@ -15,7 +15,7 @@ if(NOT EXISTS "${REPORT_PATH}")
   message(FATAL_ERROR "report file was not written: ${REPORT_PATH}")
 endif()
 file(READ "${REPORT_PATH}" report)
-# Keys of schema_version 7 (through the candidate-search routing counters).
+# Keys of schema_version 8 (through the candidate-search routing counters).
 foreach(key "schema_version" "response_ms" "p95" "phases" "dispatch_total_ms"
         "routing" "batch_queries" "lb_pruned"
         "fallback_queries" "serve" "batch_window_ms" "admitted" "shed"
@@ -35,7 +35,7 @@ endif()
 if(report MATCHES "\"admitted\": *0[,\n}]")
   message(FATAL_ERROR "report shows zero admitted requests:\n${report}")
 endif()
-# A batched-routing miss during insertion means the priming fan has a
+# A leg-cost table miss during insertion means the priming fan has a
 # coverage hole; fail the smoke loudly rather than silently degrade.
 if(NOT report MATCHES "\"fallback_queries\": *0[,\n}]")
   message(FATAL_ERROR "report shows nonzero fallback_queries:\n${report}")
