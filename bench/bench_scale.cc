@@ -18,14 +18,10 @@
 //                             also the A/B hook for before/after timing)
 //   MTSHARE_SCALE_NETWORK=f   load an edge-list CSV instead of generating
 //                             the grid city (largest SCC is extracted)
-//   MTSHARE_SCALE_CANDIDATES=index | ch_buckets | both
-//                             candidate-search path(s) per row (DESIGN.md
-//                             §14; default index). `both` runs every row
-//                             twice, index first — the committed A/B pair.
-//                             Decision metrics must match between paths;
-//                             the routing counters in the trajectory lines
-//                             (batch_queries, ch_upward_settled,
-//                             ellipse_pruned) carry the comparison.
+//
+// The oracle backend, which kAuto picks by graph size, also picks how
+// pickup reachability is answered (DESIGN.md §14): table reads on the CI
+// city, last-stop CH bucket sweeps on the 100k+ city.
 #include <chrono>
 #include <cstdlib>
 
@@ -70,26 +66,6 @@ bool ScaleOnlyRow(ScaleRow* out) {
   out->taxis = static_cast<int32_t>(taxis);
   out->requests = static_cast<int32_t>(requests);
   return true;
-}
-
-/// MTSHARE_SCALE_CANDIDATES, strictly parsed ("both" = index then
-/// ch_buckets per row).
-std::vector<CandidateSearch> ScaleCandidatePaths() {
-  const char* env = std::getenv("MTSHARE_SCALE_CANDIDATES");
-  if (env == nullptr || env[0] == '\0') return {CandidateSearch::kIndex};
-  const std::string spec{Trim(env)};
-  if (spec == "both") {
-    return {CandidateSearch::kIndex, CandidateSearch::kChBuckets};
-  }
-  CandidateSearch mode;
-  if (!ParseCandidateSearch(spec, &mode)) {
-    std::fprintf(stderr,
-                 "invalid MTSHARE_SCALE_CANDIDATES='%s' (want "
-                 "index|ch_buckets|both)\n",
-                 env);
-    std::exit(2);
-  }
-  return {mode};
 }
 
 RoadNetwork MakeScaleCity() {
@@ -187,55 +163,47 @@ int main() {
             {10000, 1000000}};
   }
 
-  const std::vector<CandidateSearch> paths = ScaleCandidatePaths();
-  PrintHeader({"taxis", "requests", "cand", "served", "exec s", "resp ms",
-               "req/s"});
+  PrintHeader({"taxis", "requests", "served", "exec s", "resp ms", "req/s"});
   for (const ScaleRow& row : rows) {
-    for (CandidateSearch path : paths) {
-      MatchingConfig mc = system.value()->config().matching;
-      mc.candidate_search = path;
-      system.value()->set_matching(mc);
-      // Replays 7:00-20:00 of a workday (the paper's Fig. 21 window). The
-      // stream is deterministic per (demand, seed): the same row re-run
-      // before and after a layout change — or on the other candidate path
-      // — sees the identical request sequence, which is what makes the
-      // A/B exec-time delta meaningful and lets the equivalence harness
-      // pin decision metrics bit-wise.
-      ScenarioOptions sopt;
-      sopt.t_begin = 7 * 3600.0;
-      sopt.t_end = 20 * 3600.0;
-      sopt.num_requests = row.requests;
-      sopt.rho = config.rho;
-      sopt.seed = seed + 3;
-      GeneratorRequestSource source(demand, system.value()->oracle(), sopt);
+    // Replays 7:00-20:00 of a workday (the paper's Fig. 21 window). The
+    // stream is deterministic per (demand, seed): the same row re-run
+    // before and after a layout change sees the identical request
+    // sequence, which is what makes the A/B exec-time delta meaningful
+    // and lets the golden harness pin decision metrics bit-wise.
+    ScenarioOptions sopt;
+    sopt.t_begin = 7 * 3600.0;
+    sopt.t_end = 20 * 3600.0;
+    sopt.num_requests = row.requests;
+    sopt.rho = config.rho;
+    sopt.seed = seed + 3;
+    GeneratorRequestSource source(demand, system.value()->oracle(), sopt);
 
-      ScenarioSpec spec;
-      spec.scheme = SchemeKind::kMtShare;
-      spec.source = &source;
-      spec.num_taxis = row.taxis;
-      spec.fleet_seed = seed + 4;
-      Result<Metrics> result = system.value()->RunScenario(spec);
-      if (!result.ok()) {
-        std::fprintf(stderr, "row %d:%d failed: %s\n", row.taxis,
-                     row.requests, result.status().ToString().c_str());
-        return 1;
-      }
-      Metrics m = std::move(result).value();
-      PrintRow({std::to_string(row.taxis), std::to_string(row.requests),
-                CandidateSearchName(path), std::to_string(m.ServedRequests()),
-                Fmt(m.execution_seconds, 2), Fmt(m.MeanResponseMs(), 3),
-                Fmt(m.execution_seconds > 0 ? row.requests / m.execution_seconds
-                                            : 0.0,
-                    0)});
-
-      RunReportContext ctx;
-      ctx.scheme = SchemeName(spec.scheme);
-      ctx.window = "peak";
-      ctx.num_taxis = row.taxis;
-      ctx.num_requests = row.requests;
-      ctx.seed = seed;
-      RecordTrajectoryRun(ctx, m);
+    ScenarioSpec spec;
+    spec.scheme = SchemeKind::kMtShare;
+    spec.source = &source;
+    spec.num_taxis = row.taxis;
+    spec.fleet_seed = seed + 4;
+    Result<Metrics> result = system.value()->RunScenario(spec);
+    if (!result.ok()) {
+      std::fprintf(stderr, "row %d:%d failed: %s\n", row.taxis, row.requests,
+                   result.status().ToString().c_str());
+      return 1;
     }
+    Metrics m = std::move(result).value();
+    PrintRow({std::to_string(row.taxis), std::to_string(row.requests),
+              std::to_string(m.ServedRequests()), Fmt(m.execution_seconds, 2),
+              Fmt(m.MeanResponseMs(), 3),
+              Fmt(m.execution_seconds > 0 ? row.requests / m.execution_seconds
+                                          : 0.0,
+                  0)});
+
+    RunReportContext ctx;
+    ctx.scheme = SchemeName(spec.scheme);
+    ctx.window = "peak";
+    ctx.num_taxis = row.taxis;
+    ctx.num_requests = row.requests;
+    ctx.seed = seed;
+    RecordTrajectoryRun(ctx, m);
   }
   return 0;
 }

@@ -129,17 +129,6 @@ MTShareSystem::MTShareSystem(const RoadNetwork& network,
   oracle_ = std::make_unique<DistanceOracle>(network, config.oracle);
 }
 
-const ContractionHierarchy* MTShareSystem::BucketSearchCh(
-    DistanceOracle* oracle) {
-  if (oracle != nullptr && oracle->ch() != nullptr) return oracle->ch();
-  std::lock_guard<std::mutex> lock(bucket_ch_mutex_);
-  if (bucket_ch_ == nullptr) {
-    bucket_ch_ = std::make_unique<ContractionHierarchy>(
-        ContractionHierarchy::Build(network_, config_.oracle.ch));
-  }
-  return bucket_ch_.get();
-}
-
 std::unique_ptr<Dispatcher> MTShareSystem::MakeDispatcher(
     SchemeKind scheme, std::vector<TaxiState>* fleet) {
   DistanceOracle* oracle = oracle_.get();
@@ -176,9 +165,6 @@ std::unique_ptr<Dispatcher> MTShareSystem::MakeDispatcher(
       break;
   }
   MTSHARE_CHECK(d != nullptr);
-  if (mc.candidate_search == CandidateSearch::kChBuckets) {
-    d->EnableChBucketSearch(BucketSearchCh(oracle));
-  }
   return d;
 }
 

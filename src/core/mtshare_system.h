@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -127,11 +126,12 @@ class MTShareSystem {
   std::unique_ptr<Dispatcher> MakeDispatcher(SchemeKind scheme,
                                              std::vector<TaxiState>* fleet);
 
-  /// The contraction hierarchy backing the ch_buckets candidate path for
-  /// runs on `oracle`: the oracle's own CH when it is CH-backed, otherwise
-  /// a system-owned hierarchy built lazily on first use and shared across
-  /// runs. Safe to call from concurrent RunScenario invocations.
-  const ContractionHierarchy* BucketSearchCh(DistanceOracle* oracle);
+  /// The contraction hierarchy that dispatchers on `oracle` sweep last-stop
+  /// buckets over: the oracle's own CH, or null on the exact table, where
+  /// pickup reachability is a table read (DESIGN.md §14).
+  const ContractionHierarchy* BucketSearchCh(DistanceOracle* oracle) const {
+    return oracle == nullptr ? nullptr : oracle->ch();
+  }
 
   const RoadNetwork& network() const { return network_; }
   const MapPartitioning& partitioning() const { return partitioning_; }
@@ -160,12 +160,6 @@ class MTShareSystem {
   std::unique_ptr<LandmarkGraph> landmarks_;
   TransitionModel transitions_;
   std::unique_ptr<DistanceOracle> oracle_;
-
-  /// Lazily built CH for ch_buckets candidate search when the run's oracle
-  /// is the exact table; creation serializes behind the mutex so
-  /// concurrent runs race safely.
-  std::mutex bucket_ch_mutex_;
-  std::unique_ptr<ContractionHierarchy> bucket_ch_;
 };
 
 }  // namespace mtshare

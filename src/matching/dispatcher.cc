@@ -6,28 +6,6 @@
 
 namespace mtshare {
 
-const char* CandidateSearchName(CandidateSearch mode) {
-  switch (mode) {
-    case CandidateSearch::kIndex:
-      return "index";
-    case CandidateSearch::kChBuckets:
-      return "ch_buckets";
-  }
-  return "index";
-}
-
-bool ParseCandidateSearch(std::string_view name, CandidateSearch* out) {
-  if (name == "index") {
-    *out = CandidateSearch::kIndex;
-    return true;
-  }
-  if (name == "ch_buckets") {
-    *out = CandidateSearch::kChBuckets;
-    return true;
-  }
-  return false;
-}
-
 Dispatcher::Dispatcher(const RoadNetwork& network, DistanceOracle* oracle,
                        std::vector<TaxiState>* fleet,
                        const MatchingConfig& config)
@@ -39,6 +17,12 @@ Dispatcher::Dispatcher(const RoadNetwork& network, DistanceOracle* oracle,
       batch_(network, oracle) {
   MTSHARE_CHECK(oracle != nullptr);
   MTSHARE_CHECK(fleet != nullptr);
+  // Construction marks every taxi dirty, so the first sweep deposits the
+  // whole fleet.
+  if (oracle->ch() != nullptr) {
+    buckets_ = std::make_unique<LastStopBuckets>(
+        *oracle->ch(), static_cast<int32_t>(fleet->size()));
+  }
 }
 
 LegCostFn Dispatcher::OracleCost() {
@@ -58,23 +42,22 @@ void Dispatcher::RegisterCandidateStops(const TaxiState& t) {
   batch_.AddCandidate(batch_walk_buf_);
 }
 
-void Dispatcher::EnableChBucketSearch(const ContractionHierarchy* ch) {
-  if (ch == nullptr) {
-    buckets_.reset();
-    return;
-  }
-  buckets_ = std::make_unique<LastStopBuckets>(
-      *ch, static_cast<int32_t>(fleet_->size()));
+void Dispatcher::SweepPickupReach(const RideRequest& r, Seconds now) {
+  if (buckets_ == nullptr) return;
+  // Anchors are read straight off the fleet, exactly as the table probes
+  // do; every advance re-dirties the taxi via OnScheduleChanged, so the
+  // flush sees the moved location.
+  buckets_->FlushDirty([this](TaxiId id) { return taxi(id).location; });
+  buckets_->Sweep(r.origin, r.PickupDeadline() - now);
 }
 
-const std::vector<TaxiId>& Dispatcher::BucketSweep(VertexId origin,
-                                                   Seconds budget) {
-  // Anchors are read straight off the fleet, exactly as the index path's
-  // probes do; every advance re-dirties the taxi via OnScheduleChanged, so
-  // the flush sees the moved location.
-  buckets_->FlushDirty([this](TaxiId id) { return taxi(id).location; });
-  buckets_->Sweep(origin, budget);
-  return buckets_->found();
+bool Dispatcher::ReachesPickup(TaxiId id, const RideRequest& r, Seconds now) {
+  if (buckets_ != nullptr) {
+    return now + buckets_->SweptDistance(id) <= r.PickupDeadline();
+  }
+  const VertexId at = taxi(id).location;
+  if (LowerBoundPrunesPickup(at, r, now)) return false;
+  return now + oracle_->Cost(at, r.origin) <= r.PickupDeadline();
 }
 
 /// Slot screen for one candidate. Notation: the base schedule has events
@@ -225,33 +208,19 @@ Dispatcher::CandidateEval Dispatcher::EvaluateCandidates(
   // previous request can never leak into the reduction.
   eval_results_.resize(candidates.size());
   std::vector<InsertionResult>& results = eval_results_;
-  // Lower-bound prune first (sequential, so the counter and the batch are
-  // thread-count invariant): a pruned candidate's pickup provably misses
-  // its deadline, so its DP could only return found == false — skip it and
-  // keep its stops out of the priming fan.
+  // Detour-ellipse screen first (sequential, so counters and the batch
+  // are thread-count invariant). Its P1 test at slot 0 is the landmark
+  // lower-bound pickup prune; it also masks provably infeasible insertion
+  // slots out of the DP. A candidate with no surviving slot pair could
+  // only return found == false — skip it and keep its stops out of the
+  // priming fan.
   eval_skip_.assign(candidates.size(), 0);
   std::vector<uint8_t>& skip = eval_skip_;
-  const bool ellipse = EllipseScreenEnabled();
-  if (ellipse) {
-    // ch_buckets path: the detour-ellipse screen subsumes the lower-bound
-    // pickup prune (its P1 at slot 0 is the same test) and additionally
-    // masks provably infeasible insertion slots out of the DP. Fully
-    // pruned candidates are skipped outright and never registered with
-    // the priming batch. Sequential, so counters and the batch are
-    // thread-count invariant.
-    eval_masks_.resize(candidates.size());
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (!ComputeEllipseMask(taxi(candidates[i]), request, now,
-                              &eval_masks_[i])) {
-        skip[i] = 1;
-      }
-    }
-  } else if (lb_landmarks_ != nullptr) {
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (LowerBoundPrunesPickup(taxi(candidates[i]).location, request,
-                                 now)) {
-        skip[i] = 1;
-      }
+  eval_masks_.resize(candidates.size());
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (!ComputeEllipseMask(taxi(candidates[i]), request, now,
+                            &eval_masks_[i])) {
+      skip[i] = 1;
     }
   }
   // Prime every leg the insertion walks can request with one-to-many
@@ -270,7 +239,7 @@ Dispatcher::CandidateEval Dispatcher::EvaluateCandidates(
     const TaxiState& t = taxi(candidates[i]);
     results[i] = FindBestInsertionDp(t.schedule, request, t.location, now,
                                      t.onboard, t.capacity, cost,
-                                     ellipse ? &eval_masks_[i] : nullptr);
+                                     &eval_masks_[i]);
   };
   if (pool_ != nullptr && pool_->size() > 1 && candidates.size() > 1) {
     // Each slot is written by exactly one task; the oracle behind `cost` is

@@ -21,25 +21,14 @@
 
 namespace mtshare {
 
-/// Which candidate-search path discovers pickup-reachable taxis
-/// (DESIGN.md §14). kIndex is each scheme's native structural scan with a
-/// per-taxi exact reachability probe; kChBuckets answers every probe of a
-/// dispatch with one backward CH sweep over last-stop bucket entries
-/// (LastStopBuckets) and screens insertion slots with detour-ellipse
-/// landmark bounds before exact routing. Dispatch decisions are
-/// bit-identical either way — both paths keep the same structural
-/// candidate set and order, and only replace provably-outcome-free work.
+/// Former candidate-search setting, kept only so existing callers of
+/// MatchingConfig::candidate_search still compile. No code reads it: the
+/// oracle backend picks how pickup reachability is answered (DESIGN.md
+/// §14).
 enum class CandidateSearch {
   kIndex = 0,
   kChBuckets,
 };
-
-/// Lower-case stable name ("index", "ch_buckets").
-const char* CandidateSearchName(CandidateSearch mode);
-
-/// Parses a path name (as accepted by mtshare_sim --candidates=). Returns
-/// false on unknown names, leaving *out untouched.
-bool ParseCandidateSearch(std::string_view name, CandidateSearch* out);
 
 /// Parameters shared by all matching schemes (paper Table II).
 struct MatchingConfig {
@@ -73,9 +62,7 @@ struct MatchingConfig {
   bool match_all_compatible_clusters = true;
   /// Grid pitch of the baselines' spatial taxi index.
   double grid_cell_m = 500.0;
-  /// Candidate-search path (see CandidateSearch). kChBuckets needs a
-  /// contraction hierarchy; MTShareSystem arms it via
-  /// Dispatcher::EnableChBucketSearch.
+  /// Not read by any code (see CandidateSearch).
   CandidateSearch candidate_search = CandidateSearch::kIndex;
 };
 
@@ -100,7 +87,9 @@ struct DispatchOutcome {
 class Dispatcher {
  public:
   /// The dispatcher reads and never mutates the fleet; the engine applies
-  /// outcomes.
+  /// outcomes. On a CH-backed oracle it also keeps a last-stop bucket
+  /// store over the oracle's hierarchy, which answers pickup reachability
+  /// (DESIGN.md §14).
   Dispatcher(const RoadNetwork& network, DistanceOracle* oracle,
              std::vector<TaxiState>* fleet, const MatchingConfig& config);
   virtual ~Dispatcher() = default;
@@ -154,7 +143,7 @@ class Dispatcher {
   /// base, so anchor upkeep needs its own hook). The base marks the taxi's
   /// bucket entries dirty — O(1), idempotent; the rebuild is deferred to
   /// the next sweep, which skips taxis whose anchor did not actually move.
-  /// No-op when bucket search is off.
+  /// No-op on the exact table, which keeps no buckets.
   virtual void OnScheduleChanged(TaxiId taxi) {
     if (buckets_ != nullptr) buckets_->MarkDirty(taxi);
   }
@@ -220,14 +209,7 @@ class Dispatcher {
     lb_landmarks_ = landmarks;
   }
 
-  /// Arms the ch_buckets candidate path on `ch` (must outlive the
-  /// dispatcher; null disarms). Construction marks every taxi dirty, so
-  /// the first sweep deposits the whole fleet. The schemes consult
-  /// ChBucketSearchEnabled() to route their reachability probes through
-  /// BucketSweep/BucketDistance instead of per-taxi oracle queries.
-  void EnableChBucketSearch(const ContractionHierarchy* ch);
-  bool ChBucketSearchEnabled() const { return buckets_ != nullptr; }
-  /// The bucket store (null unless enabled) — test/diagnostic access.
+  /// The bucket store (null on the exact table) — test/diagnostic access.
   const LastStopBuckets* buckets() const { return buckets_.get(); }
 
   /// Batched-routing counters for Metrics / the run report.
@@ -275,34 +257,28 @@ class Dispatcher {
                               Seconds now);
   static constexpr Seconds kLbSlack = 1e-6;
 
-  /// ch_buckets path: one backward CH sweep from `origin` discovers every
-  /// taxi whose current location reaches it within `budget` seconds
-  /// (typically pickup_deadline - now). Flushes dirty bucket entries first
-  /// (that is where maintenance time is paid), so the distances reflect
-  /// exactly the locations the index path's per-taxi probes would read.
-  /// Returns the found set; exact distances via BucketDistance.
-  const std::vector<TaxiId>& BucketSweep(VertexId origin, Seconds budget);
-  /// Exact cost taxi -> sweep origin from the most recent BucketSweep;
-  /// kInfiniteCost when the taxi was beyond the (slack-widened) budget.
-  /// Bit-identical to oracle_->Cost(taxi.location, origin) whenever the
-  /// true cost is within the budget, so callers re-checking against the
-  /// exact deadline make the same accept/reject decision as a probe.
-  Seconds BucketDistance(TaxiId id) const {
-    return buckets_->SweptDistance(id);
-  }
+  /// Prepares ReachesPickup for `r` (refinement rule 3, DESIGN.md §14).
+  /// On a CH-backed oracle: flushes dirty bucket entries (that is where
+  /// maintenance time is paid) and runs one backward sweep from the pickup
+  /// over every taxi within pickup_deadline - now. On the exact table a
+  /// probe is one row read, so there is nothing to prepare. Call it inside
+  /// the kCandidateSearch timer, before the first ReachesPickup of `r`.
+  void SweepPickupReach(const RideRequest& r, Seconds now);
+  /// Whether taxi `id` reaches `r`'s pickup by its deadline. On a CH this
+  /// reads the swept distance, which equals oracle_->Cost(location,
+  /// origin) whenever that cost is within the budget; on the exact table
+  /// the landmark lower bound settles most violations in O(1) and only
+  /// survivors pay the table read. Both accept exactly the same taxis.
+  bool ReachesPickup(TaxiId id, const RideRequest& r, Seconds now);
   /// Detour-ellipse screen (DESIGN.md §14): fills `mask` with the
   /// insertion slots of `t`'s schedule that the landmark lower/upper
   /// bounds cannot prove infeasible for `r`. Returns false when no
   /// (pickup <= dropoff) pair survives — the candidate can be skipped
   /// without exact routing. Only provably infeasible slots are cleared,
-  /// so masked insertion search returns the unmasked optimum.
+  /// so masked insertion search returns the unmasked optimum. Without
+  /// landmarks every slot stays open.
   bool ComputeEllipseMask(const TaxiState& t, const RideRequest& r,
                           Seconds now, InsertionSlotMask* mask);
-  /// The screen needs both the bucket path (the opt-in) and landmarks
-  /// (the bounds).
-  bool EllipseScreenEnabled() const {
-    return buckets_ != nullptr && lb_landmarks_ != nullptr;
-  }
 
   /// Materializes an unrestricted shortest-path route for a schedule.
   RoutePlanner::PlannedRoute PlanShortestRoute(VertexId start,
@@ -321,7 +297,8 @@ class Dispatcher {
   /// Landmark lower bounds for candidate pruning (null = disabled).
   const LandmarkGraph* lb_landmarks_ = nullptr;
   int64_t lb_pruned_ = 0;
-  /// Last-stop bucket store of the ch_buckets path (null = index path).
+  /// Last-stop bucket store over the oracle's hierarchy (null on the
+  /// exact table).
   std::unique_ptr<LastStopBuckets> buckets_;
   /// Detour-ellipse screen counters (run-report routing section).
   int64_t slots_screened_ = 0;

@@ -94,12 +94,7 @@ const std::vector<TaxiId>& MtShareDispatcher::CandidateTaxis(
   std::vector<TaxiId>& candidates = candidates_buf_;
   candidates.clear();
   const Seconds pickup_deadline = request.PickupDeadline();
-  // ch_buckets path: one backward CH sweep replaces every per-taxi
-  // reachability probe below. The structural scan (partition lists,
-  // cluster stamps, seat filter) is unchanged, so the candidate set and
-  // its order — and therefore the dispatch decision — are identical.
-  const bool buckets = ChBucketSearchEnabled();
-  if (buckets) BucketSweep(request.origin, pickup_deadline - now);
+  SweepPickupReach(request, now);
   // Epoch-stamped dedup across overlapping partitions.
   for (PartitionId p : area_buf_) {
     for (const MtShareTaxiIndex::Arrival& entry : index_.PartitionTaxis(p)) {
@@ -116,21 +111,8 @@ const std::vector<TaxiId>& MtShareDispatcher::CandidateTaxis(
       if (!t.Idle() && cluster_stamp_[id] != seen_epoch_) continue;
       // Refinement rule 2: idle capacity.
       if (t.FreeSeats() < request.passengers) continue;
-      // Refinement rule 3: exact reachability. On the bucket path the
-      // swept distance IS the oracle cost whenever it is within the
-      // budget, and kInfiniteCost/an over-budget partial min otherwise —
-      // either way this exact re-check accepts the same taxis. On the
-      // index path the landmark lower bound settles most violations in
-      // O(1); only survivors pay the exact oracle probe.
-      if (buckets) {
-        if (now + BucketDistance(id) > pickup_deadline) continue;
-      } else {
-        if (LowerBoundPrunesPickup(t.location, request, now)) continue;
-        if (now + oracle_->Cost(t.location, request.origin) >
-            pickup_deadline) {
-          continue;
-        }
-      }
+      // Refinement rule 3: exact reachability.
+      if (!ReachesPickup(id, request, now)) continue;
       candidates.push_back(id);
     }
   }

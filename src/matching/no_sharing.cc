@@ -35,13 +35,7 @@ DispatchOutcome NoSharingDispatcher::Dispatch(const RideRequest& request,
       return DistanceSquared(network_.coord(taxi(a).location), origin) <
              DistanceSquared(network_.coord(taxi(b).location), origin);
     });
-  }
-  // ch_buckets path: one backward CH sweep answers every per-candidate
-  // reachability probe below; the nearest-first scan order is unchanged.
-  const bool buckets = ChBucketSearchEnabled();
-  if (buckets) {
-    ScopedPhaseTimer timer(phase_timers_, DispatchPhase::kCandidateSearch);
-    BucketSweep(request.origin, request.PickupDeadline() - now);
+    SweepPickupReach(request, now);
   }
   for (int32_t id : nearby) {
     const TaxiState& t = taxi(id);
@@ -49,9 +43,7 @@ DispatchOutcome NoSharingDispatcher::Dispatch(const RideRequest& request,
     ++outcome.candidates;
     {
       ScopedPhaseTimer timer(phase_timers_, DispatchPhase::kFilter);
-      Seconds approach = buckets ? BucketDistance(id)
-                                 : oracle_->Cost(t.location, request.origin);
-      if (now + approach > request.PickupDeadline()) continue;
+      if (!ReachesPickup(id, request, now)) continue;
     }
     Schedule schedule;
     schedule.Append(ScheduleEvent{request.id, request.origin, true,

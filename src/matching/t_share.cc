@@ -38,6 +38,7 @@ DispatchOutcome TShareDispatcher::Dispatch(const RideRequest& request,
   {
     ScopedPhaseTimer timer(phase_timers_, DispatchPhase::kCandidateSearch);
     origin_side = index_.ObjectsInRadius(origin, gamma);
+    SweepPickupReach(request, now);
   }
   // Destination side: taxis farther from the dropoff than the trip length
   // (or gamma, whichever is larger) are discarded — the dual-side
@@ -72,45 +73,26 @@ DispatchOutcome TShareDispatcher::Dispatch(const RideRequest& request,
   // costs are therefore primed incrementally, one candidate per Prime(),
   // so the early exit keeps its win.
   batch_.Begin(request.origin, request.destination);
-  // ch_buckets path: one backward CH sweep replaces the per-candidate
-  // reachability probes, and the detour-ellipse screen skips candidates
-  // (and their per-candidate Prime passes) whose every insertion slot is
-  // provably infeasible. The first-valid scan order is unchanged.
-  const bool buckets = ChBucketSearchEnabled();
-  if (buckets) {
-    ScopedPhaseTimer timer(phase_timers_, DispatchPhase::kCandidateSearch);
-    BucketSweep(request.origin, request.PickupDeadline() - now);
-  }
   for (int32_t id : candidates) {
     const TaxiState& t = taxi(id);
     ++outcome.candidates;
     {
       ScopedPhaseTimer timer(phase_timers_, DispatchPhase::kFilter);
-      if (buckets) {
-        if (now + BucketDistance(id) > request.PickupDeadline()) continue;
-      } else {
-        // Admissible lower bound first: prunes without touching the oracle
-        // and can never disagree with the exact check below.
-        if (LowerBoundPrunesPickup(t.location, request, now)) continue;
-        Seconds approach = oracle_->Cost(t.location, request.origin);
-        if (now + approach > request.PickupDeadline()) continue;
-      }
+      if (!ReachesPickup(id, request, now)) continue;
     }
     InsertionResult ins;
     {
       ScopedPhaseTimer timer(phase_timers_, DispatchPhase::kInsertion);
-      const InsertionSlotMask* mask = nullptr;
-      if (EllipseScreenEnabled()) {
-        // A fully pruned candidate's DP could only return found == false;
-        // skipping it before RegisterCandidateStops/Prime also saves its
-        // two batch passes.
-        if (!ComputeEllipseMask(t, request, now, &mask_buf_)) continue;
-        mask = &mask_buf_;
-      }
+      // The detour-ellipse screen skips a candidate whose every insertion
+      // slot is provably infeasible (its DP could only return found ==
+      // false) before RegisterCandidateStops/Prime, saving its two batch
+      // passes.
+      if (!ComputeEllipseMask(t, request, now, &mask_buf_)) continue;
       RegisterCandidateStops(t);
       batch_.Prime();
       ins = FindBestInsertionDp(t.schedule, request, t.location, now,
-                                t.onboard, t.capacity, BatchedCost(), mask);
+                                t.onboard, t.capacity, BatchedCost(),
+                                &mask_buf_);
     }
     if (!ins.found) continue;
     RoutePlanner::PlannedRoute route =

@@ -20,12 +20,12 @@ struct LastStopBucketStats {
   /// Taxis discovered within budget, summed over sweeps.
   int64_t found = 0;
   /// Vertices settled by sweeps (compare against the per-taxi point
-  /// queries the index path would have paid).
+  /// queries a sweep replaces).
   int64_t sweep_settled = 0;
   /// Vertices settled while depositing anchors.
   int64_t deposit_settled = 0;
   /// Wall-clock milliseconds spent in FlushDirty (incremental bucket
-  /// maintenance — the cost the index path does not pay).
+  /// maintenance — the cost per-taxi probes do not pay).
   double maintenance_ms = 0.0;
 };
 
@@ -35,8 +35,8 @@ struct LastStopBucketStats {
 /// vertex, so "which taxis can reach vertex o within budget b" becomes ONE
 /// backward upward sweep from o instead of one point query per taxi.
 ///
-/// The anchor is the taxi's *current location* — the exact vertex the
-/// index-path probes `oracle->Cost(t.location, origin)` read — so swept
+/// The anchor is the taxi's *current location* — the exact vertex a
+/// per-taxi probe `oracle->Cost(t.location, origin)` reads — so swept
 /// distances are bit-identical to oracle costs (dyadic arc grid: every
 /// up-down sum is exact, see ChQuery). Anchors are maintained lazily:
 /// MarkDirty is O(1) and idempotent (the engine calls it on every taxi
@@ -47,8 +47,8 @@ struct LastStopBucketStats {
 /// true distance <= budget + slack is reported with its exact distance
 /// (its witness meeting vertex settles before the cutoff); taxis beyond
 /// may be missing or carry a partial-min overestimate — both are rejected
-/// by the caller's exact `now + d > deadline` re-check, exactly as the
-/// index path rejects them. Not thread-safe; one store per dispatcher.
+/// by the caller's exact `now + d <= deadline` check, exactly as a
+/// per-taxi probe rejects them. Not thread-safe; one store per dispatcher.
 class LastStopBuckets {
  public:
   LastStopBuckets(const ContractionHierarchy& ch, int32_t num_taxis);

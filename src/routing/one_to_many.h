@@ -42,8 +42,10 @@ struct BatchRoutingStats {
   /// Entries deposited into CH buckets while priming batches.
   int64_t ch_bucket_entries = 0;
 
-  // --- candidate-search path (DESIGN.md §14; zero on the index path) ---
-  /// Whether the dispatcher ran with the ch_buckets candidate path.
+  // --- pickup reachability (DESIGN.md §14) ---
+  /// Whether last-stop bucket sweeps answered pickup reachability: true
+  /// exactly on a CH-backed oracle. The two bucket counters below stay
+  /// zero on the exact table.
   bool bucket_search = false;
   /// Taxis returned by last-stop bucket sweeps (pre exact-deadline
   /// re-check).

@@ -236,10 +236,11 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   w.Key("ch_bucket_entries");
   w.Int(m.routing.ch_bucket_entries);
   // schema_version 6 adds the candidate-search path (DESIGN.md §14):
-  // which path discovered pickup-reachable taxis, how many taxis the
+  // which source answered pickup reachability ("ch_buckets" exactly on a
+  // CH-backed oracle, "index" on the exact table), how many taxis the
   // last-stop bucket sweeps returned, the bucket upkeep cost, and the
-  // detour-ellipse screen's slot traffic. All zero / "index" on the
-  // native path.
+  // detour-ellipse screen's slot traffic. The bucket counters are zero on
+  // the exact table.
   w.Key("candidate_search");
   w.String(m.routing.bucket_search ? "ch_buckets" : "index");
   w.Key("bucket_candidates");

@@ -11,12 +11,11 @@ namespace mtshare {
 namespace {
 
 // Runs in mtshare_thread_tests so the tsan preset checks it: 8 threads
-// call RunScenario on ONE system with the ch_buckets candidate path. The
-// first runs race to lazily build the shared bucket-search hierarchy
-// (MTShareSystem::BucketSearchCh serializes construction behind a mutex),
-// then every dispatcher reads the same ContractionHierarchy concurrently
-// while owning its private LastStopBuckets store. Every run must land on
-// the same decisions as a reference run computed before the threads start.
+// call RunScenario on ONE CH-backed system, so every run answers pickup
+// reachability with last-stop bucket sweeps. The runs share the oracle's
+// ContractionHierarchy and its pool of query engines, and each dispatcher
+// owns its private LastStopBuckets store. Every run must land on the same
+// decisions as a reference run computed before the threads start.
 TEST(BucketSearchConcurrencyTest, ConcurrentChBucketRunsStayIdentical) {
   GridCityOptions gopt;
   gopt.rows = 12;
@@ -37,7 +36,7 @@ TEST(BucketSearchConcurrencyTest, ConcurrentChBucketRunsStayIdentical) {
   SystemConfig config;
   config.kappa = 12;
   config.kt = 5;
-  config.matching.candidate_search = CandidateSearch::kChBuckets;
+  config.oracle.backend = OracleBackend::kCh;
   MTShareSystem system(net, scenario.HistoricalOdPairs(), config);
 
   ScenarioSpec spec;

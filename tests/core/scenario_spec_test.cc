@@ -107,8 +107,8 @@ TEST_F(ScenarioSpecTest, ParallelMatchingIsDeterministicAcrossThreadCounts) {
 
 /// Every insertion evaluation primes its leg costs: the batch did real
 /// work, no leg fell back to a per-pair oracle query (a fallback means the
-/// priming fan missed a leg shape), and lower-bound pruning fired the same
-/// way at every thread count.
+/// priming fan missed a leg shape), and lower-bound pruning and the
+/// detour-ellipse screen fired the same way at every thread count.
 TEST_F(ScenarioSpecTest, BatchedRoutingPrimesEveryLeg) {
   for (SchemeKind scheme : {SchemeKind::kTShare, SchemeKind::kPGreedyDp,
                             SchemeKind::kMtShare, SchemeKind::kMtSharePro}) {
@@ -118,8 +118,15 @@ TEST_F(ScenarioSpecTest, BatchedRoutingPrimesEveryLeg) {
     EXPECT_GT(one.routing.batch_queries, 0) << SchemeName(scheme);
     EXPECT_EQ(one.routing.fallback_queries, 0) << SchemeName(scheme);
     EXPECT_EQ(four.routing.fallback_queries, 0) << SchemeName(scheme);
-    EXPECT_GT(one.routing.lb_pruned, 0) << SchemeName(scheme);
+    // pGreedyDP has no reachability probe, so its landmark prunes all land
+    // in the detour-ellipse screen.
+    if (scheme != SchemeKind::kPGreedyDp) {
+      EXPECT_GT(one.routing.lb_pruned, 0) << SchemeName(scheme);
+    }
     EXPECT_EQ(one.routing.lb_pruned, four.routing.lb_pruned)
+        << SchemeName(scheme);
+    EXPECT_GT(one.routing.ellipse_pruned, 0) << SchemeName(scheme);
+    EXPECT_EQ(one.routing.ellipse_pruned, four.routing.ellipse_pruned)
         << SchemeName(scheme);
   }
 }

@@ -1,10 +1,10 @@
-// The ch_buckets candidate path must make BIT-IDENTICAL dispatch
-// decisions to the index path: last-stop bucket sweeps answer the same
-// reachability predicate the per-taxi probes answer, and the
-// detour-ellipse screen only clears provably infeasible insertion slots.
-// These tests run the whole system both ways for every scheme and compare
-// run outcomes field by field, and pin the bucket-store consistency
-// invariant under the engine's span-batched advancement.
+// Pickup reachability follows the oracle backend (DESIGN.md §14): the
+// exact table answers it with table reads, a CH-backed oracle with
+// last-stop bucket sweeps. DecisionGoldenTest pins both backends'
+// decisions. These tests check that each backend reports the source it
+// used, that threaded evaluation on the bucket path reproduces the
+// sequential decisions, and the bucket-store consistency invariant under
+// the engine's span-batched advancement.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -22,7 +22,6 @@ namespace {
 struct RunOptions {
   SchemeKind scheme = SchemeKind::kMtShare;
   uint64_t seed = 11;
-  CandidateSearch candidates = CandidateSearch::kIndex;
   int32_t num_threads = 1;
   OracleBackend oracle_backend = OracleBackend::kAuto;
 };
@@ -48,7 +47,6 @@ Metrics RunOnce(const RunOptions& opt) {
   SystemConfig config;
   config.kappa = 16;
   config.kt = 5;
-  config.matching.candidate_search = opt.candidates;
   config.oracle.backend = opt.oracle_backend;
   // Fresh system per run so dispatcher indexes and bucket stores start
   // cold and the comparison sees identical initial state.
@@ -65,10 +63,8 @@ Metrics RunOnce(const RunOptions& opt) {
   return std::move(run).value();
 }
 
-/// Asserts identical decisions. This deliberately does NOT compare oracle
-/// query counts — eliminating probes is the ch_buckets path's whole point;
-/// what must agree is every per-request decision field and the aggregate
-/// outcomes they roll into.
+/// Asserts identical decisions: every per-request decision field and the
+/// aggregate outcomes they roll into.
 void ExpectIdenticalDecisions(const Metrics& a, const Metrics& b,
                               const std::string& label) {
   SCOPED_TRACE(label);
@@ -94,43 +90,35 @@ void ExpectIdenticalDecisions(const Metrics& a, const Metrics& b,
   }
 }
 
-TEST(CandidateSearchEquivalenceTest, BucketsMatchIndexForEverySchemeAndSeed) {
-  for (uint64_t seed : {11u, 29u, 47u}) {
-    for (SchemeKind scheme :
-         {SchemeKind::kNoSharing, SchemeKind::kTShare, SchemeKind::kPGreedyDp,
-          SchemeKind::kMtShare, SchemeKind::kMtSharePro}) {
-      const std::string label =
-          std::string(SchemeName(scheme)) + " seed " + std::to_string(seed);
-      SCOPED_TRACE(label);
-      RunOptions opt;
-      opt.scheme = scheme;
-      opt.seed = seed;
-      opt.candidates = CandidateSearch::kIndex;
-      Metrics index = RunOnce(opt);
-      opt.candidates = CandidateSearch::kChBuckets;
-      Metrics buckets = RunOnce(opt);
-      ExpectIdenticalDecisions(index, buckets, label);
-      // The bucket path identified itself and did real sweep work.
-      // pGreedyDP is the exception: it has no reachability probe to
-      // replace (its DP rejects unreachable pickups), so it never sweeps
-      // and benefits from the ellipse screen alone.
-      EXPECT_FALSE(index.routing.bucket_search);
-      EXPECT_TRUE(buckets.routing.bucket_search);
-      EXPECT_EQ(index.routing.bucket_candidates, 0);
-      if (scheme != SchemeKind::kPGreedyDp && buckets.ServedOnline() > 0) {
-        EXPECT_GT(buckets.routing.bucket_candidates, 0);
-        EXPECT_GE(buckets.routing.bucket_maintenance_ms, 0.0);
+TEST(CandidateSearchEquivalenceTest, ReachabilitySourceFollowsBackend) {
+  // Decisions are pinned per backend by DecisionGoldenTest; this checks
+  // which source each backend used and that both stay fallback-free.
+  for (SchemeKind scheme :
+       {SchemeKind::kNoSharing, SchemeKind::kTShare, SchemeKind::kPGreedyDp,
+        SchemeKind::kMtShare, SchemeKind::kMtSharePro}) {
+    SCOPED_TRACE(SchemeName(scheme));
+    RunOptions opt;
+    opt.scheme = scheme;
+    opt.oracle_backend = OracleBackend::kExact;
+    Metrics exact = RunOnce(opt);
+    opt.oracle_backend = OracleBackend::kCh;
+    Metrics ch = RunOnce(opt);
+    EXPECT_FALSE(exact.routing.bucket_search);
+    EXPECT_EQ(exact.routing.bucket_candidates, 0);
+    EXPECT_TRUE(ch.routing.bucket_search);
+    // pGreedyDP has no reachability probe to answer (its DP rejects
+    // unreachable pickups), so it never sweeps.
+    if (scheme != SchemeKind::kPGreedyDp) {
+      EXPECT_GT(ch.routing.bucket_candidates, 0);
+    }
+    for (const Metrics* m : {&exact, &ch}) {
+      // Every scheme with landmarks armed runs the detour-ellipse screen on
+      // either backend (No-Sharing has neither a schedule to screen nor
+      // landmarks).
+      if (scheme != SchemeKind::kNoSharing) {
+        EXPECT_GT(m->routing.slots_screened, 0);
       }
-      // Every scheme with landmarks armed runs the detour-ellipse screen
-      // in place of the plain lower-bound pass (No-Sharing has neither a
-      // schedule to screen nor landmarks).
-      if (scheme != SchemeKind::kNoSharing && buckets.ServedOnline() > 0) {
-        EXPECT_GT(buckets.routing.slots_screened, 0)
-            << SchemeName(scheme);
-      }
-      EXPECT_EQ(index.routing.slots_screened, 0);
-      EXPECT_EQ(index.routing.ellipse_pruned, 0);
-      EXPECT_EQ(buckets.routing.fallback_queries, 0);
+      EXPECT_EQ(m->routing.fallback_queries, 0);
     }
   }
 }
@@ -141,27 +129,12 @@ TEST(CandidateSearchEquivalenceTest, BucketsMatchUnderThreadedEvaluation) {
   RunOptions opt;
   opt.scheme = SchemeKind::kTShare;
   opt.seed = 29;
-  opt.candidates = CandidateSearch::kChBuckets;
+  opt.oracle_backend = OracleBackend::kCh;
   opt.num_threads = 1;
   Metrics sequential = RunOnce(opt);
   opt.num_threads = 4;
   Metrics threaded = RunOnce(opt);
   ExpectIdenticalDecisions(sequential, threaded, "1 vs 4 threads");
-}
-
-TEST(CandidateSearchEquivalenceTest, BucketsMatchOnChOracleBackend) {
-  // On the CH oracle the bucket store shares the oracle's hierarchy
-  // instead of building its own; decisions still match the index path.
-  RunOptions opt;
-  opt.scheme = SchemeKind::kMtShare;
-  opt.seed = 11;
-  opt.oracle_backend = OracleBackend::kCh;
-  opt.candidates = CandidateSearch::kIndex;
-  Metrics index = RunOnce(opt);
-  opt.candidates = CandidateSearch::kChBuckets;
-  Metrics buckets = RunOnce(opt);
-  ExpectIdenticalDecisions(index, buckets, "ch oracle backend");
-  EXPECT_TRUE(buckets.routing.ch_active);
 }
 
 TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
@@ -188,7 +161,7 @@ TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
   SystemConfig config;
   config.kappa = 16;
   config.kt = 5;
-  config.matching.candidate_search = CandidateSearch::kChBuckets;
+  config.oracle.backend = OracleBackend::kCh;
   MTShareSystem system(net, scenario.HistoricalOdPairs(), config);
 
   std::vector<TaxiState> fleet =
@@ -196,7 +169,6 @@ TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
                 scenario.requests.front().release_time);
   std::unique_ptr<Dispatcher> dispatcher =
       system.MakeDispatcher(SchemeKind::kMtShare, &fleet);
-  ASSERT_TRUE(dispatcher->ChBucketSearchEnabled());
   const LastStopBuckets* buckets = dispatcher->buckets();
   ASSERT_NE(buckets, nullptr);
 

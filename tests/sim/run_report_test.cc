@@ -83,8 +83,9 @@ void ValidateReportSchema(const std::string& json) {
   }
 
   // Candidate-search path counters (added in schema_version 6). The name
-  // is one of the two ParseCandidateSearch spellings; the counters are
-  // cumulative and zero on the index path.
+  // is "index" on the exact table and "ch_buckets" on a CH-backed oracle;
+  // the counters are cumulative, and the bucket ones are zero on the exact
+  // table.
   EXPECT_TRUE(HasKey(json, "candidate_search")) << "missing candidate_search";
   EXPECT_TRUE(json.find("\"candidate_search\": \"index\"") !=
                   std::string::npos ||
@@ -334,27 +335,16 @@ TEST(MtshareSimCliTest, RejectsMalformedNumericFlags) {
   // and "--seed=-1" / "--seed=abc" went through a double parse that
   // silently fell back to the default seed. A misspelled key ("--taxi")
   // used to be ignored and run the default fleet; the removed LRU oracle
-  // backend is no longer a valid --oracle, and the removed sweep core and
-  // per-pair routing toggles are unknown flags.
-  for (const char* flag : {"--taxis=abc", "--requests=12x", "--rho=",
-                           "--threads=-2", "--seed=4 2", "--seed=-1",
-                           "--seed=abc", "--seed=4.5",
-                           "--batch-window-ms=abc", "--batch-window-ms=-5",
-                           "--max-queue=x", "--oracle=lru", "--taxi=5",
-                           "--engine=sweep", "--batched=0"}) {
-    std::string cmd = std::string(MTSHARE_SIM_BINARY) + " \"" +
-                      std::string(flag) + "\" > /dev/null 2>&1";
-    EXPECT_EQ(RunCommand(cmd), 2) << flag;
-  }
-}
-
-TEST(MtshareSimCliTest, CandidatesFlagIsStrict) {
-  // --candidates selects the candidate-search path (DESIGN.md §14); the
-  // parse is exact-match, so case drift or abbreviations exit 2 instead of
-  // silently running the default path and skewing an A/B comparison.
-  for (const char* flag : {"--candidates=magic", "--candidates=",
-                           "--candidates=INDEX", "--candidates=buckets",
-                           "--candidates=ch-buckets"}) {
+  // backend is no longer a valid --oracle, and the removed sweep core,
+  // per-pair routing and candidate-path settings are unknown flags.
+  for (const char* flag :
+       {"--taxis=abc", "--requests=12x", "--rho=", "--threads=-2",
+        "--seed=4 2", "--seed=-1", "--seed=abc", "--seed=4.5",
+        "--batch-window-ms=abc", "--batch-window-ms=-5", "--max-queue=x",
+        "--oracle=lru", "--taxi=5", "--engine=sweep", "--batched=0",
+        "--candidates=magic", "--candidates=", "--candidates=INDEX",
+        "--candidates=buckets", "--candidates=ch-buckets",
+        "--candidates=index", "--candidates=ch_buckets"}) {
     std::string cmd = std::string(MTSHARE_SIM_BINARY) + " \"" +
                       std::string(flag) + "\" > /dev/null 2>&1";
     EXPECT_EQ(RunCommand(cmd), 2) << flag;
@@ -366,7 +356,7 @@ TEST(MtshareSimCliTest, ChBucketsPathEmitsBucketCounters) {
   std::remove(path.c_str());
   std::string cmd = std::string(MTSHARE_SIM_BINARY) +
                     " --scheme=mt-share --rows=14 --cols=14 --taxis=20"
-                    " --requests=120 --candidates=ch_buckets --report=" +
+                    " --requests=120 --oracle=ch --report=" +
                     path + " > /dev/null";
   ASSERT_EQ(RunCommand(cmd), 0) << cmd;
   std::ifstream in(path);

@@ -22,12 +22,10 @@
 //                  omits                   (default 1.3)
 //   --seed         RNG seed                (default 42)
 //   --threads      matching worker threads (default 1; 0 = all cores)
-//   --oracle       auto | exact | ch       (default auto)
-//   --candidates   index | ch_buckets      (default index) — candidate
-//                  search path (DESIGN.md §14); ch_buckets answers pickup
-//                  reachability with one backward CH sweep over last-stop
-//                  buckets and screens insertion slots with the
-//                  detour-ellipse bound. Decisions are identical.
+//   --oracle       auto | exact | ch       (default auto) — also picks how
+//                  pickup reachability is answered: table reads on exact,
+//                  one backward CH sweep over last-stop buckets on ch
+//                  (DESIGN.md §14). Decisions are identical.
 //   --rows/--cols  generated city size     (default 48x48)
 //   --network      edge-list CSV to load instead of generating
 //   --historical   historical trips for the mobility statistics
@@ -111,11 +109,6 @@ int main(int argc, char** argv) {
   if (!ParseOracleBackend(GetS(args, "oracle", "auto"),
                           &config.oracle.backend)) {
     std::fprintf(stderr, "unknown --oracle (want auto|exact|ch)\n");
-    return 2;
-  }
-  if (!ParseCandidateSearch(GetS(args, "candidates", "index"),
-                            &config.matching.candidate_search)) {
-    std::fprintf(stderr, "unknown --candidates (want index|ch_buckets)\n");
     return 2;
   }
   config.seed = seed;

@@ -21,12 +21,10 @@
 //                  results identical for any value)
 //   --oracle       auto | exact | ch       (default auto: exact table for
 //                  small graphs, contraction hierarchy for large ones;
-//                  results identical for every backend)
-//   --candidates   index | ch_buckets       (default index: each scheme's
-//                  native candidate scan with per-taxi reachability
-//                  probes; ch_buckets = last-stop CH bucket sweeps +
-//                  detour-ellipse slot pruning, DESIGN.md §14; dispatch
-//                  decisions identical either way)
+//                  results identical for every backend). The backend also
+//                  picks how pickup reachability is answered: table reads
+//                  on exact, last-stop CH bucket sweeps on ch (DESIGN.md
+//                  §14)
 //   --rows/--cols  generated city size     (default 48x48)
 //   --network      edge-list CSV to load instead of generating
 //   --batch-window-ms  batch-window ingest Δt, simulated ms (default 0 =
@@ -93,11 +91,6 @@ int main(int argc, char** argv) {
   config.matching.gamma_max_m = GetD(args, "gamma", 2500.0, &ok);
   if (!ParseOracleBackend(GetS(args, "oracle", "auto"), &config.oracle.backend)) {
     std::fprintf(stderr, "unknown --oracle (want auto|exact|ch)\n");
-    return 2;
-  }
-  if (!ParseCandidateSearch(GetS(args, "candidates", "index"),
-                            &config.matching.candidate_search)) {
-    std::fprintf(stderr, "unknown --candidates (want index|ch_buckets)\n");
     return 2;
   }
   config.seed = seed;

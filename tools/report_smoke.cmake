@@ -25,10 +25,11 @@ foreach(key "schema_version" "response_ms" "p95" "phases" "dispatch_total_ms"
     message(FATAL_ERROR "report missing key '${key}':\n${report}")
   endif()
 endforeach()
-# The default path must label itself; a stray "ch_buckets" here means the
-# flag default regressed.
+# The 12x12 city runs on the exact table, which answers pickup
+# reachability with table reads; a stray "ch_buckets" here means the
+# source no longer follows the backend.
 if(NOT report MATCHES "\"candidate_search\": *\"index\"")
-  message(FATAL_ERROR "default run not labeled candidate_search=index:\n${report}")
+  message(FATAL_ERROR "exact run not labeled candidate_search=index:\n${report}")
 endif()
 # Every online request in a classic run is admitted; zero means the serve
 # counters are not wired through the engine.
@@ -42,19 +43,19 @@ if(NOT report MATCHES "\"fallback_queries\": *0[,\n}]")
 endif()
 file(REMOVE "${REPORT_PATH}")
 
-# Same smoke on the ch_buckets candidate path (schema_version 6): the run
-# must label itself, do real sweep work, and keep the no-fallback invariant
-# — the decision metrics are equivalence-tested elsewhere; this guards the
-# CLI wiring and the counter plumbing.
+# Same smoke on the CH oracle, which answers pickup reachability with
+# last-stop bucket sweeps (schema_version 6): the run must label itself,
+# do real sweep work, and keep the no-fallback invariant — the decision
+# metrics are pinned by the golden tests; this guards the CLI wiring and
+# the counter plumbing.
 execute_process(
   COMMAND "${SIM_BINARY}" --scheme=mt-share --rows=12 --cols=12
-          --taxis=15 --requests=80 --candidates=ch_buckets
-          --report=${REPORT_PATH}
+          --taxis=15 --requests=80 --oracle=ch --report=${REPORT_PATH}
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "mtshare_sim --candidates=ch_buckets exited ${rc}\n${out}\n${err}")
+  message(FATAL_ERROR "mtshare_sim --oracle=ch exited ${rc}\n${out}\n${err}")
 endif()
 file(READ "${REPORT_PATH}" report)
 if(NOT report MATCHES "\"candidate_search\": *\"ch_buckets\"")
