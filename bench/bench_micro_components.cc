@@ -1,11 +1,13 @@
 // Micro-benchmarks of the performance-critical components (google-benchmark):
 // shortest-path engines (plain vs partition-filtered vs oracle-cached),
-// request insertion (exhaustive vs DP), k-means, mobility clustering, and
-// the candidate indexes. These quantify the design choices DESIGN.md calls
-// out: filtered search settles fewer vertices; the oracle makes leg costs
-// O(1); the DP insertion removes an O(m) factor.
+// probabilistic routing (Algorithm 4), request insertion (exhaustive vs DP),
+// k-means, mobility clustering, and the candidate indexes. These quantify
+// the design choices DESIGN.md calls out: filtered search settles fewer
+// vertices; the oracle makes leg costs O(1); the DP insertion removes an
+// O(m) factor.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 
@@ -111,6 +113,38 @@ void BM_FilteredBasicLeg(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FilteredBasicLeg);
+
+// Algorithm 4 for one leg with a transition model: landmark-path
+// enumeration, the fine-grained vertex weights and the weighted masked
+// Dijkstra. frames_per_leg is the enumeration's DFS frames per leg.
+void BM_ProbabilisticLeg(benchmark::State& state) {
+  static MapPartitioning partitioning = GridPartition(Net(), 64);
+  static LandmarkGraph landmarks(Net(), partitioning);
+  static DistanceOracle oracle(Net());
+  static TransitionModel transitions = [] {
+    Rng rng(11);
+    std::vector<OdPair> trips;
+    for (int i = 0; i < 20000; ++i) trips.push_back(RandomPair(rng));
+    return TransitionModel::Build(Net().num_vertices(),
+                                  partitioning.num_partitions(),
+                                  partitioning.vertex_partition, trips);
+  }();
+  RoutePlanner planner(Net(), partitioning, landmarks, &transitions, &oracle,
+                       RoutePlannerOptions{});
+  Rng rng(1);
+  for (auto _ : state) {
+    auto [a, b] = RandomPair(rng);
+    const Point& pa = Net().coord(a);
+    const Point& pb = Net().coord(b);
+    const Seconds budget = oracle.Cost(a, b) * 1.5 + 90.0;
+    benchmark::DoNotOptimize(planner.PlanProbabilisticLeg(
+        a, b, Point{pb.x - pa.x, pb.y - pa.y}, budget));
+  }
+  state.counters["frames_per_leg"] =
+      double(planner.enumeration_frames()) /
+      double(std::max<int64_t>(1, planner.probabilistic_legs()));
+}
+BENCHMARK(BM_ProbabilisticLeg);
 
 InsertionResult RunInsertion(bool dp, const Schedule& base,
                              const RideRequest& r, DistanceOracle& oracle) {

@@ -32,9 +32,10 @@ class LandmarkGraph {
     return costs_[static_cast<size_t>(a) * num_partitions_ + b];
   }
 
-  /// Partitions adjacent to p.
-  const std::vector<PartitionId>& Neighbors(PartitionId p) const {
-    return adjacency_[p];
+  /// Partitions adjacent to each partition, indexed by partition;
+  /// symmetric.
+  const std::vector<std::vector<PartitionId>>& Adjacency() const {
+    return adjacency_;
   }
 
   bool Adjacent(PartitionId a, PartitionId b) const;

@@ -1,6 +1,8 @@
 #include "sched/route_planner.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -9,7 +11,124 @@ namespace {
 
 constexpr double kPsiFloor = 1e-6;  // avoids division by zero in 1/psi
 
+bool NoDirection(const Point& taxi_direction) {
+  return taxi_direction.x == 0.0 && taxi_direction.y == 0.0;
+}
+
 }  // namespace
+
+std::vector<std::vector<PartitionId>> EnumerateLandmarkPaths(
+    const std::vector<std::vector<PartitionId>>& adjacency,
+    const std::vector<PartitionId>& kept, const std::vector<double>& mass,
+    PartitionId pz, PartitionId pz1, int32_t max_paths, int32_t max_hops,
+    int64_t* frames) {
+  const size_t n = adjacency.size();
+  std::vector<uint8_t> in_kept(n, 0);
+  for (PartitionId p : kept) in_kept[p] = 1;
+
+  // Hop distance from each kept partition to pz1 through kept partitions
+  // (breadth-first from pz1; the adjacency is symmetric). It ignores the
+  // DFS's visited set, so it never overestimates the hops a branch still
+  // needs: a branch it rules out could not have closed a path.
+  constexpr int32_t kUnreachable = std::numeric_limits<int32_t>::max();
+  std::vector<int32_t> to_target(n, kUnreachable);
+  if (in_kept[pz1]) {
+    std::vector<PartitionId> queue{pz1};
+    to_target[pz1] = 0;
+    for (size_t head = 0; head < queue.size(); ++head) {
+      PartitionId p = queue[head];
+      for (PartitionId q : adjacency[p]) {
+        if (in_kept[q] && to_target[q] == kUnreachable) {
+          to_target[q] = to_target[p] + 1;
+          queue.push_back(q);
+        }
+      }
+    }
+  }
+
+  // Depth-first enumeration of simple paths, greedy-heavy-first so that
+  // early truncation keeps the strongest candidates.
+  struct PathAcc {
+    std::vector<PartitionId> path;
+    double weight;
+  };
+  std::vector<PathAcc> found;
+  std::vector<PartitionId> current;
+  std::vector<uint8_t> visited(n, 0);
+
+  // A frame's sorted neighbours are the slice [begin, end) of `nbrs`, which
+  // grows and shrinks with the stack.
+  struct Frame {
+    PartitionId node;
+    size_t begin;
+    size_t next;
+    size_t end;
+  };
+  std::vector<PartitionId> nbrs;
+  std::vector<Frame> stack;
+  int64_t opened = 0;
+  auto open = [&](PartitionId p) {
+    const size_t begin = nbrs.size();
+    for (PartitionId q : adjacency[p]) {
+      if (in_kept[q] && !visited[q]) nbrs.push_back(q);
+    }
+    std::sort(nbrs.begin() + static_cast<std::ptrdiff_t>(begin), nbrs.end(),
+              [&](PartitionId a, PartitionId b) { return mass[a] > mass[b]; });
+    stack.push_back({p, begin, begin, nbrs.size()});
+    ++opened;
+  };
+
+  current.push_back(pz);
+  visited[pz] = 1;
+  if (pz == pz1) {
+    found.push_back({current, mass[pz]});
+  } else {
+    open(pz);
+    while (!stack.empty() && static_cast<int32_t>(found.size()) < max_paths) {
+      Frame& frame = stack.back();
+      if (frame.next >= frame.end ||
+          static_cast<int32_t>(current.size()) > max_hops) {
+        visited[frame.node] = 0;
+        current.pop_back();
+        nbrs.resize(frame.begin);
+        stack.pop_back();
+        continue;
+      }
+      PartitionId next = nbrs[frame.next++];
+      if (visited[next]) continue;
+      // A frame at path size s expands only while s <= max_hops, so `next`,
+      // pushed at size current.size() + 1, can still close a path only if
+      // current.size() + to_target[next] <= max_hops. The neighbour list
+      // was sorted before this test, so the sort sees the same input and
+      // the found paths keep their order.
+      if (next != pz1 &&
+          to_target[next] >
+              max_hops - static_cast<int32_t>(current.size())) {
+        continue;
+      }
+      current.push_back(next);
+      if (next == pz1) {
+        double w = 0.0;
+        for (PartitionId p : current) w += mass[p];
+        found.push_back({current, w});
+        current.pop_back();
+      } else {
+        visited[next] = 1;
+        open(next);
+      }
+    }
+  }
+  if (frames != nullptr) *frames += opened;
+
+  std::stable_sort(found.begin(), found.end(),
+                   [](const PathAcc& a, const PathAcc& b) {
+                     return a.weight > b.weight;
+                   });
+  std::vector<std::vector<PartitionId>> out;
+  out.reserve(found.size());
+  for (PathAcc& acc : found) out.push_back(std::move(acc.path));
+  return out;
+}
 
 RoutePlanner::RoutePlanner(const RoadNetwork& network,
                            const MapPartitioning& partitioning,
@@ -41,6 +160,14 @@ RoutePlanner::RoutePlanner(const RoadNetwork& network,
         partition_transition_[static_cast<size_t>(p) * k + q] += row[q];
       }
     }
+    undirected_mass_.resize(k);
+    for (PartitionId p = 0; p < k; ++p) {
+      undirected_mass_[p] =
+          DestinationMass(p, SuitableDestinations(p, Point{0, 0}));
+    }
+    dest_words_ = (static_cast<size_t>(k) + 63) / 64;
+    weight_memo_.resize(k);
+    leg_dests_.resize(k);
   }
 }
 
@@ -72,8 +199,7 @@ std::vector<int32_t> RoutePlanner::SuitableDestinations(
     PartitionId p, const Point& taxi_direction) const {
   std::vector<int32_t> dests;
   const Point& from = network_.coord(partitioning_.landmarks[p]);
-  bool no_direction =
-      taxi_direction.x == 0.0 && taxi_direction.y == 0.0;
+  const bool no_direction = NoDirection(taxi_direction);
   for (PartitionId q = 0; q < partitioning_.num_partitions(); ++q) {
     if (q == p) continue;
     if (!no_direction) {
@@ -86,94 +212,48 @@ std::vector<int32_t> RoutePlanner::SuitableDestinations(
   return dests;
 }
 
-double RoutePlanner::PartitionEncounterMass(
-    PartitionId p, const Point& taxi_direction) const {
-  if (transitions_ == nullptr) return 0.0;
+double RoutePlanner::DestinationMass(
+    PartitionId p, const std::vector<int32_t>& dests) const {
   const int32_t k = partitioning_.num_partitions();
   double mass = 0.0;
-  for (int32_t q : SuitableDestinations(p, taxi_direction)) {
+  for (int32_t q : dests) {
     mass += partition_transition_[static_cast<size_t>(p) * k + q];
   }
   return mass;
 }
 
-std::vector<std::vector<PartitionId>> RoutePlanner::EnumeratePartitionPaths(
-    const std::vector<PartitionId>& kept, PartitionId pz, PartitionId pz1,
-    const Point& taxi_direction) const {
-  // Per-partition encounter mass (Algorithm 4 step 1).
-  std::vector<double> mass(partitioning_.num_partitions(), 0.0);
-  std::vector<uint8_t> in_kept(partitioning_.num_partitions(), 0);
-  for (PartitionId p : kept) {
-    in_kept[p] = 1;
-    mass[p] = PartitionEncounterMass(p, taxi_direction);
-  }
+double RoutePlanner::PartitionEncounterMass(
+    PartitionId p, const Point& taxi_direction) const {
+  if (transitions_ == nullptr) return 0.0;
+  if (NoDirection(taxi_direction)) return undirected_mass_[p];
+  return DestinationMass(p, SuitableDestinations(p, taxi_direction));
+}
 
-  // Depth-first enumeration of simple paths, greedy-heavy-first so that
-  // early truncation keeps the strongest candidates.
-  struct PathAcc {
-    std::vector<PartitionId> path;
-    double weight;
-  };
-  std::vector<PathAcc> found;
-  std::vector<PartitionId> current;
-  std::vector<uint8_t> visited(partitioning_.num_partitions(), 0);
-
-  struct Frame {
-    PartitionId node;
-    std::vector<PartitionId> neighbors;
-    size_t next = 0;
-  };
-  auto sorted_neighbors = [&](PartitionId p) {
-    std::vector<PartitionId> nbrs;
-    for (PartitionId q : landmarks_.Neighbors(p)) {
-      if (in_kept[q] && !visited[q]) nbrs.push_back(q);
-    }
-    std::sort(nbrs.begin(), nbrs.end(), [&](PartitionId a, PartitionId b) {
-      return mass[a] > mass[b];
-    });
-    return nbrs;
-  };
-
-  std::vector<Frame> stack;
-  current.push_back(pz);
-  visited[pz] = 1;
-  if (pz == pz1) {
-    found.push_back({current, mass[pz]});
-  } else {
-    stack.push_back({pz, sorted_neighbors(pz), 0});
-    while (!stack.empty() &&
-           static_cast<int32_t>(found.size()) < options_.max_partition_paths) {
-      Frame& frame = stack.back();
-      if (frame.next >= frame.neighbors.size() ||
-          static_cast<int32_t>(current.size()) > options_.max_path_hops) {
-        visited[frame.node] = 0;
-        current.pop_back();
-        stack.pop_back();
-        continue;
+void RoutePlanner::LoadVertexWeights(PartitionId p) {
+  // psi_c depends on the vertex and its partition's suitable destinations
+  // only, and the destination list is ascending, so the set is the key.
+  const std::vector<int32_t>& dests = leg_dests_[p];
+  dest_key_.assign(dest_words_, 0);
+  for (int32_t q : dests) dest_key_[q / 64] |= uint64_t{1} << (q % 64);
+  const std::vector<VertexId>& members = partitioning_.partition_vertices[p];
+  WeightMemo& memo = weight_memo_[p];
+  const size_t entries = memo.keys.size() / dest_words_;
+  for (size_t e = 0; e < entries; ++e) {
+    if (std::equal(dest_key_.begin(), dest_key_.end(),
+                   memo.keys.begin() + e * dest_words_)) {
+      const double* w = memo.weights.data() + e * members.size();
+      for (size_t i = 0; i < members.size(); ++i) {
+        vertex_weights_[members[i]] = w[i];
       }
-      PartitionId next = frame.neighbors[frame.next++];
-      if (visited[next]) continue;
-      current.push_back(next);
-      if (next == pz1) {
-        double w = 0.0;
-        for (PartitionId p : current) w += mass[p];
-        found.push_back({current, w});
-        current.pop_back();
-      } else {
-        visited[next] = 1;
-        stack.push_back({next, sorted_neighbors(next), 0});
-      }
+      return;
     }
   }
-
-  std::stable_sort(found.begin(), found.end(),
-                   [](const PathAcc& a, const PathAcc& b) {
-                     return a.weight > b.weight;
-                   });
-  std::vector<std::vector<PartitionId>> out;
-  out.reserve(found.size());
-  for (PathAcc& acc : found) out.push_back(std::move(acc.path));
-  return out;
+  memo.keys.insert(memo.keys.end(), dest_key_.begin(), dest_key_.end());
+  for (VertexId v : members) {
+    double psi = transitions_->MassTowards(v, dests);
+    vertex_weights_[v] = 1.0 / (psi + kPsiFloor);
+    memo.weights.push_back(vertex_weights_[v]);
+  }
 }
 
 Path RoutePlanner::PlanProbabilisticLeg(VertexId from, VertexId to,
@@ -190,14 +270,29 @@ Path RoutePlanner::PlanProbabilisticLeg(VertexId from, VertexId to,
   }
 
   std::vector<PartitionId> kept = filter_.Filter(from, to);
-  PartitionId pz = partitioning_.PartitionOf(from);
-  PartitionId pz1 = partitioning_.PartitionOf(to);
+  // Algorithm 4 step 1: each kept partition's suitable destinations for
+  // this direction, which step 3 reuses, and its encounter mass. `kept`
+  // holds both endpoint partitions, so it covers every path partition.
+  const bool no_direction = NoDirection(taxi_direction);
+  std::vector<double> mass(partitioning_.num_partitions(), 0.0);
+  for (PartitionId p : kept) {
+    leg_dests_[p] = SuitableDestinations(p, taxi_direction);
+    mass[p] = no_direction ? undirected_mass_[p]
+                           : DestinationMass(p, leg_dests_[p]);
+  }
   std::vector<std::vector<PartitionId>> partition_paths =
-      EnumeratePartitionPaths(kept, pz, pz1, taxi_direction);
+      EnumerateLandmarkPaths(landmarks_.Adjacency(), kept, mass,
+                             partitioning_.PartitionOf(from),
+                             partitioning_.PartitionOf(to),
+                             options_.max_partition_paths,
+                             options_.max_path_hops, &enumeration_frames_);
 
   int32_t attempts =
       std::min<int32_t>(options_.max_attempts,
                         static_cast<int32_t>(partition_paths.size()));
+  // Attempts share partitions, and a partition's weights are fixed for the
+  // leg, so each is written once.
+  std::vector<uint8_t> weighted(partitioning_.num_partitions(), 0);
   for (int32_t attempt = 0; attempt < attempts; ++attempt) {
     const auto& path_partitions = partition_paths[attempt];
     ClearMask();
@@ -206,11 +301,8 @@ Path RoutePlanner::PlanProbabilisticLeg(VertexId from, VertexId to,
     // Fine-grained weights (Algorithm 4 step 3): 1/psi_c where psi_c is the
     // vertex's transition mass toward its partition's suitable destinations.
     for (PartitionId p : path_partitions) {
-      std::vector<int32_t> dests = SuitableDestinations(p, taxi_direction);
-      for (VertexId v : partitioning_.partition_vertices[p]) {
-        double psi = transitions_->MassTowards(v, dests);
-        vertex_weights_[v] = 1.0 / (psi + kPsiFloor);
-      }
+      if (!weighted[p]) LoadVertexWeights(p);
+      weighted[p] = 1;
     }
     SearchOptions sopt;
     sopt.allowed_vertices = &mask_;

@@ -11,6 +11,21 @@
 
 namespace mtshare {
 
+/// Algorithm 4 step 2: simple paths from `pz` to `pz1` through the `kept`
+/// partitions of an undirected graph (`adjacency[p]` lists p's neighbours
+/// and q is in p's list exactly when p is in q's, as in the landmark
+/// graph). Depth-first, heaviest `mass` neighbour first, so that stopping
+/// at `max_paths` found paths keeps the strongest candidates; a path has at
+/// most `max_hops` hops. Returns the paths by descending summed `mass`
+/// (ties keep discovery order). A branch whose breadth-first hop distance
+/// to `pz1` inside `kept` cannot close within `max_hops` is never opened;
+/// `frames`, when given, is advanced by the DFS frames that were.
+std::vector<std::vector<PartitionId>> EnumerateLandmarkPaths(
+    const std::vector<std::vector<PartitionId>>& adjacency,
+    const std::vector<PartitionId>& kept, const std::vector<double>& mass,
+    PartitionId pz, PartitionId pz1, int32_t max_paths, int32_t max_hops,
+    int64_t* frames = nullptr);
+
 struct RoutePlannerOptions {
   /// Direction threshold lambda shared by partition filtering and the
   /// suitable-destination test (Table II default 0.707 == 45 degrees).
@@ -78,13 +93,16 @@ class RoutePlanner {
                          const Point& taxi_direction = Point{0, 0});
 
   /// Probability mass of meeting suitable requests inside partition `p`
-  /// for a taxi heading along `taxi_direction` (Algorithm 4 step 1);
-  /// exposed for tests and the routing-mode benches.
+  /// for a taxi heading along `taxi_direction` (Algorithm 4 step 1). The
+  /// direction-free mass (`Point{0, 0}`), which idle cruising samples
+  /// targets by, is precomputed per partition at construction.
   double PartitionEncounterMass(PartitionId p,
                                 const Point& taxi_direction) const;
 
   int64_t basic_legs() const { return basic_legs_; }
   int64_t probabilistic_legs() const { return prob_legs_; }
+  /// DFS frames Algorithm 4's landmark-path enumeration has opened.
+  int64_t enumeration_frames() const { return enumeration_frames_; }
   int64_t probabilistic_fallbacks() const { return prob_fallbacks_; }
 
  private:
@@ -93,11 +111,15 @@ class RoutePlanner {
   std::vector<int32_t> SuitableDestinations(PartitionId p,
                                             const Point& taxi_direction) const;
 
-  /// Enumerates simple landmark paths from `pz` to `pz1` within the kept
-  /// partitions, ordered by descending accumulated encounter mass.
-  std::vector<std::vector<PartitionId>> EnumeratePartitionPaths(
-      const std::vector<PartitionId>& kept, PartitionId pz, PartitionId pz1,
-      const Point& taxi_direction) const;
+  /// Summed partition transition mass from `p` into `dests`.
+  double DestinationMass(PartitionId p,
+                         const std::vector<int32_t>& dests) const;
+
+  /// Writes Algorithm 4's fine-grained weights 1/(psi + floor) for the
+  /// vertices of partition `p`, given this leg's suitable destinations
+  /// `leg_dests_[p]`, into `vertex_weights_`; from the memo when that
+  /// destination set has been seen before.
+  void LoadVertexWeights(PartitionId p);
 
   void ClearMask();
 
@@ -113,6 +135,25 @@ class RoutePlanner {
   /// Partition-to-partition transition mass: sum over vertices of the row
   /// partition of their transition probability into the column partition.
   std::vector<double> partition_transition_;  // kappa x kappa, row-major
+  /// PartitionEncounterMass(p, Point{0, 0}) per partition.
+  std::vector<double> undirected_mass_;
+
+  /// Fine-grained weight memo, per partition: the suitable-destination
+  /// sets seen so far as bitsets of `dest_words_` words each, and for each
+  /// set the partition's vertex weights in `partition_vertices` order. A
+  /// partition has at most about 2 kappa distinct sets (one per arc
+  /// between the direction cones of the other landmarks) plus the
+  /// direction-free one, so the memo needs no eviction.
+  struct WeightMemo {
+    std::vector<uint64_t> keys;
+    std::vector<double> weights;
+  };
+  size_t dest_words_ = 0;
+  std::vector<WeightMemo> weight_memo_;
+  std::vector<uint64_t> dest_key_;  // key buffer of the current lookup
+  /// The current probabilistic leg's suitable destinations per kept
+  /// partition (Algorithm 4 step 1), reused by step 3.
+  std::vector<std::vector<int32_t>> leg_dests_;
 
   std::vector<uint8_t> mask_;
   std::vector<PartitionId> mask_partitions_;  // partitions currently set
@@ -120,6 +161,7 @@ class RoutePlanner {
 
   int64_t basic_legs_ = 0;
   int64_t prob_legs_ = 0;
+  int64_t enumeration_frames_ = 0;
   int64_t prob_fallbacks_ = 0;
 };
 

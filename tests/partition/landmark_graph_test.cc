@@ -45,7 +45,7 @@ TEST_F(LandmarkGraphTest, CostsMatchDijkstraBetweenLandmarks) {
 
 TEST_F(LandmarkGraphTest, AdjacencyIsSymmetric) {
   for (PartitionId a = 0; a < lg_->num_partitions(); ++a) {
-    for (PartitionId b : lg_->Neighbors(a)) {
+    for (PartitionId b : lg_->Adjacency()[a]) {
       EXPECT_TRUE(lg_->Adjacent(b, a)) << a << " ~ " << b;
     }
   }
@@ -59,7 +59,7 @@ TEST_F(LandmarkGraphTest, NoSelfAdjacency) {
 
 TEST_F(LandmarkGraphTest, EveryPartitionHasANeighborOnConnectedCity) {
   for (PartitionId a = 0; a < lg_->num_partitions(); ++a) {
-    EXPECT_FALSE(lg_->Neighbors(a).empty()) << "partition " << a;
+    EXPECT_FALSE(lg_->Adjacency()[a].empty()) << "partition " << a;
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/random.h"
 #include "graph/graph_generators.h"
 #include "partition/bipartite_partitioner.h"
@@ -193,8 +195,351 @@ TEST_F(RoutePlannerTest, LegCountersAdvance) {
   planner_->PlanBasicLeg(0, 20);
   EXPECT_EQ(planner_->basic_legs(), b0 + 1);
   int64_t p0 = planner_->probabilistic_legs();
+  int64_t f0 = planner_->enumeration_frames();
   planner_->PlanProbabilisticLeg(0, 20, Point{1, 0}, 1e9);
   EXPECT_EQ(planner_->probabilistic_legs(), p0 + 1);
+  // 0 and 20 lie in different partitions, so the leg enumerates paths.
+  ASSERT_NE(partitioning_.PartitionOf(0), partitioning_.PartitionOf(20));
+  EXPECT_GT(planner_->enumeration_frames(), f0);
+}
+
+TEST_F(RoutePlannerTest, DirectionFreeMassIsTheDirectSum) {
+  // The precomputed direction-free mass must carry the bits of the sum it
+  // replaced: partition transition mass accumulated over member vertices
+  // in vertex order, then summed over every other partition in order.
+  const int32_t k = partitioning_.num_partitions();
+  std::vector<double> partition_transition(static_cast<size_t>(k) * k, 0.0);
+  for (VertexId v = 0; v < net_.num_vertices(); ++v) {
+    PartitionId p = partitioning_.PartitionOf(v);
+    for (int32_t q = 0; q < k; ++q) {
+      partition_transition[static_cast<size_t>(p) * k + q] +=
+          transitions_.Probability(v, q);
+    }
+  }
+  for (PartitionId p = 0; p < k; ++p) {
+    double direct = 0.0;
+    for (PartitionId q = 0; q < k; ++q) {
+      if (q == p) continue;
+      direct += partition_transition[static_cast<size_t>(p) * k + q];
+    }
+    EXPECT_EQ(planner_->PartitionEncounterMass(p, Point{0, 0}), direct) << p;
+  }
+}
+
+TEST_F(RoutePlannerTest, WarmedPlannerMatchesFreshPlanner) {
+  // The vertex-weight memo fills as legs run; a planner warmed by other
+  // legs (directional and direction-free) must plan every leg exactly as
+  // a fresh planner does.
+  struct Leg {
+    VertexId from;
+    VertexId to;
+    Point direction;
+    Seconds budget;
+  };
+  const std::vector<Point> directions = {
+      {0, 0}, {1, 0}, {0, 1}, {-1, 0.5}, {3, -2}, {-1, -1}};
+  const std::vector<double> stretches = {1.1, 1.5, 3.0};
+  std::vector<Leg> legs;
+  Rng rng(29);
+  while (legs.size() < 60) {
+    VertexId a = VertexId(rng.NextInt(0, net_.num_vertices() - 1));
+    VertexId b = VertexId(rng.NextInt(0, net_.num_vertices() - 1));
+    if (a == b) continue;
+    Point dir = directions[rng.NextInt(0, directions.size() - 1)];
+    if (legs.size() % 4 == 0) {
+      dir = Point{net_.coord(b).x - net_.coord(a).x,
+                  net_.coord(b).y - net_.coord(a).y};
+    }
+    double stretch = stretches[rng.NextInt(0, stretches.size() - 1)];
+    legs.push_back({a, b, dir, oracle_->Cost(a, b) * stretch});
+  }
+  // Repeat every leg once so the warmed planner also meets its own sets.
+  const std::vector<Leg> first_pass = legs;
+  legs.insert(legs.end(), first_pass.begin(), first_pass.end());
+  rng.Shuffle(legs);
+
+  int32_t valid = 0;
+  for (const Leg& leg : legs) {
+    RoutePlanner fresh(net_, partitioning_, *lg_, &transitions_,
+                       oracle_.get(), RoutePlannerOptions{});
+    Path want =
+        fresh.PlanProbabilisticLeg(leg.from, leg.to, leg.direction, leg.budget);
+    Path got = planner_->PlanProbabilisticLeg(leg.from, leg.to, leg.direction,
+                                              leg.budget);
+    ASSERT_EQ(got.valid, want.valid) << leg.from << "->" << leg.to;
+    EXPECT_EQ(got.vertices, want.vertices) << leg.from << "->" << leg.to;
+    EXPECT_EQ(got.cost, want.cost) << leg.from << "->" << leg.to;
+    if (want.valid) ++valid;
+  }
+  EXPECT_GT(valid, static_cast<int32_t>(legs.size()) / 2);
+}
+
+// Algorithm 4's landmark-path DFS as it ran before the hop-distance prune:
+// every branch is opened up to the hop cap. Reference for the pruned
+// EnumerateLandmarkPaths; it lives only here.
+std::vector<std::vector<PartitionId>> UnprunedLandmarkPaths(
+    const std::vector<std::vector<PartitionId>>& adjacency,
+    const std::vector<PartitionId>& kept, const std::vector<double>& mass,
+    PartitionId pz, PartitionId pz1, int32_t max_paths, int32_t max_hops,
+    int64_t* frames) {
+  const size_t n = adjacency.size();
+  std::vector<uint8_t> in_kept(n, 0);
+  for (PartitionId p : kept) in_kept[p] = 1;
+  struct PathAcc {
+    std::vector<PartitionId> path;
+    double weight;
+  };
+  std::vector<PathAcc> found;
+  std::vector<PartitionId> current;
+  std::vector<uint8_t> visited(n, 0);
+  struct Frame {
+    PartitionId node;
+    std::vector<PartitionId> neighbors;
+    size_t next = 0;
+  };
+  auto sorted_neighbors = [&](PartitionId p) {
+    std::vector<PartitionId> nbrs;
+    for (PartitionId q : adjacency[p]) {
+      if (in_kept[q] && !visited[q]) nbrs.push_back(q);
+    }
+    std::sort(nbrs.begin(), nbrs.end(), [&](PartitionId a, PartitionId b) {
+      return mass[a] > mass[b];
+    });
+    return nbrs;
+  };
+  std::vector<Frame> stack;
+  current.push_back(pz);
+  visited[pz] = 1;
+  if (pz == pz1) {
+    found.push_back({current, mass[pz]});
+  } else {
+    stack.push_back({pz, sorted_neighbors(pz), 0});
+    ++*frames;
+    while (!stack.empty() && static_cast<int32_t>(found.size()) < max_paths) {
+      Frame& frame = stack.back();
+      if (frame.next >= frame.neighbors.size() ||
+          static_cast<int32_t>(current.size()) > max_hops) {
+        visited[frame.node] = 0;
+        current.pop_back();
+        stack.pop_back();
+        continue;
+      }
+      PartitionId next = frame.neighbors[frame.next++];
+      if (visited[next]) continue;
+      current.push_back(next);
+      if (next == pz1) {
+        double w = 0.0;
+        for (PartitionId p : current) w += mass[p];
+        found.push_back({current, w});
+        current.pop_back();
+      } else {
+        visited[next] = 1;
+        stack.push_back({next, sorted_neighbors(next), 0});
+        ++*frames;
+      }
+    }
+  }
+  std::stable_sort(found.begin(), found.end(),
+                   [](const PathAcc& a, const PathAcc& b) {
+                     return a.weight > b.weight;
+                   });
+  std::vector<std::vector<PartitionId>> out;
+  for (PathAcc& acc : found) out.push_back(std::move(acc.path));
+  return out;
+}
+
+using Adjacency = std::vector<std::vector<PartitionId>>;
+using Edges = std::vector<std::pair<PartitionId, PartitionId>>;
+
+Adjacency FromEdges(int32_t n, const Edges& edges) {
+  std::vector<std::vector<uint8_t>> matrix(n, std::vector<uint8_t>(n, 0));
+  for (auto [a, b] : edges) matrix[a][b] = matrix[b][a] = 1;
+  Adjacency adjacency(n);
+  for (PartitionId p = 0; p < n; ++p) {
+    for (PartitionId q = 0; q < n; ++q) {
+      if (matrix[p][q]) adjacency[p].push_back(q);
+    }
+  }
+  return adjacency;
+}
+
+Adjacency Line(int32_t n) {
+  Edges edges;
+  for (PartitionId p = 0; p + 1 < n; ++p) edges.emplace_back(p, p + 1);
+  return FromEdges(n, edges);
+}
+
+Adjacency Grid(int32_t rows, int32_t cols, double keep, double diagonal,
+               Rng& rng) {
+  Edges edges;
+  for (int32_t r = 0; r < rows; ++r) {
+    for (int32_t c = 0; c < cols; ++c) {
+      PartitionId p = r * cols + c;
+      if (c + 1 < cols && rng.NextDouble() < keep) edges.emplace_back(p, p + 1);
+      if (r + 1 < rows && rng.NextDouble() < keep) {
+        edges.emplace_back(p, p + cols);
+      }
+      if (c + 1 < cols && r + 1 < rows && rng.NextDouble() < diagonal) {
+        edges.emplace_back(p, p + cols + 1);
+      }
+    }
+  }
+  return FromEdges(rows * cols, edges);
+}
+
+std::vector<PartitionId> All(int32_t n) {
+  std::vector<PartitionId> kept(n);
+  for (PartitionId p = 0; p < n; ++p) kept[p] = p;
+  return kept;
+}
+
+TEST(PartitionPathEnumerationTest, PrunedMatchesUnprunedOnRandomGraphs) {
+  // Masses come from a four-value set so that neighbour ties (resolved by
+  // std::sort) and path-weight ties (resolved by discovery order) occur.
+  const std::vector<double> levels = {0.0, 0.25, 0.5, 1.0};
+  const std::vector<int32_t> path_caps = {1, 3, 64};
+  Rng rng(17);
+  int64_t pruned_frames = 0;
+  int64_t unpruned_frames = 0;
+  int32_t with_paths = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    Adjacency adjacency;
+    if (trial % 2 == 0) {
+      adjacency = Grid(int32_t(rng.NextInt(1, 5)), int32_t(rng.NextInt(2, 5)),
+                       0.85, 0.15, rng);
+    } else {
+      const int32_t n = int32_t(rng.NextInt(2, 12));
+      const double density = rng.NextUniform(0.15, 0.45);
+      Edges edges;
+      for (PartitionId a = 0; a < n; ++a) {
+        for (PartitionId b = a + 1; b < n; ++b) {
+          if (rng.NextDouble() < density) edges.emplace_back(a, b);
+        }
+      }
+      adjacency = FromEdges(n, edges);
+    }
+    const int32_t n = static_cast<int32_t>(adjacency.size());
+    const PartitionId pz = PartitionId(rng.NextInt(0, n - 1));
+    const PartitionId pz1 = PartitionId(rng.NextInt(0, n - 1));
+    // As PartitionFilter does, kept holds both endpoints; now and then the
+    // target is dropped so that it cannot be reached.
+    std::vector<PartitionId> kept;
+    const double keep = rng.NextUniform(0.5, 1.0);
+    for (PartitionId p = 0; p < n; ++p) {
+      if (p == pz || (p == pz1 && trial % 10 != 3) ||
+          rng.NextDouble() < keep) {
+        kept.push_back(p);
+      }
+    }
+    rng.Shuffle(kept);
+    std::vector<double> mass(n);
+    for (double& m : mass) m = levels[rng.NextInt(0, levels.size() - 1)];
+    const int32_t max_paths = path_caps[rng.NextInt(0, path_caps.size() - 1)];
+    const int32_t max_hops = int32_t(rng.NextInt(1, 10));
+
+    int64_t frames = 0;
+    int64_t reference_frames = 0;
+    auto got = EnumerateLandmarkPaths(adjacency, kept, mass, pz, pz1,
+                                      max_paths, max_hops, &frames);
+    auto want = UnprunedLandmarkPaths(adjacency, kept, mass, pz, pz1,
+                                      max_paths, max_hops, &reference_frames);
+    ASSERT_EQ(got, want) << "trial " << trial;
+    EXPECT_LE(frames, reference_frames) << "trial " << trial;
+    pruned_frames += frames;
+    unpruned_frames += reference_frames;
+    if (!want.empty()) ++with_paths;
+  }
+  EXPECT_GT(with_paths, 100);
+  EXPECT_LT(pruned_frames, unpruned_frames);
+}
+
+TEST(PartitionPathEnumerationTest, PathOfExactlyMaxHopsIsFound) {
+  const int32_t max_hops = RoutePlannerOptions{}.max_path_hops;
+  const Adjacency line = Line(max_hops + 2);
+  const std::vector<PartitionId> kept = All(max_hops + 2);
+  const std::vector<double> mass(max_hops + 2, 1.0);
+  std::vector<PartitionId> exact = kept;
+  exact.pop_back();
+
+  int64_t frames = 0;
+  auto found = EnumerateLandmarkPaths(line, kept, mass, 0, max_hops, 64,
+                                      max_hops, &frames);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0], exact);
+  // Every partition before the target opens one frame.
+  EXPECT_EQ(frames, max_hops);
+
+  frames = 0;
+  int64_t reference_frames = 0;
+  EXPECT_TRUE(EnumerateLandmarkPaths(line, kept, mass, 0, max_hops + 1, 64,
+                                     max_hops, &frames)
+                  .empty());
+  EXPECT_TRUE(UnprunedLandmarkPaths(line, kept, mass, 0, max_hops + 1, 64,
+                                    max_hops, &reference_frames)
+                  .empty());
+  // One hop too far: the prune rules out the first step, so only the
+  // start's frame opens; without it the walk runs out to the hop cap.
+  EXPECT_EQ(frames, 1);
+  EXPECT_EQ(reference_frames, max_hops + 1);
+}
+
+TEST(PartitionPathEnumerationTest, StartIsTarget) {
+  const Adjacency line = Line(4);
+  const std::vector<double> mass = {0.5, 1.0, 0.25, 0.0};
+  int64_t frames = 0;
+  auto found = EnumerateLandmarkPaths(line, All(4), mass, 2, 2, 64, 10,
+                                      &frames);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0], std::vector<PartitionId>{2});
+  EXPECT_EQ(frames, 0);
+}
+
+TEST(PartitionPathEnumerationTest, TargetUnreachableInsideKept) {
+  // 0 - 1 - 2 - 3 with the bridge partition 1 filtered out.
+  const Adjacency line = Line(4);
+  const std::vector<PartitionId> kept = {0, 2, 3};
+  const std::vector<double> mass(4, 1.0);
+  int64_t frames = 0;
+  int64_t reference_frames = 0;
+  EXPECT_TRUE(
+      EnumerateLandmarkPaths(line, kept, mass, 0, 3, 64, 10, &frames).empty());
+  EXPECT_TRUE(UnprunedLandmarkPaths(line, kept, mass, 0, 3, 64, 10,
+                                    &reference_frames)
+                  .empty());
+  EXPECT_EQ(frames, 1);
+  // From the far side the target is reachable but 2's dead end is not
+  // entered: 3 is adjacent, so the pruned walk still finds 2 -> 3.
+  auto found = EnumerateLandmarkPaths(line, kept, mass, 2, 3, 64, 10, nullptr);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0], (std::vector<PartitionId>{2, 3}));
+}
+
+TEST(PartitionPathEnumerationTest, TruncationKeepsTheSameFirstPaths) {
+  // Corner to corner on a full 4x4 grid has far more than 64 simple paths
+  // within 10 hops.
+  Rng rng(5);
+  const Adjacency grid = Grid(4, 4, 1.0, 0.0, rng);
+  const std::vector<PartitionId> kept = All(16);
+  std::vector<double> mass(16);
+  for (double& m : mass) m = 0.25 * double(rng.NextInt(0, 3));
+  const RoutePlannerOptions options;
+  int64_t frames = 0;
+  int64_t reference_frames = 0;
+  auto untruncated = UnprunedLandmarkPaths(grid, kept, mass, 0, 15, 100000,
+                                           options.max_path_hops,
+                                           &reference_frames);
+  ASSERT_GT(untruncated.size(),
+            static_cast<size_t>(options.max_partition_paths));
+  reference_frames = 0;
+  auto want = UnprunedLandmarkPaths(grid, kept, mass, 0, 15,
+                                    options.max_partition_paths,
+                                    options.max_path_hops, &reference_frames);
+  auto got = EnumerateLandmarkPaths(grid, kept, mass, 0, 15,
+                                    options.max_partition_paths,
+                                    options.max_path_hops, &frames);
+  ASSERT_EQ(got.size(), static_cast<size_t>(options.max_partition_paths));
+  EXPECT_EQ(got, want);
+  EXPECT_LE(frames, reference_frames);
 }
 
 }  // namespace

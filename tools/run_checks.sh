@@ -7,8 +7,9 @@
 #   3. configure + build the asan preset, run the full suite under
 #      AddressSanitizer + LeakSanitizer
 #   4. smoke-run mtshare_sim --report and check the JSON schema marker,
-#      the schema-4 engine counters and the CH oracle's bucket sweeps, and
-#      smoke BM_EngineAdvance
+#      the schema-4 engine counters, the CH oracle's bucket sweeps and an
+#      mT-Share-pro run's street hails, and smoke BM_EngineAdvance and
+#      BM_ProbabilisticLeg
 #   5. serve smoke: pipe a --save-requests log through mtshare_serve and
 #      check the decision stream plus the schema-5 "serve" block
 #   6. (opt-in) scale smoke: the `scale`-labelled ctest tier at reduced
@@ -72,12 +73,24 @@ grep -q '"candidate_search": "ch_buckets"' "$report"
 grep -q '"bucket_candidates"' "$report"
 grep -q '"ellipse_pruned"' "$report"
 grep -q '"fallback_queries": 0' "$report"
+# mT-Share-pro reaches Algorithm 4 (probabilistic legs) and idle cruising;
+# a run that serves no street hail has lost them.
+build/tools/mtshare_sim --scheme=mt-share-pro --window=nonpeak \
+  --rows=12 --cols=12 --taxis=15 --requests=80 --report="$report" >/dev/null
+grep -q '"scheme": "mT-Share-pro"' "$report"
+if grep -Eq '"served_offline": 0,?$' "$report"; then
+  echo "report smoke: mT-Share-pro served no offline request" >&2
+  exit 1
+fi
 echo "report OK: $report"
-# One quick fleet-advancement micro-bench pass (small fleet) to catch
-# bit-rot in the bench harness itself. The filter is anchored: an
-# unmatched filter runs nothing and still exits 0.
+# Quick micro-bench passes (fleet advancement on a small fleet, one
+# Algorithm 4 leg) to catch bit-rot in the bench harness itself. The
+# filters are anchored: an unmatched filter runs nothing and still exits 0.
 build/bench/bench_micro_components \
   --benchmark_filter='BM_EngineAdvance/fleet:100$' \
+  --benchmark_min_time=0.01 >/dev/null
+build/bench/bench_micro_components \
+  --benchmark_filter='BM_ProbabilisticLeg$' \
   --benchmark_min_time=0.01 >/dev/null
 
 echo "==> [5/6] serve smoke (log pipe + schema-5 serve block)"
