@@ -14,7 +14,6 @@
 #include "clustering/kmeans.h"
 #include "common/random.h"
 #include "demand/request.h"
-#include "common/thread_pool.h"
 #include "graph/graph_generators.h"
 #include "matching/no_sharing.h"
 #include "matching/taxi_index.h"
@@ -188,65 +187,6 @@ BENCHMARK(BM_InsertionExhaustive);
 
 void BM_InsertionDp(benchmark::State& state) { InsertionBench(state, true); }
 BENCHMARK(BM_InsertionDp);
-
-// The parallel dispatcher's inner loop: evaluate a probe request's best
-// insertion against every candidate schedule, slot-per-candidate, then an
-// ordered arg-min scan. threads:1 is the sequential baseline; higher
-// counts show the ParallelFor speedup (needs a multi-core machine to show
-// a win — on one core the pool only adds handoff overhead).
-void BM_CandidateEval(benchmark::State& state) {
-  static DistanceOracle oracle(Net());
-  const int32_t threads = int32_t(state.range(0));
-  const int kCandidates = 48;
-  Rng rng(23);
-  LegCostFn cost = [&](VertexId x, VertexId y) { return oracle.Cost(x, y); };
-
-  // Candidate schedules with 2-3 riders each, like a busy fleet mid-run.
-  std::vector<Schedule> schedules(kCandidates);
-  for (int c = 0; c < kCandidates; ++c) {
-    for (int i = 0; i < 2 + (c % 2); ++i) {
-      auto [o, d] = RandomPair(rng);
-      if (o == d) continue;
-      RideRequest r;
-      r.id = c * 8 + i;
-      r.origin = o;
-      r.destination = d;
-      r.direct_cost = oracle.Cost(o, d);
-      r.deadline = 3.0 * r.direct_cost;
-      InsertionResult ins =
-          FindBestInsertion(schedules[c], r, 0, 0.0, 0, 4, cost);
-      if (ins.found) schedules[c] = ins.schedule;
-    }
-  }
-  RideRequest probe;
-  probe.id = 999;
-  std::tie(probe.origin, probe.destination) = RandomPair(rng);
-  probe.direct_cost = oracle.Cost(probe.origin, probe.destination);
-  probe.deadline = 3.0 * probe.direct_cost;
-
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  std::vector<InsertionResult> results(kCandidates);
-  for (auto _ : state) {
-    auto evaluate = [&](size_t i) {
-      results[i] =
-          FindBestInsertionDp(schedules[i], probe, 0, 0.0, 0, 4, cost);
-    };
-    if (pool) {
-      pool->ParallelFor(kCandidates, evaluate);
-    } else {
-      for (size_t i = 0; i < kCandidates; ++i) evaluate(i);
-    }
-    // Ordered reduction (ties -> earliest), same as the dispatcher.
-    int best = -1;
-    for (int i = 0; i < kCandidates; ++i) {
-      if (!results[i].found) continue;
-      if (best < 0 || results[i].detour < results[best].detour) best = i;
-    }
-    benchmark::DoNotOptimize(best);
-  }
-}
-BENCHMARK(BM_CandidateEval)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // S3: ReindexTaxi first removes the taxi's old entries from every
 // arrival-sorted partition list. Removal binary-searches each list by the

@@ -54,8 +54,7 @@ int main() {
               system.value()->partitioning().num_partitions());
 
   // 5. Run a fleet of 60 shared taxis under mT-Share. ScenarioSpec is the
-  //    primary run API; num_threads > 1 parallelizes candidate scoring
-  //    with bit-identical results.
+  //    primary run API; a run executes on the calling thread.
   ScenarioSpec spec;
   spec.scheme = SchemeKind::kMtShare;
   spec.requests = &scenario.requests;

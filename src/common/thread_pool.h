@@ -12,13 +12,14 @@
 
 namespace mtshare {
 
-/// A fixed-size worker pool for the matching hot path and for fanning bench
-/// sweeps out across scenarios. Design goals, in order: deterministic results
-/// (the pool never reorders *outputs* — ParallelFor writes each index's
-/// result into its own slot and callers reduce in index order), low overhead
-/// on small work lists (one task per worker, contiguous chunks, no per-item
-/// queue traffic), and simplicity (no work stealing; the candidate lists and
-/// sweep grids this serves are in the tens to hundreds).
+/// A fixed-size worker pool for the contraction hierarchy's priority pass
+/// and for fanning bench sweeps out across scenarios. Design goals, in
+/// order: deterministic results (the pool never reorders *outputs* —
+/// ParallelFor writes each index's result into its own slot and callers
+/// reduce in index order), low overhead on small work lists (one task per
+/// worker, contiguous chunks, no per-item queue traffic), and simplicity
+/// (no work stealing; the sweep grids this serves are in the tens to
+/// hundreds).
 ///
 /// Tasks must not throw: the codebase communicates failure by Status/CHECK,
 /// and an exception escaping a worker would terminate anyway.

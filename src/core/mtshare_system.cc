@@ -6,7 +6,6 @@
 #include <optional>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "sim/request_source.h"
 
 namespace mtshare {
@@ -189,16 +188,6 @@ Result<Metrics> MTShareSystem::RunScenario(const ScenarioSpec& spec) {
                 spec.fleet_seed, start_time);
   std::unique_ptr<Dispatcher> dispatcher = MakeDispatcher(spec.scheme, &fleet);
   dispatcher->EnablePhaseTiming(spec.collect_phase_timing);
-
-  // One pool per run: startup is microseconds against multi-second runs,
-  // and per-run pools keep concurrent RunScenario calls (the bench sweep
-  // runner) from sharing workers.
-  std::unique_ptr<ThreadPool> pool;
-  const int32_t threads = ThreadPool::DefaultThreads(spec.num_threads);
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-    dispatcher->set_thread_pool(pool.get());
-  }
 
   EngineOptions eopts;
   eopts.serve_offline = spec.serve_offline;

@@ -70,9 +70,9 @@ struct ScenarioSpec {
   uint64_t fleet_seed = 1;
   /// Enables offline-request encounters (street hails, Sec. IV-C2).
   bool serve_offline = true;
-  /// Worker threads for candidate-schedule evaluation. 1 = sequential;
-  /// results are bit-identical for every value (deterministic reduction).
-  /// 0 = hardware concurrency.
+  /// Former worker-thread count, kept only so existing callers still
+  /// compile. Every run is single-threaded; only Validate() reads it, and
+  /// still requires it to be in [0, 1024].
   int32_t num_threads = 1;
   /// Collects the per-phase dispatch-time breakdown (Metrics::phases,
   /// surfaced in run reports). A handful of steady_clock reads per
@@ -113,12 +113,13 @@ class MTShareSystem {
                 const std::vector<OdPair>& historical_trips,
                 const SystemConfig& config);
 
-  /// Runs one scenario with a fresh fleet. The only entry point (the old
-  /// positional overload is gone): validates the spec (including request
-  /// ordering) and fans candidate evaluation out across spec.num_threads
-  /// workers with bit-identical results. Vector and streaming ingest share
-  /// one engine path, so a StreamRequestSource fed the serialized log of
-  /// spec.requests produces byte-identical decision metrics.
+  /// Runs one scenario with a fresh fleet on the calling thread. The only
+  /// entry point (the old positional overload is gone): validates the spec
+  /// (including request ordering). Vector and streaming ingest share one
+  /// engine path, so a StreamRequestSource fed the serialized log of
+  /// spec.requests produces byte-identical decision metrics. Concurrent
+  /// calls on one system are safe: each run owns its fleet, dispatcher
+  /// and engine, and shares only the read-only indexes and the oracle.
   Result<Metrics> RunScenario(const ScenarioSpec& spec);
 
   /// Creates a dispatcher bound to `fleet` on the system's oracle

@@ -190,72 +190,42 @@ bool Dispatcher::LowerBoundPrunesPickup(VertexId taxi_location,
   return false;
 }
 
-void Dispatcher::DispatchBatch(
-    const std::vector<const RideRequest*>& batch, Seconds now,
-    const std::function<void(const RideRequest&)>& dispatch_one) {
-  (void)now;  // the engine already advanced the fleet to the window close
-  for (const RideRequest* request : batch) {
-    dispatch_one(*request);
-  }
-}
-
 Dispatcher::CandidateEval Dispatcher::EvaluateCandidates(
     const std::vector<TaxiId>& candidates, const RideRequest& request,
     Seconds now) {
   ScopedPhaseTimer timer(phase_timers_, DispatchPhase::kInsertion);
-  // Reused per-call scratch: slots are overwritten by evaluate() (or their
-  // `found` flag cleared on the skip path), so stale entries from the
-  // previous request can never leak into the reduction.
-  eval_results_.resize(candidates.size());
-  std::vector<InsertionResult>& results = eval_results_;
-  // Detour-ellipse screen first (sequential, so counters and the batch
-  // are thread-count invariant). Its P1 test at slot 0 is the landmark
+  // Detour-ellipse screen first. Its P1 test at slot 0 is the landmark
   // lower-bound pickup prune; it also masks provably infeasible insertion
   // slots out of the DP. A candidate with no surviving slot pair could
   // only return found == false — skip it and keep its stops out of the
   // priming fan.
   eval_skip_.assign(candidates.size(), 0);
-  std::vector<uint8_t>& skip = eval_skip_;
   eval_masks_.resize(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (!ComputeEllipseMask(taxi(candidates[i]), request, now,
                             &eval_masks_[i])) {
-      skip[i] = 1;
+      eval_skip_[i] = 1;
     }
   }
   // Prime every leg the insertion walks can request with one-to-many
-  // passes, sequentially; workers then read the immutable table.
+  // passes before any DP runs; the DPs then read the primed table.
   batch_.Begin(request.origin, request.destination);
   for (size_t i = 0; i < candidates.size(); ++i) {
-    if (!skip[i]) RegisterCandidateStops(taxi(candidates[i]));
+    if (!eval_skip_[i]) RegisterCandidateStops(taxi(candidates[i]));
   }
   batch_.Prime();
   const LegCostFn cost = BatchedCost();
-  auto evaluate = [&](size_t i) {
-    if (skip[i]) {
-      results[i].found = false;  // slot may hold a previous request's result
-      return;
-    }
-    const TaxiState& t = taxi(candidates[i]);
-    results[i] = FindBestInsertionDp(t.schedule, request, t.location, now,
-                                     t.onboard, t.capacity, cost,
-                                     &eval_masks_[i]);
-  };
-  if (pool_ != nullptr && pool_->size() > 1 && candidates.size() > 1) {
-    // Each slot is written by exactly one task; the oracle behind `cost` is
-    // thread-safe. Fleet state is read-only during a dispatch decision.
-    pool_->ParallelFor(candidates.size(), evaluate);
-  } else {
-    for (size_t i = 0; i < candidates.size(); ++i) evaluate(i);
-  }
   CandidateEval best;
-  Seconds best_detour = kInfiniteCost;
   for (size_t i = 0; i < candidates.size(); ++i) {
-    if (!results[i].found) continue;
-    if (results[i].detour < best_detour) {
-      best_detour = results[i].detour;
+    if (eval_skip_[i]) continue;
+    const TaxiState& t = taxi(candidates[i]);
+    InsertionResult ins =
+        FindBestInsertionDp(t.schedule, request, t.location, now, t.onboard,
+                            t.capacity, cost, &eval_masks_[i]);
+    // Strict < in candidate order: ties go to the earliest candidate.
+    if (ins.found && ins.detour < best.insertion.detour) {
       best.taxi = candidates[i];
-      best.insertion = std::move(results[i]);
+      best.insertion = std::move(ins);
     }
   }
   return best;

@@ -2,13 +2,11 @@
 #define MTSHARE_MATCHING_DISPATCHER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string_view>
 #include <vector>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "demand/request.h"
 #include "matching/phase_timers.h"
 #include "matching/taxi_state.h"
@@ -104,20 +102,6 @@ class Dispatcher {
   virtual DispatchOutcome Dispatch(const RideRequest& request,
                                    Seconds now) = 0;
 
-  /// Batch-window entry point (DESIGN.md §12): the engine collected
-  /// `batch` (release order) over one window and asks the scheme to
-  /// dispatch it at window-close time `now`. `dispatch_one` runs the
-  /// standard dispatch-and-commit path for one request — each request's
-  /// plan is applied before the next dispatch runs, so later requests see
-  /// the fleet the earlier assignments produced. Implementations must call
-  /// it exactly once per request; the default replays the batch in release
-  /// order, which keeps batched runs deterministic and makes Δt=0 collapse
-  /// to the per-request loop. Override to prime shared per-window state
-  /// (or, later, to solve the batch as one assignment problem).
-  virtual void DispatchBatch(
-      const std::vector<const RideRequest*>& batch, Seconds now,
-      const std::function<void(const RideRequest&)>& dispatch_one);
-
   /// The taxi advanced along its route from position `from_pos` through
   /// `to_pos` (to_pos can trail the taxi's current route_pos when the
   /// engine splits a span around a schedule event). The grid baselines
@@ -144,7 +128,7 @@ class Dispatcher {
   /// bucket entries dirty — O(1), idempotent; the rebuild is deferred to
   /// the next sweep, which skips taxis whose anchor did not actually move.
   /// No-op on the exact table, which keeps no buckets.
-  virtual void OnScheduleChanged(TaxiId taxi) {
+  void OnScheduleChanged(TaxiId taxi) {
     if (buckets_ != nullptr) buckets_->MarkDirty(taxi);
   }
 
@@ -182,15 +166,6 @@ class Dispatcher {
   /// Resident bytes of the scheme's index structures (paper Table IV).
   virtual size_t IndexMemoryBytes() const { return 0; }
 
-  /// Attaches a worker pool (not owned; may be null = sequential). The
-  /// arg-min schemes score each candidate taxi's exhaustive insertion
-  /// concurrently; results are bit-identical to a single-threaded run
-  /// because the reduction happens in candidate order (see
-  /// EvaluateCandidates). The pool must outlive the dispatcher or be
-  /// detached by passing nullptr.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-  ThreadPool* thread_pool() const { return pool_; }
-
   /// Arms (or disarms) per-phase dispatch timing and clears any
   /// accumulated totals. Disabled timing costs one branch per section.
   void EnablePhaseTiming(bool enabled) {
@@ -227,14 +202,12 @@ class Dispatcher {
   }
 
  protected:
-  /// Best feasible insertion over `candidates` for `request`: each
-  /// candidate's FindBestInsertionDp runs on the pool when one is attached
-  /// (the matching hot path, paper Algorithm 1 / Table III), then a
-  /// sequential scan in candidate order keeps the winner — lowest detour,
-  /// ties to the earliest candidate — making the result independent of
-  /// thread schedule. Candidate lists are emitted in deterministic order
-  /// with ascending taxi ids within a bucket, so the tie-break is by taxi
-  /// id exactly as the single-threaded loop behaves.
+  /// Best feasible insertion over `candidates` for `request` (the
+  /// matching hot path, paper Algorithm 1 / Table III): each candidate's
+  /// FindBestInsertionDp result is kept if its detour is strictly lower
+  /// than the best so far, so ties go to the earliest candidate.
+  /// Candidate lists are emitted in deterministic order with ascending
+  /// taxi ids within a bucket, so the tie-break is by taxi id.
   struct CandidateEval {
     TaxiId taxi = kInvalidTaxi;
     InsertionResult insertion;
@@ -304,26 +277,20 @@ class Dispatcher {
   int64_t slots_screened_ = 0;
   int64_t ellipse_pruned_ = 0;
   std::vector<VertexId> batch_walk_buf_;
-  /// EvaluateCandidates scratch, reused across requests (each slot is
-  /// rewritten — or its `found` flag cleared — before the reduction reads
-  /// it). Worker threads write disjoint slots only.
-  std::vector<InsertionResult> eval_results_;
+  /// EvaluateCandidates scratch, reused across requests and rewritten for
+  /// every candidate before it is read: the ellipse screen's skip flags
+  /// and slot masks, one per candidate.
   std::vector<uint8_t> eval_skip_;
-  /// Per-candidate slot masks from the ellipse screen (written
-  /// sequentially before the pool fan-out; workers read disjoint slots).
   std::vector<InsertionSlotMask> eval_masks_;
   /// ComputeEllipseMask scratch: lower-bound arrival chain and suffix-min
   /// deadline gaps of the candidate's base schedule.
   std::vector<Seconds> lba_buf_;
   std::vector<Seconds> gap_suffix_buf_;
   /// Per-phase dispatch time; schemes attribute their sections with
-  /// ScopedPhaseTimer. Written only by the engine thread.
+  /// ScopedPhaseTimer.
   PhaseTimers phase_timers_;
 
  private:
-  /// Worker pool for candidate evaluation (not owned; null = sequential).
-  ThreadPool* pool_ = nullptr;
-
   // Idle-cruising state (see EnableIdleCruising).
   const MapPartitioning* cruise_partitioning_ = nullptr;
   RoutePlanner* cruise_planner_ = nullptr;

@@ -130,10 +130,8 @@ DispatchOutcome MtShareDispatcher::Dispatch(const RideRequest& request,
   double gamma = config_.gamma_max_m;
   const std::vector<TaxiId>& candidates = CandidateTaxis(request, now, gamma);
 
-  // Exhaustive insertion over the candidate set (Algorithm 1), fanned out
-  // across the attached thread pool. The reduction in EvaluateCandidates is
-  // deterministic, so the winning (taxi, schedule) pair is identical to the
-  // single-threaded loop.
+  // Exhaustive insertion over the candidate set (Algorithm 1): the lowest
+  // detour wins, ties to the earliest candidate.
   outcome.candidates = static_cast<int32_t>(candidates.size());
   CandidateEval best = EvaluateCandidates(candidates, request, now);
   if (best.taxi == kInvalidTaxi) return outcome;

@@ -37,9 +37,7 @@ DispatchOutcome PGreedyDpDispatcher::Dispatch(const RideRequest& request,
   // No direction/temporal prefilter: the scheme examines every in-range
   // taxi's schedule (the paper's Table III shows it with the largest
   // candidate sets and Fig. 7 with the slowest response); the DP itself
-  // rejects unreachable pickups. The seat filter stays sequential, the DP
-  // evaluations fan out across the thread pool with a deterministic
-  // reduction.
+  // rejects unreachable pickups.
   std::vector<TaxiId> candidates;
   candidates.reserve(nearby.size());
   {

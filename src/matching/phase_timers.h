@@ -41,10 +41,8 @@ inline const char* DispatchPhaseName(DispatchPhase phase) {
 }
 
 /// Accumulated per-phase dispatch time for one dispatcher (== one run).
-/// Only the engine thread writes it — candidate evaluation fans out to the
-/// pool *inside* an attributed section, so the section timer itself never
-/// races. When `enabled` is false the scoped timer below never reads the
-/// clock, so an untimed run pays one branch per section.
+/// When `enabled` is false the scoped timer below never reads the clock,
+/// so an untimed run pays one branch per section.
 struct PhaseTimers {
   bool enabled = false;
   std::array<double, kNumDispatchPhases> seconds{};

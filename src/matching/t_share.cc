@@ -67,11 +67,10 @@ DispatchOutcome TShareDispatcher::Dispatch(const RideRequest& request,
 
   // T-Share's signature is first-valid (not arg-min), with route planning
   // inside the loop: the scan usually stops after one or two candidates, so
-  // unlike the arg-min schemes there is no evaluation fan-out to
-  // parallelize — speculatively scoring the whole candidate list would do
-  // strictly more work than the sequential early exit it replaces. Leg
-  // costs are therefore primed incrementally, one candidate per Prime(),
-  // so the early exit keeps its win.
+  // scoring the whole candidate list up front, as the arg-min schemes do,
+  // would do strictly more work than the early exit. Leg costs are
+  // therefore primed incrementally, one candidate per Prime(), so the
+  // early exit keeps its win.
   batch_.Begin(request.origin, request.destination);
   for (int32_t id : candidates) {
     const TaxiState& t = taxi(id);

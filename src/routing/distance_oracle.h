@@ -51,12 +51,13 @@ struct OracleOptions {
 /// dyadic, see QuantizeTravelCost). Costs only — use DijkstraSearch when
 /// the vertex sequence is needed.
 ///
-/// Thread-safe: the parallel matching engine issues Cost() queries from
-/// every pool worker concurrently. Exact mode fills each row exactly once
-/// behind striped mutexes and publishes it with an atomic flag; CH mode
-/// checks stateful ChQuery engines in and out of a mutex-guarded pool
-/// (one engine per concurrently querying thread). Counters are
-/// atomics / pool-mutex-guarded sums and surface through Metrics.
+/// Thread-safe: one system's oracle serves every RunScenario call on it,
+/// and those runs may execute concurrently (the bench sweep runner).
+/// Exact mode fills each row exactly once behind striped mutexes and
+/// publishes it with an atomic flag; CH mode checks stateful ChQuery
+/// engines in and out of a mutex-guarded pool (one engine per
+/// concurrently querying thread). Counters are atomics /
+/// pool-mutex-guarded sums and surface through Metrics.
 class DistanceOracle {
  public:
   DistanceOracle(const RoadNetwork& network, const OracleOptions& options = {});

@@ -207,20 +207,20 @@ Seconds InsertionCostBatch::Cost(VertexId a, VertexId b) const {
       if (it != overflow_.end()) return it->second;
     }
   }
-  fallback_queries_.fetch_add(1, std::memory_order_relaxed);
+  ++fallback_queries_;
   return oracle_->Cost(a, b);
 }
 
 BatchRoutingStats InsertionCostBatch::stats() const {
   BatchRoutingStats s;
   s.batch_queries = batch_queries_;
-  s.fallback_queries = fallback_queries_.load(std::memory_order_relaxed);
+  s.fallback_queries = fallback_queries_;
   return s;
 }
 
 void InsertionCostBatch::ResetStats() {
   batch_queries_ = 0;
-  fallback_queries_.store(0, std::memory_order_relaxed);
+  fallback_queries_ = 0;
 }
 
 }  // namespace mtshare

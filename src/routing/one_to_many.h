@@ -1,7 +1,6 @@
 #ifndef MTSHARE_ROUTING_ONE_TO_MANY_H_
 #define MTSHARE_ROUTING_ONE_TO_MANY_H_
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -74,9 +73,9 @@ struct BatchRoutingStats {
 /// every primed leg on both backends).
 ///
 /// Usage: Begin(origin, dest) once per dispatch; AddCandidate + Prime for
-/// each candidate (or all candidates, then one Prime); Cost() from any
-/// thread afterwards. Unprimed pairs fall back to the (thread-safe) oracle
-/// and are counted in stats().fallback_queries.
+/// each candidate (or all candidates, then one Prime); Cost() afterwards.
+/// Unprimed pairs fall back to the oracle and are counted in
+/// stats().fallback_queries.
 ///
 /// The table is a dense matrix over per-dispatch compact vertex ids
 /// (epoch-stamped, so Begin() is O(used cells), not O(|V|)): the exact-mode
@@ -102,7 +101,6 @@ class InsertionCostBatch {
   void Prime();
 
   /// Primed leg cost; falls back to the oracle for unknown pairs.
-  /// Thread-safe (the table is read-only between Prime() calls).
   Seconds Cost(VertexId a, VertexId b) const;
 
   /// Counters since the last ResetStats (fallbacks are cumulative across
@@ -162,7 +160,7 @@ class InsertionCostBatch {
   std::vector<VertexId> source_buf_;
   std::vector<Seconds> matrix_buf_;
 
-  mutable std::atomic<int64_t> fallback_queries_{0};
+  mutable int64_t fallback_queries_ = 0;
   int64_t batch_queries_ = 0;
 };
 

@@ -166,13 +166,9 @@ void SimulationEngine::FlushBatch(std::vector<RequestId>* queue,
   // taxi right past them.
   for (RequestId id : *hails) RegisterHailer(requests_[id]);
   hails->clear();
-  if (!queue->empty()) {
-    batch_buf_.clear();
-    for (RequestId id : *queue) batch_buf_.push_back(&requests_[id]);
-    dispatcher_->DispatchBatch(
-        batch_buf_, when,
-        [this, when](const RideRequest& r) { DispatchOne(r, when); });
-  }
+  // Release order; each plan is committed before the next dispatch runs,
+  // so later requests see the fleet the earlier assignments produced.
+  for (RequestId id : *queue) DispatchOne(requests_[id], when);
   queue->clear();
 }
 

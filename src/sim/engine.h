@@ -113,8 +113,7 @@ class SimulationEngine {
   /// hailer or dispatch — the historical engine loop body.
   void ProcessBoundary(const RideRequest& request);
   /// Advances to the window close and dispatches the collected batch
-  /// (hailers registered first, then the online queue through the
-  /// dispatcher's batch entry point).
+  /// (hailers registered first, then the online queue in release order).
   void FlushBatch(std::vector<RequestId>* queue,
                   std::vector<RequestId>* hails, Seconds when);
   /// Registers an offline request as a waiting street hailer.
@@ -162,8 +161,6 @@ class SimulationEngine {
   Seconds commit_horizon_ = 0.0;
   /// Latest ingested release time (the drain must reach it).
   Seconds last_release_ = 0.0;
-  /// Scratch: batch pointers handed to Dispatcher::DispatchBatch.
-  std::vector<const RideRequest*> batch_buf_;
 };
 
 }  // namespace mtshare

@@ -2,12 +2,10 @@
 // exact table answers it with table reads, a CH-backed oracle with
 // last-stop bucket sweeps. DecisionGoldenTest pins both backends'
 // decisions. These tests check that each backend reports the source it
-// used, that threaded evaluation on the bucket path reproduces the
-// sequential decisions, and the bucket-store consistency invariant under
-// the engine's span-batched advancement.
+// used, and the bucket-store consistency invariant under the engine's
+// span-batched advancement.
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "core/mtshare_system.h"
@@ -22,7 +20,6 @@ namespace {
 struct RunOptions {
   SchemeKind scheme = SchemeKind::kMtShare;
   uint64_t seed = 11;
-  int32_t num_threads = 1;
   OracleBackend oracle_backend = OracleBackend::kAuto;
 };
 
@@ -57,37 +54,9 @@ Metrics RunOnce(const RunOptions& opt) {
   spec.requests = &scenario.requests;
   spec.num_taxis = 24;
   spec.fleet_seed = opt.seed + 3;
-  spec.num_threads = opt.num_threads;
   Result<Metrics> run = system.RunScenario(spec);
   EXPECT_TRUE(run.ok()) << run.status();
   return std::move(run).value();
-}
-
-/// Asserts identical decisions: every per-request decision field and the
-/// aggregate outcomes they roll into.
-void ExpectIdenticalDecisions(const Metrics& a, const Metrics& b,
-                              const std::string& label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(a.TotalRequests(), b.TotalRequests());
-  EXPECT_EQ(a.ServedRequests(), b.ServedRequests());
-  EXPECT_EQ(a.ServedOnline(), b.ServedOnline());
-  EXPECT_EQ(a.ServedOffline(), b.ServedOffline());
-  EXPECT_DOUBLE_EQ(a.total_driver_income, b.total_driver_income);
-  EXPECT_EQ(a.engine.arcs_stepped, b.engine.arcs_stepped);
-  ASSERT_EQ(a.records().size(), b.records().size());
-  for (size_t i = 0; i < a.records().size(); ++i) {
-    const RequestRecord& ra = a.records()[i];
-    const RequestRecord& rb = b.records()[i];
-    SCOPED_TRACE("request " + std::to_string(i));
-    EXPECT_EQ(ra.assigned, rb.assigned);
-    EXPECT_EQ(ra.completed, rb.completed);
-    EXPECT_EQ(ra.taxi, rb.taxi);
-    EXPECT_EQ(ra.candidates, rb.candidates);
-    EXPECT_DOUBLE_EQ(ra.pickup_time, rb.pickup_time);
-    EXPECT_DOUBLE_EQ(ra.dropoff_time, rb.dropoff_time);
-    EXPECT_DOUBLE_EQ(ra.regular_fare, rb.regular_fare);
-    EXPECT_DOUBLE_EQ(ra.shared_fare, rb.shared_fare);
-  }
 }
 
 TEST(CandidateSearchEquivalenceTest, ReachabilitySourceFollowsBackend) {
@@ -121,20 +90,6 @@ TEST(CandidateSearchEquivalenceTest, ReachabilitySourceFollowsBackend) {
       EXPECT_EQ(m->routing.fallback_queries, 0);
     }
   }
-}
-
-TEST(CandidateSearchEquivalenceTest, BucketsMatchUnderThreadedEvaluation) {
-  // Slot masks are written sequentially before the pool fan-out; a
-  // threaded run must reproduce the sequential decisions exactly.
-  RunOptions opt;
-  opt.scheme = SchemeKind::kTShare;
-  opt.seed = 29;
-  opt.oracle_backend = OracleBackend::kCh;
-  opt.num_threads = 1;
-  Metrics sequential = RunOnce(opt);
-  opt.num_threads = 4;
-  Metrics threaded = RunOnce(opt);
-  ExpectIdenticalDecisions(sequential, threaded, "1 vs 4 threads");
 }
 
 TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {

@@ -333,18 +333,21 @@ TEST(MtshareSimCliTest, ReportFlagEmitsValidJson) {
 TEST(MtshareSimCliTest, RejectsMalformedNumericFlags) {
   // Regression: "--taxis=abc" used to atoi to 0 and run an empty fleet,
   // and "--seed=-1" / "--seed=abc" went through a double parse that
-  // silently fell back to the default seed. A misspelled key ("--taxi")
-  // used to be ignored and run the default fleet; the removed LRU oracle
-  // backend is no longer a valid --oracle, and the removed sweep core,
-  // per-pair routing and candidate-path settings are unknown flags.
+  // silently fell back to the default seed, and a negative count must
+  // not wrap. A misspelled key ("--taxi") used to be ignored and run the
+  // default fleet; the removed LRU oracle backend is no longer a valid
+  // --oracle, and the removed sweep core, per-pair routing,
+  // candidate-path and worker-thread settings are unknown flags, whatever
+  // their value.
   for (const char* flag :
-       {"--taxis=abc", "--requests=12x", "--rho=", "--threads=-2",
+       {"--taxis=abc", "--requests=12x", "--rho=", "--taxis=-2",
         "--seed=4 2", "--seed=-1", "--seed=abc", "--seed=4.5",
         "--batch-window-ms=abc", "--batch-window-ms=-5", "--max-queue=x",
         "--oracle=lru", "--taxi=5", "--engine=sweep", "--batched=0",
         "--candidates=magic", "--candidates=", "--candidates=INDEX",
         "--candidates=buckets", "--candidates=ch-buckets",
-        "--candidates=index", "--candidates=ch_buckets"}) {
+        "--candidates=index", "--candidates=ch_buckets", "--threads=1",
+        "--threads=4"}) {
     std::string cmd = std::string(MTSHARE_SIM_BINARY) + " \"" +
                       std::string(flag) + "\" > /dev/null 2>&1";
     EXPECT_EQ(RunCommand(cmd), 2) << flag;

@@ -130,15 +130,16 @@ TEST_F(ServeCliTest, RejectsMalformedFlags) {
   // Regression: garbage numerics must exit 2, never atoi to a zero fleet.
   // --seed went through GetD (a double parse) for a while, so "-1" and
   // "abc" silently became seed 42; it must reject like every other flag.
-  // Unknown keys ("--taxi", the removed "--engine" and "--candidates")
-  // must not be silently ignored either.
+  // Unknown keys ("--taxi", the removed "--engine", "--candidates" and
+  // "--threads") must not be silently ignored either, whatever their value.
   for (const char* flag :
        {"--taxis=abc", "--batch-window-ms=nope", "--batch-window-ms=-3",
         "--max-queue=-1", "--gauge-every=x", "--scheme=uber-pool",
         "--oracle=magic", "--oracle=lru", "--engine=sweep", "--seed=-1",
         "--seed=abc", "--seed=4.5", "--candidates=magic", "--candidates=",
         "--candidates=INDEX", "--candidates=buckets", "--candidates=index",
-        "--candidates=ch_buckets", "--taxi=5"}) {
+        "--candidates=ch_buckets", "--taxi=5", "--threads=1",
+        "--threads=4"}) {
     std::string cmd = std::string(MTSHARE_SERVE_BINARY) + " \"" +
                       std::string(flag) +
                       "\" < /dev/null > /dev/null 2>&1";

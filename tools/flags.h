@@ -88,7 +88,7 @@ inline double GetD(FlagArgs& args, const std::string& key, double fallback,
   return value;
 }
 
-/// Strict non-negative integer flag (counts: taxis, requests, threads...).
+/// Strict non-negative integer flag (counts: taxis, requests, queue caps...).
 inline int32_t GetCount(FlagArgs& args, const std::string& key,
                         int32_t fallback, bool* ok) {
   const std::string* raw = args.Find(key);

@@ -21,7 +21,6 @@
 //   --rho          deadline flexibility used to derive deadlines the log
 //                  omits                   (default 1.3)
 //   --seed         RNG seed                (default 42)
-//   --threads      matching worker threads (default 1; 0 = all cores)
 //   --oracle       auto | exact | ch       (default auto) — also picks how
 //                  pickup reachability is answered: table reads on exact,
 //                  one backward CH sweep over last-stop buckets on ch
@@ -114,7 +113,6 @@ int main(int argc, char** argv) {
   config.seed = seed;
 
   const int32_t num_taxis = GetCount(args, "taxis", 150, &ok);
-  const int32_t num_threads = GetCount(args, "threads", 1, &ok);
   const int32_t historical = GetCount(args, "historical", 40000, &ok);
   const double batch_window_ms = GetD(args, "batch-window-ms", 0.0, &ok);
   if (ok && batch_window_ms < 0.0) {
@@ -223,7 +221,6 @@ int main(int argc, char** argv) {
   spec.source = &source;
   spec.num_taxis = num_taxis;
   spec.fleet_seed = seed + 3;
-  spec.num_threads = num_threads;
   spec.batch_window_ms = batch_window_ms;
   spec.max_queue = max_queue;
   spec.on_decision = [&](const RideRequest& r, const RequestRecord& rec) {

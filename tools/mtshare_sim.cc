@@ -17,8 +17,6 @@
 //   --capacity     seats per taxi          (default 3)
 //   --gamma        searching range, m      (default 2500)
 //   --seed         RNG seed                (default 42)
-//   --threads      matching worker threads (default 1; 0 = all cores;
-//                  results identical for any value)
 //   --oracle       auto | exact | ch       (default auto: exact table for
 //                  small graphs, contraction hierarchy for large ones;
 //                  results identical for every backend). The backend also
@@ -104,7 +102,6 @@ int main(int argc, char** argv) {
   sopt.seed = seed + 2;
 
   const int32_t num_taxis = GetCount(args, "taxis", 150, &ok);
-  const int32_t num_threads = GetCount(args, "threads", 1, &ok);
   const double batch_window_ms = GetD(args, "batch-window-ms", 0.0, &ok);
   if (ok && batch_window_ms < 0.0) {
     std::fprintf(stderr, "--batch-window-ms must be >= 0\n");
@@ -167,7 +164,6 @@ int main(int argc, char** argv) {
   spec.requests = &scenario.requests;
   spec.num_taxis = num_taxis;
   spec.fleet_seed = seed + 3;
-  spec.num_threads = num_threads;
   spec.batch_window_ms = batch_window_ms;
   spec.max_queue = max_queue;
   Result<Metrics> run = system.value()->RunScenario(spec);

@@ -2,8 +2,9 @@
 # Full local gate for the mT-Share repo:
 #   1. configure + build the default preset, run the tier-1 ctest suite
 #   2. configure + build the tsan preset, run the `tsan`-labelled tests
-#      (thread pool, parallel scenario sweeps, CH engine pool, concurrent
-#      bucket-sweep runs on one CH oracle)
+#      (thread pool, cross-run oracle sharing: exact row fills and the CH
+#      engine pool, concurrent bucket-sweep runs on one CH oracle); an
+#      empty selection fails
 #   3. configure + build the asan preset, run the full suite under
 #      AddressSanitizer + LeakSanitizer
 #   4. smoke-run mtshare_sim --report and check the JSON schema marker,
