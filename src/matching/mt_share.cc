@@ -18,9 +18,6 @@ MtShareDispatcher::MtShareDispatcher(const RoadNetwork& network,
       partitioning_(partitioning),
       planner_(network, partitioning, landmarks, transitions, oracle,
                RoutePlannerOptions{config.lambda, config.epsilon,
-                                   /*max_attempts=*/5,
-                                   /*max_partition_paths=*/64,
-                                   /*max_path_hops=*/10,
                                    config.prob_max_stretch,
                                    config.prob_extra_slack}),
       index_(network, partitioning, config.lambda, config.tmp) {

@@ -2,29 +2,14 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
-
 namespace mtshare {
 
-ChQuery::ChQuery(const ContractionHierarchy& ch) : ch_(ch) {
-  const int32_t n = ch_.num_vertices();
-  dist_f_.assign(n, 0.0);
-  epoch_f_.assign(n, 0);
-  dist_b_.assign(n, 0.0);
-  epoch_b_.assign(n, 0);
+ChQuery::ChQuery(const ContractionHierarchy& ch) : forward_(ch), backward_(ch) {
+  const int32_t n = ch.num_vertices();
   buckets_.resize(n);
   bucket_epoch_.assign(n, 0);
   target_slot_.assign(n, 0);
   target_slot_epoch_.assign(n, 0);
-}
-
-void ChQuery::BumpEpoch() {
-  ++epoch_id_;
-  if (epoch_id_ == 0) {  // wrapped: hard reset so stale stamps cannot match
-    std::fill(epoch_f_.begin(), epoch_f_.end(), 0);
-    std::fill(epoch_b_.begin(), epoch_b_.end(), 0);
-    epoch_id_ = 1;
-  }
 }
 
 Seconds ChQuery::Cost(VertexId source, VertexId target) {
@@ -34,51 +19,24 @@ Seconds ChQuery::Cost(VertexId source, VertexId target) {
   // Forward upward search from the source, run to exhaustion. Upward search
   // spaces are tiny (hundreds of vertices on road-like graphs), and final
   // distances let the backward pass prune against an exact best-so-far.
-  BumpEpoch();
-  while (!queue_f_.empty()) queue_f_.pop();
-  dist_f_[source] = 0.0;
-  epoch_f_[source] = epoch_id_;
-  queue_f_.push({0.0, source});
-  while (!queue_f_.empty()) {
-    auto [cost, v] = queue_f_.top();
-    queue_f_.pop();
-    if (cost > dist_f_[v]) continue;
-    ++stats_.upward_settled;
-    for (const ContractionHierarchy::SearchArc& arc : ch_.UpArcs(v)) {
-      Seconds cand = cost + arc.cost;
-      if (epoch_f_[arc.head] != epoch_id_ || cand < dist_f_[arc.head]) {
-        epoch_f_[arc.head] = epoch_id_;
-        dist_f_[arc.head] = cand;
-        queue_f_.push({cand, arc.head});
-      }
-    }
-  }
+  forward_.Run(source, UpwardSearch::kForward, kInfiniteCost,
+               [&](VertexId, Seconds) {
+                 ++stats_.upward_settled;
+                 return true;
+               });
 
-  // Backward upward search from the target over the down-graph, pruned once
-  // it can no longer beat the best meeting point.
+  // Backward upward search from the target over the down-graph, stopped
+  // once it can no longer beat the best meeting point.
   Seconds best = kInfiniteCost;
-  while (!queue_b_.empty()) queue_b_.pop();
-  dist_b_[target] = 0.0;
-  epoch_b_[target] = epoch_id_;
-  queue_b_.push({0.0, target});
-  while (!queue_b_.empty()) {
-    auto [cost, v] = queue_b_.top();
-    queue_b_.pop();
-    if (cost >= best) break;
-    if (cost > dist_b_[v]) continue;
-    ++stats_.upward_settled;
-    if (epoch_f_[v] == epoch_id_) {
-      best = std::min(best, dist_f_[v] + cost);
-    }
-    for (const ContractionHierarchy::SearchArc& arc : ch_.DownArcs(v)) {
-      Seconds cand = cost + arc.cost;
-      if (epoch_b_[arc.head] != epoch_id_ || cand < dist_b_[arc.head]) {
-        epoch_b_[arc.head] = epoch_id_;
-        dist_b_[arc.head] = cand;
-        queue_b_.push({cand, arc.head});
-      }
-    }
-  }
+  backward_.Run(target, UpwardSearch::kBackward, kInfiniteCost,
+                [&](VertexId v, Seconds dist) {
+                  if (dist >= best) return false;
+                  ++stats_.upward_settled;
+                  if (forward_.Reached(v)) {
+                    best = std::min(best, forward_.Distance(v) + dist);
+                  }
+                  return true;
+                });
   return best;
 }
 
@@ -104,78 +62,42 @@ void ChQuery::BuildBuckets(std::span<const VertexId> targets) {
     target_slot_[t] = i;
 
     // Backward upward search from t: every settled vertex v can reach t
-    // along a down-path of cost dist_b_[v]; deposit that into v's bucket.
-    BumpEpoch();
-    while (!queue_b_.empty()) queue_b_.pop();
-    dist_b_[t] = 0.0;
-    epoch_b_[t] = epoch_id_;
-    queue_b_.push({0.0, t});
-    while (!queue_b_.empty()) {
-      auto [cost, v] = queue_b_.top();
-      queue_b_.pop();
-      if (cost > dist_b_[v]) continue;
-      ++stats_.upward_settled;
-      if (bucket_epoch_[v] != bucket_epoch_id_) {
-        bucket_epoch_[v] = bucket_epoch_id_;
-        buckets_[v].clear();
-      }
-      buckets_[v].push_back({i, cost});
-      ++stats_.bucket_entries;
-      for (const ContractionHierarchy::SearchArc& arc : ch_.DownArcs(v)) {
-        Seconds cand = cost + arc.cost;
-        if (epoch_b_[arc.head] != epoch_id_ || cand < dist_b_[arc.head]) {
-          epoch_b_[arc.head] = epoch_id_;
-          dist_b_[arc.head] = cand;
-          queue_b_.push({cand, arc.head});
-        }
-      }
-    }
+    // along a down-path of cost `dist`; deposit that into v's bucket.
+    backward_.Run(t, UpwardSearch::kBackward, kInfiniteCost,
+                  [&](VertexId v, Seconds dist) {
+                    ++stats_.upward_settled;
+                    if (bucket_epoch_[v] != bucket_epoch_id_) {
+                      bucket_epoch_[v] = bucket_epoch_id_;
+                      buckets_[v].clear();
+                    }
+                    buckets_[v].push_back({i, dist});
+                    ++stats_.bucket_entries;
+                    return true;
+                  });
   }
 }
 
 void ChQuery::SourceToBuckets(VertexId source, std::vector<Seconds>* out) {
   out->assign(bucket_targets_.size(), kInfiniteCost);
-
-  BumpEpoch();
-  while (!queue_f_.empty()) queue_f_.pop();
-  dist_f_[source] = 0.0;
-  epoch_f_[source] = epoch_id_;
-  queue_f_.push({0.0, source});
-  while (!queue_f_.empty()) {
-    auto [cost, v] = queue_f_.top();
-    queue_f_.pop();
-    if (cost > dist_f_[v]) continue;
-    ++stats_.upward_settled;
-    if (bucket_epoch_[v] == bucket_epoch_id_) {
-      for (const BucketEntry& entry : buckets_[v]) {
-        // Exact dyadic costs make this sum exact, so the minimum over
-        // meeting vertices is the true shortest distance bit-for-bit.
-        Seconds cand = cost + entry.cost;
-        if (cand < (*out)[entry.target_index]) {
-          (*out)[entry.target_index] = cand;
-        }
-      }
-    }
-    for (const ContractionHierarchy::SearchArc& arc : ch_.UpArcs(v)) {
-      Seconds cand = cost + arc.cost;
-      if (epoch_f_[arc.head] != epoch_id_ || cand < dist_f_[arc.head]) {
-        epoch_f_[arc.head] = epoch_id_;
-        dist_f_[arc.head] = cand;
-        queue_f_.push({cand, arc.head});
-      }
-    }
-  }
+  forward_.Run(source, UpwardSearch::kForward, kInfiniteCost,
+               [&](VertexId v, Seconds dist) {
+                 ++stats_.upward_settled;
+                 if (bucket_epoch_[v] != bucket_epoch_id_) return true;
+                 for (const BucketEntry& entry : buckets_[v]) {
+                   // Exact dyadic costs make this sum exact, so the minimum
+                   // over meeting vertices is the true shortest distance
+                   // bit-for-bit.
+                   Seconds cand = dist + entry.cost;
+                   if (cand < (*out)[entry.target_index]) {
+                     (*out)[entry.target_index] = cand;
+                   }
+                 }
+                 return true;
+               });
 
   for (const auto& [from, to] : duplicate_targets_) {
     (*out)[to] = (*out)[from];
   }
-}
-
-void ChQuery::CostMany(VertexId source, std::span<const VertexId> targets,
-                       std::vector<Seconds>* out) {
-  ++stats_.bucket_queries;
-  BuildBuckets(targets);
-  SourceToBuckets(source, out);
 }
 
 void ChQuery::CostManyToMany(std::span<const VertexId> sources,
@@ -196,11 +118,11 @@ size_t ChQuery::MemoryBytes() const {
   for (const std::vector<BucketEntry>& bucket : buckets_) {
     bucket_bytes += bucket.capacity() * sizeof(BucketEntry);
   }
-  return bucket_bytes + buckets_.size() * sizeof(std::vector<BucketEntry>) +
-         (dist_f_.size() + dist_b_.size() + row_buf_.capacity()) *
-             sizeof(Seconds) +
-         (epoch_f_.size() + epoch_b_.size() + bucket_epoch_.size() +
-          target_slot_.size() + target_slot_epoch_.size()) *
+  return forward_.MemoryBytes() + backward_.MemoryBytes() + bucket_bytes +
+         buckets_.size() * sizeof(std::vector<BucketEntry>) +
+         row_buf_.capacity() * sizeof(Seconds) +
+         (bucket_epoch_.size() + target_slot_.size() +
+          target_slot_epoch_.size()) *
              sizeof(uint32_t) +
          bucket_targets_.capacity() * sizeof(VertexId) +
          duplicate_targets_.capacity() * sizeof(std::pair<int32_t, int32_t>);

@@ -2,11 +2,11 @@
 #define MTSHARE_ROUTING_CH_QUERY_H_
 
 #include <cstdint>
-#include <queue>
 #include <span>
 #include <vector>
 
 #include "routing/contraction_hierarchy.h"
+#include "routing/upward_search.h"
 
 namespace mtshare {
 
@@ -15,7 +15,7 @@ namespace mtshare {
 struct ChQueryStats {
   /// Bidirectional point queries answered.
   int64_t point_queries = 0;
-  /// Bucket-based one-to-many / many-to-many passes answered.
+  /// Bucket-based many-to-many passes answered.
   int64_t bucket_queries = 0;
   /// Vertices settled by upward searches (forward + backward, point and
   /// bucket passes alike).
@@ -25,10 +25,11 @@ struct ChQueryStats {
 };
 
 /// Query engine over a ContractionHierarchy: bidirectional upward point
-/// queries plus bucket-based one-to-many and many-to-many (settle each
-/// target's downward search into per-vertex buckets once, then answer
-/// every source with a single upward sweep — the insertion-evaluation
-/// workload of Laupichler & Sanders, arXiv:2311.01581).
+/// queries plus bucket-based many-to-many (settle each target's downward
+/// search into per-vertex buckets once, then answer every source with a
+/// single upward sweep — the insertion-evaluation workload of Laupichler
+/// & Sanders, arXiv:2311.01581). Both are runs of two UpwardSearch
+/// kernels, one per direction.
 ///
 /// Costs are bit-identical to DijkstraSearch on the same network because
 /// arc costs live on the exact dyadic grid (QuantizeTravelCost): every
@@ -44,20 +45,6 @@ class ChQuery {
   /// Shortest travel time s -> t (kInfiniteCost if unreachable).
   Seconds Cost(VertexId source, VertexId target);
 
-  /// Builds per-vertex buckets for `targets` (duplicates allowed): one
-  /// backward upward search per distinct target vertex. Buckets stay valid
-  /// until the next BuildBuckets() call on this engine.
-  void BuildBuckets(std::span<const VertexId> targets);
-
-  /// Costs from `source` to every target of the last BuildBuckets(),
-  /// aligned with that target span, via one forward upward sweep.
-  void SourceToBuckets(VertexId source, std::vector<Seconds>* out);
-
-  /// One-to-many: BuildBuckets(targets) + one sweep. Counts one bucket
-  /// pass.
-  void CostMany(VertexId source, std::span<const VertexId> targets,
-                std::vector<Seconds>* out);
-
   /// Many-to-many: buckets once, one sweep per source. `out` is row-major
   /// |sources| x |targets|. Counts one bucket pass.
   void CostManyToMany(std::span<const VertexId> sources,
@@ -71,33 +58,22 @@ class ChQuery {
   size_t MemoryBytes() const;
 
  private:
-  struct QueueEntry {
-    Seconds cost;
-    VertexId vertex;
-    bool operator>(const QueueEntry& other) const {
-      return cost > other.cost;
-    }
-  };
-  using MinQueue = std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                                       std::greater<QueueEntry>>;
   struct BucketEntry {
     int32_t target_index;
     Seconds cost;
   };
 
-  void BumpEpoch();
+  /// Builds per-vertex buckets for `targets` (duplicates allowed): one
+  /// backward upward search per distinct target vertex. Buckets stay valid
+  /// until the next BuildBuckets() call on this engine.
+  void BuildBuckets(std::span<const VertexId> targets);
 
-  const ContractionHierarchy& ch_;
+  /// Costs from `source` to every target of the last BuildBuckets(),
+  /// aligned with that target span, via one forward upward sweep.
+  void SourceToBuckets(VertexId source, std::vector<Seconds>* out);
 
-  // Forward (dist_f_) and backward (dist_b_) upward search state, valid
-  // iff the matching epoch entry equals epoch_id_.
-  std::vector<Seconds> dist_f_;
-  std::vector<uint32_t> epoch_f_;
-  std::vector<Seconds> dist_b_;
-  std::vector<uint32_t> epoch_b_;
-  uint32_t epoch_id_ = 0;
-  MinQueue queue_f_;
-  MinQueue queue_b_;
+  UpwardSearch forward_;
+  UpwardSearch backward_;
 
   // Bucket state: buckets_[v] holds entries of the most recent
   // BuildBuckets() iff bucket_epoch_[v] == bucket_epoch_id_.

@@ -67,7 +67,6 @@ bool DijkstraSearch::Run(VertexId source, VertexId target,
     // Mark settled by bumping objective comparison: first pop wins.
     ++last_settled_;
     if (top.vertex == target) return true;
-    if (top.objective > options.max_objective) return false;
 
     for (const Arc& arc : network_.OutArcs(top.vertex)) {
       VertexId next = arc.head;
@@ -119,18 +118,6 @@ std::vector<Seconds> DijkstraSearch::CostsFrom(VertexId source) {
   for (VertexId v = 0; v < network_.num_vertices(); ++v) {
     if (epoch_[v] == current_epoch_) out[v] = travel_[v];
   }
-  return out;
-}
-
-std::vector<Seconds> DijkstraSearch::CostsToTargets(
-    VertexId source, const std::vector<VertexId>& targets) {
-  // Simple implementation: full one-to-all then gather. The settle-early
-  // optimization is unnecessary at the network sizes the library targets,
-  // and CostsFrom results are row-cached by DistanceOracle anyway.
-  std::vector<Seconds> all = CostsFrom(source);
-  std::vector<Seconds> out;
-  out.reserve(targets.size());
-  for (VertexId t : targets) out.push_back(all[t]);
   return out;
 }
 

@@ -22,9 +22,6 @@ struct SearchOptions {
   /// for feasibility. Used by probabilistic routing step 3 (weight 1/psi_c).
   const std::vector<double>* vertex_weights = nullptr;
 
-  /// Give up when the optimization objective exceeds this bound.
-  double max_objective = kInfiniteCost;
-
   /// Prune relaxations whose accumulated *travel seconds* exceed this bound
   /// (used with vertex_weights to approximate budget-constrained
   /// max-probability routing; a heuristic, not an exact bi-criteria search).
@@ -50,11 +47,6 @@ class DijkstraSearch {
 
   /// One-to-all travel times (no mask/weights). O(E log V).
   std::vector<Seconds> CostsFrom(VertexId source);
-
-  /// One-to-many: stops once all targets are settled. Returns costs aligned
-  /// with `targets` (kInfiniteCost for unreachable).
-  std::vector<Seconds> CostsToTargets(VertexId source,
-                                      const std::vector<VertexId>& targets);
 
   /// Number of vertices settled by the most recent query (test/bench hook
   /// showing how much partition filtering prunes the search space).

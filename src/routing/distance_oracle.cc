@@ -128,31 +128,6 @@ Seconds DistanceOracle::Cost(VertexId source, VertexId target) {
   return cost;
 }
 
-void DistanceOracle::CostMany(VertexId source,
-                              std::span<const VertexId> targets,
-                              std::vector<Seconds>* out) {
-  MTSHARE_CHECK(source >= 0 && source < network_.num_vertices());
-  for (VertexId t : targets) {
-    MTSHARE_CHECK(t >= 0 && t < network_.num_vertices());
-  }
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  batch_queries_.fetch_add(1, std::memory_order_relaxed);
-  // One backend pass (and one hit/miss tick) regardless of target count;
-  // a row's own source entry is 0.0 and a CH bucket sweep meets a
-  // same-vertex target at distance 0, so no special case is needed to
-  // stay bit-identical to Cost().
-  if (backend_ == OracleBackend::kExact) {
-    const std::vector<Seconds>& row = ExactRow(source);
-    out->clear();
-    out->reserve(targets.size());
-    for (VertexId t : targets) out->push_back(row[t]);
-    return;
-  }
-  std::unique_ptr<ChQuery> engine = BorrowChEngine();
-  engine->CostMany(source, targets, out);
-  ReturnChEngine(std::move(engine));
-}
-
 void DistanceOracle::CostManyToMany(std::span<const VertexId> sources,
                                     std::span<const VertexId> targets,
                                     std::vector<Seconds>* out) {
@@ -165,6 +140,9 @@ void DistanceOracle::CostManyToMany(std::span<const VertexId> sources,
   queries_.fetch_add(static_cast<int64_t>(sources.size()),
                      std::memory_order_relaxed);
   batch_queries_.fetch_add(1, std::memory_order_relaxed);
+  // A row's own source entry is 0.0 and a CH bucket sweep meets a
+  // same-vertex target at distance 0, so no special case is needed to stay
+  // bit-identical to Cost().
   if (backend_ == OracleBackend::kCh) {
     std::unique_ptr<ChQuery> engine = BorrowChEngine();
     engine->CostManyToMany(sources, targets, out);

@@ -66,20 +66,14 @@ class DistanceOracle {
   /// Safe to call from any thread.
   Seconds Cost(VertexId source, VertexId target);
 
-  /// Batch query: costs from `source` to every target (aligned with
-  /// `targets`; duplicates allowed), serviced with ONE pass through the
-  /// backend (one row pass, or one CH bucket build + upward sweep). Counts
-  /// as a single oracle query plus one batch_queries tick, however many
-  /// targets it serves. Each value is bit-identical to Cost(source,
-  /// target) for the same pair. Safe to call from any thread.
-  void CostMany(VertexId source, std::span<const VertexId> targets,
-                std::vector<Seconds>* out);
-
-  /// Many-to-many batch: row-major |sources| x |targets| cost matrix. In
-  /// CH mode the targets' buckets are built once and every source pays a
-  /// single upward sweep (the dispatch-batch workload); exact mode pays
-  /// one row pass per source. Counts |sources| queries and one
-  /// batch_queries tick. Safe to call from any thread.
+  /// The batch query: row-major |sources| x |targets| cost matrix
+  /// (duplicate targets allowed). In CH mode the targets' buckets are built
+  /// once and every source pays a single upward sweep (the dispatch-batch
+  /// workload); exact mode pays one row pass per source, so one source is
+  /// one row pass and one row hit/miss tick however many targets it
+  /// serves. Counts |sources| queries and one batch_queries tick. Each
+  /// value is bit-identical to Cost() for the same pair. Safe to call from
+  /// any thread.
   void CostManyToMany(std::span<const VertexId> sources,
                       std::span<const VertexId> targets,
                       std::vector<Seconds>* out);
@@ -90,7 +84,7 @@ class DistanceOracle {
   int64_t queries() const {
     return queries_.load(std::memory_order_relaxed);
   }
-  /// CostMany/CostManyToMany calls serviced.
+  /// CostManyToMany calls serviced.
   int64_t batch_queries() const {
     return batch_queries_.load(std::memory_order_relaxed);
   }

@@ -9,25 +9,14 @@ namespace mtshare {
 
 LastStopBuckets::LastStopBuckets(const ContractionHierarchy& ch,
                                  int32_t num_taxis)
-    : ch_(ch) {
+    : search_(ch) {
   MTSHARE_CHECK(num_taxis >= 0);
-  const int32_t n = ch_.num_vertices();
-  buckets_.resize(n);
+  buckets_.resize(ch.num_vertices());
   handles_.resize(num_taxis);
   anchor_.assign(num_taxis, kInvalidVertex);
   dirty_.assign(num_taxis, 1);  // everything deposits on the first flush
-  dist_f_.assign(n, 0.0);
-  epoch_f_.assign(n, 0);
   swept_dist_.assign(num_taxis, 0.0);
   swept_epoch_.assign(num_taxis, 0);
-}
-
-void LastStopBuckets::BumpEpoch() {
-  ++epoch_id_;
-  if (epoch_id_ == 0) {  // wrapped: hard reset so stale stamps cannot match
-    std::fill(epoch_f_.begin(), epoch_f_.end(), 0);
-    epoch_id_ = 1;
-  }
 }
 
 void LastStopBuckets::RemoveDeposits(TaxiId id) {
@@ -52,29 +41,16 @@ void LastStopBuckets::Deposit(TaxiId id, VertexId anchor) {
   // Forward upward search from the anchor, run to exhaustion — the same
   // search ChQuery::Cost runs from its source, so every settled vertex v
   // carries the exact minimal upward-path cost anchor -> v.
-  BumpEpoch();
-  while (!queue_.empty()) queue_.pop();
-  dist_f_[anchor] = 0.0;
-  epoch_f_[anchor] = epoch_id_;
-  queue_.push({0.0, anchor});
   std::vector<Handle>& handles = handles_[id];
-  while (!queue_.empty()) {
-    auto [cost, v] = queue_.top();
-    queue_.pop();
-    if (cost > dist_f_[v]) continue;
-    ++stats_.deposit_settled;
-    buckets_[v].push_back(
-        {id, cost, static_cast<uint32_t>(handles.size())});
-    handles.push_back({v, static_cast<uint32_t>(buckets_[v].size() - 1)});
-    for (const ContractionHierarchy::SearchArc& arc : ch_.UpArcs(v)) {
-      Seconds cand = cost + arc.cost;
-      if (epoch_f_[arc.head] != epoch_id_ || cand < dist_f_[arc.head]) {
-        epoch_f_[arc.head] = epoch_id_;
-        dist_f_[arc.head] = cand;
-        queue_.push({cand, arc.head});
-      }
-    }
-  }
+  search_.Run(anchor, UpwardSearch::kForward, kInfiniteCost,
+              [&](VertexId v, Seconds dist) {
+                ++stats_.deposit_settled;
+                buckets_[v].push_back(
+                    {id, dist, static_cast<uint32_t>(handles.size())});
+                handles.push_back(
+                    {v, static_cast<uint32_t>(buckets_[v].size() - 1)});
+                return true;
+              });
   live_entries_ += static_cast<int64_t>(handles.size());
   anchor_[id] = anchor;
 }
@@ -108,44 +84,27 @@ void LastStopBuckets::Sweep(VertexId origin, Seconds budget) {
   if (!(cutoff >= 0.0)) return;  // negative budget: nothing is reachable
 
   // Backward upward search from the origin over DownArcs: a settled vertex
-  // v reaches the origin along a down-path of exact cost dist_f_[v], so
-  // deposit.dist + dist_f_[v] is an exact up-down path anchor -> origin.
-  // Dijkstra settles in nondecreasing order, so breaking at the cutoff
-  // still settles every vertex with final distance <= cutoff — including
-  // the meeting vertex realizing the true distance of every taxi within
+  // v reaches the origin along a down-path of exact cost `dist`, so
+  // deposit.dist + dist is an exact up-down path anchor -> origin. The run
+  // settles every vertex with final distance <= cutoff — including the
+  // meeting vertex realizing the true distance of every taxi within
   // budget.
-  BumpEpoch();
-  while (!queue_.empty()) queue_.pop();
-  dist_f_[origin] = 0.0;
-  epoch_f_[origin] = epoch_id_;
-  queue_.push({0.0, origin});
-  while (!queue_.empty()) {
-    auto [cost, v] = queue_.top();
-    queue_.pop();
-    if (cost > cutoff) break;
-    if (cost > dist_f_[v]) continue;
-    ++stats_.sweep_settled;
-    for (const BucketEntry& entry : buckets_[v]) {
-      Seconds cand = entry.dist + cost;
-      if (cand > cutoff) continue;
-      if (swept_epoch_[entry.taxi] != sweep_epoch_id_) {
-        swept_epoch_[entry.taxi] = sweep_epoch_id_;
-        swept_dist_[entry.taxi] = cand;
-        found_.push_back(entry.taxi);
-      } else if (cand < swept_dist_[entry.taxi]) {
-        swept_dist_[entry.taxi] = cand;
-      }
-    }
-    for (const ContractionHierarchy::SearchArc& arc : ch_.DownArcs(v)) {
-      Seconds cand = cost + arc.cost;
-      if (cand > cutoff) continue;
-      if (epoch_f_[arc.head] != epoch_id_ || cand < dist_f_[arc.head]) {
-        epoch_f_[arc.head] = epoch_id_;
-        dist_f_[arc.head] = cand;
-        queue_.push({cand, arc.head});
-      }
-    }
-  }
+  search_.Run(origin, UpwardSearch::kBackward, cutoff,
+              [&](VertexId v, Seconds dist) {
+                ++stats_.sweep_settled;
+                for (const BucketEntry& entry : buckets_[v]) {
+                  Seconds cand = entry.dist + dist;
+                  if (cand > cutoff) continue;
+                  if (swept_epoch_[entry.taxi] != sweep_epoch_id_) {
+                    swept_epoch_[entry.taxi] = sweep_epoch_id_;
+                    swept_dist_[entry.taxi] = cand;
+                    found_.push_back(entry.taxi);
+                  } else if (cand < swept_dist_[entry.taxi]) {
+                    swept_dist_[entry.taxi] = cand;
+                  }
+                }
+                return true;
+              });
   stats_.found += static_cast<int64_t>(found_.size());
 }
 
@@ -160,9 +119,9 @@ size_t LastStopBuckets::MemoryBytes() const {
   }
   bytes += (anchor_.size() + found_.capacity()) * sizeof(VertexId);
   bytes += dirty_.size() * sizeof(uint8_t);
-  bytes += (dist_f_.size() + swept_dist_.size()) * sizeof(Seconds);
-  bytes += (epoch_f_.size() + swept_epoch_.size()) * sizeof(uint32_t);
-  return bytes;
+  bytes += swept_dist_.size() * sizeof(Seconds);
+  bytes += swept_epoch_.size() * sizeof(uint32_t);
+  return bytes + search_.MemoryBytes();
 }
 
 }  // namespace mtshare

@@ -3,10 +3,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "routing/contraction_hierarchy.h"
+#include "routing/upward_search.h"
 
 namespace mtshare {
 
@@ -32,8 +32,9 @@ struct LastStopBucketStats {
 /// Per-vehicle CH bucket entries, the candidate-search substrate of KaRRi
 /// (Laupichler & Sanders, arXiv:2311.01581): each taxi deposits
 /// `(taxi, dist)` entries over the upward search space of its anchor
-/// vertex, so "which taxis can reach vertex o within budget b" becomes ONE
-/// backward upward sweep from o instead of one point query per taxi.
+/// vertex (a forward UpwardSearch run), so "which taxis can reach vertex o
+/// within budget b" becomes ONE backward run from o, cut off at the
+/// budget, instead of one point query per taxi.
 ///
 /// The anchor is the taxi's *current location* — the exact vertex a
 /// per-taxi probe `oracle->Cost(t.location, origin)` reads — so swept
@@ -69,10 +70,11 @@ class LastStopBuckets {
   /// location). Call before Sweep so the store matches the fleet.
   void FlushDirty(const std::function<VertexId(TaxiId)>& anchor_of);
 
-  /// Backward upward sweep from `origin`, truncated once the queue minimum
-  /// exceeds budget + kBudgetSlack. Records, per discovered taxi, the
-  /// minimum over settled meeting vertices of (deposit dist + sweep dist)
-  /// — the exact anchor->origin distance whenever it is <= budget + slack.
+  /// Backward upward sweep from `origin` with cutoff budget + kBudgetSlack,
+  /// so it settles exactly the vertices within the cutoff. Records, per
+  /// discovered taxi, the minimum over settled meeting vertices of (deposit
+  /// dist + sweep dist) — the exact anchor->origin distance whenever it is
+  /// <= budget + slack.
   void Sweep(VertexId origin, Seconds budget);
 
   /// Taxis discovered by the last Sweep (unspecified order).
@@ -93,15 +95,6 @@ class LastStopBuckets {
   size_t MemoryBytes() const;
 
  private:
-  struct QueueEntry {
-    Seconds cost;
-    VertexId vertex;
-    bool operator>(const QueueEntry& other) const {
-      return cost > other.cost;
-    }
-  };
-  using MinQueue = std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                                       std::greater<QueueEntry>>;
   /// One deposit: `taxi` reaches this vertex from its anchor at cost
   /// `dist`; `slot` back-references handles_[taxi][slot] so swap-pop
   /// removal can fix the moved entry's handle in O(1).
@@ -118,9 +111,6 @@ class LastStopBuckets {
 
   void RemoveDeposits(TaxiId id);
   void Deposit(TaxiId id, VertexId anchor);
-  void BumpEpoch();
-
-  const ContractionHierarchy& ch_;
 
   std::vector<std::vector<BucketEntry>> buckets_;  // per vertex, unsorted
   std::vector<std::vector<Handle>> handles_;       // per taxi
@@ -128,11 +118,8 @@ class LastStopBuckets {
   std::vector<uint8_t> dirty_;                     // per taxi
   int64_t live_entries_ = 0;
 
-  // Epoch-stamped forward search state for deposits (mirrors ChQuery).
-  std::vector<Seconds> dist_f_;
-  std::vector<uint32_t> epoch_f_;
-  uint32_t epoch_id_ = 0;
-  MinQueue queue_;
+  // Forward runs deposit anchors; backward runs sweep origins.
+  UpwardSearch search_;
 
   // Per-taxi sweep results, epoch-stamped per Sweep call.
   std::vector<Seconds> swept_dist_;

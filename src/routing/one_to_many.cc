@@ -105,7 +105,7 @@ void InsertionCostBatch::AddCandidate(std::span<const VertexId> stops) {
 
 void InsertionCostBatch::GatherRow(VertexId source,
                                    std::span<const VertexId> targets) {
-  oracle_->CostMany(source, targets, &row_buf_);
+  oracle_->CostManyToMany({&source, 1}, targets, &row_buf_);
   ++batch_queries_;
   for (size_t i = 0; i < targets.size(); ++i) {
     Store(source, targets[i], row_buf_[i]);

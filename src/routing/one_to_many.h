@@ -14,7 +14,8 @@ namespace mtshare {
 /// Counters of the batched insertion-routing layer, harvested into Metrics
 /// and the run report ("routing" section).
 struct BatchRoutingStats {
-  /// CostMany row passes issued while priming insertion batches.
+  /// Oracle batch calls (CostManyToMany) issued while priming insertion
+  /// batches.
   int64_t batch_queries = 0;
   /// Candidate taxis skipped because the landmark lower bound proved the
   /// pickup unreachable before its deadline.
@@ -34,7 +35,7 @@ struct BatchRoutingStats {
   double ch_preprocessing_ms = 0.0;
   /// Bidirectional point queries answered by CH engines.
   int64_t ch_point_queries = 0;
-  /// Bucket-based one-to-many / many-to-many passes.
+  /// Bucket-based many-to-many passes.
   int64_t ch_bucket_queries = 0;
   /// Vertices settled by CH upward searches.
   int64_t ch_upward_settled = 0;
@@ -67,9 +68,9 @@ struct BatchRoutingStats {
 /// -> every stop, every stop -> origin/destination, every base-adjacent
 /// stop pair, and origin -> destination.
 ///
-/// All costs are gathered via oracle batch passes (DistanceOracle::CostMany
-/// / CostManyToMany), so every table entry is bit-identical to
-/// DistanceOracle::Cost for the same pair (InsertionCostBatchTest checks
+/// All costs are gathered via oracle batch passes
+/// (DistanceOracle::CostManyToMany), so every table entry is bit-identical
+/// to DistanceOracle::Cost for the same pair (InsertionCostBatchTest checks
 /// every primed leg on both backends).
 ///
 /// Usage: Begin(origin, dest) once per dispatch; AddCandidate + Prime for
@@ -95,8 +96,10 @@ class InsertionCostBatch {
   void AddCandidate(std::span<const VertexId> stops);
 
   /// Primes all pairs registered since the last Prime(). Exact-mode
-  /// oracles gather the origin/destination fans and the per-stop fans
-  /// from resident rows via CostMany; CH-mode oracles batch them into
+  /// oracles gather the origin/destination fans and the per-stop fans as
+  /// one single-source CostManyToMany row pass each (GatherRow); a union
+  /// fan would store every source x union-target cell, many times the
+  /// legs on large candidate sets. CH-mode oracles batch them into
   /// bucket-based many-to-many passes (PrimeCh).
   void Prime();
 

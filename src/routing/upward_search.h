@@ -1,0 +1,96 @@
+#ifndef MTSHARE_ROUTING_UPWARD_SEARCH_H_
+#define MTSHARE_ROUTING_UPWARD_SEARCH_H_
+
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <queue>
+#include <vector>
+
+#include "routing/contraction_hierarchy.h"
+
+namespace mtshare {
+
+/// The one upward Dijkstra under every contraction-hierarchy query: point
+/// and bucket queries (ChQuery), last-stop deposits and sweeps
+/// (LastStopBuckets). A forward run follows UpArcs from the source, a
+/// backward run follows DownArcs (down-paths into the source). Labels are
+/// sums of dyadic arc costs, so settled distances are exact (see ChQuery).
+///
+/// Labels are epoch-stamped, so a run costs O(search space), not O(V), and
+/// the heap keeps its capacity across runs. Not thread-safe.
+class UpwardSearch {
+ public:
+  enum Direction { kForward, kBackward };
+
+  explicit UpwardSearch(const ContractionHierarchy& ch)
+      : ch_(ch), dist_(ch.num_vertices(), 0.0), epoch_(ch.num_vertices(), 0) {}
+
+  /// Settles vertices in nondecreasing distance from `source`, calling
+  /// `settle(v, dist)` once per settled vertex before relaxing its arcs,
+  /// until `settle` returns false or the heap runs dry. Vertices farther
+  /// than `cutoff` are never labelled, so the run settles exactly the
+  /// vertices within `cutoff` (none when `cutoff` < 0).
+  template <typename Settle>
+  void Run(VertexId source, Direction direction, Seconds cutoff,
+           Settle&& settle) {
+    if (++epoch_id_ == 0) {  // wrapped: hard reset so stale stamps cannot match
+      std::fill(epoch_.begin(), epoch_.end(), 0);
+      epoch_id_ = 1;
+    }
+    while (!heap_.empty()) heap_.pop();
+    if (!(cutoff >= 0.0)) return;
+    Label(source, 0.0);
+    while (!heap_.empty()) {
+      const auto [dist, v] = heap_.top();
+      heap_.pop();
+      if (dist > dist_[v]) continue;  // stale: v settled at a lower label
+      if (!settle(v, dist)) return;
+      for (const ContractionHierarchy::SearchArc& arc :
+           direction == kForward ? ch_.UpArcs(v) : ch_.DownArcs(v)) {
+        const Seconds cand = dist + arc.cost;
+        if (cand <= cutoff &&
+            (epoch_[arc.head] != epoch_id_ || cand < dist_[arc.head])) {
+          Label(arc.head, cand);
+        }
+      }
+    }
+  }
+
+  /// Whether the last run labelled `v`; after a run to exhaustion, exactly
+  /// the vertices it settled.
+  bool Reached(VertexId v) const { return epoch_[v] == epoch_id_; }
+  /// The last run's label of `v`, final if the run settled `v`.
+  Seconds Distance(VertexId v) const { return dist_[v]; }
+
+  /// Resident bytes of the label arrays.
+  size_t MemoryBytes() const {
+    return dist_.size() * sizeof(Seconds) + epoch_.size() * sizeof(uint32_t);
+  }
+
+ private:
+  struct HeapEntry {
+    Seconds dist;
+    VertexId vertex;
+    // Min-heap order on distance, through std::greater<HeapEntry>.
+    bool operator>(const HeapEntry& other) const { return dist > other.dist; }
+  };
+
+  void Label(VertexId v, Seconds dist) {
+    epoch_[v] = epoch_id_;
+    dist_[v] = dist;
+    heap_.push({dist, v});
+  }
+
+  const ContractionHierarchy& ch_;
+  std::vector<Seconds> dist_;
+  std::vector<uint32_t> epoch_;  // dist_[v] is live iff epoch_[v] == epoch_id_
+  uint32_t epoch_id_ = 0;
+  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
+                      std::greater<HeapEntry>>
+      heap_;
+};
+
+}  // namespace mtshare
+
+#endif  // MTSHARE_ROUTING_UPWARD_SEARCH_H_

@@ -284,12 +284,11 @@ Path RoutePlanner::PlanProbabilisticLeg(VertexId from, VertexId to,
       EnumerateLandmarkPaths(landmarks_.Adjacency(), kept, mass,
                              partitioning_.PartitionOf(from),
                              partitioning_.PartitionOf(to),
-                             options_.max_partition_paths,
-                             options_.max_path_hops, &enumeration_frames_);
+                             kMaxPartitionPaths, kMaxPathHops,
+                             &enumeration_frames_);
 
-  int32_t attempts =
-      std::min<int32_t>(options_.max_attempts,
-                        static_cast<int32_t>(partition_paths.size()));
+  int32_t attempts = std::min<int32_t>(
+      kMaxAttempts, static_cast<int32_t>(partition_paths.size()));
   // Attempts share partitions, and a partition's weights are fixed for the
   // leg, so each is written once.
   std::vector<uint8_t> weighted(partitioning_.num_partitions(), 0);

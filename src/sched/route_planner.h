@@ -32,13 +32,6 @@ struct RoutePlannerOptions {
   double lambda = 0.707;
   /// Cost-rule slack epsilon (paper sets 1.0 conservatively).
   double epsilon = 1.0;
-  /// Probabilistic routing retries before discarding (paper: 5).
-  int32_t max_attempts = 5;
-  /// Bound on enumerated landmark paths per leg (the paper enumerates all
-  /// paths of the small filtered landmark graph; we cap for safety).
-  int32_t max_partition_paths = 64;
-  /// Bound on landmark-path hops during enumeration.
-  int32_t max_path_hops = 10;
   /// Cap on a probabilistic leg's travel relative to its shortest leg:
   /// budget = min(deadline slack, shortest * stretch + slack_s). Keeps the
   /// offline-seeking detour from consuming the very slack needed to insert
@@ -55,6 +48,14 @@ struct RoutePlannerOptions {
 /// Not thread-safe; owns reusable search buffers.
 class RoutePlanner {
  public:
+  /// Probabilistic routing retries before discarding (paper: 5).
+  static constexpr int32_t kMaxAttempts = 5;
+  /// Bound on enumerated landmark paths per leg (the paper enumerates all
+  /// paths of the small filtered landmark graph; we cap for safety).
+  static constexpr int32_t kMaxPartitionPaths = 64;
+  /// Bound on landmark-path hops during enumeration.
+  static constexpr int32_t kMaxPathHops = 10;
+
   /// `transitions` may be null when only basic routing is used; when
   /// provided, its group space must be the partitioning's partitions.
   RoutePlanner(const RoadNetwork& network, const MapPartitioning& partitioning,

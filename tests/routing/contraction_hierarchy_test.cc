@@ -113,11 +113,11 @@ TEST(ContractionHierarchyTest, BucketQueriesMatchPointQueries) {
     targets.push_back(targets[0]);   // duplicate target
     targets.push_back(sources[0]);   // a source as target (distance 0 cell)
 
-    query.CostMany(sources[0], targets, &many);
+    query.CostManyToMany({&sources[0], 1}, targets, &many);
     ASSERT_EQ(many.size(), targets.size());
     std::vector<Seconds> row = dijkstra.CostsFrom(sources[0]);
     for (size_t i = 0; i < targets.size(); ++i) {
-      EXPECT_EQ(many[i], row[targets[i]]) << "CostMany " << targets[i];
+      EXPECT_EQ(many[i], row[targets[i]]) << "one source " << targets[i];
     }
 
     query.CostManyToMany(sources, targets, &matrix);
@@ -206,8 +206,8 @@ TEST(DistanceOracleChBackendTest, MatchesExactBackendBitwise) {
     for (int i = 0; i < 7; ++i) {
       targets.push_back(VertexId(rng.NextInt(0, net.num_vertices() - 1)));
     }
-    ch_oracle.CostMany(s, targets, &got);
-    exact_oracle.CostMany(s, targets, &want);
+    ch_oracle.CostManyToMany({&s, 1}, targets, &got);
+    exact_oracle.CostManyToMany({&s, 1}, targets, &want);
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], want[i]);
   }

@@ -79,17 +79,6 @@ TEST(DijkstraTest, CostsFromMatchesPairwise) {
   }
 }
 
-TEST(DijkstraTest, CostsToTargetsAligned) {
-  RoadNetwork net = MakeTriangle();
-  DijkstraSearch search(net);
-  std::vector<VertexId> targets = {2, 0, 1};
-  auto costs = search.CostsToTargets(0, targets);
-  ASSERT_EQ(costs.size(), 3u);
-  EXPECT_DOUBLE_EQ(costs[0], 20.0);
-  EXPECT_DOUBLE_EQ(costs[1], 0.0);
-  EXPECT_DOUBLE_EQ(costs[2], 10.0);
-}
-
 TEST(DijkstraTest, AllowedMaskRestrictsExpansion) {
   RoadNetwork net = MakeTriangle();
   DijkstraSearch search(net);
@@ -154,17 +143,6 @@ TEST(DijkstraTest, VertexWeightObjectiveMinimizesWeights) {
   EXPECT_EQ(p.vertices, (std::vector<VertexId>{0, 2, 3}));
   // Path cost still reports true travel seconds.
   EXPECT_DOUBLE_EQ(p.cost, 20.0);
-}
-
-TEST(DijkstraTest, MaxObjectiveAborts) {
-  GridCityOptions opt;
-  opt.rows = 10;
-  opt.cols = 10;
-  RoadNetwork net = MakeGridCity(opt);
-  DijkstraSearch search(net);
-  SearchOptions sopt;
-  sopt.max_objective = 1.0;  // one second: nothing nontrivial reachable
-  EXPECT_EQ(search.Cost(0, net.num_vertices() - 1, sopt), kInfiniteCost);
 }
 
 TEST(PathTest, ConcatJoinsAtSharedVertex) {

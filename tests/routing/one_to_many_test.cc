@@ -22,7 +22,7 @@ RoadNetwork MakeNet(uint64_t seed, double one_way = 0.0) {
   return MakeGridCity(opt);
 }
 
-TEST(DistanceOracleTest, CostManyMatchesCostBitwiseInBothModes) {
+TEST(DistanceOracleTest, OneSourceBatchMatchesCostBitwiseInBothModes) {
   RoadNetwork net = MakeNet(23, /*one_way=*/0.2);
   DistanceOracle exact(net);
   OracleOptions ch_opts;
@@ -40,7 +40,7 @@ TEST(DistanceOracleTest, CostManyMatchesCostBitwiseInBothModes) {
       targets.push_back(VertexId(rng.NextInt(0, net.num_vertices() - 1)));
     }
     for (DistanceOracle* oracle : {&exact, &ch}) {
-      oracle->CostMany(source, targets, &got);
+      oracle->CostManyToMany({&source, 1}, targets, &got);
       ASSERT_EQ(got.size(), targets.size());
       for (size_t i = 0; i < targets.size(); ++i) {
         EXPECT_EQ(got[i], oracle->Cost(source, targets[i]));
@@ -49,13 +49,14 @@ TEST(DistanceOracleTest, CostManyMatchesCostBitwiseInBothModes) {
   }
 }
 
-TEST(DistanceOracleTest, CostManyCountsOneQueryAndOneBatch) {
+TEST(DistanceOracleTest, OneSourceBatchCountsOneQueryAndOneBatch) {
   RoadNetwork net = MakeNet(24);
   DistanceOracle oracle(net);
   std::vector<VertexId> targets{1, 2, 3, 4, 5};
   std::vector<Seconds> got;
   int64_t q0 = oracle.queries();
-  oracle.CostMany(0, targets, &got);
+  const VertexId source = 0;
+  oracle.CostManyToMany({&source, 1}, targets, &got);
   EXPECT_EQ(oracle.queries() - q0, 1);
   EXPECT_EQ(oracle.batch_queries(), 1);
   // The counter invariant the oracle documents: row traffic never exceeds

@@ -15,7 +15,7 @@ namespace mtshare {
 namespace {
 
 // Runs in mtshare_thread_tests so the tsan preset checks it: many threads
-// hammer one oracle with point, one-to-many, and many-to-many queries at
+// hammer one oracle with point queries and one- and many-source batches at
 // once, as concurrent RunScenario calls on one system do. On the CH
 // backend the engine pool must hand every thread its own ChQuery
 // (stateful buffers); on the exact table, threads race to fill the same
@@ -64,7 +64,7 @@ void ExpectConcurrentQueriesMatchDijkstra(OracleBackend backend) {
         for (int i = 0; i < 6; ++i) {
           targets.push_back(VertexId(rng.NextInt(0, n - 1)));
         }
-        oracle.CostMany(s, targets, &got);
+        oracle.CostManyToMany({&s, 1}, targets, &got);
         row_sources[w].push_back(s);
         for (size_t i = 0; i < targets.size(); ++i) {
           if (got[i] != reference[s][targets[i]]) mismatches.fetch_add(1);
@@ -91,7 +91,7 @@ void ExpectConcurrentQueriesMatchDijkstra(OracleBackend backend) {
   for (auto& f : futures) f.get();
   EXPECT_EQ(mismatches.load(), 0);
 
-  // Counter sanity: every round issued 1 point + 1 CostMany + 3 m2m-source
+  // Counter sanity: every round issued 1 point + 1 one-source + 3 m2m-source
   // queries.
   EXPECT_EQ(oracle.queries(), int64_t(kThreads) * kRoundsPerThread * 5);
   EXPECT_EQ(oracle.batch_queries(), int64_t(kThreads) * kRoundsPerThread * 2);

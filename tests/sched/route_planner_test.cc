@@ -454,7 +454,7 @@ TEST(PartitionPathEnumerationTest, PrunedMatchesUnprunedOnRandomGraphs) {
 }
 
 TEST(PartitionPathEnumerationTest, PathOfExactlyMaxHopsIsFound) {
-  const int32_t max_hops = RoutePlannerOptions{}.max_path_hops;
+  const int32_t max_hops = RoutePlanner::kMaxPathHops;
   const Adjacency line = Line(max_hops + 2);
   const std::vector<PartitionId> kept = All(max_hops + 2);
   const std::vector<double> mass(max_hops + 2, 1.0);
@@ -522,22 +522,19 @@ TEST(PartitionPathEnumerationTest, TruncationKeepsTheSameFirstPaths) {
   const std::vector<PartitionId> kept = All(16);
   std::vector<double> mass(16);
   for (double& m : mass) m = 0.25 * double(rng.NextInt(0, 3));
-  const RoutePlannerOptions options;
+  const int32_t max_paths = RoutePlanner::kMaxPartitionPaths;
+  const int32_t max_hops = RoutePlanner::kMaxPathHops;
   int64_t frames = 0;
   int64_t reference_frames = 0;
   auto untruncated = UnprunedLandmarkPaths(grid, kept, mass, 0, 15, 100000,
-                                           options.max_path_hops,
-                                           &reference_frames);
-  ASSERT_GT(untruncated.size(),
-            static_cast<size_t>(options.max_partition_paths));
+                                           max_hops, &reference_frames);
+  ASSERT_GT(untruncated.size(), static_cast<size_t>(max_paths));
   reference_frames = 0;
-  auto want = UnprunedLandmarkPaths(grid, kept, mass, 0, 15,
-                                    options.max_partition_paths,
-                                    options.max_path_hops, &reference_frames);
-  auto got = EnumerateLandmarkPaths(grid, kept, mass, 0, 15,
-                                    options.max_partition_paths,
-                                    options.max_path_hops, &frames);
-  ASSERT_EQ(got.size(), static_cast<size_t>(options.max_partition_paths));
+  auto want = UnprunedLandmarkPaths(grid, kept, mass, 0, 15, max_paths,
+                                    max_hops, &reference_frames);
+  auto got = EnumerateLandmarkPaths(grid, kept, mass, 0, 15, max_paths,
+                                    max_hops, &frames);
+  ASSERT_EQ(got.size(), static_cast<size_t>(max_paths));
   EXPECT_EQ(got, want);
   EXPECT_LE(frames, reference_frames);
 }

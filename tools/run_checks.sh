@@ -44,7 +44,10 @@ fi
 if [[ "${MTSHARE_SKIP_ASAN:-0}" != "1" ]]; then
   echo "==> [3/6] asan preset: build + full suite under ASan/LSan"
   cmake --preset asan >/dev/null
-  cmake --build --preset asan -j "$JOBS" --target mtshare_tests mtshare_thread_tests mtshare_sim_cli mtshare_serve_cli
+  # Build mtshare_scale_tests too so its tests carry the `scale` label the
+  # preset excludes; unbuilt, an unlabelled *_NOT_BUILT placeholder runs.
+  cmake --build --preset asan -j "$JOBS" --target mtshare_tests \
+    mtshare_thread_tests mtshare_scale_tests mtshare_sim_cli mtshare_serve_cli
   ctest --preset asan -j "$JOBS"
 else
   echo "==> [3/6] asan preset: skipped (MTSHARE_SKIP_ASAN=1)"
