@@ -1,7 +1,8 @@
 // Micro-benchmarks of the performance-critical components (google-benchmark):
 // shortest-path engines (plain vs partition-filtered vs oracle-cached),
-// probabilistic routing (Algorithm 4), request insertion (exhaustive vs DP),
-// k-means, mobility clustering, and the candidate indexes. These quantify
+// exact-table row fills (PHAST vs Dijkstra), probabilistic routing
+// (Algorithm 4), request insertion (exhaustive vs DP), k-means, mobility
+// clustering, and the candidate indexes. These quantify
 // the design choices DESIGN.md calls out: filtered search settles fewer
 // vertices; the oracle makes leg costs O(1); the DP insertion removes an
 // O(m) factor.
@@ -10,6 +11,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
 
 #include "clustering/kmeans.h"
 #include "common/random.h"
@@ -19,6 +21,7 @@
 #include "matching/taxi_index.h"
 #include "mobility/mobility_clustering.h"
 #include "partition/bipartite_partitioner.h"
+#include "routing/upward_search.h"
 #include "sched/route_planner.h"
 #include "sim/engine.h"
 #include "spatial/grid_index.h"
@@ -98,6 +101,41 @@ void BM_OracleBackends(benchmark::State& state) {
 BENCHMARK(BM_OracleBackends)
     ->Arg(int(OracleBackend::kExact))
     ->Arg(int(OracleBackend::kCh));
+
+// One exact-table row fill on perfbench's exact city (64x64, seed
+// 20200961, 4093 vertices): the oracle's PhastRow against the
+// DijkstraSearch::CostsFrom reference it replaced. Each iteration fills one
+// row from a fresh kernel, as a table miss does.
+enum class RowFill { kPhast, kDijkstra };
+
+void BM_ExactRowFill(benchmark::State& state, RowFill fill) {
+  static const RoadNetwork* city = [] {
+    GridCityOptions opt;
+    opt.rows = 64;
+    opt.cols = 64;
+    opt.seed = 20200961;
+    return new RoadNetwork(MakeGridCity(opt));
+  }();
+  static const ContractionHierarchy ch = ContractionHierarchy::Build(*city);
+  Rng rng(37);
+  std::vector<VertexId> sources(256);
+  for (VertexId& s : sources) {
+    s = VertexId(rng.NextInt(0, city->num_vertices() - 1));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const VertexId source = sources[i++ % sources.size()];
+    if (fill == RowFill::kPhast) {
+      benchmark::DoNotOptimize(PhastRow(ch, source, UpwardSearch::kForward));
+    } else {
+      DijkstraSearch dijkstra(*city);
+      benchmark::DoNotOptimize(dijkstra.CostsFrom(source));
+    }
+  }
+  state.SetLabel(std::to_string(city->num_vertices()) + " vertices");
+}
+BENCHMARK_CAPTURE(BM_ExactRowFill, phast, RowFill::kPhast);
+BENCHMARK_CAPTURE(BM_ExactRowFill, dijkstra, RowFill::kDijkstra);
 
 void BM_FilteredBasicLeg(benchmark::State& state) {
   static MapPartitioning partitioning = GridPartition(Net(), 64);

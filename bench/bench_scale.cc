@@ -120,26 +120,18 @@ int main() {
   config.seed = seed;
 
   // Historical trips only; the evaluation stream is produced lazily below.
-  // MakeScenario with num_requests=0 never touches its oracle (historical
-  // trips come straight from the demand model), so a scratch exact oracle,
-  // whose rows fill lazily and stay empty, avoids paying for a second CH
-  // build.
+  // They come straight from the demand model, so no oracle (and no second
+  // hierarchy build) is needed here.
   DemandModelOptions dopt;
   dopt.day = DayType::kWorkday;
   dopt.seed = seed + 1;
   DemandModel demand(network, dopt);
-  OracleOptions scratch;
-  scratch.backend = OracleBackend::kExact;
-  DistanceOracle scratch_oracle(network, scratch);
-  ScenarioOptions hist;
-  hist.num_requests = 0;
-  hist.num_historical_trips = ScaleCi() ? 10000 : 40000;
-  hist.seed = seed + 2;
-  Scenario scenario = MakeScenario(network, demand, scratch_oracle, hist);
+  Rng history_rng(seed + 2);
+  const std::vector<OdPair> history = OdPairsOf(GenerateHistoricalTrips(
+      demand, ScaleCi() ? 10000 : 40000, history_rng));
 
   const double t1 = NowSeconds();
-  auto system =
-      MTShareSystem::Create(network, scenario.HistoricalOdPairs(), config);
+  auto system = MTShareSystem::Create(network, history, config);
   if (!system.ok()) {
     std::fprintf(stderr, "system: %s\n", system.status().ToString().c_str());
     return 1;

@@ -121,11 +121,14 @@ MTShareSystem::MTShareSystem(const RoadNetwork& network,
   } else {
     partitioning_ = GridPartition(network, config.kappa);
   }
-  landmarks_ = std::make_unique<LandmarkGraph>(network, partitioning_);
+  // The oracle's hierarchy, built once on either backend, also yields the
+  // landmark rows.
+  oracle_ = std::make_unique<DistanceOracle>(network, config.oracle);
+  landmarks_ =
+      std::make_unique<LandmarkGraph>(network, partitioning_, *oracle_->ch());
   transitions_ = TransitionModel::Build(
       network.num_vertices(), partitioning_.num_partitions(),
       partitioning_.vertex_partition, historical_trips);
-  oracle_ = std::make_unique<DistanceOracle>(network, config.oracle);
 }
 
 std::unique_ptr<Dispatcher> MTShareSystem::MakeDispatcher(

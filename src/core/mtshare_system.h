@@ -128,10 +128,13 @@ class MTShareSystem {
                                              std::vector<TaxiState>* fleet);
 
   /// The contraction hierarchy that dispatchers on `oracle` sweep last-stop
-  /// buckets over: the oracle's own CH, or null on the exact table, where
-  /// pickup reachability is a table read (DESIGN.md §14).
+  /// buckets over: the oracle's own CH on the CH backend, null on the
+  /// exact table, where pickup reachability is a table read (DESIGN.md
+  /// §14) although the oracle owns a hierarchy too.
   const ContractionHierarchy* BucketSearchCh(DistanceOracle* oracle) const {
-    return oracle == nullptr ? nullptr : oracle->ch();
+    return oracle != nullptr && oracle->backend() == OracleBackend::kCh
+               ? oracle->ch()
+               : nullptr;
   }
 
   const RoadNetwork& network() const { return network_; }

@@ -39,9 +39,6 @@ Status SystemConfig::Validate() const {
     return Status::InvalidArgument(
         "oracle.ch.witness_settle_limit must be positive");
   }
-  if (oracle.ch.threads < 0) {
-    return Status::InvalidArgument("oracle.ch.threads must be non-negative");
-  }
   if (payment.beta < 0.0 || payment.beta > 1.0) {
     return Status::InvalidArgument("beta must lie in [0, 1]");
   }

@@ -6,13 +6,20 @@
 
 namespace mtshare {
 
-std::vector<OdPair> Scenario::HistoricalOdPairs() const {
+std::vector<Trip> GenerateHistoricalTrips(const DemandModel& demand,
+                                          int32_t num_trips, Rng& rng) {
+  return demand.GenerateTrips(0.0, 86400.0, num_trips, rng);
+}
+
+std::vector<OdPair> OdPairsOf(const std::vector<Trip>& trips) {
   std::vector<OdPair> pairs;
-  pairs.reserve(historical_trips.size());
-  for (const Trip& t : historical_trips) {
-    pairs.emplace_back(t.origin, t.destination);
-  }
+  pairs.reserve(trips.size());
+  for (const Trip& t : trips) pairs.emplace_back(t.origin, t.destination);
   return pairs;
+}
+
+std::vector<OdPair> Scenario::HistoricalOdPairs() const {
+  return OdPairsOf(historical_trips);
 }
 
 int32_t Scenario::CountOffline() const {
@@ -30,11 +37,8 @@ Scenario MakeScenario(const RoadNetwork& /*network*/,
   Rng rng(options.seed);
   Scenario scenario;
 
-  // Historical trips span the whole day so the transition statistics see
-  // every diurnal regime, as the paper trains on the full dataset minus the
-  // evaluation window.
-  scenario.historical_trips = demand.GenerateTrips(
-      0.0, 86400.0, options.num_historical_trips, rng);
+  scenario.historical_trips =
+      GenerateHistoricalTrips(demand, options.num_historical_trips, rng);
 
   std::vector<Trip> trips =
       demand.GenerateTrips(options.t_begin, options.t_end,

@@ -44,6 +44,18 @@ struct Scenario {
   int32_t CountOffline() const;
 };
 
+/// The historical trips that train the mobility statistics: `num_trips`
+/// draws from `rng` spread over the whole day, so the statistics see every
+/// diurnal regime, as the paper trains on the full dataset minus the
+/// evaluation window. MakeScenario draws its history with this, first
+/// thing on Rng(options.seed), so a caller that needs only the history gets
+/// the same trips without an oracle.
+std::vector<Trip> GenerateHistoricalTrips(const DemandModel& demand,
+                                          int32_t num_trips, Rng& rng);
+
+/// The (origin, destination) pair of every trip, in order.
+std::vector<OdPair> OdPairsOf(const std::vector<Trip>& trips);
+
 /// Builds a scenario: samples trips from the demand model, snaps deadlines
 /// via the oracle, marks a random subset offline. Requests whose
 /// origin/destination coincide or are unreachable are resampled.

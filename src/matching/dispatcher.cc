@@ -17,9 +17,10 @@ Dispatcher::Dispatcher(const RoadNetwork& network, DistanceOracle* oracle,
       batch_(network, oracle) {
   MTSHARE_CHECK(oracle != nullptr);
   MTSHARE_CHECK(fleet != nullptr);
-  // Construction marks every taxi dirty, so the first sweep deposits the
-  // whole fleet.
-  if (oracle->ch() != nullptr) {
+  // The backend, not the hierarchy every oracle owns, picks the
+  // reachability source (DESIGN.md §14). Construction marks every taxi
+  // dirty, so the first sweep deposits the whole fleet.
+  if (oracle->backend() == OracleBackend::kCh) {
     buckets_ = std::make_unique<LastStopBuckets>(
         *oracle->ch(), static_cast<int32_t>(fleet->size()));
   }

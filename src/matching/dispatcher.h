@@ -12,6 +12,7 @@
 #include "matching/taxi_state.h"
 #include "partition/landmark_graph.h"
 #include "partition/map_partitioning.h"
+#include "routing/dijkstra.h"
 #include "routing/distance_oracle.h"
 #include "routing/last_stop_buckets.h"
 #include "routing/one_to_many.h"

@@ -1,46 +1,20 @@
 #include "partition/landmark_graph.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "common/logging.h"
+#include "routing/upward_search.h"
 
 namespace mtshare {
-namespace {
-
-/// Dijkstra over reversed arcs: costs *to* `sink` from every vertex.
-/// LandmarkGraph needs one row per landmark at build time only, so a plain
-/// local search (no epoch buffers) keeps DijkstraSearch forward-only.
-std::vector<Seconds> ReverseCostsFrom(const RoadNetwork& network,
-                                      VertexId sink) {
-  struct Entry {
-    Seconds cost;
-    VertexId vertex;
-    bool operator>(const Entry& other) const { return cost > other.cost; }
-  };
-  std::vector<Seconds> dist(network.num_vertices(), kInfiniteCost);
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
-  dist[sink] = 0.0;
-  queue.push(Entry{0.0, sink});
-  while (!queue.empty()) {
-    Entry top = queue.top();
-    queue.pop();
-    if (top.cost > dist[top.vertex]) continue;
-    for (const Arc& arc : network.InArcs(top.vertex)) {
-      Seconds cand = top.cost + arc.cost;
-      if (cand < dist[arc.head]) {
-        dist[arc.head] = cand;
-        queue.push(Entry{cand, arc.head});
-      }
-    }
-  }
-  return dist;
-}
-
-}  // namespace
 
 LandmarkGraph::LandmarkGraph(const RoadNetwork& network,
                              const MapPartitioning& partitioning)
+    : LandmarkGraph(network, partitioning,
+                    ContractionHierarchy::Build(network)) {}
+
+LandmarkGraph::LandmarkGraph(const RoadNetwork& network,
+                             const MapPartitioning& partitioning,
+                             const ContractionHierarchy& ch)
     : num_partitions_(partitioning.num_partitions()),
       partitioning_(&partitioning) {
   MTSHARE_CHECK(num_partitions_ > 0);
@@ -66,23 +40,25 @@ LandmarkGraph::LandmarkGraph(const RoadNetwork& network,
     }
   }
 
-  // Landmark-to-landmark costs: one Dijkstra row per landmark. The same
-  // forward row (plus a reverse sweep) also yields every member vertex's
-  // distance from/to its home landmark — the per-vertex terms of the
-  // LowerBound() triangle inequality.
+  // Landmark-to-landmark costs: one forward row per landmark. The same
+  // row (plus a backward one) also yields every member vertex's distance
+  // from/to its home landmark — the per-vertex terms of the LowerBound()
+  // triangle inequality.
+  MTSHARE_CHECK(ch.num_vertices() == network.num_vertices());
   costs_.assign(static_cast<size_t>(num_partitions_) * num_partitions_,
                 kInfiniteCost);
   from_landmark_.assign(network.num_vertices(), kInfiniteCost);
   to_landmark_.assign(network.num_vertices(), kInfiniteCost);
-  DijkstraSearch search(network);
   for (PartitionId p = 0; p < num_partitions_; ++p) {
-    std::vector<Seconds> row = search.CostsFrom(partitioning.landmarks[p]);
+    const VertexId landmark = partitioning.landmarks[p];
+    const std::vector<Seconds> row =
+        PhastRow(ch, landmark, UpwardSearch::kForward);
     for (PartitionId q = 0; q < num_partitions_; ++q) {
       costs_[static_cast<size_t>(p) * num_partitions_ + q] =
           row[partitioning.landmarks[q]];
     }
-    std::vector<Seconds> rev =
-        ReverseCostsFrom(network, partitioning.landmarks[p]);
+    const std::vector<Seconds> rev =
+        PhastRow(ch, landmark, UpwardSearch::kBackward);
     for (VertexId v : partitioning.partition_vertices[p]) {
       from_landmark_[v] = row[v];
       to_landmark_[v] = rev[v];

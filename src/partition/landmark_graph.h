@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "partition/map_partitioning.h"
-#include "routing/dijkstra.h"
+#include "routing/contraction_hierarchy.h"
 
 namespace mtshare {
 
@@ -16,9 +16,18 @@ namespace mtshare {
 /// (Algorithm 4 step 2).
 class LandmarkGraph {
  public:
-  /// Builds adjacency from crossing edges and the cost table with one
-  /// Dijkstra per landmark on the real network (kappa searches, done once;
-  /// the paper likewise precomputes landmark costs, Sec. V-A4).
+  /// Builds adjacency from crossing edges, and the cost table and the
+  /// per-vertex landmark terms from one forward and one backward PhastRow
+  /// per landmark on `ch`, a hierarchy of `network` (2·kappa rows, done
+  /// once; the paper likewise precomputes landmark costs, Sec. V-A4). The
+  /// graph keeps no reference to `ch`.
+  LandmarkGraph(const RoadNetwork& network,
+                const MapPartitioning& partitioning,
+                const ContractionHierarchy& ch);
+
+  /// The same graph over a hierarchy built here and dropped after use.
+  /// MTShareSystem passes its oracle's hierarchy to the constructor above
+  /// instead.
   LandmarkGraph(const RoadNetwork& network,
                 const MapPartitioning& partitioning);
 

@@ -1,12 +1,10 @@
 #include "routing/contraction_hierarchy.h"
 
 #include <algorithm>
-#include <future>
 #include <queue>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 
 namespace mtshare {
@@ -174,31 +172,9 @@ class Contractor {
   void Run(std::vector<int32_t>& rank,
            std::vector<std::vector<CoreArc>>& up,
            std::vector<std::vector<CoreArc>>& down, int64_t& shortcut_count) {
-    // Initial priorities in parallel: each probe only reads the immutable
-    // initial core graph, so the pass is embarrassingly parallel and the
-    // values (hence the whole hierarchy) are thread-count independent.
+    WitnessSearch witness(n_);
     std::vector<int64_t> priority(n_);
-    const int32_t threads = ThreadPool::DefaultThreads(options_.threads);
-    if (threads > 1 && n_ > 256) {
-      ThreadPool pool(threads);
-      const int32_t chunks = threads;
-      std::vector<std::future<void>> futures;
-      futures.reserve(chunks);
-      for (int32_t c = 0; c < chunks; ++c) {
-        VertexId begin = static_cast<VertexId>(int64_t(n_) * c / chunks);
-        VertexId end = static_cast<VertexId>(int64_t(n_) * (c + 1) / chunks);
-        futures.push_back(pool.Submit([this, begin, end, &priority] {
-          WitnessSearch witness(n_);
-          for (VertexId v = begin; v < end; ++v) {
-            priority[v] = Priority(v, witness);
-          }
-        }));
-      }
-      for (auto& f : futures) f.get();
-    } else {
-      WitnessSearch witness(n_);
-      for (VertexId v = 0; v < n_; ++v) priority[v] = Priority(v, witness);
-    }
+    for (VertexId v = 0; v < n_; ++v) priority[v] = Priority(v, witness);
 
     using QueueEntry = std::pair<int64_t, VertexId>;  // (priority, vertex)
     std::priority_queue<QueueEntry, std::vector<QueueEntry>,
@@ -206,7 +182,6 @@ class Contractor {
         queue;
     for (VertexId v = 0; v < n_; ++v) queue.push({priority[v], v});
 
-    WitnessSearch witness(n_);
     std::vector<Shortcut> shortcuts;
     std::vector<uint8_t> contracted(n_, 0);
     int32_t next_rank = 0;
@@ -278,6 +253,10 @@ ContractionHierarchy ContractionHierarchy::Build(const RoadNetwork& network,
     Contractor contractor(network, options);
     contractor.Run(ch.rank_, up, down, ch.stats_.shortcuts_added);
   }
+  ch.descending_rank_order_.resize(n);
+  for (VertexId v = 0; v < n; ++v) {
+    ch.descending_rank_order_[n - 1 - ch.rank_[v]] = v;
+  }
 
   auto fill_csr = [n](const std::vector<std::vector<CoreArc>>& lists,
                       std::vector<int32_t>& offsets,
@@ -302,6 +281,7 @@ ContractionHierarchy ContractionHierarchy::Build(const RoadNetwork& network,
 
 size_t ContractionHierarchy::MemoryBytes() const {
   return rank_.size() * sizeof(int32_t) +
+         descending_rank_order_.size() * sizeof(VertexId) +
          (up_offsets_.size() + down_offsets_.size()) * sizeof(int32_t) +
          (up_arcs_.size() + down_arcs_.size()) * sizeof(SearchArc);
 }

@@ -17,11 +17,6 @@ struct ChOptions {
   /// witness only adds a redundant shortcut (correct but larger index),
   /// never a wrong distance.
   int32_t witness_settle_limit = 500;
-
-  /// Worker threads for the initial node-priority pass (0 = hardware
-  /// concurrency). The contraction loop itself is sequential — node order
-  /// and therefore the index are identical for every thread count.
-  int32_t threads = 0;
 };
 
 /// Counters describing one preprocessing run (surfaced through
@@ -46,11 +41,14 @@ struct ChBuildStats {
 ///
 /// Every s-t shortest distance is realized by some up-down path, so a
 /// bidirectional search that only ever goes upward in rank answers point
-/// queries after settling a few hundred vertices. Because arc costs live
-/// on the exact dyadic grid (see QuantizeTravelCost), shortcut sums are
-/// exact and CH distances are bit-identical to Dijkstra's.
+/// queries after settling a few hundred vertices, and one upward search
+/// plus one sweep over the vertices in descending rank yields a whole
+/// one-to-all row (PhastRow). Because arc costs live on the exact dyadic
+/// grid (see QuantizeTravelCost), shortcut sums are exact and CH distances
+/// are bit-identical to Dijkstra's.
 ///
-/// Immutable after Build(); safe to share across query threads.
+/// Built on one thread; immutable after Build(), so safe to share across
+/// query threads.
 class ContractionHierarchy {
  public:
   struct SearchArc {
@@ -58,7 +56,7 @@ class ContractionHierarchy {
     Seconds cost = 0.0;
   };
 
-  /// Contracts the whole network. Deterministic for any thread count.
+  /// Contracts the whole network. Deterministic.
   static ContractionHierarchy Build(const RoadNetwork& network,
                                     const ChOptions& options = {});
 
@@ -67,6 +65,11 @@ class ContractionHierarchy {
   }
   /// Contraction rank of v (0 = contracted first / least important).
   int32_t rank(VertexId v) const { return rank_[v]; }
+  /// Every vertex, most important first (rank V-1 down to 0): the order in
+  /// which PhastRow's sweep finalizes a row.
+  std::span<const VertexId> DescendingRankOrder() const {
+    return descending_rank_order_;
+  }
 
   std::span<const SearchArc> UpArcs(VertexId v) const {
     return {up_arcs_.data() + up_offsets_[v],
@@ -79,11 +82,13 @@ class ContractionHierarchy {
 
   const ChBuildStats& stats() const { return stats_; }
 
-  /// Resident bytes of the search graphs (Tab. IV memory accounting).
+  /// Resident bytes of the rank arrays and search graphs (Tab. IV memory
+  /// accounting).
   size_t MemoryBytes() const;
 
  private:
   std::vector<int32_t> rank_;
+  std::vector<VertexId> descending_rank_order_;
   std::vector<int32_t> up_offsets_;
   std::vector<SearchArc> up_arcs_;
   std::vector<int32_t> down_offsets_;

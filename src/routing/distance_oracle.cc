@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "routing/upward_search.h"
 
 namespace mtshare {
 namespace {
@@ -45,24 +46,17 @@ bool ParseOracleBackend(std::string_view name, OracleBackend* out) {
 DistanceOracle::DistanceOracle(const RoadNetwork& network,
                                const OracleOptions& options)
     : network_(network),
-      backend_(ResolveBackend(network, options)) {
-  switch (backend_) {
-    case OracleBackend::kExact:
-      exact_rows_.resize(network.num_vertices());
-      exact_filled_ =
-          std::make_unique<std::atomic<uint8_t>[]>(network.num_vertices());
-      for (VertexId v = 0; v < network.num_vertices(); ++v) {
-        exact_filled_[v].store(0, std::memory_order_relaxed);
-      }
-      fill_mutex_ = std::make_unique<std::mutex[]>(kFillStripes);
-      break;
-    case OracleBackend::kCh:
-      ch_ = std::make_unique<ContractionHierarchy>(
-          ContractionHierarchy::Build(network, options.ch));
-      ch_build_stats_ = ch_->stats();
-      break;
-    case OracleBackend::kAuto:
-      MTSHARE_CHECK(false);  // ResolveBackend never returns kAuto
+      backend_(ResolveBackend(network, options)),
+      ch_(std::make_unique<ContractionHierarchy>(
+          ContractionHierarchy::Build(network, options.ch))) {
+  if (backend_ == OracleBackend::kExact) {
+    exact_rows_.resize(network.num_vertices());
+    exact_filled_ =
+        std::make_unique<std::atomic<uint8_t>[]>(network.num_vertices());
+    for (VertexId v = 0; v < network.num_vertices(); ++v) {
+      exact_filled_[v].store(0, std::memory_order_relaxed);
+    }
+    fill_mutex_ = std::make_unique<std::mutex[]>(kFillStripes);
   }
 }
 
@@ -104,11 +98,10 @@ const std::vector<Seconds>& DistanceOracle::ExactRow(VertexId source) {
   std::lock_guard<std::mutex> lock(fill_mutex_[source % kFillStripes]);
   if (!exact_filled_[source].load(std::memory_order_relaxed)) {
     exact_misses_.fetch_add(1, std::memory_order_relaxed);
-    // A fresh engine per fill keeps the search state thread-local; each
-    // row fills once, so the O(V) buffer setup is noise next to the
-    // O(E log V) search.
-    DijkstraSearch dijkstra(network_);
-    exact_rows_[source] = dijkstra.CostsFrom(source);
+    // PhastRow's kernel is function-local, so the search state stays on
+    // this thread; each row fills once, and reusing a kernel would save
+    // only its O(V) buffer setup.
+    exact_rows_[source] = PhastRow(*ch_, source, UpwardSearch::kForward);
     exact_filled_[source].store(1, std::memory_order_release);
   } else {
     exact_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -167,8 +160,8 @@ int64_t DistanceOracle::row_misses() const {
 }
 
 size_t DistanceOracle::MemoryBytes() const {
+  size_t bytes = ch_->MemoryBytes();
   if (backend_ == OracleBackend::kExact) {
-    size_t bytes = 0;
     for (VertexId v = 0; v < network_.num_vertices(); ++v) {
       if (exact_filled_[v].load(std::memory_order_acquire)) {
         bytes += exact_rows_[v].size() * sizeof(Seconds);
@@ -177,7 +170,6 @@ size_t DistanceOracle::MemoryBytes() const {
     return bytes;
   }
   std::lock_guard<std::mutex> lock(ch_pool_mutex_);
-  size_t bytes = ch_->MemoryBytes();
   size_t engine_bytes = ch_engine_bytes_max_;
   for (const std::unique_ptr<ChQuery>& engine : ch_pool_) {
     engine_bytes = std::max(engine_bytes, engine->MemoryBytes());

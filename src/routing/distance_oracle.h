@@ -11,7 +11,6 @@
 #include "graph/road_network.h"
 #include "routing/ch_query.h"
 #include "routing/contraction_hierarchy.h"
-#include "routing/dijkstra.h"
 
 namespace mtshare {
 
@@ -40,16 +39,18 @@ struct OracleOptions {
   /// Sec. V-A4); larger networks use the contraction hierarchy (kAuto).
   int32_t max_exact_vertices = 4200;
 
-  /// Preprocessing knobs for the CH backend.
+  /// Preprocessing knobs for the contraction hierarchy, which both
+  /// backends build.
   ChOptions ch;
 };
 
 /// Shortest-path *cost* oracle with O(1) amortized queries, mirroring the
 /// paper's assumption that "the shortest path query will take O(1) time"
-/// (Sec. IV-C). Two backends — exact dense table and contraction
-/// hierarchy — bit-identical in the costs they return (arc costs are
-/// dyadic, see QuantizeTravelCost). Costs only — use DijkstraSearch when
-/// the vertex sequence is needed.
+/// (Sec. IV-C). Both backends own one contraction hierarchy, built in the
+/// constructor: the exact dense table fills its rows from it by PhastRow,
+/// the CH backend answers every query on it. The two are bit-identical in
+/// the costs they return (arc costs are dyadic, see QuantizeTravelCost).
+/// Costs only — use DijkstraSearch when the vertex sequence is needed.
 ///
 /// Thread-safe: one system's oracle serves every RunScenario call on it,
 /// and those runs may execute concurrently (the bench sweep runner).
@@ -89,26 +90,27 @@ class DistanceOracle {
     return batch_queries_.load(std::memory_order_relaxed);
   }
   /// Exact-table traffic: a hit served a query from a resident row, a miss
-  /// paid a one-to-all Dijkstra. (Same-vertex queries short-circuit and
-  /// count toward neither; always zero in CH mode.)
+  /// filled the row with one forward PhastRow. (Same-vertex queries
+  /// short-circuit and count toward neither; always zero in CH mode.)
   int64_t row_hits() const;
   int64_t row_misses() const;
 
-  /// CH work counters, aggregated over the engine pool (all zero outside
-  /// CH mode). Engines checked out mid-flight are not included, so read
-  /// these from quiescent moments (dispatch-batch boundaries).
+  /// CH query counters, aggregated over the engine pool (all zero outside
+  /// CH mode: exact row fills tick none of them). Engines checked out
+  /// mid-flight are not included, so read these from quiescent moments
+  /// (dispatch-batch boundaries).
   ChQueryStats ch_query_stats() const;
-  /// CH preprocessing counters (zeros outside CH mode).
-  const ChBuildStats& ch_build_stats() const { return ch_build_stats_; }
+  /// Preprocessing counters of the oracle's hierarchy (either backend).
+  const ChBuildStats& ch_build_stats() const { return ch_->stats(); }
 
-  /// The contraction hierarchy backing this oracle, or nullptr outside CH
-  /// mode. Consumers (e.g. LastStopBuckets) may share it read-only; the
-  /// hierarchy is immutable after construction and outlives the oracle's
-  /// queries.
+  /// The contraction hierarchy backing this oracle, on either backend.
+  /// Consumers (LandmarkGraph, LastStopBuckets) may share it read-only;
+  /// the hierarchy is immutable after construction and lives as long as
+  /// the oracle.
   const ContractionHierarchy* ch() const { return ch_.get(); }
 
-  /// Resident bytes of the table / CH index incl. pooled query engines
-  /// (Tab. IV memory accounting).
+  /// Resident bytes of the hierarchy plus the filled table rows (exact) or
+  /// the pooled query engines (CH) — Tab. IV memory accounting.
   size_t MemoryBytes() const;
 
  private:
@@ -118,6 +120,8 @@ class DistanceOracle {
 
   const RoadNetwork& network_;
   OracleBackend backend_;
+  /// Both backends: the immutable hierarchy.
+  std::unique_ptr<ContractionHierarchy> ch_;
 
   /// Exact mode: dense row-major table, filled lazily one row at a time
   /// (a fully eager fill would still be fine but wastes startup time when
@@ -130,11 +134,9 @@ class DistanceOracle {
   std::atomic<int64_t> exact_hits_{0};
   std::atomic<int64_t> exact_misses_{0};
 
-  /// CH mode: immutable hierarchy + pool of per-thread query engines.
-  /// Returned engines fold their counters into ch_stats_total_ (guarded by
-  /// ch_pool_mutex_) and reset, so aggregation is O(1) per return.
-  std::unique_ptr<ContractionHierarchy> ch_;
-  ChBuildStats ch_build_stats_;
+  /// CH mode: pool of per-thread query engines over ch_. Returned engines
+  /// fold their counters into ch_stats_total_ (guarded by ch_pool_mutex_)
+  /// and reset, so aggregation is O(1) per return.
   mutable std::mutex ch_pool_mutex_;
   std::vector<std::unique_ptr<ChQuery>> ch_pool_;
   ChQueryStats ch_stats_total_;

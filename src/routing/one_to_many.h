@@ -25,7 +25,9 @@ struct BatchRoutingStats {
   /// coverage analysis in InsertionCostBatch is stale).
   int64_t fallback_queries = 0;
 
-  // --- contraction-hierarchy backend (all zero when it is not active) ---
+  // --- contraction hierarchy (the query counters stay zero unless the CH
+  // backend is active; the build counters describe the hierarchy every
+  // oracle owns) ---
   /// Whether the oracle ran on the CH backend.
   bool ch_active = false;
   /// Shortcuts the preprocessing added on top of the road network.

@@ -13,7 +13,8 @@ namespace mtshare {
 
 /// The one upward Dijkstra under every contraction-hierarchy query: point
 /// and bucket queries (ChQuery), last-stop deposits and sweeps
-/// (LastStopBuckets). A forward run follows UpArcs from the source, a
+/// (LastStopBuckets), and the upward phase of every one-to-all row
+/// (PhastRow). A forward run follows UpArcs from the source, a
 /// backward run follows DownArcs (down-paths into the source). Labels are
 /// sums of dyadic arc costs, so settled distances are exact (see ChQuery).
 ///
@@ -90,6 +91,38 @@ class UpwardSearch {
                       std::greater<HeapEntry>>
       heap_;
 };
+
+/// One-to-all costs by PHAST (Delling, Goldberg, Nowatzyk & Werneck,
+/// IPDPS 2011): row[v] = d(source, v) for a forward row, d(v, source) for
+/// a backward one, kInfiniteCost where there is no path. An UpwardSearch
+/// run to exhaustion labels every vertex the source reaches upward; one
+/// sweep over all vertices in descending rank then finalizes each vertex
+/// from its higher-ranked neighbours, which the sweep has already
+/// finalized: over DownArcs for a forward row, over UpArcs for a backward
+/// one. Every shortest path is an up-down path, so the row holds the
+/// minimum over the same path sums Dijkstra minimizes, and dyadic arc
+/// costs make those sums exact: the row is bit-identical to Dijkstra's.
+/// The exact table's rows and the landmark rows both come from here.
+inline std::vector<Seconds> PhastRow(const ContractionHierarchy& ch,
+                                     VertexId source,
+                                     UpwardSearch::Direction direction) {
+  std::vector<Seconds> row(ch.num_vertices(), kInfiniteCost);
+  UpwardSearch search(ch);
+  search.Run(source, direction, kInfiniteCost, [&row](VertexId v, Seconds d) {
+    row[v] = d;
+    return true;
+  });
+  const bool forward = direction == UpwardSearch::kForward;
+  for (const VertexId v : ch.DescendingRankOrder()) {
+    Seconds best = row[v];
+    for (const ContractionHierarchy::SearchArc& arc :
+         forward ? ch.DownArcs(v) : ch.UpArcs(v)) {
+      best = std::min(best, row[arc.head] + arc.cost);
+    }
+    row[v] = best;
+  }
+  return row;
+}
 
 }  // namespace mtshare
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "mobility/transition_model.h"
+#include "routing/dijkstra.h"
 #include "routing/distance_oracle.h"
 #include "sched/partition_filter.h"
 #include "sched/schedule.h"

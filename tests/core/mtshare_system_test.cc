@@ -44,9 +44,6 @@ TEST(SystemConfigTest, RejectsBadOracleOptions) {
   c = SystemConfig{};
   c.oracle.ch.witness_settle_limit = 0;
   EXPECT_FALSE(c.Validate().ok());
-  c = SystemConfig{};
-  c.oracle.ch.threads = -2;
-  EXPECT_FALSE(c.Validate().ok());
 
   GridCityOptions gopt;
   gopt.rows = 6;
@@ -213,12 +210,22 @@ TEST_F(MTShareSystemTest, ChBackendRunsBitIdenticalToExact) {
     EXPECT_EQ(er[i].dropoff_time, cr[i].dropoff_time) << "req " << i;
   }
 
-  // The CH run carries its counters; the exact run reports none.
+  // The CH run carries its query counters; the exact run reports none.
+  // Both report the same hierarchy build, since every oracle owns one.
   EXPECT_TRUE(ch.value().routing.ch_active);
   EXPECT_GT(ch.value().routing.ch_bucket_queries, 0);
   EXPECT_GT(ch.value().routing.ch_upward_settled, 0);
   EXPECT_FALSE(exact.value().routing.ch_active);
   EXPECT_EQ(exact.value().routing.ch_upward_settled, 0);
+  EXPECT_GT(exact.value().routing.ch_shortcuts, 0);
+  EXPECT_EQ(exact.value().routing.ch_shortcuts,
+            ch.value().routing.ch_shortcuts);
+
+  // Only the CH backend hands its hierarchy out for bucket sweeps.
+  ASSERT_NE(system_->oracle().ch(), nullptr);
+  EXPECT_EQ(system_->BucketSearchCh(&system_->oracle()), nullptr);
+  EXPECT_EQ(ch_system.BucketSearchCh(&ch_system.oracle()),
+            ch_system.oracle().ch());
 }
 
 TEST_F(MTShareSystemTest, GridPartitioningVariantRuns) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "graph/graph_generators.h"
 
@@ -42,6 +43,22 @@ TEST_F(RequestGeneratorTest, RequestsSortedWithUniqueIds) {
                              }));
   for (size_t i = 0; i < s.requests.size(); ++i) {
     EXPECT_EQ(s.requests[i].id, RequestId(i));
+  }
+}
+
+TEST_F(RequestGeneratorTest, HistoricalTripsNeedNoOracle) {
+  // bench_scale and mtshare_serve draw the history without MakeScenario's
+  // oracle; it must be MakeScenario's history for the same seed.
+  for (uint64_t seed : {29u, 1001u}) {
+    ScenarioOptions opt;
+    opt.num_requests = 0;
+    opt.num_historical_trips = 700;
+    opt.seed = seed;
+    Rng rng(seed);
+    const std::vector<OdPair> drawn = OdPairsOf(
+        GenerateHistoricalTrips(*demand_, opt.num_historical_trips, rng));
+    EXPECT_EQ(drawn.size(), 700u);
+    EXPECT_EQ(drawn, Make(opt).HistoricalOdPairs()) << "seed " << seed;
   }
 }
 

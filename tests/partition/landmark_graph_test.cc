@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/random.h"
 #include "graph/graph_generators.h"
 #include "routing/dijkstra.h"
@@ -139,6 +142,64 @@ TEST_F(LandmarkGraphTest, LowerBoundAdmissibleOnOneWayNetwork) {
     EXPECT_LE(lg.LowerBound(a, b), search.Cost(a, b) + 1e-9)
         << a << "->" << b;
   }
+}
+
+TEST_F(LandmarkGraphTest, BoundsEqualTheirFormulasOnDijkstraRows) {
+  // The landmark rows come from the hierarchy (PhastRow), so Dijkstra is
+  // the independent reference. Both bounds, for every pair of a one-way
+  // grid, equal their formulas evaluated on Dijkstra's rows bit for bit;
+  // they drive lb_pruned and ellipse_pruned, so this pins those counts.
+  // Both constructors are checked: over a hierarchy built inside, and over
+  // one passed in, as MTShareSystem passes its oracle's.
+  GridCityOptions opt;
+  opt.rows = 10;
+  opt.cols = 10;
+  opt.one_way_fraction = 0.4;
+  opt.seed = 13;
+  RoadNetwork net = MakeGridCity(opt);
+  MapPartitioning parts = GridPartition(net, 9);
+  const ContractionHierarchy ch = ContractionHierarchy::Build(net);
+  const LandmarkGraph built_inside(net, parts);
+  const LandmarkGraph passed_in(net, parts, ch);
+
+  DijkstraSearch dijkstra(net);
+  std::vector<std::vector<Seconds>> d(net.num_vertices());
+  for (VertexId v = 0; v < net.num_vertices(); ++v) {
+    d[v] = dijkstra.CostsFrom(v);
+  }
+  auto landmark = [&](VertexId v) {
+    return parts.landmarks[parts.PartitionOf(v)];
+  };
+  int64_t lb_positive = 0;
+  for (const LandmarkGraph* lg : {&built_inside, &passed_in}) {
+    for (PartitionId p = 0; p < lg->num_partitions(); ++p) {
+      for (PartitionId q = 0; q < lg->num_partitions(); ++q) {
+        ASSERT_EQ(lg->LandmarkCost(p, q),
+                  d[parts.landmarks[p]][parts.landmarks[q]]);
+      }
+    }
+    for (VertexId a = 0; a < net.num_vertices(); ++a) {
+      for (VertexId b = 0; b < net.num_vertices(); ++b) {
+        const Seconds ll = d[landmark(a)][landmark(b)];
+        const Seconds fa = d[landmark(a)][a];
+        const Seconds tb = d[b][landmark(b)];
+        const Seconds ta = d[a][landmark(a)];
+        const Seconds fb = d[landmark(b)][b];
+        Seconds lb = 0.0;
+        if (ll < kInfiniteCost && fa < kInfiniteCost && tb < kInfiniteCost) {
+          lb = std::max(0.0, ll - fa - tb);
+        }
+        const Seconds ub =
+            ll < kInfiniteCost && ta < kInfiniteCost && fb < kInfiniteCost
+                ? ta + ll + fb
+                : kInfiniteCost;
+        ASSERT_EQ(lg->LowerBound(a, b), lb) << a << "->" << b;
+        ASSERT_EQ(lg->UpperBound(a, b), ub) << a << "->" << b;
+        lb_positive += lb > 0.0 ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(lb_positive, 0);  // the bound bites somewhere
 }
 
 TEST_F(LandmarkGraphTest, MemoryAccounting) {

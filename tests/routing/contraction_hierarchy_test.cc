@@ -9,6 +9,7 @@
 #include "routing/ch_query.h"
 #include "routing/dijkstra.h"
 #include "routing/distance_oracle.h"
+#include "routing/upward_search.h"
 
 namespace mtshare {
 namespace {
@@ -18,16 +19,50 @@ namespace {
 // path sum — however the CH associates it through shortcuts and bucket
 // meetings — is exact. Each comparison below is EXPECT_EQ on doubles.
 
+/// Dijkstra's row from every source: the independent reference.
+std::vector<std::vector<Seconds>> DijkstraRows(const RoadNetwork& net) {
+  DijkstraSearch dijkstra(net);
+  std::vector<std::vector<Seconds>> rows(net.num_vertices());
+  for (VertexId s = 0; s < net.num_vertices(); ++s) {
+    rows[s] = dijkstra.CostsFrom(s);
+  }
+  return rows;
+}
+
+/// Every PhastRow in both directions, kInfiniteCost entries included: the
+/// forward row of each source is Dijkstra's row, the backward row of each
+/// target is Dijkstra's column.
+void ExpectPhastRowsMatch(const ContractionHierarchy& ch,
+                          const std::vector<std::vector<Seconds>>& rows) {
+  const VertexId n = ch.num_vertices();
+  for (VertexId s = 0; s < n; ++s) {
+    const std::vector<Seconds> forward =
+        PhastRow(ch, s, UpwardSearch::kForward);
+    ASSERT_EQ(forward.size(), size_t(n));
+    for (VertexId t = 0; t < n; ++t) {
+      ASSERT_EQ(forward[t], rows[s][t]) << "forward " << s << "->" << t;
+    }
+  }
+  for (VertexId t = 0; t < n; ++t) {
+    const std::vector<Seconds> backward =
+        PhastRow(ch, t, UpwardSearch::kBackward);
+    ASSERT_EQ(backward.size(), size_t(n));
+    for (VertexId s = 0; s < n; ++s) {
+      ASSERT_EQ(backward[s], rows[s][t]) << "backward " << s << "->" << t;
+    }
+  }
+}
+
 void ExpectAllPairsMatch(const RoadNetwork& net, const ChOptions& copt) {
   ContractionHierarchy ch = ContractionHierarchy::Build(net, copt);
   ChQuery query(ch);
-  DijkstraSearch dijkstra(net);
+  const std::vector<std::vector<Seconds>> rows = DijkstraRows(net);
   for (VertexId s = 0; s < net.num_vertices(); ++s) {
-    std::vector<Seconds> row = dijkstra.CostsFrom(s);
     for (VertexId t = 0; t < net.num_vertices(); ++t) {
-      ASSERT_EQ(query.Cost(s, t), row[t]) << s << "->" << t;
+      ASSERT_EQ(query.Cost(s, t), rows[s][t]) << s << "->" << t;
     }
   }
+  ExpectPhastRowsMatch(ch, rows);
 }
 
 TEST(ContractionHierarchyTest, GridCityAllPairsBitIdentical) {
@@ -76,15 +111,17 @@ TEST(ContractionHierarchyTest, DisconnectedComponentsReportInfinity) {
 
   ContractionHierarchy ch = ContractionHierarchy::Build(net);
   ChQuery query(ch);
-  DijkstraSearch dijkstra(net);
+  const std::vector<std::vector<Seconds>> rows = DijkstraRows(net);
   for (VertexId s = 0; s < net.num_vertices(); ++s) {
-    std::vector<Seconds> row = dijkstra.CostsFrom(s);
     for (VertexId t = 0; t < net.num_vertices(); ++t) {
-      EXPECT_EQ(query.Cost(s, t), row[t]) << s << "->" << t;
+      EXPECT_EQ(query.Cost(s, t), rows[s][t]) << s << "->" << t;
     }
   }
   EXPECT_EQ(query.Cost(4, 0), kInfiniteCost);  // bridge is one-way
   EXPECT_LT(query.Cost(0, 4), kInfiniteCost);
+  ExpectPhastRowsMatch(ch, rows);
+  EXPECT_EQ(PhastRow(ch, 4, UpwardSearch::kForward)[0], kInfiniteCost);
+  EXPECT_EQ(PhastRow(ch, 0, UpwardSearch::kBackward)[4], kInfiniteCost);
 }
 
 TEST(ContractionHierarchyTest, BucketQueriesMatchPointQueries) {
@@ -132,28 +169,6 @@ TEST(ContractionHierarchyTest, BucketQueriesMatchPointQueries) {
   }
   EXPECT_GT(query.stats().bucket_queries, 0);
   EXPECT_GT(query.stats().bucket_entries, 0);
-}
-
-TEST(ContractionHierarchyTest, DeterministicAcrossThreadCounts) {
-  // The contraction order (and so the whole index) must not depend on the
-  // preprocessing thread count — only the initial priority pass is
-  // parallel, and it reads immutable state.
-  GridCityOptions gopt;
-  gopt.rows = 9;
-  gopt.cols = 9;
-  gopt.seed = 59;
-  RoadNetwork net = MakeGridCity(gopt);
-  ChOptions seq;
-  seq.threads = 1;
-  ChOptions par;
-  par.threads = 4;
-  ContractionHierarchy a = ContractionHierarchy::Build(net, seq);
-  ContractionHierarchy b = ContractionHierarchy::Build(net, par);
-  ASSERT_EQ(a.num_vertices(), b.num_vertices());
-  for (VertexId v = 0; v < net.num_vertices(); ++v) {
-    EXPECT_EQ(a.rank(v), b.rank(v)) << "vertex " << v;
-  }
-  EXPECT_EQ(a.stats().shortcuts_added, b.stats().shortcuts_added);
 }
 
 TEST(ContractionHierarchyTest, StatsAndMemoryArePopulated) {

@@ -2,26 +2,65 @@
 
 #include <gtest/gtest.h>
 
-#include "common/random.h"
+#include <vector>
+
 #include "graph/graph_generators.h"
+#include "routing/dijkstra.h"
 
 namespace mtshare {
 namespace {
 
 TEST(DistanceOracleTest, ExactModeMatchesDijkstra) {
+  // The table's rows come from the hierarchy (PhastRow), so Dijkstra is
+  // the independent reference: every pair, bit for bit, on an asymmetric
+  // network.
   GridCityOptions gopt;
   gopt.rows = 9;
   gopt.cols = 9;
+  gopt.one_way_fraction = 0.3;
+  gopt.seed = 91;
   RoadNetwork net = MakeGridCity(gopt);
   DistanceOracle oracle(net);  // small -> exact
   EXPECT_EQ(oracle.backend(), OracleBackend::kExact);
   DijkstraSearch dijkstra(net);
-  Rng rng(91);
-  for (int i = 0; i < 50; ++i) {
-    VertexId s = VertexId(rng.NextInt(0, net.num_vertices() - 1));
-    VertexId t = VertexId(rng.NextInt(0, net.num_vertices() - 1));
-    EXPECT_DOUBLE_EQ(oracle.Cost(s, t), dijkstra.Cost(s, t));
+  for (VertexId s = 0; s < net.num_vertices(); ++s) {
+    const std::vector<Seconds> row = dijkstra.CostsFrom(s);
+    for (VertexId t = 0; t < net.num_vertices(); ++t) {
+      EXPECT_EQ(oracle.Cost(s, t), row[t]) << s << "->" << t;
+    }
   }
+  EXPECT_EQ(oracle.row_misses(), net.num_vertices());
+}
+
+TEST(DistanceOracleTest, ExactModeOwnsTheHierarchy) {
+  GridCityOptions gopt;
+  gopt.rows = 8;
+  gopt.cols = 8;
+  RoadNetwork net = MakeGridCity(gopt);
+  DistanceOracle oracle(net);
+  ASSERT_EQ(oracle.backend(), OracleBackend::kExact);
+  // The hierarchy exists, and is counted, before any row is filled.
+  ASSERT_NE(oracle.ch(), nullptr);
+  EXPECT_EQ(oracle.ch()->num_vertices(), net.num_vertices());
+  EXPECT_EQ(oracle.MemoryBytes(), oracle.ch()->MemoryBytes());
+  EXPECT_EQ(oracle.ch_build_stats().shortcuts_added,
+            oracle.ch()->stats().shortcuts_added);
+
+  // One miss per fill, and a fill ticks no CH query counter.
+  oracle.Cost(0, 1);
+  oracle.Cost(0, 2);
+  EXPECT_EQ(oracle.row_misses(), 1);
+  EXPECT_EQ(oracle.row_hits(), 1);
+  oracle.Cost(3, 1);
+  EXPECT_EQ(oracle.row_misses(), 2);
+  EXPECT_EQ(oracle.MemoryBytes(),
+            oracle.ch()->MemoryBytes() +
+                2 * size_t(net.num_vertices()) * sizeof(Seconds));
+  const ChQueryStats stats = oracle.ch_query_stats();
+  EXPECT_EQ(stats.point_queries, 0);
+  EXPECT_EQ(stats.bucket_queries, 0);
+  EXPECT_EQ(stats.upward_settled, 0);
+  EXPECT_EQ(stats.bucket_entries, 0);
 }
 
 TEST(DistanceOracleTest, RowReuseAvoidsRecomputation) {

@@ -19,7 +19,8 @@ namespace {
 // once, as concurrent RunScenario calls on one system do. On the CH
 // backend the engine pool must hand every thread its own ChQuery
 // (stateful buffers); on the exact table, threads race to fill the same
-// cold rows, and each row must still be filled exactly once. The counters
+// cold rows, each by a PhastRow over the shared hierarchy, and each row
+// must still be filled exactly once. The counters
 // must not race, and every answer must equal the precomputed Dijkstra
 // reference bit for bit.
 void ExpectConcurrentQueriesMatchDijkstra(OracleBackend backend) {

@@ -147,23 +147,16 @@ int main(int argc, char** argv) {
   }
 
   // Historical trips only — the request stream itself arrives on stdin.
+  // They come straight from the demand model, so no oracle is needed here.
   DemandModelOptions dopt;
   dopt.day = peak ? DayType::kWorkday : DayType::kWeekend;
   dopt.seed = seed + 1;
   DemandModel demand(network, dopt);
-  // MakeScenario with num_requests = 0 never queries its oracle, so an
-  // exact one costs nothing here: its rows fill lazily and none is touched.
-  OracleOptions scratch;
-  scratch.backend = OracleBackend::kExact;
-  DistanceOracle scratch_oracle(network, scratch);
-  ScenarioOptions sopt;
-  sopt.num_requests = 0;
-  sopt.num_historical_trips = historical;
-  sopt.seed = seed + 2;
-  Scenario scenario = MakeScenario(network, demand, scratch_oracle, sopt);
+  Rng history_rng(seed + 2);
+  const std::vector<OdPair> history =
+      OdPairsOf(GenerateHistoricalTrips(demand, historical, history_rng));
 
-  auto system =
-      MTShareSystem::Create(network, scenario.HistoricalOdPairs(), config);
+  auto system = MTShareSystem::Create(network, history, config);
   if (!system.ok()) {
     std::fprintf(stderr, "system: %s\n", system.status().ToString().c_str());
     return 2;

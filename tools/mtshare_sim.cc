@@ -37,9 +37,9 @@
 //                  per-phase dispatch breakdown; see EXPERIMENTS.md)
 //
 // Malformed values and unknown flags exit 2 with a diagnostic. Scenario
-// generation prices each request's direct trip on its own kAuto oracle, so
-// on maps above 4200 vertices the tool builds a contraction hierarchy
-// twice, once for the scenario and once for the system: one extra CH
+// generation prices each request's direct trip on its own kAuto oracle,
+// and every oracle builds a contraction hierarchy, so the tool builds one
+// twice, once for the scenario and once for the system: one extra
 // preprocessing pass, about 5.6 s on the 105k-vertex city per
 // `ch_preprocessing_ms` in BENCH_scale.json.
 #include <cstdint>

@@ -9,8 +9,8 @@
 #      AddressSanitizer + LeakSanitizer
 #   4. smoke-run mtshare_sim --report and check the JSON schema marker,
 #      the schema-4 engine counters, the CH oracle's bucket sweeps and an
-#      mT-Share-pro run's street hails, and smoke BM_EngineAdvance and
-#      BM_ProbabilisticLeg
+#      mT-Share-pro run's street hails, and smoke BM_EngineAdvance,
+#      BM_ProbabilisticLeg and BM_ExactRowFill
 #   5. serve smoke: pipe a --save-requests log through mtshare_serve and
 #      check the decision stream plus the schema-5 "serve" block
 #   6. (opt-in) scale smoke: the `scale`-labelled ctest tier at reduced
@@ -88,13 +88,17 @@ if grep -Eq '"served_offline": 0,?$' "$report"; then
 fi
 echo "report OK: $report"
 # Quick micro-bench passes (fleet advancement on a small fleet, one
-# Algorithm 4 leg) to catch bit-rot in the bench harness itself. The
-# filters are anchored: an unmatched filter runs nothing and still exits 0.
+# Algorithm 4 leg, one exact-table row fill by PHAST and by Dijkstra) to
+# catch bit-rot in the bench harness itself. The filters are anchored: an
+# unmatched filter runs nothing and still exits 0.
 build/bench/bench_micro_components \
   --benchmark_filter='BM_EngineAdvance/fleet:100$' \
   --benchmark_min_time=0.01 >/dev/null
 build/bench/bench_micro_components \
   --benchmark_filter='BM_ProbabilisticLeg$' \
+  --benchmark_min_time=0.01 >/dev/null
+build/bench/bench_micro_components \
+  --benchmark_filter='^BM_ExactRowFill/(phast|dijkstra)$' \
   --benchmark_min_time=0.01 >/dev/null
 
 echo "==> [5/6] serve smoke (log pipe + schema-5 serve block)"
