@@ -74,9 +74,10 @@ void BM_OracleCost(benchmark::State& state) {
 BENCHMARK(BM_OracleCost);
 
 // Head-to-head of the two oracle backends on the dispatch-batch shape:
-// one cold-ish point query plus an 8x16 many-to-many block per iteration.
-// Exact amortizes to table lookups, CH pays two upward sweeps per point
-// query and |S|+|T| sweeps per block.
+// one cold-ish point query plus one CostFans call of 8 fans over the same
+// 16 targets per iteration. Exact amortizes to table lookups, CH pays two
+// upward sweeps per point query and |fans| + |distinct targets| sweeps per
+// call.
 void BM_OracleBackends(benchmark::State& state) {
   OracleOptions oopt;
   oopt.backend = static_cast<OracleBackend>(state.range(0));
@@ -84,16 +85,18 @@ void BM_OracleBackends(benchmark::State& state) {
   std::unique_ptr<DistanceOracle>& oracle = oracles[state.range(0)];
   if (!oracle) oracle = std::make_unique<DistanceOracle>(Net(), oopt);
   Rng rng(23);
-  std::vector<VertexId> sources, targets;
+  std::vector<VertexId> targets;
+  std::vector<CostFan> fans;
   std::vector<Seconds> out;
   for (auto _ : state) {
     auto [a, b] = RandomPair(rng);
     benchmark::DoNotOptimize(oracle->Cost(a, b));
-    sources.clear();
+    fans.clear();
     targets.clear();
-    for (int i = 0; i < 8; ++i) sources.push_back(RandomPair(rng).first);
+    for (int i = 0; i < 8; ++i) fans.push_back({RandomPair(rng).first, {}});
     for (int i = 0; i < 16; ++i) targets.push_back(RandomPair(rng).second);
-    oracle->CostManyToMany(sources, targets, &out);
+    for (CostFan& fan : fans) fan.targets = targets;
+    oracle->CostFans(fans, &out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetLabel(OracleBackendName(oracle->backend()));

@@ -28,6 +28,36 @@ int32_t Scenario::CountOffline() const {
   return n;
 }
 
+std::optional<RideRequest> MaterializeRequest(Trip trip,
+                                              const DemandModel& demand,
+                                              DistanceOracle& oracle,
+                                              const ScenarioOptions& options,
+                                              Rng& rng) {
+  Seconds direct = oracle.Cost(trip.origin, trip.destination);
+  for (int attempt = 0; attempt < 8 && (direct == kInfiniteCost ||
+                                        trip.origin == trip.destination);
+       ++attempt) {
+    trip = demand.SampleTrip(trip.release_time, rng);
+    direct = oracle.Cost(trip.origin, trip.destination);
+  }
+  if (direct == kInfiniteCost || trip.origin == trip.destination) {
+    return std::nullopt;
+  }
+  RideRequest r;
+  r.release_time = trip.release_time;
+  r.origin = trip.origin;
+  r.destination = trip.destination;
+  r.direct_cost = direct;
+  r.deadline = trip.release_time + options.rho * direct;
+  r.passengers = 1;
+  if (rng.NextDouble() < options.multi_rider_fraction &&
+      options.max_party > 1) {
+    r.passengers = static_cast<int32_t>(rng.NextInt(2, options.max_party));
+  }
+  r.offline = rng.NextDouble() < options.offline_fraction;
+  return r;
+}
+
 Scenario MakeScenario(const RoadNetwork& /*network*/,
                       const DemandModel& demand, DistanceOracle& oracle,
                       const ScenarioOptions& options) {
@@ -45,32 +75,12 @@ Scenario MakeScenario(const RoadNetwork& /*network*/,
                            options.num_requests, rng);
   scenario.requests.reserve(trips.size());
   RequestId next_id = 0;
-  for (Trip& trip : trips) {
-    Seconds direct = oracle.Cost(trip.origin, trip.destination);
-    for (int attempt = 0; attempt < 8 && (direct == kInfiniteCost ||
-                                          trip.origin == trip.destination);
-         ++attempt) {
-      trip = demand.SampleTrip(trip.release_time, rng);
-      direct = oracle.Cost(trip.origin, trip.destination);
-    }
-    if (direct == kInfiniteCost || trip.origin == trip.destination) {
-      continue;  // pathological sample; drop (SCC networks make this rare)
-    }
-    RideRequest r;
-    r.id = next_id++;
-    r.release_time = trip.release_time;
-    r.origin = trip.origin;
-    r.destination = trip.destination;
-    r.direct_cost = direct;
-    r.deadline = trip.release_time + options.rho * direct;
-    r.passengers = 1;
-    if (rng.NextDouble() < options.multi_rider_fraction &&
-        options.max_party > 1) {
-      r.passengers =
-          static_cast<int32_t>(rng.NextInt(2, options.max_party));
-    }
-    r.offline = rng.NextDouble() < options.offline_fraction;
-    scenario.requests.push_back(r);
+  for (const Trip& trip : trips) {
+    std::optional<RideRequest> r =
+        MaterializeRequest(trip, demand, oracle, options, rng);
+    if (!r.has_value()) continue;  // dropped (SCC networks make this rare)
+    r->id = next_id++;
+    scenario.requests.push_back(*r);
   }
   // GenerateTrips sorts by time; dropped samples keep order intact.
   return scenario;

@@ -2,6 +2,7 @@
 #define MTSHARE_DEMAND_REQUEST_GENERATOR_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "demand/demand_model.h"
@@ -55,6 +56,18 @@ std::vector<Trip> GenerateHistoricalTrips(const DemandModel& demand,
 
 /// The (origin, destination) pair of every trip, in order.
 std::vector<OdPair> OdPairsOf(const std::vector<Trip>& trips);
+
+/// Turns a sampled trip into a ride request, the one step MakeScenario and
+/// GeneratorRequestSource share. Re-draws the trip at its release time, up
+/// to 8 times, while its endpoints coincide or are unreachable; then prices
+/// the direct trip, sets deadline = release + rho * direct, and draws the
+/// party size and the offline flag from `rng`, in that order. Returns
+/// nullopt when every draw was pathological. The id is the caller's.
+std::optional<RideRequest> MaterializeRequest(Trip trip,
+                                              const DemandModel& demand,
+                                              DistanceOracle& oracle,
+                                              const ScenarioOptions& options,
+                                              Rng& rng);
 
 /// Builds a scenario: samples trips from the demand model, snaps deadlines
 /// via the oracle, marks a random subset offline. Requests whose

@@ -36,12 +36,9 @@ RoadNetwork MakeGridCity(const GridCityOptions& options) {
   };
   auto add_street = [&](VertexId u, VertexId v, bool arterial) {
     if (rng.NextDouble() < options.drop_edge_fraction) return;
-    double length = 0.0;
-    {
-      // Use perturbed coordinates for the true segment length.
-      // (Builder stores coords already.)
-      length = options.spacing_m;
-    }
+    // Every street has the nominal block length; the jitter moves vertex
+    // coordinates but changes no street's length or cost.
+    const double length = options.spacing_m;
     double factor = arterial ? options.arterial_speed_factor : 1.0;
     if (rng.NextDouble() < options.one_way_fraction) {
       // Randomly orient the one-way street.

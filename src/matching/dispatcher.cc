@@ -26,10 +26,6 @@ Dispatcher::Dispatcher(const RoadNetwork& network, DistanceOracle* oracle,
   }
 }
 
-LegCostFn Dispatcher::OracleCost() {
-  return [this](VertexId a, VertexId b) { return oracle_->Cost(a, b); };
-}
-
 LegCostFn Dispatcher::BatchedCost() {
   return [this](VertexId a, VertexId b) { return batch_.Cost(a, b); };
 }
@@ -192,7 +188,7 @@ bool Dispatcher::LowerBoundPrunesPickup(VertexId taxi_location,
 }
 
 Dispatcher::CandidateEval Dispatcher::EvaluateCandidates(
-    const std::vector<TaxiId>& candidates, const RideRequest& request,
+    std::span<const TaxiId> candidates, const RideRequest& request,
     Seconds now) {
   ScopedPhaseTimer timer(phase_timers_, DispatchPhase::kInsertion);
   // Detour-ellipse screen first. Its P1 test at slot 0 is the landmark
@@ -314,21 +310,19 @@ DispatchOutcome Dispatcher::TryServeEncountered(const RideRequest& request,
   const TaxiState& t = taxi(taxi_id);
   if (t.FreeSeats() < request.passengers) return outcome;
   // The taxi is physically at the request's origin: insert and re-plan.
-  InsertionResult ins;
-  {
-    ScopedPhaseTimer timer(phase_timers_, DispatchPhase::kInsertion);
-    ins = FindBestInsertionDp(t.schedule, request, t.location, now, t.onboard,
-                              t.capacity, OracleCost());
-  }
-  if (!ins.found) return outcome;
+  // Its one insertion is priced like any candidate's; the screen clears
+  // only provably infeasible slots and primed legs equal Cost() bit for
+  // bit, so the result is the unscreened per-pair optimum.
+  CandidateEval best = EvaluateCandidates({&taxi_id, 1}, request, now);
+  if (best.taxi == kInvalidTaxi) return outcome;
   RoutePlanner::PlannedRoute route =
-      PlanShortestRoute(t.location, now, ins.schedule);
+      PlanShortestRoute(t.location, now, best.insertion.schedule);
   if (!route.valid) return outcome;
   outcome.assigned = true;
   outcome.taxi = taxi_id;
-  outcome.detour = ins.detour;
+  outcome.detour = best.insertion.detour;
   outcome.candidates = 1;
-  outcome.schedule = std::move(ins.schedule);
+  outcome.schedule = std::move(best.insertion.schedule);
   outcome.route = std::move(route);
   return outcome;
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -135,7 +136,8 @@ class Dispatcher {
 
   /// Offline-request encounter (paper Sec. IV-C2): `taxi` met the waiting
   /// request at its origin vertex; serve it if a feasible insertion exists.
-  /// Default: best insertion via oracle costs + shortest-path route.
+  /// Default: EvaluateCandidates over this one taxi (ellipse screen,
+  /// primed batch, masked DP) + shortest-path route.
   virtual DispatchOutcome TryServeEncountered(const RideRequest& request,
                                               TaxiId taxi, Seconds now);
 
@@ -204,20 +206,18 @@ class Dispatcher {
 
  protected:
   /// Best feasible insertion over `candidates` for `request` (the
-  /// matching hot path, paper Algorithm 1 / Table III): each candidate's
-  /// FindBestInsertionDp result is kept if its detour is strictly lower
-  /// than the best so far, so ties go to the earliest candidate.
-  /// Candidate lists are emitted in deterministic order with ascending
-  /// taxi ids within a bucket, so the tie-break is by taxi id.
+  /// matching hot path, paper Algorithm 1 / Table III; an encounter passes
+  /// its one taxi): each candidate's FindBestInsertionDp result is kept if
+  /// its detour is strictly lower than the best so far, so ties go to the
+  /// earliest candidate. Candidate lists are emitted in deterministic
+  /// order with ascending taxi ids within a bucket, so the tie-break is by
+  /// taxi id.
   struct CandidateEval {
     TaxiId taxi = kInvalidTaxi;
     InsertionResult insertion;
   };
-  CandidateEval EvaluateCandidates(const std::vector<TaxiId>& candidates,
+  CandidateEval EvaluateCandidates(std::span<const TaxiId> candidates,
                                    const RideRequest& request, Seconds now);
-  /// Oracle-backed leg cost function (the O(1) shortest-path assumption);
-  /// prices the single insertion of an encounter.
-  LegCostFn OracleCost();
   /// Leg costs served from the primed batch table (fallback: oracle).
   LegCostFn BatchedCost();
   /// Registers `t`'s insertion stop walk (location + schedule stops) with

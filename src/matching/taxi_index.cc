@@ -134,19 +134,6 @@ ClusterId MtShareTaxiIndex::FindCluster(const MobilityVector& probe) const {
   return clustering_.FindBestCluster(probe);
 }
 
-std::vector<TaxiId> MtShareTaxiIndex::ClusterTaxis(ClusterId cluster) const {
-  std::vector<TaxiId> taxis;
-  AppendClusterTaxis(cluster, &taxis);
-  return taxis;
-}
-
-std::vector<TaxiId> MtShareTaxiIndex::CompatibleClusterTaxis(
-    const MobilityVector& probe) const {
-  std::vector<TaxiId> taxis;
-  AppendCompatibleClusterTaxis(probe, &taxis);
-  return taxis;
-}
-
 void MtShareTaxiIndex::AppendClusterTaxis(ClusterId cluster,
                                           std::vector<TaxiId>* out) const {
   if (cluster == kInvalidCluster) return;

@@ -69,17 +69,12 @@ class MtShareTaxiIndex {
   /// kInvalidCluster if none.
   ClusterId FindCluster(const MobilityVector& probe) const;
 
-  /// Busy taxis in the given mobility cluster.
-  std::vector<TaxiId> ClusterTaxis(ClusterId cluster) const;
-
-  /// Busy taxis across every cluster whose general vector passes lambda
-  /// against the probe (union of direction-compatible clusters).
-  std::vector<TaxiId> CompatibleClusterTaxis(const MobilityVector& probe) const;
-
-  /// Allocation-free variants for hot dispatch paths: append into a
-  /// caller-owned buffer (same order as the by-value forms) instead of
-  /// materializing a fresh vector per request.
+  /// Appends the busy taxis in the given mobility cluster to `out` (a
+  /// caller-owned buffer, so dispatch allocates nothing per request).
   void AppendClusterTaxis(ClusterId cluster, std::vector<TaxiId>* out) const;
+  /// Appends the busy taxis across every cluster whose general vector
+  /// passes lambda against the probe (union of direction-compatible
+  /// clusters).
   void AppendCompatibleClusterTaxis(const MobilityVector& probe,
                                     std::vector<TaxiId>* out) const;
 

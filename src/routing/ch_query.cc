@@ -40,45 +40,41 @@ Seconds ChQuery::Cost(VertexId source, VertexId target) {
   return best;
 }
 
-void ChQuery::BuildBuckets(std::span<const VertexId> targets) {
+void ChQuery::BuildBuckets(std::span<const CostFan> fans) {
   ++bucket_epoch_id_;
   if (bucket_epoch_id_ == 0) {
     std::fill(bucket_epoch_.begin(), bucket_epoch_.end(), 0);
     std::fill(target_slot_epoch_.begin(), target_slot_epoch_.end(), 0);
     bucket_epoch_id_ = 1;
   }
-  bucket_targets_.assign(targets.begin(), targets.end());
-  duplicate_targets_.clear();
+  num_slots_ = 0;
+  for (const CostFan& fan : fans) {
+    for (VertexId t : fan.targets) {
+      // A repeated target reads its first occurrence's slot.
+      if (target_slot_epoch_[t] == bucket_epoch_id_) continue;
+      target_slot_epoch_[t] = bucket_epoch_id_;
+      const int32_t slot = num_slots_++;
+      target_slot_[t] = slot;
 
-  for (int32_t i = 0; i < static_cast<int32_t>(bucket_targets_.size()); ++i) {
-    VertexId t = bucket_targets_[i];
-    if (target_slot_epoch_[t] == bucket_epoch_id_) {
-      // Repeated target: reuse the first occurrence's backward search and
-      // copy its answer per source sweep.
-      duplicate_targets_.push_back({target_slot_[t], i});
-      continue;
+      // Backward upward search from t: every settled vertex v can reach t
+      // along a down-path of cost `dist`; deposit that into v's bucket.
+      backward_.Run(t, UpwardSearch::kBackward, kInfiniteCost,
+                    [&](VertexId v, Seconds dist) {
+                      ++stats_.upward_settled;
+                      if (bucket_epoch_[v] != bucket_epoch_id_) {
+                        bucket_epoch_[v] = bucket_epoch_id_;
+                        buckets_[v].clear();
+                      }
+                      buckets_[v].push_back({slot, dist});
+                      ++stats_.bucket_entries;
+                      return true;
+                    });
     }
-    target_slot_epoch_[t] = bucket_epoch_id_;
-    target_slot_[t] = i;
-
-    // Backward upward search from t: every settled vertex v can reach t
-    // along a down-path of cost `dist`; deposit that into v's bucket.
-    backward_.Run(t, UpwardSearch::kBackward, kInfiniteCost,
-                  [&](VertexId v, Seconds dist) {
-                    ++stats_.upward_settled;
-                    if (bucket_epoch_[v] != bucket_epoch_id_) {
-                      bucket_epoch_[v] = bucket_epoch_id_;
-                      buckets_[v].clear();
-                    }
-                    buckets_[v].push_back({i, dist});
-                    ++stats_.bucket_entries;
-                    return true;
-                  });
   }
 }
 
-void ChQuery::SourceToBuckets(VertexId source, std::vector<Seconds>* out) {
-  out->assign(bucket_targets_.size(), kInfiniteCost);
+void ChQuery::SourceToBuckets(VertexId source) {
+  row_buf_.assign(num_slots_, kInfiniteCost);
   forward_.Run(source, UpwardSearch::kForward, kInfiniteCost,
                [&](VertexId v, Seconds dist) {
                  ++stats_.upward_settled;
@@ -88,28 +84,20 @@ void ChQuery::SourceToBuckets(VertexId source, std::vector<Seconds>* out) {
                    // over meeting vertices is the true shortest distance
                    // bit-for-bit.
                    Seconds cand = dist + entry.cost;
-                   if (cand < (*out)[entry.target_index]) {
-                     (*out)[entry.target_index] = cand;
-                   }
+                   if (cand < row_buf_[entry.slot]) row_buf_[entry.slot] = cand;
                  }
                  return true;
                });
-
-  for (const auto& [from, to] : duplicate_targets_) {
-    (*out)[to] = (*out)[from];
-  }
 }
 
-void ChQuery::CostManyToMany(std::span<const VertexId> sources,
-                             std::span<const VertexId> targets,
-                             std::vector<Seconds>* out) {
+void ChQuery::CostFans(std::span<const CostFan> fans,
+                       std::vector<Seconds>* out) {
   ++stats_.bucket_queries;
-  BuildBuckets(targets);
-  out->assign(sources.size() * targets.size(), kInfiniteCost);
-  for (size_t s = 0; s < sources.size(); ++s) {
-    SourceToBuckets(sources[s], &row_buf_);
-    std::copy(row_buf_.begin(), row_buf_.end(),
-              out->begin() + s * targets.size());
+  BuildBuckets(fans);
+  out->clear();
+  for (const CostFan& fan : fans) {
+    SourceToBuckets(fan.source);
+    for (VertexId t : fan.targets) out->push_back(row_buf_[target_slot_[t]]);
   }
 }
 
@@ -123,9 +111,7 @@ size_t ChQuery::MemoryBytes() const {
          row_buf_.capacity() * sizeof(Seconds) +
          (bucket_epoch_.size() + target_slot_.size() +
           target_slot_epoch_.size()) *
-             sizeof(uint32_t) +
-         bucket_targets_.capacity() * sizeof(VertexId) +
-         duplicate_targets_.capacity() * sizeof(std::pair<int32_t, int32_t>);
+             sizeof(uint32_t);
 }
 
 }  // namespace mtshare

@@ -15,7 +15,7 @@ namespace mtshare {
 struct ChQueryStats {
   /// Bidirectional point queries answered.
   int64_t point_queries = 0;
-  /// Bucket-based many-to-many passes answered.
+  /// CostFans calls answered (one bucket build each).
   int64_t bucket_queries = 0;
   /// Vertices settled by upward searches (forward + backward, point and
   /// bucket passes alike).
@@ -24,12 +24,19 @@ struct ChQueryStats {
   int64_t bucket_entries = 0;
 };
 
+/// One source with its own targets: the unit of the oracle's batch call.
+/// Targets may repeat, within one fan and across the fans of one call.
+struct CostFan {
+  VertexId source;
+  std::span<const VertexId> targets;
+};
+
 /// Query engine over a ContractionHierarchy: bidirectional upward point
-/// queries plus bucket-based many-to-many (settle each target's downward
-/// search into per-vertex buckets once, then answer every source with a
-/// single upward sweep — the insertion-evaluation workload of Laupichler
-/// & Sanders, arXiv:2311.01581). Both are runs of two UpwardSearch
-/// kernels, one per direction.
+/// queries plus bucket-based fans (settle each distinct target's downward
+/// search into per-vertex buckets once, then answer every fan with a
+/// single upward sweep from its source — the insertion-evaluation
+/// workload of Laupichler & Sanders, arXiv:2311.01581). Both are runs of
+/// two UpwardSearch kernels, one per direction.
 ///
 /// Costs are bit-identical to DijkstraSearch on the same network because
 /// arc costs live on the exact dyadic grid (QuantizeTravelCost): every
@@ -45,11 +52,10 @@ class ChQuery {
   /// Shortest travel time s -> t (kInfiniteCost if unreachable).
   Seconds Cost(VertexId source, VertexId target);
 
-  /// Many-to-many: buckets once, one sweep per source. `out` is row-major
-  /// |sources| x |targets|. Counts one bucket pass.
-  void CostManyToMany(std::span<const VertexId> sources,
-                      std::span<const VertexId> targets,
-                      std::vector<Seconds>* out);
+  /// Buckets once over the distinct targets of all fans, then one forward
+  /// sweep per fan. `out` becomes each fan's costs in turn, aligned with
+  /// that fan's targets. Counts one bucket pass.
+  void CostFans(std::span<const CostFan> fans, std::vector<Seconds>* out);
 
   const ChQueryStats& stats() const { return stats_; }
   void ResetStats() { stats_ = ChQueryStats{}; }
@@ -59,18 +65,19 @@ class ChQuery {
 
  private:
   struct BucketEntry {
-    int32_t target_index;
+    int32_t slot;
     Seconds cost;
   };
 
-  /// Builds per-vertex buckets for `targets` (duplicates allowed): one
-  /// backward upward search per distinct target vertex. Buckets stay valid
-  /// until the next BuildBuckets() call on this engine.
-  void BuildBuckets(std::span<const VertexId> targets);
+  /// Builds per-vertex buckets for every distinct target of `fans`: one
+  /// backward upward search per distinct target vertex, numbered into
+  /// target_slot_. Buckets stay valid until the next BuildBuckets() call
+  /// on this engine.
+  void BuildBuckets(std::span<const CostFan> fans);
 
-  /// Costs from `source` to every target of the last BuildBuckets(),
-  /// aligned with that target span, via one forward upward sweep.
-  void SourceToBuckets(VertexId source, std::vector<Seconds>* out);
+  /// Costs from `source` to every slot of the last BuildBuckets(), into
+  /// row_buf_, via one forward upward sweep.
+  void SourceToBuckets(VertexId source);
 
   UpwardSearch forward_;
   UpwardSearch backward_;
@@ -80,13 +87,12 @@ class ChQuery {
   std::vector<std::vector<BucketEntry>> buckets_;
   std::vector<uint32_t> bucket_epoch_;
   uint32_t bucket_epoch_id_ = 0;
-  std::vector<VertexId> bucket_targets_;
-  // target vertex -> index of its first occurrence in bucket_targets_
-  // (duplicate targets share one backward search), epoch-stamped.
+  // target vertex -> its slot in the last BuildBuckets() (a repeated
+  // target shares its first occurrence's search), epoch-stamped.
   std::vector<int32_t> target_slot_;
   std::vector<uint32_t> target_slot_epoch_;
-  // Deduplicated copy-list: for duplicate targets, (from, to) index pairs.
-  std::vector<std::pair<int32_t, int32_t>> duplicate_targets_;
+  int32_t num_slots_ = 0;
+  // One sweep's cost per slot.
   std::vector<Seconds> row_buf_;
 
   ChQueryStats stats_;

@@ -121,16 +121,15 @@ Seconds DistanceOracle::Cost(VertexId source, VertexId target) {
   return cost;
 }
 
-void DistanceOracle::CostManyToMany(std::span<const VertexId> sources,
-                                    std::span<const VertexId> targets,
-                                    std::vector<Seconds>* out) {
-  for (VertexId s : sources) {
-    MTSHARE_CHECK(s >= 0 && s < network_.num_vertices());
+void DistanceOracle::CostFans(std::span<const CostFan> fans,
+                              std::vector<Seconds>* out) {
+  for (const CostFan& fan : fans) {
+    MTSHARE_CHECK(fan.source >= 0 && fan.source < network_.num_vertices());
+    for (VertexId t : fan.targets) {
+      MTSHARE_CHECK(t >= 0 && t < network_.num_vertices());
+    }
   }
-  for (VertexId t : targets) {
-    MTSHARE_CHECK(t >= 0 && t < network_.num_vertices());
-  }
-  queries_.fetch_add(static_cast<int64_t>(sources.size()),
+  queries_.fetch_add(static_cast<int64_t>(fans.size()),
                      std::memory_order_relaxed);
   batch_queries_.fetch_add(1, std::memory_order_relaxed);
   // A row's own source entry is 0.0 and a CH bucket sweep meets a
@@ -138,16 +137,15 @@ void DistanceOracle::CostManyToMany(std::span<const VertexId> sources,
   // bit-identical to Cost().
   if (backend_ == OracleBackend::kCh) {
     std::unique_ptr<ChQuery> engine = BorrowChEngine();
-    engine->CostManyToMany(sources, targets, out);
+    engine->CostFans(fans, out);
     ReturnChEngine(std::move(engine));
     return;
   }
-  // Exact: one row pass per source.
+  // Exact: one row pass per fan.
   out->clear();
-  out->reserve(sources.size() * targets.size());
-  for (VertexId s : sources) {
-    const std::vector<Seconds>& row = ExactRow(s);
-    for (VertexId t : targets) out->push_back(row[t]);
+  for (const CostFan& fan : fans) {
+    const std::vector<Seconds>& row = ExactRow(fan.source);
+    for (VertexId t : fan.targets) out->push_back(row[t]);
   }
 }
 

@@ -50,7 +50,9 @@ struct OracleOptions {
 /// constructor: the exact dense table fills its rows from it by PhastRow,
 /// the CH backend answers every query on it. The two are bit-identical in
 /// the costs they return (arc costs are dyadic, see QuantizeTravelCost).
-/// Costs only — use DijkstraSearch when the vertex sequence is needed.
+/// Point queries go through Cost(), batches through CostFans() (one source
+/// per fan, each with its own targets) on either backend. Costs only — use
+/// DijkstraSearch when the vertex sequence is needed.
 ///
 /// Thread-safe: one system's oracle serves every RunScenario call on it,
 /// and those runs may execute concurrently (the bench sweep runner).
@@ -67,17 +69,16 @@ class DistanceOracle {
   /// Safe to call from any thread.
   Seconds Cost(VertexId source, VertexId target);
 
-  /// The batch query: row-major |sources| x |targets| cost matrix
-  /// (duplicate targets allowed). In CH mode the targets' buckets are built
-  /// once and every source pays a single upward sweep (the dispatch-batch
-  /// workload); exact mode pays one row pass per source, so one source is
-  /// one row pass and one row hit/miss tick however many targets it
-  /// serves. Counts |sources| queries and one batch_queries tick. Each
-  /// value is bit-identical to Cost() for the same pair. Safe to call from
-  /// any thread.
-  void CostManyToMany(std::span<const VertexId> sources,
-                      std::span<const VertexId> targets,
-                      std::vector<Seconds>* out);
+  /// The batch query: `out` becomes each fan's costs in turn, aligned with
+  /// that fan's targets (targets may repeat within and across fans). Exact
+  /// mode reads one row per fan, so a fan is one row hit/miss tick however
+  /// many targets it serves. CH mode builds buckets once over the call's
+  /// distinct targets and sweeps once per fan, so every fan's source also
+  /// scans the buckets of the other fans' targets: group fans whose
+  /// targets overlap into one call. Counts |fans| queries and one
+  /// batch_queries tick. Each value is bit-identical to Cost() for the
+  /// same pair. Safe to call from any thread.
+  void CostFans(std::span<const CostFan> fans, std::vector<Seconds>* out);
 
   /// Resolved backend (never kAuto).
   OracleBackend backend() const { return backend_; }
@@ -85,7 +86,7 @@ class DistanceOracle {
   int64_t queries() const {
     return queries_.load(std::memory_order_relaxed);
   }
-  /// CostManyToMany calls serviced.
+  /// CostFans calls serviced.
   int64_t batch_queries() const {
     return batch_queries_.load(std::memory_order_relaxed);
   }

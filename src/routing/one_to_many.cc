@@ -103,77 +103,30 @@ void InsertionCostBatch::AddCandidate(std::span<const VertexId> stops) {
   }
 }
 
-void InsertionCostBatch::GatherRow(VertexId source,
-                                   std::span<const VertexId> targets) {
-  oracle_->CostManyToMany({&source, 1}, targets, &row_buf_);
-  ++batch_queries_;
-  for (size_t i = 0; i < targets.size(); ++i) {
-    Store(source, targets[i], row_buf_[i]);
-  }
-}
-
-void InsertionCostBatch::GatherManyToMany(std::span<const VertexId> sources,
-                                          std::span<const VertexId> targets) {
-  if (sources.empty() || targets.empty()) return;
-  oracle_->CostManyToMany(sources, targets, &matrix_buf_);
+void InsertionCostBatch::Gather(std::span<const CostFan> fans) {
+  oracle_->CostFans(fans, &costs_);
   ++batch_queries_;
   size_t at = 0;
-  for (VertexId s : sources) {
-    for (VertexId t : targets) Store(s, t, matrix_buf_[at++]);
+  for (const CostFan& fan : fans) {
+    for (VertexId t : fan.targets) Store(fan.source, t, costs_[at++]);
   }
-}
-
-void InsertionCostBatch::PrimeCh() {
-  if (!pending_stops_.empty()) {
-    // Endpoint fan: both request endpoints against every fresh stop plus
-    // the endpoints themselves (covers origin->dest in the same pass).
-    target_buf_.assign(pending_stops_.begin(), pending_stops_.end());
-    target_buf_.push_back(origin_);
-    if (destination_ != origin_) target_buf_.push_back(destination_);
-    source_buf_.assign(1, origin_);
-    if (destination_ != origin_) source_buf_.push_back(destination_);
-    GatherManyToMany(source_buf_, target_buf_);
-    // Every stop also needs its costs *to* both request endpoints.
-    for (VertexId s : pending_stops_) {
-      int32_t c = cid_[s];
-      std::vector<VertexId>& succ = pending_succ_[c];
-      if (succ.empty()) pending_sources_.push_back(c);
-      succ.push_back(origin_);
-      succ.push_back(destination_);
-    }
-  }
-  if (!pending_sources_.empty()) {
-    // Per-stop fans, merged: the union of the successor lists becomes one
-    // bucket build, and each pending source pays a single upward sweep.
-    source_buf_.clear();
-    target_buf_.clear();
-    for (int32_t c : pending_sources_) {
-      source_buf_.push_back(cid_vertex_[c]);
-      std::vector<VertexId>& succ = pending_succ_[c];
-      target_buf_.insert(target_buf_.end(), succ.begin(), succ.end());
-      succ.clear();
-    }
-    std::sort(target_buf_.begin(), target_buf_.end());
-    target_buf_.erase(std::unique(target_buf_.begin(), target_buf_.end()),
-                      target_buf_.end());
-    GatherManyToMany(source_buf_, target_buf_);
-  }
-  pending_sources_.clear();
-  pending_stops_.clear();
 }
 
 void InsertionCostBatch::Prime() {
   if (pending_stops_.empty() && pending_sources_.empty()) return;
-  if (oracle_->backend() == OracleBackend::kCh) {
-    PrimeCh();
-    return;
-  }
+  // Two calls, not one: on the CH every fan of a call sweeps the buckets of
+  // all of the call's targets, so merging would have each per-stop sweep,
+  // which needs only its successors and the two endpoints, also scan the
+  // entries of every fresh stop (measured slower on peak_ch, with higher
+  // peak RSS).
   if (!pending_stops_.empty()) {
-    // Origin/destination fans over the freshly seen stops.
-    target_buf_.assign(pending_stops_.begin(), pending_stops_.end());
-    target_buf_.push_back(destination_);
-    GatherRow(origin_, target_buf_);
-    GatherRow(destination_, pending_stops_);
+    // Endpoint fans over the freshly seen stops.
+    origin_targets_.assign(pending_stops_.begin(), pending_stops_.end());
+    origin_targets_.push_back(destination_);
+    fans_.clear();
+    fans_.push_back({origin_, origin_targets_});
+    fans_.push_back({destination_, pending_stops_});
+    Gather(fans_);
     // Every stop also needs its costs *to* both request endpoints.
     for (VertexId s : pending_stops_) {
       int32_t c = cid_[s];
@@ -183,13 +136,14 @@ void InsertionCostBatch::Prime() {
       succ.push_back(destination_);
     }
   }
-  // Per-stop fans: one oracle row pass covers the stop's base-schedule
+  // Per-stop fans: each pending source against its base-schedule
   // successors plus both request endpoints.
+  fans_.clear();
   for (int32_t c : pending_sources_) {
-    std::vector<VertexId>& targets = pending_succ_[c];
-    if (!targets.empty()) GatherRow(cid_vertex_[c], targets);
-    targets.clear();
+    fans_.push_back({cid_vertex_[c], pending_succ_[c]});
   }
+  Gather(fans_);
+  for (int32_t c : pending_sources_) pending_succ_[c].clear();
   pending_sources_.clear();
   pending_stops_.clear();
 }

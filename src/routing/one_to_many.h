@@ -14,8 +14,9 @@ namespace mtshare {
 /// Counters of the batched insertion-routing layer, harvested into Metrics
 /// and the run report ("routing" section).
 struct BatchRoutingStats {
-  /// Oracle batch calls (CostManyToMany) issued while priming insertion
-  /// batches.
+  /// Oracle batch calls (CostFans) issued while priming insertion
+  /// batches: at most two per Prime(), one for the request endpoints' fans
+  /// and one for the per-stop fans.
   int64_t batch_queries = 0;
   /// Candidate taxis skipped because the landmark lower bound proved the
   /// pickup unreachable before its deadline.
@@ -37,7 +38,7 @@ struct BatchRoutingStats {
   double ch_preprocessing_ms = 0.0;
   /// Bidirectional point queries answered by CH engines.
   int64_t ch_point_queries = 0;
-  /// Bucket-based many-to-many passes.
+  /// Bucket-based CostFans calls (one bucket build each).
   int64_t ch_bucket_queries = 0;
   /// Vertices settled by CH upward searches.
   int64_t ch_upward_settled = 0;
@@ -70,10 +71,10 @@ struct BatchRoutingStats {
 /// -> every stop, every stop -> origin/destination, every base-adjacent
 /// stop pair, and origin -> destination.
 ///
-/// All costs are gathered via oracle batch passes
-/// (DistanceOracle::CostManyToMany), so every table entry is bit-identical
-/// to DistanceOracle::Cost for the same pair (InsertionCostBatchTest checks
-/// every primed leg on both backends).
+/// All costs are gathered by oracle batch calls (DistanceOracle::CostFans),
+/// the same two per Prime() on both backends, so every table entry is
+/// bit-identical to DistanceOracle::Cost for the same pair
+/// (InsertionCostBatchTest checks every primed leg on both backends).
 ///
 /// Usage: Begin(origin, dest) once per dispatch; AddCandidate + Prime for
 /// each candidate (or all candidates, then one Prime); Cost() afterwards.
@@ -97,12 +98,11 @@ class InsertionCostBatch {
   /// followed by its schedule stops, in schedule order.
   void AddCandidate(std::span<const VertexId> stops);
 
-  /// Primes all pairs registered since the last Prime(). Exact-mode
-  /// oracles gather the origin/destination fans and the per-stop fans as
-  /// one single-source CostManyToMany row pass each (GatherRow); a union
-  /// fan would store every source x union-target cell, many times the
-  /// legs on large candidate sets. CH-mode oracles batch them into
-  /// bucket-based many-to-many passes (PrimeCh).
+  /// Primes all pairs registered since the last Prime() with two CostFans
+  /// calls: first the fans of the request endpoints (origin -> fresh stops
+  /// + destination, destination -> fresh stops), then one fan per pending
+  /// source (its base successors + origin + destination). The first call
+  /// is skipped when no stop is fresh. Only the fan cells are stored.
   void Prime();
 
   /// Primed leg cost; falls back to the oracle for unknown pairs.
@@ -129,16 +129,8 @@ class InsertionCostBatch {
   int32_t CidFor(VertexId v);
   void Grow(int32_t needed);
   void Store(VertexId a, VertexId b, Seconds cost);
-  void GatherRow(VertexId source, std::span<const VertexId> targets);
-  /// CH-mode priming: the endpoint fan and the per-stop fans each become
-  /// one bucket-based many-to-many pass (targets' buckets built once, one
-  /// upward sweep per source).
-  void PrimeCh();
-  /// Fetches the full sources x targets matrix in one oracle pass and
-  /// stores every pair (a superset of the required legs; extra entries are
-  /// just as valid and keep fallback_queries at 0).
-  void GatherManyToMany(std::span<const VertexId> sources,
-                        std::span<const VertexId> targets);
+  /// One CostFans call over `fans`, storing every fan cell.
+  void Gather(std::span<const CostFan> fans);
 
   DistanceOracle* oracle_;
 
@@ -160,10 +152,11 @@ class InsertionCostBatch {
   std::vector<int32_t> pending_sources_;  // cids with pending successors
   std::vector<std::vector<VertexId>> pending_succ_;  // per cid
 
-  std::vector<Seconds> row_buf_;
-  std::vector<VertexId> target_buf_;
-  std::vector<VertexId> source_buf_;
-  std::vector<Seconds> matrix_buf_;
+  // Prime() scratch: the origin fan's targets, the fans of one Gather()
+  // and their costs.
+  std::vector<VertexId> origin_targets_;
+  std::vector<CostFan> fans_;
+  std::vector<Seconds> costs_;
 
   mutable int64_t fallback_queries_ = 0;
   int64_t batch_queries_ = 0;

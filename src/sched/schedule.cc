@@ -15,18 +15,6 @@ void Schedule::PopFront() {
   }
 }
 
-void Schedule::EraseRequest(RequestId request) {
-  events_.erase(std::remove_if(events_.begin() + head_, events_.end(),
-                               [&](const ScheduleEvent& e) {
-                                 return e.request == request;
-                               }),
-                events_.end());
-  if (head_ == events_.size()) {
-    events_.clear();
-    head_ = 0;
-  }
-}
-
 Schedule Schedule::WithInsertion(const Schedule& base, const RideRequest& r,
                                  size_t pickup_pos, size_t dropoff_pos) {
   MTSHARE_CHECK(pickup_pos <= dropoff_pos);
@@ -41,13 +29,6 @@ Schedule Schedule::WithInsertion(const Schedule& base, const RideRequest& r,
     if (k < base.size()) out.events_.push_back(base.at(k));
   }
   return out;
-}
-
-int32_t Schedule::FinalOnboard(int32_t onboard) const {
-  for (const ScheduleEvent& e : events()) {
-    onboard += e.is_pickup ? e.passengers : -e.passengers;
-  }
-  return onboard;
 }
 
 ScheduleCheck CheckSchedule(const Schedule& schedule, VertexId start_vertex,

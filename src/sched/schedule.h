@@ -69,9 +69,6 @@ class Schedule {
   /// the head cursor; storage is reclaimed once the schedule drains.
   void PopFront();
 
-  /// Drops both events of a request (e.g., a rider cancellation).
-  void EraseRequest(RequestId request);
-
   /// New schedule with the request's pickup inserted before position
   /// `pickup_pos` and dropoff before `dropoff_pos` of the *original* event
   /// list (pickup_pos <= dropoff_pos <= size()). Existing event order is
@@ -79,11 +76,6 @@ class Schedule {
   /// (Sec. IV-C2).
   static Schedule WithInsertion(const Schedule& base, const RideRequest& r,
                                 size_t pickup_pos, size_t dropoff_pos);
-
-  /// Number of riders that will be aboard after all events execute, given
-  /// `onboard` currently in the taxi (sanity helper; 0 for consistent
-  /// schedules that drop off everyone).
-  int32_t FinalOnboard(int32_t onboard) const;
 
  private:
   std::vector<ScheduleEvent> events_;

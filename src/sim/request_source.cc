@@ -143,32 +143,12 @@ GeneratorRequestSource::GeneratorRequestSource(const DemandModel& demand,
 
 bool GeneratorRequestSource::Produce(RideRequest* out) {
   while (next_time_ < release_times_.size()) {
-    const Seconds t = release_times_[next_time_++];
-    Trip trip = demand_->SampleTrip(t, rng_);
-    Seconds direct = oracle_->Cost(trip.origin, trip.destination);
-    for (int attempt = 0; attempt < 8 && (direct == kInfiniteCost ||
-                                          trip.origin == trip.destination);
-         ++attempt) {
-      trip = demand_->SampleTrip(t, rng_);
-      direct = oracle_->Cost(trip.origin, trip.destination);
-    }
-    if (direct == kInfiniteCost || trip.origin == trip.destination) {
-      continue;  // pathological sample; drop, like MakeScenario
-    }
-    RideRequest r;
-    r.id = next_id_++;
-    r.release_time = t;
-    r.origin = trip.origin;
-    r.destination = trip.destination;
-    r.direct_cost = direct;
-    r.deadline = t + options_.rho * direct;
-    r.passengers = 1;
-    if (rng_.NextDouble() < options_.multi_rider_fraction &&
-        options_.max_party > 1) {
-      r.passengers = static_cast<int32_t>(rng_.NextInt(2, options_.max_party));
-    }
-    r.offline = rng_.NextDouble() < options_.offline_fraction;
-    *out = r;
+    const Trip trip = demand_->SampleTrip(release_times_[next_time_++], rng_);
+    std::optional<RideRequest> r =
+        MaterializeRequest(trip, *demand_, *oracle_, options_, rng_);
+    if (!r.has_value()) continue;  // dropped, like MakeScenario
+    r->id = next_id_++;
+    *out = *r;
     return true;
   }
   return false;

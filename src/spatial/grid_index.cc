@@ -180,41 +180,6 @@ std::vector<int32_t> DynamicGridIndex::ObjectsInRadius(const Point& center,
   return out;
 }
 
-std::vector<int32_t> DynamicGridIndex::NearestObjects(const Point& center,
-                                                      int32_t limit) const {
-  std::vector<std::pair<double, int32_t>> found;
-  int32_t qx = ClampIndex(center.x - origin_.x, cell_size_, cells_x_);
-  int32_t qy = ClampIndex(center.y - origin_.y, cell_size_, cells_y_);
-  int32_t max_ring = std::max(cells_x_, cells_y_);
-  for (int32_t ring = 0; ring <= max_ring; ++ring) {
-    if (static_cast<int32_t>(found.size()) >= limit) {
-      // All objects in farther rings are at least (ring-1)*cell away; stop
-      // when the limit-th nearest found so far beats that bound.
-      std::sort(found.begin(), found.end());
-      double safe = (static_cast<double>(ring) - 1.0) * cell_size_;
-      if (safe > 0.0 && found[limit - 1].first <= safe * safe) break;
-    }
-    for (int32_t cy = qy - ring; cy <= qy + ring; ++cy) {
-      if (cy < 0 || cy >= cells_y_) continue;
-      for (int32_t cx = qx - ring; cx <= qx + ring; ++cx) {
-        if (cx < 0 || cx >= cells_x_) continue;
-        if (std::abs(cx - qx) != ring && std::abs(cy - qy) != ring) continue;
-        for (int32_t id : buckets_[cy * cells_x_ + cx]) {
-          found.emplace_back(
-              DistanceSquared(positions_.at(id).second, center), id);
-        }
-      }
-    }
-  }
-  std::sort(found.begin(), found.end());
-  std::vector<int32_t> out;
-  out.reserve(std::min<size_t>(found.size(), limit));
-  for (size_t i = 0; i < found.size() && i < static_cast<size_t>(limit); ++i) {
-    out.push_back(found[i].second);
-  }
-  return out;
-}
-
 size_t DynamicGridIndex::MemoryBytes() const {
   size_t bytes = buckets_.size() * sizeof(std::vector<int32_t>);
   for (const auto& bucket : buckets_) bytes += bucket.size() * sizeof(int32_t);

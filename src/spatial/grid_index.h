@@ -27,15 +27,6 @@ class GridIndex {
 
   /// Cell id containing a point (clamped to the grid extent).
   int32_t CellOf(const Point& p) const;
-  int32_t num_cells() const { return cells_x_ * cells_y_; }
-  int32_t cells_x() const { return cells_x_; }
-  int32_t cells_y() const { return cells_y_; }
-  double cell_size() const { return cell_size_; }
-
-  /// Vertices inside one cell.
-  const std::vector<VertexId>& CellVertices(int32_t cell) const {
-    return buckets_[cell];
-  }
 
   /// Cell ids intersecting the circle (bounding-square approximation).
   std::vector<int32_t> CellsInRadius(const Point& center,
@@ -68,10 +59,6 @@ class DynamicGridIndex {
   /// Ids of objects within radius_m of center (exact post-filter).
   std::vector<int32_t> ObjectsInRadius(const Point& center,
                                        double radius_m) const;
-
-  /// Ids of up to `limit` objects ordered by increasing distance from
-  /// center, found by expanding ring search (unbounded radius).
-  std::vector<int32_t> NearestObjects(const Point& center, int32_t limit) const;
 
   int32_t size() const { return static_cast<int32_t>(positions_.size()); }
 

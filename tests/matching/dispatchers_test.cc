@@ -163,5 +163,80 @@ TEST_F(DispatchersTest, ProVariantUsesProbabilisticRoutes) {
   EXPECT_GE(pro.MeanResponseMs(), basic.MeanResponseMs() * 0.5);
 }
 
+// An encounter prices its one insertion through EvaluateCandidates: the
+// ellipse screen, the primed batch and the masked DP. On either backend it
+// must find exactly the insertion the unscreened DP finds on per-pair
+// oracle costs, and every leg it reads must have been primed.
+class EncounterInsertionTest : public ::testing::TestWithParam<OracleBackend> {
+};
+
+TEST_P(EncounterInsertionTest, MatchesPerPairDpWithNoFallbacks) {
+  GridCityOptions gopt;
+  gopt.rows = 14;
+  gopt.cols = 14;
+  gopt.one_way_fraction = 0.2;
+  gopt.seed = 83;
+  RoadNetwork net = MakeGridCity(gopt);
+  DemandModel demand(net, DemandModelOptions{});
+  Rng rng(831);
+  SystemConfig cfg;
+  cfg.kappa = 16;
+  cfg.kt = 5;
+  cfg.oracle.backend = GetParam();
+  MTShareSystem system(
+      net, OdPairsOf(GenerateHistoricalTrips(demand, 3000, rng)), cfg);
+  DistanceOracle& oracle = system.oracle();
+  std::vector<TaxiState> fleet = MakeFleet(net, 3, 4, 17, 0.0);
+  auto dispatcher = system.MakeDispatcher(SchemeKind::kMtShare, &fleet);
+  TaxiState& taxi = fleet[0];
+  const auto request = [&](RequestId id, VertexId o, VertexId d,
+                           Seconds slack) {
+    RideRequest r;
+    r.id = id;
+    r.origin = o;
+    r.destination = d;
+    r.direct_cost = oracle.Cost(o, d);
+    r.deadline = 1.3 * r.direct_cost + slack;
+    return r;
+  };
+  // Two booked requests, both still to be picked up, with room for some
+  // detours and not for others.
+  const VertexId last = net.num_vertices() - 1;
+  taxi.schedule = Schedule::WithInsertion(
+      Schedule::WithInsertion(
+          Schedule(), request(1, taxi.location, last / 2, 400.0), 0, 0),
+      request(2, last / 3, last, 600.0), 1, 2);
+
+  int32_t served = 0;
+  for (RequestId id = 10; id < 40; ++id) {
+    const VertexId dest = VertexId(rng.NextInt(0, last));
+    if (dest == taxi.location) continue;
+    const RideRequest hail = request(id, taxi.location, dest, 0.0);
+    const InsertionResult want = FindBestInsertionDp(
+        taxi.schedule, hail, taxi.location, 0.0, taxi.onboard, taxi.capacity,
+        [&](VertexId a, VertexId b) { return oracle.Cost(a, b); });
+    const DispatchOutcome got =
+        dispatcher->TryServeEncountered(hail, taxi.id, 0.0);
+    ASSERT_EQ(got.assigned, want.found) << "request " << id;
+    if (!got.assigned) continue;
+    ++served;
+    EXPECT_EQ(got.detour, want.detour) << "request " << id;
+    ASSERT_EQ(got.schedule.size(), want.schedule.size());
+    for (size_t k = 0; k < want.schedule.size(); ++k) {
+      EXPECT_EQ(got.schedule.at(k).request, want.schedule.at(k).request);
+      EXPECT_EQ(got.schedule.at(k).is_pickup, want.schedule.at(k).is_pickup);
+    }
+  }
+  EXPECT_GT(served, 0);
+  const BatchRoutingStats stats = dispatcher->routing_stats();
+  EXPECT_GT(stats.slots_screened, 0);
+  EXPECT_GT(stats.batch_queries, 0);
+  EXPECT_EQ(stats.fallback_queries, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, EncounterInsertionTest,
+                         ::testing::Values(OracleBackend::kExact,
+                                           OracleBackend::kCh));
+
 }  // namespace
 }  // namespace mtshare

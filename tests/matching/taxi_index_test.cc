@@ -125,14 +125,16 @@ TEST_F(TaxiIndexTest, RequestsShapeClustersAndAreRemovable) {
   ClusterId c = index_->FindCluster(probe);
   EXPECT_NE(c, kInvalidCluster);
   // No taxis in that cluster yet.
-  EXPECT_TRUE(index_->ClusterTaxis(c).empty());
+  std::vector<TaxiId> taxis;
+  index_->AppendClusterTaxis(c, &taxis);
+  EXPECT_TRUE(taxis.empty());
   index_->RemoveRequest(3);
   EXPECT_EQ(index_->clustering().num_members(), 0);
 }
 
 TEST_F(TaxiIndexTest, ClusterTaxisFiltersOutRequests) {
   // A busy taxi and a request heading the same way share a cluster; only
-  // the taxi surfaces in ClusterTaxis.
+  // the taxi surfaces in AppendClusterTaxis.
   TaxiState t = IdleTaxiAt(4, 0);
   DijkstraSearch search(net_);
   Path path = search.FindPath(0, net_.num_vertices() - 1);
@@ -156,9 +158,15 @@ TEST_F(TaxiIndexTest, ClusterTaxisFiltersOutRequests) {
   MobilityVector probe{net_.coord(0), net_.coord(net_.num_vertices() - 1)};
   ClusterId c = index_->FindCluster(probe);
   ASSERT_NE(c, kInvalidCluster);
-  std::vector<TaxiId> taxis = index_->ClusterTaxis(c);
+  std::vector<TaxiId> taxis;
+  index_->AppendClusterTaxis(c, &taxis);
   ASSERT_EQ(taxis.size(), 1u);
   EXPECT_EQ(taxis[0], 4);
+  // The cluster is direction-compatible with its own probe, so the union
+  // form surfaces the same taxi.
+  std::vector<TaxiId> compatible;
+  index_->AppendCompatibleClusterTaxis(probe, &compatible);
+  EXPECT_EQ(compatible, taxis);
 }
 
 TEST_F(TaxiIndexTest, BusyTaxiCrossingPartitionDropsStaleEntry) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <iterator>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
@@ -94,9 +98,78 @@ TEST(ContractionHierarchyTest, TinyWitnessLimitStaysCorrect) {
   ExpectAllPairsMatch(MakeGridCity(gopt), copt);
 }
 
-TEST(ContractionHierarchyTest, DisconnectedComponentsReportInfinity) {
-  // Two islands plus a one-way bridge 0->4: reachability is asymmetric and
-  // partial, and nothing routes back. Built directly (no SCC extraction).
+/// Runs each case (a, b, t1, t2, t3) as three fans through a ChQuery and
+/// through an oracle on each backend. The fans share targets every way one
+/// call can: t1 repeats inside a fan, t2 and t3 are shared across fans, b
+/// is one fan's source and another's target, and a has two fans, the
+/// second reaching a itself (a distance-0 cell). Every cost must equal
+/// Dijkstra's, kInfiniteCost included. A call counts |fans| queries and one
+/// batch; on the CH it is one bucket pass that deposits what one fan over
+/// the distinct targets deposits, i.e. one search per distinct target.
+void ExpectCostFansContract(const RoadNetwork& net,
+                            std::span<const std::array<VertexId, 5>> cases) {
+  const std::vector<std::vector<Seconds>> rows = DijkstraRows(net);
+  ContractionHierarchy ch = ContractionHierarchy::Build(net);
+  ChQuery query(ch);
+  OracleOptions exact_opts, ch_opts;
+  exact_opts.backend = OracleBackend::kExact;
+  ch_opts.backend = OracleBackend::kCh;
+  DistanceOracle exact_oracle(net, exact_opts);
+  DistanceOracle ch_oracle(net, ch_opts);
+  std::vector<Seconds> got;
+  const auto expect_costs = [&](std::span<const CostFan> fans) {
+    size_t at = 0;
+    for (const CostFan& fan : fans) {
+      for (VertexId t : fan.targets) {
+        ASSERT_LT(at, got.size());
+        EXPECT_EQ(got[at++], rows[fan.source][t]) << fan.source << "->" << t;
+      }
+    }
+    EXPECT_EQ(at, got.size());
+  };
+  for (const std::array<VertexId, 5>& c : cases) {
+    const auto [a, b, t1, t2, t3] = c;
+    const std::vector<VertexId> ta{t1, t2, t1, b}, tb{t2, a, t3}, tc{t3, a};
+    const CostFan fans[] = {{a, ta}, {b, tb}, {a, tc}};
+    std::vector<VertexId> distinct(c.begin(), c.end());
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    const CostFan single{a, distinct};
+    ChQueryStats s0 = query.stats();
+    query.CostFans({&single, 1}, &got);
+    const int64_t entries = query.stats().bucket_entries - s0.bucket_entries;
+
+    s0 = query.stats();
+    query.CostFans(fans, &got);
+    expect_costs(fans);
+    EXPECT_EQ(query.stats().bucket_queries - s0.bucket_queries, 1);
+    EXPECT_EQ(query.stats().bucket_entries - s0.bucket_entries, entries);
+
+    for (DistanceOracle* oracle : {&exact_oracle, &ch_oracle}) {
+      const int64_t queries0 = oracle->queries();
+      const int64_t batches0 = oracle->batch_queries();
+      const int64_t rows0 = oracle->row_hits() + oracle->row_misses();
+      s0 = oracle->ch_query_stats();
+      oracle->CostFans(fans, &got);
+      expect_costs(fans);
+      EXPECT_EQ(oracle->queries() - queries0, 3);
+      EXPECT_EQ(oracle->batch_queries() - batches0, 1);
+      const ChQueryStats s1 = oracle->ch_query_stats();
+      if (oracle->backend() == OracleBackend::kCh) {
+        EXPECT_EQ(s1.bucket_queries - s0.bucket_queries, 1);
+        EXPECT_EQ(s1.bucket_entries - s0.bucket_entries, entries);
+      } else {  // one row read per fan, however many targets it serves
+        EXPECT_EQ(oracle->row_hits() + oracle->row_misses() - rows0, 3);
+        EXPECT_EQ(s1.bucket_queries, 0);
+      }
+    }
+  }
+}
+
+/// Two islands plus a one-way bridge 0->4: reachability is asymmetric and
+/// partial, and nothing routes back. Built directly (no SCC extraction).
+RoadNetwork TwoIslandsWithBridge() {
   RoadNetwork::Builder builder(10.0);
   for (int i = 0; i < 8; ++i) {
     builder.AddVertex(Point{double(i % 4) * 100.0, double(i / 4) * 100.0});
@@ -107,8 +180,11 @@ TEST(ContractionHierarchyTest, DisconnectedComponentsReportInfinity) {
     builder.AddBidirectionalEdge(4 + v, 4 + (v + 1) % 4, 170.0);
   }
   builder.AddEdge(0, 4, 500.0);  // one-way bridge
-  RoadNetwork net = builder.Build();
+  return builder.Build();
+}
 
+TEST(ContractionHierarchyTest, DisconnectedComponentsReportInfinity) {
+  RoadNetwork net = TwoIslandsWithBridge();
   ContractionHierarchy ch = ContractionHierarchy::Build(net);
   ChQuery query(ch);
   const std::vector<std::vector<Seconds>> rows = DijkstraRows(net);
@@ -122,6 +198,10 @@ TEST(ContractionHierarchyTest, DisconnectedComponentsReportInfinity) {
   ExpectPhastRowsMatch(ch, rows);
   EXPECT_EQ(PhastRow(ch, 4, UpwardSearch::kForward)[0], kInfiniteCost);
   EXPECT_EQ(PhastRow(ch, 0, UpwardSearch::kBackward)[4], kInfiniteCost);
+  // Fans mixing reachable and unreachable cells: every fan from 4 has
+  // targets on island A; 6 reaches neither 3 nor 0.
+  const std::array<VertexId, 5> cases[] = {{4, 1, 0, 5, 2}, {0, 6, 7, 3, 5}};
+  ExpectCostFansContract(net, cases);
 }
 
 TEST(ContractionHierarchyTest, BucketQueriesMatchPointQueries) {
@@ -131,44 +211,12 @@ TEST(ContractionHierarchyTest, BucketQueriesMatchPointQueries) {
   gopt.one_way_fraction = 0.2;
   gopt.seed = 53;
   RoadNetwork net = MakeGridCity(gopt);
-  ContractionHierarchy ch = ContractionHierarchy::Build(net);
-  ChQuery query(ch);
-  DijkstraSearch dijkstra(net);
-
   Rng rng(531);
-  std::vector<VertexId> sources, targets;
-  std::vector<Seconds> many, matrix;
-  for (int round = 0; round < 25; ++round) {
-    sources.clear();
-    targets.clear();
-    for (int i = 0; i < 5; ++i) {
-      sources.push_back(VertexId(rng.NextInt(0, net.num_vertices() - 1)));
-    }
-    for (int i = 0; i < 9; ++i) {
-      targets.push_back(VertexId(rng.NextInt(0, net.num_vertices() - 1)));
-    }
-    targets.push_back(targets[0]);   // duplicate target
-    targets.push_back(sources[0]);   // a source as target (distance 0 cell)
-
-    query.CostManyToMany({&sources[0], 1}, targets, &many);
-    ASSERT_EQ(many.size(), targets.size());
-    std::vector<Seconds> row = dijkstra.CostsFrom(sources[0]);
-    for (size_t i = 0; i < targets.size(); ++i) {
-      EXPECT_EQ(many[i], row[targets[i]]) << "one source " << targets[i];
-    }
-
-    query.CostManyToMany(sources, targets, &matrix);
-    ASSERT_EQ(matrix.size(), sources.size() * targets.size());
-    for (size_t s = 0; s < sources.size(); ++s) {
-      std::vector<Seconds> srow = dijkstra.CostsFrom(sources[s]);
-      for (size_t t = 0; t < targets.size(); ++t) {
-        EXPECT_EQ(matrix[s * targets.size() + t], srow[targets[t]])
-            << sources[s] << "->" << targets[t];
-      }
-    }
+  std::vector<std::array<VertexId, 5>> cases(25);
+  for (std::array<VertexId, 5>& c : cases) {
+    for (VertexId& v : c) v = VertexId(rng.NextInt(0, net.num_vertices() - 1));
   }
-  EXPECT_GT(query.stats().bucket_queries, 0);
-  EXPECT_GT(query.stats().bucket_entries, 0);
+  ExpectCostFansContract(net, cases);
 }
 
 TEST(ContractionHierarchyTest, StatsAndMemoryArePopulated) {
@@ -210,25 +258,16 @@ TEST(DistanceOracleChBackendTest, MatchesExactBackendBitwise) {
   DistanceOracle ch_oracle(net, copt);
   DistanceOracle exact_oracle(net);
 
+  // Batch calls are checked against Dijkstra on both backends by
+  // ExpectCostFansContract; this pins the point queries.
   Rng rng(611);
-  std::vector<VertexId> targets;
-  std::vector<Seconds> got, want;
   for (int round = 0; round < 30; ++round) {
     VertexId s = VertexId(rng.NextInt(0, net.num_vertices() - 1));
     VertexId t = VertexId(rng.NextInt(0, net.num_vertices() - 1));
     EXPECT_EQ(ch_oracle.Cost(s, t), exact_oracle.Cost(s, t));
-    targets.clear();
-    for (int i = 0; i < 7; ++i) {
-      targets.push_back(VertexId(rng.NextInt(0, net.num_vertices() - 1)));
-    }
-    ch_oracle.CostManyToMany({&s, 1}, targets, &got);
-    exact_oracle.CostManyToMany({&s, 1}, targets, &want);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], want[i]);
   }
   ChQueryStats stats = ch_oracle.ch_query_stats();
   EXPECT_GT(stats.point_queries, 0);
-  EXPECT_GT(stats.bucket_queries, 0);
   EXPECT_EQ(ch_oracle.row_hits(), 0);
   EXPECT_EQ(ch_oracle.row_misses(), 0);
 }
@@ -245,13 +284,13 @@ TEST(DistanceOracleChBackendTest, ManyToManyCountsAndMemory) {
   size_t idle_bytes = oracle.MemoryBytes();
   EXPECT_GT(idle_bytes, 0u);
 
-  std::vector<VertexId> sources{0, 5, 9};
   std::vector<VertexId> targets{3, 7, 11, 20};
-  std::vector<Seconds> matrix;
+  const CostFan fans[] = {{0, targets}, {5, targets}, {9, targets}};
+  std::vector<Seconds> costs;
   int64_t q0 = oracle.queries();
-  oracle.CostManyToMany(sources, targets, &matrix);
-  EXPECT_EQ(matrix.size(), sources.size() * targets.size());
-  EXPECT_EQ(oracle.queries() - q0, int64_t(sources.size()));
+  oracle.CostFans(fans, &costs);
+  EXPECT_EQ(costs.size(), std::size(fans) * targets.size());
+  EXPECT_EQ(oracle.queries() - q0, int64_t(std::size(fans)));
   EXPECT_EQ(oracle.batch_queries(), 1);
   // Pooled query engines are part of the oracle's resident footprint.
   EXPECT_GT(oracle.MemoryBytes(), idle_bytes);

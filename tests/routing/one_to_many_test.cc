@@ -39,8 +39,9 @@ TEST(DistanceOracleTest, OneSourceBatchMatchesCostBitwiseInBothModes) {
     for (int i = 0; i < 8; ++i) {
       targets.push_back(VertexId(rng.NextInt(0, net.num_vertices() - 1)));
     }
+    const CostFan fan{source, targets};
     for (DistanceOracle* oracle : {&exact, &ch}) {
-      oracle->CostManyToMany({&source, 1}, targets, &got);
+      oracle->CostFans({&fan, 1}, &got);
       ASSERT_EQ(got.size(), targets.size());
       for (size_t i = 0; i < targets.size(); ++i) {
         EXPECT_EQ(got[i], oracle->Cost(source, targets[i]));
@@ -55,8 +56,8 @@ TEST(DistanceOracleTest, OneSourceBatchCountsOneQueryAndOneBatch) {
   std::vector<VertexId> targets{1, 2, 3, 4, 5};
   std::vector<Seconds> got;
   int64_t q0 = oracle.queries();
-  const VertexId source = 0;
-  oracle.CostManyToMany({&source, 1}, targets, &got);
+  const CostFan fan{0, targets};
+  oracle.CostFans({&fan, 1}, &got);
   EXPECT_EQ(oracle.queries() - q0, 1);
   EXPECT_EQ(oracle.batch_queries(), 1);
   // The counter invariant the oracle documents: row traffic never exceeds
@@ -77,6 +78,30 @@ class InsertionCostBatchTest
     reference_ = std::make_unique<DistanceOracle>(net_);
   }
 
+  /// Every leg an insertion DP can request over `walks` (endpoint fans,
+  /// stop->endpoint legs, base-adjacent stop pairs) is primed and equals
+  /// the reference bit for bit.
+  void ExpectLegsPrimed(const InsertionCostBatch& batch, VertexId origin,
+                        VertexId dest,
+                        const std::vector<std::vector<VertexId>>& walks) {
+    const int64_t fallbacks = batch.stats().fallback_queries;
+    auto check = [&](VertexId a, VertexId b) {
+      EXPECT_EQ(batch.Cost(a, b), reference_->Cost(a, b))
+          << a << "->" << b << " backend=" << OracleBackendName(GetParam());
+    };
+    check(origin, dest);
+    for (const std::vector<VertexId>& walk : walks) {
+      for (size_t i = 0; i < walk.size(); ++i) {
+        check(origin, walk[i]);
+        check(dest, walk[i]);
+        check(walk[i], origin);
+        check(walk[i], dest);
+        if (i + 1 < walk.size()) check(walk[i], walk[i + 1]);
+      }
+    }
+    EXPECT_EQ(batch.stats().fallback_queries, fallbacks);
+  }
+
   RoadNetwork net_;
   std::unique_ptr<DistanceOracle> oracle_;
   std::unique_ptr<DistanceOracle> reference_;
@@ -86,6 +111,7 @@ TEST_P(InsertionCostBatchTest, PrimedLegsMatchOracleBitwiseWithNoFallbacks) {
   InsertionCostBatch batch(net_, oracle_.get());
   Rng rng(251);
   for (int round = 0; round < 15; ++round) {
+    const int64_t batches_before = oracle_->batch_queries();
     VertexId origin = VertexId(rng.NextInt(0, net_.num_vertices() - 1));
     VertexId dest = VertexId(rng.NextInt(0, net_.num_vertices() - 1));
     batch.Begin(origin, dest);
@@ -101,28 +127,14 @@ TEST_P(InsertionCostBatchTest, PrimedLegsMatchOracleBitwiseWithNoFallbacks) {
       walks.push_back(std::move(walk));
     }
     batch.Prime();
-
-    // Every leg an insertion DP can request over these walks: endpoint
-    // fans, stop->endpoint legs, and base-adjacent stop pairs.
-    auto check = [&](VertexId a, VertexId b) {
-      EXPECT_EQ(batch.Cost(a, b), reference_->Cost(a, b))
-          << a << "->" << b << " backend=" << OracleBackendName(GetParam());
-    };
-    check(origin, dest);
-    for (const std::vector<VertexId>& walk : walks) {
-      for (size_t i = 0; i < walk.size(); ++i) {
-        check(origin, walk[i]);
-        check(dest, walk[i]);
-        check(walk[i], origin);
-        check(walk[i], dest);
-        if (i + 1 < walk.size()) check(walk[i], walk[i + 1]);
-      }
-    }
-    EXPECT_EQ(batch.stats().fallback_queries, 0) << "round " << round;
+    // One call for the endpoint fans, one for the per-stop fans.
+    EXPECT_EQ(oracle_->batch_queries() - batches_before, 2);
+    ExpectLegsPrimed(batch, origin, dest, walks);
   }
+  EXPECT_EQ(batch.stats().fallback_queries, 0);
   EXPECT_GT(batch.stats().batch_queries, 0);
   if (GetParam() == OracleBackend::kCh) {
-    // CH priming runs entirely on bucket-based many-to-many passes.
+    // CH priming runs entirely on bucket-based CostFans calls.
     ChQueryStats ch = oracle_->ch_query_stats();
     EXPECT_GT(ch.bucket_queries, 0);
     EXPECT_GT(ch.bucket_entries, 0);
@@ -134,23 +146,25 @@ TEST_P(InsertionCostBatchTest, IncrementalPrimingCoversLaterCandidates) {
   // T-Share's usage pattern: Begin once, then AddCandidate + Prime per
   // candidate, with overlapping stop sets between candidates.
   InsertionCostBatch batch(net_, oracle_.get());
-  VertexId origin = 3;
-  VertexId dest = 90;
+  const VertexId origin = 3;
+  const VertexId dest = 90;
   batch.Begin(origin, dest);
-  std::vector<VertexId> first{10, 20, 30};
-  std::vector<VertexId> second{20, 30, 40};  // shares stops with `first`
-  batch.AddCandidate(first);
-  batch.Prime();
-  batch.AddCandidate(second);
-  batch.Prime();
-  for (VertexId s : second) {
-    EXPECT_EQ(batch.Cost(origin, s), reference_->Cost(origin, s));
-    EXPECT_EQ(batch.Cost(s, dest), reference_->Cost(s, dest));
+  const std::vector<std::vector<VertexId>> walks{
+      {10, 20, 30},
+      {20, 30, 40},  // shares stops with the first, adds a fresh one
+      {30, 20},      // no fresh stop, only a new base-adjacent pair
+  };
+  // Batch calls per Prime: endpoint fans and per-stop fans while a stop is
+  // fresh, the per-stop fans alone once none is.
+  const int64_t expected_batches[] = {2, 2, 1};
+  for (size_t w = 0; w < walks.size(); ++w) {
+    const int64_t before = oracle_->batch_queries();
+    batch.AddCandidate(walks[w]);
+    batch.Prime();
+    EXPECT_EQ(oracle_->batch_queries() - before, expected_batches[w])
+        << "walk " << w;
   }
-  EXPECT_EQ(batch.Cost(VertexId{20}, VertexId{30}),
-            reference_->Cost(VertexId{20}, VertexId{30}));
-  EXPECT_EQ(batch.Cost(VertexId{30}, VertexId{40}),
-            reference_->Cost(VertexId{30}, VertexId{40}));
+  ExpectLegsPrimed(batch, origin, dest, walks);
   EXPECT_EQ(batch.stats().fallback_queries, 0);
 }
 

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <future>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
@@ -15,14 +16,13 @@ namespace mtshare {
 namespace {
 
 // Runs in mtshare_thread_tests so the tsan preset checks it: many threads
-// hammer one oracle with point queries and one- and many-source batches at
-// once, as concurrent RunScenario calls on one system do. On the CH
-// backend the engine pool must hand every thread its own ChQuery
+// hammer one oracle with point queries and one- and many-fan CostFans
+// batches at once, as concurrent RunScenario calls on one system do. On the
+// CH backend the engine pool must hand every thread its own ChQuery
 // (stateful buffers); on the exact table, threads race to fill the same
 // cold rows, each by a PhastRow over the shared hierarchy, and each row
-// must still be filled exactly once. The counters
-// must not race, and every answer must equal the precomputed Dijkstra
-// reference bit for bit.
+// must still be filled exactly once. The counters must not race, and every
+// answer must equal the precomputed Dijkstra reference bit for bit.
 void ExpectConcurrentQueriesMatchDijkstra(OracleBackend backend) {
   GridCityOptions gopt;
   gopt.rows = 10;
@@ -54,7 +54,8 @@ void ExpectConcurrentQueriesMatchDijkstra(OracleBackend backend) {
   for (int w = 0; w < kThreads; ++w) {
     futures.push_back(pool.Submit([&, w] {
       Rng rng(671 + uint64_t(w));
-      std::vector<VertexId> sources, targets;
+      std::vector<VertexId> targets;
+      std::vector<CostFan> fans;
       std::vector<Seconds> got;
       for (int round = 0; round < kRoundsPerThread; ++round) {
         VertexId s = VertexId(rng.NextInt(0, n - 1));
@@ -65,34 +66,36 @@ void ExpectConcurrentQueriesMatchDijkstra(OracleBackend backend) {
         for (int i = 0; i < 6; ++i) {
           targets.push_back(VertexId(rng.NextInt(0, n - 1)));
         }
-        oracle.CostManyToMany({&s, 1}, targets, &got);
+        const CostFan one{s, targets};
+        oracle.CostFans({&one, 1}, &got);
         row_sources[w].push_back(s);
         for (size_t i = 0; i < targets.size(); ++i) {
           if (got[i] != reference[s][targets[i]]) mismatches.fetch_add(1);
         }
 
-        sources.clear();
-        for (int i = 0; i < 3; ++i) {
-          sources.push_back(VertexId(rng.NextInt(0, n - 1)));
+        // Three fans over prefixes of the same targets, so targets repeat
+        // across fans.
+        fans.clear();
+        for (size_t i = 0; i < 3; ++i) {
+          const VertexId source = VertexId(rng.NextInt(0, n - 1));
+          fans.push_back({source, std::span(targets).first(2 + 2 * i)});
+          row_sources[w].push_back(source);
         }
-        oracle.CostManyToMany(sources, targets, &got);
-        row_sources[w].insert(row_sources[w].end(), sources.begin(),
-                              sources.end());
-        for (size_t a = 0; a < sources.size(); ++a) {
-          for (size_t b = 0; b < targets.size(); ++b) {
-            if (got[a * targets.size() + b] !=
-                reference[sources[a]][targets[b]]) {
-              mismatches.fetch_add(1);
-            }
+        oracle.CostFans(fans, &got);
+        size_t at = 0;
+        for (const CostFan& fan : fans) {
+          for (VertexId t : fan.targets) {
+            if (got[at++] != reference[fan.source][t]) mismatches.fetch_add(1);
           }
         }
+        if (at != got.size()) mismatches.fetch_add(1);
       }
     }));
   }
   for (auto& f : futures) f.get();
   EXPECT_EQ(mismatches.load(), 0);
 
-  // Counter sanity: every round issued 1 point + 1 one-source + 3 m2m-source
+  // Counter sanity: every round issued 1 point + 1 one-fan + 3 fan
   // queries.
   EXPECT_EQ(oracle.queries(), int64_t(kThreads) * kRoundsPerThread * 5);
   EXPECT_EQ(oracle.batch_queries(), int64_t(kThreads) * kRoundsPerThread * 2);

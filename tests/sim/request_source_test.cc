@@ -15,6 +15,7 @@
 #include "core/mtshare_system.h"
 #include "demand/trip_io.h"
 #include "graph/graph_generators.h"
+#include "testing/decision_digest.h"
 
 namespace mtshare {
 namespace {
@@ -404,6 +405,35 @@ TEST_F(RequestSourceTest, GeneratorSourceIsDeterministicSortedAndRunnable) {
   Result<Metrics> vec_run = system_->RunScenario(vec_spec);
   ASSERT_TRUE(vec_run.ok()) << vec_run.status();
   ExpectIdenticalDecisions(vec_run.value(), run.value(), "generator");
+}
+
+/// The determinism test above compares two drains with each other; this one
+/// pins what a drain contains. Every field of every request, in stream
+/// order, goes into one digest: a change to the re-sample loop, the deadline
+/// rule or the order of the party-size and offline draws moves it.
+TEST_F(RequestSourceTest, GeneratorSourcePinsEveryField) {
+  ScenarioOptions sopt;
+  sopt.num_requests = 500;
+  sopt.offline_fraction = 0.3;
+  sopt.seed = 20211;
+
+  GeneratorRequestSource source(*demand_, *oracle_, sopt);
+  Fnv1a fnv;
+  int64_t count = 0;
+  RideRequest r;
+  while (source.Next(&r)) {
+    fnv.Add(static_cast<uint64_t>(r.id));
+    fnv.Add(r.release_time);
+    fnv.Add(static_cast<uint64_t>(r.origin));
+    fnv.Add(static_cast<uint64_t>(r.destination));
+    fnv.Add(r.direct_cost);
+    fnv.Add(r.deadline);
+    fnv.Add(static_cast<uint64_t>(r.passengers));
+    fnv.Add(static_cast<uint64_t>(r.offline));
+    ++count;
+  }
+  EXPECT_EQ(count, 500);
+  EXPECT_EQ(fnv.value(), 0xa8d6cfeb742d6620ull) << std::hex << fnv.value();
 }
 
 }  // namespace

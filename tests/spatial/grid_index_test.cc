@@ -112,27 +112,6 @@ TEST(DynamicGridIndexTest, UpdateWithinSameCellKeepsObjectFindable) {
   EXPECT_EQ(got.size(), 1u);
 }
 
-TEST(DynamicGridIndexTest, NearestObjectsOrdering) {
-  BoundingBox box{{0, 0}, {1000, 1000}};
-  DynamicGridIndex idx(box, 50.0);
-  idx.Update(10, {100, 0});
-  idx.Update(20, {300, 0});
-  idx.Update(30, {600, 0});
-  auto nearest = idx.NearestObjects({0, 0}, 2);
-  ASSERT_EQ(nearest.size(), 2u);
-  EXPECT_EQ(nearest[0], 10);
-  EXPECT_EQ(nearest[1], 20);
-}
-
-TEST(DynamicGridIndexTest, NearestObjectsMoreThanAvailable) {
-  BoundingBox box{{0, 0}, {100, 100}};
-  DynamicGridIndex idx(box, 10.0);
-  idx.Update(1, {5, 5});
-  auto nearest = idx.NearestObjects({50, 50}, 5);
-  ASSERT_EQ(nearest.size(), 1u);
-  EXPECT_EQ(nearest[0], 1);
-}
-
 TEST(DynamicGridIndexTest, PointsOutsideBoundsClampSafely) {
   BoundingBox box{{0, 0}, {100, 100}};
   DynamicGridIndex idx(box, 10.0);

@@ -36,12 +36,7 @@
 //   --report       write a structured JSON run report here (percentiles,
 //                  per-phase dispatch breakdown; see EXPERIMENTS.md)
 //
-// Malformed values and unknown flags exit 2 with a diagnostic. Scenario
-// generation prices each request's direct trip on its own kAuto oracle,
-// and every oracle builds a contraction hierarchy, so the tool builds one
-// twice, once for the scenario and once for the system: one extra
-// preprocessing pass, about 5.6 s on the 105k-vertex city per
-// `ch_preprocessing_ms` in BENCH_scale.json.
+// Malformed values and unknown flags exit 2 with a diagnostic.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -138,18 +133,22 @@ int main(int argc, char** argv) {
   dopt.day = peak ? DayType::kWorkday : DayType::kWeekend;
   dopt.seed = seed + 1;
   DemandModel demand(network, dopt);
-  // Prices every generated request's direct trip (see the header note on
-  // the extra CH build above 4200 vertices).
-  DistanceOracle oracle(network);
-
-  Scenario scenario = MakeScenario(network, demand, oracle, sopt);
-
-  auto system =
-      MTShareSystem::Create(network, scenario.HistoricalOdPairs(), config);
+  // The system trains on the scenario's history, which MakeScenario draws
+  // first thing on Rng(sopt.seed); drawing it here first lets the scenario
+  // price its requests on the system's own oracle, so one hierarchy is
+  // built, not two.
+  Rng history_rng(sopt.seed);
+  auto system = MTShareSystem::Create(
+      network,
+      OdPairsOf(GenerateHistoricalTrips(demand, sopt.num_historical_trips,
+                                        history_rng)),
+      config);
   if (!system.ok()) {
     std::fprintf(stderr, "system: %s\n", system.status().ToString().c_str());
     return 2;
   }
+  Scenario scenario =
+      MakeScenario(network, demand, system.value()->oracle(), sopt);
   if (!save_requests.empty()) {
     Status saved = SaveRequestLog(save_requests, scenario.requests);
     if (!saved.ok()) {

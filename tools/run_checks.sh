@@ -8,9 +8,10 @@
 #   3. configure + build the asan preset, run the full suite under
 #      AddressSanitizer + LeakSanitizer
 #   4. smoke-run mtshare_sim --report and check the JSON schema marker,
-#      the schema-4 engine counters, the CH oracle's bucket sweeps and an
-#      mT-Share-pro run's street hails, and smoke BM_EngineAdvance,
-#      BM_ProbabilisticLeg and BM_ExactRowFill
+#      the schema-4 engine counters, the no-fallback invariant on both
+#      oracle backends, the CH oracle's bucket sweeps and an mT-Share-pro
+#      run's street hails, and smoke BM_EngineAdvance, BM_ProbabilisticLeg,
+#      BM_ExactRowFill and BM_OracleBackends
 #   5. serve smoke: pipe a --save-requests log through mtshare_serve and
 #      check the decision stream plus the schema-5 "serve" block
 #   6. (opt-in) scale smoke: the `scale`-labelled ctest tier at reduced
@@ -63,6 +64,9 @@ grep -q '"dispatch_total_ms"' "$report"
 grep -q '"batch_queries"' "$report"
 grep -q '"backend"' "$report"
 grep -q '"candidate_search": "index"' "$report"
+# Both backends prime insertion legs through one closure: no leg may fall
+# back to a per-pair query on either.
+grep -q '"fallback_queries": 0' "$report"
 # The schema-4 engine block must carry the heap core's counters.
 grep -q '"heap_pops"' "$report"
 grep -q '"arcs_stepped"' "$report"
@@ -88,9 +92,10 @@ if grep -Eq '"served_offline": 0,?$' "$report"; then
 fi
 echo "report OK: $report"
 # Quick micro-bench passes (fleet advancement on a small fleet, one
-# Algorithm 4 leg, one exact-table row fill by PHAST and by Dijkstra) to
-# catch bit-rot in the bench harness itself. The filters are anchored: an
-# unmatched filter runs nothing and still exits 0.
+# Algorithm 4 leg, one exact-table row fill by PHAST and by Dijkstra, the
+# oracle's CostFans batch call on both backends) to catch bit-rot in the
+# bench harness itself. The filters are anchored: an unmatched filter runs
+# nothing and still exits 0.
 build/bench/bench_micro_components \
   --benchmark_filter='BM_EngineAdvance/fleet:100$' \
   --benchmark_min_time=0.01 >/dev/null
@@ -99,6 +104,9 @@ build/bench/bench_micro_components \
   --benchmark_min_time=0.01 >/dev/null
 build/bench/bench_micro_components \
   --benchmark_filter='^BM_ExactRowFill/(phast|dijkstra)$' \
+  --benchmark_min_time=0.01 >/dev/null
+build/bench/bench_micro_components \
+  --benchmark_filter='^BM_OracleBackends/' \
   --benchmark_min_time=0.01 >/dev/null
 
 echo "==> [5/6] serve smoke (log pipe + schema-5 serve block)"
