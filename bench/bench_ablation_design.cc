@@ -24,7 +24,6 @@ Metrics RunWithEngine(BenchEnv& env, SchemeKind scheme, int32_t taxis,
                          env.scenario().requests.front().release_time);
   auto dispatcher = sys.MakeDispatcher(scheme, &fleet);
   EngineOptions eopts;
-  eopts.payment = sys.config().payment;
   eopts.encounter_radius_m = encounter_radius;
   SimulationEngine engine(env.network(), dispatcher.get(), &fleet, eopts);
   return engine.Run(env.scenario().requests);
@@ -88,7 +87,6 @@ int main() {
               "under congestion, would miss the rho=1.3 deadline");
   {
     RoadNetwork net = MakeBenchCity();
-    DistanceOracle oracle(net);
     DemandModelOptions dopt;
     DemandModel demand(net, dopt);
     Rng rng(99);

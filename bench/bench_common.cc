@@ -84,7 +84,6 @@ BenchEnv::BenchEnv(Window window, const SystemConfig& config,
   dopt.day = window == Window::kPeak ? DayType::kWorkday : DayType::kWeekend;
   dopt.seed = seed;
   demand_ = std::make_unique<DemandModel>(network_, dopt);
-  scenario_oracle_ = std::make_unique<DistanceOracle>(network_);
 
   ScenarioOptions sopt;
   if (window == Window::kPeak) {
@@ -105,10 +104,22 @@ BenchEnv::BenchEnv(Window window, const SystemConfig& config,
   sopt.rho = config_.rho;
   sopt.num_historical_trips = scale.historical_trips;
   sopt.seed = seed + 1;
-  scenario_ = MakeScenario(network_, *demand_, *scenario_oracle_, sopt);
-
-  system_ = std::make_unique<MTShareSystem>(
-      network_, scenario_.HistoricalOdPairs(), config_);
+  // The system trains on the scenario's history, which MakeScenario draws
+  // first thing on Rng(sopt.seed); drawing it here first lets the scenario
+  // price its requests on the system's own oracle.
+  Rng history_rng(sopt.seed);
+  auto created = MTShareSystem::Create(
+      network_,
+      OdPairsOf(GenerateHistoricalTrips(*demand_, sopt.num_historical_trips,
+                                        history_rng)),
+      config_);
+  if (!created.ok()) {
+    std::fprintf(stderr, "bench system: %s\n",
+                 created.status().ToString().c_str());
+    std::exit(2);
+  }
+  system_ = std::move(created).value();
+  scenario_ = MakeScenario(network_, *demand_, system_->oracle(), sopt);
 }
 
 Metrics BenchEnv::Run(SchemeKind scheme, int32_t num_taxis) {

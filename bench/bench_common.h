@@ -86,7 +86,6 @@ class BenchEnv {
   SystemConfig config_;
   RoadNetwork network_;
   std::unique_ptr<DemandModel> demand_;
-  std::unique_ptr<DistanceOracle> scenario_oracle_;
   Scenario scenario_;
   std::unique_ptr<MTShareSystem> system_;
 };

@@ -36,9 +36,8 @@ ModeResult RunMode(BenchEnv& env, SchemeKind scheme, bool probabilistic,
         &sys.transitions(), &sys.oracle(), RoutePlannerOptions{});
     dispatcher->EnableIdleCruising(&sys.partitioning(), std::move(planner));
   }
-  EngineOptions eopts;
-  eopts.payment = sys.config().payment;
-  SimulationEngine engine(env.network(), dispatcher.get(), &fleet, eopts);
+  SimulationEngine engine(env.network(), dispatcher.get(), &fleet,
+                          EngineOptions{});
   Metrics m = engine.Run(env.scenario().requests);
   return ModeResult{m.ServedOnline(), m.ServedOffline()};
 }

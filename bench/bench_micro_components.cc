@@ -237,7 +237,7 @@ BENCHMARK(BM_InsertionDp);
 void BM_TaxiIndexReindex(benchmark::State& state) {
   static MapPartitioning partitioning = GridPartition(Net(), 64);
   const int32_t fleet = int32_t(state.range(0));
-  MtShareTaxiIndex index(Net(), partitioning, 0.707, 3600.0);
+  MtShareTaxiIndex index(Net(), partitioning, 0.707);
   Rng rng(29);
   std::vector<TaxiState> taxis(fleet);
   for (int32_t i = 0; i < fleet; ++i) {
@@ -306,11 +306,10 @@ void BM_KMeansGeo(benchmark::State& state) {
     coords.push_back(Net().coord(v).x);
     coords.push_back(Net().coord(v).y);
   }
-  KMeansOptions opt;
-  opt.k = int32_t(state.range(0));
+  const int32_t k = int32_t(state.range(0));
   for (auto _ : state) {
     Rng rng(11);
-    benchmark::DoNotOptimize(KMeans(coords, 2, opt, rng));
+    benchmark::DoNotOptimize(KMeans(coords, 2, k, rng));
   }
 }
 BENCHMARK(BM_KMeansGeo)->Arg(20)->Arg(60);

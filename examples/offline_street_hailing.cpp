@@ -23,7 +23,6 @@ int main() {
   DemandModelOptions dopt;
   dopt.day = DayType::kWeekend;
   DemandModel demand(network, dopt);
-  DistanceOracle oracle(network);
 
   ScenarioOptions sopt;
   sopt.t_begin = 10 * 3600.0;
@@ -31,17 +30,24 @@ int main() {
   sopt.num_requests = 700;
   sopt.offline_fraction = 1.0 / 3.0;  // street hailers
   sopt.num_historical_trips = 15000;
-  Scenario scenario = MakeScenario(network, demand, oracle, sopt);
 
+  // The system trains on the history MakeScenario draws first on
+  // Rng(sopt.seed), and the scenario is priced on the system's oracle.
   SystemConfig config;
   config.kappa = 64;
   config.kt = 16;
-  auto system = MTShareSystem::Create(network, scenario.HistoricalOdPairs(),
-                                      config);
+  Rng history_rng(sopt.seed);
+  auto system = MTShareSystem::Create(
+      network,
+      OdPairsOf(GenerateHistoricalTrips(demand, sopt.num_historical_trips,
+                                        history_rng)),
+      config);
   if (!system.ok()) {
     std::fprintf(stderr, "system: %s\n", system.status().ToString().c_str());
     return 1;
   }
+  Scenario scenario =
+      MakeScenario(network, demand, system.value()->oracle(), sopt);
 
   const int32_t fleet = 100;
   std::printf("weekend 10:00-11:00, %zu requests (%d hailing offline), "

@@ -12,12 +12,12 @@
 using namespace mtshare;
 
 int main() {
-  PaymentConfig config;  // beta = 0.80, eta = 0.01, Chengdu-style tariff
+  // Table II: beta = 0.80, eta = 0.01, Chengdu-style tariff.
   std::printf("tariff: %.0f yuan covers the first %.0f km, then %.2f/km\n",
-              config.base_fare, config.base_km, config.per_km);
+              kBaseFare, kBaseKm, kFarePerKm);
   std::printf("benefit split: passengers %.0f%%, driver %.0f%%; base detour "
               "rate eta=%.2f\n\n",
-              config.beta * 100, (1 - config.beta) * 100, config.eta);
+              kPaymentBeta * 100, (1 - kPaymentBeta) * 100, kPaymentEta);
 
   // One shared episode: the taxi drove 11.2 km while occupied and carried
   // three overlapping trips.
@@ -27,7 +27,7 @@ int main() {
       {/*request=*/3, /*direct_m=*/3500.0, /*traveled_m=*/5200.0},  // +49%
   };
   const double driven_m = 11200.0;
-  EpisodeSettlement s = SettleEpisode(riders, driven_m, config);
+  EpisodeSettlement s = SettleEpisode(riders, driven_m);
 
   double sum_regular = 0.0;
   std::printf("%-10s %10s %10s %10s %10s\n", "passenger", "direct km",
@@ -45,10 +45,10 @@ int main() {
   std::printf("ridesharing benefit B = %.2f (eq. 5)\n", s.benefit);
   std::printf("passengers keep beta*B = %.2f, split by detour rates "
               "(eqs. 6-8)\n",
-              config.beta * s.benefit);
+              kPaymentBeta * s.benefit);
   std::printf("driver earns %.2f = route fare %.2f + (1-beta)*B %.2f\n",
               s.driver_income, s.ridesharing_fare,
-              (1 - config.beta) * s.benefit);
+              (1 - kPaymentBeta) * s.benefit);
   std::printf("\nnote how passenger #3 (largest detour) receives the largest\n"
               "discount, and nobody pays more than riding alone.\n");
   return 0;

@@ -21,24 +21,30 @@ int main() {
   DemandModelOptions dopt;
   dopt.day = DayType::kWorkday;
   DemandModel demand(network, dopt);
-  DistanceOracle oracle(network);
 
   ScenarioOptions sopt;
   sopt.t_begin = 8 * 3600.0;
   sopt.t_end = 9 * 3600.0;
   sopt.num_requests = 1200;  // heavy morning demand
   sopt.num_historical_trips = 15000;
-  Scenario scenario = MakeScenario(network, demand, oracle, sopt);
 
+  // The system trains on the history MakeScenario draws first on
+  // Rng(sopt.seed), and the scenario is priced on the system's oracle.
   SystemConfig config;
   config.kappa = 64;
   config.kt = 16;
-  auto system = MTShareSystem::Create(network, scenario.HistoricalOdPairs(),
-                                      config);
+  Rng history_rng(sopt.seed);
+  auto system = MTShareSystem::Create(
+      network,
+      OdPairsOf(GenerateHistoricalTrips(demand, sopt.num_historical_trips,
+                                        history_rng)),
+      config);
   if (!system.ok()) {
     std::fprintf(stderr, "system: %s\n", system.status().ToString().c_str());
     return 1;
   }
+  Scenario scenario =
+      MakeScenario(network, demand, system.value()->oracle(), sopt);
 
   const int32_t fleet = 120;
   std::printf("morning peak: %zu requests, %d taxis, %d-vertex city\n\n",

@@ -4,9 +4,10 @@
 //   $ ./build/examples/quickstart
 //
 // Walks the whole public API surface in ~60 lines: road network generation,
-// demand modeling, scenario creation, system construction, and a simulated
-// run with the mT-Share matching scheme.
+// demand modeling, historical trips, system construction, scenario
+// creation, and a simulated run with the mT-Share matching scheme.
 #include <cstdio>
+#include <vector>
 
 #include "core/mtshare_system.h"
 #include "graph/graph_generators.h"
@@ -26,34 +27,38 @@ int main() {
   // 2. Demand: a hotspot model with commute-like directional flows.
   DemandModel demand(network, DemandModelOptions{});
 
-  // 3. A scenario: one peak hour of requests plus the historical trips the
-  //    mobility statistics are trained on.
-  DistanceOracle oracle(network);
+  // 3. Historical trips the mobility statistics are trained on.
   ScenarioOptions sopt;
   sopt.t_begin = 8 * 3600.0;  // 08:00
   sopt.t_end = 9 * 3600.0;    // 09:00
   sopt.num_requests = 600;
   sopt.num_historical_trips = 10000;
-  Scenario scenario = MakeScenario(network, demand, oracle, sopt);
-  std::printf("scenario: %zu requests, %zu historical trips\n",
-              scenario.requests.size(), scenario.historical_trips.size());
+  Rng history_rng(sopt.seed);
+  std::vector<Trip> history =
+      GenerateHistoricalTrips(demand, sopt.num_historical_trips, history_rng);
 
   // 4. The system: builds the bipartite map partitioning, landmark graph,
-  //    and transition statistics from the historical trips. Create()
-  //    validates the config and reports errors instead of dying.
+  //    transition statistics and distance oracle. Create() validates the
+  //    config and reports errors instead of dying.
   SystemConfig config;
   config.kappa = 40;  // partitions; scale with city size
   config.kt = 10;
-  auto system = MTShareSystem::Create(network, scenario.HistoricalOdPairs(),
-                                      config);
+  auto system = MTShareSystem::Create(network, OdPairsOf(history), config);
   if (!system.ok()) {
     std::fprintf(stderr, "system: %s\n", system.status().ToString().c_str());
     return 1;
   }
-  std::printf("partitioning: %d partitions\n",
-              system.value()->partitioning().num_partitions());
+  std::printf("partitioning: %d partitions from %zu historical trips\n",
+              system.value()->partitioning().num_partitions(), history.size());
 
-  // 5. Run a fleet of 60 shared taxis under mT-Share. ScenarioSpec is the
+  // 5. A scenario: one peak hour of requests, priced on the system's
+  //    oracle. MakeScenario draws the same history first on
+  //    Rng(sopt.seed), then the requests.
+  Scenario scenario =
+      MakeScenario(network, demand, system.value()->oracle(), sopt);
+  std::printf("scenario: %zu requests\n", scenario.requests.size());
+
+  // 6. Run a fleet of 60 shared taxis under mT-Share. ScenarioSpec is the
   //    primary run API; a run executes on the calling thread.
   ScenarioSpec spec;
   spec.scheme = SchemeKind::kMtShare;

@@ -24,22 +24,26 @@ int main() {
   city.cols = 16;
   RoadNetwork network = MakeGridCity(city);
   DemandModel demand(network, DemandModelOptions{});
-  DistanceOracle oracle(network);
 
   ScenarioOptions sopt;
   sopt.num_requests = 300;
   sopt.num_historical_trips = 6000;
-  Scenario scenario = MakeScenario(network, demand, oracle, sopt);
 
   SystemConfig config;
   config.kappa = 20;
   config.kt = 5;
-  auto system = MTShareSystem::Create(network, scenario.HistoricalOdPairs(),
-                                      config);
+  Rng history_rng(sopt.seed);
+  auto system = MTShareSystem::Create(
+      network,
+      OdPairsOf(GenerateHistoricalTrips(demand, sopt.num_historical_trips,
+                                        history_rng)),
+      config);
   if (!system.ok()) {
     std::fprintf(stderr, "system: %s\n", system.status().ToString().c_str());
     return 1;
   }
+  Scenario scenario =
+      MakeScenario(network, demand, system.value()->oracle(), sopt);
 
   // 2. A request log in the service wire format — one CSV line per request,
   //    the layout `mtshare_sim --save-requests` writes and `mtshare_serve`

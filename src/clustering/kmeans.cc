@@ -9,6 +9,12 @@
 namespace mtshare {
 namespace {
 
+/// Lloyd's algorithm runs at most this many iterations.
+constexpr int32_t kMaxIterations = 60;
+/// Iteration stops once the summed squared centroid movement falls below
+/// this.
+constexpr double kTolerance = 1e-6;
+
 double RowRowDistanceSquared(const std::vector<double>& data, size_t dim,
                              size_t a, size_t b) {
   double acc = 0.0;
@@ -43,29 +49,6 @@ std::vector<double> SeedKMeansPlusPlus(const std::vector<double>& data,
   return centroids;
 }
 
-std::vector<double> SeedRandom(const std::vector<double>& data, size_t dim,
-                               size_t num_rows, int32_t k, Rng& rng) {
-  std::vector<size_t> order(num_rows);
-  for (size_t i = 0; i < num_rows; ++i) order[i] = i;
-  std::vector<size_t> picks;
-  picks.reserve(k);
-  // Partial Fisher-Yates: pick k distinct rows.
-  for (int32_t c = 0; c < k; ++c) {
-    size_t j = static_cast<size_t>(
-        rng.NextInt(c, static_cast<int64_t>(num_rows) - 1));
-    std::swap(order[c], order[j]);
-    picks.push_back(order[c]);
-  }
-  std::vector<double> centroids(static_cast<size_t>(k) * dim);
-  for (int32_t c = 0; c < k; ++c) {
-    std::copy_n(data.begin() + picks[c] * dim, dim,
-                centroids.begin() + static_cast<size_t>(c) * dim);
-  }
-  return centroids;
-}
-
-}  // namespace
-
 double RowCentroidDistanceSquared(const std::vector<double>& data, size_t dim,
                                   size_t row,
                                   const std::vector<double>& centroids,
@@ -78,28 +61,27 @@ double RowCentroidDistanceSquared(const std::vector<double>& data, size_t dim,
   return acc;
 }
 
-KMeansResult KMeans(const std::vector<double>& data, size_t dim,
-                    const KMeansOptions& options, Rng& rng) {
+}  // namespace
+
+KMeansResult KMeans(const std::vector<double>& data, size_t dim, int32_t k,
+                    Rng& rng) {
   MTSHARE_CHECK(dim > 0);
   MTSHARE_CHECK(data.size() % dim == 0);
   const size_t num_rows = data.size() / dim;
   KMeansResult result;
   if (num_rows == 0) return result;
 
-  const int32_t k =
-      std::max<int32_t>(1, std::min<int32_t>(options.k,
-                                             static_cast<int32_t>(num_rows)));
+  k = std::max<int32_t>(1,
+                        std::min<int32_t>(k, static_cast<int32_t>(num_rows)));
   result.k_effective = k;
 
-  result.centroids = options.kmeanspp_seeding
-                         ? SeedKMeansPlusPlus(data, dim, num_rows, k, rng)
-                         : SeedRandom(data, dim, num_rows, k, rng);
+  result.centroids = SeedKMeansPlusPlus(data, dim, num_rows, k, rng);
   result.assignment.assign(num_rows, 0);
 
   std::vector<double> new_centroids(static_cast<size_t>(k) * dim);
   std::vector<int64_t> counts(k);
 
-  for (int32_t iter = 0; iter < options.max_iterations; ++iter) {
+  for (int32_t iter = 0; iter < kMaxIterations; ++iter) {
     result.iterations = iter + 1;
     // Assignment step.
     double inertia = 0.0;
@@ -159,7 +141,7 @@ KMeansResult KMeans(const std::vector<double>& data, size_t dim,
       movement += d * d;
     }
     result.centroids.swap(new_centroids);
-    if (movement < options.tolerance) break;
+    if (movement < kTolerance) break;
   }
 
   // Final assignment against the last centroids.

@@ -8,15 +8,6 @@
 
 namespace mtshare {
 
-/// Options for Lloyd's algorithm with k-means++ seeding.
-struct KMeansOptions {
-  int32_t k = 8;
-  int32_t max_iterations = 60;
-  /// Stop when total centroid movement (squared) falls below this.
-  double tolerance = 1e-6;
-  bool kmeanspp_seeding = true;
-};
-
 struct KMeansResult {
   /// Cluster id per input row, in [0, k_effective).
   std::vector<int32_t> assignment;
@@ -29,20 +20,17 @@ struct KMeansResult {
 };
 
 /// Clusters `num_rows` points of dimension `dim`, stored row-major in
-/// `data`. Both stages of the paper's bipartite map partitioning
-/// (geo-clustering on coordinates, transition clustering on probability
-/// vectors; Sec. IV-B1) run through this routine.
+/// `data`, into `k` clusters by Lloyd's algorithm with k-means++ seeding
+/// (at most 60 iterations; stops early once the summed squared centroid
+/// movement falls below 1e-6). Both stages of the paper's bipartite map
+/// partitioning (geo-clustering on coordinates, transition clustering on
+/// probability vectors; Sec. IV-B1) run through this routine.
 ///
 /// If k >= num_rows, every row becomes its own cluster. Clusters that fall
 /// empty during iteration are reseeded to the point farthest from its
 /// centroid, so k_effective == min(k, num_rows) always holds.
-KMeansResult KMeans(const std::vector<double>& data, size_t dim,
-                    const KMeansOptions& options, Rng& rng);
-
-/// Squared Euclidean distance between row `row` of data and a centroid.
-double RowCentroidDistanceSquared(const std::vector<double>& data, size_t dim,
-                                  size_t row, const std::vector<double>& centroids,
-                                  size_t centroid);
+KMeansResult KMeans(const std::vector<double>& data, size_t dim, int32_t k,
+                    Rng& rng);
 
 }  // namespace mtshare
 

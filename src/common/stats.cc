@@ -1,7 +1,6 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "common/logging.h"
@@ -40,14 +39,6 @@ double SummaryStats::Min() const {
 double SummaryStats::Max() const {
   if (samples_.empty()) return 0.0;
   return *std::max_element(samples_.begin(), samples_.end());
-}
-
-double SummaryStats::StdDev() const {
-  if (samples_.size() < 2) return 0.0;
-  double mean = Mean();
-  double acc = 0.0;
-  for (double s : samples_) acc += (s - mean) * (s - mean);
-  return std::sqrt(acc / static_cast<double>(samples_.size() - 1));
 }
 
 double SummaryStats::Percentile(double p) const {

@@ -24,8 +24,6 @@ class SummaryStats {
   double Mean() const;
   double Min() const;
   double Max() const;
-  /// Sample standard deviation; 0 with fewer than two samples.
-  double StdDev() const;
   /// p in [0,1]; linear interpolation between closest ranks.
   double Percentile(double p) const;
   double Median() const { return Percentile(0.5); }

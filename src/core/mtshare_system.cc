@@ -99,19 +99,14 @@ Result<std::unique_ptr<MTShareSystem>> MTShareSystem::Create(
         "bipartite partitioning needs historical trips (or set "
         "bipartite_partitioning = false)");
   }
-  return std::make_unique<MTShareSystem>(network, historical_trips, config);
+  return std::unique_ptr<MTShareSystem>(
+      new MTShareSystem(network, historical_trips, config));
 }
 
 MTShareSystem::MTShareSystem(const RoadNetwork& network,
                              const std::vector<OdPair>& historical_trips,
                              const SystemConfig& config)
     : network_(network), config_(config) {
-  Status st = config.Validate();
-  if (!st.ok()) {
-    MTSHARE_LOG(kError) << "invalid SystemConfig: " << st;
-  }
-  MTSHARE_CHECK(st.ok());
-
   if (config.bipartite_partitioning) {
     BipartiteOptions opts;
     opts.kappa = config.kappa;
@@ -197,7 +192,6 @@ Result<Metrics> MTShareSystem::RunScenario(const ScenarioSpec& spec) {
   eopts.batch_window_ms = spec.batch_window_ms;
   eopts.max_queue = spec.max_queue;
   eopts.on_decision = spec.on_decision;
-  eopts.payment = config_.payment;
   SimulationEngine engine(network_, dispatcher.get(), &fleet, eopts);
 
   const int64_t q0 = oracle_->queries();

@@ -101,17 +101,11 @@ struct ScenarioSpec {
 ///   Result<Metrics> m = system.value()->RunScenario(spec);
 class MTShareSystem {
  public:
-  /// Validating factory: returns InvalidArgument instead of dying on a bad
-  /// config (the constructor CHECK-fails, kept for legacy call sites).
+  /// The only way to build a system: validates the config and returns
+  /// InvalidArgument on a bad one, else builds the indexes.
   static Result<std::unique_ptr<MTShareSystem>> Create(
       const RoadNetwork& network, const std::vector<OdPair>& historical_trips,
       const SystemConfig& config);
-
-  /// Builds the indexes. Dies on invalid config — prefer Create(), which
-  /// validates and reports instead.
-  MTShareSystem(const RoadNetwork& network,
-                const std::vector<OdPair>& historical_trips,
-                const SystemConfig& config);
 
   /// Runs one scenario with a fresh fleet on the calling thread. The only
   /// entry point (the old positional overload is gone): validates the spec
@@ -158,6 +152,11 @@ class MTShareSystem {
   size_t SharedIndexMemoryBytes() const;
 
  private:
+  /// Builds the indexes from a config Create has validated.
+  MTShareSystem(const RoadNetwork& network,
+                const std::vector<OdPair>& historical_trips,
+                const SystemConfig& config);
+
   const RoadNetwork& network_;
   SystemConfig config_;
   MapPartitioning partitioning_;

@@ -7,20 +7,19 @@
 #include "common/status.h"
 #include "matching/dispatcher.h"
 #include "partition/bipartite_partitioner.h"
-#include "payment/payment_model.h"
 #include "routing/distance_oracle.h"
 
 namespace mtshare {
 
-/// Full system configuration aggregating every paper parameter (Table II)
-/// with its default. Validation catches nonsensical combinations before a
-/// run starts.
+/// Full system configuration: every paper parameter the evaluation varies
+/// (Table II) with its default. Validation catches nonsensical combinations
+/// before a run starts.
 struct SystemConfig {
   // --- matching / routing (Table II) ---
   MatchingConfig matching;
 
-  /// Distance-oracle backend and sizing (exact table or contraction
-  /// hierarchy; kAuto picks by graph size).
+  /// Distance-oracle backend (exact table or contraction hierarchy; kAuto
+  /// picks by graph size).
   OracleOptions oracle;
 
   // --- map partitioning ---
@@ -38,12 +37,11 @@ struct SystemConfig {
   /// Deadline flexibility rho (eq. (9), default 1.3).
   double rho = 1.3;
 
-  // --- payment (Sec. IV-D) ---
-  PaymentConfig payment;
-
   uint64_t seed = 42;
 
-  /// Returns OK or the first violated constraint.
+  /// Returns OK or the first violated constraint. Table II's fixed values
+  /// (epsilon, beta, eta, T_mp) are constants beside the code that reads
+  /// them, so there is nothing to check for them here.
   Status Validate() const;
 };
 

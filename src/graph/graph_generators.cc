@@ -67,49 +67,6 @@ RoadNetwork MakeGridCity(const GridCityOptions& options) {
   return ExtractLargestScc(raw);
 }
 
-RoadNetwork MakeRingCity(const RingCityOptions& options) {
-  MTSHARE_CHECK(options.rings >= 1 && options.spokes >= 3);
-  Rng rng(options.seed);
-  RoadNetwork::Builder builder;
-
-  // Center vertex plus rings x spokes lattice in polar coordinates.
-  VertexId center = builder.AddVertex(Point{0.0, 0.0});
-  auto vertex_at = [&](int32_t ring, int32_t spoke) {
-    return static_cast<VertexId>(1 + ring * options.spokes +
-                                 (spoke % options.spokes));
-  };
-  for (int32_t ring = 0; ring < options.rings; ++ring) {
-    double radius = (ring + 1) * options.ring_spacing_m;
-    for (int32_t spoke = 0; spoke < options.spokes; ++spoke) {
-      double angle = 2.0 * M_PI * spoke / options.spokes +
-                     rng.NextUniform(-0.02, 0.02);
-      builder.AddVertex(
-          Point{radius * std::cos(angle), radius * std::sin(angle)});
-    }
-  }
-
-  // Ring roads.
-  for (int32_t ring = 0; ring < options.rings; ++ring) {
-    double radius = (ring + 1) * options.ring_spacing_m;
-    double segment = 2.0 * M_PI * radius / options.spokes;
-    for (int32_t spoke = 0; spoke < options.spokes; ++spoke) {
-      builder.AddBidirectionalEdge(vertex_at(ring, spoke),
-                                   vertex_at(ring, spoke + 1), segment, 1.2);
-    }
-  }
-  // Radial avenues.
-  for (int32_t spoke = 0; spoke < options.spokes; ++spoke) {
-    builder.AddBidirectionalEdge(center, vertex_at(0, spoke),
-                                 options.ring_spacing_m, 1.0);
-    for (int32_t ring = 0; ring + 1 < options.rings; ++ring) {
-      builder.AddBidirectionalEdge(vertex_at(ring, spoke),
-                                   vertex_at(ring + 1, spoke),
-                                   options.ring_spacing_m, 1.0);
-    }
-  }
-  return builder.Build();
-}
-
 RoadNetwork MakeRandomGeometric(const RandomGeometricOptions& options) {
   MTSHARE_CHECK(options.num_vertices >= 2);
   Rng rng(options.seed);

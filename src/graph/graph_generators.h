@@ -27,17 +27,6 @@ struct GridCityOptions {
 /// restriction typically removes <1% of vertices).
 RoadNetwork MakeGridCity(const GridCityOptions& options);
 
-/// Ring-and-spoke city (old-town topology): `rings` concentric ring roads
-/// crossed by `spokes` radial avenues.
-struct RingCityOptions {
-  int32_t rings = 12;
-  int32_t spokes = 24;
-  double ring_spacing_m = 350.0;
-  uint64_t seed = 11;
-};
-
-RoadNetwork MakeRingCity(const RingCityOptions& options);
-
 /// Random geometric graph: n vertices uniform in a square of the given side,
 /// bidirectional edges between vertices within connect_radius_m, restricted
 /// to the largest SCC. Used by property tests as an unstructured topology.

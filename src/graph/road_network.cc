@@ -8,10 +8,6 @@
 
 namespace mtshare {
 
-Seconds RoadNetwork::EuclideanLowerBound(VertexId a, VertexId b) const {
-  return Distance(coords_[a], coords_[b]) / (speed_mps_ * max_speed_factor_);
-}
-
 size_t RoadNetwork::MemoryBytes() const {
   return coords_.size() * sizeof(Point) +
          (fwd_offsets_.size() + rev_offsets_.size()) * sizeof(int32_t) +
@@ -33,7 +29,6 @@ void RoadNetwork::Builder::AddEdge(VertexId u, VertexId v, double length_m,
   MTSHARE_CHECK(v >= 0 && v < num_vertices());
   MTSHARE_CHECK(length_m > 0.0);
   MTSHARE_CHECK(speed_factor > 0.0);
-  max_speed_factor_ = std::max(max_speed_factor_, speed_factor);
   edges_.push_back(
       RawEdge{u, v, length_m,
               QuantizeTravelCost(length_m / (speed_mps_ * speed_factor))});
@@ -50,7 +45,6 @@ RoadNetwork RoadNetwork::Builder::Build() {
   RoadNetwork net;
   net.coords_ = std::move(coords_);
   net.speed_mps_ = speed_mps_;
-  net.max_speed_factor_ = max_speed_factor_;
 
   const int32_t n = static_cast<int32_t>(net.coords_.size());
   auto fill_csr = [&](bool forward, std::vector<int32_t>& offsets,

@@ -88,10 +88,6 @@ class RoadNetwork {
 
   const BoundingBox& bounds() const { return bounds_; }
 
-  /// Straight-line lower bound on travel time between two vertices; admissible
-  /// for A* because no arc is faster than max_speed_factor * speed.
-  Seconds EuclideanLowerBound(VertexId a, VertexId b) const;
-
   /// Approximate resident memory of the CSR structures, bytes.
   size_t MemoryBytes() const;
 
@@ -102,7 +98,6 @@ class RoadNetwork {
   std::vector<int32_t> rev_offsets_;
   std::vector<Arc> rev_arcs_;
   double speed_mps_ = 15.0 * 1000.0 / 3600.0;
-  double max_speed_factor_ = 1.0;
   BoundingBox bounds_;
 };
 
@@ -137,7 +132,6 @@ class RoadNetwork::Builder {
   };
 
   double speed_mps_;
-  double max_speed_factor_ = 1.0;
   std::vector<Point> coords_;
   std::vector<RawEdge> edges_;
 };

@@ -30,38 +30,32 @@ enum class CandidateSearch {
   kChBuckets,
 };
 
-/// Parameters shared by all matching schemes (paper Table II).
+/// Parameters shared by all matching schemes that the paper's evaluation
+/// varies (Table II). The values it keeps fixed are constants beside the
+/// code that reads them: the partition-filter slack epsilon
+/// (PartitionFilter), the taxi-list horizon T_mp (MtShareTaxiIndex), the
+/// probabilistic-routing seat fraction (mt_share.cc) and extra slack
+/// (RoutePlanner::kProbExtraSlack), and the baselines' grid pitch
+/// (Dispatcher::kGridCellM).
 struct MatchingConfig {
-  /// Cap on the candidate searching range gamma (Table II default 2.5 km,
-  /// swept in Fig. 15). mT-Share additionally adapts gamma to the request's
-  /// waiting budget via eq. (2).
+  /// Candidate searching range gamma (Table II default 2.5 km, swept in
+  /// Fig. 15). Eq. (2)'s adaptive gamma is not used (see
+  /// MtShareDispatcher::Dispatch).
   double gamma_max_m = 2500.0;
-  /// Constant cruise speed (15 km/h, Sec. V-A4); converts wait budget to
-  /// search radius.
-  double speed_mps = 15.0 * 1000.0 / 3600.0;
   /// Direction-similarity threshold lambda (0.707 == 45 degrees).
   double lambda = 0.707;
-  /// Partition-filter cost slack epsilon.
-  double epsilon = 1.0;
-  /// Horizon of the partition taxi lists T_mp (1 hour).
-  Seconds tmp = 3600.0;
   /// Enables probabilistic routing (the mT-Share^pro variant).
   bool probabilistic = false;
-  /// A taxi drives probabilistic legs only while at least this fraction of
-  /// its capacity is idle (Sec. V-A1: "half of the capacity in idle").
-  double prob_free_seat_fraction = 0.5;
   /// Probabilistic-leg travel budget: min(deadline slack,
-  /// shortest * prob_max_stretch + prob_extra_slack) — the probability vs
-  /// detour trade-off knob (ablated in bench_ablation_design).
+  /// shortest * prob_max_stretch + RoutePlanner::kProbExtraSlack) — the
+  /// probability vs detour trade-off knob (ablated in
+  /// bench_ablation_design).
   double prob_max_stretch = 1.5;
-  Seconds prob_extra_slack = 90.0;
   /// When true (default), candidate search accepts busy taxis from every
   /// mobility cluster whose general vector passes lambda against the
   /// request; when false, only the single best-matching cluster C_a is
   /// used (the paper's literal eq. (3); ablated in the lambda bench).
   bool match_all_compatible_clusters = true;
-  /// Grid pitch of the baselines' spatial taxi index.
-  double grid_cell_m = 500.0;
   /// Not read by any code (see CandidateSearch).
   CandidateSearch candidate_search = CandidateSearch::kIndex;
 };
@@ -253,6 +247,9 @@ class Dispatcher {
   /// landmarks every slot stays open.
   bool ComputeEllipseMask(const TaxiState& t, const RideRequest& r,
                           Seconds now, InsertionSlotMask* mask);
+
+  /// Grid pitch of the baselines' spatial taxi index.
+  static constexpr double kGridCellM = 500.0;
 
   /// Materializes an unrestricted shortest-path route for a schedule.
   RoutePlanner::PlannedRoute PlanShortestRoute(VertexId start,

@@ -6,6 +6,13 @@
 #include "common/logging.h"
 
 namespace mtshare {
+namespace {
+
+/// A taxi drives probabilistic legs only while at least this fraction of
+/// its capacity is idle (Sec. V-A1: "half of the capacity in idle").
+constexpr double kProbFreeSeatFraction = 0.5;
+
+}  // namespace
 
 MtShareDispatcher::MtShareDispatcher(const RoadNetwork& network,
                                      DistanceOracle* oracle,
@@ -17,10 +24,8 @@ MtShareDispatcher::MtShareDispatcher(const RoadNetwork& network,
     : Dispatcher(network, oracle, fleet, config),
       partitioning_(partitioning),
       planner_(network, partitioning, landmarks, transitions, oracle,
-               RoutePlannerOptions{config.lambda, config.epsilon,
-                                   config.prob_max_stretch,
-                                   config.prob_extra_slack}),
-      index_(network, partitioning, config.lambda, config.tmp) {
+               RoutePlannerOptions{config.lambda, config.prob_max_stretch}),
+      index_(network, partitioning, config.lambda) {
   MTSHARE_CHECK(!config.probabilistic || transitions != nullptr);
   EnableLowerBoundPruning(&landmarks);
   if (config.probabilistic) EnableIdleCruising(&partitioning_, &planner_);
@@ -48,7 +53,7 @@ size_t MtShareDispatcher::IndexMemoryBytes() const {
 }
 
 bool MtShareDispatcher::ProbQualifies(const TaxiState& t) const {
-  double needed = config_.prob_free_seat_fraction * t.capacity;
+  double needed = kProbFreeSeatFraction * t.capacity;
   return t.FreeSeats() >= static_cast<int32_t>(std::ceil(needed - 1e-9));
 }
 
@@ -121,9 +126,7 @@ DispatchOutcome MtShareDispatcher::Dispatch(const RideRequest& request,
   DispatchOutcome outcome;
   // Searching range gamma. Eq. (2) derives gamma = speed * wait-budget; the
   // paper's evaluation fixes gamma = 2.5 km ("equivalent to a waiting time
-  // of 10 min", Table II) for all schemes, so the shared cap is used and
-  // the adaptive value only ever shrinks it when the budget is *larger*
-  // than the cap allows (it never is at the default rho).
+  // of 10 min", Table II) for all schemes, so the fixed range is used.
   double gamma = config_.gamma_max_m;
   const std::vector<TaxiId>& candidates = CandidateTaxis(request, now, gamma);
 
@@ -160,7 +163,7 @@ DispatchOutcome MtShareDispatcher::Dispatch(const RideRequest& request,
     }
     ScopedPhaseTimer timer(phase_timers_, DispatchPhase::kRouting);
     best_prob_route = planner_.PlanRoute(t.location, now, best_ins.schedule,
-                                         /*probabilistic=*/true, dir);
+                                         dir);
     best_is_prob = best_prob_route.valid;
   }
 

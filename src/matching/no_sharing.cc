@@ -7,7 +7,7 @@ NoSharingDispatcher::NoSharingDispatcher(const RoadNetwork& network,
                                          std::vector<TaxiState>* fleet,
                                          const MatchingConfig& config)
     : Dispatcher(network, oracle, fleet, config),
-      index_(network.bounds(), config.grid_cell_m) {
+      index_(network.bounds(), kGridCellM) {
   for (const TaxiState& t : *fleet_) {
     if (t.Idle()) index_.Update(t.id, network_.coord(t.location));
   }

@@ -9,7 +9,7 @@ TShareDispatcher::TShareDispatcher(const RoadNetwork& network,
                                    std::vector<TaxiState>* fleet,
                                    const MatchingConfig& config)
     : Dispatcher(network, oracle, fleet, config),
-      index_(network.bounds(), config.grid_cell_m) {
+      index_(network.bounds(), kGridCellM) {
   for (const TaxiState& t : *fleet_) {
     index_.Update(t.id, network_.coord(t.location));
   }

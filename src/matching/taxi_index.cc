@@ -8,10 +8,9 @@ namespace mtshare {
 
 MtShareTaxiIndex::MtShareTaxiIndex(const RoadNetwork& network,
                                    const MapPartitioning& partitioning,
-                                   double lambda, Seconds tmp)
+                                   double lambda)
     : network_(network),
       partitioning_(partitioning),
-      tmp_(tmp),
       partition_taxis_(partitioning.num_partitions()),
       clustering_(lambda) {}
 
@@ -81,7 +80,7 @@ void MtShareTaxiIndex::ReindexTaxiAt(const TaxiState& taxi, size_t pos,
   // Partitions along the committed route, first-arrival within T_mp.
   for (size_t i = pos; i < taxi.route.size(); ++i) {
     Seconds arrival = taxi.route.time(i);
-    if (arrival > now + tmp_) break;
+    if (arrival > now + kTmp) break;
     add(partitioning_.PartitionOf(taxi.route.vertex(i)), arrival);
   }
 

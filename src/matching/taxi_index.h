@@ -20,9 +20,11 @@ namespace mtshare {
 ///    both populations.
 class MtShareTaxiIndex {
  public:
+  /// Horizon T_mp of the partition taxi lists (Table II: 1 hour).
+  static constexpr Seconds kTmp = 3600.0;
+
   MtShareTaxiIndex(const RoadNetwork& network,
-                   const MapPartitioning& partitioning, double lambda,
-                   Seconds tmp);
+                   const MapPartitioning& partitioning, double lambda);
 
   /// (Re)indexes a taxi from its current state: partition memberships from
   /// its route (or its location when idle) and cluster membership from its
@@ -95,7 +97,6 @@ class MtShareTaxiIndex {
 
   const RoadNetwork& network_;
   const MapPartitioning& partitioning_;
-  Seconds tmp_;
 
   /// One recorded membership: the partition a taxi is listed in plus the
   /// arrival time its entry carries — the binary-search key into that

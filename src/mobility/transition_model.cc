@@ -7,12 +7,10 @@ namespace mtshare {
 TransitionModel TransitionModel::Build(int32_t num_vertices,
                                        int32_t num_groups,
                                        const std::vector<int32_t>& vertex_group,
-                                       const std::vector<OdPair>& trips,
-                                       double laplace_alpha) {
+                                       const std::vector<OdPair>& trips) {
   MTSHARE_CHECK(num_vertices >= 0);
   MTSHARE_CHECK(num_groups > 0);
   MTSHARE_CHECK(static_cast<int32_t>(vertex_group.size()) == num_vertices);
-  MTSHARE_CHECK(laplace_alpha >= 0.0);
 
   TransitionModel model;
   model.num_groups_ = num_groups;
@@ -42,16 +40,13 @@ TransitionModel TransitionModel::Build(int32_t num_vertices,
 
   for (VertexId v = 0; v < num_vertices; ++v) {
     double* row = model.rows_.data() + static_cast<size_t>(v) * num_groups;
-    double total = static_cast<double>(model.trip_counts_[v]) +
-                   laplace_alpha * num_groups;
-    if (model.trip_counts_[v] == 0 && laplace_alpha == 0.0) {
+    if (model.trip_counts_[v] == 0) {
       // No data: fall back to the city-wide destination distribution.
       for (int32_t g = 0; g < num_groups; ++g) row[g] = global[g];
       continue;
     }
-    for (int32_t g = 0; g < num_groups; ++g) {
-      row[g] = (row[g] + laplace_alpha) / total;
-    }
+    const double total = static_cast<double>(model.trip_counts_[v]);
+    for (int32_t g = 0; g < num_groups; ++g) row[g] /= total;
   }
   return model;
 }

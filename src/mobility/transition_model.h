@@ -20,15 +20,13 @@ namespace mtshare {
 /// destination groups.
 class TransitionModel {
  public:
-  /// Builds from historical trips.
-  ///  - vertex_group: group id per vertex, values in [0, num_groups)
-  ///  - laplace_alpha: additive smoothing; 0 keeps raw frequencies.
-  /// Vertices with no observed trips get the *global* destination-group
-  /// distribution (the best prior available).
+  /// Builds raw frequencies from historical trips; `vertex_group` holds a
+  /// group id per vertex, values in [0, num_groups). Vertices with no
+  /// observed trips get the *global* destination-group distribution (the
+  /// best prior available).
   static TransitionModel Build(int32_t num_vertices, int32_t num_groups,
                                const std::vector<int32_t>& vertex_group,
-                               const std::vector<OdPair>& trips,
-                               double laplace_alpha = 0.0);
+                               const std::vector<OdPair>& trips);
 
   int32_t num_vertices() const {
     return static_cast<int32_t>(trip_counts_.size());

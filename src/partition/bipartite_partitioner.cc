@@ -10,6 +10,11 @@
 namespace mtshare {
 namespace {
 
+/// Outer iterations of the (transition-probability -> transition
+/// clustering -> geo-clustering) loop; the paper iterates to convergence,
+/// which on our workloads arrives within a handful of rounds.
+constexpr int32_t kMaxOuterIterations = 6;
+
 /// Canonicalizes labels to first-occurrence order so two label vectors can
 /// be compared for identical groupings regardless of label permutation.
 std::vector<int32_t> CanonicalizeLabels(const std::vector<int32_t>& labels) {
@@ -25,17 +30,6 @@ std::vector<int32_t> CanonicalizeLabels(const std::vector<int32_t>& labels) {
   return out;
 }
 
-double ChangeFraction(const std::vector<int32_t>& a,
-                      const std::vector<int32_t>& b) {
-  MTSHARE_CHECK(a.size() == b.size());
-  if (a.empty()) return 0.0;
-  size_t diff = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) ++diff;
-  }
-  return static_cast<double>(diff) / static_cast<double>(a.size());
-}
-
 /// Geo k-means over the full vertex set (used for the initial kappa
 /// spatial clusters).
 std::vector<int32_t> GeoCluster(const RoadNetwork& network, int32_t k,
@@ -46,17 +40,14 @@ std::vector<int32_t> GeoCluster(const RoadNetwork& network, int32_t k,
     coords.push_back(network.coord(v).x);
     coords.push_back(network.coord(v).y);
   }
-  KMeansOptions opt;
-  opt.k = k;
-  return KMeans(coords, 2, opt, rng).assignment;
+  return KMeans(coords, 2, k, rng).assignment;
 }
 
 }  // namespace
 
 MapPartitioning BipartitePartition(const RoadNetwork& network,
                                    const std::vector<OdPair>& historical_trips,
-                                   const BipartiteOptions& options,
-                                   BipartiteDiagnostics* diagnostics) {
+                                   const BipartiteOptions& options) {
   MTSHARE_CHECK(network.num_vertices() > 0);
   MTSHARE_CHECK(options.kappa > 0);
   MTSHARE_CHECK(options.kt > 0);
@@ -69,13 +60,14 @@ MapPartitioning BipartitePartition(const RoadNetwork& network,
       1 + *std::max_element(spatial.begin(), spatial.end());
   std::vector<int32_t> canonical = CanonicalizeLabels(spatial);
 
-  BipartiteDiagnostics diag;
-  for (int32_t outer = 0; outer < options.max_outer_iterations; ++outer) {
-    diag.outer_iterations = outer + 1;
+  int32_t outer_iterations = 0;
+  bool converged = false;
+  while (!converged && outer_iterations < kMaxOuterIterations) {
+    ++outer_iterations;
 
     // Step 1: transition probability vectors against current clusters.
-    TransitionModel transitions = TransitionModel::Build(
-        n, num_spatial, spatial, historical_trips, options.laplace_alpha);
+    TransitionModel transitions =
+        TransitionModel::Build(n, num_spatial, spatial, historical_trips);
 
     // Step 2: k-means over the transition vectors -> kt transition clusters.
     std::vector<double> rows(static_cast<size_t>(n) * num_spatial);
@@ -83,9 +75,7 @@ MapPartitioning BipartitePartition(const RoadNetwork& network,
       std::copy_n(transitions.Row(v), num_spatial,
                   rows.begin() + static_cast<size_t>(v) * num_spatial);
     }
-    KMeansOptions topt;
-    topt.k = options.kt;
-    KMeansResult trans = KMeans(rows, num_spatial, topt, rng);
+    KMeansResult trans = KMeans(rows, num_spatial, options.kt, rng);
 
     // Step 3: geo-cluster each transition cluster into
     // floor(n_c * kappa / N + 1/2) spatial clusters.
@@ -107,9 +97,7 @@ MapPartitioning BipartitePartition(const RoadNetwork& network,
         coords.push_back(network.coord(v).x);
         coords.push_back(network.coord(v).y);
       }
-      KMeansOptions gopt;
-      gopt.k = sub_k;
-      KMeansResult geo = KMeans(coords, 2, gopt, rng);
+      KMeansResult geo = KMeans(coords, 2, sub_k, rng);
       for (size_t i = 0; i < members.size(); ++i) {
         new_spatial[members[i]] = next_label + geo.assignment[i];
       }
@@ -118,14 +106,10 @@ MapPartitioning BipartitePartition(const RoadNetwork& network,
     MTSHARE_CHECK(std::count(new_spatial.begin(), new_spatial.end(), -1) == 0);
 
     std::vector<int32_t> new_canonical = CanonicalizeLabels(new_spatial);
-    diag.last_change_fraction = ChangeFraction(canonical, new_canonical);
+    converged = new_canonical == canonical;
     spatial = std::move(new_spatial);
     num_spatial = next_label;
     canonical = std::move(new_canonical);
-    if (diag.last_change_fraction == 0.0) {
-      diag.converged = true;
-      break;
-    }
   }
 
   MapPartitioning out;
@@ -136,10 +120,9 @@ MapPartitioning BipartitePartition(const RoadNetwork& network,
     out.partition_vertices[canonical[v]].push_back(v);
   }
   FinalizeGeometry(network, &out);
-  if (diagnostics != nullptr) *diagnostics = diag;
   MTSHARE_LOG(kDebug) << "bipartite partitioning: " << k << " partitions in "
-                      << diag.outer_iterations << " iterations (converged="
-                      << diag.converged << ")";
+                      << outer_iterations << " iterations (converged="
+                      << converged << ")";
   return out;
 }
 

@@ -15,21 +15,7 @@ struct BipartiteOptions {
   int32_t kappa = 120;
   /// Number of transition clusters k_t (paper default 20, k_t < kappa).
   int32_t kt = 20;
-  /// Outer iterations of the (transition-probability -> transition
-  /// clustering -> geo-clustering) loop; the paper iterates to convergence,
-  /// which on our workloads arrives within a handful of rounds.
-  int32_t max_outer_iterations = 6;
-  /// Additive smoothing for the per-vertex transition vectors.
-  double laplace_alpha = 0.0;
   uint64_t seed = 17;
-};
-
-struct BipartiteDiagnostics {
-  int32_t outer_iterations = 0;
-  bool converged = false;
-  /// Fraction of vertices whose (canonicalized) label changed in the last
-  /// completed iteration.
-  double last_change_fraction = 0.0;
 };
 
 /// Runs bipartite map partitioning: k-means on vertex coordinates seeds
@@ -37,12 +23,11 @@ struct BipartiteDiagnostics {
 /// probability vectors against the current clusters, (2) k-means of those
 /// vectors into kt transition clusters, (3) geo k-means of each transition
 /// cluster into floor(n*kappa/N + 1/2) spatial clusters; until the spatial
-/// clustering stabilizes. The result's partitions are both geographically
-/// compact and transition-homogeneous.
+/// clustering stabilizes or six rounds have run. The result's partitions
+/// are both geographically compact and transition-homogeneous.
 MapPartitioning BipartitePartition(const RoadNetwork& network,
                                    const std::vector<OdPair>& historical_trips,
-                                   const BipartiteOptions& options,
-                                   BipartiteDiagnostics* diagnostics = nullptr);
+                                   const BipartiteOptions& options);
 
 }  // namespace mtshare
 

@@ -34,7 +34,8 @@ size_t MapPartitioning::MemoryBytes() const {
 }
 
 void FinalizeGeometry(const RoadNetwork& network,
-                      MapPartitioning* partitioning, int32_t medoid_sample) {
+                      MapPartitioning* partitioning) {
+  constexpr int32_t kMedoidSample = 8;
   const int32_t k = partitioning->num_partitions();
   partitioning->centroids.assign(k, Point{0, 0});
   partitioning->radius_m.assign(k, 0.0);
@@ -58,9 +59,9 @@ void FinalizeGeometry(const RoadNetwork& network,
     }
     partitioning->radius_m[p] = radius;
 
-    // Candidate landmarks: the medoid_sample members nearest the centroid.
+    // Candidate landmarks: the kMedoidSample members nearest the centroid.
     std::vector<VertexId> candidates(members.begin(), members.end());
-    int32_t take = std::min<int32_t>(medoid_sample,
+    int32_t take = std::min<int32_t>(kMedoidSample,
                                      static_cast<int32_t>(candidates.size()));
     std::partial_sort(candidates.begin(), candidates.begin() + take,
                       candidates.end(), [&](VertexId a, VertexId b) {

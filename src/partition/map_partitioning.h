@@ -45,11 +45,11 @@ struct MapPartitioning {
 };
 
 /// Fills centroids/radius/landmarks from vertex_partition +
-/// partition_vertices. Landmark selection: among the `medoid_sample`
-/// members nearest the centroid, pick the one minimizing total Euclidean
-/// distance to a sample of members (exact medoid is O(n^2)).
-void FinalizeGeometry(const RoadNetwork& network, MapPartitioning* partitioning,
-                      int32_t medoid_sample = 8);
+/// partition_vertices. Landmark selection: among the 8 members nearest the
+/// centroid, pick the one minimizing total Euclidean distance to a sample
+/// of members (exact medoid is O(n^2)).
+void FinalizeGeometry(const RoadNetwork& network,
+                      MapPartitioning* partitioning);
 
 /// Uniform-grid partitioner over the bounding box with roughly
 /// `target_partitions` non-empty cells — the indexing scheme of

@@ -6,19 +6,18 @@
 
 namespace mtshare {
 
-double RegularFare(double distance_m, const PaymentConfig& config) {
+double RegularFare(double distance_m) {
   MTSHARE_CHECK(distance_m >= 0.0);
   double km = distance_m / 1000.0;
-  if (km <= config.base_km) return config.base_fare;
-  return config.base_fare + (km - config.base_km) * config.per_km;
+  if (km <= kBaseKm) return kBaseFare;
+  return kBaseFare + (km - kBaseKm) * kFarePerKm;
 }
 
 EpisodeSettlement SettleEpisode(const std::vector<EpisodePassenger>& riders,
-                                double episode_driven_m,
-                                const PaymentConfig& config) {
+                                double episode_driven_m) {
   MTSHARE_CHECK(!riders.empty());
   EpisodeSettlement out;
-  out.ridesharing_fare = RegularFare(episode_driven_m, config);
+  out.ridesharing_fare = RegularFare(episode_driven_m);
 
   double total_regular = 0.0;
   double sigma_sum = 0.0;
@@ -27,11 +26,11 @@ EpisodeSettlement SettleEpisode(const std::vector<EpisodePassenger>& riders,
     MTSHARE_CHECK(r.direct_m > 0.0);
     PassengerSettlement p;
     p.request = r.request;
-    p.regular_fare = RegularFare(r.direct_m, config);
+    p.regular_fare = RegularFare(r.direct_m);
     // sigma_i = eta + detour distance / direct distance (eq. 6); clamp the
     // detour at zero against numeric jitter.
     double detour = std::max(0.0, r.traveled_m - r.direct_m);
-    p.detour_rate = config.eta + detour / r.direct_m;
+    p.detour_rate = kPaymentEta + detour / r.direct_m;
     total_regular += p.regular_fare;
     sigma_sum += p.detour_rate;
     out.passengers.push_back(p);
@@ -50,12 +49,12 @@ EpisodeSettlement SettleEpisode(const std::vector<EpisodePassenger>& riders,
   }
 
   out.benefit = benefit;
-  double passenger_pool = config.beta * benefit;
+  double passenger_pool = kPaymentBeta * benefit;
   for (PassengerSettlement& p : out.passengers) {
     p.shared_fare =
         p.regular_fare - passenger_pool * (p.detour_rate / sigma_sum);
   }
-  out.driver_income = out.ridesharing_fare + (1.0 - config.beta) * benefit;
+  out.driver_income = out.ridesharing_fare + (1.0 - kPaymentBeta) * benefit;
   return out;
 }
 

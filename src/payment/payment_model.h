@@ -8,23 +8,22 @@
 
 namespace mtshare {
 
-/// Parameters of the benefit-sharing payment model (paper Sec. IV-D).
-struct PaymentConfig {
-  /// Share of the ridesharing benefit going to passengers as a group
-  /// (Table II default 0.80; the driver keeps 1 - beta).
-  double beta = 0.80;
-  /// Base detour rate eta guaranteeing zero-detour passengers still gain
-  /// (Table II default 0.01).
-  double eta = 0.01;
-  /// Regular taxi tariff: flag fare covering the first base_km, then a
-  /// per-km rate (Chengdu-style tariff).
-  double base_fare = 8.0;
-  double base_km = 2.0;
-  double per_km = 1.9;
-};
+// Parameters of the benefit-sharing payment model (paper Sec. IV-D), fixed
+// at their Table II values throughout the paper's evaluation.
+
+/// Share beta of the ridesharing benefit going to passengers as a group
+/// (the driver keeps 1 - beta).
+inline constexpr double kPaymentBeta = 0.80;
+/// Base detour rate eta guaranteeing zero-detour passengers still gain.
+inline constexpr double kPaymentEta = 0.01;
+/// Regular taxi tariff: flag fare covering the first kBaseKm, then a per-km
+/// rate (Chengdu-style tariff).
+inline constexpr double kBaseFare = 8.0;
+inline constexpr double kBaseKm = 2.0;
+inline constexpr double kFarePerKm = 1.9;
 
 /// Fare of a regular (non-shared) taxi ride over `distance_m` meters.
-double RegularFare(double distance_m, const PaymentConfig& config);
+double RegularFare(double distance_m);
 
 /// One passenger's view of a settled ridesharing episode.
 struct PassengerSettlement {
@@ -58,8 +57,7 @@ struct EpisodeSettlement {
 /// a probabilistic detour), every passenger pays exactly the regular fare
 /// (the model's no-loss guarantee) and the driver collects those fares.
 EpisodeSettlement SettleEpisode(const std::vector<EpisodePassenger>& riders,
-                                double episode_driven_m,
-                                const PaymentConfig& config);
+                                double episode_driven_m);
 
 }  // namespace mtshare
 

@@ -11,7 +11,7 @@ namespace {
 OracleBackend ResolveBackend(const RoadNetwork& network,
                              const OracleOptions& options) {
   if (options.backend != OracleBackend::kAuto) return options.backend;
-  return network.num_vertices() <= options.max_exact_vertices
+  return network.num_vertices() <= kMaxExactVertices
              ? OracleBackend::kExact
              : OracleBackend::kCh;
 }

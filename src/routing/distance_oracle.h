@@ -2,6 +2,7 @@
 #define MTSHARE_ROUTING_DISTANCE_ORACLE_H_
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -15,13 +16,18 @@
 namespace mtshare {
 
 /// Which cost backend the oracle runs on. kAuto resolves by graph size:
-/// dense exact table when it fits (<= max_exact_vertices), contraction
+/// dense exact table when it fits (<= kMaxExactVertices), contraction
 /// hierarchy otherwise.
 enum class OracleBackend {
   kAuto = 0,
   kExact,
   kCh,
 };
+
+/// kAuto's threshold: networks up to this many vertices get a dense
+/// all-pairs table (the paper precomputes and caches all-pairs shortest
+/// paths, Sec. V-A4); larger networks use the contraction hierarchy.
+inline constexpr int32_t kMaxExactVertices = 4200;
 
 /// Lower-case stable name ("auto", "exact", "ch").
 const char* OracleBackendName(OracleBackend backend);
@@ -33,11 +39,6 @@ bool ParseOracleBackend(std::string_view name, OracleBackend* out);
 struct OracleOptions {
   /// Backend selection; see OracleBackend.
   OracleBackend backend = OracleBackend::kAuto;
-
-  /// Networks up to this many vertices get a dense all-pairs table
-  /// (the paper precomputes and caches all-pairs shortest paths,
-  /// Sec. V-A4); larger networks use the contraction hierarchy (kAuto).
-  int32_t max_exact_vertices = 4200;
 
   /// Preprocessing knobs for the contraction hierarchy, which both
   /// backends build.

@@ -7,14 +7,12 @@ namespace mtshare {
 PartitionFilter::PartitionFilter(const RoadNetwork& network,
                                  const MapPartitioning& partitioning,
                                  const LandmarkGraph& landmark_graph,
-                                 double lambda, double epsilon)
+                                 double lambda)
     : network_(network),
       partitioning_(partitioning),
       landmarks_(landmark_graph),
-      lambda_(lambda),
-      epsilon_(epsilon) {
+      lambda_(lambda) {
   MTSHARE_CHECK(lambda >= -1.0 && lambda <= 1.0);
-  MTSHARE_CHECK(epsilon >= 0.0);
 }
 
 std::vector<PartitionId> PartitionFilter::Filter(VertexId from,
@@ -42,10 +40,10 @@ std::vector<PartitionId> PartitionFilter::Filter(VertexId from,
     const Point& c = network_.coord(partitioning_.landmarks[p]);
     const Point via_dir{c.x - a.x, c.y - a.y};
     if (DirectionCosine(via_dir, leg_dir) < lambda_) continue;
-    // Travel-cost rule: detour via p within (1 + epsilon) of direct.
+    // Travel-cost rule: detour via p within (1 + kEpsilon) of direct.
     const Seconds via = landmarks_.LandmarkCost(pz, p) +
                         landmarks_.LandmarkCost(p, pz1);
-    if (via > (1.0 + epsilon_) * direct) continue;
+    if (via > (1.0 + kEpsilon) * direct) continue;
     kept.push_back(p);
   }
   return kept;

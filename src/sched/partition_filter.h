@@ -14,15 +14,17 @@ namespace mtshare {
 /// consecutive schedule events, retain only the map partitions that
 ///  (1) lie along the travel direction (cos between landmark vectors
 ///      >= lambda), and
-///  (2) do not lengthen the landmark route beyond (1 + epsilon) times the
+///  (2) do not lengthen the landmark route beyond (1 + kEpsilon) times the
 ///      direct landmark cost.
 /// The retained set prunes the search space of both routing modes.
 class PartitionFilter {
  public:
+  /// Cost-rule slack epsilon (Table II: 1.0, set conservatively).
+  static constexpr double kEpsilon = 1.0;
+
   PartitionFilter(const RoadNetwork& network,
                   const MapPartitioning& partitioning,
-                  const LandmarkGraph& landmark_graph, double lambda,
-                  double epsilon);
+                  const LandmarkGraph& landmark_graph, double lambda);
 
   /// Retained partitions for a leg from `from` to `to` (vertices). The
   /// endpoints' partitions are always retained.
@@ -37,15 +39,11 @@ class PartitionFilter {
   /// diagnostic reported by the partition-filter micro-bench.
   double RetainedVertexFraction(const std::vector<PartitionId>& kept) const;
 
-  double lambda() const { return lambda_; }
-  double epsilon() const { return epsilon_; }
-
  private:
   const RoadNetwork& network_;
   const MapPartitioning& partitioning_;
   const LandmarkGraph& landmarks_;
   double lambda_;
-  double epsilon_;
 };
 
 }  // namespace mtshare

@@ -142,8 +142,7 @@ RoutePlanner::RoutePlanner(const RoadNetwork& network,
       transitions_(transitions),
       oracle_(oracle),
       options_(options),
-      filter_(network, partitioning, landmark_graph, options.lambda,
-              options.epsilon),
+      filter_(network, partitioning, landmark_graph, options.lambda),
       dijkstra_(network),
       mask_(network.num_vertices(), 0),
       vertex_weights_(network.num_vertices(), 0.0) {
@@ -317,7 +316,6 @@ Path RoutePlanner::PlanProbabilisticLeg(VertexId from, VertexId to,
 RoutePlanner::PlannedRoute RoutePlanner::PlanRoute(VertexId start,
                                                    Seconds start_time,
                                                    const Schedule& schedule,
-                                                   bool probabilistic,
                                                    const Point& taxi_direction) {
   PlannedRoute out;
   out.path = Path::Trivial(start);
@@ -343,23 +341,18 @@ RoutePlanner::PlannedRoute RoutePlanner::PlanRoute(VertexId start,
   Seconds t = start_time;
   for (size_t z = 0; z < m; ++z) {
     const ScheduleEvent& event = schedule.at(z);
-    Path leg;
-    if (probabilistic) {
-      // Largest leg travel budget keeping every remaining deadline
-      // reachable via shortest paths afterwards.
-      Seconds budget = kInfiniteCost;
-      Seconds future = 0.0;
-      for (size_t k = z; k < m; ++k) {
-        if (k > z) future += oracle_leg[k];
-        budget = std::min(budget, schedule.at(k).deadline - t - future);
-      }
-      budget = std::min(budget, oracle_leg[z] * options_.prob_max_stretch +
-                                    options_.prob_extra_slack);
-      leg = PlanProbabilisticLeg(at, event.vertex, taxi_direction, budget);
-      if (!leg.valid) leg = PlanBasicLeg(at, event.vertex);
-    } else {
-      leg = PlanBasicLeg(at, event.vertex);
+    // Largest leg travel budget keeping every remaining deadline reachable
+    // via shortest paths afterwards.
+    Seconds budget = kInfiniteCost;
+    Seconds future = 0.0;
+    for (size_t k = z; k < m; ++k) {
+      if (k > z) future += oracle_leg[k];
+      budget = std::min(budget, schedule.at(k).deadline - t - future);
     }
+    budget = std::min(budget, oracle_leg[z] * options_.prob_max_stretch +
+                                  kProbExtraSlack);
+    Path leg = PlanProbabilisticLeg(at, event.vertex, taxi_direction, budget);
+    if (!leg.valid) leg = PlanBasicLeg(at, event.vertex);
     if (!leg.valid) return PlannedRoute{};
     t += leg.cost;
     if (t > event.deadline + 1e-9) return PlannedRoute{};

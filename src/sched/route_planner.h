@@ -31,15 +31,13 @@ struct RoutePlannerOptions {
   /// Direction threshold lambda shared by partition filtering and the
   /// suitable-destination test (Table II default 0.707 == 45 degrees).
   double lambda = 0.707;
-  /// Cost-rule slack epsilon (paper sets 1.0 conservatively).
-  double epsilon = 1.0;
   /// Cap on a probabilistic leg's travel relative to its shortest leg:
-  /// budget = min(deadline slack, shortest * stretch + slack_s). Keeps the
-  /// offline-seeking detour from consuming the very slack needed to insert
-  /// an encountered hailer (the probability/detour trade-off the paper
-  /// defers to future work, Sec. IV-C2).
+  /// budget = min(deadline slack, shortest * prob_max_stretch +
+  /// RoutePlanner::kProbExtraSlack). Keeps the offline-seeking detour from
+  /// consuming the very slack needed to insert an encountered hailer (the
+  /// probability/detour trade-off the paper defers to future work,
+  /// Sec. IV-C2).
   double prob_max_stretch = 1.5;
-  Seconds prob_extra_slack = 90.0;
 };
 
 /// Two-phase route planning (paper Sec. IV-C2): partition filtering plus
@@ -56,6 +54,9 @@ class RoutePlanner {
   static constexpr int32_t kMaxPartitionPaths = 64;
   /// Bound on landmark-path hops during enumeration.
   static constexpr int32_t kMaxPathHops = 10;
+  /// Seconds a probabilistic leg may add to its stretched shortest cost
+  /// (see RoutePlannerOptions::prob_max_stretch).
+  static constexpr Seconds kProbExtraSlack = 90.0;
 
   /// `transitions` may be null when only basic routing is used; when
   /// provided, its group space must be the partitioning's partitions.
@@ -85,13 +86,15 @@ class RoutePlanner {
     std::vector<Seconds> event_arrivals;  ///< absolute arrival per event
   };
 
-  /// Plans every leg of `schedule` starting from `start` at `start_time`.
-  /// In probabilistic mode each leg gets the largest travel budget that
-  /// keeps all remaining deadlines reachable (assuming shortest-path legs
-  /// afterwards); legs where probabilistic planning fails fall back to
-  /// basic. Returns invalid if any deadline is missed.
+  /// Plans every leg of `schedule` probabilistically (needs
+  /// `transitions`), starting from `start` at `start_time`: each leg gets
+  /// the largest travel budget that keeps all remaining deadlines reachable
+  /// (assuming shortest-path legs afterwards); legs where probabilistic
+  /// planning fails fall back to basic. Returns invalid if any deadline is
+  /// missed. (Committed basic routes come from
+  /// Dispatcher::PlanShortestRoute.)
   PlannedRoute PlanRoute(VertexId start, Seconds start_time,
-                         const Schedule& schedule, bool probabilistic,
+                         const Schedule& schedule,
                          const Point& taxi_direction = Point{0, 0});
 
   /// Probability mass of meeting suitable requests inside partition `p`

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
+#include "payment/payment_model.h"
 #include "sim/request_source.h"
 #include "sim/taxi.h"
 
@@ -392,8 +393,7 @@ void SimulationEngine::SettleEpisodeFor(TaxiState& taxi) {
     p.traveled_m = (rec.dropoff_time - rec.pickup_time) * network_.speed_mps();
     riders.push_back(p);
   }
-  EpisodeSettlement settlement =
-      SettleEpisode(riders, taxi.episode_meters, options_.payment);
+  EpisodeSettlement settlement = SettleEpisode(riders, taxi.episode_meters);
   for (const PassengerSettlement& p : settlement.passengers) {
     RequestRecord& rec = metrics_.record(p.request);
     rec.regular_fare = p.regular_fare;

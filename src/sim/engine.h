@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "matching/dispatcher.h"
-#include "payment/payment_model.h"
 #include "sim/metrics.h"
 #include "spatial/grid_index.h"
 
@@ -41,7 +40,6 @@ struct EngineOptions {
   /// request — the hook mtshare_serve streams response lines from. Null
   /// disables it.
   std::function<void(const RideRequest&, const RequestRecord&)> on_decision;
-  PaymentConfig payment;
 };
 
 /// Event-driven simulation of a taxi fleet under one matching scheme.

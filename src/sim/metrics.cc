@@ -67,22 +67,6 @@ double Metrics::MeanCandidates() const {
   return s.Mean();
 }
 
-double Metrics::TotalRegularFares() const {
-  double total = 0.0;
-  for (const auto& r : records_) {
-    if (r.completed) total += r.regular_fare;
-  }
-  return total;
-}
-
-double Metrics::TotalSharedFares() const {
-  double total = 0.0;
-  for (const auto& r : records_) {
-    if (r.completed) total += r.shared_fare;
-  }
-  return total;
-}
-
 void Metrics::FinalizeDistributions() {
   response_hist_.Clear();
   waiting_hist_.Clear();

@@ -99,8 +99,6 @@ class Metrics {
   double MeanCandidates() const;
 
   // --- payment metrics (Fig. 19) ---
-  double TotalRegularFares() const;
-  double TotalSharedFares() const;
   /// Mean relative fare saving over served requests.
   double MeanFareSaving() const;
 

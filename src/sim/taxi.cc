@@ -20,22 +20,6 @@ const Arc* FindCheapestArc(const RoadNetwork& network, VertexId u,
 
 }  // namespace
 
-std::vector<Seconds> ComputeRouteTimes(const RoadNetwork& network,
-                                       const std::vector<VertexId>& path,
-                                       Seconds start_time) {
-  std::vector<Seconds> times;
-  times.reserve(path.size());
-  Seconds t = start_time;
-  times.push_back(t);
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    const Arc* arc = FindCheapestArc(network, path[i], path[i + 1]);
-    MTSHARE_CHECK(arc != nullptr);
-    t += arc->cost;
-    times.push_back(t);
-  }
-  return times;
-}
-
 void ApplyPlan(TaxiState* taxi, const RoadNetwork& network, Schedule schedule,
                const std::vector<VertexId>& path,
                std::vector<Seconds> event_arrivals, Seconds now,

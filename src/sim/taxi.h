@@ -7,15 +7,10 @@
 
 namespace mtshare {
 
-/// Computes per-vertex arrival times for a path departing at `start_time`,
-/// using the cheapest arc between consecutive vertices. Dies if the path
-/// uses a nonexistent arc (routes must come from the planners).
-std::vector<Seconds> ComputeRouteTimes(const RoadNetwork& network,
-                                       const std::vector<VertexId>& path,
-                                       Seconds start_time);
-
 /// Applies a dispatch plan to a taxi: replaces schedule, route, and event
-/// arrival times; the taxi departs its current location at `now`.
+/// arrival times; the taxi departs its current location at `now`. Each
+/// step takes the cheapest arc between consecutive vertices; dies if the
+/// path uses a nonexistent arc (routes must come from the planners).
 void ApplyPlan(TaxiState* taxi, const RoadNetwork& network, Schedule schedule,
                const std::vector<VertexId>& path,
                std::vector<Seconds> event_arrivals, Seconds now,

@@ -44,11 +44,6 @@ double CongestionProfile::Multiplier(Seconds time) const {
   return hourly_[lo] * (1.0 - frac) + hourly_[hi] * frac;
 }
 
-bool CongestionProfile::IsFlat() const {
-  return std::all_of(hourly_.begin(), hourly_.end(),
-                     [](double m) { return m == 1.0; });
-}
-
 TimeDependentDijkstra::TimeDependentDijkstra(const RoadNetwork& network,
                                              const CongestionProfile& profile)
     : network_(network),

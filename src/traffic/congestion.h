@@ -32,9 +32,6 @@ class CongestionProfile {
   /// Multiplier at an absolute time (seconds since midnight, wraps daily).
   double Multiplier(Seconds time) const;
 
-  /// True when every multiplier is 1.0.
-  bool IsFlat() const;
-
  private:
   std::array<double, 24> hourly_;
 };

@@ -23,9 +23,7 @@ std::vector<double> ThreeBlobs(int per_blob, Rng& rng) {
 TEST(KMeansTest, SeparatesObviousBlobs) {
   Rng rng(41);
   auto data = ThreeBlobs(40, rng);
-  KMeansOptions opt;
-  opt.k = 3;
-  KMeansResult r = KMeans(data, 2, opt, rng);
+  KMeansResult r = KMeans(data, 2, /*k=*/3, rng);
   EXPECT_EQ(r.k_effective, 3);
   // All rows of one blob share a label, and the three labels differ.
   std::set<int32_t> labels;
@@ -40,9 +38,7 @@ TEST(KMeansTest, SeparatesObviousBlobs) {
 TEST(KMeansTest, InertiaSmallForTightBlobs) {
   Rng rng(43);
   auto data = ThreeBlobs(30, rng);
-  KMeansOptions opt;
-  opt.k = 3;
-  KMeansResult r = KMeans(data, 2, opt, rng);
+  KMeansResult r = KMeans(data, 2, /*k=*/3, rng);
   // Each point ~N(0,1) around its centroid: expected inertia ~= 2 * n.
   EXPECT_LT(r.inertia, 4.0 * 90.0);
 }
@@ -50,9 +46,7 @@ TEST(KMeansTest, InertiaSmallForTightBlobs) {
 TEST(KMeansTest, KLargerThanRowsClampsToRows) {
   Rng rng(47);
   std::vector<double> data = {0, 0, 10, 10};
-  KMeansOptions opt;
-  opt.k = 8;
-  KMeansResult r = KMeans(data, 2, opt, rng);
+  KMeansResult r = KMeans(data, 2, /*k=*/8, rng);
   EXPECT_EQ(r.k_effective, 2);
   EXPECT_NE(r.assignment[0], r.assignment[1]);
   EXPECT_NEAR(r.inertia, 0.0, 1e-12);
@@ -60,7 +54,7 @@ TEST(KMeansTest, KLargerThanRowsClampsToRows) {
 
 TEST(KMeansTest, EmptyInput) {
   Rng rng(53);
-  KMeansResult r = KMeans({}, 3, KMeansOptions{}, rng);
+  KMeansResult r = KMeans({}, 3, /*k=*/8, rng);
   EXPECT_EQ(r.k_effective, 0);
   EXPECT_TRUE(r.assignment.empty());
 }
@@ -68,9 +62,7 @@ TEST(KMeansTest, EmptyInput) {
 TEST(KMeansTest, SingleCluster) {
   Rng rng(59);
   std::vector<double> data = {1, 1, 2, 2, 3, 3};
-  KMeansOptions opt;
-  opt.k = 1;
-  KMeansResult r = KMeans(data, 2, opt, rng);
+  KMeansResult r = KMeans(data, 2, /*k=*/1, rng);
   EXPECT_EQ(r.k_effective, 1);
   EXPECT_NEAR(r.centroids[0], 2.0, 1e-9);
   EXPECT_NEAR(r.centroids[1], 2.0, 1e-9);
@@ -79,9 +71,7 @@ TEST(KMeansTest, SingleCluster) {
 TEST(KMeansTest, IdenticalPointsDoNotCrash) {
   Rng rng(61);
   std::vector<double> data(40, 5.0);  // 20 identical 2-d points
-  KMeansOptions opt;
-  opt.k = 4;
-  KMeansResult r = KMeans(data, 2, opt, rng);
+  KMeansResult r = KMeans(data, 2, /*k=*/4, rng);
   EXPECT_EQ(r.k_effective, 4);
   EXPECT_NEAR(r.inertia, 0.0, 1e-12);
 }
@@ -98,9 +88,7 @@ TEST(KMeansTest, HighDimensionalRows) {
                                              : 0.0);
     }
   }
-  KMeansOptions opt;
-  opt.k = 2;
-  KMeansResult r = KMeans(data, 16, opt, rng);
+  KMeansResult r = KMeans(data, 16, /*k=*/2, rng);
   for (int row = 0; row < 15; ++row) {
     EXPECT_EQ(r.assignment[row], r.assignment[0]);
   }
@@ -110,31 +98,20 @@ TEST(KMeansTest, HighDimensionalRows) {
   EXPECT_NE(r.assignment[0], r.assignment[15]);
 }
 
-TEST(KMeansTest, RandomSeedingAlsoWorks) {
-  Rng rng(71);
-  auto data = ThreeBlobs(30, rng);
-  KMeansOptions opt;
-  opt.k = 3;
-  opt.kmeanspp_seeding = false;
-  KMeansResult r = KMeans(data, 2, opt, rng);
-  EXPECT_EQ(r.k_effective, 3);
-  EXPECT_LT(r.inertia, 10.0 * 90.0);
-}
-
 TEST(KMeansTest, AssignmentConsistentWithCentroids) {
   Rng rng(73);
   auto data = ThreeBlobs(20, rng);
-  KMeansOptions opt;
-  opt.k = 3;
-  KMeansResult r = KMeans(data, 2, opt, rng);
+  KMeansResult r = KMeans(data, 2, /*k=*/3, rng);
+  auto d2 = [&](size_t row, int32_t c) {
+    double dx = data[row * 2] - r.centroids[c * 2];
+    double dy = data[row * 2 + 1] - r.centroids[c * 2 + 1];
+    return dx * dx + dy * dy;
+  };
   // Every row is assigned to its nearest centroid.
   for (size_t row = 0; row < r.assignment.size(); ++row) {
-    double own = RowCentroidDistanceSquared(data, 2, row, r.centroids,
-                                            r.assignment[row]);
+    double own = d2(row, r.assignment[row]);
     for (int32_t c = 0; c < r.k_effective; ++c) {
-      EXPECT_LE(own,
-                RowCentroidDistanceSquared(data, 2, row, r.centroids, c) +
-                    1e-9);
+      EXPECT_LE(own, d2(row, c) + 1e-9);
     }
   }
 }

@@ -20,7 +20,6 @@ TEST(SummaryStatsTest, BasicMoments) {
   EXPECT_DOUBLE_EQ(s.Mean(), 5.0);
   EXPECT_DOUBLE_EQ(s.Min(), 2.0);
   EXPECT_DOUBLE_EQ(s.Max(), 9.0);
-  EXPECT_NEAR(s.StdDev(), 2.138, 1e-3);
 }
 
 TEST(SummaryStatsTest, PercentileInterpolates) {

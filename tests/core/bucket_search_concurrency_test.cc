@@ -37,13 +37,14 @@ TEST(BucketSearchConcurrencyTest, ConcurrentChBucketRunsStayIdentical) {
   config.kappa = 12;
   config.kt = 5;
   config.oracle.backend = OracleBackend::kCh;
-  MTShareSystem system(net, scenario.HistoricalOdPairs(), config);
+  auto system =
+      MTShareSystem::Create(net, scenario.HistoricalOdPairs(), config).value();
 
   ScenarioSpec spec;
   spec.scheme = SchemeKind::kMtShare;
   spec.requests = &scenario.requests;
   spec.num_taxis = 12;
-  Result<Metrics> reference = system.RunScenario(spec);
+  Result<Metrics> reference = system->RunScenario(spec);
   ASSERT_TRUE(reference.ok()) << reference.status();
   ASSERT_TRUE(reference.value().routing.bucket_search);
 
@@ -53,7 +54,7 @@ TEST(BucketSearchConcurrencyTest, ConcurrentChBucketRunsStayIdentical) {
   std::vector<std::future<void>> futures;
   for (int w = 0; w < kThreads; ++w) {
     futures.push_back(pool.Submit([&system, &spec, &results, w] {
-      Result<Metrics> run = system.RunScenario(spec);
+      Result<Metrics> run = system->RunScenario(spec);
       EXPECT_TRUE(run.ok()) << run.status();
       if (run.ok()) results[static_cast<size_t>(w)] = std::move(run).value();
     }));

@@ -147,7 +147,9 @@ std::vector<GoldenRun> RunAll(OracleBackend backend) {
     config.kappa = 16;
     config.kt = 5;
     config.oracle.backend = backend;
-    MTShareSystem system(net, scenario.HistoricalOdPairs(), config);
+    auto system =
+        MTShareSystem::Create(net, scenario.HistoricalOdPairs(), config)
+            .value();
     for (SchemeKind scheme : kSchemes) {
       for (double window_ms : {0.0, 200.0}) {
         for (bool serve_offline : {true, false}) {
@@ -158,7 +160,7 @@ std::vector<GoldenRun> RunAll(OracleBackend backend) {
           spec.fleet_seed = seed + 3;
           spec.batch_window_ms = window_ms;
           spec.serve_offline = serve_offline;
-          Result<Metrics> run = system.RunScenario(spec);
+          Result<Metrics> run = system->RunScenario(spec);
           EXPECT_TRUE(run.ok()) << run.status();
           if (!run.ok()) continue;
           EXPECT_GT(run.value().ServedRequests(), 0) << SchemeName(scheme);

@@ -25,9 +25,6 @@ TEST(SystemConfigTest, RejectsBadValues) {
   c.matching.lambda = 1.5;
   EXPECT_FALSE(c.Validate().ok());
   c = SystemConfig{};
-  c.payment.beta = -0.1;
-  EXPECT_FALSE(c.Validate().ok());
-  c = SystemConfig{};
   c.taxi_capacity = 0;
   EXPECT_FALSE(c.Validate().ok());
   c = SystemConfig{};
@@ -36,12 +33,9 @@ TEST(SystemConfigTest, RejectsBadValues) {
 }
 
 TEST(SystemConfigTest, RejectsBadOracleOptions) {
-  // These previously reached the oracle unchecked; Create must report them
+  // This previously reached the oracle unchecked; Create must report it
   // instead.
   SystemConfig c;
-  c.oracle.max_exact_vertices = 0;
-  EXPECT_FALSE(c.Validate().ok());
-  c = SystemConfig{};
   c.oracle.ch.witness_settle_limit = 0;
   EXPECT_FALSE(c.Validate().ok());
 
@@ -51,7 +45,7 @@ TEST(SystemConfigTest, RejectsBadOracleOptions) {
   RoadNetwork net = MakeGridCity(gopt);
   SystemConfig bad;
   bad.bipartite_partitioning = false;  // isolate the oracle failure
-  bad.oracle.max_exact_vertices = -1;
+  bad.oracle.ch.witness_settle_limit = -1;
   auto result = MTShareSystem::Create(net, {}, bad);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
@@ -84,8 +78,9 @@ class MTShareSystemTest : public ::testing::Test {
 
     config_.kappa = 24;
     config_.kt = 6;
-    system_ = std::make_unique<MTShareSystem>(
-        net_, scenario_.HistoricalOdPairs(), config_);
+    system_ = MTShareSystem::Create(net_, scenario_.HistoricalOdPairs(),
+                                    config_)
+                  .value();
   }
 
   // Runs the fixture scenario through the spec API (the old positional
@@ -181,14 +176,16 @@ TEST_F(MTShareSystemTest, ChBackendRunsBitIdenticalToExact) {
   // costs are bit-identical, so every dispatch decision is too).
   SystemConfig ch_config = config_;
   ch_config.oracle.backend = OracleBackend::kCh;
-  MTShareSystem ch_system(net_, scenario_.HistoricalOdPairs(), ch_config);
+  auto ch_system =
+      MTShareSystem::Create(net_, scenario_.HistoricalOdPairs(), ch_config)
+          .value();
   ScenarioSpec spec;
   spec.scheme = SchemeKind::kMtShare;
   spec.requests = &scenario_.requests;
   spec.num_taxis = 25;
   Result<Metrics> exact = system_->RunScenario(spec);
   ASSERT_TRUE(exact.ok());
-  Result<Metrics> ch = ch_system.RunScenario(spec);
+  Result<Metrics> ch = ch_system->RunScenario(spec);
   ASSERT_TRUE(ch.ok());
 
   EXPECT_EQ(exact.value().oracle_backend, "exact");
@@ -224,19 +221,20 @@ TEST_F(MTShareSystemTest, ChBackendRunsBitIdenticalToExact) {
   // Only the CH backend hands its hierarchy out for bucket sweeps.
   ASSERT_NE(system_->oracle().ch(), nullptr);
   EXPECT_EQ(system_->BucketSearchCh(&system_->oracle()), nullptr);
-  EXPECT_EQ(ch_system.BucketSearchCh(&ch_system.oracle()),
-            ch_system.oracle().ch());
+  EXPECT_EQ(ch_system->BucketSearchCh(&ch_system->oracle()),
+            ch_system->oracle().ch());
 }
 
 TEST_F(MTShareSystemTest, GridPartitioningVariantRuns) {
   SystemConfig cfg = config_;
   cfg.bipartite_partitioning = false;
-  MTShareSystem grid_system(net_, scenario_.HistoricalOdPairs(), cfg);
+  auto grid_system =
+      MTShareSystem::Create(net_, scenario_.HistoricalOdPairs(), cfg).value();
   ScenarioSpec spec;
   spec.scheme = SchemeKind::kMtShare;
   spec.requests = &scenario_.requests;
   spec.num_taxis = 25;
-  Result<Metrics> m = grid_system.RunScenario(spec);
+  Result<Metrics> m = grid_system->RunScenario(spec);
   ASSERT_TRUE(m.ok()) << m.status();
   EXPECT_GT(m.value().ServedRequests(), 0);
 }

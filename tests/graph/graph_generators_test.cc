@@ -68,16 +68,6 @@ TEST(GridCityTest, NoOneWayNoDropsKeepsFullGrid) {
   EXPECT_EQ(net.num_edges(), 360);
 }
 
-TEST(RingCityTest, StronglyConnected) {
-  RingCityOptions opt;
-  opt.rings = 4;
-  opt.spokes = 10;
-  RoadNetwork net = MakeRingCity(opt);
-  EXPECT_EQ(net.num_vertices(), 1 + 4 * 10);
-  std::vector<int32_t> comp;
-  EXPECT_EQ(StronglyConnectedComponents(net, &comp), 1);
-}
-
 TEST(RandomGeometricTest, ConnectedAndNonEmpty) {
   RandomGeometricOptions opt;
   opt.num_vertices = 250;

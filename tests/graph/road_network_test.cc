@@ -71,21 +71,6 @@ TEST(RoadNetworkTest, BoundsCoverAllVertices) {
   EXPECT_FALSE(net.bounds().Contains({-1, 0}));
 }
 
-TEST(RoadNetworkTest, EuclideanLowerBoundIsAdmissible) {
-  RoadNetwork net = MakeDiamond();
-  // Shortest 0 -> 3 is via vertex 2: (140 + 140) / 10 = 28 s.
-  EXPECT_LE(net.EuclideanLowerBound(0, 3), 28.0);
-}
-
-TEST(RoadNetworkTest, EuclideanLowerBoundAccountsForFastEdges) {
-  RoadNetwork::Builder b(10.0);
-  VertexId u = b.AddVertex({0, 0});
-  VertexId v = b.AddVertex({1000, 0});
-  b.AddEdge(u, v, 1000.0, 2.0);  // 50 s actual
-  RoadNetwork net = b.Build();
-  EXPECT_LE(net.EuclideanLowerBound(u, v), 50.0);
-}
-
 TEST(SccTest, IdentifiesComponents) {
   // Two 2-cycles joined by a one-way edge: {0,1} and {2,3}.
   RoadNetwork::Builder b;

@@ -47,14 +47,15 @@ Metrics RunOnce(const RunOptions& opt) {
   config.oracle.backend = opt.oracle_backend;
   // Fresh system per run so dispatcher indexes and bucket stores start
   // cold and the comparison sees identical initial state.
-  MTShareSystem system(net, scenario.HistoricalOdPairs(), config);
+  auto system =
+      MTShareSystem::Create(net, scenario.HistoricalOdPairs(), config).value();
 
   ScenarioSpec spec;
   spec.scheme = opt.scheme;
   spec.requests = &scenario.requests;
   spec.num_taxis = 24;
   spec.fleet_seed = opt.seed + 3;
-  Result<Metrics> run = system.RunScenario(spec);
+  Result<Metrics> run = system->RunScenario(spec);
   EXPECT_TRUE(run.ok()) << run.status();
   return std::move(run).value();
 }
@@ -117,13 +118,14 @@ TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
   config.kappa = 16;
   config.kt = 5;
   config.oracle.backend = OracleBackend::kCh;
-  MTShareSystem system(net, scenario.HistoricalOdPairs(), config);
+  auto system =
+      MTShareSystem::Create(net, scenario.HistoricalOdPairs(), config).value();
 
   std::vector<TaxiState> fleet =
       MakeFleet(net, 24, config.taxi_capacity, 86,
                 scenario.requests.front().release_time);
   std::unique_ptr<Dispatcher> dispatcher =
-      system.MakeDispatcher(SchemeKind::kMtShare, &fleet);
+      system->MakeDispatcher(SchemeKind::kMtShare, &fleet);
   const LastStopBuckets* buckets = dispatcher->buckets();
   ASSERT_NE(buckets, nullptr);
 

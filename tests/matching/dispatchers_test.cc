@@ -33,8 +33,8 @@ class DispatchersTest : public ::testing::Test {
     SystemConfig cfg;
     cfg.kappa = 30;
     cfg.kt = 8;
-    system_ = std::make_unique<MTShareSystem>(
-        net_, scenario_.HistoricalOdPairs(), cfg);
+    system_ =
+        MTShareSystem::Create(net_, scenario_.HistoricalOdPairs(), cfg).value();
   }
 
   // Runs the fixture scenario through the spec API (the old positional
@@ -183,11 +183,13 @@ TEST_P(EncounterInsertionTest, MatchesPerPairDpWithNoFallbacks) {
   cfg.kappa = 16;
   cfg.kt = 5;
   cfg.oracle.backend = GetParam();
-  MTShareSystem system(
-      net, OdPairsOf(GenerateHistoricalTrips(demand, 3000, rng)), cfg);
-  DistanceOracle& oracle = system.oracle();
+  auto system =
+      MTShareSystem::Create(
+          net, OdPairsOf(GenerateHistoricalTrips(demand, 3000, rng)), cfg)
+          .value();
+  DistanceOracle& oracle = system->oracle();
   std::vector<TaxiState> fleet = MakeFleet(net, 3, 4, 17, 0.0);
-  auto dispatcher = system.MakeDispatcher(SchemeKind::kMtShare, &fleet);
+  auto dispatcher = system->MakeDispatcher(SchemeKind::kMtShare, &fleet);
   TaxiState& taxi = fleet[0];
   const auto request = [&](RequestId id, VertexId o, VertexId d,
                            Seconds slack) {

@@ -28,8 +28,8 @@ class IdleCruisingTest : public ::testing::Test {
     SystemConfig cfg;
     cfg.kappa = 16;
     cfg.kt = 4;
-    system_ = std::make_unique<MTShareSystem>(
-        net_, scenario_.HistoricalOdPairs(), cfg);
+    system_ =
+        MTShareSystem::Create(net_, scenario_.HistoricalOdPairs(), cfg).value();
   }
 
   RoadNetwork net_;

@@ -18,8 +18,8 @@ class TaxiIndexTest : public ::testing::Test {
     opt.seed = 17;
     net_ = MakeGridCity(opt);
     partitioning_ = GridPartition(net_, 9);
-    index_ = std::make_unique<MtShareTaxiIndex>(net_, partitioning_, 0.707,
-                                                3600.0);
+    index_ =
+        std::make_unique<MtShareTaxiIndex>(net_, partitioning_, 0.707);
   }
 
   TaxiState IdleTaxiAt(TaxiId id, VertexId v) {
@@ -91,27 +91,43 @@ TEST_F(TaxiIndexTest, BusyTaxiIndexedAlongRouteWithinHorizon) {
 }
 
 TEST_F(TaxiIndexTest, HorizonCapsRouteMemberships) {
+  // A slow line city, one partition per vertex: 10 vertices 1000 m apart
+  // at 1 m/s, so the route 0 -> 9 reaches vertex i at 1000 * i s and its
+  // tail arrives long after the T_mp horizon.
+  RoadNetwork::Builder b(1.0);
+  for (int i = 0; i < 10; ++i) b.AddVertex({1000.0 * i, 0.0});
+  for (int i = 0; i + 1 < 10; ++i) b.AddBidirectionalEdge(i, i + 1, 1000.0);
+  RoadNetwork line = b.Build();
+  MapPartitioning parts;
+  parts.vertex_partition.resize(10);
+  parts.partition_vertices.resize(10);
+  for (VertexId v = 0; v < 10; ++v) {
+    parts.vertex_partition[v] = v;
+    parts.partition_vertices[v].push_back(v);
+  }
+  FinalizeGeometry(line, &parts);
+  ASSERT_EQ(MtShareTaxiIndex::kTmp, 3600.0);
+
   TaxiState t = IdleTaxiAt(2, 0);
-  DijkstraSearch search(net_);
-  Path path = search.FindPath(0, net_.num_vertices() - 1);
+  DijkstraSearch search(line);
+  Path path = search.FindPath(0, 9);
   ASSERT_TRUE(path.valid);
+  ASSERT_EQ(path.cost, 9000.0);
   RideRequest r;
   r.id = 9;
   r.origin = 0;
-  r.destination = net_.num_vertices() - 1;
+  r.destination = 9;
   r.deadline = 10 * path.cost;
   r.direct_cost = path.cost;
   t.schedule = Schedule::WithInsertion(Schedule(), r, 0, 0);
-  ApplyPlan(&t, net_, t.schedule, path.vertices, {0.0, path.cost}, 0.0, false);
+  ApplyPlan(&t, line, t.schedule, path.vertices, {0.0, path.cost}, 0.0, false);
 
-  MtShareTaxiIndex tiny(net_, partitioning_, 0.707, /*tmp=*/1.0);
-  tiny.ReindexTaxi(t, 0.0);
-  // Only partitions reachable within 1 s (i.e., the first) are listed.
-  int32_t memberships = 0;
-  for (PartitionId p = 0; p < partitioning_.num_partitions(); ++p) {
-    memberships += tiny.PartitionContains(p, 2) ? 1 : 0;
+  MtShareTaxiIndex index(line, parts, 0.707);
+  index.ReindexTaxi(t, 0.0);
+  // Only the partitions reached within 3600 s (vertices 0-3) are listed.
+  for (PartitionId p = 0; p < 10; ++p) {
+    EXPECT_EQ(index.PartitionContains(p, 2), p <= 3) << "partition " << p;
   }
-  EXPECT_EQ(memberships, 1);
 }
 
 TEST_F(TaxiIndexTest, RequestsShapeClustersAndAreRemovable) {

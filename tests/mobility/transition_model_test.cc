@@ -45,17 +45,6 @@ TEST(TransitionModelTest, NoTripsAtAllGivesUniform) {
   }
 }
 
-TEST(TransitionModelTest, LaplaceSmoothingSpreadsMass) {
-  std::vector<OdPair> trips = {{0, 2}, {0, 2}};
-  TransitionModel raw = TransitionModel::Build(4, 2, kGroups, trips, 0.0);
-  TransitionModel smooth = TransitionModel::Build(4, 2, kGroups, trips, 1.0);
-  EXPECT_DOUBLE_EQ(raw.Probability(0, 0), 0.0);
-  EXPECT_GT(smooth.Probability(0, 0), 0.0);
-  EXPECT_LT(smooth.Probability(0, 1), 1.0);
-  double sum = smooth.Probability(0, 0) + smooth.Probability(0, 1);
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-}
-
 TEST(TransitionModelTest, MassTowardsSumsSelectedGroups) {
   std::vector<OdPair> trips = {{0, 0}, {0, 2}, {0, 3}, {0, 3}};
   TransitionModel m = TransitionModel::Build(4, 2, kGroups, trips);

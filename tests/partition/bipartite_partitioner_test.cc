@@ -118,20 +118,6 @@ TEST(BipartitePartitionTest, WorksWithEmptyHistory) {
   }
 }
 
-TEST(BipartitePartitionTest, DiagnosticsReportIterations) {
-  RoadNetwork net = TestNet();
-  BipartiteOptions opt;
-  opt.kappa = 8;
-  opt.kt = 3;
-  opt.max_outer_iterations = 4;
-  BipartiteDiagnostics diag;
-  BipartitePartition(net, PolarizedTrips(net, 2), opt, &diag);
-  EXPECT_GE(diag.outer_iterations, 1);
-  EXPECT_LE(diag.outer_iterations, 4);
-  EXPECT_GE(diag.last_change_fraction, 0.0);
-  EXPECT_LE(diag.last_change_fraction, 1.0);
-}
-
 TEST(BipartitePartitionTest, PartitionsAreGeographicallyCompact) {
   RoadNetwork net = TestNet();
   BipartiteOptions opt;

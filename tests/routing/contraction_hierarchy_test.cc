@@ -234,15 +234,21 @@ TEST(ContractionHierarchyTest, StatsAndMemoryArePopulated) {
 }
 
 TEST(DistanceOracleChBackendTest, AutoSelectsChAboveExactThreshold) {
+  // A 70x70 city (perfbench's peak_ch) lies above kMaxExactVertices, a
+  // 9x9 city below it.
   GridCityOptions gopt;
+  gopt.rows = 70;
+  gopt.cols = 70;
+  RoadNetwork large = MakeGridCity(gopt);
+  ASSERT_GT(large.num_vertices(), kMaxExactVertices);
+  DistanceOracle ch_oracle(large);
+  EXPECT_EQ(ch_oracle.backend(), OracleBackend::kCh);
+
   gopt.rows = 9;
   gopt.cols = 9;
-  RoadNetwork net = MakeGridCity(gopt);
-  OracleOptions small;
-  small.max_exact_vertices = 10;  // auto -> CH
-  DistanceOracle ch_oracle(net, small);
-  EXPECT_EQ(ch_oracle.backend(), OracleBackend::kCh);
-  DistanceOracle exact_oracle(net);  // auto -> exact (81 <= 4200)
+  RoadNetwork small = MakeGridCity(gopt);
+  ASSERT_LE(small.num_vertices(), kMaxExactVertices);
+  DistanceOracle exact_oracle(small);
   EXPECT_EQ(exact_oracle.backend(), OracleBackend::kExact);
 }
 

@@ -114,14 +114,15 @@ TEST(ScaleDecisionGoldenTest, TenThousandTaxiFleetMatchesCommittedDigest) {
 
   SystemConfig config;
   config.seed = 214;
-  MTShareSystem system(net, scenario.HistoricalOdPairs(), config);
+  auto system =
+      MTShareSystem::Create(net, scenario.HistoricalOdPairs(), config).value();
 
   ScenarioSpec spec;
   spec.scheme = SchemeKind::kMtShare;
   spec.requests = &scenario.requests;
   spec.num_taxis = 10000;
   spec.fleet_seed = 215;
-  Result<Metrics> run = system.RunScenario(spec);
+  Result<Metrics> run = system->RunScenario(spec);
   ASSERT_TRUE(run.ok()) << run.status();
   const uint64_t want =
       ScaleCi() ? 0xad6a8ad0c195f284ull : 0x3110dbcb761b2d0eull;

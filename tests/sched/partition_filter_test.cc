@@ -39,7 +39,7 @@ class PartitionFilterTest : public ::testing::Test {
 };
 
 TEST_F(PartitionFilterTest, EndpointsAlwaysRetained) {
-  PartitionFilter filter(net_, partitioning_, *lg_, 0.707, 1.0);
+  PartitionFilter filter(net_, partitioning_, *lg_, 0.707);
   VertexId a = CornerVertex(false, false);
   VertexId b = CornerVertex(true, true);
   auto kept = filter.Filter(a, b);
@@ -50,7 +50,7 @@ TEST_F(PartitionFilterTest, EndpointsAlwaysRetained) {
 }
 
 TEST_F(PartitionFilterTest, IntraPartitionLegKeepsOnlyThatPartition) {
-  PartitionFilter filter(net_, partitioning_, *lg_, 0.707, 1.0);
+  PartitionFilter filter(net_, partitioning_, *lg_, 0.707);
   // Find two distinct vertices in the same partition.
   const auto& members = partitioning_.partition_vertices[0];
   ASSERT_GE(members.size(), 2u);
@@ -60,7 +60,7 @@ TEST_F(PartitionFilterTest, IntraPartitionLegKeepsOnlyThatPartition) {
 }
 
 TEST_F(PartitionFilterTest, PrunesSubstantiallyOnDiagonalLeg) {
-  PartitionFilter filter(net_, partitioning_, *lg_, 0.707, 1.0);
+  PartitionFilter filter(net_, partitioning_, *lg_, 0.707);
   VertexId a = CornerVertex(false, false);
   VertexId b = CornerVertex(true, true);
   auto kept = filter.Filter(a, b);
@@ -72,7 +72,7 @@ TEST_F(PartitionFilterTest, PrunesSubstantiallyOnDiagonalLeg) {
 }
 
 TEST_F(PartitionFilterTest, BackwardPartitionsFailDirectionRule) {
-  PartitionFilter filter(net_, partitioning_, *lg_, 0.707, 1.0);
+  PartitionFilter filter(net_, partitioning_, *lg_, 0.707);
   // Leg from the SW corner to the map center: NE-most partitions past the
   // center may stay (cost rule), but the partition at the far SW->NE
   // *opposite* corner of the leg origin... verify the partition containing
@@ -95,23 +95,15 @@ TEST_F(PartitionFilterTest, BackwardPartitionsFailDirectionRule) {
 }
 
 TEST_F(PartitionFilterTest, LooserLambdaKeepsMore) {
-  PartitionFilter tight(net_, partitioning_, *lg_, 0.9, 1.0);
-  PartitionFilter loose(net_, partitioning_, *lg_, 0.0, 1.0);
-  VertexId a = CornerVertex(false, false);
-  VertexId b = CornerVertex(true, true);
-  EXPECT_LE(tight.Filter(a, b).size(), loose.Filter(a, b).size());
-}
-
-TEST_F(PartitionFilterTest, LargerEpsilonKeepsMore) {
-  PartitionFilter tight(net_, partitioning_, *lg_, 0.0, 0.05);
-  PartitionFilter loose(net_, partitioning_, *lg_, 0.0, 2.0);
+  PartitionFilter tight(net_, partitioning_, *lg_, 0.9);
+  PartitionFilter loose(net_, partitioning_, *lg_, 0.0);
   VertexId a = CornerVertex(false, false);
   VertexId b = CornerVertex(true, true);
   EXPECT_LE(tight.Filter(a, b).size(), loose.Filter(a, b).size());
 }
 
 TEST_F(PartitionFilterTest, MaskCoversExactlyKeptPartitions) {
-  PartitionFilter filter(net_, partitioning_, *lg_, 0.707, 1.0);
+  PartitionFilter filter(net_, partitioning_, *lg_, 0.707);
   VertexId a = CornerVertex(false, false);
   VertexId b = CornerVertex(true, true);
   auto kept = filter.Filter(a, b);
@@ -149,7 +141,8 @@ TEST(PartitionFilterCraftedTest, DirectionAndCostRulesOnLineCity) {
   }
   FinalizeGeometry(net, &parts);
   LandmarkGraph lg(net, parts);
-  PartitionFilter filter(net, parts, lg, /*lambda=*/0.5, /*epsilon=*/0.5);
+  PartitionFilter filter(net, parts, lg, /*lambda=*/0.5);
+  ASSERT_EQ(PartitionFilter::kEpsilon, 1.0);
 
   auto contains = [](const std::vector<PartitionId>& kept, PartitionId p) {
     return std::find(kept.begin(), kept.end(), p) != kept.end();
@@ -157,31 +150,28 @@ TEST(PartitionFilterCraftedTest, DirectionAndCostRulesOnLineCity) {
 
   // Eastbound leg partition 0 -> 2. Partition 1 lies on the way: direction
   // cosine exactly 1 and zero extra landmark cost, so both rules pass.
-  // Partition 3 is past the destination: direction passes (cosine 1) but
+  // Partition 3 is past the destination: direction passes (cosine 1) and
   // the detour doubles the landmark cost — 2000 s via l3 vs 1000 s direct,
-  // above the (1 + 0.5) bound — so the COST rule alone must drop it.
+  // exactly the (1 + epsilon) bound, which admits it.
   std::vector<PartitionId> east = filter.Filter(2, 12);
   EXPECT_TRUE(contains(east, 0));
   EXPECT_TRUE(contains(east, 1));
   EXPECT_TRUE(contains(east, 2));
-  EXPECT_FALSE(contains(east, 3));
+  EXPECT_TRUE(contains(east, 3));
 
   // Westbound leg partition 2 -> 0. Partition 3 now lies *behind* the
   // travel direction (cosine -1 < lambda): the DIRECTION rule alone drops
-  // it, and no epsilon can readmit it.
+  // it.
   std::vector<PartitionId> west = filter.Filter(12, 2);
   EXPECT_TRUE(contains(west, 1));
   EXPECT_FALSE(contains(west, 3));
-  PartitionFilter loose(net, parts, lg, /*lambda=*/0.5, /*epsilon=*/10.0);
-  EXPECT_FALSE(contains(loose.Filter(12, 2), 3));
 
   // Short leg partition 0 -> 1. Partition 2 passes direction but triples
-  // the landmark cost (1500 s via l2 vs 500 s direct): excluded at
-  // epsilon = 0.5, readmitted once epsilon is loose enough.
+  // the landmark cost (1500 s via l2 vs 500 s direct, above the 1000 s
+  // bound): the COST rule alone drops it. Partition 3 costs 2500 s.
   std::vector<PartitionId> short_leg = filter.Filter(2, 7);
   EXPECT_FALSE(contains(short_leg, 2));
   EXPECT_FALSE(contains(short_leg, 3));
-  EXPECT_TRUE(contains(loose.Filter(2, 7), 2));
 }
 
 }  // namespace

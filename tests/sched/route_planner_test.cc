@@ -91,7 +91,7 @@ TEST_F(RoutePlannerTest, BasicLegTrivialForSameVertex) {
 }
 
 TEST_F(RoutePlannerTest, PlanRouteEmptyScheduleValid) {
-  auto planned = planner_->PlanRoute(3, 100.0, Schedule(), false);
+  auto planned = planner_->PlanRoute(3, 100.0, Schedule());
   EXPECT_TRUE(planned.valid);
   EXPECT_TRUE(planned.event_arrivals.empty());
 }
@@ -99,7 +99,7 @@ TEST_F(RoutePlannerTest, PlanRouteEmptyScheduleValid) {
 TEST_F(RoutePlannerTest, PlanRouteArrivalsMonotoneAndDeadlineSafe) {
   RideRequest r = MakeRequest(0, net_.num_vertices() - 1, 0.0, 1.6);
   Schedule s = Schedule::WithInsertion(Schedule(), r, 0, 0);
-  auto planned = planner_->PlanRoute(10, 0.0, s, false);
+  auto planned = planner_->PlanRoute(10, 0.0, s);
   ASSERT_TRUE(planned.valid);
   ASSERT_EQ(planned.event_arrivals.size(), 2u);
   EXPECT_LE(planned.event_arrivals[0], planned.event_arrivals[1]);
@@ -113,7 +113,7 @@ TEST_F(RoutePlannerTest, PlanRouteRejectsImpossibleDeadline) {
   RideRequest r = MakeRequest(0, net_.num_vertices() - 1, 0.0, 1.2);
   Schedule s = Schedule::WithInsertion(Schedule(), r, 0, 0);
   // Taxi starts at the far corner: approach alone blows the slack.
-  auto planned = planner_->PlanRoute(net_.num_vertices() - 1, 0.0, s, false);
+  auto planned = planner_->PlanRoute(net_.num_vertices() - 1, 0.0, s);
   EXPECT_FALSE(planned.valid);
 }
 
@@ -185,7 +185,7 @@ TEST_F(RoutePlannerTest, ProbPlanRouteFallsBackAndStaysFeasible) {
   RideRequest r = MakeRequest(0, net_.num_vertices() - 1, 0.0, 1.25);
   Schedule s = Schedule::WithInsertion(Schedule(), r, 0, 0);
   Point dir{1.0, 0.0};
-  auto planned = planner_->PlanRoute(0, 0.0, s, /*probabilistic=*/true, dir);
+  auto planned = planner_->PlanRoute(0, 0.0, s, dir);
   ASSERT_TRUE(planned.valid);
   EXPECT_LE(planned.event_arrivals[1], r.deadline + 1e-9);
 }

@@ -41,17 +41,16 @@ TEST_P(EnginePropertyTest, GlobalInvariantsHold) {
   cfg.kappa = 20;
   cfg.kt = 5;
   cfg.seed = param.seed + 3;
-  MTShareSystem system(net, scenario.HistoricalOdPairs(), cfg);
+  auto system =
+      MTShareSystem::Create(net, scenario.HistoricalOdPairs(), cfg).value();
 
   // Run through a hand-built engine so the fleet stays inspectable.
   auto fleet = MakeFleet(net, 24, cfg.taxi_capacity, param.seed + 4,
                          scenario.requests.empty()
                              ? 0.0
                              : scenario.requests.front().release_time);
-  auto dispatcher = system.MakeDispatcher(param.scheme, &fleet);
-  EngineOptions eopts;
-  eopts.payment = cfg.payment;
-  SimulationEngine engine(net, dispatcher.get(), &fleet, eopts);
+  auto dispatcher = system->MakeDispatcher(param.scheme, &fleet);
+  SimulationEngine engine(net, dispatcher.get(), &fleet, EngineOptions{});
   Metrics m = engine.Run(scenario.requests);
 
   // --- per-request invariants ---

@@ -190,15 +190,6 @@ TEST_F(EngineLineTest, CapacityLimitsConcurrentRiders) {
   EXPECT_EQ(m.ServedRequests(), 1);
 }
 
-TEST(ComputeRouteTimesTest, AccumulatesArcCosts) {
-  RoadNetwork net = LineCity();
-  std::vector<VertexId> path = {0, 1, 2, 3};
-  auto times = ComputeRouteTimes(net, path, 100.0);
-  ASSERT_EQ(times.size(), 4u);
-  EXPECT_DOUBLE_EQ(times[0], 100.0);
-  EXPECT_DOUBLE_EQ(times[3], 130.0);
-}
-
 TEST(ApplyPlanTest, InstallsScheduleAndRoute) {
   RoadNetwork net = LineCity();
   TaxiState taxi;

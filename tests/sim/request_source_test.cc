@@ -52,8 +52,9 @@ class RequestSourceTest : public ::testing::Test {
 
     config_.kappa = 20;
     config_.kt = 5;
-    system_ = std::make_unique<MTShareSystem>(
-        net_, scenario_.HistoricalOdPairs(), config_);
+    system_ = MTShareSystem::Create(net_, scenario_.HistoricalOdPairs(),
+                                    config_)
+                  .value();
   }
 
   static std::string Serialize(const std::vector<RideRequest>& requests,

@@ -178,8 +178,9 @@ class RunReportTest : public ::testing::Test {
 
     config_.kappa = 16;
     config_.kt = 5;
-    system_ = std::make_unique<MTShareSystem>(
-        net_, scenario_.HistoricalOdPairs(), config_);
+    system_ = MTShareSystem::Create(net_, scenario_.HistoricalOdPairs(),
+                                    config_)
+                  .value();
   }
 
   Metrics RunWithTiming(SchemeKind scheme) {

@@ -28,10 +28,11 @@
 //   --rows/--cols  generated city size     (default 48x48)
 //   --network      edge-list CSV to load instead of generating
 //   --historical   historical trips for the mobility statistics
-//                  (default 40000, matching mtshare_sim — with the same
-//                  city/seed flags the two tools build identical systems,
-//                  so serving a --save-requests log replays the sim run
-//                  byte-identically)
+//                  (default 40000, matching mtshare_sim — the two tools
+//                  build their systems through one step, tools/tool_system.h,
+//                  so with the same city/seed flags they build identical
+//                  systems and serving a --save-requests log replays the
+//                  sim run byte-identically)
 //   --window       peak | nonpeak demand profile for the historical trips
 //                  (default peak)
 //   --batch-window-ms  collect arrivals for this many simulated ms after
@@ -57,13 +58,9 @@
 #include <string>
 
 #include "common/histogram.h"
-#include "core/mtshare_system.h"
-#include "demand/trip_io.h"
 #include "flags.h"
-#include "graph/graph_generators.h"
-#include "graph/graph_io.h"
 #include "sim/request_source.h"
-#include "sim/run_report.h"
+#include "tool_system.h"
 
 using namespace mtshare;
 
@@ -83,84 +80,17 @@ int main(int argc, char** argv) {
     return help ? 0 : 2;
   }
 
-  std::optional<SchemeKind> scheme =
-      ParseScheme(GetS(args, "scheme", "mt-share"));
-  if (!scheme.has_value()) {
-    std::fprintf(stderr, "unknown --scheme\n");
-    return 2;
-  }
-  const bool peak = GetS(args, "window", "peak") == "peak";
-  const uint64_t seed = GetU64(args, "seed", 42, &ok);
-
-  RoadNetwork network;
-  std::string network_file = GetS(args, "network", "");
-  GridCityOptions gopt;
-  gopt.rows = GetCount(args, "rows", 48, &ok);
-  gopt.cols = GetCount(args, "cols", 48, &ok);
-  gopt.seed = seed;
-
-  SystemConfig config;
-  config.kappa = GetCount(args, "kappa", 120, &ok);
-  config.kt = std::min<int32_t>(config.kappa, 20);
-  config.rho = GetD(args, "rho", 1.3, &ok);
-  config.taxi_capacity = GetCount(args, "capacity", 3, &ok);
-  config.matching.gamma_max_m = GetD(args, "gamma", 2500.0, &ok);
-  if (!ParseOracleBackend(GetS(args, "oracle", "auto"),
-                          &config.oracle.backend)) {
-    std::fprintf(stderr, "unknown --oracle (want auto|exact|ch)\n");
-    return 2;
-  }
-  config.seed = seed;
-
-  const int32_t num_taxis = GetCount(args, "taxis", 150, &ok);
+  const SharedFlags flags = ReadSharedFlags(args, &ok);
   const int32_t historical = GetCount(args, "historical", 40000, &ok);
-  const double batch_window_ms = GetD(args, "batch-window-ms", 0.0, &ok);
-  if (ok && batch_window_ms < 0.0) {
-    std::fprintf(stderr, "--batch-window-ms must be >= 0\n");
-    ok = false;
-  }
-  const int32_t max_queue = GetCount(args, "max-queue", 0, &ok);
   const int32_t gauge_every = GetCount(args, "gauge-every", 1000, &ok);
   const std::string input_path = GetS(args, "input", "");
-  const std::string report_path = GetS(args, "report", "");
   // Every flag is read by now; anything left over is a typo.
   if (!args.RejectUnread()) ok = false;
   if (!ok) return 2;  // every malformed flag already printed its error
 
-  Status valid = config.Validate();
-  if (!valid.ok()) {
-    std::fprintf(stderr, "bad configuration: %s\n", valid.ToString().c_str());
-    return 2;
-  }
-
-  if (!network_file.empty()) {
-    Result<RoadNetwork> loaded = LoadEdgeList(network_file);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "failed to load network: %s\n",
-                   loaded.status().ToString().c_str());
-      return 1;
-    }
-    network = std::move(loaded).value();
-    network = ExtractLargestScc(network);
-  } else {
-    network = MakeGridCity(gopt);
-  }
-
   // Historical trips only — the request stream itself arrives on stdin.
-  // They come straight from the demand model, so no oracle is needed here.
-  DemandModelOptions dopt;
-  dopt.day = peak ? DayType::kWorkday : DayType::kWeekend;
-  dopt.seed = seed + 1;
-  DemandModel demand(network, dopt);
-  Rng history_rng(seed + 2);
-  const std::vector<OdPair> history =
-      OdPairsOf(GenerateHistoricalTrips(demand, historical, history_rng));
-
-  auto system = MTShareSystem::Create(network, history, config);
-  if (!system.ok()) {
-    std::fprintf(stderr, "system: %s\n", system.status().ToString().c_str());
-    return 2;
-  }
+  ToolSystem tool;
+  if (int rc = BuildToolSystem(flags, historical, &tool)) return rc;
 
   std::ifstream input_file;
   std::istream* in = &std::cin;
@@ -177,9 +107,9 @@ int main(int argc, char** argv) {
   // the generator does (cost from the oracle, deadline from rho). The
   // bounds guard leaves out-of-range vertices for the source's validation,
   // which reports a line-tagged error instead of crashing the oracle.
-  DistanceOracle& oracle = system.value()->oracle();
-  const double rho = config.rho;
-  const int64_t num_vertices = network.num_vertices();
+  DistanceOracle& oracle = tool.system->oracle();
+  const double rho = flags.config.rho;
+  const int64_t num_vertices = tool.network.num_vertices();
   StreamSourceOptions source_options;
   source_options.num_vertices = num_vertices;
   source_options.finalize = [&oracle, rho, num_vertices](RideRequest* r) {
@@ -209,13 +139,8 @@ int main(int argc, char** argv) {
   bool write_failed = false;
   const auto t0 = std::chrono::steady_clock::now();
 
-  ScenarioSpec spec;
-  spec.scheme = *scheme;
+  ScenarioSpec spec = MakeToolSpec(flags);
   spec.source = &source;
-  spec.num_taxis = num_taxis;
-  spec.fleet_seed = seed + 3;
-  spec.batch_window_ms = batch_window_ms;
-  spec.max_queue = max_queue;
   spec.on_decision = [&](const RideRequest& r, const RequestRecord& rec) {
     ++decisions;
     int written = 0;
@@ -249,7 +174,7 @@ int main(int argc, char** argv) {
     }
   };
 
-  Result<Metrics> run = system.value()->RunScenario(spec);
+  Result<Metrics> run = tool.system->RunScenario(spec);
   if (!run.ok()) {
     std::fprintf(stderr, "serve: %s\n", run.status().ToString().c_str());
     return 1;
@@ -266,7 +191,8 @@ int main(int argc, char** argv) {
                "[serve] done scheme=%s ingested=%lld served=%d "
                "(online=%d offline=%d) shed=%lld p50=%.3fms p99=%.3fms "
                "batches=%lld queue_depth=%lld exec_s=%.2f\n",
-               SchemeName(*scheme), static_cast<long long>(source.produced()),
+               SchemeName(flags.scheme),
+               static_cast<long long>(source.produced()),
                m.ServedRequests(), m.ServedOnline(), m.ServedOffline(),
                static_cast<long long>(m.serve.shed), latency.Percentile(0.50),
                latency.Percentile(0.99),
@@ -274,21 +200,16 @@ int main(int argc, char** argv) {
                static_cast<long long>(m.serve.queue_depth),
                m.execution_seconds);
 
-  if (!report_path.empty()) {
-    RunReportContext ctx;
-    ctx.experiment = "mtshare_serve";
-    ctx.scheme = SchemeName(*scheme);
-    ctx.window = peak ? "peak" : "nonpeak";
-    ctx.num_taxis = num_taxis;
-    ctx.num_requests = static_cast<int32_t>(source.produced());
-    ctx.seed = seed;
-    Status written = WriteRunReport(report_path, ctx, m);
+  if (!flags.report_path.empty()) {
+    RunReportContext ctx = MakeToolReportContext(
+        flags, "mtshare_serve", static_cast<int32_t>(source.produced()));
+    Status written = WriteRunReport(flags.report_path, ctx, m);
     if (!written.ok()) {
       std::fprintf(stderr, "report: %s\n", written.ToString().c_str());
       return 1;
     }
     std::fprintf(stderr, "[serve] run report written to %s\n",
-                 report_path.c_str());
+                 flags.report_path.c_str());
   }
   return 0;
 }

@@ -37,17 +37,13 @@
 //                  per-phase dispatch breakdown; see EXPERIMENTS.md)
 //
 // Malformed values and unknown flags exit 2 with a diagnostic.
-#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
 
-#include "core/mtshare_system.h"
 #include "demand/trip_io.h"
 #include "flags.h"
-#include "graph/graph_generators.h"
-#include "graph/graph_io.h"
-#include "sim/run_report.h"
+#include "tool_system.h"
 
 using namespace mtshare;
 
@@ -60,95 +56,29 @@ int main(int argc, char** argv) {
     return help ? 0 : 2;
   }
 
-  std::optional<SchemeKind> scheme = ParseScheme(GetS(args, "scheme", "mt-share"));
-  if (!scheme.has_value()) {
-    std::fprintf(stderr, "unknown --scheme\n");
-    return 2;
-  }
-  const bool peak = GetS(args, "window", "peak") == "peak";
-  const uint64_t seed = GetU64(args, "seed", 42, &ok);
-
-  // City: generated or loaded.
-  RoadNetwork network;
-  std::string network_file = GetS(args, "network", "");
-  GridCityOptions gopt;
-  gopt.rows = GetCount(args, "rows", 48, &ok);
-  gopt.cols = GetCount(args, "cols", 48, &ok);
-  gopt.seed = seed;
-
-  SystemConfig config;
-  config.kappa = GetCount(args, "kappa", 120, &ok);
-  config.kt = std::min<int32_t>(config.kappa, 20);
-  config.rho = GetD(args, "rho", 1.3, &ok);
-  config.taxi_capacity = GetCount(args, "capacity", 3, &ok);
-  config.matching.gamma_max_m = GetD(args, "gamma", 2500.0, &ok);
-  if (!ParseOracleBackend(GetS(args, "oracle", "auto"), &config.oracle.backend)) {
-    std::fprintf(stderr, "unknown --oracle (want auto|exact|ch)\n");
-    return 2;
-  }
-  config.seed = seed;
-
+  const SharedFlags flags = ReadSharedFlags(args, &ok);
   ScenarioOptions sopt;
-  sopt.t_begin = (peak ? 8 : 10) * 3600.0;
+  sopt.t_begin = (flags.peak ? 8 : 10) * 3600.0;
   sopt.t_end = sopt.t_begin + 3600.0;
   sopt.num_requests = GetCount(args, "requests", 1500, &ok);
-  sopt.offline_fraction = GetD(args, "offline", peak ? 0.0 : 0.32, &ok);
-  sopt.rho = config.rho;
-  sopt.seed = seed + 2;
-
-  const int32_t num_taxis = GetCount(args, "taxis", 150, &ok);
-  const double batch_window_ms = GetD(args, "batch-window-ms", 0.0, &ok);
-  if (ok && batch_window_ms < 0.0) {
-    std::fprintf(stderr, "--batch-window-ms must be >= 0\n");
-    ok = false;
-  }
-  const int32_t max_queue = GetCount(args, "max-queue", 0, &ok);
+  sopt.offline_fraction = GetD(args, "offline", flags.peak ? 0.0 : 0.32, &ok);
+  sopt.rho = flags.config.rho;
+  sopt.seed = flags.seed + 2;
   const std::string save_requests = GetS(args, "save-requests", "");
-  const std::string report_path = GetS(args, "report", "");
   const std::string per_request = GetS(args, "per-request", "");
   // Every flag is read by now; anything left over is a typo.
   if (!args.RejectUnread()) ok = false;
   if (!ok) return 2;  // every malformed flag already printed its error
 
-  Status valid = config.Validate();
-  if (!valid.ok()) {
-    std::fprintf(stderr, "bad configuration: %s\n", valid.ToString().c_str());
-    return 2;
-  }
-
-  if (!network_file.empty()) {
-    Result<RoadNetwork> loaded = LoadEdgeList(network_file);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "failed to load network: %s\n",
-                   loaded.status().ToString().c_str());
-      return 1;
-    }
-    network = std::move(loaded).value();
-    network = ExtractLargestScc(network);
-  } else {
-    network = MakeGridCity(gopt);
-  }
-
-  DemandModelOptions dopt;
-  dopt.day = peak ? DayType::kWorkday : DayType::kWeekend;
-  dopt.seed = seed + 1;
-  DemandModel demand(network, dopt);
-  // The system trains on the scenario's history, which MakeScenario draws
-  // first thing on Rng(sopt.seed); drawing it here first lets the scenario
-  // price its requests on the system's own oracle, so one hierarchy is
-  // built, not two.
-  Rng history_rng(sopt.seed);
-  auto system = MTShareSystem::Create(
-      network,
-      OdPairsOf(GenerateHistoricalTrips(demand, sopt.num_historical_trips,
-                                        history_rng)),
-      config);
-  if (!system.ok()) {
-    std::fprintf(stderr, "system: %s\n", system.status().ToString().c_str());
-    return 2;
+  // The scenario draws its history first thing on Rng(sopt.seed), the
+  // trips the system trains on, so it prices its requests on the system's
+  // own oracle: one hierarchy is built, not two.
+  ToolSystem tool;
+  if (int rc = BuildToolSystem(flags, sopt.num_historical_trips, &tool)) {
+    return rc;
   }
   Scenario scenario =
-      MakeScenario(network, demand, system.value()->oracle(), sopt);
+      MakeScenario(tool.network, *tool.demand, tool.system->oracle(), sopt);
   if (!save_requests.empty()) {
     Status saved = SaveRequestLog(save_requests, scenario.requests);
     if (!saved.ok()) {
@@ -158,14 +88,9 @@ int main(int argc, char** argv) {
     std::printf("request log written to %s\n", save_requests.c_str());
   }
 
-  ScenarioSpec spec;
-  spec.scheme = *scheme;
+  ScenarioSpec spec = MakeToolSpec(flags);
   spec.requests = &scenario.requests;
-  spec.num_taxis = num_taxis;
-  spec.fleet_seed = seed + 3;
-  spec.batch_window_ms = batch_window_ms;
-  spec.max_queue = max_queue;
-  Result<Metrics> run = system.value()->RunScenario(spec);
+  Result<Metrics> run = tool.system->RunScenario(spec);
   if (!run.ok()) {
     std::fprintf(stderr, "run: %s\n", run.status().ToString().c_str());
     return 2;
@@ -173,8 +98,9 @@ int main(int argc, char** argv) {
   Metrics m = std::move(run).value();
 
   std::printf("scheme=%s window=%s taxis=%d requests=%zu offline=%d\n",
-              SchemeName(*scheme), peak ? "peak" : "nonpeak", spec.num_taxis,
-              scenario.requests.size(), scenario.CountOffline());
+              SchemeName(flags.scheme), flags.peak ? "peak" : "nonpeak",
+              spec.num_taxis, scenario.requests.size(),
+              scenario.CountOffline());
   std::printf("served=%d (online=%d offline=%d)\n", m.ServedRequests(),
               m.ServedOnline(), m.ServedOffline());
   std::printf("response_ms=%.3f wait_min=%.2f detour_min=%.2f\n",
@@ -188,20 +114,15 @@ int main(int argc, char** argv) {
               static_cast<long long>(m.routing.ch_upward_settled),
               static_cast<long long>(m.routing.ch_shortcuts));
 
-  if (!report_path.empty()) {
-    RunReportContext ctx;
-    ctx.experiment = "mtshare_sim";
-    ctx.scheme = SchemeName(*scheme);
-    ctx.window = peak ? "peak" : "nonpeak";
-    ctx.num_taxis = spec.num_taxis;
-    ctx.num_requests = static_cast<int32_t>(scenario.requests.size());
-    ctx.seed = seed;
-    Status written = WriteRunReport(report_path, ctx, m);
+  if (!flags.report_path.empty()) {
+    RunReportContext ctx = MakeToolReportContext(
+        flags, "mtshare_sim", static_cast<int32_t>(scenario.requests.size()));
+    Status written = WriteRunReport(flags.report_path, ctx, m);
     if (!written.ok()) {
       std::fprintf(stderr, "report: %s\n", written.ToString().c_str());
       return 1;
     }
-    std::printf("run report written to %s\n", report_path.c_str());
+    std::printf("run report written to %s\n", flags.report_path.c_str());
   }
 
   if (!per_request.empty()) {

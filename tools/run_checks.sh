@@ -5,8 +5,8 @@
 #      (thread pool, cross-run oracle sharing: exact row fills and the CH
 #      engine pool, concurrent bucket-sweep runs on one CH oracle); an
 #      empty selection fails
-#   3. configure + build the asan preset, run the full suite under
-#      AddressSanitizer + LeakSanitizer
+#   3. configure + build the asan preset, run the full suite (the examples
+#      included) under AddressSanitizer + LeakSanitizer
 #   4. smoke-run mtshare_sim --report and check the JSON schema marker,
 #      the schema-4 engine counters, the no-fallback invariant on both
 #      oracle backends, the CH oracle's bucket sweeps and an mT-Share-pro
@@ -47,8 +47,11 @@ if [[ "${MTSHARE_SKIP_ASAN:-0}" != "1" ]]; then
   cmake --preset asan >/dev/null
   # Build mtshare_scale_tests too so its tests carry the `scale` label the
   # preset excludes; unbuilt, an unlabelled *_NOT_BUILT placeholder runs.
+  # The examples run as ctest tests, so they are built as well.
   cmake --build --preset asan -j "$JOBS" --target mtshare_tests \
-    mtshare_thread_tests mtshare_scale_tests mtshare_sim_cli mtshare_serve_cli
+    mtshare_thread_tests mtshare_scale_tests mtshare_sim_cli mtshare_serve_cli \
+    quickstart peak_hour_comparison offline_street_hailing \
+    payment_walkthrough streaming_dispatch
   ctest --preset asan -j "$JOBS"
 else
   echo "==> [3/6] asan preset: skipped (MTSHARE_SKIP_ASAN=1)"
