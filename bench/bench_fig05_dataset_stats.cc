@@ -5,11 +5,29 @@
 //     two windows are peak resp. mid-level.
 // (b) travel-time distribution of taxi trips — the paper reports a 50th
 //     percentile of 15 min and a 90th percentile of 30 min.
+#include <algorithm>
+#include <vector>
+
 #include "bench_common.h"
-#include "common/stats.h"
 
 using namespace mtshare;
 using namespace mtshare::bench;
+
+namespace {
+
+/// p in [0, 1] of an ascending sample, interpolating linearly between the
+/// closest ranks.
+double Percentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  if (sorted.size() == 1) return sorted[0];
+  double rank = p * static_cast<double>(sorted.size() - 1);
+  size_t lo = static_cast<size_t>(rank);
+  size_t hi = std::min(lo + 1, sorted.size() - 1);
+  double frac = rank - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+}  // namespace
 
 int main() {
   RoadNetwork net = MakeBenchCity();
@@ -37,25 +55,33 @@ int main() {
   dopt.day = DayType::kWorkday;
   DemandModel demand(net, dopt);
   auto trips = demand.GenerateTrips(0.0, 86400.0, 8000, rng);
-  SummaryStats travel_min;
-  Histogram hist(0.0, 60.0, 12);
+  std::vector<double> travel_min;
   for (const Trip& t : trips) {
     Seconds cost = oracle.Cost(t.origin, t.destination);
     if (cost == kInfiniteCost) continue;
-    travel_min.Add(cost / 60.0);
-    hist.Add(cost / 60.0);
+    travel_min.push_back(cost / 60.0);
   }
-  std::printf("trips sampled: %d\n", int(travel_min.count()));
+  std::sort(travel_min.begin(), travel_min.end());
+  std::printf("trips sampled: %d\n", int(travel_min.size()));
   PrintHeader({"percentile", "minutes"});
   for (double p : {0.1, 0.25, 0.5, 0.75, 0.9, 0.95}) {
-    PrintRow({Fmt(p * 100, 0), Fmt(travel_min.Percentile(p), 1)});
+    PrintRow({Fmt(p * 100, 0), Fmt(Percentile(travel_min, p), 1)});
   }
+  // Twelve 5-minute buckets over [0, 60) min; the CDF at each bucket's
+  // upper edge counts every shorter trip.
+  constexpr double kBucketMin = 5.0;
+  constexpr int kBuckets = 12;
   PrintHeader({"bucket(min)", "share", "cdf"});
-  auto cdf = hist.Cdf();
-  for (size_t i = 0; i < hist.bins(); ++i) {
-    PrintRow({Fmt(hist.BucketLow(i), 0) + "-" + Fmt(hist.BucketHigh(i), 0),
-              Fmt(double(hist.BucketCount(i)) / hist.TotalCount(), 3),
-              Fmt(cdf[i], 3)});
+  auto below = travel_min.begin();
+  for (int i = 0; i < kBuckets; ++i) {
+    const double low = kBucketMin * i;
+    const double high = kBucketMin * (i + 1);
+    auto end = std::lower_bound(below, travel_min.end(), high);
+    const double total = double(travel_min.size());
+    PrintRow({Fmt(low, 0) + "-" + Fmt(high, 0),
+              Fmt(double(end - below) / total, 3),
+              Fmt(double(end - travel_min.begin()) / total, 3)});
+    below = end;
   }
   return 0;
 }

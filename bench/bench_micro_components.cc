@@ -261,6 +261,8 @@ BENCHMARK(BM_TaxiIndexReindex)->Arg(256)->Arg(1024)->Arg(4096);
 void BM_EngineAdvance(benchmark::State& state) {
   const int32_t fleet_size = int32_t(state.range(0));
   static DistanceOracle oracle(Net());
+  static MapPartitioning partitioning = GridPartition(Net(), 64);
+  static LandmarkGraph landmarks(Net(), partitioning, *oracle.ch());
   Rng rng(31);
   // One simulated hour of evenly released city-wide trips, ids dense from
   // zero and sorted by release as the engine requires.
@@ -284,7 +286,8 @@ void BM_EngineAdvance(benchmark::State& state) {
     // A tight searching range keeps candidate evaluation flat across fleet
     // sizes so the measurement tracks fleet advancement, not dispatch.
     mconfig.gamma_max_m = 600.0;
-    NoSharingDispatcher dispatcher(Net(), &oracle, &fleet, mconfig);
+    NoSharingDispatcher dispatcher(Net(), &oracle, &fleet, mconfig,
+                                   landmarks);
     EngineOptions opts;
     opts.serve_offline = false;
     SimulationEngine engine(Net(), &dispatcher, &fleet, opts);

@@ -14,8 +14,7 @@ namespace mtshare {
 /// last bucket holds [hi, +inf). Two histograms with the same (lo, hi,
 /// bins) triple can be merged bucket-wise, which is what lets per-thread
 /// or per-run recorders combine into one distribution without keeping raw
-/// samples (SummaryStats keeps every sample; this keeps O(bins) counters
-/// regardless of run length).
+/// samples: O(bins) counters regardless of run length.
 ///
 /// Percentile queries interpolate linearly inside the winning bucket and
 /// clamp to the exact observed [min, max], so the relative error of a

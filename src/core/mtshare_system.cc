@@ -129,36 +129,26 @@ MTShareSystem::MTShareSystem(const RoadNetwork& network,
 std::unique_ptr<Dispatcher> MTShareSystem::MakeDispatcher(
     SchemeKind scheme, std::vector<TaxiState>* fleet) {
   DistanceOracle* oracle = oracle_.get();
-  MatchingConfig mc = config_.matching;
+  const MatchingConfig& mc = config_.matching;
   std::unique_ptr<Dispatcher> d;
   switch (scheme) {
     case SchemeKind::kNoSharing:
-      d = std::make_unique<NoSharingDispatcher>(network_, oracle, fleet, mc);
+      d = std::make_unique<NoSharingDispatcher>(network_, oracle, fleet, mc,
+                                                *landmarks_);
       break;
-    case SchemeKind::kTShare: {
-      auto t = std::make_unique<TShareDispatcher>(network_, oracle, fleet, mc);
-      t->EnableLowerBoundPruning(landmarks_.get());
-      d = std::move(t);
+    case SchemeKind::kTShare:
+      d = std::make_unique<TShareDispatcher>(network_, oracle, fleet, mc,
+                                             *landmarks_);
       break;
-    }
-    case SchemeKind::kPGreedyDp: {
-      auto p = std::make_unique<PGreedyDpDispatcher>(network_, oracle, fleet,
-                                                     mc);
-      p->EnableLowerBoundPruning(landmarks_.get());
-      d = std::move(p);
+    case SchemeKind::kPGreedyDp:
+      d = std::make_unique<PGreedyDpDispatcher>(network_, oracle, fleet, mc,
+                                                *landmarks_);
       break;
-    }
     case SchemeKind::kMtShare:
-      mc.probabilistic = false;
-      d = std::make_unique<MtShareDispatcher>(network_, oracle, fleet, mc,
-                                              partitioning_, *landmarks_,
-                                              &transitions_);
-      break;
     case SchemeKind::kMtSharePro:
-      mc.probabilistic = true;
-      d = std::make_unique<MtShareDispatcher>(network_, oracle, fleet, mc,
-                                              partitioning_, *landmarks_,
-                                              &transitions_);
+      d = std::make_unique<MtShareDispatcher>(
+          network_, oracle, fleet, mc, *landmarks_, partitioning_,
+          transitions_, scheme == SchemeKind::kMtSharePro);
       break;
   }
   MTSHARE_CHECK(d != nullptr);

@@ -55,7 +55,8 @@ struct ScenarioSpec {
   RequestSource* source = nullptr;
   /// Batch-window ingest Δt in simulated milliseconds: collect arrivals
   /// for Δt after the first pending release, dispatch the batch at window
-  /// close. 0 replays the classic per-request boundary loop exactly.
+  /// close. 0 makes each request a batch of one, dispatched before the
+  /// next request is pulled.
   double batch_window_ms = 0.0;
   /// Admission cap on the pending dispatch queue (0 = unbounded). With a
   /// batch window, online arrivals past the cap are shed unserved
@@ -139,7 +140,7 @@ class MTShareSystem {
   const SystemConfig& config() const { return config_; }
 
   /// Overrides the matching parameters for subsequent runs without
-  /// rebuilding partitions (gamma/lambda/probabilistic sweeps).
+  /// rebuilding partitions (gamma/lambda/stretch sweeps).
   void set_matching(const MatchingConfig& matching) {
     config_.matching = matching;
   }

@@ -8,11 +8,13 @@ namespace mtshare {
 
 Dispatcher::Dispatcher(const RoadNetwork& network, DistanceOracle* oracle,
                        std::vector<TaxiState>* fleet,
-                       const MatchingConfig& config)
+                       const MatchingConfig& config,
+                       const LandmarkGraph& landmarks)
     : network_(network),
       oracle_(oracle),
       fleet_(fleet),
       config_(config),
+      landmarks_(landmarks),
       route_dijkstra_(network),
       batch_(network, oracle) {
   MTSHARE_CHECK(oracle != nullptr);
@@ -42,8 +44,8 @@ void Dispatcher::RegisterCandidateStops(const TaxiState& t) {
 void Dispatcher::SweepPickupReach(const RideRequest& r, Seconds now) {
   if (buckets_ == nullptr) return;
   // Anchors are read straight off the fleet, exactly as the table probes
-  // do; every advance re-dirties the taxi via OnScheduleChanged, so the
-  // flush sees the moved location.
+  // do; every engine notification re-dirties its taxi, so the flush sees
+  // the moved location.
   buckets_->FlushDirty([this](TaxiId id) { return taxi(id).location; });
   buckets_->Sweep(r.origin, r.PickupDeadline() - now);
 }
@@ -92,8 +94,7 @@ bool Dispatcher::ComputeEllipseMask(const TaxiState& t, const RideRequest& r,
   const size_t m = ev.size();
   mask->pickup.assign(m + 1, 1);
   mask->dropoff.assign(m + 1, 1);
-  if (lb_landmarks_ == nullptr) return true;
-  const LandmarkGraph& lm = *lb_landmarks_;
+  const LandmarkGraph& lm = landmarks_;
   slots_screened_ += static_cast<int64_t>(2 * (m + 1));
   const Seconds pickup_deadline = r.PickupDeadline();
 
@@ -178,8 +179,7 @@ bool Dispatcher::ComputeEllipseMask(const TaxiState& t, const RideRequest& r,
 
 bool Dispatcher::LowerBoundPrunesPickup(VertexId taxi_location,
                                         const RideRequest& r, Seconds now) {
-  if (lb_landmarks_ == nullptr) return false;
-  Seconds lb = lb_landmarks_->LowerBound(taxi_location, r.origin);
+  Seconds lb = landmarks_.LowerBound(taxi_location, r.origin);
   if (now + lb > r.PickupDeadline() + kLbSlack) {
     ++lb_pruned_;
     return true;
@@ -228,6 +228,19 @@ Dispatcher::CandidateEval Dispatcher::EvaluateCandidates(
   return best;
 }
 
+bool Dispatcher::Assign(TaxiId id, Schedule schedule, Seconds detour,
+                        Seconds now, DispatchOutcome* out,
+                        RoutePlanner::PlannedRoute route) {
+  if (!route.valid) route = PlanShortestRoute(taxi(id).location, now, schedule);
+  if (!route.valid) return false;
+  out->assigned = true;
+  out->taxi = id;
+  out->detour = detour;
+  out->schedule = std::move(schedule);
+  out->route = std::move(route);
+  return true;
+}
+
 RoutePlanner::PlannedRoute Dispatcher::PlanShortestRoute(
     VertexId start, Seconds start_time, const Schedule& schedule) {
   ScopedPhaseTimer timer(phase_timers_, DispatchPhase::kRouting);
@@ -254,12 +267,6 @@ void Dispatcher::EnableIdleCruising(const MapPartitioning* partitioning,
   MTSHARE_CHECK(partitioning != nullptr && planner != nullptr);
   cruise_partitioning_ = partitioning;
   cruise_planner_ = planner;
-}
-
-void Dispatcher::EnableIdleCruising(const MapPartitioning* partitioning,
-                                    std::unique_ptr<RoutePlanner> planner) {
-  owned_cruise_planner_ = std::move(planner);
-  EnableIdleCruising(partitioning, owned_cruise_planner_.get());
 }
 
 RoutePlanner::PlannedRoute Dispatcher::PlanIdleCruise(TaxiId id, Seconds now) {
@@ -307,23 +314,17 @@ RoutePlanner::PlannedRoute Dispatcher::PlanIdleCruise(TaxiId id, Seconds now) {
 DispatchOutcome Dispatcher::TryServeEncountered(const RideRequest& request,
                                                 TaxiId taxi_id, Seconds now) {
   DispatchOutcome outcome;
-  const TaxiState& t = taxi(taxi_id);
-  if (t.FreeSeats() < request.passengers) return outcome;
+  if (taxi(taxi_id).FreeSeats() < request.passengers) return outcome;
   // The taxi is physically at the request's origin: insert and re-plan.
   // Its one insertion is priced like any candidate's; the screen clears
   // only provably infeasible slots and primed legs equal Cost() bit for
   // bit, so the result is the unscreened per-pair optimum.
   CandidateEval best = EvaluateCandidates({&taxi_id, 1}, request, now);
   if (best.taxi == kInvalidTaxi) return outcome;
-  RoutePlanner::PlannedRoute route =
-      PlanShortestRoute(t.location, now, best.insertion.schedule);
-  if (!route.valid) return outcome;
-  outcome.assigned = true;
-  outcome.taxi = taxi_id;
-  outcome.detour = best.insertion.detour;
-  outcome.candidates = 1;
-  outcome.schedule = std::move(best.insertion.schedule);
-  outcome.route = std::move(route);
+  if (Assign(taxi_id, std::move(best.insertion.schedule),
+             best.insertion.detour, now, &outcome)) {
+    outcome.candidates = 1;
+  }
   return outcome;
 }
 

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "common/random.h"
@@ -44,8 +43,6 @@ struct MatchingConfig {
   double gamma_max_m = 2500.0;
   /// Direction-similarity threshold lambda (0.707 == 45 degrees).
   double lambda = 0.707;
-  /// Enables probabilistic routing (the mT-Share^pro variant).
-  bool probabilistic = false;
   /// Probabilistic-leg travel budget: min(deadline slack,
   /// shortest * prob_max_stretch + RoutePlanner::kProbExtraSlack) — the
   /// probability vs detour trade-off knob (ablated in
@@ -71,69 +68,62 @@ struct DispatchOutcome {
   /// New schedule + route for the winning taxi; the engine applies them.
   Schedule schedule;
   RoutePlanner::PlannedRoute route;
-  /// Whether the route was planned probabilistically.
-  bool probabilistic_route = false;
 };
 
 /// Interface of a passenger-taxi matching scheme. One instance owns the
 /// indexes for one simulation run; the engine feeds it taxi lifecycle
-/// notifications so indexes stay fresh.
+/// notifications so indexes stay fresh. Schemes differ only in how they
+/// find and pick a candidate taxi; every one hands its decision to the
+/// engine through Assign.
 class Dispatcher {
  public:
   /// The dispatcher reads and never mutates the fleet; the engine applies
-  /// outcomes. On a CH-backed oracle it also keeps a last-stop bucket
-  /// store over the oracle's hierarchy, which answers pickup reachability
-  /// (DESIGN.md §14).
+  /// outcomes. `landmarks` (which must outlive the dispatcher) arms the
+  /// admissible lower-bound prunes for every scheme. On a CH-backed oracle
+  /// the dispatcher also keeps a last-stop bucket store over the oracle's
+  /// hierarchy, which answers pickup reachability (DESIGN.md §14).
   Dispatcher(const RoadNetwork& network, DistanceOracle* oracle,
-             std::vector<TaxiState>* fleet, const MatchingConfig& config);
+             std::vector<TaxiState>* fleet, const MatchingConfig& config,
+             const LandmarkGraph& landmarks);
   virtual ~Dispatcher() = default;
 
   Dispatcher(const Dispatcher&) = delete;
   Dispatcher& operator=(const Dispatcher&) = delete;
-
-  virtual std::string_view name() const = 0;
 
   /// Matches one online ride request; pure decision, no state mutation
   /// beyond the scheme's own index bookkeeping.
   virtual DispatchOutcome Dispatch(const RideRequest& request,
                                    Seconds now) = 0;
 
+  /// Engine notifications, one per taxi event. Each marks the taxi's
+  /// last-stop bucket entries dirty (O(1) and idempotent; the next sweep
+  /// re-deposits only taxis whose anchor moved, and the exact table keeps
+  /// no buckets), then calls the scheme's index hook below.
+  ///
   /// The taxi advanced along its route from position `from_pos` through
   /// `to_pos` (to_pos can trail the taxi's current route_pos when the
-  /// engine splits a span around a schedule event). The grid baselines
-  /// refresh their last-write-wins position index from the taxi's current
-  /// location; mT-Share replays its partition-crossing reindexes per
-  /// crossing. Default: no index to refresh.
-  virtual void OnTaxiAdvanced(TaxiId taxi, size_t from_pos, size_t to_pos) {
-    (void)taxi;
-    (void)from_pos;
-    (void)to_pos;
+  /// engine splits a span around a schedule event).
+  void OnTaxiAdvanced(TaxiId taxi, size_t from_pos, size_t to_pos) {
+    MarkBucketsDirty(taxi);
+    IndexTaxiAdvanced(taxi, from_pos, to_pos);
   }
   /// A taxi's schedule/route was replaced (assignment) or drained (idle).
-  virtual void OnScheduleCommitted(TaxiId taxi) { (void)taxi; }
-  /// A request left the system (delivered).
-  virtual void OnRequestCompleted(const RideRequest& request, TaxiId taxi) {
-    (void)request;
-    (void)taxi;
+  void OnScheduleCommitted(TaxiId taxi) {
+    MarkBucketsDirty(taxi);
+    IndexScheduleCommitted(taxi);
   }
-  /// A taxi's position or schedule changed in a way that can move its
-  /// last-stop bucket anchor: schedule commit or advance along the
-  /// route. The engine calls this IN ADDITION to the index
-  /// notifications above (schemes override those without chaining to the
-  /// base, so anchor upkeep needs its own hook). The base marks the taxi's
-  /// bucket entries dirty — O(1), idempotent; the rebuild is deferred to
-  /// the next sweep, which skips taxis whose anchor did not actually move.
-  /// No-op on the exact table, which keeps no buckets.
-  void OnScheduleChanged(TaxiId taxi) {
-    if (buckets_ != nullptr) buckets_->MarkDirty(taxi);
+  /// A request left the system (delivered by `taxi`).
+  void OnRequestCompleted(const RideRequest& request, TaxiId taxi) {
+    MarkBucketsDirty(taxi);
+    IndexRequestCompleted(request, taxi);
   }
 
   /// Offline-request encounter (paper Sec. IV-C2): `taxi` met the waiting
   /// request at its origin vertex; serve it if a feasible insertion exists.
-  /// Default: EvaluateCandidates over this one taxi (ellipse screen,
-  /// primed batch, masked DP) + shortest-path route.
-  virtual DispatchOutcome TryServeEncountered(const RideRequest& request,
-                                              TaxiId taxi, Seconds now);
+  /// EvaluateCandidates over this one taxi (ellipse screen, primed batch,
+  /// masked DP), then Assign with a shortest-path route.
+  DispatchOutcome TryServeEncountered(const RideRequest& request, TaxiId taxi,
+                                      Seconds now);
 
   /// Whether this scheme participates in offline serving (No-Sharing does
   /// not; the adjusted baselines and mT-Share do, Sec. V-A2).
@@ -143,17 +133,15 @@ class Dispatcher {
   /// offline-seeking cruise route (mT-Share-pro sends empty taxis toward
   /// high encounter-mass partitions; every other scheme parks them).
   /// Returns an invalid route unless idle cruising was enabled.
-  virtual RoutePlanner::PlannedRoute PlanIdleCruise(TaxiId taxi, Seconds now);
+  RoutePlanner::PlannedRoute PlanIdleCruise(TaxiId taxi, Seconds now);
 
   /// Arms probabilistic idle cruising: empty taxis are steered toward
   /// nearby partitions sampled by offline-encounter mass. mT-Share-pro arms
   /// this with its own planner; the Fig. 16 bench arms it on the baselines
-  /// to form their "+ probabilistic routing" variants. `planner` is owned
-  /// by the dispatcher when passed by unique_ptr.
+  /// to form their "+ probabilistic routing" variants. Both pointers must
+  /// outlive the dispatcher.
   void EnableIdleCruising(const MapPartitioning* partitioning,
                           RoutePlanner* planner);
-  void EnableIdleCruising(const MapPartitioning* partitioning,
-                          std::unique_ptr<RoutePlanner> planner);
 
   /// Whether idle cruising is armed. The engine skips the per-boundary
   /// cruise offers entirely when it is not (PlanIdleCruise would be a
@@ -171,15 +159,6 @@ class Dispatcher {
   }
   /// Accumulated per-phase dispatch time (the run-report breakdown).
   const PhaseTimers& phase_timers() const { return phase_timers_; }
-
-  /// Arms landmark-triangle lower bounds: candidate taxis whose pickup is
-  /// provably unreachable before its deadline are skipped without exact
-  /// routing. Admissible (never exceeds the true cost, with an absolute
-  /// slack absorbing FP rounding), so outcomes are unchanged — only work
-  /// is saved. `landmarks` must outlive the dispatcher; null disarms.
-  void EnableLowerBoundPruning(const LandmarkGraph* landmarks) {
-    lb_landmarks_ = landmarks;
-  }
 
   /// The bucket store (null on the exact table) — test/diagnostic access.
   const LastStopBuckets* buckets() const { return buckets_.get(); }
@@ -199,6 +178,23 @@ class Dispatcher {
   }
 
  protected:
+  /// Scheme index hooks behind the engine notifications above. The grid
+  /// baselines refresh their last-write-wins position index from the
+  /// taxi's current location; mT-Share replays its partition-crossing
+  /// reindexes per crossing. Default: no index to refresh.
+  virtual void IndexTaxiAdvanced(TaxiId taxi, size_t from_pos,
+                                 size_t to_pos) {
+    (void)taxi;
+    (void)from_pos;
+    (void)to_pos;
+  }
+  virtual void IndexScheduleCommitted(TaxiId taxi) { (void)taxi; }
+  virtual void IndexRequestCompleted(const RideRequest& request,
+                                     TaxiId taxi) {
+    (void)request;
+    (void)taxi;
+  }
+
   /// Best feasible insertion over `candidates` for `request` (the
   /// matching hot path, paper Algorithm 1 / Table III; an encounter passes
   /// its one taxi): each candidate's FindBestInsertionDp result is kept if
@@ -218,9 +214,11 @@ class Dispatcher {
   /// the batch; call batch_.Prime() once all candidates are registered.
   void RegisterCandidateStops(const TaxiState& t);
   /// True (and counted) when the landmark lower bound proves the taxi
-  /// cannot reach the request origin by the pickup deadline. kLbSlack
-  /// absorbs floating-point triangle-inequality violations so the prune
-  /// can never disagree with the exact feasibility checks.
+  /// cannot reach the request origin by the pickup deadline. The bound
+  /// never exceeds the true cost, so the prune saves work without moving a
+  /// decision; kLbSlack absorbs floating-point triangle-inequality
+  /// violations so it can never disagree with the exact feasibility
+  /// checks.
   bool LowerBoundPrunesPickup(VertexId taxi_location, const RideRequest& r,
                               Seconds now);
   static constexpr Seconds kLbSlack = 1e-6;
@@ -243,18 +241,21 @@ class Dispatcher {
   /// bounds cannot prove infeasible for `r`. Returns false when no
   /// (pickup <= dropoff) pair survives — the candidate can be skipped
   /// without exact routing. Only provably infeasible slots are cleared,
-  /// so masked insertion search returns the unmasked optimum. Without
-  /// landmarks every slot stays open.
+  /// so masked insertion search returns the unmasked optimum.
   bool ComputeEllipseMask(const TaxiState& t, const RideRequest& r,
                           Seconds now, InsertionSlotMask* mask);
 
   /// Grid pitch of the baselines' spatial taxi index.
   static constexpr double kGridCellM = 500.0;
 
-  /// Materializes an unrestricted shortest-path route for a schedule.
-  RoutePlanner::PlannedRoute PlanShortestRoute(VertexId start,
-                                               Seconds start_time,
-                                               const Schedule& schedule);
+  /// Route-then-fill, the one way a scheme hands a decision to the
+  /// engine: routes `schedule` from taxi `id`'s location along `route`
+  /// when the scheme already planned one (mT-Share-pro's probabilistic
+  /// route), else along exact shortest-path legs, and fills `out` with the
+  /// assignment. Returns false, leaving `out` unassigned, when no valid
+  /// route meets the schedule's deadlines.
+  bool Assign(TaxiId id, Schedule schedule, Seconds detour, Seconds now,
+              DispatchOutcome* out, RoutePlanner::PlannedRoute route = {});
 
   const TaxiState& taxi(TaxiId id) const { return (*fleet_)[id]; }
 
@@ -262,11 +263,12 @@ class Dispatcher {
   DistanceOracle* oracle_;
   std::vector<TaxiState>* fleet_;
   MatchingConfig config_;
+  /// Landmark lower/upper bounds for the pickup prune and the ellipse
+  /// screen.
+  const LandmarkGraph& landmarks_;
   DijkstraSearch route_dijkstra_;
   /// Per-request leg-cost table every insertion evaluation primes.
   InsertionCostBatch batch_;
-  /// Landmark lower bounds for candidate pruning (null = disabled).
-  const LandmarkGraph* lb_landmarks_ = nullptr;
   int64_t lb_pruned_ = 0;
   /// Last-stop bucket store over the oracle's hierarchy (null on the
   /// exact table).
@@ -289,10 +291,17 @@ class Dispatcher {
   PhaseTimers phase_timers_;
 
  private:
+  void MarkBucketsDirty(TaxiId taxi) {
+    if (buckets_ != nullptr) buckets_->MarkDirty(taxi);
+  }
+  /// Materializes an unrestricted shortest-path route for a schedule.
+  RoutePlanner::PlannedRoute PlanShortestRoute(VertexId start,
+                                               Seconds start_time,
+                                               const Schedule& schedule);
+
   // Idle-cruising state (see EnableIdleCruising).
   const MapPartitioning* cruise_partitioning_ = nullptr;
   RoutePlanner* cruise_planner_ = nullptr;
-  std::unique_ptr<RoutePlanner> owned_cruise_planner_;
   std::vector<Seconds> next_cruise_time_;
   Rng cruise_rng_{0xC0FFEE};
 };

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
+#include "common/epoch.h"
 
 namespace mtshare {
 namespace {
@@ -18,32 +18,34 @@ MtShareDispatcher::MtShareDispatcher(const RoadNetwork& network,
                                      DistanceOracle* oracle,
                                      std::vector<TaxiState>* fleet,
                                      const MatchingConfig& config,
-                                     const MapPartitioning& partitioning,
                                      const LandmarkGraph& landmarks,
-                                     const TransitionModel* transitions)
-    : Dispatcher(network, oracle, fleet, config),
+                                     const MapPartitioning& partitioning,
+                                     const TransitionModel& transitions,
+                                     bool probabilistic)
+    : Dispatcher(network, oracle, fleet, config, landmarks),
       partitioning_(partitioning),
-      planner_(network, partitioning, landmarks, transitions, oracle,
+      probabilistic_(probabilistic),
+      planner_(network, partitioning, landmarks, &transitions, oracle,
                RoutePlannerOptions{config.lambda, config.prob_max_stretch}),
-      index_(network, partitioning, config.lambda) {
-  MTSHARE_CHECK(!config.probabilistic || transitions != nullptr);
-  EnableLowerBoundPruning(&landmarks);
-  if (config.probabilistic) EnableIdleCruising(&partitioning_, &planner_);
+      index_(network, partitioning, config.lambda),
+      seen_stamp_(fleet->size(), 0),
+      cluster_stamp_(fleet->size(), 0) {
+  if (probabilistic_) EnableIdleCruising(&partitioning_, &planner_);
   for (const TaxiState& t : *fleet_) index_.ReindexTaxi(t, t.location_time);
 }
 
-void MtShareDispatcher::OnTaxiAdvanced(TaxiId id, size_t from_pos,
-                                       size_t to_pos) {
+void MtShareDispatcher::IndexTaxiAdvanced(TaxiId id, size_t from_pos,
+                                          size_t to_pos) {
   index_.OnTaxiAdvanced(taxi(id), from_pos, to_pos);
 }
 
-void MtShareDispatcher::OnScheduleCommitted(TaxiId id) {
+void MtShareDispatcher::IndexScheduleCommitted(TaxiId id) {
   const TaxiState& t = taxi(id);
   index_.ReindexTaxi(t, t.location_time);
 }
 
-void MtShareDispatcher::OnRequestCompleted(const RideRequest& request,
-                                           TaxiId id) {
+void MtShareDispatcher::IndexRequestCompleted(const RideRequest& request,
+                                              TaxiId id) {
   (void)id;
   index_.RemoveRequest(request.id);
 }
@@ -62,13 +64,8 @@ const std::vector<TaxiId>& MtShareDispatcher::CandidateTaxis(
   const Point& origin = network_.coord(request.origin);
   MobilityVector rv{origin, network_.coord(request.destination)};
 
-  // One epoch bump covers both stamp arrays for this call.
-  if (static_cast<int32_t>(seen_stamp_.size()) <
-      static_cast<int32_t>(fleet_->size())) {
-    seen_stamp_.assign(fleet_->size(), 0);
-    cluster_stamp_.assign(fleet_->size(), 0);
-  }
-  ++seen_epoch_;
+  // One epoch covers both stamp arrays for this call.
+  NextEpoch(seen_epoch_, seen_stamp_, cluster_stamp_);
 
   area_buf_.clear();
   {
@@ -135,23 +132,19 @@ DispatchOutcome MtShareDispatcher::Dispatch(const RideRequest& request,
   outcome.candidates = static_cast<int32_t>(candidates.size());
   CandidateEval best = EvaluateCandidates(candidates, request, now);
   if (best.taxi == kInvalidTaxi) return outcome;
-  Seconds best_cost = best.insertion.detour;
-  TaxiId best_taxi = best.taxi;
-  InsertionResult best_ins = std::move(best.insertion);
-  RoutePlanner::PlannedRoute best_prob_route;
-  bool best_is_prob = false;
 
   // Probabilistic mode (Algorithm 1 with flag set): the winning schedule
   // instance gets an offline-seeking route. The paper costs every instance
   // with its probabilistic route; we select by oracle detour and plan the
   // winner's route probabilistically — same winner in almost all cases at
   // a fraction of the planning work (see DESIGN.md).
-  if (config_.probabilistic && ProbQualifies(taxi(best_taxi))) {
-    const TaxiState& t = taxi(best_taxi);
+  RoutePlanner::PlannedRoute prob_route;
+  if (probabilistic_ && ProbQualifies(taxi(best.taxi))) {
+    const TaxiState& t = taxi(best.taxi);
     Point dir = Point{0, 0};
     Point dest_sum{0, 0};
     int32_t n = 0;
-    for (const ScheduleEvent& e : best_ins.schedule.events()) {
+    for (const ScheduleEvent& e : best.insertion.schedule.events()) {
       if (e.is_pickup) continue;
       dest_sum.x += network_.coord(e.vertex).x;
       dest_sum.y += network_.coord(e.vertex).y;
@@ -162,31 +155,20 @@ DispatchOutcome MtShareDispatcher::Dispatch(const RideRequest& request,
       dir = Point{dest_sum.x / n - here.x, dest_sum.y / n - here.y};
     }
     ScopedPhaseTimer timer(phase_timers_, DispatchPhase::kRouting);
-    best_prob_route = planner_.PlanRoute(t.location, now, best_ins.schedule,
-                                         dir);
-    best_is_prob = best_prob_route.valid;
+    prob_route =
+        planner_.PlanRoute(t.location, now, best.insertion.schedule, dir);
   }
 
-  RoutePlanner::PlannedRoute route;
-  if (best_is_prob) {
-    route = std::move(best_prob_route);
-  } else {
-    // Basic routing commits exact shortest legs: the paper precomputes and
-    // caches all-pairs shortest paths for every scheme (Sec. V-A4), so the
-    // partition-filtered search (RoutePlanner::PlanBasicLeg) is the
-    // cold-cache compute path, not a different route. Costs here come from
-    // the same oracle the insertion check used, so feasibility carries over.
-    const TaxiState& t = taxi(best_taxi);
-    route = PlanShortestRoute(t.location, now, best_ins.schedule);
+  // Without a valid probabilistic route, basic routing commits exact
+  // shortest legs: the paper precomputes and caches all-pairs shortest
+  // paths for every scheme (Sec. V-A4), so the partition-filtered search
+  // (RoutePlanner::PlanBasicLeg) is the cold-cache compute path, not a
+  // different route. Costs come from the same oracle the insertion check
+  // used, so feasibility carries over.
+  if (!Assign(best.taxi, std::move(best.insertion.schedule),
+              best.insertion.detour, now, &outcome, std::move(prob_route))) {
+    return outcome;
   }
-  if (!route.valid) return outcome;
-
-  outcome.assigned = true;
-  outcome.taxi = best_taxi;
-  outcome.detour = best_cost;
-  outcome.schedule = std::move(best_ins.schedule);
-  outcome.route = std::move(route);
-  outcome.probabilistic_route = best_is_prob;
   index_.AddRequest(request);  // active rides shape the cluster vectors
   return outcome;
 }

@@ -14,30 +14,22 @@ namespace mtshare {
 /// The paper's scheme (Sec. IV): mobility-aware candidate search over map
 /// partitions x mobility clusters, exhaustive minimum-detour insertion
 /// (Algorithm 1), and two-phase route planning with partition filtering —
-/// basic shortest-path legs by default, probabilistic offline-seeking legs
-/// when config.probabilistic is set and the taxi has enough idle seats
-/// (the mT-Share^pro variant).
+/// basic shortest-path legs for mT-Share, and for the mT-Share^pro variant
+/// probabilistic offline-seeking legs whenever the taxi has enough idle
+/// seats, plus idle cruising.
 class MtShareDispatcher : public Dispatcher {
  public:
-  /// `partitioning`/`landmarks`/`transitions` must outlive the dispatcher.
-  /// `transitions` may be null when probabilistic routing is disabled; its
-  /// group space must equal the partitioning otherwise.
+  /// `landmarks`/`partitioning`/`transitions` must outlive the dispatcher;
+  /// the transitions' group space must equal the partitioning.
+  /// `probabilistic` selects mT-Share^pro.
   MtShareDispatcher(const RoadNetwork& network, DistanceOracle* oracle,
                     std::vector<TaxiState>* fleet,
                     const MatchingConfig& config,
-                    const MapPartitioning& partitioning,
                     const LandmarkGraph& landmarks,
-                    const TransitionModel* transitions);
-
-  std::string_view name() const override {
-    return config_.probabilistic ? "mT-Share-pro" : "mT-Share";
-  }
+                    const MapPartitioning& partitioning,
+                    const TransitionModel& transitions, bool probabilistic);
 
   DispatchOutcome Dispatch(const RideRequest& request, Seconds now) override;
-
-  void OnTaxiAdvanced(TaxiId taxi, size_t from_pos, size_t to_pos) override;
-  void OnScheduleCommitted(TaxiId taxi) override;
-  void OnRequestCompleted(const RideRequest& request, TaxiId taxi) override;
 
   size_t IndexMemoryBytes() const override;
 
@@ -46,6 +38,12 @@ class MtShareDispatcher : public Dispatcher {
   const MtShareTaxiIndex& index() const { return index_; }
 
  private:
+  void IndexTaxiAdvanced(TaxiId taxi, size_t from_pos,
+                         size_t to_pos) override;
+  void IndexScheduleCommitted(TaxiId taxi) override;
+  void IndexRequestCompleted(const RideRequest& request,
+                             TaxiId taxi) override;
+
   /// Candidate taxi set T_ri of paper eq. (3) plus the refinement rules.
   /// Returns a reference into `candidates_buf_`, valid until the next call
   /// (Dispatch is serialized per dispatcher instance, see DESIGN.md).
@@ -56,11 +54,13 @@ class MtShareDispatcher : public Dispatcher {
   bool ProbQualifies(const TaxiState& t) const;
 
   const MapPartitioning& partitioning_;
+  /// mT-Share^pro: probabilistic routes and idle cruising.
+  const bool probabilistic_;
   RoutePlanner planner_;
   MtShareTaxiIndex index_;
   /// Epoch-stamped visited markers for candidate dedup and for the
-  /// direction-compatible cluster membership test (O(1) reset: one epoch
-  /// bump per CandidateTaxis call covers both arrays).
+  /// direction-compatible cluster membership test (O(1) reset: one
+  /// NextEpoch per CandidateTaxis call covers both arrays).
   std::vector<uint32_t> seen_stamp_;
   std::vector<uint32_t> cluster_stamp_;
   uint32_t seen_epoch_ = 0;

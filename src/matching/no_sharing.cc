@@ -5,15 +5,16 @@ namespace mtshare {
 NoSharingDispatcher::NoSharingDispatcher(const RoadNetwork& network,
                                          DistanceOracle* oracle,
                                          std::vector<TaxiState>* fleet,
-                                         const MatchingConfig& config)
-    : Dispatcher(network, oracle, fleet, config),
+                                         const MatchingConfig& config,
+                                         const LandmarkGraph& landmarks)
+    : Dispatcher(network, oracle, fleet, config, landmarks),
       index_(network.bounds(), kGridCellM) {
   for (const TaxiState& t : *fleet_) {
     if (t.Idle()) index_.Update(t.id, network_.coord(t.location));
   }
 }
 
-void NoSharingDispatcher::OnScheduleCommitted(TaxiId id) {
+void NoSharingDispatcher::IndexScheduleCommitted(TaxiId id) {
   const TaxiState& t = taxi(id);
   if (t.Idle()) {
     index_.Update(id, network_.coord(t.location));
@@ -51,15 +52,8 @@ DispatchOutcome NoSharingDispatcher::Dispatch(const RideRequest& request,
                                   request.passengers});
     schedule.Append(ScheduleEvent{request.id, request.destination, false,
                                   request.deadline, request.passengers});
-    RoutePlanner::PlannedRoute route =
-        PlanShortestRoute(t.location, now, schedule);
-    if (!route.valid) continue;
-    outcome.assigned = true;
-    outcome.taxi = id;
-    outcome.detour = 0.0;  // exclusive ride: no shared detour
-    outcome.schedule = std::move(schedule);
-    outcome.route = std::move(route);
-    return outcome;
+    // Exclusive ride: no shared detour.
+    if (Assign(id, std::move(schedule), 0.0, now, &outcome)) return outcome;
   }
   return outcome;
 }

@@ -13,18 +13,17 @@ class NoSharingDispatcher : public Dispatcher {
  public:
   NoSharingDispatcher(const RoadNetwork& network, DistanceOracle* oracle,
                       std::vector<TaxiState>* fleet,
-                      const MatchingConfig& config);
-
-  std::string_view name() const override { return "No-Sharing"; }
+                      const MatchingConfig& config,
+                      const LandmarkGraph& landmarks);
 
   DispatchOutcome Dispatch(const RideRequest& request, Seconds now) override;
-
-  void OnScheduleCommitted(TaxiId taxi) override;
 
   bool ServesOfflineRequests() const override { return false; }
   size_t IndexMemoryBytes() const override { return index_.MemoryBytes(); }
 
  private:
+  void IndexScheduleCommitted(TaxiId taxi) override;
+
   DynamicGridIndex index_;  ///< positions of idle taxis only
 };
 

@@ -5,22 +5,23 @@ namespace mtshare {
 PGreedyDpDispatcher::PGreedyDpDispatcher(const RoadNetwork& network,
                                          DistanceOracle* oracle,
                                          std::vector<TaxiState>* fleet,
-                                         const MatchingConfig& config)
-    : Dispatcher(network, oracle, fleet, config),
+                                         const MatchingConfig& config,
+                                         const LandmarkGraph& landmarks)
+    : Dispatcher(network, oracle, fleet, config, landmarks),
       index_(network.bounds(), kGridCellM) {
   for (const TaxiState& t : *fleet_) {
     index_.Update(t.id, network_.coord(t.location));
   }
 }
 
-void PGreedyDpDispatcher::OnTaxiAdvanced(TaxiId id, size_t from_pos,
-                                         size_t to_pos) {
+void PGreedyDpDispatcher::IndexTaxiAdvanced(TaxiId id, size_t from_pos,
+                                            size_t to_pos) {
   (void)from_pos;
   (void)to_pos;
   index_.Update(id, network_.coord(taxi(id).location));
 }
 
-void PGreedyDpDispatcher::OnScheduleCommitted(TaxiId id) {
+void PGreedyDpDispatcher::IndexScheduleCommitted(TaxiId id) {
   index_.Update(id, network_.coord(taxi(id).location));
 }
 
@@ -50,18 +51,8 @@ DispatchOutcome PGreedyDpDispatcher::Dispatch(const RideRequest& request,
   outcome.candidates = static_cast<int32_t>(candidates.size());
   CandidateEval best = EvaluateCandidates(candidates, request, now);
   if (best.taxi == kInvalidTaxi) return outcome;
-  TaxiId best_taxi = best.taxi;
-  Seconds best_detour = best.insertion.detour;
-  InsertionResult best_ins = std::move(best.insertion);
-
-  RoutePlanner::PlannedRoute route = PlanShortestRoute(
-      taxi(best_taxi).location, now, best_ins.schedule);
-  if (!route.valid) return outcome;
-  outcome.assigned = true;
-  outcome.taxi = best_taxi;
-  outcome.detour = best_detour;
-  outcome.schedule = std::move(best_ins.schedule);
-  outcome.route = std::move(route);
+  Assign(best.taxi, std::move(best.insertion.schedule), best.insertion.detour,
+         now, &outcome);
   return outcome;
 }
 

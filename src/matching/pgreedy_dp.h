@@ -16,18 +16,18 @@ class PGreedyDpDispatcher : public Dispatcher {
  public:
   PGreedyDpDispatcher(const RoadNetwork& network, DistanceOracle* oracle,
                       std::vector<TaxiState>* fleet,
-                      const MatchingConfig& config);
-
-  std::string_view name() const override { return "pGreedyDP"; }
+                      const MatchingConfig& config,
+                      const LandmarkGraph& landmarks);
 
   DispatchOutcome Dispatch(const RideRequest& request, Seconds now) override;
-
-  void OnTaxiAdvanced(TaxiId taxi, size_t from_pos, size_t to_pos) override;
-  void OnScheduleCommitted(TaxiId taxi) override;
 
   size_t IndexMemoryBytes() const override { return index_.MemoryBytes(); }
 
  private:
+  void IndexTaxiAdvanced(TaxiId taxi, size_t from_pos,
+                         size_t to_pos) override;
+  void IndexScheduleCommitted(TaxiId taxi) override;
+
   DynamicGridIndex index_;  ///< positions of all taxis
 };
 

@@ -7,22 +7,23 @@ namespace mtshare {
 TShareDispatcher::TShareDispatcher(const RoadNetwork& network,
                                    DistanceOracle* oracle,
                                    std::vector<TaxiState>* fleet,
-                                   const MatchingConfig& config)
-    : Dispatcher(network, oracle, fleet, config),
+                                   const MatchingConfig& config,
+                                   const LandmarkGraph& landmarks)
+    : Dispatcher(network, oracle, fleet, config, landmarks),
       index_(network.bounds(), kGridCellM) {
   for (const TaxiState& t : *fleet_) {
     index_.Update(t.id, network_.coord(t.location));
   }
 }
 
-void TShareDispatcher::OnTaxiAdvanced(TaxiId id, size_t from_pos,
-                                      size_t to_pos) {
+void TShareDispatcher::IndexTaxiAdvanced(TaxiId id, size_t from_pos,
+                                         size_t to_pos) {
   (void)from_pos;
   (void)to_pos;
   index_.Update(id, network_.coord(taxi(id).location));
 }
 
-void TShareDispatcher::OnScheduleCommitted(TaxiId id) {
+void TShareDispatcher::IndexScheduleCommitted(TaxiId id) {
   index_.Update(id, network_.coord(taxi(id).location));
 }
 
@@ -94,15 +95,10 @@ DispatchOutcome TShareDispatcher::Dispatch(const RideRequest& request,
                                 &mask_buf_);
     }
     if (!ins.found) continue;
-    RoutePlanner::PlannedRoute route =
-        PlanShortestRoute(t.location, now, ins.schedule);
-    if (!route.valid) continue;
-    outcome.assigned = true;
-    outcome.taxi = id;
-    outcome.detour = ins.detour;
-    outcome.schedule = std::move(ins.schedule);
-    outcome.route = std::move(route);
-    return outcome;  // first valid, not best — the scheme's signature
+    // First valid, not best: the scheme's signature.
+    if (Assign(id, std::move(ins.schedule), ins.detour, now, &outcome)) {
+      return outcome;
+    }
   }
   return outcome;
 }

@@ -78,9 +78,6 @@ struct TaxiState {
   TaxiRoute route;
   size_t route_pos = 0;
 
-  /// True when this taxi currently drives probabilistic-routing legs.
-  bool probabilistic_route = false;
-
   /// Lifetime odometer (meters) and the occupied sub-distance.
   double driven_meters = 0.0;
   double occupied_meters = 0.0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/epoch.h"
+
 namespace mtshare {
 
 ChQuery::ChQuery(const ContractionHierarchy& ch) : forward_(ch), backward_(ch) {
@@ -41,12 +43,7 @@ Seconds ChQuery::Cost(VertexId source, VertexId target) {
 }
 
 void ChQuery::BuildBuckets(std::span<const CostFan> fans) {
-  ++bucket_epoch_id_;
-  if (bucket_epoch_id_ == 0) {
-    std::fill(bucket_epoch_.begin(), bucket_epoch_.end(), 0);
-    std::fill(target_slot_epoch_.begin(), target_slot_epoch_.end(), 0);
-    bucket_epoch_id_ = 1;
-  }
+  NextEpoch(bucket_epoch_id_, bucket_epoch_, target_slot_epoch_);
   num_slots_ = 0;
   for (const CostFan& fan : fans) {
     for (VertexId t : fan.targets) {

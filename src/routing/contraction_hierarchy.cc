@@ -4,6 +4,7 @@
 #include <queue>
 #include <utility>
 
+#include "common/epoch.h"
 #include "common/logging.h"
 #include "common/timer.h"
 
@@ -32,12 +33,7 @@ class WitnessSearch {
   /// Reached(w) / DistanceTo(w) describe every settled vertex.
   void Run(const std::vector<std::vector<CoreArc>>& out, VertexId source,
            VertexId excluded, Seconds bound, int32_t settle_limit) {
-    ++epoch_id_;
-    if (epoch_id_ == 0) {  // wrapped: hard reset
-      std::fill(epoch_.begin(), epoch_.end(), 0);
-      std::fill(settled_.begin(), settled_.end(), 0);
-      epoch_id_ = 1;
-    }
+    NextEpoch(epoch_id_, epoch_, settled_);
     while (!queue_.empty()) queue_.pop();
     dist_[source] = 0.0;
     epoch_[source] = epoch_id_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <queue>
 
+#include "common/epoch.h"
 #include "common/logging.h"
 
 namespace mtshare {
@@ -23,11 +24,7 @@ DijkstraSearch::DijkstraSearch(const RoadNetwork& network)
       epoch_(network.num_vertices(), 0) {}
 
 void DijkstraSearch::Prepare() {
-  ++current_epoch_;
-  if (current_epoch_ == 0) {  // wrapped: hard reset
-    std::fill(epoch_.begin(), epoch_.end(), 0);
-    current_epoch_ = 1;
-  }
+  NextEpoch(current_epoch_, epoch_);
   last_settled_ = 0;
 }
 

@@ -1,7 +1,6 @@
 #include "routing/last_stop_buckets.h"
 
-#include <algorithm>
-
+#include "common/epoch.h"
 #include "common/logging.h"
 #include "common/timer.h"
 
@@ -74,11 +73,7 @@ void LastStopBuckets::FlushDirty(
 
 void LastStopBuckets::Sweep(VertexId origin, Seconds budget) {
   ++stats_.sweeps;
-  ++sweep_epoch_id_;
-  if (sweep_epoch_id_ == 0) {
-    std::fill(swept_epoch_.begin(), swept_epoch_.end(), 0);
-    sweep_epoch_id_ = 1;
-  }
+  NextEpoch(sweep_epoch_id_, swept_epoch_);
   found_.clear();
   const Seconds cutoff = budget + kBudgetSlack;
   if (!(cutoff >= 0.0)) return;  // negative budget: nothing is reachable

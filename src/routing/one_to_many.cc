@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/epoch.h"
 #include "common/logging.h"
 
 namespace mtshare {
@@ -68,11 +69,7 @@ void InsertionCostBatch::Begin(VertexId origin, VertexId destination) {
   for (int32_t c : pending_sources_) pending_succ_[c].clear();
   pending_sources_.clear();
   pending_stops_.clear();
-  ++epoch_;
-  if (epoch_ == 0) {  // wrapped: hard reset
-    std::fill(cid_epoch_.begin(), cid_epoch_.end(), 0);
-    epoch_ = 1;
-  }
+  NextEpoch(epoch_, cid_epoch_);
   CidFor(origin);
   CidFor(destination);
 }

@@ -7,6 +7,7 @@
 #include <queue>
 #include <vector>
 
+#include "common/epoch.h"
 #include "routing/contraction_hierarchy.h"
 
 namespace mtshare {
@@ -35,10 +36,7 @@ class UpwardSearch {
   template <typename Settle>
   void Run(VertexId source, Direction direction, Seconds cutoff,
            Settle&& settle) {
-    if (++epoch_id_ == 0) {  // wrapped: hard reset so stale stamps cannot match
-      std::fill(epoch_.begin(), epoch_.end(), 0);
-      epoch_id_ = 1;
-    }
+    NextEpoch(epoch_id_, epoch_);
     while (!heap_.empty()) heap_.pop();
     if (!(cutoff >= 0.0)) return;
     Label(source, 0.0);

@@ -20,7 +20,9 @@ SimulationEngine::SimulationEngine(const RoadNetwork& network,
       options_(options) {
   MTSHARE_CHECK(dispatcher != nullptr);
   MTSHARE_CHECK(fleet != nullptr);
-  if (options.serve_offline) {
+  serves_offline_ =
+      options.serve_offline && dispatcher->ServesOfflineRequests();
+  if (serves_offline_) {
     snap_ = std::make_unique<GridIndex>(
         network, std::max(50.0, options.encounter_radius_m));
   }
@@ -48,52 +50,47 @@ Metrics SimulationEngine::Run(RequestSource& source) {
     UpdateIdleSet(taxi);
   }
 
+  // Batch-window ingest (Luo et al., arXiv 2004.02570): the window anchors
+  // at the first pending arrival; everything released before anchor + Δt
+  // joins the batch, which dispatches at window close. A zero window is a
+  // batch of one, flushed as soon as its request is ingested, so every
+  // decision fires before the next pull.
   const Seconds window = metrics_.serve.batch_window_ms / 1000.0;
+  std::vector<RequestId> queue;  // pending online requests, release order
+  std::vector<RequestId> hails;  // pending offline releases
+  Seconds window_close = 0.0;
+  bool open = false;
   RideRequest next;
-  if (window <= 0.0) {
-    // Per-request replay: each pull is one release boundary — the
-    // historical engine loop, fed lazily.
-    while (source.Next(&next)) {
-      Ingest(next);
-      ProcessBoundary(requests_.back());
+  while (source.Next(&next)) {
+    if (open && next.release_time >= window_close) {
+      FlushBatch(&queue, &hails, window_close);
+      open = false;
     }
-  } else {
-    // Batch-window ingest (Luo et al., arXiv 2004.02570): the window
-    // anchors at the first pending arrival; everything released before
-    // anchor + Δt joins the batch, which dispatches at window close.
-    std::vector<RequestId> queue;  // pending online requests, release order
-    std::vector<RequestId> hails;  // pending offline releases
-    Seconds window_close = 0.0;
-    bool open = false;
-    while (source.Next(&next)) {
-      if (open && next.release_time >= window_close) {
-        FlushBatch(&queue, &hails, window_close);
-        open = false;
-      }
-      Ingest(next);
-      const RideRequest& r = requests_.back();
-      if (!open) {
-        window_close = r.release_time + window;
-        open = true;
-      }
-      if (r.offline) {
-        hails.push_back(r.id);
-        continue;
-      }
-      if (options_.max_queue > 0 &&
-          static_cast<int64_t>(queue.size()) >= options_.max_queue) {
-        ++metrics_.serve.shed;
-        RequestRecord& rec = metrics_.record(r.id);
-        rec.shed = true;
-        if (options_.on_decision) options_.on_decision(r, rec);
-        continue;
-      }
+    Ingest(next);
+    const RideRequest& r = requests_.back();
+    if (!open) {
+      window_close = r.release_time + window;
+      open = true;
+    }
+    if (r.offline) {
+      hails.push_back(r.id);
+    } else if (options_.max_queue > 0 &&
+               static_cast<int64_t>(queue.size()) >= options_.max_queue) {
+      ++metrics_.serve.shed;
+      RequestRecord& rec = metrics_.record(r.id);
+      rec.shed = true;
+      if (options_.on_decision) options_.on_decision(r, rec);
+    } else {
       queue.push_back(r.id);
       metrics_.serve.queue_depth = std::max(
           metrics_.serve.queue_depth, static_cast<int64_t>(queue.size()));
     }
-    if (open) FlushBatch(&queue, &hails, window_close);
+    if (window <= 0.0) {
+      FlushBatch(&queue, &hails, window_close);
+      open = false;
+    }
   }
+  if (open) FlushBatch(&queue, &hails, window_close);
 
   // Drain: instead of a fixed margin past the last deadline, iterate to a
   // fixed point — every committed plan must play its route out (committed
@@ -101,7 +98,7 @@ Metrics SimulationEngine::Run(RequestSource& source) {
   // routes), and waiting hailers stay eligible until their pickup
   // deadlines pass.
   Seconds target = std::max(last_release_, commit_horizon_);
-  if (options_.serve_offline && dispatcher_->ServesOfflineRequests()) {
+  if (serves_offline_) {
     for (const RideRequest& r : requests_) {
       if (r.offline && !offline_done_[r.id]) {
         target = std::max(target, r.PickupDeadline());
@@ -145,26 +142,16 @@ void SimulationEngine::Ingest(const RideRequest& r) {
   last_release_ = r.release_time;
 }
 
-void SimulationEngine::ProcessBoundary(const RideRequest& r) {
-  ++metrics_.engine.boundaries;
-  AdvanceTo(r.release_time);
-  if (r.offline) {
-    RegisterHailer(r);
-    return;  // invisible to the dispatcher until encountered
-  }
-  metrics_.serve.queue_depth = std::max<int64_t>(metrics_.serve.queue_depth, 1);
-  DispatchOne(r, r.release_time);
-}
-
 void SimulationEngine::FlushBatch(std::vector<RequestId>* queue,
                                   std::vector<RequestId>* hails,
                                   Seconds when) {
-  ++metrics_.serve.batches;
+  if (metrics_.serve.batch_window_ms > 0.0) ++metrics_.serve.batches;
   ++metrics_.engine.boundaries;
   AdvanceTo(when);
   // Hailers start waiting before the online batch dispatches: they were on
   // the street the whole window, and a window-close assignment may route a
-  // taxi right past them.
+  // taxi right past them. They stay invisible to the dispatcher until a
+  // taxi encounters them.
   for (RequestId id : *hails) RegisterHailer(requests_[id]);
   hails->clear();
   // Release order; each plan is committed before the next dispatch runs,
@@ -174,9 +161,7 @@ void SimulationEngine::FlushBatch(std::vector<RequestId>* queue,
 }
 
 void SimulationEngine::RegisterHailer(const RideRequest& r) {
-  if (!options_.serve_offline || !dispatcher_->ServesOfflineRequests()) {
-    return;
-  }
+  if (!serves_offline_) return;
   // Register the hailer at every vertex a passing driver could spot them
   // from.
   for (VertexId v : snap_->VerticesInRadius(network_.coord(r.origin),
@@ -194,21 +179,26 @@ void SimulationEngine::DispatchOne(const RideRequest& r, Seconds now) {
   rec.response_ms = ms;
   rec.candidates = outcome.candidates;
   if (outcome.assigned) {
-    rec.assigned = true;
-    rec.taxi = outcome.taxi;
-    TaxiState& taxi = (*fleet_)[outcome.taxi];
-    ApplyPlan(&taxi, network_, std::move(outcome.schedule),
-              outcome.route.path.vertices,
-              std::move(outcome.route.event_arrivals), now,
-              outcome.probabilistic_route);
-    ExecuteDueEvents(taxi);  // pickup may be immediate (same vertex)
-    dispatcher_->OnScheduleCommitted(outcome.taxi);
-    dispatcher_->OnScheduleChanged(outcome.taxi);
-    NoteCommit(taxi);
+    TaxiState& taxi = Commit(r, std::move(outcome), now);
     RearmTaxi(taxi);
     UpdateIdleSet(taxi);
   }
-  if (options_.on_decision) options_.on_decision(r, metrics_.record(r.id));
+  if (options_.on_decision) options_.on_decision(r, rec);
+}
+
+TaxiState& SimulationEngine::Commit(const RideRequest& r,
+                                    DispatchOutcome outcome, Seconds now) {
+  RequestRecord& rec = metrics_.record(r.id);
+  rec.assigned = true;
+  rec.taxi = outcome.taxi;
+  TaxiState& taxi = (*fleet_)[outcome.taxi];
+  ApplyPlan(&taxi, network_, std::move(outcome.schedule),
+            outcome.route.path.vertices,
+            std::move(outcome.route.event_arrivals), now);
+  ExecuteDueEvents(taxi);  // the pickup may be immediate (same vertex)
+  dispatcher_->OnScheduleCommitted(taxi.id);
+  NoteCommit(taxi);
+  return taxi;
 }
 
 void SimulationEngine::AdvanceTo(Seconds now) {
@@ -229,7 +219,7 @@ void SimulationEngine::AdvanceTo(Seconds now) {
     RearmTaxi(taxi);
     UpdateIdleSet(taxi);
   }
-  if (options_.serve_offline && dispatcher_->IdleCruisingEnabled()) {
+  if (serves_offline_ && dispatcher_->IdleCruisingEnabled()) {
     // Cruise offers go to every idle routeless taxi in id order, so the
     // sampler's rng stream and the per-taxi rate limiter are
     // deterministic. Offers mutate the set (ApplyPlan), so iterate a
@@ -241,8 +231,7 @@ void SimulationEngine::AdvanceTo(Seconds now) {
       RoutePlanner::PlannedRoute cruise =
           dispatcher_->PlanIdleCruise(id, now);
       if (cruise.valid && cruise.path.vertices.size() > 1) {
-        ApplyPlan(&taxi, network_, Schedule(), cruise.path.vertices, {}, now,
-                  /*probabilistic_route=*/true);
+        ApplyPlan(&taxi, network_, Schedule(), cruise.path.vertices, {}, now);
         RearmTaxi(taxi);
         UpdateIdleSet(taxi);
       }
@@ -282,9 +271,8 @@ void SimulationEngine::AdvanceTaxi(TaxiState& taxi, Seconds now) {
                   taxi.event_arrivals[taxi.event_pos] <=
                       taxi.location_time + 1e-6;
     }
-    bool probe_due = options_.serve_offline &&
-                     dispatcher_->ServesOfflineRequests() &&
-                     waiting_offline_.count(taxi.location) > 0;
+    bool probe_due =
+        serves_offline_ && waiting_offline_.count(taxi.location) > 0;
     if (event_due) {
       if (taxi.route_pos - 1 > batch_start) {
         // Arcs strictly before the event arc, under the pre-event schedule.
@@ -312,11 +300,6 @@ void SimulationEngine::AdvanceTaxi(TaxiState& taxi, Seconds now) {
   if (taxi.route_pos > batch_start) {
     dispatcher_->OnTaxiAdvanced(taxi.id, batch_start, taxi.route_pos);
   }
-  // Unconditional: a served encounter replans the route and resets
-  // route_pos to 0, which can coincidentally equal the starting position,
-  // so a moved-position check would be unsound. Dirty-marking is O(1) and
-  // idempotent; the flush skips taxis whose anchor did not move.
-  dispatcher_->OnScheduleChanged(taxi.id);
 }
 
 void SimulationEngine::RearmTaxi(const TaxiState& taxi) {
@@ -405,7 +388,6 @@ void SimulationEngine::SettleEpisodeFor(TaxiState& taxi) {
 }
 
 void SimulationEngine::CheckOfflineEncounters(TaxiState& taxi, Seconds now) {
-  if (!options_.serve_offline || !dispatcher_->ServesOfflineRequests()) return;
   auto it = waiting_offline_.find(taxi.location);
   if (it == waiting_offline_.end()) return;
   auto& waiting = it->second;
@@ -433,18 +415,10 @@ void SimulationEngine::CheckOfflineEncounters(TaxiState& taxi, Seconds now) {
       continue;
     }
     RequestRecord& rec = metrics_.record(r.id);
-    rec.assigned = true;
-    rec.taxi = taxi.id;
     rec.response_ms = response_timer.ElapsedMillis();
     rec.candidates = outcome.candidates;
-    ApplyPlan(&taxi, network_, std::move(outcome.schedule),
-              outcome.route.path.vertices,
-              std::move(outcome.route.event_arrivals), now,
-              outcome.probabilistic_route);
-    ExecuteDueEvents(taxi);  // the pickup may be immediate
-    dispatcher_->OnScheduleCommitted(taxi.id);
-    dispatcher_->OnScheduleChanged(taxi.id);
-    NoteCommit(taxi);
+    // AdvanceTo re-arms the taxi once its walk ends.
+    Commit(r, std::move(outcome), now);
     offline_done_[r.id] = 1;
     if (options_.on_decision) options_.on_decision(r, rec);
     waiting[i] = waiting.back();

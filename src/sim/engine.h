@@ -26,9 +26,9 @@ struct EngineOptions {
   double encounter_radius_m = 200.0;
   /// Batch-window ingest discipline Δt, simulated milliseconds (DESIGN.md
   /// §12): arrivals are collected from the first pending release for Δt and
-  /// dispatched together when the window closes. <= 0 dispatches each
-  /// request at its own release boundary — byte-identical to the
-  /// pre-window engine loop.
+  /// dispatched together when the window closes. <= 0 makes each request a
+  /// batch of one, dispatched at its own release boundary before the next
+  /// request is pulled.
   double batch_window_ms = 0.0;
   /// Admission cap on the pending dispatch queue (0 = unbounded; only
   /// meaningful with a batch window). Online requests arriving while the
@@ -63,10 +63,9 @@ class SimulationEngine {
 
   /// Runs a pulled request stream (sorted by release time, ids dense from
   /// 0 — sources self-validate; the engine CHECKs) to completion and
-  /// returns the collected metrics. The source is consumed. With a
-  /// positive batch window the engine collects arrivals per window and
-  /// dispatches each batch at window close; otherwise every request
-  /// dispatches at its own release boundary.
+  /// returns the collected metrics. The source is consumed. One ingest
+  /// loop collects arrivals per batch window and dispatches each batch at
+  /// window close; a zero window makes every request its own batch.
   Metrics Run(RequestSource& source);
 
   /// Vector convenience wrapper: replays `requests` through a
@@ -107,9 +106,6 @@ class SimulationEngine {
   void NoteCommit(const TaxiState& taxi);
   /// Appends one pulled request to the run state (record + lookup tables).
   void Ingest(const RideRequest& request);
-  /// Per-request boundary processing (Δt = 0): advance, then register the
-  /// hailer or dispatch — the historical engine loop body.
-  void ProcessBoundary(const RideRequest& request);
   /// Advances to the window close and dispatches the collected batch
   /// (hailers registered first, then the online queue in release order).
   void FlushBatch(std::vector<RequestId>* queue,
@@ -118,6 +114,13 @@ class SimulationEngine {
   void RegisterHailer(const RideRequest& request);
   /// Dispatches one online request at `now` and applies the outcome.
   void DispatchOne(const RideRequest& request, Seconds now);
+  /// Applies an assigned outcome for `request`, the one commit path for
+  /// online dispatches and offline encounters alike: records the
+  /// assignment, installs the plan, executes events due at once, notifies
+  /// the dispatcher and extends the drain horizon. The caller re-arms the
+  /// taxi. Returns the committed taxi.
+  TaxiState& Commit(const RideRequest& request, DispatchOutcome outcome,
+                    Seconds now);
   /// Executes due schedule events while the taxi sits at its location.
   void ExecuteDueEvents(TaxiState& taxi);
   void HandlePickup(TaxiState& taxi, const ScheduleEvent& event,
@@ -131,6 +134,9 @@ class SimulationEngine {
   Dispatcher* dispatcher_;
   std::vector<TaxiState>* fleet_;
   EngineOptions options_;
+  /// serve_offline, and the scheme takes part in offline serving: hailers
+  /// are registered, probed and waited for, and idle taxis may cruise.
+  bool serves_offline_ = false;
   Metrics metrics_;
 
   /// Request stream by id for lookups (offline encounters, completion).
@@ -140,7 +146,8 @@ class SimulationEngine {
   std::unordered_map<VertexId, std::vector<RequestId>> waiting_offline_;
   /// Offline request lifecycle: 0 = waiting, 1 = served or expired.
   std::vector<uint8_t> offline_done_;
-  /// Vertex snapping index for encounter-radius registration.
+  /// Vertex snapping index for encounter-radius registration (built only
+  /// when serves_offline_).
   std::unique_ptr<GridIndex> snap_;
 
   // --- advancement state ---

@@ -1,8 +1,27 @@
 #include "sim/metrics.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace mtshare {
+namespace {
+
+/// Running mean of the values added, summed in insertion order; 0 when
+/// nothing was added.
+struct RunningMean {
+  double sum = 0.0;
+  int64_t count = 0;
+  void Add(double value) {
+    sum += value;
+    ++count;
+  }
+  double Get() const {
+    return count == 0 ? 0.0 : sum / static_cast<double>(count);
+  }
+};
+
+}  // namespace
 
 void Metrics::Register(const RideRequest& request) {
   MTSHARE_CHECK(request.id == static_cast<RequestId>(records_.size()));
@@ -33,38 +52,38 @@ int32_t Metrics::ServedOffline() const {
 }
 
 double Metrics::MeanResponseMs() const {
-  SummaryStats s;
+  RunningMean m;
   for (const auto& r : records_) {
-    if (!r.offline) s.Add(r.response_ms);
+    if (!r.offline) m.Add(r.response_ms);
   }
-  return s.Mean();
+  return m.Get();
 }
 
 double Metrics::MeanDetourMinutes() const {
-  SummaryStats s;
+  RunningMean m;
   for (const auto& r : records_) {
     if (r.completed) {
       double detour = (r.dropoff_time - r.pickup_time) - r.direct_cost;
-      s.Add(std::max(0.0, detour) / 60.0);
+      m.Add(std::max(0.0, detour) / 60.0);
     }
   }
-  return s.Mean();
+  return m.Get();
 }
 
 double Metrics::MeanWaitingMinutes() const {
-  SummaryStats s;
+  RunningMean m;
   for (const auto& r : records_) {
-    if (r.completed) s.Add((r.pickup_time - r.release_time) / 60.0);
+    if (r.completed) m.Add((r.pickup_time - r.release_time) / 60.0);
   }
-  return s.Mean();
+  return m.Get();
 }
 
 double Metrics::MeanCandidates() const {
-  SummaryStats s;
+  RunningMean m;
   for (const auto& r : records_) {
-    if (!r.offline) s.Add(r.candidates);
+    if (!r.offline) m.Add(r.candidates);
   }
-  return s.Mean();
+  return m.Get();
 }
 
 void Metrics::FinalizeDistributions() {
@@ -99,13 +118,13 @@ double Metrics::TotalDispatchMs() const {
 }
 
 double Metrics::MeanFareSaving() const {
-  SummaryStats s;
+  RunningMean m;
   for (const auto& r : records_) {
     if (r.completed && r.regular_fare > 0.0) {
-      s.Add(1.0 - r.shared_fare / r.regular_fare);
+      m.Add(1.0 - r.shared_fare / r.regular_fare);
     }
   }
-  return s.Mean();
+  return m.Get();
 }
 
 }  // namespace mtshare

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/histogram.h"
-#include "common/stats.h"
 #include "common/types.h"
 #include "demand/request.h"
 #include "matching/phase_timers.h"

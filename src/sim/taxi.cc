@@ -22,8 +22,7 @@ const Arc* FindCheapestArc(const RoadNetwork& network, VertexId u,
 
 void ApplyPlan(TaxiState* taxi, const RoadNetwork& network, Schedule schedule,
                const std::vector<VertexId>& path,
-               std::vector<Seconds> event_arrivals, Seconds now,
-               bool probabilistic_route) {
+               std::vector<Seconds> event_arrivals, Seconds now) {
   MTSHARE_CHECK(!path.empty());
   MTSHARE_CHECK(path.front() == taxi->location);
   MTSHARE_CHECK(schedule.size() == event_arrivals.size());
@@ -43,7 +42,6 @@ void ApplyPlan(TaxiState* taxi, const RoadNetwork& network, Schedule schedule,
   }
   taxi->route_pos = 0;
   taxi->location_time = now;
-  taxi->probabilistic_route = probabilistic_route;
 }
 
 }  // namespace mtshare

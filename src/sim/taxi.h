@@ -13,8 +13,7 @@ namespace mtshare {
 /// path uses a nonexistent arc (routes must come from the planners).
 void ApplyPlan(TaxiState* taxi, const RoadNetwork& network, Schedule schedule,
                const std::vector<VertexId>& path,
-               std::vector<Seconds> event_arrivals, Seconds now,
-               bool probabilistic_route);
+               std::vector<Seconds> event_arrivals, Seconds now);
 
 }  // namespace mtshare
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <queue>
 
+#include "common/epoch.h"
 #include "common/logging.h"
 
 namespace mtshare {
@@ -56,11 +57,7 @@ bool TimeDependentDijkstra::Run(VertexId source, VertexId target,
                                 Seconds departure_time) {
   MTSHARE_CHECK(source >= 0 && source < network_.num_vertices());
   MTSHARE_CHECK(target >= 0 && target < network_.num_vertices());
-  ++current_epoch_;
-  if (current_epoch_ == 0) {
-    std::fill(epoch_.begin(), epoch_.end(), 0);
-    current_epoch_ = 1;
-  }
+  NextEpoch(current_epoch_, epoch_);
   struct Entry {
     Seconds arrival;
     VertexId vertex;

@@ -25,20 +25,27 @@ TEST(BucketSearchConcurrencyTest, ConcurrentChBucketRunsStayIdentical) {
   DemandModelOptions dopt;
   dopt.seed = 72;
   DemandModel demand(net, dopt);
-  DistanceOracle scratch(net);
   ScenarioOptions sopt;
   sopt.num_requests = 60;
   sopt.num_historical_trips = 1500;
   sopt.offline_fraction = 0.2;
   sopt.seed = 73;
-  Scenario scenario = MakeScenario(net, demand, scratch, sopt);
 
   SystemConfig config;
   config.kappa = 12;
   config.kt = 5;
   config.oracle.backend = OracleBackend::kCh;
+  // The system trains on the history MakeScenario draws first on
+  // Rng(sopt.seed); its oracle then prices the scenario.
+  Rng history_rng(sopt.seed);
   auto system =
-      MTShareSystem::Create(net, scenario.HistoricalOdPairs(), config).value();
+      MTShareSystem::Create(
+          net,
+          OdPairsOf(GenerateHistoricalTrips(
+              demand, sopt.num_historical_trips, history_rng)),
+          config)
+          .value();
+  Scenario scenario = MakeScenario(net, demand, system->oracle(), sopt);
 
   ScenarioSpec spec;
   spec.scheme = SchemeKind::kMtShare;

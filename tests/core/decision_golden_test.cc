@@ -135,21 +135,27 @@ std::vector<GoldenRun> RunAll(OracleBackend backend) {
     DemandModelOptions dopt;
     dopt.seed = seed + 1;
     DemandModel demand(net, dopt);
-    DistanceOracle oracle(net);
     ScenarioOptions sopt;
     sopt.num_requests = 160;
     sopt.num_historical_trips = 2500;
     sopt.offline_fraction = 0.2;
     sopt.seed = seed + 2;
-    Scenario scenario = MakeScenario(net, demand, oracle, sopt);
 
     SystemConfig config;
     config.kappa = 16;
     config.kt = 5;
     config.oracle.backend = backend;
+    // The system trains on the history MakeScenario draws first on
+    // Rng(sopt.seed); its oracle then prices the scenario.
+    Rng history_rng(sopt.seed);
     auto system =
-        MTShareSystem::Create(net, scenario.HistoricalOdPairs(), config)
+        MTShareSystem::Create(
+            net,
+            OdPairsOf(GenerateHistoricalTrips(
+                demand, sopt.num_historical_trips, history_rng)),
+            config)
             .value();
+    Scenario scenario = MakeScenario(net, demand, system->oracle(), sopt);
     for (SchemeKind scheme : kSchemes) {
       for (double window_ms : {0.0, 200.0}) {
         for (bool serve_offline : {true, false}) {

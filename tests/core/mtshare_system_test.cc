@@ -68,19 +68,24 @@ class MTShareSystemTest : public ::testing::Test {
     gopt.seed = 21;
     net_ = MakeGridCity(gopt);
     demand_ = std::make_unique<DemandModel>(net_, DemandModelOptions{});
-    oracle_ = std::make_unique<DistanceOracle>(net_);
 
     ScenarioOptions sopt;
     sopt.num_requests = 250;
     sopt.num_historical_trips = 4000;
     sopt.offline_fraction = 0.2;
-    scenario_ = MakeScenario(net_, *demand_, *oracle_, sopt);
 
     config_.kappa = 24;
     config_.kt = 6;
-    system_ = MTShareSystem::Create(net_, scenario_.HistoricalOdPairs(),
-                                    config_)
+    // The system trains on the history MakeScenario draws first on
+    // Rng(sopt.seed); its oracle then prices the scenario.
+    Rng history_rng(sopt.seed);
+    system_ = MTShareSystem::Create(
+                  net_,
+                  OdPairsOf(GenerateHistoricalTrips(
+                      *demand_, sopt.num_historical_trips, history_rng)),
+                  config_)
                   .value();
+    scenario_ = MakeScenario(net_, *demand_, system_->oracle(), sopt);
   }
 
   // Runs the fixture scenario through the spec API (the old positional
@@ -98,7 +103,6 @@ class MTShareSystemTest : public ::testing::Test {
 
   RoadNetwork net_;
   std::unique_ptr<DemandModel> demand_;
-  std::unique_ptr<DistanceOracle> oracle_;
   Scenario scenario_;
   SystemConfig config_;
   std::unique_ptr<MTShareSystem> system_;

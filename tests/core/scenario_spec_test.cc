@@ -106,6 +106,13 @@ TEST_F(ScenarioSpecTest, BatchedRoutingPrimesEveryLeg) {
     }
     EXPECT_GT(m.routing.ellipse_pruned, 0) << SchemeName(scheme);
   }
+  // No-Sharing primes no insertion, but its pickup reachability probe on
+  // the exact table takes the same admissible landmark prune.
+  Metrics m = RunOnFreshSystem(SchemeKind::kNoSharing);
+  EXPECT_EQ(m.oracle_backend, "exact");
+  EXPECT_GT(m.ServedRequests(), 0);
+  EXPECT_GT(m.routing.lb_pruned, 0);
+  EXPECT_EQ(m.routing.fallback_queries, 0);
 }
 
 /// ScenarioSpec.requests is sugar for a VectorRequestSource over the same

@@ -33,22 +33,29 @@ Metrics RunOnce(const RunOptions& opt) {
   DemandModelOptions dopt;
   dopt.seed = opt.seed + 1;
   DemandModel demand(net, dopt);
-  DistanceOracle oracle(net);
   ScenarioOptions sopt;
   sopt.num_requests = 160;
   sopt.num_historical_trips = 2500;
   sopt.offline_fraction = 0.2;
   sopt.seed = opt.seed + 2;
-  Scenario scenario = MakeScenario(net, demand, oracle, sopt);
 
   SystemConfig config;
   config.kappa = 16;
   config.kt = 5;
   config.oracle.backend = opt.oracle_backend;
   // Fresh system per run so dispatcher indexes and bucket stores start
-  // cold and the comparison sees identical initial state.
+  // cold and the comparison sees identical initial state. It trains on the
+  // history MakeScenario draws first on Rng(sopt.seed), and its oracle
+  // prices the scenario.
+  Rng history_rng(sopt.seed);
   auto system =
-      MTShareSystem::Create(net, scenario.HistoricalOdPairs(), config).value();
+      MTShareSystem::Create(
+          net,
+          OdPairsOf(GenerateHistoricalTrips(
+              demand, sopt.num_historical_trips, history_rng)),
+          config)
+          .value();
+  Scenario scenario = MakeScenario(net, demand, system->oracle(), sopt);
 
   ScenarioSpec spec;
   spec.scheme = opt.scheme;
@@ -82,9 +89,8 @@ TEST(CandidateSearchEquivalenceTest, ReachabilitySourceFollowsBackend) {
       EXPECT_GT(ch.routing.bucket_candidates, 0);
     }
     for (const Metrics* m : {&exact, &ch}) {
-      // Every scheme with landmarks armed runs the detour-ellipse screen on
-      // either backend (No-Sharing has neither a schedule to screen nor
-      // landmarks).
+      // Every scheme with a schedule to screen runs the detour-ellipse
+      // screen on either backend (No-Sharing assigns idle taxis only).
       if (scheme != SchemeKind::kNoSharing) {
         EXPECT_GT(m->routing.slots_screened, 0);
       }
@@ -94,11 +100,13 @@ TEST(CandidateSearchEquivalenceTest, ReachabilitySourceFollowsBackend) {
 }
 
 TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
-  // Invariant the maintenance hooks must uphold at every decision point:
-  // a taxi's bucket deposits either match its CURRENT location or the
-  // taxi is marked dirty (so the next sweep rebuilds it). A missed
-  // OnScheduleChanged call would leave a moved taxi clean with a stale
-  // anchor, which this callback catches at every dispatch of a full run.
+  // Invariant the engine notifications must uphold at every decision
+  // point, for every scheme: a taxi's bucket deposits either match its
+  // CURRENT location or the taxi is marked dirty (so the next sweep
+  // rebuilds it). The grid baselines override the index hooks without
+  // chaining to the base, so dirty-marking must not depend on the hooks; a
+  // moved taxi left clean with a stale anchor is caught here at every
+  // decision of a full run.
   GridCityOptions gopt;
   gopt.rows = 16;
   gopt.cols = 16;
@@ -107,43 +115,54 @@ TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
   DemandModelOptions dopt;
   dopt.seed = 84;
   DemandModel demand(net, dopt);
-  DistanceOracle oracle(net);
   ScenarioOptions sopt;
   sopt.num_requests = 160;
   sopt.num_historical_trips = 2500;
   sopt.offline_fraction = 0.2;
   sopt.seed = 85;
-  Scenario scenario = MakeScenario(net, demand, oracle, sopt);
   SystemConfig config;
   config.kappa = 16;
   config.kt = 5;
   config.oracle.backend = OracleBackend::kCh;
+  Rng history_rng(sopt.seed);
   auto system =
-      MTShareSystem::Create(net, scenario.HistoricalOdPairs(), config).value();
+      MTShareSystem::Create(
+          net,
+          OdPairsOf(GenerateHistoricalTrips(
+              demand, sopt.num_historical_trips, history_rng)),
+          config)
+          .value();
+  Scenario scenario = MakeScenario(net, demand, system->oracle(), sopt);
 
-  std::vector<TaxiState> fleet =
-      MakeFleet(net, 24, config.taxi_capacity, 86,
-                scenario.requests.front().release_time);
-  std::unique_ptr<Dispatcher> dispatcher =
-      system->MakeDispatcher(SchemeKind::kMtShare, &fleet);
-  const LastStopBuckets* buckets = dispatcher->buckets();
-  ASSERT_NE(buckets, nullptr);
+  for (SchemeKind scheme :
+       {SchemeKind::kNoSharing, SchemeKind::kTShare, SchemeKind::kPGreedyDp,
+        SchemeKind::kMtShare, SchemeKind::kMtSharePro}) {
+    SCOPED_TRACE(SchemeName(scheme));
+    std::vector<TaxiState> fleet =
+        MakeFleet(net, 24, config.taxi_capacity, 86,
+                  scenario.requests.front().release_time);
+    std::unique_ptr<Dispatcher> dispatcher =
+        system->MakeDispatcher(scheme, &fleet);
+    const LastStopBuckets* buckets = dispatcher->buckets();
+    ASSERT_NE(buckets, nullptr);
 
-  EngineOptions eopts;
-  int64_t checks = 0;
-  eopts.on_decision = [&](const RideRequest&, const RequestRecord&) {
-    for (const TaxiState& t : fleet) {
-      ++checks;
-      EXPECT_TRUE(buckets->dirty(t.id) || buckets->anchor(t.id) == t.location)
-          << "taxi " << t.id << ": clean bucket entries anchored at "
-          << buckets->anchor(t.id) << " but taxi is at " << t.location;
-    }
-  };
-  SimulationEngine engine(net, dispatcher.get(), &fleet, eopts);
-  VectorRequestSource source(&scenario.requests);
-  Metrics m = engine.Run(source);
-  EXPECT_GT(m.ServedRequests(), 0);
-  EXPECT_GT(checks, 0);
+    EngineOptions eopts;
+    int64_t checks = 0;
+    eopts.on_decision = [&](const RideRequest&, const RequestRecord&) {
+      for (const TaxiState& t : fleet) {
+        ++checks;
+        EXPECT_TRUE(buckets->dirty(t.id) ||
+                    buckets->anchor(t.id) == t.location)
+            << "taxi " << t.id << ": clean bucket entries anchored at "
+            << buckets->anchor(t.id) << " but taxi is at " << t.location;
+      }
+    };
+    SimulationEngine engine(net, dispatcher.get(), &fleet, eopts);
+    VectorRequestSource source(&scenario.requests);
+    Metrics m = engine.Run(source);
+    EXPECT_GT(m.ServedRequests(), 0);
+    EXPECT_GT(checks, 0);
+  }
 }
 
 }  // namespace

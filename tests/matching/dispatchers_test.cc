@@ -22,19 +22,25 @@ class DispatchersTest : public ::testing::Test {
     gopt.seed = 23;
     net_ = MakeGridCity(gopt);
     demand_ = std::make_unique<DemandModel>(net_, DemandModelOptions{});
-    oracle_ = std::make_unique<DistanceOracle>(net_);
 
     ScenarioOptions sopt;
     sopt.num_requests = 400;
     sopt.num_historical_trips = 6000;
     sopt.seed = 31;
-    scenario_ = MakeScenario(net_, *demand_, *oracle_, sopt);
 
     SystemConfig cfg;
     cfg.kappa = 30;
     cfg.kt = 8;
-    system_ =
-        MTShareSystem::Create(net_, scenario_.HistoricalOdPairs(), cfg).value();
+    // The system trains on the history MakeScenario draws first on
+    // Rng(sopt.seed); its oracle then prices the scenario.
+    Rng history_rng(sopt.seed);
+    system_ = MTShareSystem::Create(
+                  net_,
+                  OdPairsOf(GenerateHistoricalTrips(
+                      *demand_, sopt.num_historical_trips, history_rng)),
+                  cfg)
+                  .value();
+    scenario_ = MakeScenario(net_, *demand_, system_->oracle(), sopt);
   }
 
   // Runs the fixture scenario through the spec API (the old positional
@@ -51,7 +57,6 @@ class DispatchersTest : public ::testing::Test {
 
   RoadNetwork net_;
   std::unique_ptr<DemandModel> demand_;
-  std::unique_ptr<DistanceOracle> oracle_;
   Scenario scenario_;
   std::unique_ptr<MTShareSystem> system_;
 };

@@ -19,22 +19,27 @@ class IdleCruisingTest : public ::testing::Test {
     gopt.seed = 19;
     net_ = MakeGridCity(gopt);
     demand_ = std::make_unique<DemandModel>(net_, DemandModelOptions{});
-    oracle_ = std::make_unique<DistanceOracle>(net_);
     ScenarioOptions sopt;
     sopt.num_requests = 60;
     sopt.num_historical_trips = 3000;
     sopt.offline_fraction = 0.5;
-    scenario_ = MakeScenario(net_, *demand_, *oracle_, sopt);
     SystemConfig cfg;
     cfg.kappa = 16;
     cfg.kt = 4;
-    system_ =
-        MTShareSystem::Create(net_, scenario_.HistoricalOdPairs(), cfg).value();
+    // The system trains on the history MakeScenario draws first on
+    // Rng(sopt.seed); its oracle then prices the scenario.
+    Rng history_rng(sopt.seed);
+    system_ = MTShareSystem::Create(
+                  net_,
+                  OdPairsOf(GenerateHistoricalTrips(
+                      *demand_, sopt.num_historical_trips, history_rng)),
+                  cfg)
+                  .value();
+    scenario_ = MakeScenario(net_, *demand_, system_->oracle(), sopt);
   }
 
   RoadNetwork net_;
   std::unique_ptr<DemandModel> demand_;
-  std::unique_ptr<DistanceOracle> oracle_;
   Scenario scenario_;
   std::unique_ptr<MTShareSystem> system_;
 };
@@ -113,11 +118,11 @@ TEST_F(IdleCruisingTest, EngineKeepsBasicTaxisParked) {
 
 TEST_F(IdleCruisingTest, DecoratedBaselineCruises) {
   auto fleet = MakeFleet(net_, 4, 3, 7, 0.0);
+  RoutePlanner planner(net_, system_->partitioning(), system_->landmarks(),
+                       &system_->transitions(), &system_->oracle(),
+                       RoutePlannerOptions{});
   auto tshare = system_->MakeDispatcher(SchemeKind::kTShare, &fleet);
-  auto planner = std::make_unique<RoutePlanner>(
-      net_, system_->partitioning(), system_->landmarks(),
-      &system_->transitions(), &system_->oracle(), RoutePlannerOptions{});
-  tshare->EnableIdleCruising(&system_->partitioning(), std::move(planner));
+  tshare->EnableIdleCruising(&system_->partitioning(), &planner);
   EXPECT_TRUE(tshare->PlanIdleCruise(0, 100.0).valid);
 }
 

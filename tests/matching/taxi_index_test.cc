@@ -76,7 +76,7 @@ TEST_F(TaxiIndexTest, BusyTaxiIndexedAlongRouteWithinHorizon) {
   r.direct_cost = path.cost;
   r.deadline = 10 * path.cost;
   t.schedule = Schedule::WithInsertion(Schedule(), r, 0, 0);
-  ApplyPlan(&t, net_, t.schedule, path.vertices, {0.0, path.cost}, 0.0, false);
+  ApplyPlan(&t, net_, t.schedule, path.vertices, {0.0, path.cost}, 0.0);
   index_->ReindexTaxi(t, 0.0);
 
   // Every partition the route crosses within T_mp lists the taxi.
@@ -120,7 +120,7 @@ TEST_F(TaxiIndexTest, HorizonCapsRouteMemberships) {
   r.deadline = 10 * path.cost;
   r.direct_cost = path.cost;
   t.schedule = Schedule::WithInsertion(Schedule(), r, 0, 0);
-  ApplyPlan(&t, line, t.schedule, path.vertices, {0.0, path.cost}, 0.0, false);
+  ApplyPlan(&t, line, t.schedule, path.vertices, {0.0, path.cost}, 0.0);
 
   MtShareTaxiIndex index(line, parts, 0.707);
   index.ReindexTaxi(t, 0.0);
@@ -161,8 +161,7 @@ TEST_F(TaxiIndexTest, ClusterTaxisFiltersOutRequests) {
   served.direct_cost = path.cost;
   served.deadline = 10 * path.cost;
   t.schedule = Schedule::WithInsertion(Schedule(), served, 0, 0);
-  ApplyPlan(&t, net_, t.schedule, path.vertices, {0.0, path.cost}, 0.0,
-            false);
+  ApplyPlan(&t, net_, t.schedule, path.vertices, {0.0, path.cost}, 0.0);
   index_->ReindexTaxi(t, 0.0);
 
   RideRequest r;
@@ -201,7 +200,7 @@ TEST_F(TaxiIndexTest, BusyTaxiCrossingPartitionDropsStaleEntry) {
   r.direct_cost = path.cost;
   r.deadline = 10 * path.cost;
   t.schedule = Schedule::WithInsertion(Schedule(), r, 0, 0);
-  ApplyPlan(&t, net_, t.schedule, path.vertices, {0.0, path.cost}, 0.0, false);
+  ApplyPlan(&t, net_, t.schedule, path.vertices, {0.0, path.cost}, 0.0);
   index_->ReindexTaxi(t, 0.0);
   ASSERT_FALSE(t.Idle());
 
@@ -241,7 +240,7 @@ TEST_F(TaxiIndexTest, BusyTaxiMoveWithinPartitionKeepsEntryUntouched) {
   r.direct_cost = path.cost;
   r.deadline = 10 * path.cost;
   t.schedule = Schedule::WithInsertion(Schedule(), r, 0, 0);
-  ApplyPlan(&t, net_, t.schedule, path.vertices, {0.0, path.cost}, 0.0, false);
+  ApplyPlan(&t, net_, t.schedule, path.vertices, {0.0, path.cost}, 0.0);
   index_->ReindexTaxi(t, 0.0);
 
   PartitionId start = partitioning_.PartitionOf(path.vertices[0]);

@@ -28,7 +28,7 @@ RoadNetwork SmallCity(uint64_t seed) {
   return MakeGridCity(opt);
 }
 
-// MTSHARE_SCALE_CI=1 (the run_checks.sh [6/6] smoke and the bench_scale
+// MTSHARE_SCALE_CI=1 (the run_checks.sh [5/5] smoke and the bench_scale
 // CI rows) shrinks the workloads ~10x so the leg finishes in CI time; the
 // nightly `ctest --preset scale` runs the full sizes.
 bool ScaleCi() {
@@ -104,18 +104,25 @@ TEST(ScaleDecisionGoldenTest, TenThousandTaxiFleetMatchesCommittedDigest) {
   DemandModelOptions dopt;
   dopt.seed = 212;
   DemandModel demand(net, dopt);
-  DistanceOracle oracle(net);
   ScenarioOptions sopt;
   sopt.num_requests = ScaleCi() ? 1000 : 4000;
   sopt.num_historical_trips = 8000;
   sopt.offline_fraction = 0.1;
   sopt.seed = 213;
-  Scenario scenario = MakeScenario(net, demand, oracle, sopt);
 
   SystemConfig config;
   config.seed = 214;
+  // The system trains on the history MakeScenario draws first on
+  // Rng(sopt.seed); its oracle then prices the scenario.
+  Rng history_rng(sopt.seed);
   auto system =
-      MTShareSystem::Create(net, scenario.HistoricalOdPairs(), config).value();
+      MTShareSystem::Create(
+          net,
+          OdPairsOf(GenerateHistoricalTrips(
+              demand, sopt.num_historical_trips, history_rng)),
+          config)
+          .value();
+  Scenario scenario = MakeScenario(net, demand, system->oracle(), sopt);
 
   ScenarioSpec spec;
   spec.scheme = SchemeKind::kMtShare;

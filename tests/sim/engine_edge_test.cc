@@ -17,6 +17,17 @@ RoadNetwork LineCity() {
   return b.Build();
 }
 
+// Every dispatcher arms its admissible lower-bound prunes from a landmark
+// graph; three grid partitions of the line give it one, on the oracle's
+// hierarchy.
+struct LineLandmarks {
+  LineLandmarks(const RoadNetwork& net, const DistanceOracle& oracle)
+      : partitioning(GridPartition(net, 3)),
+        graph(net, partitioning, *oracle.ch()) {}
+  MapPartitioning partitioning;
+  LandmarkGraph graph;
+};
+
 RideRequest MakeRequest(RequestId id, VertexId o, VertexId d, Seconds t,
                         Seconds direct, double rho, bool offline = false) {
   RideRequest r;
@@ -39,7 +50,8 @@ TEST(EngineEdgeTest, EmptyRequestStream) {
   fleet[1].id = 1;
   fleet[1].location = 5;
   MatchingConfig config;
-  NoSharingDispatcher dispatcher(net, &oracle, &fleet, config);
+  LineLandmarks lm(net, oracle);
+  NoSharingDispatcher dispatcher(net, &oracle, &fleet, config, lm.graph);
   SimulationEngine engine(net, &dispatcher, &fleet, EngineOptions{});
   Metrics m = engine.Run({});
   EXPECT_EQ(m.TotalRequests(), 0);
@@ -52,7 +64,8 @@ TEST(EngineEdgeTest, EmptyFleetRejectsEverything) {
   DistanceOracle oracle(net);
   std::vector<TaxiState> fleet;
   MatchingConfig config;
-  TShareDispatcher dispatcher(net, &oracle, &fleet, config);
+  LineLandmarks lm(net, oracle);
+  TShareDispatcher dispatcher(net, &oracle, &fleet, config, lm.graph);
   SimulationEngine engine(net, &dispatcher, &fleet, EngineOptions{});
   Metrics m = engine.Run({MakeRequest(0, 2, 5, 0.0, 30.0, 2.0)});
   EXPECT_EQ(m.ServedRequests(), 0);
@@ -67,7 +80,8 @@ TEST(EngineEdgeTest, SaturatedFleetRejectsOverflow) {
   fleet[0].capacity = 1;
   fleet[0].location = 0;
   MatchingConfig config;
-  TShareDispatcher dispatcher(net, &oracle, &fleet, config);
+  LineLandmarks lm(net, oracle);
+  TShareDispatcher dispatcher(net, &oracle, &fleet, config, lm.graph);
   SimulationEngine engine(net, &dispatcher, &fleet, EngineOptions{});
   // Five simultaneous tight requests; a 1-seat taxi can serve at most a
   // couple sequentially within deadlines.
@@ -90,7 +104,8 @@ TEST(EngineEdgeTest, RequestWithOriginEqualToTaxiLocationPicksUpImmediately) {
   fleet[0].capacity = 2;
   fleet[0].location = 3;
   MatchingConfig config;
-  NoSharingDispatcher dispatcher(net, &oracle, &fleet, config);
+  LineLandmarks lm(net, oracle);
+  NoSharingDispatcher dispatcher(net, &oracle, &fleet, config, lm.graph);
   SimulationEngine engine(net, &dispatcher, &fleet, EngineOptions{});
   Metrics m = engine.Run({MakeRequest(0, 3, 7, 5.0, 40.0, 2.0)});
   ASSERT_EQ(m.ServedRequests(), 1);
@@ -106,7 +121,8 @@ TEST(EngineEdgeTest, BackToBackTripsReuseTheTaxi) {
   fleet[0].capacity = 2;
   fleet[0].location = 0;
   MatchingConfig config;
-  NoSharingDispatcher dispatcher(net, &oracle, &fleet, config);
+  LineLandmarks lm(net, oracle);
+  NoSharingDispatcher dispatcher(net, &oracle, &fleet, config, lm.graph);
   SimulationEngine engine(net, &dispatcher, &fleet, EngineOptions{});
   // Second trip released long after the first finishes.
   std::vector<RideRequest> reqs = {
@@ -128,7 +144,8 @@ TEST(EngineEdgeTest, MultiPassengerPartyConsumesSeats) {
   fleet[0].capacity = 3;
   fleet[0].location = 0;
   MatchingConfig config;
-  TShareDispatcher dispatcher(net, &oracle, &fleet, config);
+  LineLandmarks lm(net, oracle);
+  TShareDispatcher dispatcher(net, &oracle, &fleet, config, lm.graph);
   SimulationEngine engine(net, &dispatcher, &fleet, EngineOptions{});
   RideRequest party = MakeRequest(0, 1, 8, 0.0, 70.0, 2.0);
   party.passengers = 3;  // fills the taxi
@@ -148,7 +165,8 @@ TEST(EngineEdgeTest, OfflineOnlyWorkloadWithParkedFleetServesNothing) {
   fleet[1].id = 1;
   fleet[1].location = 9;
   MatchingConfig config;
-  TShareDispatcher dispatcher(net, &oracle, &fleet, config);
+  LineLandmarks lm(net, oracle);
+  TShareDispatcher dispatcher(net, &oracle, &fleet, config, lm.graph);
   SimulationEngine engine(net, &dispatcher, &fleet, EngineOptions{});
   // Only offline requests: parked taxis never move, so nobody is met.
   std::vector<RideRequest> reqs = {
@@ -169,7 +187,8 @@ TEST(EngineEdgeTest, DuplicateSimultaneousRequestsBothConsidered) {
   fleet[1].capacity = 2;
   fleet[1].location = 9;
   MatchingConfig config;
-  TShareDispatcher dispatcher(net, &oracle, &fleet, config);
+  LineLandmarks lm(net, oracle);
+  TShareDispatcher dispatcher(net, &oracle, &fleet, config, lm.graph);
   SimulationEngine engine(net, &dispatcher, &fleet, EngineOptions{});
   std::vector<RideRequest> reqs = {MakeRequest(0, 4, 6, 0.0, 20.0, 4.0),
                                    MakeRequest(1, 4, 6, 0.0, 20.0, 4.0)};

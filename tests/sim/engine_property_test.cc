@@ -28,21 +28,28 @@ TEST_P(EnginePropertyTest, GlobalInvariantsHold) {
   DemandModelOptions dopt;
   dopt.seed = param.seed + 1;
   DemandModel demand(net, dopt);
-  DistanceOracle oracle(net);
 
   ScenarioOptions sopt;
   sopt.num_requests = 180;
   sopt.num_historical_trips = 2500;
   sopt.offline_fraction = 0.25;
   sopt.seed = param.seed + 2;
-  Scenario scenario = MakeScenario(net, demand, oracle, sopt);
 
   SystemConfig cfg;
   cfg.kappa = 20;
   cfg.kt = 5;
   cfg.seed = param.seed + 3;
+  // The system trains on the history MakeScenario draws first on
+  // Rng(sopt.seed); its oracle then prices the scenario.
+  Rng history_rng(sopt.seed);
   auto system =
-      MTShareSystem::Create(net, scenario.HistoricalOdPairs(), cfg).value();
+      MTShareSystem::Create(
+          net,
+          OdPairsOf(GenerateHistoricalTrips(
+              demand, sopt.num_historical_trips, history_rng)),
+          cfg)
+          .value();
+  Scenario scenario = MakeScenario(net, demand, system->oracle(), sopt);
 
   // Run through a hand-built engine so the fleet stays inspectable.
   auto fleet = MakeFleet(net, 24, cfg.taxi_capacity, param.seed + 4,

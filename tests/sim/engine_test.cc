@@ -32,7 +32,14 @@ RideRequest MakeRequest(RequestId id, VertexId o, VertexId d, Seconds t,
 
 class EngineLineTest : public ::testing::Test {
  protected:
-  EngineLineTest() : net_(LineCity()), oracle_(net_) {}
+  // Every dispatcher arms its admissible lower-bound prunes from a landmark
+  // graph; three grid partitions of the line give it one, on the oracle's
+  // hierarchy.
+  EngineLineTest()
+      : net_(LineCity()),
+        oracle_(net_),
+        partitioning_(GridPartition(net_, 3)),
+        landmarks_(net_, partitioning_, *oracle_.ch()) {}
 
   Metrics RunWith(Dispatcher* d, std::vector<TaxiState>* fleet,
                   const std::vector<RideRequest>& requests,
@@ -45,6 +52,8 @@ class EngineLineTest : public ::testing::Test {
 
   RoadNetwork net_;
   DistanceOracle oracle_;
+  MapPartitioning partitioning_;
+  LandmarkGraph landmarks_;
   MatchingConfig config_;
 };
 
@@ -53,7 +62,7 @@ TEST_F(EngineLineTest, SingleRequestExactTimings) {
   fleet[0].id = 0;
   fleet[0].capacity = 3;
   fleet[0].location = 0;
-  NoSharingDispatcher dispatcher(net_, &oracle_, &fleet, config_);
+  NoSharingDispatcher dispatcher(net_, &oracle_, &fleet, config_, landmarks_);
 
   // o=2 (20 s away), d=5 (30 s ride), released at t=0, rho=2.
   std::vector<RideRequest> reqs = {MakeRequest(0, 2, 5, 0.0, 30.0, 2.0)};
@@ -79,7 +88,7 @@ TEST_F(EngineLineTest, UnreachableDeadlineGoesUnserved) {
   fleet[0].id = 0;
   fleet[0].capacity = 3;
   fleet[0].location = 9;  // 70 s from origin 2
-  NoSharingDispatcher dispatcher(net_, &oracle_, &fleet, config_);
+  NoSharingDispatcher dispatcher(net_, &oracle_, &fleet, config_, landmarks_);
   // Pickup deadline = 0 + 1.5*30 - 30 = 15 s: unreachable.
   std::vector<RideRequest> reqs = {MakeRequest(0, 2, 5, 0.0, 30.0, 1.5)};
   Metrics m = RunWith(&dispatcher, &fleet, reqs);
@@ -93,7 +102,7 @@ TEST_F(EngineLineTest, SharedRideTimingsAndFares) {
   fleet[0].id = 0;
   fleet[0].capacity = 3;
   fleet[0].location = 0;
-  TShareDispatcher dispatcher(net_, &oracle_, &fleet, config_);
+  TShareDispatcher dispatcher(net_, &oracle_, &fleet, config_, landmarks_);
 
   // r0: 1 -> 8 released t=0 (direct 70 s), generous rho.
   // r1: 2 -> 7 released t=5 (direct 50 s): perfectly en-route.
@@ -119,7 +128,7 @@ TEST_F(EngineLineTest, OfflineRequestServedOnEncounter) {
   fleet[0].id = 0;
   fleet[0].capacity = 3;
   fleet[0].location = 0;
-  TShareDispatcher dispatcher(net_, &oracle_, &fleet, config_);
+  TShareDispatcher dispatcher(net_, &oracle_, &fleet, config_, landmarks_);
 
   // Online trip 0 -> 9 drives past vertex 4 where an offline rider waits.
   std::vector<RideRequest> reqs = {
@@ -139,7 +148,7 @@ TEST_F(EngineLineTest, OfflineIgnoredWhenDisabled) {
   fleet[0].id = 0;
   fleet[0].capacity = 3;
   fleet[0].location = 0;
-  TShareDispatcher dispatcher(net_, &oracle_, &fleet, config_);
+  TShareDispatcher dispatcher(net_, &oracle_, &fleet, config_, landmarks_);
   std::vector<RideRequest> reqs = {
       MakeRequest(0, 0, 9, 0.0, 90.0, 2.0),
       MakeRequest(1, 4, 8, 10.0, 40.0, 2.5, /*offline=*/true)};
@@ -153,7 +162,7 @@ TEST_F(EngineLineTest, OfflineExpiresWhenTaxiTooLate) {
   fleet[0].id = 0;
   fleet[0].capacity = 3;
   fleet[0].location = 0;
-  TShareDispatcher dispatcher(net_, &oracle_, &fleet, config_);
+  TShareDispatcher dispatcher(net_, &oracle_, &fleet, config_, landmarks_);
   // Offline rider at vertex 8 with a pickup deadline of ~5 s: the passing
   // taxi arrives at t=80, long after expiry.
   std::vector<RideRequest> reqs = {
@@ -168,7 +177,7 @@ TEST_F(EngineLineTest, NoSharingNeverServesOffline) {
   fleet[0].id = 0;
   fleet[0].capacity = 3;
   fleet[0].location = 0;
-  NoSharingDispatcher dispatcher(net_, &oracle_, &fleet, config_);
+  NoSharingDispatcher dispatcher(net_, &oracle_, &fleet, config_, landmarks_);
   std::vector<RideRequest> reqs = {
       MakeRequest(0, 0, 9, 0.0, 90.0, 2.0),
       MakeRequest(1, 4, 8, 10.0, 40.0, 2.5, /*offline=*/true)};
@@ -181,7 +190,7 @@ TEST_F(EngineLineTest, CapacityLimitsConcurrentRiders) {
   fleet[0].id = 0;
   fleet[0].capacity = 1;  // single seat
   fleet[0].location = 0;
-  TShareDispatcher dispatcher(net_, &oracle_, &fleet, config_);
+  TShareDispatcher dispatcher(net_, &oracle_, &fleet, config_, landmarks_);
   // Two overlapping trips: the second cannot share a 1-seat taxi and its
   // tight deadline forbids serving it after the first.
   std::vector<RideRequest> reqs = {MakeRequest(0, 1, 8, 0.0, 70.0, 1.5),
@@ -197,7 +206,7 @@ TEST(ApplyPlanTest, InstallsScheduleAndRoute) {
   taxi.location = 0;
   RideRequest r = MakeRequest(0, 1, 3, 0.0, 20.0, 2.0);
   Schedule s = Schedule::WithInsertion(Schedule(), r, 0, 0);
-  ApplyPlan(&taxi, net, s, {0, 1, 2, 3}, {10.0, 30.0}, 0.0, false);
+  ApplyPlan(&taxi, net, s, {0, 1, 2, 3}, {10.0, 30.0}, 0.0);
   EXPECT_EQ(taxi.schedule.size(), 2u);
   EXPECT_EQ(taxi.route.size(), 4u);
   EXPECT_EQ(taxi.route_pos, 0u);

@@ -29,13 +29,24 @@ class RequestSourceTest : public ::testing::Test {
     gopt.seed = 33;
     net_ = MakeGridCity(gopt);
     demand_ = std::make_unique<DemandModel>(net_, DemandModelOptions{});
-    oracle_ = std::make_unique<DistanceOracle>(net_);
 
     ScenarioOptions sopt;
     sopt.num_requests = 160;
     sopt.num_historical_trips = 3000;
     sopt.offline_fraction = 0.15;
-    scenario_ = MakeScenario(net_, *demand_, *oracle_, sopt);
+
+    config_.kappa = 20;
+    config_.kt = 5;
+    // The system trains on the history MakeScenario draws first on
+    // Rng(sopt.seed); its oracle then prices the scenario.
+    Rng history_rng(sopt.seed);
+    system_ = MTShareSystem::Create(
+                  net_,
+                  OdPairsOf(GenerateHistoricalTrips(
+                      *demand_, sopt.num_historical_trips, history_rng)),
+                  config_)
+                  .value();
+    scenario_ = MakeScenario(net_, *demand_, system_->oracle(), sopt);
 
     // A bursty variant of the same workload: release times compressed
     // 1000x (~44 req/s), so a 50-200 ms batch window actually holds
@@ -49,12 +60,6 @@ class RequestSourceTest : public ::testing::Test {
           (r.release_time - burst_[0].release_time) / 1000.0;
       r.deadline = r.release_time + slack;
     }
-
-    config_.kappa = 20;
-    config_.kt = 5;
-    system_ = MTShareSystem::Create(net_, scenario_.HistoricalOdPairs(),
-                                    config_)
-                  .value();
   }
 
   static std::string Serialize(const std::vector<RideRequest>& requests,
@@ -101,7 +106,6 @@ class RequestSourceTest : public ::testing::Test {
 
   RoadNetwork net_;
   std::unique_ptr<DemandModel> demand_;
-  std::unique_ptr<DistanceOracle> oracle_;
   Scenario scenario_;
   std::vector<RideRequest> burst_;
   SystemConfig config_;
@@ -336,7 +340,7 @@ TEST_F(RequestSourceTest, FinalizeHookDerivesCostAndDeadline) {
   StreamSourceOptions opts;
   opts.num_vertices = net_.num_vertices();
   opts.finalize = [this](RideRequest* r) {
-    r->direct_cost = oracle_->Cost(r->origin, r->destination);
+    r->direct_cost = system_->oracle().Cost(r->origin, r->destination);
     r->deadline = r->release_time + 1.3 * r->direct_cost;
   };
   StreamRequestSource source(&in, opts);
@@ -363,7 +367,7 @@ TEST_F(RequestSourceTest, GeneratorSourceIsDeterministicSortedAndRunnable) {
   sopt.seed = 91;
 
   auto drain = [&]() {
-    GeneratorRequestSource source(*demand_, *oracle_, sopt);
+    GeneratorRequestSource source(*demand_, system_->oracle(), sopt);
     std::vector<RideRequest> out;
     RideRequest r;
     while (source.Next(&r)) out.push_back(r);
@@ -387,7 +391,7 @@ TEST_F(RequestSourceTest, GeneratorSourceIsDeterministicSortedAndRunnable) {
     EXPECT_EQ(a[i].offline, b[i].offline);
   }
 
-  GeneratorRequestSource source(*demand_, *oracle_, sopt);
+  GeneratorRequestSource source(*demand_, system_->oracle(), sopt);
   ScenarioSpec spec;
   spec.scheme = SchemeKind::kMtShare;
   spec.source = &source;
@@ -418,7 +422,7 @@ TEST_F(RequestSourceTest, GeneratorSourcePinsEveryField) {
   sopt.offline_fraction = 0.3;
   sopt.seed = 20211;
 
-  GeneratorRequestSource source(*demand_, *oracle_, sopt);
+  GeneratorRequestSource source(*demand_, system_->oracle(), sopt);
   Fnv1a fnv;
   int64_t count = 0;
   RideRequest r;

@@ -1,6 +1,7 @@
-# Smoke-runs mtshare_sim with --report and asserts the JSON lands with the
-# expected schema marker. Invoked by the mtshare_sim_report_smoke ctest;
-# needs -DSIM_BINARY=... and -DREPORT_PATH=...
+# Smoke-runs mtshare_sim with --report on both oracle backends and for
+# mT-Share-pro, and asserts the JSON carries the expected keys and values.
+# Invoked by the mtshare_sim_report_smoke ctest; needs -DSIM_BINARY=... and
+# -DREPORT_PATH=...
 file(REMOVE "${REPORT_PATH}")
 execute_process(
   COMMAND "${SIM_BINARY}" --scheme=mt-share --rows=12 --cols=12
@@ -15,12 +16,14 @@ if(NOT EXISTS "${REPORT_PATH}")
   message(FATAL_ERROR "report file was not written: ${REPORT_PATH}")
 endif()
 file(READ "${REPORT_PATH}" report)
-# Keys of schema_version 8 (through the candidate-search routing counters).
+# Keys of schema_version 8 (through the candidate-search routing counters),
+# including the schema-4 engine block's heap-core counters.
 foreach(key "schema_version" "response_ms" "p95" "phases" "dispatch_total_ms"
         "routing" "batch_queries" "lb_pruned"
         "fallback_queries" "serve" "batch_window_ms" "admitted" "shed"
         "queue_depth" "candidate_search" "bucket_candidates"
-        "bucket_maintenance_ms" "slots_screened" "ellipse_pruned")
+        "bucket_maintenance_ms" "slots_screened" "ellipse_pruned" "backend"
+        "heap_pops" "arcs_stepped")
   if(NOT report MATCHES "\"${key}\"")
     message(FATAL_ERROR "report missing key '${key}':\n${report}")
   endif()
@@ -58,6 +61,12 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "mtshare_sim --oracle=ch exited ${rc}\n${out}\n${err}")
 endif()
 file(READ "${REPORT_PATH}" report)
+if(NOT report MATCHES "\"backend\": *\"ch\"")
+  message(FATAL_ERROR "CH run not labeled backend=ch:\n${report}")
+endif()
+if(NOT report MATCHES "\"ch_upward_settled\"")
+  message(FATAL_ERROR "CH run missing key 'ch_upward_settled':\n${report}")
+endif()
 if(NOT report MATCHES "\"candidate_search\": *\"ch_buckets\"")
   message(FATAL_ERROR "ch_buckets run not labeled:\n${report}")
 endif()
@@ -66,6 +75,28 @@ if(report MATCHES "\"bucket_candidates\": *0[,\n}]")
 endif()
 if(NOT report MATCHES "\"fallback_queries\": *0[,\n}]")
   message(FATAL_ERROR "ch_buckets run shows nonzero fallback_queries:\n${report}")
+endif()
+file(REMOVE "${REPORT_PATH}")
+
+# mT-Share-pro is the only scheme that reaches Algorithm 4 (probabilistic
+# legs) and idle cruising; a nonpeak run that serves no street hail has
+# lost them.
+execute_process(
+  COMMAND "${SIM_BINARY}" --scheme=mt-share-pro --window=nonpeak --rows=12
+          --cols=12 --taxis=15 --requests=80 --report=${REPORT_PATH}
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "mtshare_sim --scheme=mt-share-pro exited ${rc}\n${out}\n${err}")
+endif()
+file(READ "${REPORT_PATH}" report)
+if(NOT report MATCHES "\"scheme\": *\"mT-Share-pro\"")
+  message(FATAL_ERROR "mT-Share-pro run not labeled:\n${report}")
+endif()
+if(NOT report MATCHES "\"served_offline\": *[0-9]"
+   OR report MATCHES "\"served_offline\": *0[,\n}]")
+  message(FATAL_ERROR "mT-Share-pro served no offline request:\n${report}")
 endif()
 file(REMOVE "${REPORT_PATH}")
 
