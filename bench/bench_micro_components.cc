@@ -1,6 +1,7 @@
 // Micro-benchmarks of the performance-critical components (google-benchmark):
 // shortest-path engines (plain vs partition-filtered vs oracle-cached),
-// exact-table row fills (PHAST vs Dijkstra), probabilistic routing
+// exact-table row fills (PHAST vs Dijkstra), committed shortest-path legs
+// (row walk vs Dijkstra), probabilistic routing
 // (Algorithm 4), request insertion (exhaustive vs DP), k-means, mobility
 // clustering, and the candidate indexes. These quantify
 // the design choices DESIGN.md calls out: filtered search settles fewer
@@ -105,13 +106,9 @@ BENCHMARK(BM_OracleBackends)
     ->Arg(int(OracleBackend::kExact))
     ->Arg(int(OracleBackend::kCh));
 
-// One exact-table row fill on perfbench's exact city (64x64, seed
-// 20200961, 4093 vertices): the oracle's PhastRow against the
-// DijkstraSearch::CostsFrom reference it replaced. Each iteration fills one
-// row from a fresh kernel, as a table miss does.
-enum class RowFill { kPhast, kDijkstra };
-
-void BM_ExactRowFill(benchmark::State& state, RowFill fill) {
+// Perfbench's exact city (64x64, seed 20200961, 4093 vertices) and its
+// hierarchy.
+const RoadNetwork& ExactCity() {
   static const RoadNetwork* city = [] {
     GridCityOptions opt;
     opt.rows = 64;
@@ -119,11 +116,27 @@ void BM_ExactRowFill(benchmark::State& state, RowFill fill) {
     opt.seed = 20200961;
     return new RoadNetwork(MakeGridCity(opt));
   }();
-  static const ContractionHierarchy ch = ContractionHierarchy::Build(*city);
+  return *city;
+}
+
+const ContractionHierarchy& ExactCityCh() {
+  static const ContractionHierarchy ch =
+      ContractionHierarchy::Build(ExactCity());
+  return ch;
+}
+
+// One exact-table row fill on perfbench's exact city: the oracle's
+// PhastRow against the DijkstraSearch::CostsFrom reference it replaced.
+// Each iteration fills one row from a fresh kernel, as a table miss does.
+enum class RowFill { kPhast, kDijkstra };
+
+void BM_ExactRowFill(benchmark::State& state, RowFill fill) {
+  const RoadNetwork& city = ExactCity();
+  const ContractionHierarchy& ch = ExactCityCh();
   Rng rng(37);
   std::vector<VertexId> sources(256);
   for (VertexId& s : sources) {
-    s = VertexId(rng.NextInt(0, city->num_vertices() - 1));
+    s = VertexId(rng.NextInt(0, city.num_vertices() - 1));
   }
   size_t i = 0;
   for (auto _ : state) {
@@ -131,14 +144,52 @@ void BM_ExactRowFill(benchmark::State& state, RowFill fill) {
     if (fill == RowFill::kPhast) {
       benchmark::DoNotOptimize(PhastRow(ch, source, UpwardSearch::kForward));
     } else {
-      DijkstraSearch dijkstra(*city);
+      DijkstraSearch dijkstra(city);
       benchmark::DoNotOptimize(dijkstra.CostsFrom(source));
     }
   }
-  state.SetLabel(std::to_string(city->num_vertices()) + " vertices");
+  state.SetLabel(std::to_string(city.num_vertices()) + " vertices");
 }
 BENCHMARK_CAPTURE(BM_ExactRowFill, phast, RowFill::kPhast);
 BENCHMARK_CAPTURE(BM_ExactRowFill, dijkstra, RowFill::kDijkstra);
+
+// One committed shortest-path leg on perfbench's exact city, between
+// random vertices: walked back through the source's resident row
+// (FindPathFromRow, which searches the prefix up to a tie) against the
+// FindPath search it replaces. Both return the same path; the rows are
+// filled before timing starts, as insertion priming fills them.
+enum class LegBuild { kRowWalk, kDijkstra };
+
+void BM_ShortestLeg(benchmark::State& state, LegBuild build) {
+  const RoadNetwork& city = ExactCity();
+  Rng rng(41);
+  std::vector<std::pair<VertexId, VertexId>> legs(256);
+  std::vector<std::vector<Seconds>> rows;
+  for (auto& [s, t] : legs) {
+    s = VertexId(rng.NextInt(0, city.num_vertices() - 1));
+    t = VertexId(rng.NextInt(0, city.num_vertices() - 1));
+    rows.push_back(PhastRow(ExactCityCh(), s, UpwardSearch::kForward));
+  }
+  DijkstraSearch search(city);
+  size_t i = 0;
+  int64_t prefixed = 0;
+  for (auto _ : state) {
+    const size_t k = i++ % legs.size();
+    const auto [s, t] = legs[k];
+    if (build == LegBuild::kRowWalk) {
+      benchmark::DoNotOptimize(search.FindPathFromRow(s, t, rows[k]));
+      prefixed += search.last_path_prefixed() ? 1 : 0;
+    } else {
+      benchmark::DoNotOptimize(search.FindPath(s, t));
+    }
+  }
+  if (build == LegBuild::kRowWalk) {
+    state.counters["prefixed_share"] =
+        double(prefixed) / double(std::max<int64_t>(1, state.iterations()));
+  }
+}
+BENCHMARK_CAPTURE(BM_ShortestLeg, row_walk, LegBuild::kRowWalk);
+BENCHMARK_CAPTURE(BM_ShortestLeg, dijkstra, LegBuild::kDijkstra);
 
 void BM_FilteredBasicLeg(benchmark::State& state) {
   static MapPartitioning partitioning = GridPartition(Net(), 64);

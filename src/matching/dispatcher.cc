@@ -19,13 +19,6 @@ Dispatcher::Dispatcher(const RoadNetwork& network, DistanceOracle* oracle,
       batch_(network, oracle) {
   MTSHARE_CHECK(oracle != nullptr);
   MTSHARE_CHECK(fleet != nullptr);
-  // The backend, not the hierarchy every oracle owns, picks the
-  // reachability source (DESIGN.md §14). Construction marks every taxi
-  // dirty, so the first sweep deposits the whole fleet.
-  if (oracle->backend() == OracleBackend::kCh) {
-    buckets_ = std::make_unique<LastStopBuckets>(
-        *oracle->ch(), static_cast<int32_t>(fleet->size()));
-  }
 }
 
 LegCostFn Dispatcher::BatchedCost() {
@@ -42,7 +35,15 @@ void Dispatcher::RegisterCandidateStops(const TaxiState& t) {
 }
 
 void Dispatcher::SweepPickupReach(const RideRequest& r, Seconds now) {
-  if (buckets_ == nullptr) return;
+  // The backend, not the hierarchy every oracle owns, picks the
+  // reachability source (DESIGN.md §14). The store is built here, so a
+  // scheme that never sweeps (pGreedyDP) holds none. A new store marks
+  // every taxi dirty, so its first flush deposits the whole fleet.
+  if (oracle_->backend() != OracleBackend::kCh) return;
+  if (buckets_ == nullptr) {
+    buckets_ = std::make_unique<LastStopBuckets>(
+        *oracle_->ch(), static_cast<int32_t>(fleet_->size()));
+  }
   // Anchors are read straight off the fleet, exactly as the table probes
   // do; every engine notification re-dirties its taxi, so the flush sees
   // the moved location.
@@ -250,16 +251,30 @@ RoutePlanner::PlannedRoute Dispatcher::PlanShortestRoute(
   VertexId at = start;
   for (const ScheduleEvent& event : schedule.events()) {
     Path leg = at == event.vertex ? Path::Trivial(at)
-                                  : route_dijkstra_.FindPath(at, event.vertex);
+                                  : ShortestLeg(at, event.vertex);
     if (!leg.valid) return RoutePlanner::PlannedRoute{};
     t += leg.cost;
     if (t > event.deadline + 1e-9) return RoutePlanner::PlannedRoute{};
-    out.path = ConcatPaths(out.path, leg);
+    AppendPath(&out.path, leg);
     out.event_arrivals.push_back(t);
     at = event.vertex;
   }
   out.valid = true;
   return out;
+}
+
+Path Dispatcher::ShortestLeg(VertexId from, VertexId to) {
+  // Insertion priming has almost always filled the source's row; reading
+  // it fills nothing and ticks no oracle counter.
+  const std::vector<Seconds>* row = oracle_->ResidentRow(from);
+  if (row == nullptr) {
+    ++route_legs_searched_;
+    return route_dijkstra_.FindPath(from, to);
+  }
+  Path leg = route_dijkstra_.FindPathFromRow(from, to, *row);
+  ++(route_dijkstra_.last_path_prefixed() ? route_legs_prefixed_
+                                          : route_legs_walked_);
+  return leg;
 }
 
 void Dispatcher::EnableIdleCruising(const MapPartitioning* partitioning,

@@ -80,8 +80,9 @@ class Dispatcher {
   /// The dispatcher reads and never mutates the fleet; the engine applies
   /// outcomes. `landmarks` (which must outlive the dispatcher) arms the
   /// admissible lower-bound prunes for every scheme. On a CH-backed oracle
-  /// the dispatcher also keeps a last-stop bucket store over the oracle's
-  /// hierarchy, which answers pickup reachability (DESIGN.md §14).
+  /// the first SweepPickupReach builds a last-stop bucket store over the
+  /// oracle's hierarchy, which answers pickup reachability (DESIGN.md
+  /// §14).
   Dispatcher(const RoadNetwork& network, DistanceOracle* oracle,
              std::vector<TaxiState>* fleet, const MatchingConfig& config,
              const LandmarkGraph& landmarks);
@@ -160,7 +161,8 @@ class Dispatcher {
   /// Accumulated per-phase dispatch time (the run-report breakdown).
   const PhaseTimers& phase_timers() const { return phase_timers_; }
 
-  /// The bucket store (null on the exact table) — test/diagnostic access.
+  /// The bucket store (null on the exact table and before the first
+  /// sweep) — test/diagnostic access.
   const LastStopBuckets* buckets() const { return buckets_.get(); }
 
   /// Batched-routing counters for Metrics / the run report.
@@ -174,6 +176,9 @@ class Dispatcher {
     }
     s.slots_screened = slots_screened_;
     s.ellipse_pruned = ellipse_pruned_;
+    s.route_legs_walked = route_legs_walked_;
+    s.route_legs_prefixed = route_legs_prefixed_;
+    s.route_legs_searched = route_legs_searched_;
     return s;
   }
 
@@ -224,11 +229,12 @@ class Dispatcher {
   static constexpr Seconds kLbSlack = 1e-6;
 
   /// Prepares ReachesPickup for `r` (refinement rule 3, DESIGN.md §14).
-  /// On a CH-backed oracle: flushes dirty bucket entries (that is where
-  /// maintenance time is paid) and runs one backward sweep from the pickup
-  /// over every taxi within pickup_deadline - now. On the exact table a
-  /// probe is one row read, so there is nothing to prepare. Call it inside
-  /// the kCandidateSearch timer, before the first ReachesPickup of `r`.
+  /// On a CH-backed oracle: builds the bucket store on first use, flushes
+  /// dirty bucket entries (that is where maintenance time is paid) and
+  /// runs one backward sweep from the pickup over every taxi within
+  /// pickup_deadline - now. On the exact table a probe is one row read, so
+  /// there is nothing to prepare. Call it inside the kCandidateSearch
+  /// timer, before the first ReachesPickup of `r`.
   void SweepPickupReach(const RideRequest& r, Seconds now);
   /// Whether taxi `id` reaches `r`'s pickup by its deadline. On a CH this
   /// reads the swept distance, which equals oracle_->Cost(location,
@@ -271,7 +277,7 @@ class Dispatcher {
   InsertionCostBatch batch_;
   int64_t lb_pruned_ = 0;
   /// Last-stop bucket store over the oracle's hierarchy (null on the
-  /// exact table).
+  /// exact table and until the first SweepPickupReach).
   std::unique_ptr<LastStopBuckets> buckets_;
   /// Detour-ellipse screen counters (run-report routing section).
   int64_t slots_screened_ = 0;
@@ -298,6 +304,14 @@ class Dispatcher {
   RoutePlanner::PlannedRoute PlanShortestRoute(VertexId start,
                                                Seconds start_time,
                                                const Schedule& schedule);
+  /// FindPath(from, to), walked back through `from`'s resident exact-table
+  /// row when there is one (DESIGN.md §5), else searched.
+  Path ShortestLeg(VertexId from, VertexId to);
+
+  /// How ShortestLeg built its legs (run-report routing section).
+  int64_t route_legs_walked_ = 0;
+  int64_t route_legs_prefixed_ = 0;
+  int64_t route_legs_searched_ = 0;
 
   // Idle-cruising state (see EnableIdleCruising).
   const MapPartitioning* cruise_partitioning_ = nullptr;

@@ -101,12 +101,63 @@ Path DijkstraSearch::FindPath(VertexId source, VertexId target,
   Path path;
   path.cost = travel_[target];
   path.valid = true;
-  for (VertexId v = target; v != kInvalidVertex; v = parent_[v]) {
+  PushParentChain(source, target, &path.vertices);
+  std::reverse(path.vertices.begin(), path.vertices.end());
+  return path;
+}
+
+Path DijkstraSearch::FindPathFromRow(VertexId source, VertexId target,
+                                     std::span<const Seconds> row) {
+  MTSHARE_CHECK(source >= 0 && source < network_.num_vertices());
+  MTSHARE_CHECK(target >= 0 && target < network_.num_vertices());
+  MTSHARE_CHECK(static_cast<int32_t>(row.size()) == network_.num_vertices());
+  last_settled_ = 0;
+  last_prefixed_ = false;
+  if (source == target) return Path::Trivial(source);
+  if (row[target] == kInfiniteCost) return Path::Invalid();
+  Path path;
+  path.cost = row[target];
+  path.valid = true;
+  // Built target-first, as FindPath builds it from the parent chain.
+  VertexId v = target;
+  path.vertices.push_back(v);
+  while (v != source) {
+    const Seconds at_v = row[v];
+    VertexId parent = kInvalidVertex;
+    Seconds parent_cost = kInfiniteCost;
+    bool tie = false;
+    for (const Arc& arc : network_.InArcs(v)) {
+      const Seconds d = row[arc.head];  // an in-arc's head is its tail
+      if (d + arc.cost != at_v || d > parent_cost) continue;
+      if (d < parent_cost) {
+        parent = arc.head;
+        parent_cost = d;
+        tie = false;
+      } else if (arc.head != parent) {  // a parallel arc is no tie
+        tie = true;
+      }
+    }
+    MTSHARE_CHECK(parent != kInvalidVertex);
+    if (tie) {
+      last_prefixed_ = true;
+      path.vertices.pop_back();
+      MTSHARE_CHECK(Run(source, v, SearchOptions{}));
+      PushParentChain(source, v, &path.vertices);
+      break;
+    }
+    v = parent;
     path.vertices.push_back(v);
-    if (v == source) break;
   }
   std::reverse(path.vertices.begin(), path.vertices.end());
   return path;
+}
+
+void DijkstraSearch::PushParentChain(VertexId source, VertexId v,
+                                     std::vector<VertexId>* out) const {
+  for (; v != kInvalidVertex; v = parent_[v]) {
+    out->push_back(v);
+    if (v == source) break;
+  }
 }
 
 std::vector<Seconds> DijkstraSearch::CostsFrom(VertexId source) {

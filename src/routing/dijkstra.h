@@ -2,6 +2,7 @@
 #define MTSHARE_ROUTING_DIJKSTRA_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/road_network.h"
@@ -45,11 +46,28 @@ class DijkstraSearch {
   Path FindPath(VertexId source, VertexId target,
                 const SearchOptions& options = {});
 
+  /// FindPath(source, target) bit for bit, read off `row`, the one-to-all
+  /// travel times from `source` (CostsFrom's row, or the oracle's
+  /// ResidentRow). It walks back from `target`. At each vertex v,
+  /// FindPath's parent is the tight tail p (row[p] + w(p, v) == row[v])
+  /// that Dijkstra pops first, which is the one with the smallest row[p].
+  /// When two distinct tails tie on that smallest row[p], only the heap
+  /// knows which pops first: the walk stops at v, searches source -> v (the
+  /// same run as FindPath(source, target) up to v's pop) and appends the
+  /// walked suffix. Arc costs are dyadic, so every comparison is exact.
+  Path FindPathFromRow(VertexId source, VertexId target,
+                       std::span<const Seconds> row);
+
+  /// Whether the most recent FindPathFromRow stopped at a tie and searched
+  /// its prefix.
+  bool last_path_prefixed() const { return last_prefixed_; }
+
   /// One-to-all travel times (no mask/weights). O(E log V).
   std::vector<Seconds> CostsFrom(VertexId source);
 
   /// Number of vertices settled by the most recent query (test/bench hook
-  /// showing how much partition filtering prunes the search space).
+  /// showing how much partition filtering prunes the search space; zero
+  /// after a FindPathFromRow that walked all the way).
   int64_t last_settled_count() const { return last_settled_; }
 
  private:
@@ -66,6 +84,9 @@ class DijkstraSearch {
   /// Runs the search until `target` is settled (or queue exhaustion when
   /// target == kInvalidVertex). Returns true if target was settled.
   bool Run(VertexId source, VertexId target, const SearchOptions& options);
+  /// Pushes v, its parent, ..., `source` from the most recent Run.
+  void PushParentChain(VertexId source, VertexId v,
+                       std::vector<VertexId>* out) const;
 
   const RoadNetwork& network_;
   std::vector<double> objective_;
@@ -74,6 +95,7 @@ class DijkstraSearch {
   std::vector<uint32_t> epoch_;
   uint32_t current_epoch_ = 0;
   int64_t last_settled_ = 0;
+  bool last_prefixed_ = false;
 };
 
 }  // namespace mtshare

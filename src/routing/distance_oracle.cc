@@ -109,6 +109,16 @@ const std::vector<Seconds>& DistanceOracle::ExactRow(VertexId source) {
   return exact_rows_[source];
 }
 
+const std::vector<Seconds>* DistanceOracle::ResidentRow(
+    VertexId source) const {
+  MTSHARE_CHECK(source >= 0 && source < network_.num_vertices());
+  if (backend_ != OracleBackend::kExact ||
+      !exact_filled_[source].load(std::memory_order_acquire)) {
+    return nullptr;
+  }
+  return &exact_rows_[source];
+}
+
 Seconds DistanceOracle::Cost(VertexId source, VertexId target) {
   MTSHARE_CHECK(source >= 0 && source < network_.num_vertices());
   MTSHARE_CHECK(target >= 0 && target < network_.num_vertices());

@@ -81,6 +81,14 @@ class DistanceOracle {
   /// same pair. Safe to call from any thread.
   void CostFans(std::span<const CostFan> fans, std::vector<Seconds>* out);
 
+  /// Row `source` of the exact table (its travel seconds to every vertex)
+  /// when a query has already filled it, else null; always null on the CH
+  /// backend. Fills nothing and ticks no counter, so a caller that falls
+  /// back to its own search when the row is absent leaves every oracle
+  /// counter as it was. A returned row is complete and never changes.
+  /// Safe to call from any thread.
+  const std::vector<Seconds>* ResidentRow(VertexId source) const;
+
   /// Resolved backend (never kAuto).
   OracleBackend backend() const { return backend_; }
 

@@ -47,8 +47,9 @@ struct BatchRoutingStats {
 
   // --- pickup reachability (DESIGN.md §14) ---
   /// Whether last-stop bucket sweeps answered pickup reachability: true
-  /// exactly on a CH-backed oracle. The two bucket counters below stay
-  /// zero on the exact table.
+  /// on a CH-backed oracle once the scheme has swept (never for
+  /// pGreedyDP, which has no reachability probe). The two bucket counters
+  /// below stay zero on the exact table.
   bool bucket_search = false;
   /// Taxis returned by last-stop bucket sweeps (pre exact-deadline
   /// re-check).
@@ -60,6 +61,16 @@ struct BatchRoutingStats {
   int64_t slots_screened = 0;
   /// Insertion slots the screen proved infeasible before exact routing.
   int64_t ellipse_pruned = 0;
+
+  // --- committed shortest-path legs (Dispatcher::PlanShortestRoute) ---
+  /// Legs walked back to their source through its resident exact-table
+  /// row.
+  int64_t route_legs_walked = 0;
+  /// Legs whose walk met a tie and searched the prefix up to it.
+  int64_t route_legs_prefixed = 0;
+  /// Legs searched by Dijkstra because their source had no resident row
+  /// (every leg on the CH backend).
+  int64_t route_legs_searched = 0;
 };
 
 /// Primes every leg cost FindBestInsertionDp (and its FindBestInsertion

@@ -4,18 +4,16 @@
 
 namespace mtshare {
 
-Path ConcatPaths(const Path& a, const Path& b) {
-  if (!a.valid || !b.valid) return Path::Invalid();
-  MTSHARE_CHECK(!a.empty() && !b.empty());
-  MTSHARE_CHECK(a.back() == b.front());
-  Path out;
-  out.vertices.reserve(a.vertices.size() + b.vertices.size() - 1);
-  out.vertices = a.vertices;
-  out.vertices.insert(out.vertices.end(), b.vertices.begin() + 1,
-                      b.vertices.end());
-  out.cost = a.cost + b.cost;
-  out.valid = true;
-  return out;
+void AppendPath(Path* route, const Path& leg) {
+  if (!route->valid || !leg.valid) {
+    *route = Path::Invalid();
+    return;
+  }
+  MTSHARE_CHECK(!route->empty() && !leg.empty());
+  MTSHARE_CHECK(route->back() == leg.front());
+  route->vertices.insert(route->vertices.end(), leg.vertices.begin() + 1,
+                         leg.vertices.end());
+  route->cost += leg.cost;
 }
 
 }  // namespace mtshare

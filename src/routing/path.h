@@ -24,10 +24,10 @@ struct Path {
   VertexId back() const { return vertices.back(); }
 };
 
-/// Concatenates b onto a. Requires a.back() == b.front(); the shared vertex
-/// appears once in the output. Invalid inputs produce an invalid result.
-/// This is the ⋈ operator of paper Algorithms 3 and 4.
-Path ConcatPaths(const Path& a, const Path& b);
+/// Appends `leg` to `route` in place. Requires route->back() == leg.front();
+/// the shared vertex appears once. An invalid route or leg leaves `route`
+/// invalid. This is the ⋈ operator of paper Algorithms 3 and 4.
+void AppendPath(Path* route, const Path& leg);
 
 }  // namespace mtshare
 

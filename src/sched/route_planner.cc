@@ -356,7 +356,7 @@ RoutePlanner::PlannedRoute RoutePlanner::PlanRoute(VertexId start,
     if (!leg.valid) return PlannedRoute{};
     t += leg.cost;
     if (t > event.deadline + 1e-9) return PlannedRoute{};
-    out.path = ConcatPaths(out.path, leg);
+    AppendPath(&out.path, leg);
     out.event_arrivals.push_back(t);
     at = event.vertex;
   }

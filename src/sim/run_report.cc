@@ -134,7 +134,7 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   JsonWriter w(indent);
   w.BeginObject();
   w.Key("schema_version");
-  w.Int(8);
+  w.Int(9);
   w.Key("experiment");
   w.String(context.experiment);
   w.Key("scheme");
@@ -236,11 +236,11 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   w.Key("ch_bucket_entries");
   w.Int(m.routing.ch_bucket_entries);
   // schema_version 6 adds the candidate-search path (DESIGN.md §14):
-  // which source answered pickup reachability ("ch_buckets" exactly on a
-  // CH-backed oracle, "index" on the exact table), how many taxis the
-  // last-stop bucket sweeps returned, the bucket upkeep cost, and the
-  // detour-ellipse screen's slot traffic. The bucket counters are zero on
-  // the exact table.
+  // which source answered pickup reachability ("ch_buckets" on a
+  // CH-backed oracle once the scheme swept, "index" otherwise), how many
+  // taxis the last-stop bucket sweeps returned, the bucket upkeep cost,
+  // and the detour-ellipse screen's slot traffic. The bucket counters are
+  // zero on the exact table.
   w.Key("candidate_search");
   w.String(m.routing.bucket_search ? "ch_buckets" : "index");
   w.Key("bucket_candidates");
@@ -251,6 +251,16 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   w.Int(m.routing.slots_screened);
   w.Key("ellipse_pruned");
   w.Int(m.routing.ellipse_pruned);
+  // schema_version 9 adds how committed shortest-path legs were built
+  // (DESIGN.md §5): walked back through the source's resident exact-table
+  // row, walked to a tie and the prefix searched, or searched for lack of
+  // a row (every leg on the CH backend).
+  w.Key("route_legs_walked");
+  w.Int(m.routing.route_legs_walked);
+  w.Key("route_legs_prefixed");
+  w.Int(m.routing.route_legs_prefixed);
+  w.Key("route_legs_searched");
+  w.Int(m.routing.route_legs_searched);
   w.EndObject();
 
   // schema_version 4 adds the engine block: the advancement core's work

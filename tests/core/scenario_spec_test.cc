@@ -91,7 +91,9 @@ void ExpectIdenticalOutcomes(const Metrics& a, const Metrics& b,
 /// Every insertion evaluation primes its leg costs: the batch did real
 /// work, no leg fell back to a per-pair oracle query (a fallback means the
 /// priming fan missed a leg shape), and lower-bound pruning and the
-/// detour-ellipse screen both fired.
+/// detour-ellipse screen both fired. Priming also fills the exact-table
+/// row of every committed leg's source, so each shortest-path leg is
+/// walked back through it and none is searched for lack of a row.
 TEST_F(ScenarioSpecTest, BatchedRoutingPrimesEveryLeg) {
   for (SchemeKind scheme : {SchemeKind::kTShare, SchemeKind::kPGreedyDp,
                             SchemeKind::kMtShare, SchemeKind::kMtSharePro}) {
@@ -105,6 +107,8 @@ TEST_F(ScenarioSpecTest, BatchedRoutingPrimesEveryLeg) {
       EXPECT_GT(m.routing.lb_pruned, 0) << SchemeName(scheme);
     }
     EXPECT_GT(m.routing.ellipse_pruned, 0) << SchemeName(scheme);
+    EXPECT_GT(m.routing.route_legs_walked, 0) << SchemeName(scheme);
+    EXPECT_EQ(m.routing.route_legs_searched, 0) << SchemeName(scheme);
   }
   // No-Sharing primes no insertion, but its pickup reachability probe on
   // the exact table takes the same admissible landmark prune.

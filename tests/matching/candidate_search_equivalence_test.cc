@@ -82,10 +82,14 @@ TEST(CandidateSearchEquivalenceTest, ReachabilitySourceFollowsBackend) {
     Metrics ch = RunOnce(opt);
     EXPECT_FALSE(exact.routing.bucket_search);
     EXPECT_EQ(exact.routing.bucket_candidates, 0);
-    EXPECT_TRUE(ch.routing.bucket_search);
     // pGreedyDP has no reachability probe to answer (its DP rejects
-    // unreachable pickups), so it never sweeps.
-    if (scheme != SchemeKind::kPGreedyDp) {
+    // unreachable pickups), so it never sweeps and never builds the bucket
+    // store, which is built at the first sweep.
+    if (scheme == SchemeKind::kPGreedyDp) {
+      EXPECT_FALSE(ch.routing.bucket_search);
+      EXPECT_EQ(ch.routing.bucket_candidates, 0);
+    } else {
+      EXPECT_TRUE(ch.routing.bucket_search);
       EXPECT_GT(ch.routing.bucket_candidates, 0);
     }
     for (const Metrics* m : {&exact, &ch}) {
@@ -106,7 +110,8 @@ TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
   // rebuilds it). The grid baselines override the index hooks without
   // chaining to the base, so dirty-marking must not depend on the hooks; a
   // moved taxi left clean with a stale anchor is caught here at every
-  // decision of a full run.
+  // decision of a full run. The store is built at the first sweep, so it
+  // is read from then on; pGreedyDP never sweeps and never builds one.
   GridCityOptions gopt;
   gopt.rows = 16;
   gopt.cols = 16;
@@ -143,12 +148,13 @@ TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
                   scenario.requests.front().release_time);
     std::unique_ptr<Dispatcher> dispatcher =
         system->MakeDispatcher(scheme, &fleet);
-    const LastStopBuckets* buckets = dispatcher->buckets();
-    ASSERT_NE(buckets, nullptr);
+    EXPECT_EQ(dispatcher->buckets(), nullptr);
 
     EngineOptions eopts;
     int64_t checks = 0;
     eopts.on_decision = [&](const RideRequest&, const RequestRecord&) {
+      const LastStopBuckets* buckets = dispatcher->buckets();
+      if (buckets == nullptr) return;  // no sweep yet
       for (const TaxiState& t : fleet) {
         ++checks;
         EXPECT_TRUE(buckets->dirty(t.id) ||
@@ -161,7 +167,13 @@ TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
     VectorRequestSource source(&scenario.requests);
     Metrics m = engine.Run(source);
     EXPECT_GT(m.ServedRequests(), 0);
-    EXPECT_GT(checks, 0);
+    if (scheme == SchemeKind::kPGreedyDp) {
+      EXPECT_EQ(dispatcher->buckets(), nullptr);
+      EXPECT_EQ(checks, 0);
+    } else {
+      EXPECT_NE(dispatcher->buckets(), nullptr);
+      EXPECT_GT(checks, 0);
+    }
   }
 }
 

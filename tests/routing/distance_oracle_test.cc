@@ -95,5 +95,33 @@ TEST(DistanceOracleTest, MemoryGrowsWithRows) {
   EXPECT_GT(oracle.MemoryBytes(), before);
 }
 
+TEST(DistanceOracleTest, ResidentRowReadsFilledRowsOnly) {
+  GridCityOptions gopt;
+  gopt.rows = 8;
+  gopt.cols = 8;
+  RoadNetwork net = MakeGridCity(gopt);
+  OracleOptions oopt;
+  oopt.backend = OracleBackend::kExact;
+  DistanceOracle exact(net, oopt);
+  // Absent until a query fills it; reading fills nothing and counts
+  // nothing.
+  EXPECT_EQ(exact.ResidentRow(0), nullptr);
+  EXPECT_EQ(exact.row_misses(), 0);
+  exact.Cost(0, 5);
+  const std::vector<Seconds>* row = exact.ResidentRow(0);
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(*row, DijkstraSearch(net).CostsFrom(0));
+  EXPECT_EQ(exact.ResidentRow(1), nullptr);
+  EXPECT_EQ(exact.queries(), 1);
+  EXPECT_EQ(exact.row_misses(), 1);
+  EXPECT_EQ(exact.row_hits(), 0);
+
+  // The CH backend keeps no rows.
+  oopt.backend = OracleBackend::kCh;
+  DistanceOracle ch(net, oopt);
+  ch.Cost(0, 5);
+  EXPECT_EQ(ch.ResidentRow(0), nullptr);
+}
+
 }  // namespace
 }  // namespace mtshare

@@ -11,6 +11,7 @@
 #include "graph/graph_generators.h"
 #include "routing/dijkstra.h"
 #include "routing/distance_oracle.h"
+#include "routing/upward_search.h"
 
 namespace mtshare {
 namespace {
@@ -111,6 +112,63 @@ void ExpectConcurrentQueriesMatchDijkstra(OracleBackend backend) {
     EXPECT_GT(stats.point_queries, 0);
     EXPECT_GT(stats.bucket_queries, 0);
   }
+}
+
+// ResidentRow reads rows that other threads are filling. Each read must
+// return null or the complete row, never one that is partly written.
+TEST(ExactConcurrencyTest, ResidentRowIsNullOrComplete) {
+  GridCityOptions gopt;
+  gopt.rows = 10;
+  gopt.cols = 10;
+  gopt.one_way_fraction = 0.2;
+  gopt.seed = 68;
+  RoadNetwork net = MakeGridCity(gopt);
+  OracleOptions oopt;
+  oopt.backend = OracleBackend::kExact;
+  DistanceOracle oracle(net, oopt);
+  const int32_t n = net.num_vertices();
+  std::vector<std::vector<Seconds>> reference(n);
+  for (VertexId v = 0; v < n; ++v) {
+    reference[v] = PhastRow(*oracle.ch(), v, UpwardSearch::kForward);
+  }
+
+  constexpr int kFillers = 4;
+  constexpr int kReaders = 4;
+  ThreadPool pool(kFillers + kReaders);
+  std::atomic<int> mismatches{0};
+  std::vector<std::future<void>> futures;
+  for (int w = 0; w < kFillers; ++w) {
+    futures.push_back(pool.Submit([&, w] {
+      // Each filler walks every source from its own offset, so fills race.
+      for (VertexId i = 0; i < n; ++i) {
+        const VertexId s = (i + w * n / kFillers) % n;
+        if (oracle.Cost(s, (s + 1) % n) != reference[s][(s + 1) % n]) {
+          mismatches.fetch_add(1);
+        }
+      }
+    }));
+  }
+  for (int w = 0; w < kReaders; ++w) {
+    futures.push_back(pool.Submit([&, w] {
+      Rng rng(681 + uint64_t(w));
+      for (int round = 0; round < 4 * n; ++round) {
+        const VertexId s = VertexId(rng.NextInt(0, n - 1));
+        const std::vector<Seconds>* row = oracle.ResidentRow(s);
+        if (row != nullptr && *row != reference[s]) mismatches.fetch_add(1);
+      }
+    }));
+  }
+  for (auto& f : futures) f.get();
+  EXPECT_EQ(mismatches.load(), 0);
+  // Every row is resident once the fillers are done; reads ticked nothing.
+  for (VertexId v = 0; v < n; ++v) {
+    const std::vector<Seconds>* row = oracle.ResidentRow(v);
+    ASSERT_NE(row, nullptr) << v;
+    EXPECT_EQ(*row, reference[v]) << v;
+  }
+  EXPECT_EQ(oracle.queries(), int64_t(kFillers) * n);
+  EXPECT_EQ(oracle.row_misses(), n);
+  EXPECT_EQ(oracle.row_hits(), int64_t(kFillers - 1) * n);
 }
 
 TEST(ChConcurrencyTest, ConcurrentQueriesMatchDijkstra) {

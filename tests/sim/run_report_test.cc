@@ -55,7 +55,7 @@ std::vector<std::string> KeysOf(const std::string& json,
 }
 
 void ValidateReportSchema(const std::string& json) {
-  EXPECT_EQ(NumberAfter(json, "", "schema_version"), 8.0);
+  EXPECT_EQ(NumberAfter(json, "", "schema_version"), 9.0);
   for (const char* key :
        {"experiment", "scheme", "window", "num_taxis", "num_requests",
         "seed", "requests", "response_ms", "waiting_min", "detour_min",
@@ -98,6 +98,14 @@ void ValidateReportSchema(const std::string& json) {
       << "candidate_search must be index|ch_buckets";
   for (const char* key : {"bucket_candidates", "bucket_maintenance_ms",
                           "slots_screened", "ellipse_pruned"}) {
+    EXPECT_GE(NumberAfter(json, "routing", key), 0.0) << key;
+  }
+
+  // Committed shortest-path leg counters (added in schema_version 9):
+  // legs walked through a resident exact-table row, legs walked to a tie
+  // and the prefix searched, and legs searched for lack of a row.
+  for (const char* key :
+       {"route_legs_walked", "route_legs_prefixed", "route_legs_searched"}) {
     EXPECT_GE(NumberAfter(json, "routing", key), 0.0) << key;
   }
 

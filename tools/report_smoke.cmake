@@ -16,14 +16,15 @@ if(NOT EXISTS "${REPORT_PATH}")
   message(FATAL_ERROR "report file was not written: ${REPORT_PATH}")
 endif()
 file(READ "${REPORT_PATH}" report)
-# Keys of schema_version 8 (through the candidate-search routing counters),
+# Keys of schema_version 9 (through the committed-route leg counters),
 # including the schema-4 engine block's heap-core counters.
 foreach(key "schema_version" "response_ms" "p95" "phases" "dispatch_total_ms"
         "routing" "batch_queries" "lb_pruned"
         "fallback_queries" "serve" "batch_window_ms" "admitted" "shed"
         "queue_depth" "candidate_search" "bucket_candidates"
         "bucket_maintenance_ms" "slots_screened" "ellipse_pruned" "backend"
-        "heap_pops" "arcs_stepped")
+        "heap_pops" "arcs_stepped" "route_legs_walked" "route_legs_prefixed"
+        "route_legs_searched")
   if(NOT report MATCHES "\"${key}\"")
     message(FATAL_ERROR "report missing key '${key}':\n${report}")
   endif()
@@ -43,6 +44,23 @@ endif()
 # coverage hole; fail the smoke loudly rather than silently degrade.
 if(NOT report MATCHES "\"fallback_queries\": *0[,\n}]")
   message(FATAL_ERROR "report shows nonzero fallback_queries:\n${report}")
+endif()
+# Committed shortest-path legs: the exact table's resident rows must be
+# walked; the CH backend has no rows, so it must walk none.
+function(route_legs_walked_or_prefixed report out_var)
+  string(REGEX MATCH "\"route_legs_walked\": *([0-9]+)" _ "${report}")
+  set(walked "${CMAKE_MATCH_1}")
+  string(REGEX MATCH "\"route_legs_prefixed\": *([0-9]+)" _ "${report}")
+  set(prefixed "${CMAKE_MATCH_1}")
+  if(walked STREQUAL "" OR prefixed STREQUAL "")
+    message(FATAL_ERROR "report has no route leg counts:\n${report}")
+  endif()
+  math(EXPR total "${walked} + ${prefixed}")
+  set(${out_var} "${total}" PARENT_SCOPE)
+endfunction()
+route_legs_walked_or_prefixed("${report}" walked_legs)
+if(walked_legs EQUAL 0)
+  message(FATAL_ERROR "exact run walked no route leg:\n${report}")
 endif()
 file(REMOVE "${REPORT_PATH}")
 
@@ -75,6 +93,10 @@ if(report MATCHES "\"bucket_candidates\": *0[,\n}]")
 endif()
 if(NOT report MATCHES "\"fallback_queries\": *0[,\n}]")
   message(FATAL_ERROR "ch_buckets run shows nonzero fallback_queries:\n${report}")
+endif()
+route_legs_walked_or_prefixed("${report}" walked_legs)
+if(NOT walked_legs EQUAL 0)
+  message(FATAL_ERROR "CH run walked ${walked_legs} route legs:\n${report}")
 endif()
 file(REMOVE "${REPORT_PATH}")
 

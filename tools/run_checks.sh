@@ -11,8 +11,8 @@
 #      empty selection fails
 #   3. configure + build the asan preset, run the full suite (the examples
 #      included) under AddressSanitizer + LeakSanitizer
-#   4. smoke BM_EngineAdvance, BM_ProbabilisticLeg, BM_ExactRowFill and
-#      BM_OracleBackends
+#   4. smoke BM_EngineAdvance, BM_ProbabilisticLeg, BM_ExactRowFill,
+#      BM_OracleBackends and BM_ShortestLeg
 #   5. (opt-in) scale smoke: the `scale`-labelled ctest tier at reduced
 #      sizes — bench_scale trajectory schema, 10^6-request stream
 #      determinism, 10k-fleet golden decision digest
@@ -59,9 +59,9 @@ fi
 echo "==> [4/5] micro-bench smoke"
 # Quick micro-bench passes (fleet advancement on a small fleet, one
 # Algorithm 4 leg, one exact-table row fill by PHAST and by Dijkstra, the
-# oracle's CostFans batch call on both backends) to catch bit-rot in the
-# bench harness itself. The filters are anchored: an unmatched filter runs
-# nothing and still exits 0.
+# oracle's CostFans batch call on both backends, one committed leg by row
+# walk and by Dijkstra) to catch bit-rot in the bench harness itself. The
+# filters are anchored: an unmatched filter runs nothing and still exits 0.
 build/bench/bench_micro_components \
   --benchmark_filter='BM_EngineAdvance/fleet:100$' \
   --benchmark_min_time=0.01 >/dev/null
@@ -73,6 +73,9 @@ build/bench/bench_micro_components \
   --benchmark_min_time=0.01 >/dev/null
 build/bench/bench_micro_components \
   --benchmark_filter='^BM_OracleBackends/' \
+  --benchmark_min_time=0.01 >/dev/null
+build/bench/bench_micro_components \
+  --benchmark_filter='^BM_ShortestLeg/(row_walk|dijkstra)$' \
   --benchmark_min_time=0.01 >/dev/null
 
 if [[ "${MTSHARE_RUN_SCALE:-0}" == "1" ]]; then
