@@ -21,6 +21,7 @@
 #include "matching/no_sharing.h"
 #include "matching/taxi_index.h"
 #include "mobility/mobility_clustering.h"
+#include "mobility/transition_model.h"
 #include "partition/bipartite_partitioner.h"
 #include "routing/upward_search.h"
 #include "sched/route_planner.h"
@@ -353,13 +354,30 @@ BENCHMARK(BM_EngineAdvance)
     ->ArgName("fleet")
     ->Unit(benchmark::kMillisecond);
 
-void BM_KMeansGeo(benchmark::State& state) {
+std::vector<double> NetCoords() {
   std::vector<double> coords;
   coords.reserve(size_t(Net().num_vertices()) * 2);
   for (VertexId v = 0; v < Net().num_vertices(); ++v) {
     coords.push_back(Net().coord(v).x);
     coords.push_back(Net().coord(v).y);
   }
+  return coords;
+}
+
+/// 5000 historical trips between uniform random vertices of Net().
+std::vector<OdPair> NetTrips() {
+  Rng rng(13);
+  std::vector<OdPair> trips;
+  for (int i = 0; i < 5000; ++i) {
+    VertexId a = VertexId(rng.NextInt(0, Net().num_vertices() - 1));
+    VertexId b = VertexId(rng.NextInt(0, Net().num_vertices() - 1));
+    if (a != b) trips.emplace_back(a, b);
+  }
+  return trips;
+}
+
+void BM_KMeansGeo(benchmark::State& state) {
+  const std::vector<double> coords = NetCoords();
   const int32_t k = int32_t(state.range(0));
   for (auto _ : state) {
     Rng rng(11);
@@ -368,14 +386,31 @@ void BM_KMeansGeo(benchmark::State& state) {
 }
 BENCHMARK(BM_KMeansGeo)->Arg(20)->Arg(60);
 
-void BM_BipartitePartition(benchmark::State& state) {
-  Rng rng(13);
-  std::vector<OdPair> trips;
-  for (int i = 0; i < 5000; ++i) {
-    VertexId a = VertexId(rng.NextInt(0, Net().num_vertices() - 1));
-    VertexId b = VertexId(rng.NextInt(0, Net().num_vertices() - 1));
-    if (a != b) trips.emplace_back(a, b);
+// The transition clustering of bipartite partitioning (Sec. IV-B1 step
+// 2), the k-means that dominates set-up: k_t = 20 over the 120-group rows
+// TransitionModel::Build makes against a 120-cluster geo k-means of Net().
+void BM_KMeansTransition(benchmark::State& state) {
+  static const std::vector<double> rows = [] {
+    Rng rng(19);
+    const std::vector<int32_t> groups =
+        KMeans(NetCoords(), 2, 120, rng).assignment;
+    const int32_t num_groups =
+        1 + *std::max_element(groups.begin(), groups.end());
+    TransitionModel model = TransitionModel::Build(
+        Net().num_vertices(), num_groups, groups, NetTrips());
+    return std::vector<double>(
+        model.Row(0), model.Row(0) + size_t(Net().num_vertices()) * num_groups);
+  }();
+  const size_t dim = rows.size() / size_t(Net().num_vertices());
+  for (auto _ : state) {
+    Rng rng(23);
+    benchmark::DoNotOptimize(KMeans(rows, dim, 20, rng));
   }
+}
+BENCHMARK(BM_KMeansTransition)->Unit(benchmark::kMillisecond);
+
+void BM_BipartitePartition(benchmark::State& state) {
+  const std::vector<OdPair> trips = NetTrips();
   BipartiteOptions opt;
   opt.kappa = 48;
   opt.kt = 12;

@@ -26,9 +26,18 @@ struct KMeansResult {
 /// partitioning (geo-clustering on coordinates, transition clustering on
 /// probability vectors; Sec. IV-B1) run through this routine.
 ///
-/// If k >= num_rows, every row becomes its own cluster. Clusters that fall
-/// empty during iteration are reseeded to the point farthest from its
-/// centroid, so k_effective == min(k, num_rows) always holds.
+/// The assignment step skips every row whose Hamerly bounds prove it keeps
+/// its centroid, with a margin that covers the rounding of the bounds, and
+/// scans the other rows four centroids at a time. The result (assignment,
+/// iterations, centroids, inertia) and the draws taken from `rng` are
+/// those of the plain loop that scans every row, bit for bit (DESIGN.md
+/// §5). Ties go to the lowest centroid index.
+///
+/// k is clamped to [1, num_rows], so k_effective == min(k, num_rows)
+/// whenever there are rows. A cluster that falls empty during iteration is
+/// reseeded at the row farthest from its centroid; with identical rows,
+/// clusters can still end empty or share a centroid (four equal rows and
+/// k = 4 all land in cluster 0).
 KMeansResult KMeans(const std::vector<double>& data, size_t dim, int32_t k,
                     Rng& rng);
 

@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "common/logging.h"
+#include "common/timer.h"
 #include "sim/request_source.h"
 
 namespace mtshare {
@@ -107,6 +108,7 @@ MTShareSystem::MTShareSystem(const RoadNetwork& network,
                              const std::vector<OdPair>& historical_trips,
                              const SystemConfig& config)
     : network_(network), config_(config) {
+  WallTimer step;
   if (config.bipartite_partitioning) {
     BipartiteOptions opts;
     opts.kappa = config.kappa;
@@ -116,14 +118,21 @@ MTShareSystem::MTShareSystem(const RoadNetwork& network,
   } else {
     partitioning_ = GridPartition(network, config.kappa);
   }
+  setup_.partition_s = step.ElapsedSeconds();
   // The oracle's hierarchy, built once on either backend, also yields the
   // landmark rows.
+  step.Restart();
   oracle_ = std::make_unique<DistanceOracle>(network, config.oracle);
+  setup_.oracle_s = step.ElapsedSeconds();
+  step.Restart();
   landmarks_ =
       std::make_unique<LandmarkGraph>(network, partitioning_, *oracle_->ch());
+  setup_.landmarks_s = step.ElapsedSeconds();
+  step.Restart();
   transitions_ = TransitionModel::Build(
       network.num_vertices(), partitioning_.num_partitions(),
       partitioning_.vertex_partition, historical_trips);
+  setup_.transitions_s = step.ElapsedSeconds();
 }
 
 std::unique_ptr<Dispatcher> MTShareSystem::MakeDispatcher(
@@ -208,6 +217,7 @@ Result<Metrics> MTShareSystem::RunScenario(const ScenarioSpec& spec) {
   metrics.routing.ch_bucket_queries = ch1.bucket_queries - ch0.bucket_queries;
   metrics.routing.ch_upward_settled = ch1.upward_settled - ch0.upward_settled;
   metrics.routing.ch_bucket_entries = ch1.bucket_entries - ch0.bucket_entries;
+  metrics.setup = setup_;
   return metrics;
 }
 

@@ -164,6 +164,9 @@ class MTShareSystem {
   std::unique_ptr<LandmarkGraph> landmarks_;
   TransitionModel transitions_;
   std::unique_ptr<DistanceOracle> oracle_;
+  /// Seconds each construction step took; RunScenario copies them into
+  /// Metrics::setup.
+  SetupStats setup_;
 };
 
 }  // namespace mtshare

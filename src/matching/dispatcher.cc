@@ -52,6 +52,7 @@ void Dispatcher::SweepPickupReach(const RideRequest& r, Seconds now) {
 }
 
 bool Dispatcher::ReachesPickup(TaxiId id, const RideRequest& r, Seconds now) {
+  ++reach_probes_;
   if (buckets_ != nullptr) {
     return now + buckets_->SweptDistance(id) <= r.PickupDeadline();
   }

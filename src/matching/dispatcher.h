@@ -169,6 +169,7 @@ class Dispatcher {
   BatchRoutingStats routing_stats() const {
     BatchRoutingStats s = batch_.stats();
     s.lb_pruned = lb_pruned_;
+    s.reach_probes = reach_probes_;
     s.bucket_search = buckets_ != nullptr;
     if (buckets_ != nullptr) {
       s.bucket_candidates = buckets_->stats().found;
@@ -276,6 +277,7 @@ class Dispatcher {
   /// Per-request leg-cost table every insertion evaluation primes.
   InsertionCostBatch batch_;
   int64_t lb_pruned_ = 0;
+  int64_t reach_probes_ = 0;
   /// Last-stop bucket store over the oracle's hierarchy (null on the
   /// exact table and until the first SweepPickupReach).
   std::unique_ptr<LastStopBuckets> buckets_;

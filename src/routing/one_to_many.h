@@ -46,10 +46,14 @@ struct BatchRoutingStats {
   int64_t ch_bucket_entries = 0;
 
   // --- pickup reachability (DESIGN.md §14) ---
+  /// Pickup-reachability probes answered (Dispatcher::ReachesPickup
+  /// calls); always zero for pGreedyDP, whose DP rejects unreachable
+  /// pickups itself.
+  int64_t reach_probes = 0;
   /// Whether last-stop bucket sweeps answered pickup reachability: true
   /// on a CH-backed oracle once the scheme has swept (never for
-  /// pGreedyDP, which has no reachability probe). The two bucket counters
-  /// below stay zero on the exact table.
+  /// pGreedyDP). The two bucket counters below stay zero on the exact
+  /// table.
   bool bucket_search = false;
   /// Taxis returned by last-stop bucket sweeps (pre exact-deadline
   /// re-check).

@@ -71,6 +71,21 @@ struct ServeStats {
   int64_t queue_depth = 0;
 };
 
+/// Wall-clock seconds of each step of building the system that ran — the
+/// run report's schema-10 "setup" block. A system pays them once, in
+/// MTShareSystem's constructor, and every run of it reports the same
+/// figures; runs that bypass RunScenario report zeros.
+struct SetupStats {
+  /// Map partitioning: bipartite k-means (Sec. IV-B1) or the uniform grid.
+  double partition_s = 0.0;
+  /// The distance oracle, its contraction hierarchy included.
+  double oracle_s = 0.0;
+  /// The landmark graph's rows, filled from the oracle's hierarchy.
+  double landmarks_s = 0.0;
+  /// Transition statistics over the final partitions.
+  double transitions_s = 0.0;
+};
+
 /// Aggregated results of one simulation run — the quantities the paper's
 /// evaluation section reports.
 class Metrics {
@@ -148,6 +163,8 @@ class Metrics {
   EngineStats engine;
   /// Streaming-ingest counters (batch windows, admission, backpressure).
   ServeStats serve;
+  /// Construction time of the system that ran, per step.
+  SetupStats setup;
 
  private:
   std::vector<RequestRecord> records_;

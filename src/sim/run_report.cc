@@ -134,7 +134,7 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   JsonWriter w(indent);
   w.BeginObject();
   w.Key("schema_version");
-  w.Int(9);
+  w.Int(10);
   w.Key("experiment");
   w.String(context.experiment);
   w.Key("scheme");
@@ -237,12 +237,15 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   w.Int(m.routing.ch_bucket_entries);
   // schema_version 6 adds the candidate-search path (DESIGN.md §14):
   // which source answered pickup reachability ("ch_buckets" on a
-  // CH-backed oracle once the scheme swept, "index" otherwise), how many
-  // taxis the last-stop bucket sweeps returned, the bucket upkeep cost,
-  // and the detour-ellipse screen's slot traffic. The bucket counters are
-  // zero on the exact table.
+  // CH-backed oracle once the scheme swept, "index" on the exact table,
+  // and since schema_version 10 "none" when the run made no probe, as
+  // pGreedyDP never does), how many taxis the last-stop bucket sweeps
+  // returned, the bucket upkeep cost, and the detour-ellipse screen's slot
+  // traffic. The bucket counters are zero on the exact table.
   w.Key("candidate_search");
-  w.String(m.routing.bucket_search ? "ch_buckets" : "index");
+  w.String(m.routing.reach_probes == 0 ? "none"
+           : m.routing.bucket_search   ? "ch_buckets"
+                                       : "index");
   w.Key("bucket_candidates");
   w.Int(m.routing.bucket_candidates);
   w.Key("bucket_maintenance_ms");
@@ -293,6 +296,20 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   w.Int(m.serve.shed);
   w.Key("queue_depth");
   w.Int(m.serve.queue_depth);
+  w.EndObject();
+
+  // schema_version 10 adds the setup block: the seconds each step of
+  // building the system took, paid once per system.
+  w.Key("setup");
+  w.BeginObject();
+  w.Key("partition_s");
+  w.Double(m.setup.partition_s);
+  w.Key("oracle_s");
+  w.Double(m.setup.oracle_s);
+  w.Key("landmarks_s");
+  w.Double(m.setup.landmarks_s);
+  w.Key("transitions_s");
+  w.Double(m.setup.transitions_s);
   w.EndObject();
 
   w.Key("index_memory_bytes");

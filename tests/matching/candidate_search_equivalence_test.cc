@@ -84,11 +84,15 @@ TEST(CandidateSearchEquivalenceTest, ReachabilitySourceFollowsBackend) {
     EXPECT_EQ(exact.routing.bucket_candidates, 0);
     // pGreedyDP has no reachability probe to answer (its DP rejects
     // unreachable pickups), so it never sweeps and never builds the bucket
-    // store, which is built at the first sweep.
+    // store, which is built at the first sweep; its report reads "none".
     if (scheme == SchemeKind::kPGreedyDp) {
+      EXPECT_EQ(exact.routing.reach_probes, 0);
+      EXPECT_EQ(ch.routing.reach_probes, 0);
       EXPECT_FALSE(ch.routing.bucket_search);
       EXPECT_EQ(ch.routing.bucket_candidates, 0);
     } else {
+      EXPECT_GT(exact.routing.reach_probes, 0);
+      EXPECT_GT(ch.routing.reach_probes, 0);
       EXPECT_TRUE(ch.routing.bucket_search);
       EXPECT_GT(ch.routing.bucket_candidates, 0);
     }

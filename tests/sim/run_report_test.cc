@@ -39,6 +39,15 @@ bool HasKey(const std::string& json, const std::string& key) {
   return json.find("\"" + key + "\":") != std::string::npos;
 }
 
+/// Whether the report labels its candidate-search path `name`, in either
+/// the pretty or the single-line rendering.
+bool CandidateSearchIs(const std::string& json, const std::string& name) {
+  return json.find("\"candidate_search\": \"" + name + "\"") !=
+             std::string::npos ||
+         json.find("\"candidate_search\":\"" + name + "\"") !=
+             std::string::npos;
+}
+
 /// Keys of the flat object that follows the first `"section":`, in order.
 std::vector<std::string> KeysOf(const std::string& json,
                                 const std::string& section) {
@@ -55,12 +64,13 @@ std::vector<std::string> KeysOf(const std::string& json,
 }
 
 void ValidateReportSchema(const std::string& json) {
-  EXPECT_EQ(NumberAfter(json, "", "schema_version"), 9.0);
+  EXPECT_EQ(NumberAfter(json, "", "schema_version"), 10.0);
   for (const char* key :
        {"experiment", "scheme", "window", "num_taxis", "num_requests",
         "seed", "requests", "response_ms", "waiting_min", "detour_min",
         "candidates", "phases", "oracle", "routing", "engine", "serve",
-        "index_memory_bytes", "total_driver_income", "execution_seconds"}) {
+        "setup", "index_memory_bytes", "total_driver_income",
+        "execution_seconds"}) {
     EXPECT_TRUE(HasKey(json, key)) << "missing top-level key " << key;
   }
 
@@ -83,19 +93,15 @@ void ValidateReportSchema(const std::string& json) {
   }
 
   // Candidate-search path counters (added in schema_version 6). The name
-  // is "index" on the exact table and "ch_buckets" on a CH-backed oracle;
-  // the counters are cumulative, and the bucket ones are zero on the exact
-  // table.
+  // is "index" on the exact table, "ch_buckets" on a CH-backed oracle and
+  // (since schema_version 10) "none" for a run that made no reachability
+  // probe; the counters are cumulative, and the bucket ones are zero on
+  // the exact table.
   EXPECT_TRUE(HasKey(json, "candidate_search")) << "missing candidate_search";
-  EXPECT_TRUE(json.find("\"candidate_search\": \"index\"") !=
-                  std::string::npos ||
-              json.find("\"candidate_search\":\"index\"") !=
-                  std::string::npos ||
-              json.find("\"candidate_search\": \"ch_buckets\"") !=
-                  std::string::npos ||
-              json.find("\"candidate_search\":\"ch_buckets\"") !=
-                  std::string::npos)
-      << "candidate_search must be index|ch_buckets";
+  EXPECT_TRUE(CandidateSearchIs(json, "index") ||
+              CandidateSearchIs(json, "ch_buckets") ||
+              CandidateSearchIs(json, "none"))
+      << "candidate_search must be index|ch_buckets|none";
   for (const char* key : {"bucket_candidates", "bucket_maintenance_ms",
                           "slots_screened", "ellipse_pruned"}) {
     EXPECT_GE(NumberAfter(json, "routing", key), 0.0) << key;
@@ -127,6 +133,14 @@ void ValidateReportSchema(const std::string& json) {
   for (const char* key : {"batch_window_ms", "batches", "admitted", "shed",
                           "queue_depth"}) {
     EXPECT_GE(NumberAfter(json, "serve", key), 0.0) << key;
+  }
+
+  // Set-up seconds per construction step (added in schema_version 10).
+  const std::vector<std::string> setup_keys = {"partition_s", "oracle_s",
+                                               "landmarks_s", "transitions_s"};
+  EXPECT_EQ(KeysOf(json, "setup"), setup_keys);
+  for (const std::string& key : setup_keys) {
+    EXPECT_GE(NumberAfter(json, "setup", key), 0.0) << key;
   }
 
   // Percentiles must be monotone within every distribution.
@@ -250,6 +264,13 @@ TEST_F(RunReportTest, SchemaIsValidForEveryScheme) {
     // heap and popped as the taxi moves.
     EXPECT_GT(NumberAfter(json, "engine", "heap_pops"), 0.0);
     EXPECT_GT(NumberAfter(json, "engine", "arcs_stepped"), 0.0);
+    // The 14x14 city runs on the exact table: every scheme but pGreedyDP,
+    // which makes no reachability probe, answers them with table reads.
+    EXPECT_TRUE(CandidateSearchIs(
+        json, scheme == SchemeKind::kPGreedyDp ? "none" : "index"));
+    // The system was built by bipartite k-means, so partitioning took
+    // measurable time.
+    EXPECT_GT(NumberAfter(json, "setup", "partition_s"), 0.0);
   }
 }
 
@@ -381,8 +402,7 @@ TEST(MtshareSimCliTest, ChBucketsPathEmitsBucketCounters) {
   buffer << in.rdbuf();
   std::string json = buffer.str();
   ValidateReportSchema(json);
-  EXPECT_NE(json.find("\"candidate_search\": \"ch_buckets\""),
-            std::string::npos);
+  EXPECT_TRUE(CandidateSearchIs(json, "ch_buckets"));
   EXPECT_GT(NumberAfter(json, "routing", "bucket_candidates"), 0.0);
   EXPECT_GT(NumberAfter(json, "routing", "slots_screened"), 0.0);
   EXPECT_EQ(NumberAfter(json, "routing", "fallback_queries"), 0.0);

@@ -1,5 +1,6 @@
-# Smoke-runs mtshare_sim with --report on both oracle backends and for
-# mT-Share-pro, and asserts the JSON carries the expected keys and values.
+# Smoke-runs mtshare_sim with --report on both oracle backends, for
+# pGreedyDP and for mT-Share-pro, and asserts the JSON carries the expected
+# keys and values.
 # Invoked by the mtshare_sim_report_smoke ctest; needs -DSIM_BINARY=... and
 # -DREPORT_PATH=...
 file(REMOVE "${REPORT_PATH}")
@@ -16,15 +17,16 @@ if(NOT EXISTS "${REPORT_PATH}")
   message(FATAL_ERROR "report file was not written: ${REPORT_PATH}")
 endif()
 file(READ "${REPORT_PATH}" report)
-# Keys of schema_version 9 (through the committed-route leg counters),
-# including the schema-4 engine block's heap-core counters.
+# Keys of schema_version 10 (through the set-up block), including the
+# schema-4 engine block's heap-core counters.
 foreach(key "schema_version" "response_ms" "p95" "phases" "dispatch_total_ms"
         "routing" "batch_queries" "lb_pruned"
         "fallback_queries" "serve" "batch_window_ms" "admitted" "shed"
         "queue_depth" "candidate_search" "bucket_candidates"
         "bucket_maintenance_ms" "slots_screened" "ellipse_pruned" "backend"
         "heap_pops" "arcs_stepped" "route_legs_walked" "route_legs_prefixed"
-        "route_legs_searched")
+        "route_legs_searched" "setup" "partition_s" "oracle_s" "landmarks_s"
+        "transitions_s")
   if(NOT report MATCHES "\"${key}\"")
     message(FATAL_ERROR "report missing key '${key}':\n${report}")
   endif()
@@ -62,6 +64,12 @@ route_legs_walked_or_prefixed("${report}" walked_legs)
 if(walked_legs EQUAL 0)
   message(FATAL_ERROR "exact run walked no route leg:\n${report}")
 endif()
+# mtshare_sim partitions by bipartite k-means, which takes measurable time;
+# a zero means the set-up timers are not wired through to the report.
+string(REGEX MATCH "\"partition_s\": *([0-9.e+-]+)" _ "${report}")
+if(CMAKE_MATCH_1 STREQUAL "" OR CMAKE_MATCH_1 MATCHES "^0(\\.0*)?$")
+  message(FATAL_ERROR "bipartite run reports no partition time:\n${report}")
+endif()
 file(REMOVE "${REPORT_PATH}")
 
 # Same smoke on the CH oracle, which answers pickup reachability with
@@ -97,6 +105,23 @@ endif()
 route_legs_walked_or_prefixed("${report}" walked_legs)
 if(NOT walked_legs EQUAL 0)
   message(FATAL_ERROR "CH run walked ${walked_legs} route legs:\n${report}")
+endif()
+file(REMOVE "${REPORT_PATH}")
+
+# pGreedyDP makes no pickup-reachability probe (its DP rejects unreachable
+# pickups itself), so its report names no source even on the CH oracle.
+execute_process(
+  COMMAND "${SIM_BINARY}" --scheme=pgreedy-dp --rows=12 --cols=12
+          --taxis=15 --requests=80 --oracle=ch --report=${REPORT_PATH}
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "mtshare_sim --scheme=pgreedy-dp exited ${rc}\n${out}\n${err}")
+endif()
+file(READ "${REPORT_PATH}" report)
+if(NOT report MATCHES "\"candidate_search\": *\"none\"")
+  message(FATAL_ERROR "pGreedyDP run not labeled candidate_search=none:\n${report}")
 endif()
 file(REMOVE "${REPORT_PATH}")
 

@@ -2,9 +2,9 @@
 # Full local gate for the mT-Share repo:
 #   1. configure + build the default preset, run the tier-1 ctest suite,
 #      which includes the CLI smokes: mtshare_sim_report_smoke
-#      (tools/report_smoke.cmake: run reports on both oracle backends and
-#      an mT-Share-pro run) and ServeCliTest (a --save-requests log piped
-#      through mtshare_serve)
+#      (tools/report_smoke.cmake: run reports on both oracle backends, a
+#      pGreedyDP run and an mT-Share-pro run) and ServeCliTest (a
+#      --save-requests log piped through mtshare_serve)
 #   2. configure + build the tsan preset, run the `tsan`-labelled tests
 #      (thread pool, cross-run oracle sharing: exact row fills and the CH
 #      engine pool, concurrent bucket-sweep runs on one CH oracle); an
@@ -12,7 +12,8 @@
 #   3. configure + build the asan preset, run the full suite (the examples
 #      included) under AddressSanitizer + LeakSanitizer
 #   4. smoke BM_EngineAdvance, BM_ProbabilisticLeg, BM_ExactRowFill,
-#      BM_OracleBackends and BM_ShortestLeg
+#      BM_OracleBackends, BM_ShortestLeg, BM_KMeansTransition and
+#      BM_BipartitePartition
 #   5. (opt-in) scale smoke: the `scale`-labelled ctest tier at reduced
 #      sizes — bench_scale trajectory schema, 10^6-request stream
 #      determinism, 10k-fleet golden decision digest
@@ -60,8 +61,9 @@ echo "==> [4/5] micro-bench smoke"
 # Quick micro-bench passes (fleet advancement on a small fleet, one
 # Algorithm 4 leg, one exact-table row fill by PHAST and by Dijkstra, the
 # oracle's CostFans batch call on both backends, one committed leg by row
-# walk and by Dijkstra) to catch bit-rot in the bench harness itself. The
-# filters are anchored: an unmatched filter runs nothing and still exits 0.
+# walk and by Dijkstra, the transition k-means and a whole bipartite
+# partition) to catch bit-rot in the bench harness itself. The filters are
+# anchored: an unmatched filter runs nothing and still exits 0.
 build/bench/bench_micro_components \
   --benchmark_filter='BM_EngineAdvance/fleet:100$' \
   --benchmark_min_time=0.01 >/dev/null
@@ -76,6 +78,12 @@ build/bench/bench_micro_components \
   --benchmark_min_time=0.01 >/dev/null
 build/bench/bench_micro_components \
   --benchmark_filter='^BM_ShortestLeg/(row_walk|dijkstra)$' \
+  --benchmark_min_time=0.01 >/dev/null
+build/bench/bench_micro_components \
+  --benchmark_filter='^BM_KMeansTransition$' \
+  --benchmark_min_time=0.01 >/dev/null
+build/bench/bench_micro_components \
+  --benchmark_filter='^BM_BipartitePartition$' \
   --benchmark_min_time=0.01 >/dev/null
 
 if [[ "${MTSHARE_RUN_SCALE:-0}" == "1" ]]; then
