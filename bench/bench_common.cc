@@ -3,22 +3,18 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "sim/run_report.h"
 
 namespace mtshare::bench {
 
 namespace {
 
-// Trajectory state armed by PrintBanner (benches are single-experiment
-// processes; the mutex covers RecordRun calls from parallel sweeps).
+// Trajectory state armed by the last PrintBanner.
 std::string g_report_path;  // empty = reporting disabled / not armed
 std::string g_report_experiment;
-std::mutex g_report_mutex;
 
 std::string SlugFromBanner(const std::string& experiment) {
   std::string slug;
@@ -32,22 +28,6 @@ std::string SlugFromBanner(const std::string& experiment) {
   }
   while (!slug.empty() && slug.back() == '_') slug.pop_back();
   return slug.empty() ? "run" : slug;
-}
-
-/// MTSHARE_BENCH_THREADS, strictly parsed: garbage ("abc", "-3") is a
-/// hard error instead of atoi's silent 0 ("all cores").
-int32_t BenchThreads() {
-  const char* env = std::getenv("MTSHARE_BENCH_THREADS");
-  if (env == nullptr) return ThreadPool::DefaultThreads(0);
-  int64_t value = 0;
-  if (!ParseInt64(Trim(env), &value) || value < 0 || value > 1024) {
-    std::fprintf(stderr,
-                 "invalid MTSHARE_BENCH_THREADS='%s' (want an integer in "
-                 "[0, 1024]; 0 = all cores)\n",
-                 env);
-    std::exit(2);
-  }
-  return ThreadPool::DefaultThreads(static_cast<int32_t>(value));
 }
 
 }  // namespace
@@ -135,7 +115,6 @@ Metrics BenchEnv::Run(SchemeKind scheme, int32_t num_taxis) {
 }
 
 void BenchEnv::RecordRun(const ScenarioSpec& spec, const Metrics& metrics) {
-  std::lock_guard<std::mutex> lock(g_report_mutex);
   if (g_report_path.empty()) return;
   RunReportContext ctx;
   ctx.experiment = g_report_experiment;
@@ -155,7 +134,6 @@ void BenchEnv::RecordRun(const ScenarioSpec& spec, const Metrics& metrics) {
 }
 
 void RecordTrajectoryRun(const RunReportContext& ctx, const Metrics& metrics) {
-  std::lock_guard<std::mutex> lock(g_report_mutex);
   if (g_report_path.empty()) return;
   RunReportContext line = ctx;
   if (line.experiment.empty()) line.experiment = g_report_experiment;
@@ -167,53 +145,18 @@ void RecordTrajectoryRun(const RunReportContext& ctx, const Metrics& metrics) {
   }
 }
 
-std::vector<Metrics> BenchEnv::RunAll(const std::vector<ScenarioSpec>& jobs) {
-  const int32_t threads = BenchThreads();
-  std::vector<Metrics> results(jobs.size());
-  std::vector<ScenarioSpec> resolved(jobs);
-  for (ScenarioSpec& spec : resolved) {
-    if (spec.requests == nullptr) spec.requests = &scenario_.requests;
-  }
-  ThreadPool pool(threads);
-  pool.ParallelFor(jobs.size(), [&](size_t i) {
-    Result<Metrics> r = system_->RunScenario(resolved[i]);
-    MTSHARE_CHECK(r.ok());
-    results[i] = std::move(r).value();
-  });
-  // Trajectory entries go out in job order once the sweep settles, so the
-  // file order is deterministic no matter how the pool scheduled the runs.
-  for (size_t i = 0; i < resolved.size(); ++i) {
-    RecordRun(resolved[i], results[i]);
-  }
-  return results;
-}
-
-std::vector<ScenarioSpec> BenchEnv::SweepJobs(
-    const std::vector<SchemeKind>& schemes,
-    const std::vector<int32_t>& fleets) {
-  std::vector<ScenarioSpec> jobs;
-  jobs.reserve(schemes.size() * fleets.size());
-  for (SchemeKind scheme : schemes) {
-    for (int32_t taxis : fleets) {
-      ScenarioSpec spec;
-      spec.scheme = scheme;
-      spec.requests = &scenario_.requests;
-      spec.num_taxis = taxis;
-      jobs.push_back(spec);
-    }
-  }
-  return jobs;
-}
-
-void PrintBanner(const std::string& experiment, const std::string& paper_ref) {
+void PrintCaption(const std::string& experiment,
+                  const std::string& paper_ref) {
   std::printf("\n================================================================\n");
   std::printf("%s\n", experiment.c_str());
   std::printf("reproduces: %s\n", paper_ref.c_str());
   std::printf("================================================================\n");
+}
 
+void PrintBanner(const std::string& experiment, const std::string& paper_ref) {
+  PrintCaption(experiment, paper_ref);
   // Arm trajectory logging: one BENCH_<slug>.json per experiment, one JSON
   // line per subsequent run.
-  std::lock_guard<std::mutex> lock(g_report_mutex);
   const char* enabled = std::getenv("MTSHARE_BENCH_REPORT");
   if (enabled != nullptr && enabled[0] == '0') {
     g_report_path.clear();

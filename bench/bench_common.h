@@ -32,9 +32,6 @@ struct BenchScale {
 };
 
 /// Scale adjusted for MTSHARE_BENCH_FAST.
-///
-/// One more environment knob applies to every bench: MTSHARE_BENCH_THREADS
-/// caps the RunAll fan-out.
 BenchScale GetScale();
 
 /// The bench city: a 48x48 perturbed grid, 150 m blocks (~7 km on a side,
@@ -60,26 +57,10 @@ class BenchEnv {
   Metrics Run(SchemeKind scheme, int32_t num_taxis);
 
   /// Appends this run to the current bench trajectory file (one JSON line
-  /// per run in BENCH_<experiment>.json; see PrintBanner). Run/RunAll call
-  /// it automatically; custom loops that build their own specs can call it
+  /// per run in BENCH_<experiment>.json; see PrintBanner). Run calls it
+  /// automatically; custom loops that build their own specs can call it
   /// for extra runs. No-op when reporting is disabled.
   void RecordRun(const ScenarioSpec& spec, const Metrics& metrics);
-
-  /// Runs every job on this scenario, fanning the runs out across
-  /// MTSHARE_BENCH_THREADS worker threads (default: hardware concurrency).
-  /// Results come back in job order, and each run is bit-identical to a
-  /// serial Run() — the shared system state (distance oracle) is
-  /// thread-safe and fleet/engine state is per-run. Use for count-style
-  /// sweeps (served requests, candidates); wall-clock metrics
-  /// (response_ms, execution_seconds) get noisy when runs overlap, so
-  /// timing figures should keep their serial loops or export
-  /// MTSHARE_BENCH_THREADS=1.
-  std::vector<Metrics> RunAll(const std::vector<ScenarioSpec>& jobs);
-
-  /// Convenience: the cross product of schemes x fleet sizes as specs for
-  /// RunAll, in scheme-major order.
-  std::vector<ScenarioSpec> SweepJobs(const std::vector<SchemeKind>& schemes,
-                                      const std::vector<int32_t>& fleets);
 
  private:
   Window window_;
@@ -90,12 +71,14 @@ class BenchEnv {
   std::unique_ptr<MTShareSystem> system_;
 };
 
-/// Printing helpers for paper-style tables. PrintBanner additionally arms
-/// run-report trajectory logging: every subsequent BenchEnv::Run/RunAll
-/// appends one JSON line per run to BENCH_<experiment-slug>.json (in
-/// MTSHARE_BENCH_REPORT_DIR, default the working directory; set
-/// MTSHARE_BENCH_REPORT=0 to disable). The line format is the run-report
-/// schema documented in EXPERIMENTS.md.
+/// Printing helpers for paper-style tables. PrintCaption prints an
+/// experiment's title block. PrintBanner prints the same block and
+/// additionally arms run-report trajectory logging: every subsequent
+/// BenchEnv::Run appends one JSON line per run to
+/// BENCH_<experiment-slug>.json (in MTSHARE_BENCH_REPORT_DIR, default the
+/// working directory; set MTSHARE_BENCH_REPORT=0 to disable). The line
+/// format is the run-report schema documented in EXPERIMENTS.md.
+void PrintCaption(const std::string& experiment, const std::string& paper_ref);
 void PrintBanner(const std::string& experiment, const std::string& paper_ref);
 
 /// Appends one run to the armed trajectory file with a caller-built context

@@ -26,8 +26,6 @@ int main() {
   const std::vector<SchemeKind> schemes = {
       SchemeKind::kNoSharing, SchemeKind::kTShare, SchemeKind::kPGreedyDp,
       SchemeKind::kMtShare, SchemeKind::kMtSharePro};
-  // Serial loop: this bench reports wall-clock numbers, which get noisy
-  // when runs overlap (see BenchEnv::RunAll).
   for (double window_ms : {0.0, 50.0, 200.0}) {
     for (SchemeKind scheme : schemes) {
       ScenarioSpec spec;

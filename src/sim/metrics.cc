@@ -54,7 +54,7 @@ int32_t Metrics::ServedOffline() const {
 double Metrics::MeanResponseMs() const {
   RunningMean m;
   for (const auto& r : records_) {
-    if (!r.offline) m.Add(r.response_ms);
+    if (!r.offline && !r.shed) m.Add(r.response_ms);
   }
   return m.Get();
 }
@@ -81,7 +81,7 @@ double Metrics::MeanWaitingMinutes() const {
 double Metrics::MeanCandidates() const {
   RunningMean m;
   for (const auto& r : records_) {
-    if (!r.offline) m.Add(r.candidates);
+    if (!r.offline && !r.shed) m.Add(r.candidates);
   }
   return m.Get();
 }
@@ -92,9 +92,11 @@ void Metrics::FinalizeDistributions() {
   detour_hist_.Clear();
   candidates_hist_.Clear();
   for (const auto& r : records_) {
-    // Response time exists for every online request and for offline
-    // requests that were actually served at an encounter (mirrors
-    // MeanResponseMs, which reports the online population).
+    // Response time exists for every admitted online request and for
+    // offline requests that were actually served at an encounter (mirrors
+    // MeanResponseMs, which reports the admitted online population). A
+    // shed request never reached the dispatcher, so it has neither.
+    if (r.shed) continue;
     if (!r.offline) {
       response_hist_.Record(r.response_ms);
       candidates_hist_.Record(r.candidates);

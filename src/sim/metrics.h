@@ -102,14 +102,15 @@ class Metrics {
   int32_t TotalRequests() const {
     return static_cast<int32_t>(records_.size());
   }
-  /// Mean dispatcher processing time per *online* request, ms.
+  /// Mean dispatcher processing time per admitted *online* request, ms
+  /// (shed requests never reached the dispatcher).
   double MeanResponseMs() const;
   /// Mean extra in-vehicle time vs. the direct trip, minutes (served only).
   double MeanDetourMinutes() const;
   /// Mean pickup wait, minutes (served only; offline requests wait from
   /// release to encounter).
   double MeanWaitingMinutes() const;
-  /// Mean candidate-set size over online requests (Table III).
+  /// Mean candidate-set size over admitted online requests (Table III).
   double MeanCandidates() const;
 
   // --- payment metrics (Fig. 19) ---
@@ -125,13 +126,14 @@ class Metrics {
   /// plus offline encounter attempts (served and rejected). This is the
   /// total the per-phase breakdown is reconciled against.
   double TotalDispatchMs() const;
-  /// Per-request dispatcher latency, ms (online + served offline).
+  /// Per-request dispatcher latency, ms (admitted online + served
+  /// offline).
   const LatencyHistogram& response_hist() const { return response_hist_; }
   /// Pickup wait, minutes, served requests.
   const LatencyHistogram& waiting_hist() const { return waiting_hist_; }
   /// Extra in-vehicle time vs. direct, minutes, served requests.
   const LatencyHistogram& detour_hist() const { return detour_hist_; }
-  /// Candidate-set sizes over online requests (Table III tails).
+  /// Candidate-set sizes over admitted online requests (Table III tails).
   const LatencyHistogram& candidates_hist() const { return candidates_hist_; }
 
   /// Index memory reported by the dispatcher at run end (Table IV).

@@ -1,9 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <future>
+#include <thread>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/mtshare_system.h"
 #include "graph/graph_generators.h"
 
@@ -56,17 +55,16 @@ TEST(BucketSearchConcurrencyTest, ConcurrentChBucketRunsStayIdentical) {
   ASSERT_TRUE(reference.value().routing.bucket_search);
 
   constexpr int kThreads = 8;
-  ThreadPool pool(kThreads);
   std::vector<Metrics> results(kThreads);
-  std::vector<std::future<void>> futures;
+  std::vector<std::thread> workers;
   for (int w = 0; w < kThreads; ++w) {
-    futures.push_back(pool.Submit([&system, &spec, &results, w] {
+    workers.emplace_back([&system, &spec, &results, w] {
       Result<Metrics> run = system->RunScenario(spec);
       EXPECT_TRUE(run.ok()) << run.status();
       if (run.ok()) results[static_cast<size_t>(w)] = std::move(run).value();
-    }));
+    });
   }
-  for (std::future<void>& f : futures) f.get();
+  for (std::thread& worker : workers) worker.join();
   for (int w = 0; w < kThreads; ++w) {
     const Metrics& m = results[static_cast<size_t>(w)];
     SCOPED_TRACE("worker " + std::to_string(w));

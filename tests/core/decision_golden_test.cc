@@ -124,7 +124,7 @@ const char* SchemeEnumName(SchemeKind scheme) {
 /// hails; one system per seed serves every scheme, window and
 /// serve_offline setting (each run starts from a fresh fleet and
 /// dispatcher).
-std::vector<GoldenRun> RunAll(OracleBackend backend) {
+std::vector<GoldenRun> RunGoldenGrid(OracleBackend backend) {
   std::vector<GoldenRun> runs;
   for (uint64_t seed : {11u, 29u, 47u}) {
     GridCityOptions gopt;
@@ -196,7 +196,7 @@ std::string FormatTable(const std::vector<GoldenRun>& runs) {
 TEST(DecisionGoldenTest, EverySchemeMatchesCommittedDigests) {
   for (OracleBackend backend : {OracleBackend::kExact, OracleBackend::kCh}) {
     const char* oracle = OracleBackendName(backend);
-    const std::vector<GoldenRun> runs = RunAll(backend);
+    const std::vector<GoldenRun> runs = RunGoldenGrid(backend);
     ASSERT_EQ(runs.size(), std::size(kGolden))
         << oracle << " oracle; current digests:\n" << FormatTable(runs);
     bool all_match = true;

@@ -1,13 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
 #include <set>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "graph/graph_generators.h"
 #include "routing/dijkstra.h"
 #include "routing/distance_oracle.h"
@@ -46,14 +45,13 @@ void ExpectConcurrentQueriesMatchDijkstra(OracleBackend backend) {
 
   constexpr int kThreads = 8;
   constexpr int kRoundsPerThread = 40;
-  ThreadPool pool(kThreads);
   std::atomic<int> mismatches{0};
   // Sources whose rows each worker's queries read; each worker writes
   // only its own entry.
   std::vector<std::vector<VertexId>> row_sources(kThreads);
-  std::vector<std::future<void>> futures;
+  std::vector<std::thread> workers;
   for (int w = 0; w < kThreads; ++w) {
-    futures.push_back(pool.Submit([&, w] {
+    workers.emplace_back([&, w] {
       Rng rng(671 + uint64_t(w));
       std::vector<VertexId> targets;
       std::vector<CostFan> fans;
@@ -91,9 +89,9 @@ void ExpectConcurrentQueriesMatchDijkstra(OracleBackend backend) {
         }
         if (at != got.size()) mismatches.fetch_add(1);
       }
-    }));
+    });
   }
-  for (auto& f : futures) f.get();
+  for (std::thread& worker : workers) worker.join();
   EXPECT_EQ(mismatches.load(), 0);
 
   // Counter sanity: every round issued 1 point + 1 one-fan + 3 fan
@@ -134,11 +132,10 @@ TEST(ExactConcurrencyTest, ResidentRowIsNullOrComplete) {
 
   constexpr int kFillers = 4;
   constexpr int kReaders = 4;
-  ThreadPool pool(kFillers + kReaders);
   std::atomic<int> mismatches{0};
-  std::vector<std::future<void>> futures;
+  std::vector<std::thread> workers;
   for (int w = 0; w < kFillers; ++w) {
-    futures.push_back(pool.Submit([&, w] {
+    workers.emplace_back([&, w] {
       // Each filler walks every source from its own offset, so fills race.
       for (VertexId i = 0; i < n; ++i) {
         const VertexId s = (i + w * n / kFillers) % n;
@@ -146,19 +143,19 @@ TEST(ExactConcurrencyTest, ResidentRowIsNullOrComplete) {
           mismatches.fetch_add(1);
         }
       }
-    }));
+    });
   }
   for (int w = 0; w < kReaders; ++w) {
-    futures.push_back(pool.Submit([&, w] {
+    workers.emplace_back([&, w] {
       Rng rng(681 + uint64_t(w));
       for (int round = 0; round < 4 * n; ++round) {
         const VertexId s = VertexId(rng.NextInt(0, n - 1));
         const std::vector<Seconds>* row = oracle.ResidentRow(s);
         if (row != nullptr && *row != reference[s]) mismatches.fetch_add(1);
       }
-    }));
+    });
   }
-  for (auto& f : futures) f.get();
+  for (std::thread& worker : workers) worker.join();
   EXPECT_EQ(mismatches.load(), 0);
   // Every row is resident once the fillers are done; reads ticked nothing.
   for (VertexId v = 0; v < n; ++v) {

@@ -227,15 +227,21 @@ TEST_F(RequestSourceTest, MaxQueueShedsAndCountsStayConsistent) {
   EXPECT_LE(m.serve.queue_depth, 3);
   int64_t online = 0;
   int64_t shed_records = 0;
+  int64_t assigned_offline = 0;
   for (const RequestRecord& rec : m.records()) {
     online += rec.offline ? 0 : 1;
     shed_records += rec.shed ? 1 : 0;
+    assigned_offline += rec.offline && rec.assigned ? 1 : 0;
   }
   EXPECT_EQ(m.serve.admitted + m.serve.shed, online);
   EXPECT_EQ(m.serve.shed, shed_records);
   // One decision per admitted or shed request plus each served offline
   // encounter (unserved offline requests never produce a decision).
   EXPECT_EQ(decisions, m.serve.admitted + m.serve.shed + m.ServedOffline());
+  // A shed request never reached the dispatcher: it has no response time
+  // and no candidate set to count.
+  EXPECT_EQ(m.response_hist().count(), m.serve.admitted + assigned_offline);
+  EXPECT_EQ(m.candidates_hist().count(), m.serve.admitted);
 }
 
 TEST_F(RequestSourceTest, RequestLogFormatsRoundTripExactly) {
