@@ -84,22 +84,14 @@ BenchEnv::BenchEnv(Window window, const SystemConfig& config,
   sopt.rho = config_.rho;
   sopt.num_historical_trips = scale.historical_trips;
   sopt.seed = seed + 1;
-  // The system trains on the scenario's history, which MakeScenario draws
-  // first thing on Rng(sopt.seed); drawing it here first lets the scenario
-  // price its requests on the system's own oracle.
-  Rng history_rng(sopt.seed);
-  auto created = MTShareSystem::Create(
-      network_,
-      OdPairsOf(GenerateHistoricalTrips(*demand_, sopt.num_historical_trips,
-                                        history_rng)),
-      config_);
+  auto created = CreateScenarioSystem(network_, *demand_, sopt, config_);
   if (!created.ok()) {
     std::fprintf(stderr, "bench system: %s\n",
                  created.status().ToString().c_str());
     std::exit(2);
   }
-  system_ = std::move(created).value();
-  scenario_ = MakeScenario(network_, *demand_, system_->oracle(), sopt);
+  system_ = std::move(created.value().system);
+  scenario_ = std::move(created.value().scenario);
 }
 
 Metrics BenchEnv::Run(SchemeKind scheme, int32_t num_taxis) {

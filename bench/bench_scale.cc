@@ -8,7 +8,7 @@
 // state, 8 bytes/request), and sweeps fleet x request-count rows.
 //
 // Output: the usual paper-style table on stdout plus one trajectory line
-// per row in BENCH_scale.json (schema-validated by report_smoke.cmake).
+// per row in BENCH_scale.json (schema-validated by scale_report_smoke.cmake).
 //
 // Environment knobs (on top of the bench_common MTSHARE_BENCH_* set):
 //   MTSHARE_SCALE_CI=1        reduced sizes for CI smoke legs (~4k-vertex

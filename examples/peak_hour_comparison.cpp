@@ -28,23 +28,15 @@ int main() {
   sopt.num_requests = 1200;  // heavy morning demand
   sopt.num_historical_trips = 15000;
 
-  // The system trains on the history MakeScenario draws first on
-  // Rng(sopt.seed), and the scenario is priced on the system's oracle.
   SystemConfig config;
   config.kappa = 64;
   config.kt = 16;
-  Rng history_rng(sopt.seed);
-  auto system = MTShareSystem::Create(
-      network,
-      OdPairsOf(GenerateHistoricalTrips(demand, sopt.num_historical_trips,
-                                        history_rng)),
-      config);
-  if (!system.ok()) {
-    std::fprintf(stderr, "system: %s\n", system.status().ToString().c_str());
+  auto built = CreateScenarioSystem(network, demand, sopt, config);
+  if (!built.ok()) {
+    std::fprintf(stderr, "system: %s\n", built.status().ToString().c_str());
     return 1;
   }
-  Scenario scenario =
-      MakeScenario(network, demand, system.value()->oracle(), sopt);
+  auto& [system, scenario] = built.value();
 
   const int32_t fleet = 120;
   std::printf("morning peak: %zu requests, %d taxis, %d-vertex city\n\n",
@@ -58,7 +50,7 @@ int main() {
        {SchemeKind::kNoSharing, SchemeKind::kTShare, SchemeKind::kPGreedyDp,
         SchemeKind::kMtShare}) {
     spec.scheme = scheme;
-    Result<Metrics> run = system.value()->RunScenario(spec);
+    Result<Metrics> run = system->RunScenario(spec);
     if (!run.ok()) {
       std::fprintf(stderr, "run: %s\n", run.status().ToString().c_str());
       return 1;

@@ -4,10 +4,9 @@
 //   $ ./build/examples/quickstart
 //
 // Walks the whole public API surface in ~60 lines: road network generation,
-// demand modeling, historical trips, system construction, scenario
-// creation, and a simulated run with the mT-Share matching scheme.
+// demand modeling, building the system and its scenario in one call, and a
+// simulated run with the mT-Share matching scheme.
 #include <cstdio>
-#include <vector>
 
 #include "core/mtshare_system.h"
 #include "graph/graph_generators.h"
@@ -27,44 +26,38 @@ int main() {
   // 2. Demand: a hotspot model with commute-like directional flows.
   DemandModel demand(network, DemandModelOptions{});
 
-  // 3. Historical trips the mobility statistics are trained on.
+  // 3. The system and its scenario, in one call. The mobility statistics
+  //    train on historical trips spread over the whole day; the scenario
+  //    is one peak hour of requests, priced on the system's oracle. The
+  //    system builds the bipartite map partitioning, landmark graph,
+  //    transition statistics and distance oracle; a bad config comes back
+  //    as a status instead of dying.
   ScenarioOptions sopt;
   sopt.t_begin = 8 * 3600.0;  // 08:00
   sopt.t_end = 9 * 3600.0;    // 09:00
   sopt.num_requests = 600;
   sopt.num_historical_trips = 10000;
-  Rng history_rng(sopt.seed);
-  std::vector<Trip> history =
-      GenerateHistoricalTrips(demand, sopt.num_historical_trips, history_rng);
-
-  // 4. The system: builds the bipartite map partitioning, landmark graph,
-  //    transition statistics and distance oracle. Create() validates the
-  //    config and reports errors instead of dying.
   SystemConfig config;
   config.kappa = 40;  // partitions; scale with city size
   config.kt = 10;
-  auto system = MTShareSystem::Create(network, OdPairsOf(history), config);
-  if (!system.ok()) {
-    std::fprintf(stderr, "system: %s\n", system.status().ToString().c_str());
+  auto built = CreateScenarioSystem(network, demand, sopt, config);
+  if (!built.ok()) {
+    std::fprintf(stderr, "system: %s\n", built.status().ToString().c_str());
     return 1;
   }
+  auto& [system, scenario] = built.value();
   std::printf("partitioning: %d partitions from %zu historical trips\n",
-              system.value()->partitioning().num_partitions(), history.size());
-
-  // 5. A scenario: one peak hour of requests, priced on the system's
-  //    oracle. MakeScenario draws the same history first on
-  //    Rng(sopt.seed), then the requests.
-  Scenario scenario =
-      MakeScenario(network, demand, system.value()->oracle(), sopt);
+              system->partitioning().num_partitions(),
+              scenario.historical_trips.size());
   std::printf("scenario: %zu requests\n", scenario.requests.size());
 
-  // 6. Run a fleet of 60 shared taxis under mT-Share. ScenarioSpec is the
+  // 4. Run a fleet of 60 shared taxis under mT-Share. ScenarioSpec is the
   //    primary run API; a run executes on the calling thread.
   ScenarioSpec spec;
   spec.scheme = SchemeKind::kMtShare;
   spec.requests = &scenario.requests;
   spec.num_taxis = 60;
-  Result<Metrics> run = system.value()->RunScenario(spec);
+  Result<Metrics> run = system->RunScenario(spec);
   if (!run.ok()) {
     std::fprintf(stderr, "run: %s\n", run.status().ToString().c_str());
     return 1;

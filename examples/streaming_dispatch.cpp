@@ -32,18 +32,12 @@ int main() {
   SystemConfig config;
   config.kappa = 20;
   config.kt = 5;
-  Rng history_rng(sopt.seed);
-  auto system = MTShareSystem::Create(
-      network,
-      OdPairsOf(GenerateHistoricalTrips(demand, sopt.num_historical_trips,
-                                        history_rng)),
-      config);
-  if (!system.ok()) {
-    std::fprintf(stderr, "system: %s\n", system.status().ToString().c_str());
+  auto built = CreateScenarioSystem(network, demand, sopt, config);
+  if (!built.ok()) {
+    std::fprintf(stderr, "system: %s\n", built.status().ToString().c_str());
     return 1;
   }
-  Scenario scenario =
-      MakeScenario(network, demand, system.value()->oracle(), sopt);
+  auto& [system, scenario] = built.value();
 
   // 2. A request log in the service wire format — one CSV line per request,
   //    the layout `mtshare_sim --save-requests` writes and `mtshare_serve`
@@ -83,7 +77,7 @@ int main() {
     }
   };
 
-  Result<Metrics> run = system.value()->RunScenario(spec);
+  Result<Metrics> run = system->RunScenario(spec);
   if (!run.ok()) {  // a malformed stream fails here with a line-tagged error
     std::fprintf(stderr, "run: %s\n", run.status().ToString().c_str());
     return 1;

@@ -15,7 +15,8 @@ using EdgeId = int32_t;
 using TaxiId = int32_t;
 /// Identifier of a ride request.
 using RequestId = int64_t;
-/// Identifier of a map partition produced by a MapPartitioner.
+/// Identifier of a map partition in a MapPartitioning (made by
+/// GridPartition or BipartitePartition).
 using PartitionId = int32_t;
 /// Identifier of a mobility cluster.
 using ClusterId = int32_t;

@@ -135,6 +135,23 @@ MTShareSystem::MTShareSystem(const RoadNetwork& network,
   setup_.transitions_s = step.ElapsedSeconds();
 }
 
+Result<ScenarioSystem> CreateScenarioSystem(const RoadNetwork& network,
+                                            const DemandModel& demand,
+                                            const ScenarioOptions& options,
+                                            const SystemConfig& config) {
+  Rng rng(options.seed);
+  ScenarioSystem built;
+  built.scenario.historical_trips =
+      GenerateHistoricalTrips(demand, options.num_historical_trips, rng);
+  Result<std::unique_ptr<MTShareSystem>> system = MTShareSystem::Create(
+      network, built.scenario.HistoricalOdPairs(), config);
+  if (!system.ok()) return system.status();
+  built.system = std::move(system).value();
+  built.scenario.requests =
+      DrawWindowRequests(demand, built.system->oracle(), options, rng);
+  return built;
+}
+
 std::unique_ptr<Dispatcher> MTShareSystem::MakeDispatcher(
     SchemeKind scheme, std::vector<TaxiState>* fleet) {
   DistanceOracle* oracle = oracle_.get();

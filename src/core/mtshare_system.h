@@ -90,16 +90,17 @@ struct ScenarioSpec {
 /// the compared schemes. One instance can run many scenarios; each run
 /// starts from a fresh fleet.
 ///
-/// This is the entry point examples and benches use:
+/// Examples, benches and mtshare_sim build a system and its scenario with
+/// CreateScenarioSystem (below), then run it:
 ///
-///   auto system = MTShareSystem::Create(network, historical_od_pairs,
-///                                       config);
-///   if (!system.ok()) { /* handle system.status() */ }
+///   auto built = CreateScenarioSystem(network, demand, scenario_options,
+///                                     config);
+///   if (!built.ok()) { /* handle built.status() */ }
 ///   ScenarioSpec spec;
 ///   spec.scheme = SchemeKind::kMtShare;
-///   spec.requests = &requests;
+///   spec.requests = &built.value().scenario.requests;
 ///   spec.num_taxis = 300;
-///   Result<Metrics> m = system.value()->RunScenario(spec);
+///   Result<Metrics> m = built.value().system->RunScenario(spec);
 class MTShareSystem {
  public:
   /// The only way to build a system: validates the config and returns
@@ -168,6 +169,25 @@ class MTShareSystem {
   /// Metrics::setup.
   SetupStats setup_;
 };
+
+/// A system and the scenario it is evaluated on.
+struct ScenarioSystem {
+  std::unique_ptr<MTShareSystem> system;
+  Scenario scenario;
+};
+
+/// Builds a system and its scenario the way the paper evaluates mT-Share
+/// (Sec. V-A1): the mobility statistics train on historical trips and the
+/// requests come from a window of the same demand. Draws the history once
+/// on Rng(options.seed), builds the system on it with MTShareSystem::Create,
+/// then draws the window's requests from the same Rng, priced on the
+/// system's oracle. The scenario equals MakeScenario's on an oracle with
+/// config.oracle's settings, bit for bit. Returns Create's status on a bad
+/// config; `network` must outlive the system.
+Result<ScenarioSystem> CreateScenarioSystem(const RoadNetwork& network,
+                                            const DemandModel& demand,
+                                            const ScenarioOptions& options,
+                                            const SystemConfig& config);
 
 }  // namespace mtshare
 

@@ -58,31 +58,38 @@ std::optional<RideRequest> MaterializeRequest(Trip trip,
   return r;
 }
 
-Scenario MakeScenario(const RoadNetwork& /*network*/,
-                      const DemandModel& demand, DistanceOracle& oracle,
-                      const ScenarioOptions& options) {
+std::vector<RideRequest> DrawWindowRequests(const DemandModel& demand,
+                                            DistanceOracle& oracle,
+                                            const ScenarioOptions& options,
+                                            Rng& rng) {
   MTSHARE_CHECK(options.rho > 1.0);
   MTSHARE_CHECK(options.offline_fraction >= 0.0 &&
                 options.offline_fraction <= 1.0);
-  Rng rng(options.seed);
-  Scenario scenario;
-
-  scenario.historical_trips =
-      GenerateHistoricalTrips(demand, options.num_historical_trips, rng);
-
   std::vector<Trip> trips =
       demand.GenerateTrips(options.t_begin, options.t_end,
                            options.num_requests, rng);
-  scenario.requests.reserve(trips.size());
+  std::vector<RideRequest> requests;
+  requests.reserve(trips.size());
   RequestId next_id = 0;
   for (const Trip& trip : trips) {
     std::optional<RideRequest> r =
         MaterializeRequest(trip, demand, oracle, options, rng);
     if (!r.has_value()) continue;  // dropped (SCC networks make this rare)
     r->id = next_id++;
-    scenario.requests.push_back(*r);
+    requests.push_back(*r);
   }
   // GenerateTrips sorts by time; dropped samples keep order intact.
+  return requests;
+}
+
+Scenario MakeScenario(const RoadNetwork& /*network*/,
+                      const DemandModel& demand, DistanceOracle& oracle,
+                      const ScenarioOptions& options) {
+  Rng rng(options.seed);
+  Scenario scenario;
+  scenario.historical_trips =
+      GenerateHistoricalTrips(demand, options.num_historical_trips, rng);
+  scenario.requests = DrawWindowRequests(demand, oracle, options, rng);
   return scenario;
 }
 

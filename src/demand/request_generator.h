@@ -48,9 +48,10 @@ struct Scenario {
 /// The historical trips that train the mobility statistics: `num_trips`
 /// draws from `rng` spread over the whole day, so the statistics see every
 /// diurnal regime, as the paper trains on the full dataset minus the
-/// evaluation window. MakeScenario draws its history with this, first
-/// thing on Rng(options.seed), so a caller that needs only the history gets
-/// the same trips without an oracle.
+/// evaluation window. A scenario draws its history with this, first thing
+/// on Rng(options.seed); a caller that needs a system and its scenario
+/// calls CreateScenarioSystem (core/mtshare_system.h), and only a caller
+/// that needs the history alone, with no request window, calls this.
 std::vector<Trip> GenerateHistoricalTrips(const DemandModel& demand,
                                           int32_t num_trips, Rng& rng);
 
@@ -69,9 +70,21 @@ std::optional<RideRequest> MaterializeRequest(Trip trip,
                                               const ScenarioOptions& options,
                                               Rng& rng);
 
-/// Builds a scenario: samples trips from the demand model, snaps deadlines
-/// via the oracle, marks a random subset offline. Requests whose
-/// origin/destination coincide or are unreachable are resampled.
+/// The window's requests, the step MakeScenario and CreateScenarioSystem
+/// share: options.num_requests trips drawn from `rng` over [t_begin, t_end)
+/// and each made a request by MaterializeRequest on `oracle`. A trip whose
+/// redraws all fail is dropped; ids are dense from 0 in release order.
+/// Dies on rho <= 1 or an offline fraction outside [0, 1].
+std::vector<RideRequest> DrawWindowRequests(const DemandModel& demand,
+                                            DistanceOracle& oracle,
+                                            const ScenarioOptions& options,
+                                            Rng& rng);
+
+/// Builds a scenario on Rng(options.seed): draws the history with
+/// GenerateHistoricalTrips, then the window's requests with
+/// DrawWindowRequests, priced on `oracle`. To evaluate a system trained on
+/// this history, call CreateScenarioSystem instead: it draws both once and
+/// prices the requests on the system's own oracle.
 Scenario MakeScenario(const RoadNetwork& network, const DemandModel& demand,
                       DistanceOracle& oracle, const ScenarioOptions& options);
 

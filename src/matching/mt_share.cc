@@ -141,19 +141,9 @@ DispatchOutcome MtShareDispatcher::Dispatch(const RideRequest& request,
   RoutePlanner::PlannedRoute prob_route;
   if (probabilistic_ && ProbQualifies(taxi(best.taxi))) {
     const TaxiState& t = taxi(best.taxi);
-    Point dir = Point{0, 0};
-    Point dest_sum{0, 0};
-    int32_t n = 0;
-    for (const ScheduleEvent& e : best.insertion.schedule.events()) {
-      if (e.is_pickup) continue;
-      dest_sum.x += network_.coord(e.vertex).x;
-      dest_sum.y += network_.coord(e.vertex).y;
-      ++n;
-    }
-    if (n > 0) {
-      const Point& here = network_.coord(t.location);
-      dir = Point{dest_sum.x / n - here.x, dest_sum.y / n - here.y};
-    }
+    const Point dir =
+        ScheduleMobilityVector(best.insertion.schedule, network_, t.location)
+            .Displacement();
     ScopedPhaseTimer timer(phase_timers_, DispatchPhase::kRouting);
     prob_route =
         planner_.PlanRoute(t.location, now, best.insertion.schedule, dir);

@@ -85,7 +85,7 @@ void MtShareTaxiIndex::ReindexTaxiAt(const TaxiState& taxi, size_t pos,
   }
 
   // Mobility cluster: busy taxis only (Sec. IV-B2 excludes empty taxis).
-  MobilityVector mv = TaxiMobilityVectorFrom(taxi, network_, location);
+  MobilityVector mv = ScheduleMobilityVector(taxi.schedule, network_, location);
   if (mv.Length() > 0.0) {
     clustering_.Assign(TaxiKey(taxi.id), mv);
   } else {

@@ -4,18 +4,13 @@
 
 namespace mtshare {
 
-MobilityVector TaxiMobilityVector(const TaxiState& taxi,
-                                  const RoadNetwork& network) {
-  return TaxiMobilityVectorFrom(taxi, network, taxi.location);
-}
-
-MobilityVector TaxiMobilityVectorFrom(const TaxiState& taxi,
+MobilityVector ScheduleMobilityVector(const Schedule& schedule,
                                       const RoadNetwork& network,
                                       VertexId location) {
   const Point& here = network.coord(location);
   Point dest_sum{0, 0};
   int32_t dropoffs = 0;
-  for (const ScheduleEvent& e : taxi.schedule.events()) {
+  for (const ScheduleEvent& e : schedule.events()) {
     if (e.is_pickup) continue;
     dest_sum.x += network.coord(e.vertex).x;
     dest_sum.y += network.coord(e.vertex).y;
@@ -24,6 +19,11 @@ MobilityVector TaxiMobilityVectorFrom(const TaxiState& taxi,
   if (dropoffs == 0) return MobilityVector{here, here};
   return MobilityVector{
       here, Point{dest_sum.x / dropoffs, dest_sum.y / dropoffs}};
+}
+
+MobilityVector TaxiMobilityVector(const TaxiState& taxi,
+                                  const RoadNetwork& network) {
+  return ScheduleMobilityVector(taxi.schedule, network, taxi.location);
 }
 
 std::vector<TaxiState> MakeFleet(const RoadNetwork& network, int32_t count,

@@ -95,20 +95,21 @@ struct TaxiState {
   bool HasRoute() const { return route_pos + 1 < route.size(); }
 };
 
-/// The taxi's mobility vector (paper Sec. IV-B2): origin = current location,
-/// destination = centroid of the dropoff vertices in its schedule. Returns
-/// a zero-displacement vector for taxis with no pending dropoffs (they have
-/// "no fixed travel destination" and are not mobility-clustered).
-MobilityVector TaxiMobilityVector(const TaxiState& taxi,
-                                  const RoadNetwork& network);
-
-/// Same vector with the origin overridden — the taxi's mobility vector as
-/// it was (or will be) at `location`, given its current schedule. Used by
-/// the span-batched index updates to reindex a taxi at the exact route
-/// position where it crossed a partition border.
-MobilityVector TaxiMobilityVectorFrom(const TaxiState& taxi,
+/// The mobility vector (paper Sec. IV-B2) of a taxi at `location` that
+/// follows `schedule`: origin = `location`, destination = centroid of the
+/// schedule's dropoff vertices. With no dropoff the displacement is zero:
+/// the taxi has "no fixed travel destination" and is not
+/// mobility-clustered. The span-batched index updates reindex a taxi with
+/// it at the route position where it crossed a partition border, and
+/// mT-Share-pro steers a winning schedule's probabilistic route along its
+/// displacement.
+MobilityVector ScheduleMobilityVector(const Schedule& schedule,
                                       const RoadNetwork& network,
                                       VertexId location);
+
+/// The taxi's mobility vector: its schedule's at its current location.
+MobilityVector TaxiMobilityVector(const TaxiState& taxi,
+                                  const RoadNetwork& network);
 
 /// Builds `count` idle taxis at uniformly random vertices (Sec. V-A4 sets
 /// initial taxi locations to random graph vertices).

@@ -56,7 +56,8 @@ struct OracleOptions {
 /// DijkstraSearch when the vertex sequence is needed.
 ///
 /// Thread-safe: one system's oracle serves every RunScenario call on it,
-/// and those runs may execute concurrently (the bench sweep runner).
+/// and those runs may execute concurrently (the concurrency tests start
+/// several on one system).
 /// Exact mode fills each row exactly once behind striped mutexes and
 /// publishes it with an atomic flag; CH mode checks stateful ChQuery
 /// engines in and out of a mutex-guarded pool (one engine per

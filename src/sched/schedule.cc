@@ -34,13 +34,11 @@ Schedule Schedule::WithInsertion(const Schedule& base, const RideRequest& r,
 ScheduleCheck CheckSchedule(const Schedule& schedule, VertexId start_vertex,
                             Seconds start_time, int32_t onboard,
                             int32_t capacity, const LegCostFn& leg_cost) {
-  ScheduleCheck check;
-  if (onboard > capacity) return check;
+  if (onboard > capacity) return ScheduleCheck{};
   Seconds time = start_time;
   Seconds travel = 0.0;
   VertexId at = start_vertex;
   int32_t load = onboard;
-  check.event_arrivals.reserve(schedule.size());
   for (const ScheduleEvent& e : schedule.events()) {
     Seconds leg = leg_cost(at, e.vertex);
     if (leg == kInfiniteCost) return ScheduleCheck{};
@@ -49,13 +47,9 @@ ScheduleCheck CheckSchedule(const Schedule& schedule, VertexId start_vertex,
     if (time > e.deadline) return ScheduleCheck{};
     load += e.is_pickup ? e.passengers : -e.passengers;
     if (load > capacity || load < 0) return ScheduleCheck{};
-    check.event_arrivals.push_back(time);
     at = e.vertex;
   }
-  check.feasible = true;
-  check.total_travel = travel;
-  check.completion_time = time;
-  return check;
+  return ScheduleCheck{true, travel};
 }
 
 InsertionResult FindBestInsertion(const Schedule& base, const RideRequest& r,

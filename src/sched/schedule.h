@@ -88,10 +88,6 @@ struct ScheduleCheck {
   bool feasible = false;
   /// Total travel seconds from the start vertex through every event.
   Seconds total_travel = 0.0;
-  /// Absolute time the last event executes.
-  Seconds completion_time = 0.0;
-  /// Absolute arrival time per event (valid when feasible).
-  std::vector<Seconds> event_arrivals;
 };
 
 /// Simulates the schedule: starting at `start_vertex` at `start_time` with

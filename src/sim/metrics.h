@@ -139,8 +139,9 @@ class Metrics {
   /// Index memory reported by the dispatcher at run end (Table IV).
   size_t index_memory_bytes = 0;
   /// Distance-oracle traffic during the run (deltas of the shared oracle's
-  /// counters; meaningful when runs do not overlap). Misses paid a
-  /// one-to-all Dijkstra; hits were served from the exact row table.
+  /// counters; meaningful when runs do not overlap). A miss filled the
+  /// source's exact-table row with one PhastRow sweep; a hit read a
+  /// resident row.
   int64_t oracle_queries = 0;
   int64_t oracle_row_hits = 0;
   int64_t oracle_row_misses = 0;

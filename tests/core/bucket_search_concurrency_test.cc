@@ -34,21 +34,13 @@ TEST(BucketSearchConcurrencyTest, ConcurrentChBucketRunsStayIdentical) {
   config.kappa = 12;
   config.kt = 5;
   config.oracle.backend = OracleBackend::kCh;
-  // The system trains on the history MakeScenario draws first on
-  // Rng(sopt.seed); its oracle then prices the scenario.
-  Rng history_rng(sopt.seed);
-  auto system =
-      MTShareSystem::Create(
-          net,
-          OdPairsOf(GenerateHistoricalTrips(
-              demand, sopt.num_historical_trips, history_rng)),
-          config)
-          .value();
-  Scenario scenario = MakeScenario(net, demand, system->oracle(), sopt);
+  ScenarioSystem built =
+      CreateScenarioSystem(net, demand, sopt, config).value();
+  MTShareSystem* system = built.system.get();
 
   ScenarioSpec spec;
   spec.scheme = SchemeKind::kMtShare;
-  spec.requests = &scenario.requests;
+  spec.requests = &built.scenario.requests;
   spec.num_taxis = 12;
   Result<Metrics> reference = system->RunScenario(spec);
   ASSERT_TRUE(reference.ok()) << reference.status();
@@ -58,7 +50,7 @@ TEST(BucketSearchConcurrencyTest, ConcurrentChBucketRunsStayIdentical) {
   std::vector<Metrics> results(kThreads);
   std::vector<std::thread> workers;
   for (int w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&system, &spec, &results, w] {
+    workers.emplace_back([system, &spec, &results, w] {
       Result<Metrics> run = system->RunScenario(spec);
       EXPECT_TRUE(run.ok()) << run.status();
       if (run.ok()) results[static_cast<size_t>(w)] = std::move(run).value();

@@ -145,17 +145,8 @@ std::vector<GoldenRun> RunGoldenGrid(OracleBackend backend) {
     config.kappa = 16;
     config.kt = 5;
     config.oracle.backend = backend;
-    // The system trains on the history MakeScenario draws first on
-    // Rng(sopt.seed); its oracle then prices the scenario.
-    Rng history_rng(sopt.seed);
-    auto system =
-        MTShareSystem::Create(
-            net,
-            OdPairsOf(GenerateHistoricalTrips(
-                demand, sopt.num_historical_trips, history_rng)),
-            config)
-            .value();
-    Scenario scenario = MakeScenario(net, demand, system->oracle(), sopt);
+    auto [system, scenario] =
+        CreateScenarioSystem(net, demand, sopt, config).value();
     for (SchemeKind scheme : kSchemes) {
       for (double window_ms : {0.0, 200.0}) {
         for (bool serve_offline : {true, false}) {

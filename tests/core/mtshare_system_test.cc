@@ -49,6 +49,12 @@ TEST(SystemConfigTest, RejectsBadOracleOptions) {
   auto result = MTShareSystem::Create(net, {}, bad);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  // CreateScenarioSystem hands Create's status back.
+  DemandModel demand(net, DemandModelOptions{});
+  ScenarioOptions sopt;
+  sopt.num_historical_trips = 10;
+  EXPECT_EQ(CreateScenarioSystem(net, demand, sopt, bad).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SchemeNameTest, AllNamed) {
@@ -76,16 +82,10 @@ class MTShareSystemTest : public ::testing::Test {
 
     config_.kappa = 24;
     config_.kt = 6;
-    // The system trains on the history MakeScenario draws first on
-    // Rng(sopt.seed); its oracle then prices the scenario.
-    Rng history_rng(sopt.seed);
-    system_ = MTShareSystem::Create(
-                  net_,
-                  OdPairsOf(GenerateHistoricalTrips(
-                      *demand_, sopt.num_historical_trips, history_rng)),
-                  config_)
-                  .value();
-    scenario_ = MakeScenario(net_, *demand_, system_->oracle(), sopt);
+    ScenarioSystem built =
+        CreateScenarioSystem(net_, *demand_, sopt, config_).value();
+    system_ = std::move(built.system);
+    scenario_ = std::move(built.scenario);
   }
 
   // Runs the fixture scenario through the spec API (the old positional

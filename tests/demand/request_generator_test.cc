@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "core/mtshare_system.h"
 #include "graph/graph_generators.h"
 
 namespace mtshare {
@@ -46,19 +49,67 @@ TEST_F(RequestGeneratorTest, RequestsSortedWithUniqueIds) {
   }
 }
 
-TEST_F(RequestGeneratorTest, HistoricalTripsNeedNoOracle) {
-  // bench_scale and mtshare_serve draw the history without MakeScenario's
-  // oracle; it must be MakeScenario's history for the same seed.
-  for (uint64_t seed : {29u, 1001u}) {
-    ScenarioOptions opt;
-    opt.num_requests = 0;
-    opt.num_historical_trips = 700;
-    opt.seed = seed;
-    Rng rng(seed);
-    const std::vector<OdPair> drawn = OdPairsOf(
-        GenerateHistoricalTrips(*demand_, opt.num_historical_trips, rng));
-    EXPECT_EQ(drawn.size(), 700u);
-    EXPECT_EQ(drawn, Make(opt).HistoricalOdPairs()) << "seed " << seed;
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool SameTrip(const Trip& a, const Trip& b) {
+  return SameBits(a.release_time, b.release_time) && a.origin == b.origin &&
+         a.destination == b.destination;
+}
+
+bool SameRequest(const RideRequest& a, const RideRequest& b) {
+  return a.id == b.id && SameBits(a.release_time, b.release_time) &&
+         a.origin == b.origin && a.destination == b.destination &&
+         SameBits(a.deadline, b.deadline) &&
+         SameBits(a.direct_cost, b.direct_cost) &&
+         a.passengers == b.passengers && a.offline == b.offline;
+}
+
+// CreateScenarioSystem (core/mtshare_system.h) draws the history once and
+// prices the requests on the system's own oracle. It must build what its
+// callers used to build by hand: the history drawn on Rng(seed), Create on
+// it, and MakeScenario on an oracle of the same settings. MakeScenario's
+// history is that draw too, which bench_scale and mtshare_serve rely on
+// when they draw the history alone.
+TEST_F(RequestGeneratorTest, CreateScenarioSystemMatchesHandBuiltPattern) {
+  for (OracleBackend backend : {OracleBackend::kExact, OracleBackend::kCh}) {
+    for (uint64_t seed : {29u, 1001u}) {
+      SCOPED_TRACE(std::string(OracleBackendName(backend)) + " seed " +
+                   std::to_string(seed));
+      ScenarioOptions sopt;
+      sopt.num_requests = 120;
+      sopt.num_historical_trips = 1500;
+      sopt.offline_fraction = 0.3;
+      sopt.seed = seed;
+      SystemConfig config;
+      config.kappa = 12;
+      config.kt = 4;
+      config.oracle.backend = backend;
+      auto [system, scenario] =
+          CreateScenarioSystem(net_, *demand_, sopt, config).value();
+
+      Rng rng(seed);
+      const std::vector<Trip> history =
+          GenerateHistoricalTrips(*demand_, sopt.num_historical_trips, rng);
+      EXPECT_TRUE(std::equal(history.begin(), history.end(),
+                             scenario.historical_trips.begin(),
+                             scenario.historical_trips.end(), SameTrip));
+      DistanceOracle scratch(net_, config.oracle);
+      const Scenario made = MakeScenario(net_, *demand_, scratch, sopt);
+      EXPECT_TRUE(std::equal(history.begin(), history.end(),
+                             made.historical_trips.begin(),
+                             made.historical_trips.end(), SameTrip));
+      EXPECT_TRUE(std::equal(made.requests.begin(), made.requests.end(),
+                             scenario.requests.begin(),
+                             scenario.requests.end(), SameRequest));
+      auto reference =
+          MTShareSystem::Create(net_, OdPairsOf(history), config).value();
+      EXPECT_EQ(system->partitioning().vertex_partition,
+                reference->partitioning().vertex_partition);
+      EXPECT_EQ(system->partitioning().landmarks,
+                reference->partitioning().landmarks);
+    }
   }
 }
 

@@ -44,18 +44,9 @@ Metrics RunOnce(const RunOptions& opt) {
   config.kt = 5;
   config.oracle.backend = opt.oracle_backend;
   // Fresh system per run so dispatcher indexes and bucket stores start
-  // cold and the comparison sees identical initial state. It trains on the
-  // history MakeScenario draws first on Rng(sopt.seed), and its oracle
-  // prices the scenario.
-  Rng history_rng(sopt.seed);
-  auto system =
-      MTShareSystem::Create(
-          net,
-          OdPairsOf(GenerateHistoricalTrips(
-              demand, sopt.num_historical_trips, history_rng)),
-          config)
-          .value();
-  Scenario scenario = MakeScenario(net, demand, system->oracle(), sopt);
+  // cold and the comparison sees identical initial state.
+  auto [system, scenario] =
+      CreateScenarioSystem(net, demand, sopt, config).value();
 
   ScenarioSpec spec;
   spec.scheme = opt.scheme;
@@ -133,15 +124,8 @@ TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
   config.kappa = 16;
   config.kt = 5;
   config.oracle.backend = OracleBackend::kCh;
-  Rng history_rng(sopt.seed);
-  auto system =
-      MTShareSystem::Create(
-          net,
-          OdPairsOf(GenerateHistoricalTrips(
-              demand, sopt.num_historical_trips, history_rng)),
-          config)
-          .value();
-  Scenario scenario = MakeScenario(net, demand, system->oracle(), sopt);
+  auto [system, scenario] =
+      CreateScenarioSystem(net, demand, sopt, config).value();
 
   for (SchemeKind scheme :
        {SchemeKind::kNoSharing, SchemeKind::kTShare, SchemeKind::kPGreedyDp,

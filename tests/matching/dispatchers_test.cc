@@ -31,16 +31,10 @@ class DispatchersTest : public ::testing::Test {
     SystemConfig cfg;
     cfg.kappa = 30;
     cfg.kt = 8;
-    // The system trains on the history MakeScenario draws first on
-    // Rng(sopt.seed); its oracle then prices the scenario.
-    Rng history_rng(sopt.seed);
-    system_ = MTShareSystem::Create(
-                  net_,
-                  OdPairsOf(GenerateHistoricalTrips(
-                      *demand_, sopt.num_historical_trips, history_rng)),
-                  cfg)
-                  .value();
-    scenario_ = MakeScenario(net_, *demand_, system_->oracle(), sopt);
+    ScenarioSystem built =
+        CreateScenarioSystem(net_, *demand_, sopt, cfg).value();
+    system_ = std::move(built.system);
+    scenario_ = std::move(built.scenario);
   }
 
   // Runs the fixture scenario through the spec API (the old positional

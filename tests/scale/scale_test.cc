@@ -112,17 +112,8 @@ TEST(ScaleDecisionGoldenTest, TenThousandTaxiFleetMatchesCommittedDigest) {
 
   SystemConfig config;
   config.seed = 214;
-  // The system trains on the history MakeScenario draws first on
-  // Rng(sopt.seed); its oracle then prices the scenario.
-  Rng history_rng(sopt.seed);
-  auto system =
-      MTShareSystem::Create(
-          net,
-          OdPairsOf(GenerateHistoricalTrips(
-              demand, sopt.num_historical_trips, history_rng)),
-          config)
-          .value();
-  Scenario scenario = MakeScenario(net, demand, system->oracle(), sopt);
+  auto [system, scenario] =
+      CreateScenarioSystem(net, demand, sopt, config).value();
 
   ScenarioSpec spec;
   spec.scheme = SchemeKind::kMtShare;

@@ -39,17 +39,8 @@ TEST_P(EnginePropertyTest, GlobalInvariantsHold) {
   cfg.kappa = 20;
   cfg.kt = 5;
   cfg.seed = param.seed + 3;
-  // The system trains on the history MakeScenario draws first on
-  // Rng(sopt.seed); its oracle then prices the scenario.
-  Rng history_rng(sopt.seed);
-  auto system =
-      MTShareSystem::Create(
-          net,
-          OdPairsOf(GenerateHistoricalTrips(
-              demand, sopt.num_historical_trips, history_rng)),
-          cfg)
-          .value();
-  Scenario scenario = MakeScenario(net, demand, system->oracle(), sopt);
+  auto [system, scenario] =
+      CreateScenarioSystem(net, demand, sopt, cfg).value();
 
   // Run through a hand-built engine so the fleet stays inspectable.
   auto fleet = MakeFleet(net, 24, cfg.taxi_capacity, param.seed + 4,

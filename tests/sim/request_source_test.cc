@@ -37,16 +37,10 @@ class RequestSourceTest : public ::testing::Test {
 
     config_.kappa = 20;
     config_.kt = 5;
-    // The system trains on the history MakeScenario draws first on
-    // Rng(sopt.seed); its oracle then prices the scenario.
-    Rng history_rng(sopt.seed);
-    system_ = MTShareSystem::Create(
-                  net_,
-                  OdPairsOf(GenerateHistoricalTrips(
-                      *demand_, sopt.num_historical_trips, history_rng)),
-                  config_)
-                  .value();
-    scenario_ = MakeScenario(net_, *demand_, system_->oracle(), sopt);
+    ScenarioSystem built =
+        CreateScenarioSystem(net_, *demand_, sopt, config_).value();
+    system_ = std::move(built.system);
+    scenario_ = std::move(built.scenario);
 
     // A bursty variant of the same workload: release times compressed
     // 1000x (~44 req/s), so a 50-200 ms batch window actually holds

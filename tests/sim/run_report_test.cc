@@ -13,6 +13,7 @@
 
 #include "core/mtshare_system.h"
 #include "graph/graph_generators.h"
+#include "testing/decision_digest.h"
 
 namespace mtshare {
 namespace {
@@ -39,13 +40,13 @@ bool HasKey(const std::string& json, const std::string& key) {
   return json.find("\"" + key + "\":") != std::string::npos;
 }
 
-/// Whether the report labels its candidate-search path `name`, in either
-/// the pretty or the single-line rendering.
-bool CandidateSearchIs(const std::string& json, const std::string& name) {
-  return json.find("\"candidate_search\": \"" + name + "\"") !=
+/// Whether the report's string `key` reads `value`, in either the pretty
+/// or the single-line rendering.
+bool StringIs(const std::string& json, const std::string& key,
+              const std::string& value) {
+  return json.find("\"" + key + "\": \"" + value + "\"") !=
              std::string::npos ||
-         json.find("\"candidate_search\":\"" + name + "\"") !=
-             std::string::npos;
+         json.find("\"" + key + "\":\"" + value + "\"") != std::string::npos;
 }
 
 /// Keys of the flat object that follows the first `"section":`, in order.
@@ -98,9 +99,9 @@ void ValidateReportSchema(const std::string& json) {
   // probe; the counters are cumulative, and the bucket ones are zero on
   // the exact table.
   EXPECT_TRUE(HasKey(json, "candidate_search")) << "missing candidate_search";
-  EXPECT_TRUE(CandidateSearchIs(json, "index") ||
-              CandidateSearchIs(json, "ch_buckets") ||
-              CandidateSearchIs(json, "none"))
+  EXPECT_TRUE(StringIs(json, "candidate_search", "index") ||
+              StringIs(json, "candidate_search", "ch_buckets") ||
+              StringIs(json, "candidate_search", "none"))
       << "candidate_search must be index|ch_buckets|none";
   for (const char* key : {"bucket_candidates", "bucket_maintenance_ms",
                           "slots_screened", "ellipse_pruned"}) {
@@ -198,16 +199,10 @@ class RunReportTest : public ::testing::Test {
 
     config_.kappa = 16;
     config_.kt = 5;
-    // The system trains on the history MakeScenario draws first on
-    // Rng(sopt.seed); its oracle then prices the scenario.
-    Rng history_rng(sopt.seed);
-    system_ = MTShareSystem::Create(
-                  net_,
-                  OdPairsOf(GenerateHistoricalTrips(
-                      *demand_, sopt.num_historical_trips, history_rng)),
-                  config_)
-                  .value();
-    scenario_ = MakeScenario(net_, *demand_, system_->oracle(), sopt);
+    ScenarioSystem built =
+        CreateScenarioSystem(net_, *demand_, sopt, config_).value();
+    system_ = std::move(built.system);
+    scenario_ = std::move(built.scenario);
   }
 
   Metrics RunWithTiming(SchemeKind scheme) {
@@ -266,8 +261,8 @@ TEST_F(RunReportTest, SchemaIsValidForEveryScheme) {
     EXPECT_GT(NumberAfter(json, "engine", "arcs_stepped"), 0.0);
     // The 14x14 city runs on the exact table: every scheme but pGreedyDP,
     // which makes no reachability probe, answers them with table reads.
-    EXPECT_TRUE(CandidateSearchIs(
-        json, scheme == SchemeKind::kPGreedyDp ? "none" : "index"));
+    EXPECT_TRUE(StringIs(json, "candidate_search",
+                         scheme == SchemeKind::kPGreedyDp ? "none" : "index"));
     // The system was built by bipartite k-means, so partitioning took
     // measurable time.
     EXPECT_GT(NumberAfter(json, "setup", "partition_s"), 0.0);
@@ -345,23 +340,71 @@ int RunCommand(const std::string& command) {
   return rc < 0 ? rc : WEXITSTATUS(rc);
 }
 
+/// Runs mtshare_sim with `flags` and returns its report; with
+/// `per_request`, also the rows --per-request wrote. `name` keeps the
+/// files of tests that run in parallel apart.
+std::string RunSim(const std::string& name, const std::string& flags,
+                   std::string* per_request = nullptr) {
+  const std::string json = testing::TempDir() + "mtshare_sim_" + name;
+  const std::string csv = json + ".csv";
+  std::remove(json.c_str());
+  std::remove(csv.c_str());
+  const std::string cmd = std::string(MTSHARE_SIM_BINARY) + " " + flags +
+                          " --report=" + json + " --per-request=" + csv +
+                          " > /dev/null";
+  EXPECT_EQ(RunCommand(cmd), 0) << cmd;
+  std::stringstream report, rows;
+  report << std::ifstream(json).rdbuf();
+  rows << std::ifstream(csv).rdbuf();
+  if (per_request != nullptr) *per_request = rows.str();
+  std::remove(json.c_str());
+  std::remove(csv.c_str());
+  return report.str();
+}
+
+/// Committed shortest-path legs walked through a resident exact-table row,
+/// to the end or to a tie.
+double RouteLegsWalked(const std::string& json) {
+  return NumberAfter(json, "routing", "route_legs_walked") +
+         NumberAfter(json, "routing", "route_legs_prefixed");
+}
+
+/// FNV-1a digest of --per-request rows without their eighth column,
+/// response_ms, which is wall clock.
+uint64_t RowsDigest(const std::string& csv) {
+  Fnv1a fnv;
+  std::istringstream in(csv);
+  for (std::string line; std::getline(in, line);) {
+    size_t at = 0;
+    for (int i = 0; i < 7; ++i) at = line.find(',', at) + 1;
+    line.erase(at, line.find(',', at) + 1 - at);
+    for (char c : line) fnv.Add(uint64_t{static_cast<unsigned char>(c)});
+  }
+  return fnv.value();
+}
+
 TEST(MtshareSimCliTest, ReportFlagEmitsValidJson) {
-  std::string path = testing::TempDir() + "mtshare_sim_cli_report.json";
-  std::remove(path.c_str());
-  std::string cmd = std::string(MTSHARE_SIM_BINARY) +
-                    " --scheme=mt-share --rows=14 --cols=14 --taxis=20"
-                    " --requests=120 --report=" + path + " > /dev/null";
-  ASSERT_EQ(RunCommand(cmd), 0) << cmd;
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "report file missing: " << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::string json = buffer.str();
+  std::string rows;
+  const std::string json = RunSim(
+      "report",
+      "--scheme=mt-share --rows=14 --cols=14 --taxis=20 --requests=120",
+      &rows);
   ValidateReportSchema(json);
   EXPECT_EQ(NumberAfter(json, "", "num_taxis"), 20.0);
   EXPECT_EQ(NumberAfter(json, "", "num_requests"), 120.0);
   EXPECT_EQ(NumberAfter(json, "phases", "enabled"), 1.0);
-  std::remove(path.c_str());
+  // The 14x14 city runs on the exact table, so reachability is table reads
+  // and committed legs walk resident rows. A zero below means a counter or
+  // timer is not wired through to the report.
+  EXPECT_TRUE(StringIs(json, "candidate_search", "index"));
+  EXPECT_GT(RouteLegsWalked(json), 0.0);
+  EXPECT_GT(NumberAfter(json, "serve", "admitted"), 0.0);
+  EXPECT_GT(NumberAfter(json, "setup", "partition_s"), 0.0);
+  // mtshare_sim's decisions, pinned: ServeCliTest compares mtshare_serve
+  // with mtshare_sim, and a drift in the history both train on moves both.
+  EXPECT_EQ(NumberAfter(json, "requests", "served"), 72.0);
+  EXPECT_EQ(RowsDigest(rows), 0xf09c3ae02e07c384ull)
+      << std::hex << RowsDigest(rows);
 }
 
 TEST(MtshareSimCliTest, RejectsMalformedNumericFlags) {
@@ -389,24 +432,47 @@ TEST(MtshareSimCliTest, RejectsMalformedNumericFlags) {
 }
 
 TEST(MtshareSimCliTest, ChBucketsPathEmitsBucketCounters) {
-  std::string path = testing::TempDir() + "mtshare_sim_cli_buckets.json";
-  std::remove(path.c_str());
-  std::string cmd = std::string(MTSHARE_SIM_BINARY) +
-                    " --scheme=mt-share --rows=14 --cols=14 --taxis=20"
-                    " --requests=120 --oracle=ch --report=" +
-                    path + " > /dev/null";
-  ASSERT_EQ(RunCommand(cmd), 0) << cmd;
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "report file missing: " << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::string json = buffer.str();
+  const std::string json = RunSim(
+      "buckets",
+      "--scheme=mt-share --rows=14 --cols=14 --taxis=20 --requests=120"
+      " --oracle=ch");
   ValidateReportSchema(json);
-  EXPECT_TRUE(CandidateSearchIs(json, "ch_buckets"));
+  EXPECT_TRUE(StringIs(json, "backend", "ch"));
+  EXPECT_TRUE(StringIs(json, "candidate_search", "ch_buckets"));
   EXPECT_GT(NumberAfter(json, "routing", "bucket_candidates"), 0.0);
   EXPECT_GT(NumberAfter(json, "routing", "slots_screened"), 0.0);
   EXPECT_EQ(NumberAfter(json, "routing", "fallback_queries"), 0.0);
-  std::remove(path.c_str());
+  EXPECT_EQ(RouteLegsWalked(json), 0.0);  // the CH keeps no rows
+}
+
+TEST(MtshareSimCliTest, PGreedyDpOnChNamesNoReachabilitySource) {
+  // pGreedyDP makes no pickup-reachability probe (its DP rejects
+  // unreachable pickups itself), so even on the CH oracle its report
+  // names no source.
+  const std::string json = RunSim(
+      "pgreedy",
+      "--scheme=pgreedy-dp --rows=12 --cols=12 --taxis=15 --requests=80"
+      " --oracle=ch");
+  ValidateReportSchema(json);
+  EXPECT_TRUE(StringIs(json, "candidate_search", "none"));
+}
+
+TEST(MtshareSimCliTest, MtShareProNonpeakServesStreetHails) {
+  // mT-Share-pro is the only scheme that reaches Algorithm 4 (probabilistic
+  // legs) and idle cruising; a nonpeak run that serves no street hail has
+  // lost them. Its decisions are pinned like the exact run's.
+  std::string rows;
+  const std::string json = RunSim(
+      "pro",
+      "--scheme=mt-share-pro --window=nonpeak --rows=12 --cols=12"
+      " --taxis=15 --requests=80",
+      &rows);
+  ValidateReportSchema(json);
+  EXPECT_TRUE(StringIs(json, "scheme", "mT-Share-pro"));
+  EXPECT_GT(NumberAfter(json, "requests", "served_offline"), 0.0);
+  EXPECT_EQ(NumberAfter(json, "requests", "served"), 42.0);
+  EXPECT_EQ(RowsDigest(rows), 0x119b0395f3e376bcull)
+      << std::hex << RowsDigest(rows);
 }
 
 TEST(MtshareSimCliTest, AcceptsFullUint64SeedRange) {

@@ -28,9 +28,9 @@
 //   --rows/--cols  generated city size     (default 48x48)
 //   --network      edge-list CSV to load instead of generating
 //   --historical   historical trips for the mobility statistics
-//                  (default 40000, matching mtshare_sim — the two tools
-//                  build their systems through one step, tools/tool_system.h,
-//                  so with the same city/seed flags they build identical
+//                  (default 40000, matching mtshare_sim — both tools draw
+//                  the history on Rng(seed + 2), tools/tool_system.h, so
+//                  with the same city/seed flags they build identical
 //                  systems and serving a --save-requests log replays the
 //                  sim run byte-identically)
 //   --window       peak | nonpeak demand profile for the historical trips
@@ -43,7 +43,7 @@
 //   --gauge-every  emit a gauge line to stderr every N decisions
 //                  (default 1000; 0 = silent)
 //   --input        read the request log from this file instead of stdin
-//   --report       write a schema-9 JSON run report here (includes the
+//   --report       write a schema-10 JSON run report here (includes the
 //                  "serve" admission/backpressure block)
 //
 // Exit codes: 0 success, 1 runtime failure (bad network file, malformed
@@ -89,8 +89,19 @@ int main(int argc, char** argv) {
   if (!ok) return 2;  // every malformed flag already printed its error
 
   // Historical trips only — the request stream itself arrives on stdin.
-  ToolSystem tool;
-  if (int rc = BuildToolSystem(flags, historical, &tool)) return rc;
+  // They are the trips mtshare_sim's scenario draws first on the same Rng.
+  ToolCity city;
+  if (int rc = BuildToolCity(flags, &city)) return rc;
+  Rng history_rng(HistorySeed(flags));
+  auto system = MTShareSystem::Create(
+      city.network,
+      OdPairsOf(GenerateHistoricalTrips(*city.demand, historical,
+                                        history_rng)),
+      flags.config);
+  if (!system.ok()) {
+    std::fprintf(stderr, "system: %s\n", system.status().ToString().c_str());
+    return 2;
+  }
 
   std::ifstream input_file;
   std::istream* in = &std::cin;
@@ -107,9 +118,9 @@ int main(int argc, char** argv) {
   // the generator does (cost from the oracle, deadline from rho). The
   // bounds guard leaves out-of-range vertices for the source's validation,
   // which reports a line-tagged error instead of crashing the oracle.
-  DistanceOracle& oracle = tool.system->oracle();
+  DistanceOracle& oracle = system.value()->oracle();
   const double rho = flags.config.rho;
-  const int64_t num_vertices = tool.network.num_vertices();
+  const int64_t num_vertices = city.network.num_vertices();
   StreamSourceOptions source_options;
   source_options.num_vertices = num_vertices;
   source_options.finalize = [&oracle, rho, num_vertices](RideRequest* r) {
@@ -174,7 +185,7 @@ int main(int argc, char** argv) {
     }
   };
 
-  Result<Metrics> run = tool.system->RunScenario(spec);
+  Result<Metrics> run = system.value()->RunScenario(spec);
   if (!run.ok()) {
     std::fprintf(stderr, "serve: %s\n", run.status().ToString().c_str());
     return 1;

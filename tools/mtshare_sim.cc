@@ -63,22 +63,22 @@ int main(int argc, char** argv) {
   sopt.num_requests = GetCount(args, "requests", 1500, &ok);
   sopt.offline_fraction = GetD(args, "offline", flags.peak ? 0.0 : 0.32, &ok);
   sopt.rho = flags.config.rho;
-  sopt.seed = flags.seed + 2;
+  sopt.seed = HistorySeed(flags);
   const std::string save_requests = GetS(args, "save-requests", "");
   const std::string per_request = GetS(args, "per-request", "");
   // Every flag is read by now; anything left over is a typo.
   if (!args.RejectUnread()) ok = false;
   if (!ok) return 2;  // every malformed flag already printed its error
 
-  // The scenario draws its history first thing on Rng(sopt.seed), the
-  // trips the system trains on, so it prices its requests on the system's
-  // own oracle: one hierarchy is built, not two.
-  ToolSystem tool;
-  if (int rc = BuildToolSystem(flags, sopt.num_historical_trips, &tool)) {
-    return rc;
+  ToolCity city;
+  if (int rc = BuildToolCity(flags, &city)) return rc;
+  auto built =
+      CreateScenarioSystem(city.network, *city.demand, sopt, flags.config);
+  if (!built.ok()) {
+    std::fprintf(stderr, "system: %s\n", built.status().ToString().c_str());
+    return 2;
   }
-  Scenario scenario =
-      MakeScenario(tool.network, *tool.demand, tool.system->oracle(), sopt);
+  auto& [system, scenario] = built.value();
   if (!save_requests.empty()) {
     Status saved = SaveRequestLog(save_requests, scenario.requests);
     if (!saved.ok()) {
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
 
   ScenarioSpec spec = MakeToolSpec(flags);
   spec.requests = &scenario.requests;
-  Result<Metrics> run = tool.system->RunScenario(spec);
+  Result<Metrics> run = system->RunScenario(spec);
   if (!run.ok()) {
     std::fprintf(stderr, "run: %s\n", run.status().ToString().c_str());
     return 2;

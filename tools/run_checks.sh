@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate for the mT-Share repo:
 #   1. configure + build the default preset, run the tier-1 ctest suite,
-#      which includes the CLI smokes: mtshare_sim_report_smoke
-#      (tools/report_smoke.cmake: run reports on both oracle backends, a
-#      pGreedyDP run and an mT-Share-pro run) and ServeCliTest (a
+#      which includes the CLI tests: MtshareSimCliTest (run reports on
+#      both oracle backends, a pGreedyDP run and an mT-Share-pro run, and
+#      mtshare_sim's pinned decisions) and ServeCliTest (a
 #      --save-requests log piped through mtshare_serve), and the bench
 #      smokes: one micro_smoke_* test per micro-bench filter (BM_EngineAdvance,
 #      BM_ProbabilisticLeg, BM_ExactRowFill, BM_OracleBackends,

@@ -1,14 +1,13 @@
-// The system mtshare_sim and mtshare_serve both build. The flags the two
-// tools share are read here, and the city, SystemConfig, demand model and
-// historical trips are made here, so the same flags build the same system
-// in either tool.
+// What mtshare_sim and mtshare_serve share. The flags the two tools share
+// are read here, and the city, SystemConfig and demand model are made here,
+// so the same flags give either tool the same city and demand; both train
+// their systems on the historical trips drawn on Rng(HistorySeed(flags)).
 #ifndef MTSHARE_TOOLS_TOOL_SYSTEM_H_
 #define MTSHARE_TOOLS_TOOL_SYSTEM_H_
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -77,23 +76,24 @@ inline SharedFlags ReadSharedFlags(FlagArgs& args, bool* ok) {
   return f;
 }
 
-/// The city, demand model and system of one tool run. BuildToolSystem
-/// fills it in place: the demand model and the system keep references to
-/// `network`.
-struct ToolSystem {
+/// The seed of the Rng that draws the historical trips both tools train
+/// on: mtshare_sim's ScenarioOptions::seed, whose scenario draws them
+/// first, and the Rng mtshare_serve draws them on alone.
+inline uint64_t HistorySeed(const SharedFlags& f) { return f.seed + 2; }
+
+/// The city and demand model of one tool run. BuildToolCity fills it in
+/// place: the demand model, and the system the tool builds on it, keep
+/// references to `network`.
+struct ToolCity {
   RoadNetwork network;
   std::optional<DemandModel> demand;
-  std::unique_ptr<MTShareSystem> system;
 };
 
 /// Checks the config, loads the --network city (its largest strongly
-/// connected component) or generates one, and creates the system on
-/// `historical_trips` trips drawn from the window's demand model on
-/// Rng(seed + 2). A scenario with ScenarioOptions::seed = seed + 2 draws
-/// the same trips first. Returns 0, or the exit code after a diagnostic:
-/// 2 for a bad configuration, 1 for an unreadable network file.
-inline int BuildToolSystem(const SharedFlags& f, int32_t historical_trips,
-                           ToolSystem* out) {
+/// connected component) or generates one, and makes the window's demand
+/// model. Returns 0, or the exit code after a diagnostic: 2 for a bad
+/// configuration, 1 for an unreadable network file.
+inline int BuildToolCity(const SharedFlags& f, ToolCity* out) {
   Status valid = f.config.Validate();
   if (!valid.ok()) {
     std::fprintf(stderr, "bad configuration: %s\n", valid.ToString().c_str());
@@ -115,17 +115,6 @@ inline int BuildToolSystem(const SharedFlags& f, int32_t historical_trips,
   dopt.day = f.peak ? DayType::kWorkday : DayType::kWeekend;
   dopt.seed = f.seed + 1;
   out->demand.emplace(out->network, dopt);
-  Rng history_rng(f.seed + 2);
-  auto system = MTShareSystem::Create(
-      out->network,
-      OdPairsOf(GenerateHistoricalTrips(*out->demand, historical_trips,
-                                        history_rng)),
-      f.config);
-  if (!system.ok()) {
-    std::fprintf(stderr, "system: %s\n", system.status().ToString().c_str());
-    return 2;
-  }
-  out->system = std::move(system).value();
   return 0;
 }
 
