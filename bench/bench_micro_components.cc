@@ -1,6 +1,7 @@
 // Micro-benchmarks of the performance-critical components (google-benchmark):
 // shortest-path engines (plain vs partition-filtered vs oracle-cached),
-// exact-table row fills (PHAST vs Dijkstra), committed shortest-path legs
+// exact-table row fills (PHAST vs Dijkstra), insertion-leg priming on
+// either oracle backend, committed shortest-path legs
 // (row walk vs Dijkstra), probabilistic routing
 // (Algorithm 4), request insertion (exhaustive vs DP), k-means, mobility
 // clustering, and the candidate indexes. These quantify
@@ -23,6 +24,8 @@
 #include "mobility/mobility_clustering.h"
 #include "mobility/transition_model.h"
 #include "partition/bipartite_partitioner.h"
+#include "routing/last_stop_buckets.h"
+#include "routing/one_to_many.h"
 #include "routing/upward_search.h"
 #include "sched/route_planner.h"
 #include "sim/engine.h"
@@ -75,11 +78,9 @@ void BM_OracleCost(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleCost);
 
-// Head-to-head of the two oracle backends on the dispatch-batch shape:
-// one cold-ish point query plus one CostFans call of 8 fans over the same
-// 16 targets per iteration. Exact amortizes to table lookups, CH pays two
-// upward sweeps per point query and |fans| + |distinct targets| sweeps per
-// call.
+// Head-to-head of the two oracle backends on cold-ish point queries:
+// exact amortizes to table lookups (a miss fills a row), the CH pays two
+// upward searches per query.
 void BM_OracleBackends(benchmark::State& state) {
   OracleOptions oopt;
   oopt.backend = static_cast<OracleBackend>(state.range(0));
@@ -87,25 +88,57 @@ void BM_OracleBackends(benchmark::State& state) {
   std::unique_ptr<DistanceOracle>& oracle = oracles[state.range(0)];
   if (!oracle) oracle = std::make_unique<DistanceOracle>(Net(), oopt);
   Rng rng(23);
-  std::vector<VertexId> targets;
-  std::vector<CostFan> fans;
-  std::vector<Seconds> out;
   for (auto _ : state) {
     auto [a, b] = RandomPair(rng);
     benchmark::DoNotOptimize(oracle->Cost(a, b));
-    fans.clear();
-    targets.clear();
-    for (int i = 0; i < 8; ++i) fans.push_back({RandomPair(rng).first, {}});
-    for (int i = 0; i < 16; ++i) targets.push_back(RandomPair(rng).second);
-    for (CostFan& fan : fans) fan.targets = targets;
-    oracle->CostFans(fans, &out);
-    benchmark::DoNotOptimize(out.data());
   }
   state.SetLabel(OracleBackendName(oracle->backend()));
 }
 BENCHMARK(BM_OracleBackends)
     ->Arg(int(OracleBackend::kExact))
     ->Arg(int(OracleBackend::kCh));
+
+// One request's insertion priming (InsertionCostBatch Begin, AddCandidate
+// per candidate, Prime) over a fixed, seeded set of 48 taxis: random
+// locations, a sixth of them with a four-stop schedule and a third with a
+// two-stop one, against one of 64 seeded requests per iteration. The
+// exact table reads rows, which the first iterations fill; the CH meets
+// the request's four endpoint searches with the taxis' labels, which the
+// first iteration's flushes compute and later ones reuse.
+void BM_PrimeInsertion(benchmark::State& state, OracleBackend backend) {
+  OracleOptions oopt;
+  oopt.backend = backend;
+  static std::map<OracleBackend, std::unique_ptr<DistanceOracle>> oracles;
+  std::unique_ptr<DistanceOracle>& oracle = oracles[backend];
+  if (!oracle) oracle = std::make_unique<DistanceOracle>(Net(), oopt);
+  constexpr int32_t kTaxis = 48;
+  Rng rng(41);
+  std::vector<std::vector<VertexId>> walks(kTaxis);
+  for (TaxiId id = 0; id < kTaxis; ++id) {
+    const int stops = id % 6 == 0 ? 4 : id % 3 == 0 ? 2 : 0;
+    for (int k = 0; k <= stops; ++k) {
+      walks[id].push_back(RandomPair(rng).first);
+    }
+  }
+  std::vector<std::pair<VertexId, VertexId>> requests(64);
+  for (auto& request : requests) request = RandomPair(rng);
+  std::unique_ptr<LastStopBuckets> store;
+  if (backend == OracleBackend::kCh) {
+    store = std::make_unique<LastStopBuckets>(*oracle->ch(), kTaxis);
+  }
+  InsertionCostBatch batch(Net(), oracle.get());
+  size_t next = 0;
+  for (auto _ : state) {
+    const auto [origin, destination] = requests[next++ % requests.size()];
+    batch.Begin(origin, destination, store.get());
+    for (TaxiId id = 0; id < kTaxis; ++id) batch.AddCandidate(id, walks[id]);
+    batch.Prime();
+    benchmark::DoNotOptimize(batch.Cost(walks[0][0], origin));
+  }
+  state.SetLabel(OracleBackendName(oracle->backend()));
+}
+BENCHMARK_CAPTURE(BM_PrimeInsertion, exact, OracleBackend::kExact);
+BENCHMARK_CAPTURE(BM_PrimeInsertion, ch, OracleBackend::kCh);
 
 // Perfbench's exact city (64x64, seed 20200961, 4093 vertices) and its
 // hierarchy.

@@ -182,8 +182,9 @@ struct ScenarioSystem {
 /// on Rng(options.seed), builds the system on it with MTShareSystem::Create,
 /// then draws the window's requests from the same Rng, priced on the
 /// system's oracle. The scenario equals MakeScenario's on an oracle with
-/// config.oracle's settings, bit for bit. Returns Create's status on a bad
-/// config; `network` must outlive the system.
+/// config.oracle's settings, bit for bit. Returns options.Validate()'s
+/// status on bad scenario options, before building anything, and Create's
+/// on a bad config; `network` must outlive the system.
 Result<ScenarioSystem> CreateScenarioSystem(const RoadNetwork& network,
                                             const DemandModel& demand,
                                             const ScenarioOptions& options,

@@ -6,6 +6,24 @@
 
 namespace mtshare {
 
+Status ScenarioOptions::Validate() const {
+  if (!(t_begin < t_end)) {
+    return Status::InvalidArgument("scenario window must have t_begin < t_end");
+  }
+  if (num_requests < 0 || num_historical_trips < 0) {
+    return Status::InvalidArgument(
+        "request and historical trip counts must be non-negative");
+  }
+  if (!(rho > 1.0)) {
+    return Status::InvalidArgument(
+        "rho must exceed 1.0 (deadline above direct travel time)");
+  }
+  if (!(offline_fraction >= 0.0 && offline_fraction <= 1.0)) {
+    return Status::InvalidArgument("offline fraction must lie in [0, 1]");
+  }
+  return Status::OK();
+}
+
 std::vector<Trip> GenerateHistoricalTrips(const DemandModel& demand,
                                           int32_t num_trips, Rng& rng) {
   return demand.GenerateTrips(0.0, 86400.0, num_trips, rng);
@@ -62,9 +80,7 @@ std::vector<RideRequest> DrawWindowRequests(const DemandModel& demand,
                                             DistanceOracle& oracle,
                                             const ScenarioOptions& options,
                                             Rng& rng) {
-  MTSHARE_CHECK(options.rho > 1.0);
-  MTSHARE_CHECK(options.offline_fraction >= 0.0 &&
-                options.offline_fraction <= 1.0);
+  MTSHARE_CHECK(options.Validate().ok());
   std::vector<Trip> trips =
       demand.GenerateTrips(options.t_begin, options.t_end,
                            options.num_requests, rng);

@@ -5,6 +5,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/status.h"
 #include "demand/demand_model.h"
 #include "demand/request.h"
 #include "demand/trip.h"
@@ -33,6 +34,11 @@ struct ScenarioOptions {
   /// of the taxi data" in Sec. V-A1).
   int32_t num_historical_trips = 40000;
   uint64_t seed = 29;
+
+  /// InvalidArgument unless the window is non-empty (t_begin < t_end),
+  /// both counts are non-negative, rho > 1 and offline_fraction lies in
+  /// [0, 1]: everything DrawWindowRequests assumes.
+  Status Validate() const;
 };
 
 /// A fully materialized scenario: the request stream the dispatcher will
@@ -74,7 +80,8 @@ std::optional<RideRequest> MaterializeRequest(Trip trip,
 /// share: options.num_requests trips drawn from `rng` over [t_begin, t_end)
 /// and each made a request by MaterializeRequest on `oracle`. A trip whose
 /// redraws all fail is dropped; ids are dense from 0 in release order.
-/// Dies on rho <= 1 or an offline fraction outside [0, 1].
+/// Dies on options that fail Validate() (CreateScenarioSystem returns the
+/// error instead).
 std::vector<RideRequest> DrawWindowRequests(const DemandModel& demand,
                                             DistanceOracle& oracle,
                                             const ScenarioOptions& options,

@@ -25,30 +25,40 @@ LegCostFn Dispatcher::BatchedCost() {
   return [this](VertexId a, VertexId b) { return batch_.Cost(a, b); };
 }
 
-void Dispatcher::RegisterCandidateStops(const TaxiState& t) {
+std::span<const VertexId> Dispatcher::Walk(const TaxiState& t) {
   batch_walk_buf_.clear();
   batch_walk_buf_.push_back(t.location);
   for (const ScheduleEvent& e : t.schedule.events()) {
     batch_walk_buf_.push_back(e.vertex);
   }
-  batch_.AddCandidate(batch_walk_buf_);
+  return batch_walk_buf_;
 }
 
-void Dispatcher::SweepPickupReach(const RideRequest& r, Seconds now) {
-  // The backend, not the hierarchy every oracle owns, picks the
-  // reachability source (DESIGN.md §14). The store is built here, so a
-  // scheme that never sweeps (pGreedyDP) holds none. A new store marks
-  // every taxi dirty, so its first flush deposits the whole fleet.
-  if (oracle_->backend() != OracleBackend::kCh) return;
+void Dispatcher::RegisterCandidateStops(const TaxiState& t) {
+  batch_.AddCandidate(t.id, Walk(t));
+}
+
+LastStopBuckets* Dispatcher::ChBuckets() {
+  // The backend, not the hierarchy every oracle owns, picks the source of
+  // pickup reachability and of insertion legs (DESIGN.md §14). A new store
+  // marks every taxi dirty, so its first flush deposits and labels the
+  // whole fleet.
+  if (oracle_->backend() != OracleBackend::kCh) return nullptr;
   if (buckets_ == nullptr) {
     buckets_ = std::make_unique<LastStopBuckets>(
         *oracle_->ch(), static_cast<int32_t>(fleet_->size()));
   }
-  // Anchors are read straight off the fleet, exactly as the table probes
+  return buckets_.get();
+}
+
+void Dispatcher::SweepPickupReach(const RideRequest& r, Seconds now) {
+  LastStopBuckets* buckets = ChBuckets();
+  if (buckets == nullptr) return;
+  // Walks are read straight off the fleet, exactly as the table probes
   // do; every engine notification re-dirties its taxi, so the flush sees
-  // the moved location.
-  buckets_->FlushDirty([this](TaxiId id) { return taxi(id).location; });
-  buckets_->Sweep(r.origin, r.PickupDeadline() - now);
+  // the moved location and the changed schedule.
+  buckets->FlushDirty([this](TaxiId id) { return Walk(taxi(id)); });
+  buckets->Sweep(r.origin, r.PickupDeadline() - now);
 }
 
 bool Dispatcher::ReachesPickup(TaxiId id, const RideRequest& r, Seconds now) {
@@ -208,7 +218,7 @@ Dispatcher::CandidateEval Dispatcher::EvaluateCandidates(
   }
   // Prime every leg the insertion walks can request with one-to-many
   // passes before any DP runs; the DPs then read the primed table.
-  batch_.Begin(request.origin, request.destination);
+  batch_.Begin(request.origin, request.destination, ChBuckets());
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (!eval_skip_[i]) RegisterCandidateStops(taxi(candidates[i]));
   }

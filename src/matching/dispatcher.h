@@ -80,9 +80,9 @@ class Dispatcher {
   /// The dispatcher reads and never mutates the fleet; the engine applies
   /// outcomes. `landmarks` (which must outlive the dispatcher) arms the
   /// admissible lower-bound prunes for every scheme. On a CH-backed oracle
-  /// the first SweepPickupReach builds a last-stop bucket store over the
-  /// oracle's hierarchy, which answers pickup reachability (DESIGN.md
-  /// §14).
+  /// the first sweep or insertion prime builds a last-stop bucket store
+  /// over the oracle's hierarchy, which answers pickup reachability and
+  /// holds the labels insertion legs are priced from (DESIGN.md §14).
   Dispatcher(const RoadNetwork& network, DistanceOracle* oracle,
              std::vector<TaxiState>* fleet, const MatchingConfig& config,
              const LandmarkGraph& landmarks);
@@ -97,9 +97,10 @@ class Dispatcher {
                                    Seconds now) = 0;
 
   /// Engine notifications, one per taxi event. Each marks the taxi's
-  /// last-stop bucket entries dirty (O(1) and idempotent; the next sweep
-  /// re-deposits only taxis whose anchor moved, and the exact table keeps
-  /// no buckets), then calls the scheme's index hook below.
+  /// last-stop bucket entries dirty (O(1) and idempotent; the next flush
+  /// re-deposits only taxis whose anchor moved and labels only new stops,
+  /// and the exact table keeps no buckets), then calls the scheme's index
+  /// hook below.
   ///
   /// The taxi advanced along its route from position `from_pos` through
   /// `to_pos` (to_pos can trail the taxi's current route_pos when the
@@ -162,18 +163,24 @@ class Dispatcher {
   const PhaseTimers& phase_timers() const { return phase_timers_; }
 
   /// The bucket store (null on the exact table and before the first
-  /// sweep) — test/diagnostic access.
+  /// sweep or prime) — test/diagnostic access.
   const LastStopBuckets* buckets() const { return buckets_.get(); }
 
-  /// Batched-routing counters for Metrics / the run report.
+  /// Batched-routing counters for Metrics / the run report. The oracle's
+  /// point-query share of ch_upward_settled is added by the system.
   BatchRoutingStats routing_stats() const {
     BatchRoutingStats s = batch_.stats();
     s.lb_pruned = lb_pruned_;
     s.reach_probes = reach_probes_;
-    s.bucket_search = buckets_ != nullptr;
     if (buckets_ != nullptr) {
-      s.bucket_candidates = buckets_->stats().found;
-      s.bucket_maintenance_ms = buckets_->stats().maintenance_ms;
+      const LastStopBucketStats& b = buckets_->stats();
+      // Sweeps, not the store's existence, say whether buckets answered
+      // reachability: pGreedyDP builds a store for its labels only.
+      s.bucket_search = b.sweeps > 0;
+      s.bucket_candidates = b.found;
+      s.bucket_maintenance_ms = b.maintenance_ms;
+      s.ch_upward_settled += b.label_settled;
+      s.ch_bucket_entries = b.label_entries;
     }
     s.slots_screened = slots_screened_;
     s.ellipse_pruned = ellipse_pruned_;
@@ -219,6 +226,9 @@ class Dispatcher {
   /// Registers `t`'s insertion stop walk (location + schedule stops) with
   /// the batch; call batch_.Prime() once all candidates are registered.
   void RegisterCandidateStops(const TaxiState& t);
+  /// The bucket store on a CH oracle, built on first use; null on the
+  /// exact table. Pass it to every batch_.Begin().
+  LastStopBuckets* ChBuckets();
   /// True (and counted) when the landmark lower bound proves the taxi
   /// cannot reach the request origin by the pickup deadline. The bound
   /// never exceeds the true cost, so the prune saves work without moving a
@@ -231,11 +241,11 @@ class Dispatcher {
 
   /// Prepares ReachesPickup for `r` (refinement rule 3, DESIGN.md §14).
   /// On a CH-backed oracle: builds the bucket store on first use, flushes
-  /// dirty bucket entries (that is where maintenance time is paid) and
-  /// runs one backward sweep from the pickup over every taxi within
-  /// pickup_deadline - now. On the exact table a probe is one row read, so
-  /// there is nothing to prepare. Call it inside the kCandidateSearch
-  /// timer, before the first ReachesPickup of `r`.
+  /// dirty deposits and stop labels (that is where maintenance time is
+  /// paid) and runs one backward sweep from the pickup over every taxi
+  /// within pickup_deadline - now. On the exact table a probe is one row
+  /// read, so there is nothing to prepare. Call it inside the
+  /// kCandidateSearch timer, before the first ReachesPickup of `r`.
   void SweepPickupReach(const RideRequest& r, Seconds now);
   /// Whether taxi `id` reaches `r`'s pickup by its deadline. On a CH this
   /// reads the swept distance, which equals oracle_->Cost(location,
@@ -279,7 +289,7 @@ class Dispatcher {
   int64_t lb_pruned_ = 0;
   int64_t reach_probes_ = 0;
   /// Last-stop bucket store over the oracle's hierarchy (null on the
-  /// exact table and until the first SweepPickupReach).
+  /// exact table and until the first ChBuckets()).
   std::unique_ptr<LastStopBuckets> buckets_;
   /// Detour-ellipse screen counters (run-report routing section).
   int64_t slots_screened_ = 0;
@@ -302,6 +312,8 @@ class Dispatcher {
   void MarkBucketsDirty(TaxiId taxi) {
     if (buckets_ != nullptr) buckets_->MarkDirty(taxi);
   }
+  /// `t`'s location followed by its schedule stops, in batch_walk_buf_.
+  std::span<const VertexId> Walk(const TaxiState& t);
   /// Materializes an unrestricted shortest-path route for a schedule.
   RoutePlanner::PlannedRoute PlanShortestRoute(VertexId start,
                                                Seconds start_time,

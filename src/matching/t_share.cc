@@ -72,7 +72,7 @@ DispatchOutcome TShareDispatcher::Dispatch(const RideRequest& request,
   // would do strictly more work than the early exit. Leg costs are
   // therefore primed incrementally, one candidate per Prime(), so the
   // early exit keeps its win.
-  batch_.Begin(request.origin, request.destination);
+  batch_.Begin(request.origin, request.destination, ChBuckets());
   for (int32_t id : candidates) {
     const TaxiState& t = taxi(id);
     ++outcome.candidates;

@@ -2,17 +2,10 @@
 
 #include <algorithm>
 
-#include "common/epoch.h"
-
 namespace mtshare {
 
-ChQuery::ChQuery(const ContractionHierarchy& ch) : forward_(ch), backward_(ch) {
-  const int32_t n = ch.num_vertices();
-  buckets_.resize(n);
-  bucket_epoch_.assign(n, 0);
-  target_slot_.assign(n, 0);
-  target_slot_epoch_.assign(n, 0);
-}
+ChQuery::ChQuery(const ContractionHierarchy& ch)
+    : forward_(ch), backward_(ch) {}
 
 Seconds ChQuery::Cost(VertexId source, VertexId target) {
   ++stats_.point_queries;
@@ -42,73 +35,8 @@ Seconds ChQuery::Cost(VertexId source, VertexId target) {
   return best;
 }
 
-void ChQuery::BuildBuckets(std::span<const CostFan> fans) {
-  NextEpoch(bucket_epoch_id_, bucket_epoch_, target_slot_epoch_);
-  num_slots_ = 0;
-  for (const CostFan& fan : fans) {
-    for (VertexId t : fan.targets) {
-      // A repeated target reads its first occurrence's slot.
-      if (target_slot_epoch_[t] == bucket_epoch_id_) continue;
-      target_slot_epoch_[t] = bucket_epoch_id_;
-      const int32_t slot = num_slots_++;
-      target_slot_[t] = slot;
-
-      // Backward upward search from t: every settled vertex v can reach t
-      // along a down-path of cost `dist`; deposit that into v's bucket.
-      backward_.Run(t, UpwardSearch::kBackward, kInfiniteCost,
-                    [&](VertexId v, Seconds dist) {
-                      ++stats_.upward_settled;
-                      if (bucket_epoch_[v] != bucket_epoch_id_) {
-                        bucket_epoch_[v] = bucket_epoch_id_;
-                        buckets_[v].clear();
-                      }
-                      buckets_[v].push_back({slot, dist});
-                      ++stats_.bucket_entries;
-                      return true;
-                    });
-    }
-  }
-}
-
-void ChQuery::SourceToBuckets(VertexId source) {
-  row_buf_.assign(num_slots_, kInfiniteCost);
-  forward_.Run(source, UpwardSearch::kForward, kInfiniteCost,
-               [&](VertexId v, Seconds dist) {
-                 ++stats_.upward_settled;
-                 if (bucket_epoch_[v] != bucket_epoch_id_) return true;
-                 for (const BucketEntry& entry : buckets_[v]) {
-                   // Exact dyadic costs make this sum exact, so the minimum
-                   // over meeting vertices is the true shortest distance
-                   // bit-for-bit.
-                   Seconds cand = dist + entry.cost;
-                   if (cand < row_buf_[entry.slot]) row_buf_[entry.slot] = cand;
-                 }
-                 return true;
-               });
-}
-
-void ChQuery::CostFans(std::span<const CostFan> fans,
-                       std::vector<Seconds>* out) {
-  ++stats_.bucket_queries;
-  BuildBuckets(fans);
-  out->clear();
-  for (const CostFan& fan : fans) {
-    SourceToBuckets(fan.source);
-    for (VertexId t : fan.targets) out->push_back(row_buf_[target_slot_[t]]);
-  }
-}
-
 size_t ChQuery::MemoryBytes() const {
-  size_t bucket_bytes = 0;
-  for (const std::vector<BucketEntry>& bucket : buckets_) {
-    bucket_bytes += bucket.capacity() * sizeof(BucketEntry);
-  }
-  return forward_.MemoryBytes() + backward_.MemoryBytes() + bucket_bytes +
-         buckets_.size() * sizeof(std::vector<BucketEntry>) +
-         row_buf_.capacity() * sizeof(Seconds) +
-         (bucket_epoch_.size() + target_slot_.size() +
-          target_slot_epoch_.size()) *
-             sizeof(uint32_t);
+  return forward_.MemoryBytes() + backward_.MemoryBytes();
 }
 
 }  // namespace mtshare

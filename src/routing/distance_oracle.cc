@@ -77,9 +77,7 @@ void DistanceOracle::ReturnChEngine(std::unique_ptr<ChQuery> engine) {
   const ChQueryStats& s = engine->stats();
   std::lock_guard<std::mutex> lock(ch_pool_mutex_);
   ch_stats_total_.point_queries += s.point_queries;
-  ch_stats_total_.bucket_queries += s.bucket_queries;
   ch_stats_total_.upward_settled += s.upward_settled;
-  ch_stats_total_.bucket_entries += s.bucket_entries;
   ch_engine_bytes_max_ = std::max(ch_engine_bytes_max_, engine->MemoryBytes());
   engine->ResetStats();
   ch_pool_.push_back(std::move(engine));
@@ -142,17 +140,23 @@ void DistanceOracle::CostFans(std::span<const CostFan> fans,
   queries_.fetch_add(static_cast<int64_t>(fans.size()),
                      std::memory_order_relaxed);
   batch_queries_.fetch_add(1, std::memory_order_relaxed);
-  // A row's own source entry is 0.0 and a CH bucket sweep meets a
-  // same-vertex target at distance 0, so no special case is needed to stay
+  // A row's own source entry is 0.0 and a CH point query answers a
+  // same-vertex pair with 0, so no special case is needed to stay
   // bit-identical to Cost().
+  out->clear();
   if (backend_ == OracleBackend::kCh) {
+    // Pair by pair on one engine: insertion priming meets stored labels
+    // instead, so no hot path batches CH queries here.
     std::unique_ptr<ChQuery> engine = BorrowChEngine();
-    engine->CostFans(fans, out);
+    for (const CostFan& fan : fans) {
+      for (VertexId t : fan.targets) {
+        out->push_back(engine->Cost(fan.source, t));
+      }
+    }
     ReturnChEngine(std::move(engine));
     return;
   }
   // Exact: one row pass per fan.
-  out->clear();
   for (const CostFan& fan : fans) {
     const std::vector<Seconds>& row = ExactRow(fan.source);
     for (VertexId t : fan.targets) out->push_back(row[t]);

@@ -74,10 +74,8 @@ class DistanceOracle {
   /// The batch query: `out` becomes each fan's costs in turn, aligned with
   /// that fan's targets (targets may repeat within and across fans). Exact
   /// mode reads one row per fan, so a fan is one row hit/miss tick however
-  /// many targets it serves. CH mode builds buckets once over the call's
-  /// distinct targets and sweeps once per fan, so every fan's source also
-  /// scans the buckets of the other fans' targets: group fans whose
-  /// targets overlap into one call. Counts |fans| queries and one
+  /// many targets it serves. CH mode answers the fans pair by pair with
+  /// point queries on one engine. Counts |fans| queries and one
   /// batch_queries tick. Each value is bit-identical to Cost() for the
   /// same pair. Safe to call from any thread.
   void CostFans(std::span<const CostFan> fans, std::vector<Seconds>* out);

@@ -1,5 +1,7 @@
 #include "routing/last_stop_buckets.h"
 
+#include <algorithm>
+
 #include "common/epoch.h"
 #include "common/logging.h"
 #include "common/timer.h"
@@ -12,6 +14,7 @@ LastStopBuckets::LastStopBuckets(const ContractionHierarchy& ch,
   MTSHARE_CHECK(num_taxis >= 0);
   buckets_.resize(ch.num_vertices());
   handles_.resize(num_taxis);
+  stops_.resize(num_taxis);
   anchor_.assign(num_taxis, kInvalidVertex);
   dirty_.assign(num_taxis, 1);  // everything deposits on the first flush
   swept_dist_.assign(num_taxis, 0.0);
@@ -32,41 +35,89 @@ void LastStopBuckets::RemoveDeposits(TaxiId id) {
       handles_[moved.taxi][moved.slot].pos = pos;
     }
   }
-  live_entries_ -= static_cast<int64_t>(handles_[id].size());
   handles_[id].clear();
 }
 
 void LastStopBuckets::Deposit(TaxiId id, VertexId anchor) {
   // Forward upward search from the anchor, run to exhaustion — the same
   // search ChQuery::Cost runs from its source, so every settled vertex v
-  // carries the exact minimal upward-path cost anchor -> v.
+  // carries the exact minimal upward-path cost anchor -> v. Stalled
+  // vertices are settled (their arcs still relax) but not deposited.
   std::vector<Handle>& handles = handles_[id];
   search_.Run(anchor, UpwardSearch::kForward, kInfiniteCost,
               [&](VertexId v, Seconds dist) {
                 ++stats_.deposit_settled;
+                if (search_.Stalled(v, dist, UpwardSearch::kForward)) {
+                  return true;
+                }
                 buckets_[v].push_back(
-                    {id, dist, static_cast<uint32_t>(handles.size())});
+                    {dist, id, static_cast<uint32_t>(handles.size())});
                 handles.push_back(
                     {v, static_cast<uint32_t>(buckets_[v].size() - 1)});
                 return true;
               });
-  live_entries_ += static_cast<int64_t>(handles.size());
   anchor_[id] = anchor;
 }
 
-void LastStopBuckets::FlushDirty(
-    const std::function<VertexId(TaxiId)>& anchor_of) {
+UpwardLabel LastStopBuckets::Label(VertexId source,
+                                   UpwardSearch::Direction direction) {
+  label_buf_.vertices.clear();
+  label_buf_.costs.clear();
+  search_.Run(source, direction, kInfiniteCost, [&](VertexId v, Seconds d) {
+    ++stats_.label_settled;
+    if (!search_.Stalled(v, d, direction)) {
+      label_buf_.vertices.push_back(v);
+      label_buf_.costs.push_back(d);
+    }
+    return true;
+  });
+  stats_.label_entries += static_cast<int64_t>(label_buf_.size());
+  // Copies sized exactly: held labels never grow.
+  return UpwardLabel{
+      std::vector<VertexId>(label_buf_.vertices.begin(),
+                            label_buf_.vertices.end()),
+      std::vector<Seconds>(label_buf_.costs.begin(), label_buf_.costs.end())};
+}
+
+void LastStopBuckets::SyncStops(TaxiId id, std::span<const VertexId> stops) {
+  // held[0, i) matches stops[0, i). A held label found further on is
+  // reused and the stale labels before it (executed stops) are dropped;
+  // a stop with no held label ahead is new and is labelled in place.
+  std::vector<StopLabels>& held = stops_[id];
+  for (size_t i = 0; i < stops.size(); ++i) {
+    size_t k = i;
+    while (k < held.size() && held[k].vertex != stops[i]) ++k;
+    if (k < held.size()) {
+      held.erase(held.begin() + i, held.begin() + k);
+      continue;
+    }
+    held.insert(held.begin() + i,
+                StopLabels{stops[i], Label(stops[i], UpwardSearch::kForward),
+                           Label(stops[i], UpwardSearch::kBackward)});
+  }
+  held.resize(stops.size());
+}
+
+void LastStopBuckets::Flush(TaxiId id, std::span<const VertexId> walk) {
+  MTSHARE_CHECK(!walk.empty());
+  if (!dirty_[id]) return;
+  dirty_[id] = 0;
+  const VertexId anchor = walk.front();
+  if (anchor != anchor_[id]) {  // an unmoved taxi keeps its deposits
+    RemoveDeposits(id);
+    Deposit(id, anchor);
+    ++stats_.updates;
+  }
+  SyncStops(id, walk.subspan(1));
+}
+
+void LastStopBuckets::FlushDirty(const WalkFn& walk_of) {
   WallTimer timer;
   bool any = false;
   for (TaxiId id = 0; id < num_taxis(); ++id) {
     if (!dirty_[id]) continue;
     any = true;
-    dirty_[id] = 0;
-    VertexId anchor = anchor_of(id);
-    if (anchor == anchor_[id]) continue;  // moved and returned: still valid
-    RemoveDeposits(id);
-    Deposit(id, anchor);
-    ++stats_.updates;
+    Flush(id, walk_of(id));
   }
   if (any) stats_.maintenance_ms += timer.ElapsedMillis();
 }
@@ -83,7 +134,7 @@ void LastStopBuckets::Sweep(VertexId origin, Seconds budget) {
   // deposit.dist + dist is an exact up-down path anchor -> origin. The run
   // settles every vertex with final distance <= cutoff — including the
   // meeting vertex realizing the true distance of every taxi within
-  // budget.
+  // budget, whose deposit the stall test keeps.
   search_.Run(origin, UpwardSearch::kBackward, cutoff,
               [&](VertexId v, Seconds dist) {
                 ++stats_.sweep_settled;
@@ -103,20 +154,47 @@ void LastStopBuckets::Sweep(VertexId origin, Seconds budget) {
   stats_.found += static_cast<int64_t>(found_.size());
 }
 
+Seconds LastStopBuckets::FromAnchor(TaxiId id,
+                                    const UpwardSearch& into) const {
+  Seconds best = kInfiniteCost;
+  for (const Handle& h : handles_[id]) {
+    if (!into.Reached(h.vertex)) continue;
+    best = std::min(best,
+                    buckets_[h.vertex][h.pos].dist + into.Distance(h.vertex));
+  }
+  return best;
+}
+
+UpwardLabel LastStopBuckets::AnchorLabel(TaxiId id) const {
+  UpwardLabel label;
+  for (const Handle& h : handles_[id]) {
+    label.vertices.push_back(h.vertex);
+    label.costs.push_back(buckets_[h.vertex][h.pos].dist);
+  }
+  return label;
+}
+
 size_t LastStopBuckets::MemoryBytes() const {
   size_t bytes = buckets_.size() * sizeof(std::vector<BucketEntry>) +
-                 handles_.size() * sizeof(std::vector<Handle>);
+                 handles_.size() * sizeof(std::vector<Handle>) +
+                 stops_.size() * sizeof(std::vector<StopLabels>);
   for (const auto& bucket : buckets_) {
     bytes += bucket.capacity() * sizeof(BucketEntry);
   }
   for (const auto& handles : handles_) {
     bytes += handles.capacity() * sizeof(Handle);
   }
+  for (const auto& held : stops_) {
+    bytes += held.capacity() * sizeof(StopLabels);
+    for (const StopLabels& s : held) {
+      bytes += s.out.MemoryBytes() + s.in.MemoryBytes();
+    }
+  }
   bytes += (anchor_.size() + found_.capacity()) * sizeof(VertexId);
   bytes += dirty_.size() * sizeof(uint8_t);
   bytes += swept_dist_.size() * sizeof(Seconds);
   bytes += swept_epoch_.size() * sizeof(uint32_t);
-  return bytes + search_.MemoryBytes();
+  return bytes + search_.MemoryBytes() + label_buf_.MemoryBytes();
 }
 
 }  // namespace mtshare

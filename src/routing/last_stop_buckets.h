@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "routing/contraction_hierarchy.h"
@@ -11,7 +12,8 @@
 namespace mtshare {
 
 /// Work counters of one bucket store since construction, harvested into
-/// Metrics::routing (bucket_candidates / bucket_maintenance_ms).
+/// Metrics::routing (bucket_candidates / bucket_maintenance_ms and the
+/// ch_* label counters).
 struct LastStopBucketStats {
   /// Taxi anchor rebuilds (one forward upward search each).
   int64_t updates = 0;
@@ -24,32 +26,59 @@ struct LastStopBucketStats {
   int64_t sweep_settled = 0;
   /// Vertices settled while depositing anchors.
   int64_t deposit_settled = 0;
-  /// Wall-clock milliseconds spent in FlushDirty (incremental bucket
-  /// maintenance — the cost per-taxi probes do not pay).
+  /// Vertices settled by stop-label searches (two per labelled stop).
+  int64_t label_settled = 0;
+  /// Entries stored in stop labels, after the stall test.
+  int64_t label_entries = 0;
+  /// Wall-clock milliseconds spent in FlushDirty (incremental upkeep of
+  /// deposits and stop labels — the cost per-taxi probes do not pay).
   double maintenance_ms = 0.0;
 };
 
-/// Per-vehicle CH bucket entries, the candidate-search substrate of KaRRi
-/// (Laupichler & Sanders, arXiv:2311.01581): each taxi deposits
-/// `(taxi, dist)` entries over the upward search space of its anchor
-/// vertex (a forward UpwardSearch run), so "which taxis can reach vertex o
-/// within budget b" becomes ONE backward run from o, cut off at the
-/// budget, instead of one point query per taxi.
+/// One scheduled stop's stored upward search spaces, both stall-pruned:
+/// `out` from the stop (forward), `in` into it (backward).
+struct StopLabels {
+  VertexId vertex = kInvalidVertex;
+  UpwardLabel out;
+  UpwardLabel in;
+};
+
+/// Per-vehicle CH search spaces, the substrate of KaRRi (Laupichler &
+/// Sanders, arXiv:2311.01581). Each taxi keeps two kinds:
+///
+///  - Location deposits: `(taxi, dist)` entries over the upward search
+///    space of its current location (a forward UpwardSearch run), so
+///    "which taxis can reach vertex o within budget b" becomes ONE
+///    backward run from o, cut off at the budget, instead of one point
+///    query per taxi (pickup reachability). Insertion priming reads the
+///    same deposits as the taxi's location label.
+///  - Stop labels: forward and backward labels of every scheduled stop,
+///    computed once when the stop enters the taxi's schedule and kept
+///    until the taxi executes it. Insertion priming meets them with the
+///    request endpoints' searches and with each other (InsertionCostBatch).
+///
+/// Every entry is stall-pruned (UpwardSearch::Stalled): a vertex whose
+/// label a higher-ranked neighbour beats is never the top vertex of a
+/// shortest up-down path, so dropping it leaves every meet and every
+/// within-budget sweep distance exact, and keeps every taxi beyond budget
+/// out of a sweep (any partial sum is a real path length).
 ///
 /// The anchor is the taxi's *current location* — the exact vertex a
 /// per-taxi probe `oracle->Cost(t.location, origin)` reads — so swept
 /// distances are bit-identical to oracle costs (dyadic arc grid: every
-/// up-down sum is exact, see ChQuery). Anchors are maintained lazily:
+/// up-down sum is exact, see ChQuery). Entries are maintained lazily:
 /// MarkDirty is O(1) and idempotent (the engine calls it on every taxi
-/// movement/commit notification), FlushDirty re-deposits only the dirty
-/// taxis before a sweep reads the store.
+/// movement/commit notification); a flush re-deposits a dirty taxi whose
+/// location moved and labels only the stops it does not already hold
+/// (insertion keeps event order and executed events pop from the front,
+/// so held labels are matched in order).
 ///
 /// Sweeps are budget-truncated with kBudgetSlack headroom: every taxi with
 /// true distance <= budget + slack is reported with its exact distance
 /// (its witness meeting vertex settles before the cutoff); taxis beyond
-/// may be missing or carry a partial-min overestimate — both are rejected
-/// by the caller's exact `now + d <= deadline` check, exactly as a
-/// per-taxi probe rejects them. Not thread-safe; one store per dispatcher.
+/// are never reported — the caller's exact `now + d <= deadline` check
+/// rejects them, exactly as a per-taxi probe does. Not thread-safe; one
+/// store per dispatcher.
 class LastStopBuckets {
  public:
   LastStopBuckets(const ContractionHierarchy& ch, int32_t num_taxis);
@@ -58,17 +87,24 @@ class LastStopBuckets {
     return static_cast<int32_t>(handles_.size());
   }
 
-  /// Marks a taxi's deposits stale (O(1)). Safe to call for any state
-  /// change; only location changes actually move the anchor.
+  /// Marks a taxi's deposits and stop labels stale (O(1)). Safe to call
+  /// for any state change.
   void MarkDirty(TaxiId id) { dirty_[id] = 1; }
   bool dirty(TaxiId id) const { return dirty_[id] != 0; }
   /// The vertex a taxi's live deposits were made from (kInvalidVertex
   /// before the first flush).
   VertexId anchor(TaxiId id) const { return anchor_[id]; }
 
-  /// Re-deposits every dirty taxi from `anchor_of(id)` (its current
-  /// location). Call before Sweep so the store matches the fleet.
-  void FlushDirty(const std::function<VertexId(TaxiId)>& anchor_of);
+  /// A taxi's walk: its current location followed by the vertices of its
+  /// scheduled stops, in schedule order.
+  using WalkFn = std::function<std::span<const VertexId>(TaxiId)>;
+
+  /// Flushes every dirty taxi from `walk_of(id)`. Call before Sweep so the
+  /// store matches the fleet. Timed into stats().maintenance_ms.
+  void FlushDirty(const WalkFn& walk_of);
+  /// Flushes taxi `id` alone, if dirty, from its `walk`: re-deposits it
+  /// when its location moved and labels the stops it does not hold.
+  void Flush(TaxiId id, std::span<const VertexId> walk);
 
   /// Backward upward sweep from `origin` with cutoff budget + kBudgetSlack,
   /// so it settles exactly the vertices within the cutoff. Records, per
@@ -85,6 +121,17 @@ class LastStopBuckets {
                                                : kInfiniteCost;
   }
 
+  /// Cost from taxi `id`'s anchor to the source of `into`'s last run (a
+  /// backward search run to exhaustion, or a loaded backward label): the
+  /// meet of its deposits with it.
+  Seconds FromAnchor(TaxiId id, const UpwardSearch& into) const;
+  /// The stop labels taxi `id` holds, in schedule order; after a flush,
+  /// one per scheduled stop.
+  std::span<const StopLabels> stops(TaxiId id) const { return stops_[id]; }
+  /// Taxi `id`'s deposits as a location label, in deposit order (test and
+  /// diagnostic access).
+  UpwardLabel AnchorLabel(TaxiId id) const;
+
   /// Headroom added to the sweep cutoff so FP rounding in the caller's
   /// `deadline - now` budget can never hide a taxi the exact predicate
   /// would accept (rounding error is ~ulp of seconds-scale values,
@@ -97,12 +144,13 @@ class LastStopBuckets {
  private:
   /// One deposit: `taxi` reaches this vertex from its anchor at cost
   /// `dist`; `slot` back-references handles_[taxi][slot] so swap-pop
-  /// removal can fix the moved entry's handle in O(1).
+  /// removal can fix the moved entry's handle in O(1). 16 bytes.
   struct BucketEntry {
-    TaxiId taxi;
     Seconds dist;
+    TaxiId taxi;
     uint32_t slot;
   };
+  static_assert(sizeof(BucketEntry) == 16);
   /// One taxi-side handle: where deposit `slot` of this taxi lives.
   struct Handle {
     VertexId vertex;
@@ -111,15 +159,22 @@ class LastStopBuckets {
 
   void RemoveDeposits(TaxiId id);
   void Deposit(TaxiId id, VertexId anchor);
+  /// Brings taxi `id`'s stop labels in line with `stops`.
+  void SyncStops(TaxiId id, std::span<const VertexId> stops);
+  /// One stall-pruned label of `source`, sized exactly.
+  UpwardLabel Label(VertexId source, UpwardSearch::Direction direction);
 
   std::vector<std::vector<BucketEntry>> buckets_;  // per vertex, unsorted
   std::vector<std::vector<Handle>> handles_;       // per taxi
+  std::vector<std::vector<StopLabels>> stops_;     // per taxi
   std::vector<VertexId> anchor_;                   // per taxi
   std::vector<uint8_t> dirty_;                     // per taxi
-  int64_t live_entries_ = 0;
 
-  // Forward runs deposit anchors; backward runs sweep origins.
+  // Forward runs deposit anchors and label stops, backward runs label
+  // stops and sweep origins.
   UpwardSearch search_;
+  // Label() scratch: the kept entries of one run.
+  UpwardLabel label_buf_;
 
   // Per-taxi sweep results, epoch-stamped per Sweep call.
   std::vector<Seconds> swept_dist_;

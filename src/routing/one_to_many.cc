@@ -13,6 +13,9 @@ InsertionCostBatch::InsertionCostBatch(const RoadNetwork& network,
       cid_epoch_(network.num_vertices(), 0),
       cid_(network.num_vertices(), 0) {
   MTSHARE_CHECK(oracle != nullptr);
+  if (oracle->backend() == OracleBackend::kCh) {
+    endpoints_.emplace(*oracle->ch());
+  }
   Grow(64);
 }
 
@@ -55,9 +58,23 @@ void InsertionCostBatch::Store(VertexId a, VertexId b, Seconds cost) {
   }
 }
 
-void InsertionCostBatch::Begin(VertexId origin, VertexId destination) {
+bool InsertionCostBatch::Primed(VertexId a, VertexId b) const {
+  const int32_t ia = cid_[a];
+  const int32_t ib = cid_[b];
+  return ia < kDenseCap && ib < kDenseCap
+             ? matrix_[size_t(ia) * stride_ + ib] != kUnprimed
+             : overflow_.find(Key(a, b)) != overflow_.end();
+}
+
+void InsertionCostBatch::Begin(VertexId origin, VertexId destination,
+                               LastStopBuckets* store) {
+  MTSHARE_CHECK((oracle_->backend() == OracleBackend::kCh) ==
+                (store != nullptr));
   origin_ = origin;
   destination_ = destination;
+  store_ = store;
+  pending_taxis_.clear();
+  endpoints_searched_ = false;
   // Wipe only the matrix region the previous dispatch could have written.
   int32_t used = std::min<int32_t>(int32_t(cid_vertex_.size()), stride_);
   if (used > 0) {
@@ -74,20 +91,24 @@ void InsertionCostBatch::Begin(VertexId origin, VertexId destination) {
   CidFor(destination);
 }
 
-void InsertionCostBatch::AddCandidate(std::span<const VertexId> stops) {
+void InsertionCostBatch::AddCandidate(TaxiId taxi,
+                                      std::span<const VertexId> walk) {
+  if (store_ != nullptr) {
+    // The labels Prime() reads must be those of this walk.
+    store_->Flush(taxi, walk);
+    pending_taxis_.push_back(taxi);
+    return;
+  }
   int32_t prev_cid = -1;
   VertexId prev = kInvalidVertex;
-  for (VertexId v : stops) {
+  for (VertexId v : walk) {
     int32_t c = CidFor(v);
     if (!is_stop_[c]) {
       is_stop_[c] = 1;
       pending_stops_.push_back(v);
     }
     if (prev_cid >= 0 && prev != v) {
-      bool primed = prev_cid < kDenseCap && c < kDenseCap
-                        ? matrix_[size_t(prev_cid) * stride_ + c] != kUnprimed
-                        : overflow_.find(Key(prev, v)) != overflow_.end();
-      if (!primed) {
+      if (!Primed(prev, v)) {
         std::vector<VertexId>& succ = pending_succ_[prev_cid];
         if (std::find(succ.begin(), succ.end(), v) == succ.end()) {
           if (succ.empty()) pending_sources_.push_back(prev_cid);
@@ -109,13 +130,69 @@ void InsertionCostBatch::Gather(std::span<const CostFan> fans) {
   }
 }
 
+void InsertionCostBatch::PrimeFromLabels() {
+  if (pending_taxis_.empty()) return;
+  ++label_primes_;
+  EndpointSearches& e = *endpoints_;
+  if (!endpoints_searched_) {
+    endpoints_searched_ = true;
+    e.origin_out_label.vertices.clear();
+    e.origin_out_label.costs.clear();
+    e.origin_out.Run(origin_, UpwardSearch::kForward, kInfiniteCost,
+                     [&](VertexId v, Seconds d) {
+                       e.origin_out_label.vertices.push_back(v);
+                       e.origin_out_label.costs.push_back(d);
+                       return true;
+                     });
+    const auto count = [this](VertexId, Seconds) {
+      ++endpoint_settled_;
+      return true;
+    };
+    e.origin_in.Run(origin_, UpwardSearch::kBackward, kInfiniteCost, count);
+    e.dest_out.Run(destination_, UpwardSearch::kForward, kInfiniteCost, count);
+    e.dest_in.Run(destination_, UpwardSearch::kBackward, kInfiniteCost, count);
+    endpoint_settled_ += static_cast<int64_t>(e.origin_out_label.size());
+    Store(origin_, destination_, Meet(e.origin_out_label, e.dest_in));
+  }
+  for (TaxiId id : pending_taxis_) {
+    MTSHARE_CHECK(!store_->dirty(id));  // AddCandidate flushed it
+    const VertexId at = store_->anchor(id);
+    CidFor(at);
+    if (at != origin_ && !Primed(at, origin_)) {
+      Store(at, origin_, store_->FromAnchor(id, e.origin_in));
+    }
+    VertexId prev = at;
+    const UpwardLabel* prev_out = nullptr;  // null: prev is the location
+    for (const StopLabels& stop : store_->stops(id)) {
+      const VertexId s = stop.vertex;
+      const int32_t c = CidFor(s);
+      if (!is_stop_[c]) {
+        is_stop_[c] = 1;
+        Store(s, origin_, Meet(stop.out, e.origin_in));
+        Store(s, destination_, Meet(stop.out, e.dest_in));
+        Store(origin_, s, Meet(stop.in, e.origin_out));
+        Store(destination_, s, Meet(stop.in, e.dest_out));
+      }
+      if (prev != s && !Primed(prev, s)) {
+        e.loaded.Load(stop.in);
+        Store(prev, s,
+              prev_out == nullptr ? store_->FromAnchor(id, e.loaded)
+                                  : Meet(*prev_out, e.loaded));
+      }
+      prev = s;
+      prev_out = &stop.out;
+    }
+  }
+  pending_taxis_.clear();
+}
+
 void InsertionCostBatch::Prime() {
+  if (store_ != nullptr) {
+    PrimeFromLabels();
+    return;
+  }
   if (pending_stops_.empty() && pending_sources_.empty()) return;
-  // Two calls, not one: on the CH every fan of a call sweeps the buckets of
-  // all of the call's targets, so merging would have each per-stop sweep,
-  // which needs only its successors and the two endpoints, also scan the
-  // entries of every fresh stop (measured slower on peak_ch, with higher
-  // peak RSS).
+  // Exact table: every fan is one row read, the endpoint fans first.
   if (!pending_stops_.empty()) {
     // Endpoint fans over the freshly seen stops.
     origin_targets_.assign(pending_stops_.begin(), pending_stops_.end());
@@ -166,12 +243,16 @@ BatchRoutingStats InsertionCostBatch::stats() const {
   BatchRoutingStats s;
   s.batch_queries = batch_queries_;
   s.fallback_queries = fallback_queries_;
+  s.ch_bucket_queries = label_primes_;
+  s.ch_upward_settled = endpoint_settled_;
   return s;
 }
 
 void InsertionCostBatch::ResetStats() {
   batch_queries_ = 0;
   fallback_queries_ = 0;
+  label_primes_ = 0;
+  endpoint_settled_ = 0;
 }
 
 }  // namespace mtshare

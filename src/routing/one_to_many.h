@@ -2,12 +2,15 @@
 #define MTSHARE_ROUTING_ONE_TO_MANY_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "graph/road_network.h"
 #include "routing/distance_oracle.h"
+#include "routing/last_stop_buckets.h"
+#include "routing/upward_search.h"
 
 namespace mtshare {
 
@@ -15,8 +18,9 @@ namespace mtshare {
 /// and the run report ("routing" section).
 struct BatchRoutingStats {
   /// Oracle batch calls (CostFans) issued while priming insertion
-  /// batches: at most two per Prime(), one for the request endpoints' fans
-  /// and one for the per-stop fans.
+  /// batches on the exact table: at most two per Prime(), one for the
+  /// request endpoints' fans and one for the per-stop fans. Zero on the
+  /// CH, whose priming meets stored labels instead.
   int64_t batch_queries = 0;
   /// Candidate taxis skipped because the landmark lower bound proved the
   /// pickup unreachable before its deadline.
@@ -38,11 +42,15 @@ struct BatchRoutingStats {
   double ch_preprocessing_ms = 0.0;
   /// Bidirectional point queries answered by CH engines.
   int64_t ch_point_queries = 0;
-  /// Bucket-based CostFans calls (one bucket build each).
+  /// Insertion Prime() calls answered from labels (each one with work to
+  /// do; a request's first also runs its four endpoint searches).
   int64_t ch_bucket_queries = 0;
-  /// Vertices settled by CH upward searches.
+  /// Vertices settled by CH upward searches: the request endpoints'
+  /// searches, the stop-label searches and the oracle's point queries
+  /// (not the location deposits or the reachability sweeps, which
+  /// LastStopBucketStats counts).
   int64_t ch_upward_settled = 0;
-  /// Entries deposited into CH buckets while priming batches.
+  /// Entries stored in stop labels, after the stall test.
   int64_t ch_bucket_entries = 0;
 
   // --- pickup reachability (DESIGN.md §14) ---
@@ -58,8 +66,9 @@ struct BatchRoutingStats {
   /// Taxis returned by last-stop bucket sweeps (pre exact-deadline
   /// re-check).
   int64_t bucket_candidates = 0;
-  /// Wall-clock milliseconds spent keeping last-stop buckets in sync with
-  /// schedule commits/advances (FlushDirty rebuild time).
+  /// Wall-clock milliseconds spent keeping last-stop buckets and stop
+  /// labels in sync with schedule commits/advances (FlushDirty time, paid
+  /// inside candidate search).
   double bucket_maintenance_ms = 0.0;
   /// Insertion slots examined by the detour-ellipse screen.
   int64_t slots_screened = 0;
@@ -80,20 +89,37 @@ struct BatchRoutingStats {
 /// Primes every leg cost FindBestInsertionDp (and its FindBestInsertion
 /// fallback) can request for a request's insertion into candidate
 /// schedules, then serves them from a lock-free table. The legs of any
-/// insertion walk are pairs over {taxi location, schedule stops, request
-/// origin, request destination} where base-schedule adjacency is preserved
-/// (insertion never removes events), so the closure is: origin/destination
-/// -> every stop, every stop -> origin/destination, every base-adjacent
-/// stop pair, and origin -> destination.
+/// insertion walk are pairs over {taxi location L, schedule stops s,
+/// request origin o, request destination d} where base-schedule adjacency
+/// is preserved (insertion never removes events), so the closure is:
+/// L -> o, o/d -> every stop, every stop -> o/d, every base-adjacent pair
+/// (L -> s1 and s_k -> s_k+1), and o -> d.
 ///
-/// All costs are gathered by oracle batch calls (DistanceOracle::CostFans),
-/// the same two per Prime() on both backends, so every table entry is
-/// bit-identical to DistanceOracle::Cost for the same pair
-/// (InsertionCostBatchTest checks every primed leg on both backends).
+/// Exact table: two oracle batch calls (DistanceOracle::CostFans) per
+/// Prime(), each fan one row read; they also prime o -> L, d -> L and
+/// L -> d, which the DP never reads.
 ///
-/// Usage: Begin(origin, dest) once per dispatch; AddCandidate + Prime for
-/// each candidate (or all candidates, then one Prime); Cost() afterwards.
-/// Unprimed pairs fall back to the oracle and are counted in
+/// Contraction hierarchy: no oracle call. Each leg is the meet of two
+/// upward search spaces (Meet): the request's four endpoint searches,
+/// run once per request to exhaustion into dense arrays, and the labels
+/// `store` keeps per taxi — its location deposits and its stops' forward
+/// and backward labels, computed once when a stop enters the schedule:
+///
+///   L -> o      deposits against o's backward search
+///   L -> s1     deposits against s1's backward label
+///   s -> o, d   s's forward label against o's, d's backward searches
+///   o, d -> s   s's backward label against o's, d's forward searches
+///   s -> s'     s's forward label against s''s backward label
+///   o -> d      o's forward search against d's backward search
+///
+/// A backward label is loaded into a dense scratch array to meet another
+/// label. Either way every entry is bit-identical to DistanceOracle::Cost
+/// for the same pair (InsertionCostBatchTest checks every leg on both
+/// backends).
+///
+/// Usage: Begin(origin, dest, store) once per dispatch; AddCandidate +
+/// Prime for each candidate (or all candidates, then one Prime); Cost()
+/// afterwards. Unprimed pairs fall back to the oracle and are counted in
 /// stats().fallback_queries.
 ///
 /// The table is a dense matrix over per-dispatch compact vertex ids
@@ -106,18 +132,22 @@ class InsertionCostBatch {
  public:
   InsertionCostBatch(const RoadNetwork& network, DistanceOracle* oracle);
 
-  /// Starts a new batch for one ride request; clears the table.
-  void Begin(VertexId origin, VertexId destination);
+  /// Starts a new batch for one ride request; clears the table. `store`
+  /// holds the taxis' labels: required on a CH oracle, null on the exact
+  /// table.
+  void Begin(VertexId origin, VertexId destination, LastStopBuckets* store);
 
-  /// Registers a candidate's insertion stop walk: its current location
-  /// followed by its schedule stops, in schedule order.
-  void AddCandidate(std::span<const VertexId> stops);
+  /// Registers taxi `taxi`'s insertion walk: its current location
+  /// followed by its schedule stops, in schedule order. On the CH this
+  /// first flushes the taxi's labels in the store from `walk`.
+  void AddCandidate(TaxiId taxi, std::span<const VertexId> walk);
 
-  /// Primes all pairs registered since the last Prime() with two CostFans
-  /// calls: first the fans of the request endpoints (origin -> fresh stops
-  /// + destination, destination -> fresh stops), then one fan per pending
-  /// source (its base successors + origin + destination). The first call
-  /// is skipped when no stop is fresh. Only the fan cells are stored.
+  /// Primes all pairs registered since the last Prime(): on the exact
+  /// table with two CostFans calls — first the fans of the request
+  /// endpoints (origin -> fresh stops + destination, destination -> fresh
+  /// stops), then one fan per pending source (its base successors + origin
+  /// + destination), the first skipped when no stop is fresh; on the CH
+  /// from labels. Only the closure's cells are stored.
   void Prime();
 
   /// Primed leg cost; falls back to the oracle for unknown pairs.
@@ -144,8 +174,12 @@ class InsertionCostBatch {
   int32_t CidFor(VertexId v);
   void Grow(int32_t needed);
   void Store(VertexId a, VertexId b, Seconds cost);
+  /// Whether (a, b) is primed; both must have compact ids.
+  bool Primed(VertexId a, VertexId b) const;
   /// One CostFans call over `fans`, storing every fan cell.
   void Gather(std::span<const CostFan> fans);
+  /// The CH body of Prime().
+  void PrimeFromLabels();
 
   DistanceOracle* oracle_;
 
@@ -157,24 +191,47 @@ class InsertionCostBatch {
   std::vector<int32_t> cid_;
   uint32_t epoch_ = 0;
   std::vector<VertexId> cid_vertex_;  // vertex of each compact id
-  std::vector<uint8_t> is_stop_;      // per cid: registered as a stop?
+  std::vector<uint8_t> is_stop_;      // per cid: stop legs registered?
   int32_t stride_ = 0;                // matrix is stride_ x stride_
   std::vector<Seconds> matrix_;       // kUnprimed = absent
   std::unordered_map<uint64_t, Seconds> overflow_;  // cids >= kDenseCap
 
-  // Pending work registered by AddCandidate since the last Prime().
+  // Exact table: pending work registered by AddCandidate since the last
+  // Prime().
   std::vector<VertexId> pending_stops_;  // stops first seen since last Prime
   std::vector<int32_t> pending_sources_;  // cids with pending successors
   std::vector<std::vector<VertexId>> pending_succ_;  // per cid
 
-  // Prime() scratch: the origin fan's targets, the fans of one Gather()
-  // and their costs.
+  // Exact Prime() scratch: the origin fan's targets, the fans of one
+  // Gather() and their costs.
   std::vector<VertexId> origin_targets_;
   std::vector<CostFan> fans_;
   std::vector<Seconds> costs_;
 
+  /// CH: the request endpoints' searches, run at the request's first
+  /// Prime() with work: forward and backward from the origin and from the
+  /// destination, the origin's forward search space also kept as a label
+  /// for o -> d, and a scratch search a backward stop label is loaded
+  /// into.
+  struct EndpointSearches {
+    explicit EndpointSearches(const ContractionHierarchy& ch)
+        : origin_out(ch), origin_in(ch), dest_out(ch), dest_in(ch),
+          loaded(ch) {}
+    UpwardSearch origin_out, origin_in, dest_out, dest_in, loaded;
+    UpwardLabel origin_out_label;
+  };
+
+  // CH: the store, the candidates registered since the last Prime(), and
+  // the endpoint searches (absent on the exact table).
+  LastStopBuckets* store_ = nullptr;
+  std::vector<TaxiId> pending_taxis_;
+  bool endpoints_searched_ = false;
+  std::optional<EndpointSearches> endpoints_;
+
   mutable int64_t fallback_queries_ = 0;
   int64_t batch_queries_ = 0;
+  int64_t label_primes_ = 0;
+  int64_t endpoint_settled_ = 0;
 };
 
 }  // namespace mtshare

@@ -12,9 +12,25 @@
 
 namespace mtshare {
 
+/// A stored upward search space, structure of arrays: the search reached
+/// vertices[i] at cost costs[i] (12 bytes an entry). A forward label holds
+/// the costs from its source up to each vertex, a backward label the costs
+/// from each vertex down to its source.
+struct UpwardLabel {
+  std::vector<VertexId> vertices;
+  std::vector<Seconds> costs;
+
+  size_t size() const { return vertices.size(); }
+  size_t MemoryBytes() const {
+    return vertices.capacity() * sizeof(VertexId) +
+           costs.capacity() * sizeof(Seconds);
+  }
+};
+
 /// The one upward Dijkstra under every contraction-hierarchy query: point
-/// and bucket queries (ChQuery), last-stop deposits and sweeps
-/// (LastStopBuckets), and the upward phase of every one-to-all row
+/// queries (ChQuery), location deposits, stop labels and sweeps
+/// (LastStopBuckets), the request endpoints' searches of insertion priming
+/// (InsertionCostBatch), and the upward phase of every one-to-all row
 /// (PhastRow). A forward run follows UpArcs from the source, a
 /// backward run follows DownArcs (down-paths into the source). Labels are
 /// sums of dyadic arc costs, so settled distances are exact (see ChQuery).
@@ -62,6 +78,32 @@ class UpwardSearch {
   /// The last run's label of `v`, final if the run settled `v`.
   Seconds Distance(VertexId v) const { return dist_[v]; }
 
+  /// The stall test, asked from `settle` while the run settles `v` at
+  /// `dist`: whether a higher-ranked vertex u the run has reached has an
+  /// arc into v (forward run) or out of v (backward run) with
+  /// label(u) + cost < dist. Every vertex labelled below dist is already
+  /// settled, so the answer equals the test against final labels. A
+  /// stalled v has dist > its true distance, so it is never the top vertex
+  /// of a shortest up-down path, whose up part is itself shortest: a label
+  /// that drops it keeps every meet below exact.
+  bool Stalled(VertexId v, Seconds dist, Direction direction) const {
+    for (const ContractionHierarchy::SearchArc& arc :
+         direction == kForward ? ch_.DownArcs(v) : ch_.UpArcs(v)) {
+      if (Reached(arc.head) && dist_[arc.head] + arc.cost < dist) return true;
+    }
+    return false;
+  }
+
+  /// Makes `label` the last run, as if a run had settled exactly its
+  /// entries: Reached and Distance then probe it in O(1).
+  void Load(const UpwardLabel& label) {
+    NextEpoch(epoch_id_, epoch_);
+    for (size_t i = 0; i < label.size(); ++i) {
+      epoch_[label.vertices[i]] = epoch_id_;
+      dist_[label.vertices[i]] = label.costs[i];
+    }
+  }
+
   /// Resident bytes of the label arrays.
   size_t MemoryBytes() const {
     return dist_.size() * sizeof(Seconds) + epoch_.size() * sizeof(uint32_t);
@@ -89,6 +131,23 @@ class UpwardSearch {
                       std::greater<HeapEntry>>
       heap_;
 };
+
+/// The shortest distance between the sources of `label` and of `other`'s
+/// last run, one forward and one backward: the minimum over the vertices
+/// both reached of the two costs' sum (kInfiniteCost if they share none).
+/// Every shortest path is an up-down path whose top vertex both exhaustive
+/// searches reach at its exact distance, and dyadic arc costs make every
+/// sum exact, so the result equals Dijkstra's bit for bit.
+inline Seconds Meet(const UpwardLabel& label, const UpwardSearch& other) {
+  Seconds best = kInfiniteCost;
+  for (size_t i = 0; i < label.size(); ++i) {
+    const VertexId v = label.vertices[i];
+    if (other.Reached(v)) {
+      best = std::min(best, label.costs[i] + other.Distance(v));
+    }
+  }
+  return best;
+}
 
 /// One-to-all costs by PHAST (Delling, Goldberg, Nowatzyk & Werneck,
 /// IPDPS 2011): row[v] = d(source, v) for a forward row, d(v, source) for

@@ -211,13 +211,18 @@ TEST_F(MTShareSystemTest, ChBackendRunsBitIdenticalToExact) {
     EXPECT_EQ(er[i].dropoff_time, cr[i].dropoff_time) << "req " << i;
   }
 
-  // The CH run carries its query counters; the exact run reports none.
+  // The CH run carries its query counters (insertion primes answered
+  // from labels, and their searches); the exact run reports none.
   // Both report the same hierarchy build, since every oracle owns one.
   EXPECT_TRUE(ch.value().routing.ch_active);
   EXPECT_GT(ch.value().routing.ch_bucket_queries, 0);
   EXPECT_GT(ch.value().routing.ch_upward_settled, 0);
+  EXPECT_GT(ch.value().routing.ch_bucket_entries, 0);
+  EXPECT_EQ(ch.value().routing.batch_queries, 0);
   EXPECT_FALSE(exact.value().routing.ch_active);
+  EXPECT_EQ(exact.value().routing.ch_bucket_queries, 0);
   EXPECT_EQ(exact.value().routing.ch_upward_settled, 0);
+  EXPECT_EQ(exact.value().routing.ch_bucket_entries, 0);
   EXPECT_GT(exact.value().routing.ch_shortcuts, 0);
   EXPECT_EQ(exact.value().routing.ch_shortcuts,
             ch.value().routing.ch_shortcuts);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -110,6 +111,53 @@ TEST_F(RequestGeneratorTest, CreateScenarioSystemMatchesHandBuiltPattern) {
       EXPECT_EQ(system->partitioning().landmarks,
                 reference->partitioning().landmarks);
     }
+  }
+}
+
+TEST(ScenarioOptionsTest, ValidateRejectsWhatDrawWindowRequestsAssumes) {
+  EXPECT_TRUE(ScenarioOptions{}.Validate().ok());
+  const auto rejects = [](auto mutate) {
+    ScenarioOptions sopt;
+    mutate(sopt);
+    const Status status = sopt.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    return status.ToString();
+  };
+  EXPECT_NE(rejects([](ScenarioOptions& o) { o.offline_fraction = 1.5; })
+                .find("offline"),
+            std::string::npos);
+  rejects([](ScenarioOptions& o) { o.offline_fraction = -0.5; });
+  rejects([](ScenarioOptions& o) { o.offline_fraction = std::nan(""); });
+  rejects([](ScenarioOptions& o) { o.rho = 1.0; });
+  rejects([](ScenarioOptions& o) { o.rho = std::nan(""); });
+  rejects([](ScenarioOptions& o) { o.t_end = o.t_begin; });
+  rejects([](ScenarioOptions& o) { o.num_requests = -1; });
+  rejects([](ScenarioOptions& o) { o.num_historical_trips = -1; });
+  // The edges of the ranges are valid.
+  ScenarioOptions edges;
+  edges.offline_fraction = 1.0;
+  edges.num_requests = 0;
+  edges.num_historical_trips = 0;
+  EXPECT_TRUE(edges.Validate().ok());
+  edges.offline_fraction = 0.0;
+  EXPECT_TRUE(edges.Validate().ok());
+}
+
+TEST_F(RequestGeneratorTest, CreateScenarioSystemRejectsBadOptionsFirst) {
+  // Bad scenario options come back as InvalidArgument instead of dying in
+  // DrawWindowRequests, and before the system is built: with a bad config
+  // too, the options' error is the one reported.
+  for (double offline : {1.5, -0.5}) {
+    ScenarioOptions sopt;
+    sopt.offline_fraction = offline;
+    SystemConfig config;
+    config.kappa = 0;
+    Result<ScenarioSystem> built =
+        CreateScenarioSystem(net_, *demand_, sopt, config);
+    ASSERT_FALSE(built.ok()) << offline;
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(built.status().ToString().find("offline"), std::string::npos)
+        << built.status().ToString();
   }
 }
 

@@ -6,6 +6,9 @@
 // span-batched advancement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/mtshare_system.h"
@@ -74,8 +77,9 @@ TEST(CandidateSearchEquivalenceTest, ReachabilitySourceFollowsBackend) {
     EXPECT_FALSE(exact.routing.bucket_search);
     EXPECT_EQ(exact.routing.bucket_candidates, 0);
     // pGreedyDP has no reachability probe to answer (its DP rejects
-    // unreachable pickups), so it never sweeps and never builds the bucket
-    // store, which is built at the first sweep; its report reads "none".
+    // unreachable pickups), so it never sweeps: its bucket store holds the
+    // labels its insertions are priced from and nothing else, and its
+    // report reads "none".
     if (scheme == SchemeKind::kPGreedyDp) {
       EXPECT_EQ(exact.routing.reach_probes, 0);
       EXPECT_EQ(ch.routing.reach_probes, 0);
@@ -98,15 +102,28 @@ TEST(CandidateSearchEquivalenceTest, ReachabilitySourceFollowsBackend) {
   }
 }
 
+/// Sorted (vertex, cost) entries of a label, for order-free comparison.
+std::vector<std::pair<VertexId, Seconds>> Entries(const UpwardLabel& label) {
+  std::vector<std::pair<VertexId, Seconds>> out;
+  for (size_t i = 0; i < label.size(); ++i) {
+    out.emplace_back(label.vertices[i], label.costs[i]);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
   // Invariant the engine notifications must uphold at every decision
-  // point, for every scheme: a taxi's bucket deposits either match its
-  // CURRENT location or the taxi is marked dirty (so the next sweep
-  // rebuilds it). The grid baselines override the index hooks without
-  // chaining to the base, so dirty-marking must not depend on the hooks; a
-  // moved taxi left clean with a stale anchor is caught here at every
-  // decision of a full run. The store is built at the first sweep, so it
-  // is read from then on; pGreedyDP never sweeps and never builds one.
+  // point, for every scheme: a taxi's bucket entries either match its
+  // CURRENT walk or the taxi is marked dirty (so the next flush rebuilds
+  // it). Matching means deposits anchored at its location that equal a
+  // fresh stall-pruned location label, and one held stop label per
+  // scheduled stop, in order, equal to fresh labels of that stop. The grid
+  // baselines override the index hooks without chaining to the base, so
+  // dirty-marking must not depend on the hooks; a moved taxi left clean
+  // with a stale anchor, or a changed schedule left with stale labels, is
+  // caught here at every decision of a full run. The store is built at
+  // the first sweep or prime, so it is read from then on.
   GridCityOptions gopt;
   gopt.rows = 16;
   gopt.cols = 16;
@@ -126,6 +143,7 @@ TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
   config.oracle.backend = OracleBackend::kCh;
   auto [system, scenario] =
       CreateScenarioSystem(net, demand, sopt, config).value();
+  const ContractionHierarchy& ch = *system->oracle().ch();
 
   for (SchemeKind scheme :
        {SchemeKind::kNoSharing, SchemeKind::kTShare, SchemeKind::kPGreedyDp,
@@ -140,27 +158,50 @@ TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
 
     EngineOptions eopts;
     int64_t checks = 0;
+    int64_t stops_checked = 0;
+    std::vector<VertexId> walk;
     eopts.on_decision = [&](const RideRequest&, const RequestRecord&) {
       const LastStopBuckets* buckets = dispatcher->buckets();
-      if (buckets == nullptr) return;  // no sweep yet
+      if (buckets == nullptr) return;  // no sweep or prime yet
+      // A fresh store computes every taxi's entries from scratch.
+      LastStopBuckets fresh(ch, static_cast<int32_t>(fleet.size()));
       for (const TaxiState& t : fleet) {
         ++checks;
-        EXPECT_TRUE(buckets->dirty(t.id) ||
-                    buckets->anchor(t.id) == t.location)
+        if (buckets->dirty(t.id)) continue;
+        EXPECT_EQ(buckets->anchor(t.id), t.location)
             << "taxi " << t.id << ": clean bucket entries anchored at "
             << buckets->anchor(t.id) << " but taxi is at " << t.location;
+        walk.assign(1, t.location);
+        for (const ScheduleEvent& e : t.schedule.events()) {
+          walk.push_back(e.vertex);
+        }
+        fresh.Flush(t.id, walk);
+        EXPECT_EQ(Entries(buckets->AnchorLabel(t.id)),
+                  Entries(fresh.AnchorLabel(t.id)))
+            << "taxi " << t.id << ": stale deposits";
+        const std::span<const StopLabels> held = buckets->stops(t.id);
+        ASSERT_EQ(held.size(), t.schedule.size()) << "taxi " << t.id;
+        for (size_t k = 0; k < held.size(); ++k) {
+          ++stops_checked;
+          const StopLabels& want = fresh.stops(t.id)[k];
+          EXPECT_EQ(held[k].vertex, want.vertex)
+              << "taxi " << t.id << " stop " << k;
+          EXPECT_EQ(Entries(held[k].out), Entries(want.out))
+              << "taxi " << t.id << " stop " << k;
+          EXPECT_EQ(Entries(held[k].in), Entries(want.in))
+              << "taxi " << t.id << " stop " << k;
+        }
       }
     };
     SimulationEngine engine(net, dispatcher.get(), &fleet, eopts);
     VectorRequestSource source(&scenario.requests);
     Metrics m = engine.Run(source);
     EXPECT_GT(m.ServedRequests(), 0);
-    if (scheme == SchemeKind::kPGreedyDp) {
-      EXPECT_EQ(dispatcher->buckets(), nullptr);
-      EXPECT_EQ(checks, 0);
-    } else {
-      EXPECT_NE(dispatcher->buckets(), nullptr);
-      EXPECT_GT(checks, 0);
+    EXPECT_NE(dispatcher->buckets(), nullptr);
+    EXPECT_GT(checks, 0);
+    // Schemes that share hold labels for scheduled stops mid-run.
+    if (scheme != SchemeKind::kNoSharing) {
+      EXPECT_GT(stops_checked, 0);
     }
   }
 }

@@ -58,9 +58,7 @@ TEST(DistanceOracleTest, ExactModeOwnsTheHierarchy) {
                 2 * size_t(net.num_vertices()) * sizeof(Seconds));
   const ChQueryStats stats = oracle.ch_query_stats();
   EXPECT_EQ(stats.point_queries, 0);
-  EXPECT_EQ(stats.bucket_queries, 0);
   EXPECT_EQ(stats.upward_settled, 0);
-  EXPECT_EQ(stats.bucket_entries, 0);
 }
 
 TEST(DistanceOracleTest, RowReuseAvoidsRecomputation) {

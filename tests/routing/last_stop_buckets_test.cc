@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -25,9 +27,60 @@ RoadNetwork TestCity(uint64_t seed) {
   return MakeGridCity(gopt);
 }
 
-/// Anchors every taxi at anchors[id] (one FlushDirty from the given map).
+/// Anchors every taxi at anchors[id], with no scheduled stop (one
+/// FlushDirty from the given map).
 void Anchor(LastStopBuckets* buckets, const std::vector<VertexId>& anchors) {
-  buckets->FlushDirty([&](TaxiId id) { return anchors[id]; });
+  buckets->FlushDirty([&](TaxiId id) {
+    return std::span<const VertexId>(&anchors[id], 1);
+  });
+}
+
+/// All settled (vertex, distance) pairs of an exhaustive upward search.
+std::vector<std::pair<VertexId, Seconds>> SearchSpace(
+    const ContractionHierarchy& ch, VertexId source,
+    UpwardSearch::Direction direction) {
+  UpwardSearch search(ch);
+  std::vector<std::pair<VertexId, Seconds>> space;
+  search.Run(source, direction, kInfiniteCost, [&](VertexId v, Seconds d) {
+    space.emplace_back(v, d);
+    return true;
+  });
+  return space;
+}
+
+/// Recomputes the stall test over `source`'s full search space, from final
+/// distances: an entry is beaten when a higher-ranked settled vertex has
+/// an arc into it (forward) or out of it (backward) that undercuts its
+/// label. `label` must hold exactly the unbeaten entries, at their search
+/// distances.
+void ExpectStallPruned(const ContractionHierarchy& ch, VertexId source,
+                       UpwardSearch::Direction direction,
+                       const UpwardLabel& label) {
+  const std::vector<std::pair<VertexId, Seconds>> space =
+      SearchSpace(ch, source, direction);
+  std::vector<Seconds> dist(ch.num_vertices(), kInfiniteCost);
+  for (const auto& [v, d] : space) dist[v] = d;
+  std::vector<Seconds> kept(ch.num_vertices(), -1.0);
+  for (size_t i = 0; i < label.size(); ++i) {
+    kept[label.vertices[i]] = label.costs[i];
+  }
+  size_t unbeaten = 0;
+  for (const auto& [v, d] : space) {
+    bool beaten = false;
+    for (const ContractionHierarchy::SearchArc& arc :
+         direction == UpwardSearch::kForward ? ch.DownArcs(v)
+                                             : ch.UpArcs(v)) {
+      EXPECT_GT(ch.rank(arc.head), ch.rank(v));
+      if (dist[arc.head] + arc.cost < d) beaten = true;
+    }
+    if (beaten) {
+      EXPECT_EQ(kept[v], -1.0) << "kept beaten vertex " << v;
+    } else {
+      ++unbeaten;
+      EXPECT_EQ(kept[v], d) << "dropped or mispriced vertex " << v;
+    }
+  }
+  EXPECT_EQ(label.size(), unbeaten);
 }
 
 TEST(LastStopBucketsTest, SweepMatchesDijkstraForEveryOriginWithinBudget) {
@@ -172,6 +225,135 @@ TEST(LastStopBucketsTest, StatsAndMemoryAccounting) {
   EXPECT_GT(s.sweep_settled, 0);
   EXPECT_GE(s.maintenance_ms, 0.0);
   EXPECT_GT(buckets.MemoryBytes(), 0u);
+}
+
+/// One taxi walks x -> s -> t, so the store holds x's deposits and s's and
+/// t's stop labels. The meets of the pruned labels must equal Dijkstra
+/// bit for bit, and each label must hold exactly the entries the stall
+/// test keeps.
+void ExpectLabelsMeetLikeDijkstra(const RoadNetwork& net, uint64_t seed) {
+  ContractionHierarchy ch = ContractionHierarchy::Build(net);
+  DijkstraSearch dijkstra(net);
+  LastStopBuckets buckets(ch, 1);
+  UpwardSearch loaded(ch);
+  Rng rng(seed);
+  int64_t pruned = 0;
+  int64_t settled = 0;
+  for (int round = 0; round < 40; ++round) {
+    std::vector<VertexId> walk(3);
+    for (VertexId& v : walk) {
+      v = static_cast<VertexId>(rng.NextInt(0, net.num_vertices() - 1));
+    }
+    buckets.MarkDirty(0);
+    buckets.Flush(0, walk);
+    const VertexId x = walk[0], s = walk[1], t = walk[2];
+    ASSERT_EQ(buckets.stops(0).size(), 2u);
+    const StopLabels& from = buckets.stops(0)[0];
+    const StopLabels& to = buckets.stops(0)[1];
+    ASSERT_EQ(from.vertex, s);
+    ASSERT_EQ(to.vertex, t);
+    const std::vector<Seconds> from_x = dijkstra.CostsFrom(x);
+    const std::vector<Seconds> from_s = dijkstra.CostsFrom(s);
+    const std::vector<Seconds> from_t = dijkstra.CostsFrom(t);
+
+    loaded.Load(to.in);
+    EXPECT_EQ(Meet(from.out, loaded), from_s[t]) << s << "->" << t;
+    EXPECT_EQ(buckets.FromAnchor(0, loaded), from_x[t]) << x << "->" << t;
+    loaded.Load(from.in);
+    EXPECT_EQ(Meet(to.out, loaded), from_t[s]) << t << "->" << s;
+    EXPECT_EQ(buckets.FromAnchor(0, loaded), from_x[s]) << x << "->" << s;
+
+    ExpectStallPruned(ch, x, UpwardSearch::kForward, buckets.AnchorLabel(0));
+    ExpectStallPruned(ch, s, UpwardSearch::kForward, from.out);
+    ExpectStallPruned(ch, s, UpwardSearch::kBackward, from.in);
+    ExpectStallPruned(ch, t, UpwardSearch::kForward, to.out);
+    ExpectStallPruned(ch, t, UpwardSearch::kBackward, to.in);
+    for (const StopLabels* stop : {&from, &to}) {
+      for (auto direction : {UpwardSearch::kForward, UpwardSearch::kBackward}) {
+        const size_t full = SearchSpace(ch, stop->vertex, direction).size();
+        const UpwardLabel& label =
+            direction == UpwardSearch::kForward ? stop->out : stop->in;
+        settled += static_cast<int64_t>(full);
+        pruned += static_cast<int64_t>(full - label.size());
+        // Held labels are sized exactly.
+        EXPECT_EQ(label.vertices.capacity(), label.size());
+        EXPECT_EQ(label.costs.capacity(), label.size());
+      }
+    }
+  }
+  // The test is not vacuous: the stall test drops entries.
+  EXPECT_GT(pruned, 0);
+  EXPECT_LT(pruned, settled);
+}
+
+TEST(LastStopBucketsTest, StopLabelsMeetLikeDijkstra) {
+  GridCityOptions gopt;
+  gopt.rows = 16;
+  gopt.cols = 16;
+  gopt.one_way_fraction = 0.5;
+  gopt.seed = 97;
+  ExpectLabelsMeetLikeDijkstra(MakeGridCity(gopt), 971);
+
+  RandomGeometricOptions ropt;
+  ropt.num_vertices = 300;
+  ropt.seed = 98;
+  ExpectLabelsMeetLikeDijkstra(MakeRandomGeometric(ropt), 981);
+}
+
+TEST(LastStopBucketsTest, FlushLabelsOnlyNewStops) {
+  RoadNetwork net = TestCity(61);
+  ContractionHierarchy ch = ContractionHierarchy::Build(net);
+  LastStopBuckets buckets(ch, 2);
+  const auto stop_vertices = [&](TaxiId id) {
+    std::vector<VertexId> out;
+    for (const StopLabels& s : buckets.stops(id)) out.push_back(s.vertex);
+    return out;
+  };
+  const auto labelled = [&] { return buckets.stats().label_settled; };
+
+  std::vector<VertexId> walk{5, 10, 20};
+  buckets.Flush(0, walk);
+  EXPECT_EQ(stop_vertices(0), (std::vector<VertexId>{10, 20}));
+  const int64_t two_stops = labelled();
+  EXPECT_GT(two_stops, 0);
+
+  // Clean: nothing changes, even for a different walk.
+  buckets.Flush(0, std::vector<VertexId>{6, 30});
+  EXPECT_EQ(stop_vertices(0), (std::vector<VertexId>{10, 20}));
+  EXPECT_EQ(labelled(), two_stops);
+
+  // A request inserted around the held stops labels only its two stops.
+  buckets.MarkDirty(0);
+  walk = {5, 40, 10, 50, 20};
+  buckets.Flush(0, walk);
+  EXPECT_EQ(stop_vertices(0), (std::vector<VertexId>{40, 10, 50, 20}));
+  const int64_t four_stops = labelled();
+  EXPECT_GT(four_stops, two_stops);
+
+  // Executed stops pop from the front; the rest are kept as they were.
+  const UpwardLabel kept_in = buckets.stops(0)[3].in;
+  buckets.MarkDirty(0);
+  walk = {12, 50, 20};
+  buckets.Flush(0, walk);
+  EXPECT_EQ(stop_vertices(0), (std::vector<VertexId>{50, 20}));
+  EXPECT_EQ(labelled(), four_stops);
+  EXPECT_EQ(buckets.stops(0)[1].in.vertices, kept_in.vertices);
+  EXPECT_EQ(buckets.stops(0)[1].in.costs, kept_in.costs);
+
+  // Pop and insert together: a new stop ahead of a held one.
+  buckets.MarkDirty(0);
+  walk = {13, 60, 20};
+  buckets.Flush(0, walk);
+  EXPECT_EQ(stop_vertices(0), (std::vector<VertexId>{60, 20}));
+  EXPECT_GT(labelled(), four_stops);
+
+  // Drained: no labels are held. The other taxi was never touched.
+  buckets.MarkDirty(0);
+  walk = {20};
+  buckets.Flush(0, walk);
+  EXPECT_TRUE(buckets.stops(0).empty());
+  EXPECT_TRUE(buckets.stops(1).empty());
+  EXPECT_TRUE(buckets.dirty(1));
 }
 
 }  // namespace

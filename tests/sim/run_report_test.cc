@@ -370,7 +370,8 @@ double RouteLegsWalked(const std::string& json) {
 }
 
 /// FNV-1a digest of --per-request rows without their eighth column,
-/// response_ms, which is wall clock.
+/// response_ms, which is wall clock. The rows carry every bit of each
+/// double, so the digest pins times and fares exactly.
 uint64_t RowsDigest(const std::string& csv) {
   Fnv1a fnv;
   std::istringstream in(csv);
@@ -403,7 +404,7 @@ TEST(MtshareSimCliTest, ReportFlagEmitsValidJson) {
   // mtshare_sim's decisions, pinned: ServeCliTest compares mtshare_serve
   // with mtshare_sim, and a drift in the history both train on moves both.
   EXPECT_EQ(NumberAfter(json, "requests", "served"), 72.0);
-  EXPECT_EQ(RowsDigest(rows), 0xf09c3ae02e07c384ull)
+  EXPECT_EQ(RowsDigest(rows), 0x43144cf1db76096full)
       << std::hex << RowsDigest(rows);
 }
 
@@ -429,6 +430,24 @@ TEST(MtshareSimCliTest, RejectsMalformedNumericFlags) {
                       std::string(flag) + "\" > /dev/null 2>&1";
     EXPECT_EQ(RunCommand(cmd), 2) << flag;
   }
+}
+
+TEST(MtshareSimCliTest, RejectsOutOfRangeScenarioOptions) {
+  // An offline fraction outside [0, 1] used to build the whole system and
+  // then abort in DrawWindowRequests; it now exits 2 with a diagnostic.
+  const std::string err = testing::TempDir() + "mtshare_sim_offline.err";
+  for (const char* flag : {"--offline=1.5", "--offline=-0.5"}) {
+    std::remove(err.c_str());
+    const std::string cmd = std::string(MTSHARE_SIM_BINARY) + " " + flag +
+                            " --rows=8 --cols=8 --taxis=5 --requests=20"
+                            " > /dev/null 2> " + err;
+    EXPECT_EQ(RunCommand(cmd), 2) << flag;
+    std::stringstream message;
+    message << std::ifstream(err).rdbuf();
+    EXPECT_NE(message.str().find("offline fraction"), std::string::npos)
+        << flag << ": " << message.str();
+  }
+  std::remove(err.c_str());
 }
 
 TEST(MtshareSimCliTest, ChBucketsPathEmitsBucketCounters) {
@@ -471,7 +490,7 @@ TEST(MtshareSimCliTest, MtShareProNonpeakServesStreetHails) {
   EXPECT_TRUE(StringIs(json, "scheme", "mT-Share-pro"));
   EXPECT_GT(NumberAfter(json, "requests", "served_offline"), 0.0);
   EXPECT_EQ(NumberAfter(json, "requests", "served"), 42.0);
-  EXPECT_EQ(RowsDigest(rows), 0x119b0395f3e376bcull)
+  EXPECT_EQ(RowsDigest(rows), 0x468e31ba6bfeafc1ull)
       << std::hex << RowsDigest(rows);
 }
 

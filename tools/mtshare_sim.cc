@@ -39,6 +39,7 @@
 // Malformed values and unknown flags exit 2 with a diagnostic.
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "demand/trip_io.h"
@@ -131,6 +132,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", per_request.c_str());
       return 1;
     }
+    // Every bit of each double, so the CSV reproduces a run exactly.
+    out.precision(std::numeric_limits<double>::max_digits10);
     out << "id,offline,completed,release,pickup,dropoff,direct_s,"
            "response_ms,taxi,regular_fare,shared_fare\n";
     for (const RequestRecord& r : m.records()) {

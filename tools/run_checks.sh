@@ -7,7 +7,8 @@
 #      --save-requests log piped through mtshare_serve), and the bench
 #      smokes: one micro_smoke_* test per micro-bench filter (BM_EngineAdvance,
 #      BM_ProbabilisticLeg, BM_ExactRowFill, BM_OracleBackends,
-#      BM_ShortestLeg, BM_KMeansTransition, BM_BipartitePartition) and
+#      BM_PrimeInsertion, BM_ShortestLeg, BM_KMeansTransition,
+#      BM_BipartitePartition) and
 #      bench_fleet_sweep_smoke
 #   2. configure + build the tsan preset, run the `tsan`-labelled tests
 #      (several RunScenario calls on one system sharing the oracle: exact
