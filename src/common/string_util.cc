@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -42,7 +43,10 @@ bool ParseDouble(std::string_view text, double* out) {
   errno = 0;
   char* end = nullptr;
   double value = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
+  if (errno != 0 || end != buf.c_str() + buf.size() ||
+      !std::isfinite(value)) {
+    return false;
+  }
   *out = value;
   return true;
 }

@@ -14,7 +14,9 @@ std::vector<std::string> Split(std::string_view text, char delim);
 /// Strips ASCII whitespace from both ends.
 std::string_view Trim(std::string_view text);
 
-/// Parses a double; returns false on malformed/trailing input.
+/// Parses a finite double; returns false on malformed/trailing input and
+/// on "nan"/"inf" spellings, so no reader of untrusted input (edge lists,
+/// trip and request files, flags) ever sees a non-finite value.
 bool ParseDouble(std::string_view text, double* out);
 
 /// Parses a signed 64-bit integer; returns false on malformed input.

@@ -25,17 +25,13 @@ LegCostFn Dispatcher::BatchedCost() {
   return [this](VertexId a, VertexId b) { return batch_.Cost(a, b); };
 }
 
-std::span<const VertexId> Dispatcher::Walk(const TaxiState& t) {
+void Dispatcher::RegisterCandidateStops(const TaxiState& t) {
   batch_walk_buf_.clear();
   batch_walk_buf_.push_back(t.location);
   for (const ScheduleEvent& e : t.schedule.events()) {
     batch_walk_buf_.push_back(e.vertex);
   }
-  return batch_walk_buf_;
-}
-
-void Dispatcher::RegisterCandidateStops(const TaxiState& t) {
-  batch_.AddCandidate(t.id, Walk(t));
+  batch_.AddCandidate(t.id, batch_walk_buf_);
 }
 
 LastStopBuckets* Dispatcher::ChBuckets() {
@@ -54,10 +50,10 @@ LastStopBuckets* Dispatcher::ChBuckets() {
 void Dispatcher::SweepPickupReach(const RideRequest& r, Seconds now) {
   LastStopBuckets* buckets = ChBuckets();
   if (buckets == nullptr) return;
-  // Walks are read straight off the fleet, exactly as the table probes
-  // do; every engine notification re-dirties its taxi, so the flush sees
-  // the moved location and the changed schedule.
-  buckets->FlushDirty([this](TaxiId id) { return Walk(taxi(id)); });
+  // Locations are read straight off the fleet, exactly as the table
+  // probes do; every engine notification re-dirties its taxi, so the flush
+  // sees the moved location. Stop labels wait for insertion to read them.
+  buckets->FlushDirty([this](TaxiId id) { return taxi(id).location; });
   buckets->Sweep(r.origin, r.PickupDeadline() - now);
 }
 

@@ -241,9 +241,9 @@ class Dispatcher {
 
   /// Prepares ReachesPickup for `r` (refinement rule 3, DESIGN.md §14).
   /// On a CH-backed oracle: builds the bucket store on first use, flushes
-  /// dirty deposits and stop labels (that is where maintenance time is
-  /// paid) and runs one backward sweep from the pickup over every taxi
-  /// within pickup_deadline - now. On the exact table a probe is one row
+  /// dirty deposits (that is where maintenance time is paid) and runs one
+  /// backward sweep from the pickup over every taxi within
+  /// pickup_deadline - now. On the exact table a probe is one row
   /// read, so there is nothing to prepare. Call it inside the
   /// kCandidateSearch timer, before the first ReachesPickup of `r`.
   void SweepPickupReach(const RideRequest& r, Seconds now);
@@ -312,8 +312,6 @@ class Dispatcher {
   void MarkBucketsDirty(TaxiId taxi) {
     if (buckets_ != nullptr) buckets_->MarkDirty(taxi);
   }
-  /// `t`'s location followed by its schedule stops, in batch_walk_buf_.
-  std::span<const VertexId> Walk(const TaxiState& t);
   /// Materializes an unrestricted shortest-path route for a schedule.
   RoutePlanner::PlannedRoute PlanShortestRoute(VertexId start,
                                                Seconds start_time,

@@ -2,7 +2,6 @@
 #define MTSHARE_ROUTING_CH_QUERY_H_
 
 #include <cstdint>
-#include <span>
 
 #include "routing/contraction_hierarchy.h"
 #include "routing/upward_search.h"
@@ -19,17 +18,11 @@ struct ChQueryStats {
   int64_t upward_settled = 0;
 };
 
-/// One source with its own targets: the unit of the oracle's batch call.
-/// Targets may repeat, within one fan and across the fans of one call.
-struct CostFan {
-  VertexId source;
-  std::span<const VertexId> targets;
-};
-
 /// Point-query engine over a ContractionHierarchy: a forward upward search
 /// from the source meets a pruned backward upward search from the target,
-/// two runs of the UpwardSearch kernel. Insertion priming does not come
-/// here: it meets stored labels (LastStopBuckets, InsertionCostBatch).
+/// two runs of the UpwardSearch kernel. It answers DistanceOracle::Cost on
+/// the CH backend, one pair per call; insertion legs do not come here:
+/// they meet stored labels (LastStopBuckets, InsertionCostBatch).
 ///
 /// Costs are bit-identical to DijkstraSearch on the same network because
 /// arc costs live on the exact dyadic grid (QuantizeTravelCost): every

@@ -129,40 +129,6 @@ Seconds DistanceOracle::Cost(VertexId source, VertexId target) {
   return cost;
 }
 
-void DistanceOracle::CostFans(std::span<const CostFan> fans,
-                              std::vector<Seconds>* out) {
-  for (const CostFan& fan : fans) {
-    MTSHARE_CHECK(fan.source >= 0 && fan.source < network_.num_vertices());
-    for (VertexId t : fan.targets) {
-      MTSHARE_CHECK(t >= 0 && t < network_.num_vertices());
-    }
-  }
-  queries_.fetch_add(static_cast<int64_t>(fans.size()),
-                     std::memory_order_relaxed);
-  batch_queries_.fetch_add(1, std::memory_order_relaxed);
-  // A row's own source entry is 0.0 and a CH point query answers a
-  // same-vertex pair with 0, so no special case is needed to stay
-  // bit-identical to Cost().
-  out->clear();
-  if (backend_ == OracleBackend::kCh) {
-    // Pair by pair on one engine: insertion priming meets stored labels
-    // instead, so no hot path batches CH queries here.
-    std::unique_ptr<ChQuery> engine = BorrowChEngine();
-    for (const CostFan& fan : fans) {
-      for (VertexId t : fan.targets) {
-        out->push_back(engine->Cost(fan.source, t));
-      }
-    }
-    ReturnChEngine(std::move(engine));
-    return;
-  }
-  // Exact: one row pass per fan.
-  for (const CostFan& fan : fans) {
-    const std::vector<Seconds>& row = ExactRow(fan.source);
-    for (VertexId t : fan.targets) out->push_back(row[t]);
-  }
-}
-
 int64_t DistanceOracle::row_hits() const {
   return exact_hits_.load(std::memory_order_relaxed);
 }

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -51,8 +50,9 @@ struct OracleOptions {
 /// constructor: the exact dense table fills its rows from it by PhastRow,
 /// the CH backend answers every query on it. The two are bit-identical in
 /// the costs they return (arc costs are dyadic, see QuantizeTravelCost).
-/// Point queries go through Cost(), batches through CostFans() (one source
-/// per fan, each with its own targets) on either backend. Costs only — use
+/// Every query is a point query, Cost(): one row read on the exact table,
+/// so an insertion leg costs O(1) as the paper assumes (CH insertion legs
+/// meet stored labels instead, InsertionCostBatch). Costs only — use
 /// DijkstraSearch when the vertex sequence is needed.
 ///
 /// Thread-safe: one system's oracle serves every RunScenario call on it,
@@ -71,15 +71,6 @@ class DistanceOracle {
   /// Safe to call from any thread.
   Seconds Cost(VertexId source, VertexId target);
 
-  /// The batch query: `out` becomes each fan's costs in turn, aligned with
-  /// that fan's targets (targets may repeat within and across fans). Exact
-  /// mode reads one row per fan, so a fan is one row hit/miss tick however
-  /// many targets it serves. CH mode answers the fans pair by pair with
-  /// point queries on one engine. Counts |fans| queries and one
-  /// batch_queries tick. Each value is bit-identical to Cost() for the
-  /// same pair. Safe to call from any thread.
-  void CostFans(std::span<const CostFan> fans, std::vector<Seconds>* out);
-
   /// Row `source` of the exact table (its travel seconds to every vertex)
   /// when a query has already filled it, else null; always null on the CH
   /// backend. Fills nothing and ticks no counter, so a caller that falls
@@ -93,10 +84,6 @@ class DistanceOracle {
 
   int64_t queries() const {
     return queries_.load(std::memory_order_relaxed);
-  }
-  /// CostFans calls serviced.
-  int64_t batch_queries() const {
-    return batch_queries_.load(std::memory_order_relaxed);
   }
   /// Exact-table traffic: a hit served a query from a resident row, a miss
   /// filled the row with one forward PhastRow. (Same-vertex queries
@@ -153,7 +140,6 @@ class DistanceOracle {
   size_t ch_engine_bytes_max_ = 0;
 
   std::atomic<int64_t> queries_{0};
-  std::atomic<int64_t> batch_queries_{0};
 };
 
 }  // namespace mtshare

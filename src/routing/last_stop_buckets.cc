@@ -98,26 +98,22 @@ void LastStopBuckets::SyncStops(TaxiId id, std::span<const VertexId> stops) {
   held.resize(stops.size());
 }
 
-void LastStopBuckets::Flush(TaxiId id, std::span<const VertexId> walk) {
-  MTSHARE_CHECK(!walk.empty());
+void LastStopBuckets::Flush(TaxiId id, VertexId location) {
   if (!dirty_[id]) return;
   dirty_[id] = 0;
-  const VertexId anchor = walk.front();
-  if (anchor != anchor_[id]) {  // an unmoved taxi keeps its deposits
-    RemoveDeposits(id);
-    Deposit(id, anchor);
-    ++stats_.updates;
-  }
-  SyncStops(id, walk.subspan(1));
+  if (location == anchor_[id]) return;  // an unmoved taxi keeps them
+  RemoveDeposits(id);
+  Deposit(id, location);
+  ++stats_.updates;
 }
 
-void LastStopBuckets::FlushDirty(const WalkFn& walk_of) {
+void LastStopBuckets::FlushDirty(const LocationFn& location_of) {
   WallTimer timer;
   bool any = false;
   for (TaxiId id = 0; id < num_taxis(); ++id) {
     if (!dirty_[id]) continue;
     any = true;
-    Flush(id, walk_of(id));
+    Flush(id, location_of(id));
   }
   if (any) stats_.maintenance_ms += timer.ElapsedMillis();
 }

@@ -31,7 +31,8 @@ struct LastStopBucketStats {
   /// Entries stored in stop labels, after the stall test.
   int64_t label_entries = 0;
   /// Wall-clock milliseconds spent in FlushDirty (incremental upkeep of
-  /// deposits and stop labels — the cost per-taxi probes do not pay).
+  /// deposits — the cost per-taxi probes do not pay). Stop labels are
+  /// synced by insertion (SyncStops), not here.
   double maintenance_ms = 0.0;
 };
 
@@ -52,10 +53,14 @@ struct StopLabels {
 ///    backward run from o, cut off at the budget, instead of one point
 ///    query per taxi (pickup reachability). Insertion priming reads the
 ///    same deposits as the taxi's location label.
-///  - Stop labels: forward and backward labels of every scheduled stop,
-///    computed once when the stop enters the taxi's schedule and kept
-///    until the taxi executes it. Insertion priming meets them with the
-///    request endpoints' searches and with each other (InsertionCostBatch).
+///  - Stop labels: forward and backward labels of the scheduled stops,
+///    synced when the taxi becomes an insertion candidate (SyncStops):
+///    a stop is labelled once, the first time an insertion reads it, and
+///    its labels are kept until the taxi executes it. Insertion priming
+///    meets them with the request endpoints' searches and with each other
+///    (InsertionCostBatch). A taxi that is not a candidate holds labels
+///    that may lag its schedule; a scheme that never inserts (No-Sharing)
+///    holds none.
 ///
 /// Every entry is stall-pruned (UpwardSearch::Stalled): a vertex whose
 /// label a higher-ranked neighbour beats is never the top vertex of a
@@ -66,12 +71,12 @@ struct StopLabels {
 /// The anchor is the taxi's *current location* — the exact vertex a
 /// per-taxi probe `oracle->Cost(t.location, origin)` reads — so swept
 /// distances are bit-identical to oracle costs (dyadic arc grid: every
-/// up-down sum is exact, see ChQuery). Entries are maintained lazily:
+/// up-down sum is exact, see ChQuery). Deposits are maintained lazily:
 /// MarkDirty is O(1) and idempotent (the engine calls it on every taxi
 /// movement/commit notification); a flush re-deposits a dirty taxi whose
-/// location moved and labels only the stops it does not already hold
-/// (insertion keeps event order and executed events pop from the front,
-/// so held labels are matched in order).
+/// location moved. SyncStops labels only the stops a taxi does not
+/// already hold (insertion keeps event order and executed events pop from
+/// the front, so held labels are matched in order).
 ///
 /// Sweeps are budget-truncated with kBudgetSlack headroom: every taxi with
 /// true distance <= budget + slack is reported with its exact distance
@@ -87,24 +92,27 @@ class LastStopBuckets {
     return static_cast<int32_t>(handles_.size());
   }
 
-  /// Marks a taxi's deposits and stop labels stale (O(1)). Safe to call
-  /// for any state change.
+  /// Marks a taxi's deposits stale (O(1)). Safe to call for any state
+  /// change.
   void MarkDirty(TaxiId id) { dirty_[id] = 1; }
   bool dirty(TaxiId id) const { return dirty_[id] != 0; }
   /// The vertex a taxi's live deposits were made from (kInvalidVertex
   /// before the first flush).
   VertexId anchor(TaxiId id) const { return anchor_[id]; }
 
-  /// A taxi's walk: its current location followed by the vertices of its
-  /// scheduled stops, in schedule order.
-  using WalkFn = std::function<std::span<const VertexId>(TaxiId)>;
+  /// A taxi's current location.
+  using LocationFn = std::function<VertexId(TaxiId)>;
 
-  /// Flushes every dirty taxi from `walk_of(id)`. Call before Sweep so the
-  /// store matches the fleet. Timed into stats().maintenance_ms.
-  void FlushDirty(const WalkFn& walk_of);
-  /// Flushes taxi `id` alone, if dirty, from its `walk`: re-deposits it
-  /// when its location moved and labels the stops it does not hold.
-  void Flush(TaxiId id, std::span<const VertexId> walk);
+  /// Flushes every dirty taxi from `location_of(id)`. Call before Sweep so
+  /// the deposits match the fleet. Timed into stats().maintenance_ms.
+  void FlushDirty(const LocationFn& location_of);
+  /// Flushes taxi `id` alone, if dirty: re-deposits it when `location` is
+  /// not its anchor.
+  void Flush(TaxiId id, VertexId location);
+  /// Brings taxi `id`'s stop labels in line with `stops` (its scheduled
+  /// stop vertices, in schedule order): keeps the held labels that still
+  /// match in order, drops the rest and labels each stop it does not hold.
+  void SyncStops(TaxiId id, std::span<const VertexId> stops);
 
   /// Backward upward sweep from `origin` with cutoff budget + kBudgetSlack,
   /// so it settles exactly the vertices within the cutoff. Records, per
@@ -125,8 +133,8 @@ class LastStopBuckets {
   /// backward search run to exhaustion, or a loaded backward label): the
   /// meet of its deposits with it.
   Seconds FromAnchor(TaxiId id, const UpwardSearch& into) const;
-  /// The stop labels taxi `id` holds, in schedule order; after a flush,
-  /// one per scheduled stop.
+  /// The stop labels taxi `id` holds; after SyncStops, one per scheduled
+  /// stop, in schedule order.
   std::span<const StopLabels> stops(TaxiId id) const { return stops_[id]; }
   /// Taxi `id`'s deposits as a location label, in deposit order (test and
   /// diagnostic access).
@@ -159,8 +167,6 @@ class LastStopBuckets {
 
   void RemoveDeposits(TaxiId id);
   void Deposit(TaxiId id, VertexId anchor);
-  /// Brings taxi `id`'s stop labels in line with `stops`.
-  void SyncStops(TaxiId id, std::span<const VertexId> stops);
   /// One stall-pruned label of `source`, sized exactly.
   UpwardLabel Label(VertexId source, UpwardSearch::Direction direction);
 

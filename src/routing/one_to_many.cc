@@ -9,13 +9,13 @@ namespace mtshare {
 
 InsertionCostBatch::InsertionCostBatch(const RoadNetwork& network,
                                        DistanceOracle* oracle)
-    : oracle_(oracle),
-      cid_epoch_(network.num_vertices(), 0),
-      cid_(network.num_vertices(), 0) {
+    : oracle_(oracle) {
   MTSHARE_CHECK(oracle != nullptr);
-  if (oracle->backend() == OracleBackend::kCh) {
-    endpoints_.emplace(*oracle->ch());
-  }
+  // Only the CH primes: an exact-table leg is one row read.
+  if (oracle->backend() != OracleBackend::kCh) return;
+  cid_epoch_.assign(network.num_vertices(), 0);
+  cid_.assign(network.num_vertices(), 0);
+  endpoints_.emplace(*oracle->ch());
   Grow(64);
 }
 
@@ -43,7 +43,6 @@ int32_t InsertionCostBatch::CidFor(VertexId v) {
   cid_[v] = id;
   cid_vertex_.push_back(v);
   is_stop_.push_back(0);
-  if (pending_succ_.size() <= size_t(id)) pending_succ_.emplace_back();
   if (id >= stride_ && id < kDenseCap) Grow(id);
   return id;
 }
@@ -68,11 +67,11 @@ bool InsertionCostBatch::Primed(VertexId a, VertexId b) const {
 
 void InsertionCostBatch::Begin(VertexId origin, VertexId destination,
                                LastStopBuckets* store) {
-  MTSHARE_CHECK((oracle_->backend() == OracleBackend::kCh) ==
-                (store != nullptr));
+  MTSHARE_CHECK(endpoints_.has_value() == (store != nullptr));
+  store_ = store;
+  if (store == nullptr) return;  // exact table: Cost() reads the table
   origin_ = origin;
   destination_ = destination;
-  store_ = store;
   pending_taxis_.clear();
   endpoints_searched_ = false;
   // Wipe only the matrix region the previous dispatch could have written.
@@ -83,9 +82,6 @@ void InsertionCostBatch::Begin(VertexId origin, VertexId destination,
   if (!overflow_.empty()) overflow_.clear();
   cid_vertex_.clear();
   is_stop_.clear();
-  for (int32_t c : pending_sources_) pending_succ_[c].clear();
-  pending_sources_.clear();
-  pending_stops_.clear();
   NextEpoch(epoch_, cid_epoch_);
   CidFor(origin);
   CidFor(destination);
@@ -93,45 +89,16 @@ void InsertionCostBatch::Begin(VertexId origin, VertexId destination,
 
 void InsertionCostBatch::AddCandidate(TaxiId taxi,
                                       std::span<const VertexId> walk) {
-  if (store_ != nullptr) {
-    // The labels Prime() reads must be those of this walk.
-    store_->Flush(taxi, walk);
-    pending_taxis_.push_back(taxi);
-    return;
-  }
-  int32_t prev_cid = -1;
-  VertexId prev = kInvalidVertex;
-  for (VertexId v : walk) {
-    int32_t c = CidFor(v);
-    if (!is_stop_[c]) {
-      is_stop_[c] = 1;
-      pending_stops_.push_back(v);
-    }
-    if (prev_cid >= 0 && prev != v) {
-      if (!Primed(prev, v)) {
-        std::vector<VertexId>& succ = pending_succ_[prev_cid];
-        if (std::find(succ.begin(), succ.end(), v) == succ.end()) {
-          if (succ.empty()) pending_sources_.push_back(prev_cid);
-          succ.push_back(v);
-        }
-      }
-    }
-    prev = v;
-    prev_cid = c;
-  }
+  if (store_ == nullptr) return;
+  MTSHARE_CHECK(!walk.empty());
+  // The labels Prime() reads must be those of this walk.
+  store_->Flush(taxi, walk.front());
+  store_->SyncStops(taxi, walk.subspan(1));
+  pending_taxis_.push_back(taxi);
 }
 
-void InsertionCostBatch::Gather(std::span<const CostFan> fans) {
-  oracle_->CostFans(fans, &costs_);
-  ++batch_queries_;
-  size_t at = 0;
-  for (const CostFan& fan : fans) {
-    for (VertexId t : fan.targets) Store(fan.source, t, costs_[at++]);
-  }
-}
-
-void InsertionCostBatch::PrimeFromLabels() {
-  if (pending_taxis_.empty()) return;
+void InsertionCostBatch::Prime() {
+  if (pending_taxis_.empty()) return;  // always so on the exact table
   ++label_primes_;
   EndpointSearches& e = *endpoints_;
   if (!endpoints_searched_) {
@@ -186,43 +153,8 @@ void InsertionCostBatch::PrimeFromLabels() {
   pending_taxis_.clear();
 }
 
-void InsertionCostBatch::Prime() {
-  if (store_ != nullptr) {
-    PrimeFromLabels();
-    return;
-  }
-  if (pending_stops_.empty() && pending_sources_.empty()) return;
-  // Exact table: every fan is one row read, the endpoint fans first.
-  if (!pending_stops_.empty()) {
-    // Endpoint fans over the freshly seen stops.
-    origin_targets_.assign(pending_stops_.begin(), pending_stops_.end());
-    origin_targets_.push_back(destination_);
-    fans_.clear();
-    fans_.push_back({origin_, origin_targets_});
-    fans_.push_back({destination_, pending_stops_});
-    Gather(fans_);
-    // Every stop also needs its costs *to* both request endpoints.
-    for (VertexId s : pending_stops_) {
-      int32_t c = cid_[s];
-      std::vector<VertexId>& succ = pending_succ_[c];
-      if (succ.empty()) pending_sources_.push_back(c);
-      succ.push_back(origin_);
-      succ.push_back(destination_);
-    }
-  }
-  // Per-stop fans: each pending source against its base-schedule
-  // successors plus both request endpoints.
-  fans_.clear();
-  for (int32_t c : pending_sources_) {
-    fans_.push_back({cid_vertex_[c], pending_succ_[c]});
-  }
-  Gather(fans_);
-  for (int32_t c : pending_sources_) pending_succ_[c].clear();
-  pending_sources_.clear();
-  pending_stops_.clear();
-}
-
 Seconds InsertionCostBatch::Cost(VertexId a, VertexId b) const {
+  if (store_ == nullptr) return oracle_->Cost(a, b);
   if (a == b) return 0.0;
   if (cid_epoch_[a] == epoch_ && cid_epoch_[b] == epoch_) {
     int32_t ia = cid_[a];
@@ -241,7 +173,6 @@ Seconds InsertionCostBatch::Cost(VertexId a, VertexId b) const {
 
 BatchRoutingStats InsertionCostBatch::stats() const {
   BatchRoutingStats s;
-  s.batch_queries = batch_queries_;
   s.fallback_queries = fallback_queries_;
   s.ch_bucket_queries = label_primes_;
   s.ch_upward_settled = endpoint_settled_;
@@ -249,7 +180,6 @@ BatchRoutingStats InsertionCostBatch::stats() const {
 }
 
 void InsertionCostBatch::ResetStats() {
-  batch_queries_ = 0;
   fallback_queries_ = 0;
   label_primes_ = 0;
   endpoint_settled_ = 0;

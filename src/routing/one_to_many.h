@@ -17,17 +17,13 @@ namespace mtshare {
 /// Counters of the batched insertion-routing layer, harvested into Metrics
 /// and the run report ("routing" section).
 struct BatchRoutingStats {
-  /// Oracle batch calls (CostFans) issued while priming insertion
-  /// batches on the exact table: at most two per Prime(), one for the
-  /// request endpoints' fans and one for the per-stop fans. Zero on the
-  /// CH, whose priming meets stored labels instead.
-  int64_t batch_queries = 0;
   /// Candidate taxis skipped because the landmark lower bound proved the
   /// pickup unreachable before its deadline.
   int64_t lb_pruned = 0;
-  /// Leg costs requested during insertion that were not primed (served by
-  /// a per-pair oracle query; expected 0 — nonzero means the priming
-  /// coverage analysis in InsertionCostBatch is stale).
+  /// Leg costs requested during insertion on the CH that were not primed
+  /// (served by a per-pair oracle query; expected 0 — nonzero means the
+  /// priming coverage analysis in InsertionCostBatch is stale). Always 0
+  /// on the exact table, where every leg is a table read.
   int64_t fallback_queries = 0;
 
   // --- contraction hierarchy (the query counters stay zero unless the CH
@@ -66,9 +62,9 @@ struct BatchRoutingStats {
   /// Taxis returned by last-stop bucket sweeps (pre exact-deadline
   /// re-check).
   int64_t bucket_candidates = 0;
-  /// Wall-clock milliseconds spent keeping last-stop buckets and stop
-  /// labels in sync with schedule commits/advances (FlushDirty time, paid
-  /// inside candidate search).
+  /// Wall-clock milliseconds spent keeping last-stop bucket deposits in
+  /// sync with taxi moves (FlushDirty time, paid inside candidate search;
+  /// stop labels are synced inside insertion).
   double bucket_maintenance_ms = 0.0;
   /// Insertion slots examined by the detour-ellipse screen.
   int64_t slots_screened = 0;
@@ -86,24 +82,23 @@ struct BatchRoutingStats {
   int64_t route_legs_searched = 0;
 };
 
-/// Primes every leg cost FindBestInsertionDp (and its FindBestInsertion
-/// fallback) can request for a request's insertion into candidate
-/// schedules, then serves them from a lock-free table. The legs of any
-/// insertion walk are pairs over {taxi location L, schedule stops s,
-/// request origin o, request destination d} where base-schedule adjacency
-/// is preserved (insertion never removes events), so the closure is:
-/// L -> o, o/d -> every stop, every stop -> o/d, every base-adjacent pair
-/// (L -> s1 and s_k -> s_k+1), and o -> d.
+/// Leg costs of a request's insertion into candidate schedules, as
+/// FindBestInsertionDp (and its FindBestInsertion fallback) requests them.
 ///
-/// Exact table: two oracle batch calls (DistanceOracle::CostFans) per
-/// Prime(), each fan one row read; they also prime o -> L, d -> L and
-/// L -> d, which the DP never reads.
+/// Exact table: nothing to prime. Cost() is DistanceOracle::Cost, one
+/// row read per leg, and Begin/AddCandidate/Prime do nothing.
 ///
-/// Contraction hierarchy: no oracle call. Each leg is the meet of two
-/// upward search spaces (Meet): the request's four endpoint searches,
-/// run once per request to exhaustion into dense arrays, and the labels
-/// `store` keeps per taxi — its location deposits and its stops' forward
-/// and backward labels, computed once when a stop enters the schedule:
+/// Contraction hierarchy: Prime() primes every leg the DP can request and
+/// calls no oracle. The legs of any insertion walk are pairs over {taxi
+/// location L, schedule stops s, request origin o, request destination d}
+/// where base-schedule adjacency is preserved (insertion never removes
+/// events), so the closure is L -> o, o/d -> every stop, every stop ->
+/// o/d, every base-adjacent pair (L -> s1 and s_k -> s_k+1), and o -> d.
+/// Each leg is the meet of two upward search spaces (Meet): the request's
+/// four endpoint searches, run once per request to exhaustion into dense
+/// arrays, and the labels `store` keeps per taxi — its location deposits
+/// and its stops' forward and backward labels, synced when the taxi
+/// becomes a candidate (AddCandidate):
 ///
 ///   L -> o      deposits against o's backward search
 ///   L -> s1     deposits against s1's backward label
@@ -113,44 +108,42 @@ struct BatchRoutingStats {
 ///   o -> d      o's forward search against d's backward search
 ///
 /// A backward label is loaded into a dense scratch array to meet another
-/// label. Either way every entry is bit-identical to DistanceOracle::Cost
+/// label. Either way every leg is bit-identical to DistanceOracle::Cost
 /// for the same pair (InsertionCostBatchTest checks every leg on both
 /// backends).
 ///
 /// Usage: Begin(origin, dest, store) once per dispatch; AddCandidate +
 /// Prime for each candidate (or all candidates, then one Prime); Cost()
-/// afterwards. Unprimed pairs fall back to the oracle and are counted in
-/// stats().fallback_queries.
+/// afterwards. On the CH, unprimed pairs fall back to the oracle and are
+/// counted in stats().fallback_queries.
 ///
-/// The table is a dense matrix over per-dispatch compact vertex ids
-/// (epoch-stamped, so Begin() is O(used cells), not O(|V|)): the exact-mode
-/// oracle answers a leg in one array read, and an unordered_map table made
-/// batched evaluation measurably SLOWER there. Dispatches touching more
-/// than kDenseCap distinct vertices spill the excess pairs into a hash map
-/// instead of growing the matrix quadratically.
+/// The CH's primed legs live in a dense matrix over per-dispatch compact
+/// vertex ids (epoch-stamped, so Begin() is O(used cells), not O(|V|)).
+/// Dispatches touching more than kDenseCap distinct vertices spill the
+/// excess pairs into a hash map instead of growing the matrix
+/// quadratically.
 class InsertionCostBatch {
  public:
   InsertionCostBatch(const RoadNetwork& network, DistanceOracle* oracle);
 
-  /// Starts a new batch for one ride request; clears the table. `store`
-  /// holds the taxis' labels: required on a CH oracle, null on the exact
-  /// table.
+  /// Starts a new batch for one ride request; on the CH, clears the
+  /// table. `store` holds the taxis' labels: required on a CH oracle, null
+  /// on the exact table.
   void Begin(VertexId origin, VertexId destination, LastStopBuckets* store);
 
   /// Registers taxi `taxi`'s insertion walk: its current location
   /// followed by its schedule stops, in schedule order. On the CH this
-  /// first flushes the taxi's labels in the store from `walk`.
+  /// flushes the taxi's deposits from the location and syncs its stop
+  /// labels with the stops; nothing on the exact table.
   void AddCandidate(TaxiId taxi, std::span<const VertexId> walk);
 
-  /// Primes all pairs registered since the last Prime(): on the exact
-  /// table with two CostFans calls — first the fans of the request
-  /// endpoints (origin -> fresh stops + destination, destination -> fresh
-  /// stops), then one fan per pending source (its base successors + origin
-  /// + destination), the first skipped when no stop is fresh; on the CH
-  /// from labels. Only the closure's cells are stored.
+  /// On the CH, primes the closure of the candidates registered since the
+  /// last Prime() from labels, storing only the closure's cells. Nothing
+  /// on the exact table.
   void Prime();
 
-  /// Primed leg cost; falls back to the oracle for unknown pairs.
+  /// Leg cost: a table read on the exact table; on the CH the primed
+  /// cell, falling back to the oracle for unknown pairs.
   Seconds Cost(VertexId a, VertexId b) const;
 
   /// Counters since the last ResetStats (fallbacks are cumulative across
@@ -176,10 +169,6 @@ class InsertionCostBatch {
   void Store(VertexId a, VertexId b, Seconds cost);
   /// Whether (a, b) is primed; both must have compact ids.
   bool Primed(VertexId a, VertexId b) const;
-  /// One CostFans call over `fans`, storing every fan cell.
-  void Gather(std::span<const CostFan> fans);
-  /// The CH body of Prime().
-  void PrimeFromLabels();
 
   DistanceOracle* oracle_;
 
@@ -191,22 +180,10 @@ class InsertionCostBatch {
   std::vector<int32_t> cid_;
   uint32_t epoch_ = 0;
   std::vector<VertexId> cid_vertex_;  // vertex of each compact id
-  std::vector<uint8_t> is_stop_;      // per cid: stop legs registered?
+  std::vector<uint8_t> is_stop_;      // per cid: stop legs stored?
   int32_t stride_ = 0;                // matrix is stride_ x stride_
   std::vector<Seconds> matrix_;       // kUnprimed = absent
   std::unordered_map<uint64_t, Seconds> overflow_;  // cids >= kDenseCap
-
-  // Exact table: pending work registered by AddCandidate since the last
-  // Prime().
-  std::vector<VertexId> pending_stops_;  // stops first seen since last Prime
-  std::vector<int32_t> pending_sources_;  // cids with pending successors
-  std::vector<std::vector<VertexId>> pending_succ_;  // per cid
-
-  // Exact Prime() scratch: the origin fan's targets, the fans of one
-  // Gather() and their costs.
-  std::vector<VertexId> origin_targets_;
-  std::vector<CostFan> fans_;
-  std::vector<Seconds> costs_;
 
   /// CH: the request endpoints' searches, run at the request's first
   /// Prime() with work: forward and backward from the origin and from the
@@ -221,15 +198,15 @@ class InsertionCostBatch {
     UpwardLabel origin_out_label;
   };
 
-  // CH: the store, the candidates registered since the last Prime(), and
-  // the endpoint searches (absent on the exact table).
+  // CH: the store (null on the exact table), the candidates registered
+  // since the last Prime(), and the endpoint searches (absent on the exact
+  // table).
   LastStopBuckets* store_ = nullptr;
   std::vector<TaxiId> pending_taxis_;
   bool endpoints_searched_ = false;
   std::optional<EndpointSearches> endpoints_;
 
   mutable int64_t fallback_queries_ = 0;
-  int64_t batch_queries_ = 0;
   int64_t label_primes_ = 0;
   int64_t endpoint_settled_ = 0;
 };

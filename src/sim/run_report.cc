@@ -134,7 +134,7 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   JsonWriter w(indent);
   w.BeginObject();
   w.Key("schema_version");
-  w.Int(10);
+  w.Int(11);
   w.Key("experiment");
   w.String(context.experiment);
   w.Key("scheme");
@@ -208,15 +208,15 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   w.Int(m.oracle_row_misses);
   w.EndObject();
 
-  // Insertion leg-cost priming: how many batch passes primed the legs,
-  // lower-bound-pruned candidates, and table misses that fell back to the
-  // oracle (expected 0 — a nonzero value means the priming fan missed a
-  // leg shape). The ch_* counters describe the contraction-
-  // hierarchy backend (all zero when routing ran on the exact table).
+  // Insertion routing: lower-bound-pruned candidates, and CH legs the
+  // priming missed that fell back to the oracle (expected 0 — a nonzero
+  // value means the priming closure missed a leg shape). schema_version 11
+  // drops the count of exact-table batch calls: exact-table legs are plain
+  // table reads, counted in oracle.queries. The ch_* counters describe the
+  // contraction-hierarchy backend (all zero when routing ran on the exact
+  // table).
   w.Key("routing");
   w.BeginObject();
-  w.Key("batch_queries");
-  w.Int(m.routing.batch_queries);
   w.Key("lb_pruned");
   w.Int(m.routing.lb_pruned);
   w.Key("fallback_queries");

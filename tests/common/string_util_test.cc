@@ -45,6 +45,14 @@ TEST(ParseDoubleTest, RejectsGarbage) {
   EXPECT_FALSE(ParseDouble("", &v));
   EXPECT_FALSE(ParseDouble("abc", &v));
   EXPECT_FALSE(ParseDouble("1.5x", &v));
+  // Non-finite spellings strtod accepts, and an overflow to infinity.
+  v = 7.0;
+  for (const char* text : {"nan", "NAN", "-nan", "nan(1)", "inf", "-inf",
+                           "Infinity", " inf ", "1e400"}) {
+    EXPECT_FALSE(ParseDouble(text, &v)) << text;
+  }
+  EXPECT_EQ(v, 7.0);  // untouched on failure
+  EXPECT_TRUE(ParseDouble("1.7976931348623157e308", &v));
 }
 
 TEST(ParseInt64Test, ValidAndInvalid) {

@@ -212,13 +212,15 @@ TEST_F(MTShareSystemTest, ChBackendRunsBitIdenticalToExact) {
   }
 
   // The CH run carries its query counters (insertion primes answered
-  // from labels, and their searches); the exact run reports none.
-  // Both report the same hierarchy build, since every oracle owns one.
+  // from labels, and their searches) and reads no table row; the exact
+  // run reads its legs from table rows and reports no CH query. Both
+  // report the same hierarchy build, since every oracle owns one.
   EXPECT_TRUE(ch.value().routing.ch_active);
   EXPECT_GT(ch.value().routing.ch_bucket_queries, 0);
   EXPECT_GT(ch.value().routing.ch_upward_settled, 0);
   EXPECT_GT(ch.value().routing.ch_bucket_entries, 0);
-  EXPECT_EQ(ch.value().routing.batch_queries, 0);
+  EXPECT_EQ(ch.value().oracle_row_hits, 0);
+  EXPECT_GT(exact.value().oracle_row_hits, 0);
   EXPECT_FALSE(exact.value().routing.ch_active);
   EXPECT_EQ(exact.value().routing.ch_bucket_queries, 0);
   EXPECT_EQ(exact.value().routing.ch_upward_settled, 0);

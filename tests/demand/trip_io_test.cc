@@ -107,6 +107,26 @@ TEST_F(TripIoTest, NonNumericFieldRejected) {
   EXPECT_FALSE(LoadTripCsv(path, net_, *snap_).ok());
 }
 
+TEST_F(TripIoTest, NonFiniteFieldRejectedWithLineNumber) {
+  // A NaN timestamp or an infinite coordinate would sort, project and snap
+  // as garbage; the reader names the line instead.
+  for (const char* bad : {"0,1,nan,104.07,30.66,104.08,30.67",
+                          "0,1,10,inf,30.66,104.08,30.67",
+                          "0,1,10,104.07,30.66,104.08,-inf"}) {
+    SCOPED_TRACE(bad);
+    std::string path = TempPath("nonfinite.csv");
+    {
+      std::ofstream out(path);
+      out << "0,1,10,104.07,30.66,104.08,30.67\n" << bad << "\n";
+    }
+    Result<TripCsvResult> r = LoadTripCsv(path, net_, *snap_);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.status().message().find(":2:"), std::string::npos)
+        << r.status();
+    std::remove(path.c_str());
+  }
+}
+
 TEST_F(TripIoTest, MissingFileIsIoError) {
   Result<TripCsvResult> r = LoadTripCsv("/no/such/file.csv", net_, *snap_);
   ASSERT_FALSE(r.ok());

@@ -101,6 +101,27 @@ TEST(GraphIoTest, MalformedCoordinatesRejected) {
   std::remove(path.c_str());
 }
 
+TEST(GraphIoTest, NonFiniteNumbersRejectedWithLineNumber) {
+  // Each bad line sits on line 3 behind two good vertices; the reader must
+  // name that line instead of passing a NaN or an infinity on to the road
+  // network.
+  for (const char* bad : {"e,0,1,nan", "e,0,1,inf", "e,0,1,100,nan",
+                          "e,0,1,100,inf", "v,nan,0", "v,0,-inf"}) {
+    SCOPED_TRACE(bad);
+    std::string path = TempPath("nonfinite.csv");
+    {
+      std::ofstream out(path);
+      out << "v,0,0\nv,100,0\n" << bad << "\n";
+    }
+    Result<RoadNetwork> r = LoadEdgeList(path);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find(":3:"), std::string::npos)
+        << r.status();
+    std::remove(path.c_str());
+  }
+}
+
 TEST(GraphIoTest, SpeedFactorRoundTrips) {
   std::string path = TempPath("factor.csv");
   {

@@ -6,6 +6,7 @@
 #include <array>
 #include <iterator>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -98,53 +99,48 @@ TEST(ContractionHierarchyTest, TinyWitnessLimitStaysCorrect) {
   ExpectAllPairsMatch(MakeGridCity(gopt), copt);
 }
 
-/// Runs each case (a, b, t1, t2, t3) as three fans through an oracle on
-/// each backend. The fans share targets every way one call can: t1 repeats
-/// inside a fan, t2 and t3 are shared across fans, b is one fan's source
-/// and another's target, and a has two fans, the second reaching a itself
-/// (a distance-0 cell). Every cost must equal Dijkstra's, kInfiniteCost
-/// included. A call counts |fans| queries and one batch; the exact table
-/// reads one row per fan, the CH answers one point query per pair.
-void ExpectCostFansContract(const RoadNetwork& net,
-                            std::span<const std::array<VertexId, 5>> cases) {
+/// Runs each case (a, b, t1, t2, t3) as three sources with their targets
+/// through Cost() on an oracle on each backend. The pairs overlap every
+/// way insertion legs do: t1 repeats under one source, t2 and t3 are
+/// shared across sources, b is one source and another's target, and a is
+/// queried twice, reaching a itself (a distance-0 pair). Every cost must
+/// equal Dijkstra's, kInfiniteCost included. Each pair counts one query;
+/// the exact table reads one row per pair and the CH runs one point query,
+/// except for a same-vertex pair, which touches neither.
+void ExpectPointQueryContract(const RoadNetwork& net,
+                              std::span<const std::array<VertexId, 5>> cases) {
   const std::vector<std::vector<Seconds>> rows = DijkstraRows(net);
   OracleOptions exact_opts, ch_opts;
   exact_opts.backend = OracleBackend::kExact;
   ch_opts.backend = OracleBackend::kCh;
   DistanceOracle exact_oracle(net, exact_opts);
   DistanceOracle ch_oracle(net, ch_opts);
-  std::vector<Seconds> got;
-  const auto expect_costs = [&](std::span<const CostFan> fans) {
-    size_t at = 0;
-    for (const CostFan& fan : fans) {
-      for (VertexId t : fan.targets) {
-        ASSERT_LT(at, got.size());
-        EXPECT_EQ(got[at++], rows[fan.source][t]) << fan.source << "->" << t;
-      }
-    }
-    EXPECT_EQ(at, got.size());
-  };
   for (const std::array<VertexId, 5>& c : cases) {
     const auto [a, b, t1, t2, t3] = c;
-    const std::vector<VertexId> ta{t1, t2, t1, b}, tb{t2, a, t3}, tc{t3, a};
-    const CostFan fans[] = {{a, ta}, {b, tb}, {a, tc}};
-    const int64_t pairs =
-        static_cast<int64_t>(ta.size() + tb.size() + tc.size());
+    const std::vector<std::pair<VertexId, std::vector<VertexId>>> sources{
+        {a, {t1, t2, t1, b}}, {b, {t2, a, t3}}, {a, {t3, a}}};
     for (DistanceOracle* oracle : {&exact_oracle, &ch_oracle}) {
       const int64_t queries0 = oracle->queries();
-      const int64_t batches0 = oracle->batch_queries();
       const int64_t rows0 = oracle->row_hits() + oracle->row_misses();
       const ChQueryStats s0 = oracle->ch_query_stats();
-      oracle->CostFans(fans, &got);
-      expect_costs(fans);
-      EXPECT_EQ(oracle->queries() - queries0, 3);
-      EXPECT_EQ(oracle->batch_queries() - batches0, 1);
+      int64_t pairs = 0;
+      int64_t same_vertex = 0;
+      for (const auto& [source, targets] : sources) {
+        for (VertexId t : targets) {
+          EXPECT_EQ(oracle->Cost(source, t), rows[source][t])
+              << source << "->" << t;
+          ++pairs;
+          if (source == t) ++same_vertex;
+        }
+      }
+      EXPECT_EQ(oracle->queries() - queries0, pairs);
       const ChQueryStats s1 = oracle->ch_query_stats();
       if (oracle->backend() == OracleBackend::kCh) {
-        EXPECT_EQ(s1.point_queries - s0.point_queries, pairs);
+        EXPECT_EQ(s1.point_queries - s0.point_queries, pairs - same_vertex);
         EXPECT_EQ(oracle->row_hits() + oracle->row_misses(), 0);
-      } else {  // one row read per fan, however many targets it serves
-        EXPECT_EQ(oracle->row_hits() + oracle->row_misses() - rows0, 3);
+      } else {
+        EXPECT_EQ(oracle->row_hits() + oracle->row_misses() - rows0,
+                  pairs - same_vertex);
         EXPECT_EQ(s1.point_queries, 0);
       }
     }
@@ -182,10 +178,10 @@ TEST(ContractionHierarchyTest, DisconnectedComponentsReportInfinity) {
   ExpectPhastRowsMatch(ch, rows);
   EXPECT_EQ(PhastRow(ch, 4, UpwardSearch::kForward)[0], kInfiniteCost);
   EXPECT_EQ(PhastRow(ch, 0, UpwardSearch::kBackward)[4], kInfiniteCost);
-  // Fans mixing reachable and unreachable cells: every fan from 4 has
-  // targets on island A; 6 reaches neither 3 nor 0.
+  // Sources mixing reachable and unreachable targets: 4 has targets on
+  // island A; 6 reaches neither 3 nor 0.
   const std::array<VertexId, 5> cases[] = {{4, 1, 0, 5, 2}, {0, 6, 7, 3, 5}};
-  ExpectCostFansContract(net, cases);
+  ExpectPointQueryContract(net, cases);
 }
 
 TEST(ContractionHierarchyTest, BucketQueriesMatchPointQueries) {
@@ -200,7 +196,7 @@ TEST(ContractionHierarchyTest, BucketQueriesMatchPointQueries) {
   for (std::array<VertexId, 5>& c : cases) {
     for (VertexId& v : c) v = VertexId(rng.NextInt(0, net.num_vertices() - 1));
   }
-  ExpectCostFansContract(net, cases);
+  ExpectPointQueryContract(net, cases);
 }
 
 TEST(ContractionHierarchyTest, StatsAndMemoryArePopulated) {
@@ -248,8 +244,8 @@ TEST(DistanceOracleChBackendTest, MatchesExactBackendBitwise) {
   DistanceOracle ch_oracle(net, copt);
   DistanceOracle exact_oracle(net);
 
-  // Batch calls are checked against Dijkstra on both backends by
-  // ExpectCostFansContract; this pins the point queries.
+  // Both backends are checked against Dijkstra by
+  // ExpectPointQueryContract; this pins them against each other.
   Rng rng(611);
   for (int round = 0; round < 30; ++round) {
     VertexId s = VertexId(rng.NextInt(0, net.num_vertices() - 1));
@@ -274,14 +270,15 @@ TEST(DistanceOracleChBackendTest, ManyToManyCountsAndMemory) {
   size_t idle_bytes = oracle.MemoryBytes();
   EXPECT_GT(idle_bytes, 0u);
 
-  std::vector<VertexId> targets{3, 7, 11, 20};
-  const CostFan fans[] = {{0, targets}, {5, targets}, {9, targets}};
-  std::vector<Seconds> costs;
+  const VertexId sources[] = {0, 5, 9};
+  const VertexId targets[] = {3, 7, 11, 20};
   int64_t q0 = oracle.queries();
-  oracle.CostFans(fans, &costs);
-  EXPECT_EQ(costs.size(), std::size(fans) * targets.size());
-  EXPECT_EQ(oracle.queries() - q0, int64_t(std::size(fans)));
-  EXPECT_EQ(oracle.batch_queries(), 1);
+  for (VertexId s : sources) {
+    for (VertexId t : targets) EXPECT_LT(oracle.Cost(s, t), kInfiniteCost);
+  }
+  const int64_t pairs = int64_t(std::size(sources) * std::size(targets));
+  EXPECT_EQ(oracle.queries() - q0, pairs);
+  EXPECT_EQ(oracle.ch_query_stats().point_queries, pairs);
   // Pooled query engines are part of the oracle's resident footprint.
   EXPECT_GT(oracle.MemoryBytes(), idle_bytes);
 }

@@ -10,6 +10,8 @@
 #include "graph/graph_generators.h"
 #include "routing/contraction_hierarchy.h"
 #include "routing/dijkstra.h"
+#include "routing/distance_oracle.h"
+#include "routing/one_to_many.h"
 
 namespace mtshare {
 namespace {
@@ -27,12 +29,10 @@ RoadNetwork TestCity(uint64_t seed) {
   return MakeGridCity(gopt);
 }
 
-/// Anchors every taxi at anchors[id], with no scheduled stop (one
-/// FlushDirty from the given map).
+/// Anchors every dirty taxi at anchors[id] (one FlushDirty from the given
+/// map).
 void Anchor(LastStopBuckets* buckets, const std::vector<VertexId>& anchors) {
-  buckets->FlushDirty([&](TaxiId id) {
-    return std::span<const VertexId>(&anchors[id], 1);
-  });
+  buckets->FlushDirty([&](TaxiId id) { return anchors[id]; });
 }
 
 /// All settled (vertex, distance) pairs of an exhaustive upward search.
@@ -245,7 +245,8 @@ void ExpectLabelsMeetLikeDijkstra(const RoadNetwork& net, uint64_t seed) {
       v = static_cast<VertexId>(rng.NextInt(0, net.num_vertices() - 1));
     }
     buckets.MarkDirty(0);
-    buckets.Flush(0, walk);
+    buckets.Flush(0, walk[0]);
+    buckets.SyncStops(0, std::span(walk).subspan(1));
     const VertexId x = walk[0], s = walk[1], t = walk[2];
     ASSERT_EQ(buckets.stops(0).size(), 2u);
     const StopLabels& from = buckets.stops(0)[0];
@@ -301,6 +302,8 @@ TEST(LastStopBucketsTest, StopLabelsMeetLikeDijkstra) {
 }
 
 TEST(LastStopBucketsTest, FlushLabelsOnlyNewStops) {
+  // A flush keeps a taxi's deposits and labels no stop; SyncStops labels
+  // the stops an insertion reads, only those the taxi does not hold.
   RoadNetwork net = TestCity(61);
   ContractionHierarchy ch = ContractionHierarchy::Build(net);
   LastStopBuckets buckets(ch, 2);
@@ -310,50 +313,86 @@ TEST(LastStopBucketsTest, FlushLabelsOnlyNewStops) {
     return out;
   };
   const auto labelled = [&] { return buckets.stats().label_settled; };
+  const auto sync = [&](std::vector<VertexId> stops) {
+    buckets.SyncStops(0, stops);
+  };
 
-  std::vector<VertexId> walk{5, 10, 20};
-  buckets.Flush(0, walk);
+  buckets.Flush(0, 5);
+  EXPECT_EQ(buckets.anchor(0), 5);
+  EXPECT_TRUE(buckets.stops(0).empty());
+  EXPECT_EQ(labelled(), 0);
+
+  sync({10, 20});
   EXPECT_EQ(stop_vertices(0), (std::vector<VertexId>{10, 20}));
   const int64_t two_stops = labelled();
   EXPECT_GT(two_stops, 0);
 
-  // Clean: nothing changes, even for a different walk.
-  buckets.Flush(0, std::vector<VertexId>{6, 30});
+  // Held stops: nothing changes.
+  sync({10, 20});
   EXPECT_EQ(stop_vertices(0), (std::vector<VertexId>{10, 20}));
   EXPECT_EQ(labelled(), two_stops);
 
   // A request inserted around the held stops labels only its two stops.
-  buckets.MarkDirty(0);
-  walk = {5, 40, 10, 50, 20};
-  buckets.Flush(0, walk);
+  sync({40, 10, 50, 20});
   EXPECT_EQ(stop_vertices(0), (std::vector<VertexId>{40, 10, 50, 20}));
   const int64_t four_stops = labelled();
   EXPECT_GT(four_stops, two_stops);
 
   // Executed stops pop from the front; the rest are kept as they were.
   const UpwardLabel kept_in = buckets.stops(0)[3].in;
-  buckets.MarkDirty(0);
-  walk = {12, 50, 20};
-  buckets.Flush(0, walk);
+  sync({50, 20});
   EXPECT_EQ(stop_vertices(0), (std::vector<VertexId>{50, 20}));
   EXPECT_EQ(labelled(), four_stops);
   EXPECT_EQ(buckets.stops(0)[1].in.vertices, kept_in.vertices);
   EXPECT_EQ(buckets.stops(0)[1].in.costs, kept_in.costs);
 
   // Pop and insert together: a new stop ahead of a held one.
-  buckets.MarkDirty(0);
-  walk = {13, 60, 20};
-  buckets.Flush(0, walk);
+  sync({60, 20});
   EXPECT_EQ(stop_vertices(0), (std::vector<VertexId>{60, 20}));
   EXPECT_GT(labelled(), four_stops);
 
   // Drained: no labels are held. The other taxi was never touched.
-  buckets.MarkDirty(0);
-  walk = {20};
-  buckets.Flush(0, walk);
+  sync({});
   EXPECT_TRUE(buckets.stops(0).empty());
   EXPECT_TRUE(buckets.stops(1).empty());
   EXPECT_TRUE(buckets.dirty(1));
+}
+
+/// Insertion syncs a candidate's stop labels: right after AddCandidate the
+/// taxi holds one label pair per scheduled stop, in schedule order, each
+/// equal to a fresh label of its own vertex — also when the labels it held
+/// lagged its schedule. A taxi that never was a candidate holds none.
+TEST(LastStopBucketsTest, AddCandidateHoldsOneFreshLabelPerStop) {
+  RoadNetwork net = TestCity(67);
+  OracleOptions opts;
+  opts.backend = OracleBackend::kCh;
+  DistanceOracle oracle(net, opts);
+  LastStopBuckets buckets(*oracle.ch(), 2);
+  LastStopBuckets fresh(*oracle.ch(), 1);
+  InsertionCostBatch batch(net, &oracle);
+  // Each walk is the taxi's location then its stops; consecutive walks
+  // insert around held stops, pop executed ones, or both.
+  const std::vector<std::vector<VertexId>> walks{
+      {5, 10, 20}, {7, 10, 30, 20}, {8, 20}, {9, 40, 41, 20}, {20}};
+  for (const std::vector<VertexId>& walk : walks) {
+    buckets.MarkDirty(0);
+    batch.Begin(3, 60, &buckets);
+    batch.AddCandidate(0, walk);
+    EXPECT_FALSE(buckets.dirty(0));
+    EXPECT_EQ(buckets.anchor(0), walk[0]);
+    const std::span<const StopLabels> held = buckets.stops(0);
+    ASSERT_EQ(held.size(), walk.size() - 1);
+    for (size_t k = 0; k < held.size(); ++k) {
+      EXPECT_EQ(held[k].vertex, walk[k + 1]) << "stop " << k;
+      fresh.SyncStops(0, std::span(&walk[k + 1], 1));
+      const StopLabels& want = fresh.stops(0)[0];
+      EXPECT_EQ(held[k].out.vertices, want.out.vertices) << "stop " << k;
+      EXPECT_EQ(held[k].out.costs, want.out.costs) << "stop " << k;
+      EXPECT_EQ(held[k].in.vertices, want.in.vertices) << "stop " << k;
+      EXPECT_EQ(held[k].in.costs, want.in.costs) << "stop " << k;
+    }
+  }
+  EXPECT_TRUE(buckets.stops(1).empty());
 }
 
 }  // namespace

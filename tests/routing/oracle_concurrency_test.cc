@@ -16,13 +16,15 @@ namespace mtshare {
 namespace {
 
 // Runs in mtshare_thread_tests so the tsan preset checks it: many threads
-// hammer one oracle with point queries and one- and many-fan CostFans
-// batches at once, as concurrent RunScenario calls on one system do. On the
-// CH backend the engine pool must hand every thread its own ChQuery
-// (stateful buffers), which answers fans pair by pair; on the exact table,
-// threads race to fill the same cold rows, each by a PhastRow over the
-// shared hierarchy, and each row must still be filled exactly once. The counters must not race, and every
-// answer must equal the precomputed Dijkstra reference bit for bit.
+// hammer one oracle with point queries at once, as concurrent RunScenario
+// calls on one system do. Each round queries one pair, then one source
+// against six targets, then three more sources against prefixes of those
+// targets, so targets repeat across sources. On the CH backend the engine
+// pool must hand every thread its own ChQuery (stateful buffers); on the
+// exact table, threads race to fill the same cold rows, each by a PhastRow
+// over the shared hierarchy, and each row must still be filled exactly
+// once. The counters must not race, and every answer must equal the
+// precomputed Dijkstra reference bit for bit.
 void ExpectConcurrentQueriesMatchDijkstra(OracleBackend backend) {
   GridCityOptions gopt;
   gopt.rows = 10;
@@ -45,6 +47,7 @@ void ExpectConcurrentQueriesMatchDijkstra(OracleBackend backend) {
 
   constexpr int kThreads = 8;
   constexpr int kRoundsPerThread = 40;
+  constexpr int kQueriesPerRound = 1 + 6 + (2 + 4 + 6);
   std::atomic<int> mismatches{0};
   std::atomic<int> same_vertex{0};
   // Sources whose rows each worker's queries read; each worker writes
@@ -55,65 +58,52 @@ void ExpectConcurrentQueriesMatchDijkstra(OracleBackend backend) {
     workers.emplace_back([&, w] {
       Rng rng(671 + uint64_t(w));
       std::vector<VertexId> targets;
-      std::vector<CostFan> fans;
-      std::vector<Seconds> got;
-      for (int round = 0; round < kRoundsPerThread; ++round) {
-        VertexId s = VertexId(rng.NextInt(0, n - 1));
-        VertexId t = VertexId(rng.NextInt(0, n - 1));
+      const auto query = [&](VertexId s, VertexId t) {
         if (oracle.Cost(s, t) != reference[s][t]) mismatches.fetch_add(1);
-        if (s == t) same_vertex.fetch_add(1);  // answered without an engine
+        if (s == t) {
+          same_vertex.fetch_add(1);  // answered without an engine or row
+        } else {
+          row_sources[w].push_back(s);
+        }
+      };
+      for (int round = 0; round < kRoundsPerThread; ++round) {
+        const VertexId s = VertexId(rng.NextInt(0, n - 1));
+        query(s, VertexId(rng.NextInt(0, n - 1)));
 
         targets.clear();
         for (int i = 0; i < 6; ++i) {
           targets.push_back(VertexId(rng.NextInt(0, n - 1)));
         }
-        const CostFan one{s, targets};
-        oracle.CostFans({&one, 1}, &got);
-        row_sources[w].push_back(s);
-        for (size_t i = 0; i < targets.size(); ++i) {
-          if (got[i] != reference[s][targets[i]]) mismatches.fetch_add(1);
-        }
+        for (VertexId t : targets) query(s, t);
 
-        // Three fans over prefixes of the same targets, so targets repeat
-        // across fans.
-        fans.clear();
         for (size_t i = 0; i < 3; ++i) {
           const VertexId source = VertexId(rng.NextInt(0, n - 1));
-          fans.push_back({source, std::span(targets).first(2 + 2 * i)});
-          row_sources[w].push_back(source);
-        }
-        oracle.CostFans(fans, &got);
-        size_t at = 0;
-        for (const CostFan& fan : fans) {
-          for (VertexId t : fan.targets) {
-            if (got[at++] != reference[fan.source][t]) mismatches.fetch_add(1);
+          for (VertexId t : std::span(targets).first(2 + 2 * i)) {
+            query(source, t);
           }
         }
-        if (at != got.size()) mismatches.fetch_add(1);
       }
     });
   }
   for (std::thread& worker : workers) worker.join();
   EXPECT_EQ(mismatches.load(), 0);
 
-  // Counter sanity: every round issued 1 point + 1 one-fan + 3 fan
-  // queries.
-  EXPECT_EQ(oracle.queries(), int64_t(kThreads) * kRoundsPerThread * 5);
-  EXPECT_EQ(oracle.batch_queries(), int64_t(kThreads) * kRoundsPerThread * 2);
+  EXPECT_EQ(oracle.queries(),
+            int64_t(kThreads) * kRoundsPerThread * kQueriesPerRound);
   if (backend == OracleBackend::kExact) {
-    // Every row any worker read was filled once, however many raced for it.
+    // Every row any worker read was filled once, however many raced for
+    // it; a same-vertex pair reads no row.
     std::set<VertexId> distinct;
     for (const std::vector<VertexId>& sources : row_sources) {
       distinct.insert(sources.begin(), sources.end());
     }
     EXPECT_EQ(oracle.row_misses(), int64_t(distinct.size()));
+    EXPECT_EQ(oracle.row_hits() + oracle.row_misses(),
+              oracle.queries() - same_vertex.load());
   } else {
-    // The CH answers fans pair by pair: one point query per target, plus
-    // each round's point query unless its two vertices coincide.
+    // One engine point query per pair whose two vertices differ.
     ChQueryStats stats = oracle.ch_query_stats();
-    EXPECT_EQ(stats.point_queries,
-              int64_t(kThreads) * kRoundsPerThread * (1 + 6 + 2 + 4 + 6) -
-                  same_vertex.load());
+    EXPECT_EQ(stats.point_queries, oracle.queries() - same_vertex.load());
     EXPECT_GT(stats.upward_settled, 0);
   }
 }

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "core/mtshare_system.h"
 #include "demand/trip_io.h"
 #include "graph/graph_generators.h"
@@ -306,6 +307,51 @@ TEST_F(RequestSourceTest, MalformedStreamsFailRunScenarioWithLineError) {
     EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument) << c.name;
     EXPECT_NE(run.status().message().find(c.expect), std::string::npos)
         << c.name << ": " << run.status();
+  }
+}
+
+TEST_F(RequestSourceTest, NonFiniteFieldsFailWithLineError) {
+  // A NaN release time would pass the sortedness check and abort the
+  // engine's own; a NaN or infinite deadline or direct cost would be
+  // accepted. In CSV and JSON alike, the stream stops at the line instead.
+  // Each bad line is the second request's with one number replaced.
+  const std::string good = FormatRequestCsv(scenario_.requests[0]);
+  const std::string csv = FormatRequestCsv(scenario_.requests[1]);
+  const std::string json = FormatRequestJson(scenario_.requests[1]);
+  std::vector<std::string> bad_lines;
+  for (const char* value : {"nan", "inf", "-nan", "-inf"}) {
+    for (size_t field : {1, 4, 5}) {  // release, deadline, direct_cost
+      std::vector<std::string> fields = Split(csv, ',');
+      fields[field] = value;
+      std::string line = fields[0];
+      for (size_t i = 1; i < fields.size(); ++i) line += "," + fields[i];
+      bad_lines.push_back(line);
+    }
+    for (const char* key : {"release_time", "deadline", "direct_cost"}) {
+      const std::string tag = "\"" + std::string(key) + "\":";
+      std::string line = json;
+      const size_t at = line.find(tag) + tag.size();
+      line.replace(at, line.find_first_of(",}", at) - at, value);
+      bad_lines.push_back(line);
+    }
+  }
+  for (const std::string& second : {csv, json}) {  // the unmodified lines
+    std::istringstream in(good + "\n" + second + "\n");
+    StreamRequestSource source(&in);
+    RideRequest out;
+    ASSERT_TRUE(source.Next(&out));
+    ASSERT_TRUE(source.Next(&out)) << source.status();
+  }
+  for (const std::string& bad : bad_lines) {
+    SCOPED_TRACE(bad);
+    std::istringstream in(good + "\n" + bad + "\n");
+    StreamRequestSource source(&in);
+    RideRequest out;
+    ASSERT_TRUE(source.Next(&out));
+    EXPECT_FALSE(source.Next(&out));
+    ASSERT_FALSE(source.status().ok());
+    EXPECT_NE(source.status().message().find("line 2"), std::string::npos)
+        << source.status();
   }
 }
 

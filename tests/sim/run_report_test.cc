@@ -65,7 +65,7 @@ std::vector<std::string> KeysOf(const std::string& json,
 }
 
 void ValidateReportSchema(const std::string& json) {
-  EXPECT_EQ(NumberAfter(json, "", "schema_version"), 10.0);
+  EXPECT_EQ(NumberAfter(json, "", "schema_version"), 11.0);
   for (const char* key :
        {"experiment", "scheme", "window", "num_taxis", "num_requests",
         "seed", "requests", "response_ms", "waiting_min", "detour_min",
@@ -75,10 +75,22 @@ void ValidateReportSchema(const std::string& json) {
     EXPECT_TRUE(HasKey(json, key)) << "missing top-level key " << key;
   }
 
-  // Batched-routing section (schema_version 2). Counters are cumulative
-  // and non-negative; fallbacks mean the priming fan missed a leg shape,
-  // which is a bug by construction.
-  for (const char* key : {"batch_queries", "lb_pruned", "fallback_queries"}) {
+  // Insertion-routing section (schema_version 2). It holds exactly these
+  // keys: schema_version 11 drops the count of exact-table batch calls,
+  // since exact-table legs are plain table reads. The routing section
+  // follows the oracle one (the phases block has a "routing" key too).
+  const std::vector<std::string> routing_keys = {
+      "lb_pruned",           "fallback_queries",      "ch_active",
+      "ch_shortcuts",        "ch_preprocessing_ms",   "ch_point_queries",
+      "ch_bucket_queries",   "ch_upward_settled",     "ch_bucket_entries",
+      "candidate_search",    "bucket_candidates",     "bucket_maintenance_ms",
+      "slots_screened",      "ellipse_pruned",        "route_legs_walked",
+      "route_legs_prefixed", "route_legs_searched"};
+  EXPECT_EQ(KeysOf(json.substr(json.find("\"oracle\":")), "routing"),
+            routing_keys);
+  // Counters are cumulative and non-negative; fallbacks mean the CH
+  // priming missed a leg shape, which is a bug by construction.
+  for (const char* key : {"lb_pruned", "fallback_queries"}) {
     EXPECT_GE(NumberAfter(json, "routing", key), 0.0) << key;
   }
   EXPECT_EQ(NumberAfter(json, "routing", "fallback_queries"), 0.0);
@@ -250,11 +262,9 @@ TEST_F(RunReportTest, SchemaIsValidForEveryScheme) {
       calls += NumberAfter(json, phase, "calls");
     }
     EXPECT_GT(calls, 0.0);
-    // Every sharing scheme primes its insertion legs in batches
-    // (No-Sharing has no insertion fan-out to batch).
-    if (scheme != SchemeKind::kNoSharing) {
-      EXPECT_GT(NumberAfter(json, "routing", "batch_queries"), 0.0);
-    }
+    // Every scheme reads its insertion legs (and No-Sharing its pickup
+    // probes) from the exact table's rows.
+    EXPECT_GT(NumberAfter(json, "oracle", "row_hits"), 0.0);
     // The engine did real heap work: every assigned route is armed on the
     // heap and popped as the taxi moves.
     EXPECT_GT(NumberAfter(json, "engine", "heap_pops"), 0.0);

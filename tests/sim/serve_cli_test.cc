@@ -180,17 +180,23 @@ TEST_F(ServeCliTest, ShortWriteOnDecisionStreamExitsOne) {
 TEST_F(ServeCliTest, MalformedLogLineFailsWithLineTaggedError) {
   std::string log = Tmp("bad_log.csv");
   std::string err = Tmp("bad_err.txt");
-  {
-    std::ofstream out(log);
-    out << "# comment\n";
-    out << "0,28800.0,3,40,-1,-1,1,0\n";
-    out << "this is not a request\n";
+  // A NaN release time once reached the engine and aborted the server on
+  // its release-order check (exit 134); the reader now rejects the line.
+  for (const char* bad :
+       {"this is not a request", "1,nan,6,41,37100,300,1,0"}) {
+    {
+      std::ofstream out(log);
+      out << "# comment\n";
+      out << "0,28800.0,3,40,-1,-1,1,0\n";
+      out << bad << "\n";
+    }
+    std::string serve = std::string(MTSHARE_SERVE_BINARY) + kCityFlags +
+                        " --gauge-every=0 < " + log + " > /dev/null 2> " +
+                        err;
+    EXPECT_EQ(RunCommand(serve), 1) << serve << " with " << bad;
+    std::string message = ReadFile(err);
+    EXPECT_NE(message.find("line 3"), std::string::npos) << message;
   }
-  std::string serve = std::string(MTSHARE_SERVE_BINARY) + kCityFlags +
-                      " --gauge-every=0 < " + log + " > /dev/null 2> " + err;
-  EXPECT_EQ(RunCommand(serve), 1) << serve;
-  std::string message = ReadFile(err);
-  EXPECT_NE(message.find("line 3"), std::string::npos) << message;
   std::remove(log.c_str());
   std::remove(err.c_str());
 }

@@ -43,7 +43,7 @@
 //   --gauge-every  emit a gauge line to stderr every N decisions
 //                  (default 1000; 0 = silent)
 //   --input        read the request log from this file instead of stdin
-//   --report       write a schema-10 JSON run report here (includes the
+//   --report       write a schema-11 JSON run report here (includes the
 //                  "serve" admission/backpressure block)
 //
 // Exit codes: 0 success, 1 runtime failure (bad network file, malformed

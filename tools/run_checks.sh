@@ -5,17 +5,20 @@
 #      both oracle backends, a pGreedyDP run and an mT-Share-pro run, and
 #      mtshare_sim's pinned decisions) and ServeCliTest (a
 #      --save-requests log piped through mtshare_serve), and the bench
-#      smokes: one micro_smoke_* test per micro-bench filter (BM_EngineAdvance,
-#      BM_ProbabilisticLeg, BM_ExactRowFill, BM_OracleBackends,
-#      BM_PrimeInsertion, BM_ShortestLeg, BM_KMeansTransition,
-#      BM_BipartitePartition) and
+#      smokes: one micro_smoke_* test per micro-bench filter
+#      (BM_EngineAdvance/fleet:100, BM_ProbabilisticLeg,
+#      BM_ExactRowFill/phast|dijkstra, BM_OracleBackends/,
+#      BM_PrimeInsertion/ch, BM_ShortestLeg/row_walk|dijkstra,
+#      BM_KMeansTransition, BM_BipartitePartition) and
 #      bench_fleet_sweep_smoke
 #   2. configure + build the tsan preset, run the `tsan`-labelled tests
 #      (several RunScenario calls on one system sharing the oracle: exact
 #      row fills and the CH engine pool; concurrent bucket-sweep runs on
 #      one CH oracle); an empty selection fails
 #   3. configure + build the asan preset, run the full suite (the examples
-#      and bench smokes included) under AddressSanitizer + LeakSanitizer
+#      and bench smokes included) under AddressSanitizer + LeakSanitizer +
+#      UndefinedBehaviorSanitizer; undefined behaviour aborts the test
+#      (-fno-sanitize-recover=undefined) and prints its stack
 #   4. (opt-in) scale smoke: the `scale`-labelled ctest tier at reduced
 #      sizes — bench_scale trajectory schema, 10^6-request stream
 #      determinism, 10k-fleet golden decision digest
@@ -45,7 +48,7 @@ else
 fi
 
 if [[ "${MTSHARE_SKIP_ASAN:-0}" != "1" ]]; then
-  echo "==> [3/4] asan preset: build + full suite under ASan/LSan"
+  echo "==> [3/4] asan preset: build + full suite under ASan/LSan/UBSan"
   cmake --preset asan >/dev/null
   # Build mtshare_scale_tests too so its tests carry the `scale` label the
   # preset excludes; unbuilt, an unlabelled *_NOT_BUILT placeholder runs.
