@@ -1,7 +1,7 @@
 // Micro-benchmarks of the performance-critical components (google-benchmark):
 // shortest-path engines (plain vs partition-filtered vs oracle-cached),
-// exact-table row fills (PHAST vs Dijkstra), insertion-leg priming from
-// CH labels, committed shortest-path legs
+// upward-search kernel runs, exact-table row fills (PHAST vs Dijkstra),
+// insertion-leg priming from CH labels, committed shortest-path legs
 // (row walk vs Dijkstra), probabilistic routing
 // (Algorithm 4), request insertion (exhaustive vs DP), k-means, mobility
 // clustering, and the candidate indexes. These quantify
@@ -98,6 +98,46 @@ void BM_OracleBackends(benchmark::State& state) {
 BENCHMARK(BM_OracleBackends)
     ->Arg(int(OracleBackend::kExact))
     ->Arg(int(OracleBackend::kCh));
+
+// One run of the upward-search kernel on the micro-bench city's
+// hierarchy, from one of 256 seeded sources per iteration: a location
+// deposit (a forward run to exhaustion whose reached vertices then pass
+// the stall test) and a reachability sweep (a backward run cut off at a
+// 300 s pickup budget). reached_per_run counts the vertices a run
+// reaches, kept_per_run those a deposit keeps.
+enum class UpwardRun { kDeposit, kSweep };
+
+void BM_UpwardSearch(benchmark::State& state, UpwardRun run) {
+  static const ContractionHierarchy ch = ContractionHierarchy::Build(Net());
+  UpwardSearch search(ch);
+  Rng rng(43);
+  std::vector<VertexId> sources(256);
+  for (VertexId& s : sources) {
+    s = VertexId(rng.NextInt(0, Net().num_vertices() - 1));
+  }
+  size_t i = 0;
+  int64_t reached = 0;
+  int64_t kept = 0;
+  for (auto _ : state) {
+    const VertexId source = sources[i++ % sources.size()];
+    if (run == UpwardRun::kDeposit) {
+      search.Run(source, UpwardSearch::kForward, kInfiniteCost);
+      for (const VertexId v : search.reached()) {
+        kept += search.Stalled(v) ? 0 : 1;
+      }
+    } else {
+      search.Run(source, UpwardSearch::kBackward, 300.0);
+    }
+    reached += static_cast<int64_t>(search.reached().size());
+  }
+  const double runs = double(std::max<int64_t>(1, state.iterations()));
+  state.counters["reached_per_run"] = double(reached) / runs;
+  if (run == UpwardRun::kDeposit) {
+    state.counters["kept_per_run"] = double(kept) / runs;
+  }
+}
+BENCHMARK_CAPTURE(BM_UpwardSearch, deposit, UpwardRun::kDeposit);
+BENCHMARK_CAPTURE(BM_UpwardSearch, sweep, UpwardRun::kSweep);
 
 // One request's insertion priming on the CH (InsertionCostBatch Begin,
 // AddCandidate per candidate, Prime) over a fixed, seeded set of 48 taxis:

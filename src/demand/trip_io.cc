@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -157,6 +158,13 @@ std::string FormatRequestJson(const RideRequest& r) {
 
 namespace {
 
+/// Whether `value` fits the 32-bit field (a vertex id or a passenger
+/// count) it is stored in; a wider value would wrap silently.
+bool FitsInt32(int64_t value) {
+  return value >= std::numeric_limits<int32_t>::min() &&
+         value <= std::numeric_limits<int32_t>::max();
+}
+
 Result<RideRequest> ParseRequestJsonLine(std::string_view text) {
   auto malformed = [](const std::string& why) {
     return Status::InvalidArgument("bad JSON request: " + why);
@@ -200,15 +208,21 @@ Result<RideRequest> ParseRequestJsonLine(std::string_view text) {
       if (!ParseInt64(value, &integer)) return malformed("bad id");
       r.id = integer;
     } else if (key == "origin") {
-      if (!ParseInt64(value, &integer)) return malformed("bad origin");
+      if (!ParseInt64(value, &integer) || !FitsInt32(integer)) {
+        return malformed("bad origin");
+      }
       r.origin = static_cast<VertexId>(integer);
       has_origin = true;
     } else if (key == "destination") {
-      if (!ParseInt64(value, &integer)) return malformed("bad destination");
+      if (!ParseInt64(value, &integer) || !FitsInt32(integer)) {
+        return malformed("bad destination");
+      }
       r.destination = static_cast<VertexId>(integer);
       has_destination = true;
     } else if (key == "passengers") {
-      if (!ParseInt64(value, &integer)) return malformed("bad passengers");
+      if (!ParseInt64(value, &integer) || !FitsInt32(integer)) {
+        return malformed("bad passengers");
+      }
       r.passengers = static_cast<int32_t>(integer);
     } else if (key == "offline") {
       if (value == "true") {
@@ -255,6 +269,10 @@ Result<RideRequest> ParseRequestCsvLine(std::string_view text) {
       !ParseInt64(Trim(fields[6]), &passengers) ||
       !ParseInt64(Trim(fields[7]), &offline)) {
     return malformed("bad numeric field");
+  }
+  if (!FitsInt32(origin) || !FitsInt32(destination) ||
+      !FitsInt32(passengers)) {
+    return malformed("vertex or passenger count out of 32-bit range");
   }
   r.id = id;
   r.origin = static_cast<VertexId>(origin);

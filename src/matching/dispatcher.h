@@ -110,8 +110,13 @@ class Dispatcher {
     IndexTaxiAdvanced(taxi, from_pos, to_pos);
   }
   /// A taxi's schedule/route was replaced (assignment) or drained (idle).
+  /// A drained taxi also drops its stop labels: every stop they label has
+  /// been executed.
   void OnScheduleCommitted(TaxiId taxi) {
     MarkBucketsDirty(taxi);
+    if (buckets_ != nullptr && (*fleet_)[taxi].schedule.empty()) {
+      buckets_->SyncStops(taxi, {});
+    }
     IndexScheduleCommitted(taxi);
   }
   /// A request left the system (delivered by `taxi`).

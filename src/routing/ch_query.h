@@ -13,16 +13,17 @@ namespace mtshare {
 struct ChQueryStats {
   /// Bidirectional point queries answered.
   int64_t point_queries = 0;
-  /// Vertices settled by the point queries' upward searches (forward +
-  /// backward).
+  /// Vertices reached by the point queries' upward searches, forward and
+  /// backward, each run to exhaustion.
   int64_t upward_settled = 0;
 };
 
 /// Point-query engine over a ContractionHierarchy: a forward upward search
-/// from the source meets a pruned backward upward search from the target,
-/// two runs of the UpwardSearch kernel. It answers DistanceOracle::Cost on
-/// the CH backend, one pair per call; insertion legs do not come here:
-/// they meet stored labels (LastStopBuckets, InsertionCostBatch).
+/// from the source and a backward upward search from the target, two
+/// exhaustive runs of the UpwardSearch kernel, meet at their common
+/// vertices. It answers DistanceOracle::Cost on the CH backend, one pair
+/// per call; insertion legs do not come here: they meet stored labels
+/// (LastStopBuckets, InsertionCostBatch).
 ///
 /// Costs are bit-identical to DijkstraSearch on the same network because
 /// arc costs live on the exact dyadic grid (QuantizeTravelCost): every

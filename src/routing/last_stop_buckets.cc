@@ -40,22 +40,18 @@ void LastStopBuckets::RemoveDeposits(TaxiId id) {
 
 void LastStopBuckets::Deposit(TaxiId id, VertexId anchor) {
   // Forward upward search from the anchor, run to exhaustion — the same
-  // search ChQuery::Cost runs from its source, so every settled vertex v
+  // search ChQuery::Cost runs from its source, so every reached vertex v
   // carries the exact minimal upward-path cost anchor -> v. Stalled
-  // vertices are settled (their arcs still relax) but not deposited.
+  // vertices are not deposited.
   std::vector<Handle>& handles = handles_[id];
-  search_.Run(anchor, UpwardSearch::kForward, kInfiniteCost,
-              [&](VertexId v, Seconds dist) {
-                ++stats_.deposit_settled;
-                if (search_.Stalled(v, dist, UpwardSearch::kForward)) {
-                  return true;
-                }
-                buckets_[v].push_back(
-                    {dist, id, static_cast<uint32_t>(handles.size())});
-                handles.push_back(
-                    {v, static_cast<uint32_t>(buckets_[v].size() - 1)});
-                return true;
-              });
+  search_.Run(anchor, UpwardSearch::kForward, kInfiniteCost);
+  stats_.deposit_settled += static_cast<int64_t>(search_.reached().size());
+  for (const VertexId v : search_.reached()) {
+    if (search_.Stalled(v)) continue;
+    buckets_[v].push_back({search_.Distance(v), id,
+                           static_cast<uint32_t>(handles.size())});
+    handles.push_back({v, static_cast<uint32_t>(buckets_[v].size() - 1)});
+  }
   anchor_[id] = anchor;
 }
 
@@ -63,14 +59,13 @@ UpwardLabel LastStopBuckets::Label(VertexId source,
                                    UpwardSearch::Direction direction) {
   label_buf_.vertices.clear();
   label_buf_.costs.clear();
-  search_.Run(source, direction, kInfiniteCost, [&](VertexId v, Seconds d) {
-    ++stats_.label_settled;
-    if (!search_.Stalled(v, d, direction)) {
-      label_buf_.vertices.push_back(v);
-      label_buf_.costs.push_back(d);
-    }
-    return true;
-  });
+  search_.Run(source, direction, kInfiniteCost);
+  stats_.label_settled += static_cast<int64_t>(search_.reached().size());
+  for (const VertexId v : search_.reached()) {
+    if (search_.Stalled(v)) continue;
+    label_buf_.vertices.push_back(v);
+    label_buf_.costs.push_back(search_.Distance(v));
+  }
   stats_.label_entries += static_cast<int64_t>(label_buf_.size());
   // Copies sized exactly: held labels never grow.
   return UpwardLabel{
@@ -125,28 +120,28 @@ void LastStopBuckets::Sweep(VertexId origin, Seconds budget) {
   const Seconds cutoff = budget + kBudgetSlack;
   if (!(cutoff >= 0.0)) return;  // negative budget: nothing is reachable
 
-  // Backward upward search from the origin over DownArcs: a settled vertex
-  // v reaches the origin along a down-path of exact cost `dist`, so
-  // deposit.dist + dist is an exact up-down path anchor -> origin. The run
-  // settles every vertex with final distance <= cutoff — including the
+  // Backward upward search from the origin over DownArcs: a reached vertex
+  // v reaches the origin along a down-path of exact cost Distance(v), so
+  // deposit.dist + Distance(v) is an exact up-down path anchor -> origin.
+  // The run reaches every vertex with distance <= cutoff — including the
   // meeting vertex realizing the true distance of every taxi within
   // budget, whose deposit the stall test keeps.
-  search_.Run(origin, UpwardSearch::kBackward, cutoff,
-              [&](VertexId v, Seconds dist) {
-                ++stats_.sweep_settled;
-                for (const BucketEntry& entry : buckets_[v]) {
-                  Seconds cand = entry.dist + dist;
-                  if (cand > cutoff) continue;
-                  if (swept_epoch_[entry.taxi] != sweep_epoch_id_) {
-                    swept_epoch_[entry.taxi] = sweep_epoch_id_;
-                    swept_dist_[entry.taxi] = cand;
-                    found_.push_back(entry.taxi);
-                  } else if (cand < swept_dist_[entry.taxi]) {
-                    swept_dist_[entry.taxi] = cand;
-                  }
-                }
-                return true;
-              });
+  search_.Run(origin, UpwardSearch::kBackward, cutoff);
+  stats_.sweep_settled += static_cast<int64_t>(search_.reached().size());
+  for (const VertexId v : search_.reached()) {
+    const Seconds dist = search_.Distance(v);
+    for (const BucketEntry& entry : buckets_[v]) {
+      const Seconds cand = entry.dist + dist;
+      if (cand > cutoff) continue;
+      if (swept_epoch_[entry.taxi] != sweep_epoch_id_) {
+        swept_epoch_[entry.taxi] = sweep_epoch_id_;
+        swept_dist_[entry.taxi] = cand;
+        found_.push_back(entry.taxi);
+      } else if (cand < swept_dist_[entry.taxi]) {
+        swept_dist_[entry.taxi] = cand;
+      }
+    }
+  }
   stats_.found += static_cast<int64_t>(found_.size());
 }
 

@@ -21,12 +21,12 @@ struct LastStopBucketStats {
   int64_t sweeps = 0;
   /// Taxis discovered within budget, summed over sweeps.
   int64_t found = 0;
-  /// Vertices settled by sweeps (compare against the per-taxi point
+  /// Vertices reached by sweeps (compare against the per-taxi point
   /// queries a sweep replaces).
   int64_t sweep_settled = 0;
-  /// Vertices settled while depositing anchors.
+  /// Vertices reached while depositing anchors.
   int64_t deposit_settled = 0;
-  /// Vertices settled by stop-label searches (two per labelled stop).
+  /// Vertices reached by stop-label searches (two per labelled stop).
   int64_t label_settled = 0;
   /// Entries stored in stop labels, after the stall test.
   int64_t label_entries = 0;
@@ -59,8 +59,9 @@ struct StopLabels {
 ///    its labels are kept until the taxi executes it. Insertion priming
 ///    meets them with the request endpoints' searches and with each other
 ///    (InsertionCostBatch). A taxi that is not a candidate holds labels
-///    that may lag its schedule; a scheme that never inserts (No-Sharing)
-///    holds none.
+///    that may lag its schedule, until its schedule empties and the
+///    dispatcher drops them (SyncStops with no stop); a scheme that never
+///    inserts (No-Sharing) holds none.
 ///
 /// Every entry is stall-pruned (UpwardSearch::Stalled): a vertex whose
 /// label a higher-ranked neighbour beats is never the top vertex of a
@@ -80,10 +81,10 @@ struct StopLabels {
 ///
 /// Sweeps are budget-truncated with kBudgetSlack headroom: every taxi with
 /// true distance <= budget + slack is reported with its exact distance
-/// (its witness meeting vertex settles before the cutoff); taxis beyond
-/// are never reported — the caller's exact `now + d <= deadline` check
-/// rejects them, exactly as a per-taxi probe does. Not thread-safe; one
-/// store per dispatcher.
+/// (the run reaches its witness meeting vertex within the cutoff); taxis
+/// beyond are never reported — the caller's exact `now + d <= deadline`
+/// check rejects them, exactly as a per-taxi probe does. Not thread-safe;
+/// one store per dispatcher.
 class LastStopBuckets {
  public:
   LastStopBuckets(const ContractionHierarchy& ch, int32_t num_taxis);
@@ -115,8 +116,8 @@ class LastStopBuckets {
   void SyncStops(TaxiId id, std::span<const VertexId> stops);
 
   /// Backward upward sweep from `origin` with cutoff budget + kBudgetSlack,
-  /// so it settles exactly the vertices within the cutoff. Records, per
-  /// discovered taxi, the minimum over settled meeting vertices of (deposit
+  /// so it reaches exactly the vertices within the cutoff. Records, per
+  /// discovered taxi, the minimum over reached meeting vertices of (deposit
   /// dist + sweep dist) — the exact anchor->origin distance whenever it is
   /// <= budget + slack.
   void Sweep(VertexId origin, Seconds budget);

@@ -103,23 +103,15 @@ void InsertionCostBatch::Prime() {
   EndpointSearches& e = *endpoints_;
   if (!endpoints_searched_) {
     endpoints_searched_ = true;
-    e.origin_out_label.vertices.clear();
-    e.origin_out_label.costs.clear();
-    e.origin_out.Run(origin_, UpwardSearch::kForward, kInfiniteCost,
-                     [&](VertexId v, Seconds d) {
-                       e.origin_out_label.vertices.push_back(v);
-                       e.origin_out_label.costs.push_back(d);
-                       return true;
-                     });
-    const auto count = [this](VertexId, Seconds) {
-      ++endpoint_settled_;
-      return true;
-    };
-    e.origin_in.Run(origin_, UpwardSearch::kBackward, kInfiniteCost, count);
-    e.dest_out.Run(destination_, UpwardSearch::kForward, kInfiniteCost, count);
-    e.dest_in.Run(destination_, UpwardSearch::kBackward, kInfiniteCost, count);
-    endpoint_settled_ += static_cast<int64_t>(e.origin_out_label.size());
-    Store(origin_, destination_, Meet(e.origin_out_label, e.dest_in));
+    e.origin_out.Run(origin_, UpwardSearch::kForward, kInfiniteCost);
+    e.origin_in.Run(origin_, UpwardSearch::kBackward, kInfiniteCost);
+    e.dest_out.Run(destination_, UpwardSearch::kForward, kInfiniteCost);
+    e.dest_in.Run(destination_, UpwardSearch::kBackward, kInfiniteCost);
+    for (const UpwardSearch* run :
+         {&e.origin_out, &e.origin_in, &e.dest_out, &e.dest_in}) {
+      endpoint_settled_ += static_cast<int64_t>(run->reached().size());
+    }
+    Store(origin_, destination_, Meet(e.origin_out, e.dest_in));
   }
   for (TaxiId id : pending_taxis_) {
     MTSHARE_CHECK(!store_->dirty(id));  // AddCandidate flushed it

@@ -187,15 +187,13 @@ class InsertionCostBatch {
 
   /// CH: the request endpoints' searches, run at the request's first
   /// Prime() with work: forward and backward from the origin and from the
-  /// destination, the origin's forward search space also kept as a label
-  /// for o -> d, and a scratch search a backward stop label is loaded
+  /// destination, and a scratch search a backward stop label is loaded
   /// into.
   struct EndpointSearches {
     explicit EndpointSearches(const ContractionHierarchy& ch)
         : origin_out(ch), origin_in(ch), dest_out(ch), dest_in(ch),
           loaded(ch) {}
     UpwardSearch origin_out, origin_in, dest_out, dest_in, loaded;
-    UpwardLabel origin_out_label;
   };
 
   // CH: the store (null on the exact table), the candidates registered

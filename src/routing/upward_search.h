@@ -2,9 +2,9 @@
 #define MTSHARE_ROUTING_UPWARD_SEARCH_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <functional>
-#include <queue>
+#include <span>
 #include <vector>
 
 #include "common/epoch.h"
@@ -27,109 +27,147 @@ struct UpwardLabel {
   }
 };
 
-/// The one upward Dijkstra under every contraction-hierarchy query: point
+/// The one upward search under every contraction-hierarchy query: point
 /// queries (ChQuery), location deposits, stop labels and sweeps
 /// (LastStopBuckets), the request endpoints' searches of insertion priming
 /// (InsertionCostBatch), and the upward phase of every one-to-all row
-/// (PhastRow). A forward run follows UpArcs from the source, a
-/// backward run follows DownArcs (down-paths into the source). Labels are
-/// sums of dyadic arc costs, so settled distances are exact (see ChQuery).
+/// (PhastRow). A forward run follows UpArcs from the source, a backward
+/// run follows DownArcs (down-paths into the source).
 ///
-/// Labels are epoch-stamped, so a run costs O(search space), not O(V), and
-/// the heap keeps its capacity across runs. Not thread-safe.
+/// Every arc of either search graph points to a higher rank, so the graph
+/// a run explores is acyclic in rank order: a run relaxes the vertices it
+/// labels in ascending rank, and each vertex's label is final when it is
+/// relaxed, since every arc into it comes from a lower rank, relaxed
+/// before. There is no heap. The pending vertices (labelled, not yet
+/// relaxed) are bits of a bitset over ranks, and a summary bitset holds
+/// one bit per bitset word, set while that word is nonzero, so the search
+/// for the next pending rank skips 64 empty words (4,096 ranks) at a
+/// time. Each label is the minimum over the same arc sums Dijkstra
+/// compares, and arc costs are dyadic, so the labels are exact (see
+/// ChQuery).
+///
+/// Labels are epoch-stamped and every run drains its bitset, so a run
+/// costs O(search space + V / 4096), not O(V). Not thread-safe.
 class UpwardSearch {
  public:
   enum Direction { kForward, kBackward };
 
   explicit UpwardSearch(const ContractionHierarchy& ch)
-      : ch_(ch), dist_(ch.num_vertices(), 0.0), epoch_(ch.num_vertices(), 0) {}
+      : ch_(ch),
+        dist_(ch.num_vertices(), 0.0),
+        epoch_(ch.num_vertices(), 0),
+        pending_((ch.num_vertices() + 63) / 64, 0),
+        summary_((pending_.size() + 63) / 64, 0) {}
 
-  /// Settles vertices in nondecreasing distance from `source`, calling
-  /// `settle(v, dist)` once per settled vertex before relaxing its arcs,
-  /// until `settle` returns false or the heap runs dry. Vertices farther
-  /// than `cutoff` are never labelled, so the run settles exactly the
-  /// vertices within `cutoff` (none when `cutoff` < 0).
-  template <typename Settle>
-  void Run(VertexId source, Direction direction, Seconds cutoff,
-           Settle&& settle) {
+  /// Labels exactly the vertices within `cutoff` of `source` (none when
+  /// `cutoff` < 0) with their exact distances, and lists them in
+  /// reached() in ascending rank. A vertex farther than `cutoff` is never
+  /// labelled: every prefix of an upward path within `cutoff` is itself
+  /// within it.
+  void Run(VertexId source, Direction direction, Seconds cutoff) {
     NextEpoch(epoch_id_, epoch_);
-    while (!heap_.empty()) heap_.pop();
+    reached_.clear();
+    direction_ = direction;
     if (!(cutoff >= 0.0)) return;
+    const std::span<const VertexId> by_rank = ch_.DescendingRankOrder();
+    const size_t top = by_rank.size() - 1;  // by_rank[top - r] has rank r
     Label(source, 0.0);
-    while (!heap_.empty()) {
-      const auto [dist, v] = heap_.top();
-      heap_.pop();
-      if (dist > dist_[v]) continue;  // stale: v settled at a lower label
-      if (!settle(v, dist)) return;
+    size_t word = static_cast<size_t>(ch_.rank(source)) >> 6;
+    for (;;) {
+      uint64_t bits = pending_[word];
+      if (bits == 0) {
+        // Every rank through this word is relaxed, so the next pending
+        // one is in the first word the summary marks.
+        size_t s = word >> 6;
+        while (s < summary_.size() && summary_[s] == 0) ++s;
+        if (s == summary_.size()) return;
+        word = (s << 6) | static_cast<size_t>(std::countr_zero(summary_[s]));
+        bits = pending_[word];
+      }
+      const size_t rank =
+          (word << 6) | static_cast<size_t>(std::countr_zero(bits));
+      pending_[word] = bits & (bits - 1);
+      if (pending_[word] == 0) {
+        summary_[word >> 6] &= ~(uint64_t{1} << (word & 63));
+      }
+      const VertexId v = by_rank[top - rank];
+      reached_.push_back(v);
+      const Seconds dist = dist_[v];
       for (const ContractionHierarchy::SearchArc& arc :
            direction == kForward ? ch_.UpArcs(v) : ch_.DownArcs(v)) {
         const Seconds cand = dist + arc.cost;
-        if (cand <= cutoff &&
-            (epoch_[arc.head] != epoch_id_ || cand < dist_[arc.head])) {
+        if (cand > cutoff) continue;
+        if (epoch_[arc.head] != epoch_id_) {
           Label(arc.head, cand);
+        } else if (cand < dist_[arc.head]) {
+          dist_[arc.head] = cand;
         }
       }
     }
   }
 
-  /// Whether the last run labelled `v`; after a run to exhaustion, exactly
-  /// the vertices it settled.
+  /// The vertices the last Run reached, each once, in ascending rank
+  /// (empty after Load).
+  std::span<const VertexId> reached() const { return reached_; }
+  /// Whether the last run reached `v`.
   bool Reached(VertexId v) const { return epoch_[v] == epoch_id_; }
-  /// The last run's label of `v`, final if the run settled `v`.
+  /// The last run's label of `v`, exact if the run reached `v`.
   Seconds Distance(VertexId v) const { return dist_[v]; }
 
-  /// The stall test, asked from `settle` while the run settles `v` at
-  /// `dist`: whether a higher-ranked vertex u the run has reached has an
-  /// arc into v (forward run) or out of v (backward run) with
-  /// label(u) + cost < dist. Every vertex labelled below dist is already
-  /// settled, so the answer equals the test against final labels. A
-  /// stalled v has dist > its true distance, so it is never the top vertex
-  /// of a shortest up-down path, whose up part is itself shortest: a label
-  /// that drops it keeps every meet below exact.
-  bool Stalled(VertexId v, Seconds dist, Direction direction) const {
+  /// The stall test on a vertex `v` the last Run reached: whether a
+  /// higher-ranked vertex u the run reached has an arc into v (forward
+  /// run) or out of v (backward run) with label(u) + cost < label(v).
+  /// Every label is final once the run ends, so a stalled v has a label
+  /// above its true distance; it is never the top vertex of a shortest
+  /// up-down path, whose up part is itself shortest, and a label that
+  /// drops it keeps every meet below exact.
+  bool Stalled(VertexId v) const {
+    const Seconds dist = dist_[v];
     for (const ContractionHierarchy::SearchArc& arc :
-         direction == kForward ? ch_.DownArcs(v) : ch_.UpArcs(v)) {
+         direction_ == kForward ? ch_.DownArcs(v) : ch_.UpArcs(v)) {
       if (Reached(arc.head) && dist_[arc.head] + arc.cost < dist) return true;
     }
     return false;
   }
 
-  /// Makes `label` the last run, as if a run had settled exactly its
+  /// Makes `label` the last run, as if a run had reached exactly its
   /// entries: Reached and Distance then probe it in O(1).
   void Load(const UpwardLabel& label) {
     NextEpoch(epoch_id_, epoch_);
+    reached_.clear();
     for (size_t i = 0; i < label.size(); ++i) {
       epoch_[label.vertices[i]] = epoch_id_;
       dist_[label.vertices[i]] = label.costs[i];
     }
   }
 
-  /// Resident bytes of the label arrays.
+  /// Resident bytes of the label arrays, the pending bitsets and the
+  /// reached list.
   size_t MemoryBytes() const {
-    return dist_.size() * sizeof(Seconds) + epoch_.size() * sizeof(uint32_t);
+    return dist_.size() * sizeof(Seconds) + epoch_.size() * sizeof(uint32_t) +
+           (pending_.size() + summary_.size()) * sizeof(uint64_t) +
+           reached_.capacity() * sizeof(VertexId);
   }
 
  private:
-  struct HeapEntry {
-    Seconds dist;
-    VertexId vertex;
-    // Min-heap order on distance, through std::greater<HeapEntry>.
-    bool operator>(const HeapEntry& other) const { return dist > other.dist; }
-  };
-
   void Label(VertexId v, Seconds dist) {
     epoch_[v] = epoch_id_;
     dist_[v] = dist;
-    heap_.push({dist, v});
+    const size_t rank = static_cast<size_t>(ch_.rank(v));
+    pending_[rank >> 6] |= uint64_t{1} << (rank & 63);
+    summary_[rank >> 12] |= uint64_t{1} << ((rank >> 6) & 63);
   }
 
   const ContractionHierarchy& ch_;
   std::vector<Seconds> dist_;
   std::vector<uint32_t> epoch_;  // dist_[v] is live iff epoch_[v] == epoch_id_
   uint32_t epoch_id_ = 0;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                      std::greater<HeapEntry>>
-      heap_;
+  Direction direction_ = kForward;
+  // Bit r of pending_ marks rank r labelled but not relaxed; bit w of
+  // summary_ marks pending_[w] nonzero. Both are all zero between runs.
+  std::vector<uint64_t> pending_;
+  std::vector<uint64_t> summary_;
+  std::vector<VertexId> reached_;  // ascending rank
 };
 
 /// The shortest distance between the sources of `label` and of `other`'s
@@ -144,6 +182,18 @@ inline Seconds Meet(const UpwardLabel& label, const UpwardSearch& other) {
     const VertexId v = label.vertices[i];
     if (other.Reached(v)) {
       best = std::min(best, label.costs[i] + other.Distance(v));
+    }
+  }
+  return best;
+}
+
+/// The same meet between the last runs of a forward search and a backward
+/// one, both run to exhaustion.
+inline Seconds Meet(const UpwardSearch& forward, const UpwardSearch& backward) {
+  Seconds best = kInfiniteCost;
+  for (const VertexId v : forward.reached()) {
+    if (backward.Reached(v)) {
+      best = std::min(best, forward.Distance(v) + backward.Distance(v));
     }
   }
   return best;
@@ -165,10 +215,8 @@ inline std::vector<Seconds> PhastRow(const ContractionHierarchy& ch,
                                      UpwardSearch::Direction direction) {
   std::vector<Seconds> row(ch.num_vertices(), kInfiniteCost);
   UpwardSearch search(ch);
-  search.Run(source, direction, kInfiniteCost, [&row](VertexId v, Seconds d) {
-    row[v] = d;
-    return true;
-  });
+  search.Run(source, direction, kInfiniteCost);
+  for (const VertexId v : search.reached()) row[v] = search.Distance(v);
   const bool forward = direction == UpwardSearch::kForward;
   for (const VertexId v : ch.DescendingRankOrder()) {
     Seconds best = row[v];

@@ -10,8 +10,12 @@ namespace mtshare {
 namespace {
 
 int32_t ClampIndex(double offset, double cell, int32_t count) {
-  int32_t idx = static_cast<int32_t>(std::floor(offset / cell));
-  return std::clamp(idx, 0, count - 1);
+  // Clamped as a double: a point far off the map (or at infinity) must not
+  // reach an out-of-range double-to-int conversion.
+  const double idx = std::floor(offset / cell);
+  if (!(idx > 0.0)) return 0;
+  if (idx >= count - 1) return count - 1;
+  return static_cast<int32_t>(idx);
 }
 
 }  // namespace

@@ -123,9 +123,9 @@ TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
   // caught here at every decision of a full run. Stop labels are synced
   // only when their taxi is an insertion candidate, so a taxi's labels may
   // lag its schedule, but every held label must equal a fresh label of
-  // its own vertex, and No-Sharing, which never inserts, holds none. The
-  // store is built at the first sweep or prime, so it is read from then
-  // on.
+  // its own vertex, a taxi whose schedule is empty holds none, and
+  // No-Sharing, which never inserts, holds none. The store is built at
+  // the first sweep or prime, so it is read from then on.
   GridCityOptions gopt;
   gopt.rows = 16;
   gopt.cols = 16;
@@ -161,6 +161,7 @@ TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
     EngineOptions eopts;
     int64_t checks = 0;
     int64_t stops_checked = 0;
+    int64_t idle_checked = 0;
     eopts.on_decision = [&](const RideRequest&, const RequestRecord&) {
       const LastStopBuckets* buckets = dispatcher->buckets();
       if (buckets == nullptr) return;  // no sweep or prime yet
@@ -169,6 +170,12 @@ TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
       for (const TaxiState& t : fleet) {
         ++checks;
         const std::span<const StopLabels> held = buckets->stops(t.id);
+        if (t.schedule.empty()) {
+          ++idle_checked;
+          EXPECT_TRUE(held.empty())
+              << "taxi " << t.id << " has no stop but holds " << held.size()
+              << " stop labels";
+        }
         for (size_t k = 0; k < held.size(); ++k) {
           ++stops_checked;
           fresh.SyncStops(t.id, std::span(&held[k].vertex, 1));
@@ -194,6 +201,7 @@ TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
     EXPECT_GT(m.ServedRequests(), 0);
     EXPECT_NE(dispatcher->buckets(), nullptr);
     EXPECT_GT(checks, 0);
+    EXPECT_GT(idle_checked, 0);
     // Schemes that share hold labels for scheduled stops mid-run;
     // No-Sharing never inserts, so it labels no stop.
     if (scheme == SchemeKind::kNoSharing) {

@@ -35,21 +35,21 @@ void Anchor(LastStopBuckets* buckets, const std::vector<VertexId>& anchors) {
   buckets->FlushDirty([&](TaxiId id) { return anchors[id]; });
 }
 
-/// All settled (vertex, distance) pairs of an exhaustive upward search.
+/// All reached (vertex, distance) pairs of an exhaustive upward search.
 std::vector<std::pair<VertexId, Seconds>> SearchSpace(
     const ContractionHierarchy& ch, VertexId source,
     UpwardSearch::Direction direction) {
   UpwardSearch search(ch);
   std::vector<std::pair<VertexId, Seconds>> space;
-  search.Run(source, direction, kInfiniteCost, [&](VertexId v, Seconds d) {
-    space.emplace_back(v, d);
-    return true;
-  });
+  search.Run(source, direction, kInfiniteCost);
+  for (const VertexId v : search.reached()) {
+    space.emplace_back(v, search.Distance(v));
+  }
   return space;
 }
 
 /// Recomputes the stall test over `source`'s full search space, from final
-/// distances: an entry is beaten when a higher-ranked settled vertex has
+/// distances: an entry is beaten when a higher-ranked reached vertex has
 /// an arc into it (forward) or out of it (backward) that undercuts its
 /// label. `label` must hold exactly the unbeaten entries, at their search
 /// distances.

@@ -8,8 +8,9 @@
 #      smokes: one micro_smoke_* test per micro-bench filter
 #      (BM_EngineAdvance/fleet:100, BM_ProbabilisticLeg,
 #      BM_ExactRowFill/phast|dijkstra, BM_OracleBackends/,
-#      BM_PrimeInsertion/ch, BM_ShortestLeg/row_walk|dijkstra,
-#      BM_KMeansTransition, BM_BipartitePartition) and
+#      BM_UpwardSearch/deposit|sweep, BM_PrimeInsertion/ch,
+#      BM_ShortestLeg/row_walk|dijkstra, BM_KMeansTransition,
+#      BM_BipartitePartition) and
 #      bench_fleet_sweep_smoke
 #   2. configure + build the tsan preset, run the `tsan`-labelled tests
 #      (several RunScenario calls on one system sharing the oracle: exact
