@@ -25,7 +25,6 @@
 #include "mobility/transition_model.h"
 #include "partition/bipartite_partitioner.h"
 #include "routing/last_stop_buckets.h"
-#include "routing/one_to_many.h"
 #include "routing/upward_search.h"
 #include "sched/route_planner.h"
 #include "sim/engine.h"
@@ -81,7 +80,7 @@ BENCHMARK(BM_OracleCost);
 // Head-to-head of the two oracle backends on cold-ish point queries:
 // exact amortizes to table lookups (a miss fills a row), the CH pays two
 // upward searches per query. The exact-table point read is also what each
-// exact-table insertion leg costs: InsertionCostBatch primes nothing there.
+// exact-table insertion leg costs: the insertion DP reads the table.
 void BM_OracleBackends(benchmark::State& state) {
   OracleOptions oopt;
   oopt.backend = static_cast<OracleBackend>(state.range(0));
@@ -139,7 +138,7 @@ void BM_UpwardSearch(benchmark::State& state, UpwardRun run) {
 BENCHMARK_CAPTURE(BM_UpwardSearch, deposit, UpwardRun::kDeposit);
 BENCHMARK_CAPTURE(BM_UpwardSearch, sweep, UpwardRun::kSweep);
 
-// One request's insertion priming on the CH (InsertionCostBatch Begin,
+// One request's insertion priming on the CH (LastStopBuckets Begin,
 // AddCandidate per candidate, Prime) over a fixed, seeded set of 48 taxis:
 // random locations, a sixth of them with a four-stop schedule and a third
 // with a two-stop one, against one of 64 seeded requests per iteration.
@@ -163,14 +162,13 @@ void BM_PrimeInsertion(benchmark::State& state) {
   std::vector<std::pair<VertexId, VertexId>> requests(64);
   for (auto& request : requests) request = RandomPair(rng);
   LastStopBuckets store(*oracle->ch(), kTaxis);
-  InsertionCostBatch batch(Net(), oracle.get());
   size_t next = 0;
   for (auto _ : state) {
     const auto [origin, destination] = requests[next++ % requests.size()];
-    batch.Begin(origin, destination, &store);
-    for (TaxiId id = 0; id < kTaxis; ++id) batch.AddCandidate(id, walks[id]);
-    batch.Prime();
-    benchmark::DoNotOptimize(batch.Cost(walks[0][0], origin));
+    store.Begin(origin, destination);
+    for (TaxiId id = 0; id < kTaxis; ++id) store.AddCandidate(id, walks[id]);
+    store.Prime();
+    benchmark::DoNotOptimize(store.Cost(walks[0][0], origin));
   }
   state.SetLabel(OracleBackendName(oracle->backend()));
 }

@@ -63,6 +63,10 @@ DemandModel::DemandModel(const RoadNetwork& network,
                                         network.bounds().Height()) /
                                    64.0);
   snap_ = std::make_unique<GridIndex>(network, cell);
+  for (int32_t h = 0; h < 24; ++h) {
+    max_diurnal_weight_ =
+        std::max(max_diurnal_weight_, DiurnalWeight(options.day, h));
+  }
 
   Rng rng(options.seed);
   const BoundingBox& box = network.bounds();
@@ -145,21 +149,24 @@ std::vector<Trip> DemandModel::GenerateTrips(Seconds t_begin, Seconds t_end,
   MTSHARE_CHECK(count >= 0);
   std::vector<Trip> trips;
   trips.reserve(count);
-  // Rejection sampling of release times against the diurnal profile.
-  double max_weight = 0.0;
-  for (int32_t h = 0; h < 24; ++h) {
-    max_weight = std::max(max_weight, DiurnalWeight(options_.day, h));
-  }
   while (static_cast<int32_t>(trips.size()) < count) {
-    Seconds t = rng.NextUniform(t_begin, t_end);
-    double accept = DiurnalWeight(options_.day, HourOf(t)) / max_weight;
-    if (rng.NextDouble() > accept) continue;
+    const Seconds t = SampleReleaseTime(t_begin, t_end, rng);
     trips.push_back(SampleTrip(t, rng));
   }
   std::sort(trips.begin(), trips.end(), [](const Trip& a, const Trip& b) {
     return a.release_time < b.release_time;
   });
   return trips;
+}
+
+Seconds DemandModel::SampleReleaseTime(Seconds t_begin, Seconds t_end,
+                                       Rng& rng) const {
+  for (;;) {
+    const Seconds t = rng.NextUniform(t_begin, t_end);
+    const double accept =
+        DiurnalWeight(options_.day, HourOf(t)) / max_diurnal_weight_;
+    if (rng.NextDouble() <= accept) return t;
+  }
 }
 
 }  // namespace mtshare

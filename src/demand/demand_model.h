@@ -47,19 +47,21 @@ class DemandModel {
   /// >= 24h wrap for multi-day horizons).
   Trip SampleTrip(Seconds time, Rng& rng) const;
 
-  /// `count` trips with release times in [t_begin, t_end), placed by
-  /// rejection sampling against the diurnal profile and sorted by time.
+  /// `count` trips with release times from SampleReleaseTime, each
+  /// sampled right after its time, sorted by time.
   std::vector<Trip> GenerateTrips(Seconds t_begin, Seconds t_end,
                                   int32_t count, Rng& rng) const;
+
+  /// One release time in [t_begin, t_end), by rejection sampling against
+  /// the diurnal profile: uniform candidates, each accepted with
+  /// probability DiurnalWeight(its hour) / the day's largest weight. The
+  /// one release-time sampler of GenerateTrips and GeneratorRequestSource.
+  Seconds SampleReleaseTime(Seconds t_begin, Seconds t_end, Rng& rng) const;
 
   /// Relative demand weight of the hour-of-day (0-23) for a day type.
   /// The workday curve peaks at hour 8 (the paper's peak scenario) and the
   /// weekend curve is flatter with a late-morning hump.
   static double DiurnalWeight(DayType day, int32_t hour);
-
-  /// Day profile this model samples under (GeneratorRequestSource replays
-  /// the same rejection sampling outside the model).
-  DayType day() const { return options_.day; }
 
   const std::vector<Point>& hotspot_centers() const { return centers_; }
   const std::vector<HotspotType>& hotspot_types() const { return types_; }
@@ -72,6 +74,8 @@ class DemandModel {
 
   const RoadNetwork& network_;
   DemandModelOptions options_;
+  /// The largest DiurnalWeight of options_.day.
+  double max_diurnal_weight_ = 0.0;
   std::unique_ptr<GridIndex> snap_;
   std::vector<Point> centers_;
   std::vector<HotspotType> types_;

@@ -15,46 +15,41 @@ Dispatcher::Dispatcher(const RoadNetwork& network, DistanceOracle* oracle,
       fleet_(fleet),
       config_(config),
       landmarks_(landmarks),
-      route_dijkstra_(network),
-      batch_(network, oracle) {
+      route_dijkstra_(network) {
   MTSHARE_CHECK(oracle != nullptr);
   MTSHARE_CHECK(fleet != nullptr);
+  // The backend, not the hierarchy every oracle owns, picks the source of
+  // pickup reachability and of insertion legs (DESIGN.md §14). A new store
+  // marks every taxi dirty, so its first flush deposits the whole fleet.
+  if (oracle->backend() == OracleBackend::kCh) {
+    buckets_ = std::make_unique<LastStopBuckets>(
+        *oracle->ch(), static_cast<int32_t>(fleet->size()));
+  }
 }
 
-LegCostFn Dispatcher::BatchedCost() {
-  return [this](VertexId a, VertexId b) { return batch_.Cost(a, b); };
+LegCostFn Dispatcher::LegCost() {
+  if (buckets_ != nullptr) {
+    return [this](VertexId a, VertexId b) { return buckets_->Cost(a, b); };
+  }
+  return [this](VertexId a, VertexId b) { return oracle_->Cost(a, b); };
 }
 
 void Dispatcher::RegisterCandidateStops(const TaxiState& t) {
-  batch_walk_buf_.clear();
-  batch_walk_buf_.push_back(t.location);
+  walk_buf_.clear();
+  walk_buf_.push_back(t.location);
   for (const ScheduleEvent& e : t.schedule.events()) {
-    batch_walk_buf_.push_back(e.vertex);
+    walk_buf_.push_back(e.vertex);
   }
-  batch_.AddCandidate(t.id, batch_walk_buf_);
-}
-
-LastStopBuckets* Dispatcher::ChBuckets() {
-  // The backend, not the hierarchy every oracle owns, picks the source of
-  // pickup reachability and of insertion legs (DESIGN.md §14). A new store
-  // marks every taxi dirty, so its first flush deposits and labels the
-  // whole fleet.
-  if (oracle_->backend() != OracleBackend::kCh) return nullptr;
-  if (buckets_ == nullptr) {
-    buckets_ = std::make_unique<LastStopBuckets>(
-        *oracle_->ch(), static_cast<int32_t>(fleet_->size()));
-  }
-  return buckets_.get();
+  buckets_->AddCandidate(t.id, walk_buf_);
 }
 
 void Dispatcher::SweepPickupReach(const RideRequest& r, Seconds now) {
-  LastStopBuckets* buckets = ChBuckets();
-  if (buckets == nullptr) return;
+  if (buckets_ == nullptr) return;
   // Locations are read straight off the fleet, exactly as the table
   // probes do; every engine notification re-dirties its taxi, so the flush
   // sees the moved location. Stop labels wait for insertion to read them.
-  buckets->FlushDirty([this](TaxiId id) { return taxi(id).location; });
-  buckets->Sweep(r.origin, r.PickupDeadline() - now);
+  buckets_->FlushDirty([this](TaxiId id) { return taxi(id).location; });
+  buckets_->Sweep(r.origin, r.PickupDeadline() - now);
 }
 
 bool Dispatcher::ReachesPickup(TaxiId id, const RideRequest& r, Seconds now) {
@@ -212,14 +207,17 @@ Dispatcher::CandidateEval Dispatcher::EvaluateCandidates(
       eval_skip_[i] = 1;
     }
   }
-  // Prime every leg the insertion walks can request with one-to-many
-  // passes before any DP runs; the DPs then read the primed table.
-  batch_.Begin(request.origin, request.destination, ChBuckets());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (!eval_skip_[i]) RegisterCandidateStops(taxi(candidates[i]));
+  // On the CH, prime every leg the insertion walks can request before any
+  // DP runs; the DPs then read the stored legs. On the exact table a leg
+  // is one table read, so there is nothing to prime.
+  if (buckets_ != nullptr) {
+    buckets_->Begin(request.origin, request.destination);
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      if (!eval_skip_[i]) RegisterCandidateStops(taxi(candidates[i]));
+    }
+    buckets_->Prime();
   }
-  batch_.Prime();
-  const LegCostFn cost = BatchedCost();
+  const LegCostFn cost = LegCost();
   CandidateEval best;
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (eval_skip_[i]) continue;

@@ -15,7 +15,6 @@
 #include "routing/dijkstra.h"
 #include "routing/distance_oracle.h"
 #include "routing/last_stop_buckets.h"
-#include "routing/one_to_many.h"
 #include "sched/route_planner.h"
 
 namespace mtshare {
@@ -57,6 +56,75 @@ struct MatchingConfig {
   CandidateSearch candidate_search = CandidateSearch::kIndex;
 };
 
+/// Routing counters of one run, filled by the dispatcher and the system
+/// (Dispatcher::routing_stats, MTShareSystem::RunScenario), harvested into
+/// Metrics and the run report ("routing" section).
+struct BatchRoutingStats {
+  /// Candidate taxis skipped because the landmark lower bound proved the
+  /// pickup unreachable before its deadline.
+  int64_t lb_pruned = 0;
+  /// Leg costs requested during insertion on the CH that were not primed
+  /// (served by a point query; expected 0 — nonzero means the priming
+  /// closure in LastStopBuckets::Prime is stale). Always 0 on the exact
+  /// table, where every leg is a table read.
+  int64_t fallback_queries = 0;
+
+  // --- contraction hierarchy (the query counters stay zero unless the CH
+  // backend is active; the build counters describe the hierarchy every
+  // oracle owns) ---
+  /// Whether the oracle ran on the CH backend.
+  bool ch_active = false;
+  /// Shortcuts the preprocessing added on top of the road network.
+  int64_t ch_shortcuts = 0;
+  /// Wall-clock milliseconds of CH preprocessing (paid once at system
+  /// construction, not per run).
+  double ch_preprocessing_ms = 0.0;
+  /// Point queries the oracle answered on the CH.
+  int64_t ch_point_queries = 0;
+  /// Insertion Prime() calls answered from labels (each one with work to
+  /// do; a request's first also runs its four endpoint searches).
+  int64_t ch_bucket_queries = 0;
+  /// Vertices settled by CH upward searches: the request endpoints'
+  /// searches, the stop-label searches and the point queries
+  /// (not the location deposits or the reachability sweeps, which
+  /// LastStopBucketStats counts).
+  int64_t ch_upward_settled = 0;
+  /// Entries stored in stop labels, after the stall test.
+  int64_t ch_bucket_entries = 0;
+
+  // --- pickup reachability (DESIGN.md §14) ---
+  /// Pickup-reachability probes answered (Dispatcher::ReachesPickup
+  /// calls); always zero for pGreedyDP, whose DP rejects unreachable
+  /// pickups itself.
+  int64_t reach_probes = 0;
+  /// Whether last-stop bucket sweeps answered pickup reachability: true
+  /// on a CH-backed oracle once the scheme has swept (never for
+  /// pGreedyDP). The two bucket counters below stay zero on the exact
+  /// table.
+  bool bucket_search = false;
+  /// Taxis returned by last-stop bucket sweeps (pre exact-deadline
+  /// re-check).
+  int64_t bucket_candidates = 0;
+  /// Wall-clock milliseconds spent keeping last-stop bucket deposits in
+  /// sync with taxi moves (FlushDirty time, paid inside candidate search;
+  /// stop labels are synced inside insertion).
+  double bucket_maintenance_ms = 0.0;
+  /// Insertion slots examined by the detour-ellipse screen.
+  int64_t slots_screened = 0;
+  /// Insertion slots the screen proved infeasible before exact routing.
+  int64_t ellipse_pruned = 0;
+
+  // --- committed shortest-path legs (Dispatcher::PlanShortestRoute) ---
+  /// Legs walked back to their source through its resident exact-table
+  /// row.
+  int64_t route_legs_walked = 0;
+  /// Legs whose walk met a tie and searched the prefix up to it.
+  int64_t route_legs_prefixed = 0;
+  /// Legs searched by Dijkstra because their source had no resident row
+  /// (every leg on the CH backend).
+  int64_t route_legs_searched = 0;
+};
+
 /// What a matching scheme returns for one ride request.
 struct DispatchOutcome {
   bool assigned = false;
@@ -80,9 +148,9 @@ class Dispatcher {
   /// The dispatcher reads and never mutates the fleet; the engine applies
   /// outcomes. `landmarks` (which must outlive the dispatcher) arms the
   /// admissible lower-bound prunes for every scheme. On a CH-backed oracle
-  /// the first sweep or insertion prime builds a last-stop bucket store
-  /// over the oracle's hierarchy, which answers pickup reachability and
-  /// holds the labels insertion legs are priced from (DESIGN.md §14).
+  /// the dispatcher builds a last-stop bucket store over the oracle's
+  /// hierarchy for the whole fleet, which answers pickup reachability and
+  /// prices insertion legs from the labels it holds (DESIGN.md §14).
   Dispatcher(const RoadNetwork& network, DistanceOracle* oracle,
              std::vector<TaxiState>* fleet, const MatchingConfig& config,
              const LandmarkGraph& landmarks);
@@ -127,7 +195,7 @@ class Dispatcher {
 
   /// Offline-request encounter (paper Sec. IV-C2): `taxi` met the waiting
   /// request at its origin vertex; serve it if a feasible insertion exists.
-  /// EvaluateCandidates over this one taxi (ellipse screen, primed batch,
+  /// EvaluateCandidates over this one taxi (ellipse screen, primed legs,
   /// masked DP), then Assign with a shortest-path route.
   DispatchOutcome TryServeEncountered(const RideRequest& request, TaxiId taxi,
                                       Seconds now);
@@ -167,24 +235,25 @@ class Dispatcher {
   /// Accumulated per-phase dispatch time (the run-report breakdown).
   const PhaseTimers& phase_timers() const { return phase_timers_; }
 
-  /// The bucket store (null on the exact table and before the first
-  /// sweep or prime) — test/diagnostic access.
+  /// The bucket store (null on the exact table) — test/diagnostic access.
   const LastStopBuckets* buckets() const { return buckets_.get(); }
 
-  /// Batched-routing counters for Metrics / the run report. The oracle's
+  /// Routing counters for Metrics / the run report. The oracle's
   /// point-query share of ch_upward_settled is added by the system.
   BatchRoutingStats routing_stats() const {
-    BatchRoutingStats s = batch_.stats();
+    BatchRoutingStats s;
     s.lb_pruned = lb_pruned_;
     s.reach_probes = reach_probes_;
     if (buckets_ != nullptr) {
       const LastStopBucketStats& b = buckets_->stats();
       // Sweeps, not the store's existence, say whether buckets answered
-      // reachability: pGreedyDP builds a store for its labels only.
+      // reachability: pGreedyDP's store prices its insertions only.
       s.bucket_search = b.sweeps > 0;
       s.bucket_candidates = b.found;
       s.bucket_maintenance_ms = b.maintenance_ms;
-      s.ch_upward_settled += b.label_settled;
+      s.fallback_queries = b.fallback_queries;
+      s.ch_bucket_queries = b.primes;
+      s.ch_upward_settled = b.endpoint_settled + b.label_settled;
       s.ch_bucket_entries = b.label_entries;
     }
     s.slots_screened = slots_screened_;
@@ -226,14 +295,13 @@ class Dispatcher {
   };
   CandidateEval EvaluateCandidates(std::span<const TaxiId> candidates,
                                    const RideRequest& request, Seconds now);
-  /// Leg costs served from the primed batch table (fallback: oracle).
-  LegCostFn BatchedCost();
-  /// Registers `t`'s insertion stop walk (location + schedule stops) with
-  /// the batch; call batch_.Prime() once all candidates are registered.
+  /// The insertion DP's leg costs: the store's primed legs on a CH
+  /// oracle, table reads on the exact table.
+  LegCostFn LegCost();
+  /// Registers `t`'s insertion walk (location + schedule stops) with the
+  /// store (CH oracle only); call buckets_->Prime() once all candidates
+  /// are registered.
   void RegisterCandidateStops(const TaxiState& t);
-  /// The bucket store on a CH oracle, built on first use; null on the
-  /// exact table. Pass it to every batch_.Begin().
-  LastStopBuckets* ChBuckets();
   /// True (and counted) when the landmark lower bound proves the taxi
   /// cannot reach the request origin by the pickup deadline. The bound
   /// never exceeds the true cost, so the prune saves work without moving a
@@ -245,12 +313,11 @@ class Dispatcher {
   static constexpr Seconds kLbSlack = 1e-6;
 
   /// Prepares ReachesPickup for `r` (refinement rule 3, DESIGN.md §14).
-  /// On a CH-backed oracle: builds the bucket store on first use, flushes
-  /// dirty deposits (that is where maintenance time is paid) and runs one
-  /// backward sweep from the pickup over every taxi within
-  /// pickup_deadline - now. On the exact table a probe is one row
-  /// read, so there is nothing to prepare. Call it inside the
-  /// kCandidateSearch timer, before the first ReachesPickup of `r`.
+  /// On a CH-backed oracle: flushes dirty deposits (that is where
+  /// maintenance time is paid) and runs one backward sweep from the pickup
+  /// over every taxi within pickup_deadline - now. On the exact table a
+  /// probe is one row read, so there is nothing to prepare. Call it inside
+  /// the kCandidateSearch timer, before the first ReachesPickup of `r`.
   void SweepPickupReach(const RideRequest& r, Seconds now);
   /// Whether taxi `id` reaches `r`'s pickup by its deadline. On a CH this
   /// reads the swept distance, which equals oracle_->Cost(location,
@@ -289,17 +356,15 @@ class Dispatcher {
   /// screen.
   const LandmarkGraph& landmarks_;
   DijkstraSearch route_dijkstra_;
-  /// Per-request leg-cost table every insertion evaluation primes.
-  InsertionCostBatch batch_;
   int64_t lb_pruned_ = 0;
   int64_t reach_probes_ = 0;
-  /// Last-stop bucket store over the oracle's hierarchy (null on the
-  /// exact table and until the first ChBuckets()).
+  /// Last-stop bucket store over the oracle's hierarchy, with the labels
+  /// and legs of insertion pricing (null on the exact table).
   std::unique_ptr<LastStopBuckets> buckets_;
   /// Detour-ellipse screen counters (run-report routing section).
   int64_t slots_screened_ = 0;
   int64_t ellipse_pruned_ = 0;
-  std::vector<VertexId> batch_walk_buf_;
+  std::vector<VertexId> walk_buf_;
   /// EvaluateCandidates scratch, reused across requests and rewritten for
   /// every candidate before it is read: the ellipse screen's skip flags
   /// and slot masks, one per candidate.

@@ -60,27 +60,33 @@ DistanceOracle::DistanceOracle(const RoadNetwork& network,
   }
 }
 
-std::unique_ptr<ChQuery> DistanceOracle::BorrowChEngine() {
+Seconds DistanceOracle::ChCost(VertexId source, VertexId target) {
+  std::unique_ptr<SearchPair> pair;
   {
     std::lock_guard<std::mutex> lock(ch_pool_mutex_);
     if (!ch_pool_.empty()) {
-      std::unique_ptr<ChQuery> engine = std::move(ch_pool_.back());
+      pair = std::move(ch_pool_.back());
       ch_pool_.pop_back();
-      return engine;
+    } else {
+      ++ch_pairs_created_;
     }
-    ++ch_engines_created_;
   }
-  return std::make_unique<ChQuery>(*ch_);
-}
-
-void DistanceOracle::ReturnChEngine(std::unique_ptr<ChQuery> engine) {
-  const ChQueryStats& s = engine->stats();
+  if (pair == nullptr) pair = std::make_unique<SearchPair>(*ch_);
+  // Both upward searches run to exhaustion (upward search spaces are tiny,
+  // hundreds of vertices on road-like graphs), then meet: every shortest
+  // path is an up-down path whose top vertex both reach at its exact
+  // distance.
+  pair->forward.Run(source, UpwardSearch::kForward, kInfiniteCost);
+  pair->backward.Run(target, UpwardSearch::kBackward, kInfiniteCost);
+  const Seconds cost = Meet(pair->forward, pair->backward);
+  const int64_t settled = static_cast<int64_t>(
+      pair->forward.reached().size() + pair->backward.reached().size());
   std::lock_guard<std::mutex> lock(ch_pool_mutex_);
-  ch_stats_total_.point_queries += s.point_queries;
-  ch_stats_total_.upward_settled += s.upward_settled;
-  ch_engine_bytes_max_ = std::max(ch_engine_bytes_max_, engine->MemoryBytes());
-  engine->ResetStats();
-  ch_pool_.push_back(std::move(engine));
+  ++ch_stats_total_.point_queries;
+  ch_stats_total_.upward_settled += settled;
+  ch_pair_bytes_max_ = std::max(ch_pair_bytes_max_, pair->MemoryBytes());
+  ch_pool_.push_back(std::move(pair));
+  return cost;
 }
 
 ChQueryStats DistanceOracle::ch_query_stats() const {
@@ -123,10 +129,7 @@ Seconds DistanceOracle::Cost(VertexId source, VertexId target) {
   queries_.fetch_add(1, std::memory_order_relaxed);
   if (source == target) return 0.0;
   if (backend_ == OracleBackend::kExact) return ExactRow(source)[target];
-  std::unique_ptr<ChQuery> engine = BorrowChEngine();
-  Seconds cost = engine->Cost(source, target);
-  ReturnChEngine(std::move(engine));
-  return cost;
+  return ChCost(source, target);
 }
 
 int64_t DistanceOracle::row_hits() const {
@@ -148,13 +151,9 @@ size_t DistanceOracle::MemoryBytes() const {
     return bytes;
   }
   std::lock_guard<std::mutex> lock(ch_pool_mutex_);
-  size_t engine_bytes = ch_engine_bytes_max_;
-  for (const std::unique_ptr<ChQuery>& engine : ch_pool_) {
-    engine_bytes = std::max(engine_bytes, engine->MemoryBytes());
-  }
-  // Every pooled engine is buffer-wise the same size; count the largest
-  // observed footprint once per engine ever created.
-  return bytes + ch_engines_created_ * engine_bytes;
+  // Every pooled pair is buffer-wise the same size; count the largest
+  // observed footprint once per pair ever created.
+  return bytes + ch_pairs_created_ * ch_pair_bytes_max_;
 }
 
 }  // namespace mtshare

@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "graph/road_network.h"
-#include "routing/ch_query.h"
 #include "routing/contraction_hierarchy.h"
+#include "routing/upward_search.h"
 
 namespace mtshare {
 
@@ -35,6 +35,16 @@ const char* OracleBackendName(OracleBackend backend);
 /// false on unknown names, leaving *out untouched.
 bool ParseOracleBackend(std::string_view name, OracleBackend* out);
 
+/// The CH backend's point-query counters, summed over the oracle's
+/// search pool.
+struct ChQueryStats {
+  /// Point queries answered (same-vertex pairs excluded).
+  int64_t point_queries = 0;
+  /// Vertices reached by the point queries' upward searches, forward and
+  /// backward, each run to exhaustion.
+  int64_t upward_settled = 0;
+};
+
 struct OracleOptions {
   /// Backend selection; see OracleBackend.
   OracleBackend backend = OracleBackend::kAuto;
@@ -52,15 +62,17 @@ struct OracleOptions {
 /// the costs they return (arc costs are dyadic, see QuantizeTravelCost).
 /// Every query is a point query, Cost(): one row read on the exact table,
 /// so an insertion leg costs O(1) as the paper assumes (CH insertion legs
-/// meet stored labels instead, InsertionCostBatch). Costs only — use
-/// DijkstraSearch when the vertex sequence is needed.
+/// meet stored labels instead, LastStopBuckets). On the CH a point query
+/// is a forward upward search from the source and a backward one from the
+/// target, both run to exhaustion, met at their common vertices. Costs
+/// only — use DijkstraSearch when the vertex sequence is needed.
 ///
 /// Thread-safe: one system's oracle serves every RunScenario call on it,
 /// and those runs may execute concurrently (the concurrency tests start
 /// several on one system).
 /// Exact mode fills each row exactly once behind striped mutexes and
-/// publishes it with an atomic flag; CH mode checks stateful ChQuery
-/// engines in and out of a mutex-guarded pool (one engine per
+/// publishes it with an atomic flag; CH mode checks forward/backward
+/// search pairs in and out of a mutex-guarded pool (one pair per
 /// concurrently querying thread). Counters are atomics /
 /// pool-mutex-guarded sums and surface through Metrics.
 class DistanceOracle {
@@ -91,10 +103,10 @@ class DistanceOracle {
   int64_t row_hits() const;
   int64_t row_misses() const;
 
-  /// CH query counters, aggregated over the engine pool (all zero outside
-  /// CH mode: exact row fills tick none of them). Engines checked out
-  /// mid-flight are not included, so read these from quiescent moments
-  /// (dispatch-batch boundaries).
+  /// CH point-query counters (all zero outside CH mode: exact row fills
+  /// tick none of them). A query is counted when its search pair returns
+  /// to the pool, so read these from quiescent moments (dispatch-batch
+  /// boundaries).
   ChQueryStats ch_query_stats() const;
   /// Preprocessing counters of the oracle's hierarchy (either backend).
   const ChBuildStats& ch_build_stats() const { return ch_->stats(); }
@@ -106,13 +118,24 @@ class DistanceOracle {
   const ContractionHierarchy* ch() const { return ch_.get(); }
 
   /// Resident bytes of the hierarchy plus the filled table rows (exact) or
-  /// the pooled query engines (CH) — Tab. IV memory accounting.
+  /// the pooled search pairs (CH) — Tab. IV memory accounting.
   size_t MemoryBytes() const;
 
  private:
+  /// One CH point query's searches: forward from the source, backward
+  /// from the target.
+  struct SearchPair {
+    explicit SearchPair(const ContractionHierarchy& ch)
+        : forward(ch), backward(ch) {}
+    size_t MemoryBytes() const {
+      return forward.MemoryBytes() + backward.MemoryBytes();
+    }
+    UpwardSearch forward;
+    UpwardSearch backward;
+  };
+
   const std::vector<Seconds>& ExactRow(VertexId source);
-  std::unique_ptr<ChQuery> BorrowChEngine();
-  void ReturnChEngine(std::unique_ptr<ChQuery> engine);
+  Seconds ChCost(VertexId source, VertexId target);
 
   const RoadNetwork& network_;
   OracleBackend backend_;
@@ -130,14 +153,13 @@ class DistanceOracle {
   std::atomic<int64_t> exact_hits_{0};
   std::atomic<int64_t> exact_misses_{0};
 
-  /// CH mode: pool of per-thread query engines over ch_. Returned engines
-  /// fold their counters into ch_stats_total_ (guarded by ch_pool_mutex_)
-  /// and reset, so aggregation is O(1) per return.
+  /// CH mode: pool of per-thread search pairs over ch_. A returned pair
+  /// adds its query to ch_stats_total_ (guarded by ch_pool_mutex_).
   mutable std::mutex ch_pool_mutex_;
-  std::vector<std::unique_ptr<ChQuery>> ch_pool_;
+  std::vector<std::unique_ptr<SearchPair>> ch_pool_;
   ChQueryStats ch_stats_total_;
-  size_t ch_engines_created_ = 0;
-  size_t ch_engine_bytes_max_ = 0;
+  size_t ch_pairs_created_ = 0;
+  size_t ch_pair_bytes_max_ = 0;
 
   std::atomic<int64_t> queries_{0};
 };

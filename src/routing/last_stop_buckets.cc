@@ -10,7 +10,11 @@ namespace mtshare {
 
 LastStopBuckets::LastStopBuckets(const ContractionHierarchy& ch,
                                  int32_t num_taxis)
-    : search_(ch) {
+    : search_(ch),
+      origin_out_(ch),
+      origin_in_(ch),
+      dest_out_(ch),
+      dest_in_(ch) {
   MTSHARE_CHECK(num_taxis >= 0);
   buckets_.resize(ch.num_vertices());
   handles_.resize(num_taxis);
@@ -19,6 +23,9 @@ LastStopBuckets::LastStopBuckets(const ContractionHierarchy& ch,
   dirty_.assign(num_taxis, 1);  // everything deposits on the first flush
   swept_dist_.assign(num_taxis, 0.0);
   swept_epoch_.assign(num_taxis, 0);
+  cid_epoch_.assign(ch.num_vertices(), 0);
+  cid_.assign(ch.num_vertices(), 0);
+  Grow(64);
 }
 
 void LastStopBuckets::RemoveDeposits(TaxiId id) {
@@ -40,7 +47,7 @@ void LastStopBuckets::RemoveDeposits(TaxiId id) {
 
 void LastStopBuckets::Deposit(TaxiId id, VertexId anchor) {
   // Forward upward search from the anchor, run to exhaustion — the same
-  // search ChQuery::Cost runs from its source, so every reached vertex v
+  // search a point query runs from its source, so every reached vertex v
   // carries the exact minimal upward-path cost anchor -> v. Stalled
   // vertices are not deposited.
   std::vector<Handle>& handles = handles_[id];
@@ -156,6 +163,143 @@ Seconds LastStopBuckets::FromAnchor(TaxiId id,
   return best;
 }
 
+void LastStopBuckets::Grow(int32_t needed) {
+  int32_t next = stride_ == 0 ? 64 : stride_;
+  while (next <= needed) next *= 2;
+  next = std::min(next, kDenseCap);
+  if (next <= stride_) return;
+  std::vector<Seconds> grown(size_t(next) * next, kUnprimed);
+  // Re-lay existing rows at the new stride (T-Share grows the matrix
+  // incrementally between Prime() calls, so earlier values must survive).
+  int32_t used = std::min<int32_t>(int32_t(cid_vertex_.size()), stride_);
+  for (int32_t r = 0; r < used; ++r) {
+    std::copy_n(matrix_.begin() + size_t(r) * stride_, used,
+                grown.begin() + size_t(r) * next);
+  }
+  matrix_ = std::move(grown);
+  stride_ = next;
+}
+
+int32_t LastStopBuckets::CidFor(VertexId v) {
+  if (cid_epoch_[v] == cid_epoch_id_) return cid_[v];
+  cid_epoch_[v] = cid_epoch_id_;
+  int32_t id = int32_t(cid_vertex_.size());
+  cid_[v] = id;
+  cid_vertex_.push_back(v);
+  is_stop_.push_back(0);
+  if (id >= stride_ && id < kDenseCap) Grow(id);
+  return id;
+}
+
+void LastStopBuckets::Store(VertexId a, VertexId b, Seconds cost) {
+  int32_t ia = cid_[a];
+  int32_t ib = cid_[b];
+  if (ia < kDenseCap && ib < kDenseCap) {
+    matrix_[size_t(ia) * stride_ + ib] = cost;
+  } else {
+    overflow_[Key(a, b)] = cost;
+  }
+}
+
+Seconds LastStopBuckets::Stored(VertexId a, VertexId b) const {
+  const int32_t ia = cid_[a];
+  const int32_t ib = cid_[b];
+  if (ia < kDenseCap && ib < kDenseCap) {
+    return matrix_[size_t(ia) * stride_ + ib];
+  }
+  auto it = overflow_.find(Key(a, b));
+  return it == overflow_.end() ? kUnprimed : it->second;
+}
+
+void LastStopBuckets::Begin(VertexId origin, VertexId destination) {
+  origin_ = origin;
+  destination_ = destination;
+  pending_taxis_.clear();
+  endpoints_searched_ = false;
+  // Wipe only the matrix region the previous request could have written.
+  int32_t used = std::min<int32_t>(int32_t(cid_vertex_.size()), stride_);
+  if (used > 0) {
+    std::fill_n(matrix_.begin(), size_t(used) * stride_, kUnprimed);
+  }
+  if (!overflow_.empty()) overflow_.clear();
+  cid_vertex_.clear();
+  is_stop_.clear();
+  NextEpoch(cid_epoch_id_, cid_epoch_);
+  CidFor(origin);
+  CidFor(destination);
+}
+
+void LastStopBuckets::AddCandidate(TaxiId taxi,
+                                   std::span<const VertexId> walk) {
+  MTSHARE_CHECK(!walk.empty());
+  // The labels Prime() reads must be those of this walk.
+  Flush(taxi, walk.front());
+  SyncStops(taxi, walk.subspan(1));
+  pending_taxis_.push_back(taxi);
+}
+
+void LastStopBuckets::Prime() {
+  if (pending_taxis_.empty()) return;
+  ++stats_.primes;
+  if (!endpoints_searched_) {
+    endpoints_searched_ = true;
+    origin_out_.Run(origin_, UpwardSearch::kForward, kInfiniteCost);
+    origin_in_.Run(origin_, UpwardSearch::kBackward, kInfiniteCost);
+    dest_out_.Run(destination_, UpwardSearch::kForward, kInfiniteCost);
+    dest_in_.Run(destination_, UpwardSearch::kBackward, kInfiniteCost);
+    for (const UpwardSearch* run :
+         {&origin_out_, &origin_in_, &dest_out_, &dest_in_}) {
+      stats_.endpoint_settled += static_cast<int64_t>(run->reached().size());
+    }
+    Store(origin_, destination_, Meet(origin_out_, dest_in_));
+  }
+  for (TaxiId id : pending_taxis_) {
+    MTSHARE_CHECK(!dirty_[id]);  // AddCandidate flushed it
+    const VertexId at = anchor_[id];
+    CidFor(at);
+    if (at != origin_ && Stored(at, origin_) == kUnprimed) {
+      Store(at, origin_, FromAnchor(id, origin_in_));
+    }
+    VertexId prev = at;
+    const UpwardLabel* prev_out = nullptr;  // null: prev is the location
+    for (const StopLabels& stop : stops_[id]) {
+      const VertexId s = stop.vertex;
+      const int32_t c = CidFor(s);
+      if (!is_stop_[c]) {
+        is_stop_[c] = 1;
+        Store(s, origin_, Meet(stop.out, origin_in_));
+        Store(s, destination_, Meet(stop.out, dest_in_));
+        Store(origin_, s, Meet(stop.in, origin_out_));
+        Store(destination_, s, Meet(stop.in, dest_out_));
+      }
+      if (prev != s && Stored(prev, s) == kUnprimed) {
+        search_.Load(stop.in);
+        Store(prev, s,
+              prev_out == nullptr ? FromAnchor(id, search_)
+                                  : Meet(*prev_out, search_));
+      }
+      prev = s;
+      prev_out = &stop.out;
+    }
+  }
+  pending_taxis_.clear();
+}
+
+Seconds LastStopBuckets::Cost(VertexId a, VertexId b) {
+  if (a == b) return 0.0;
+  if (cid_epoch_[a] == cid_epoch_id_ && cid_epoch_[b] == cid_epoch_id_) {
+    const Seconds cost = Stored(a, b);
+    if (cost != kUnprimed) return cost;
+  }
+  // Prime() stored no such leg: a point query, a's forward label (counted
+  // as a stop label) met with a backward run from b.
+  ++stats_.fallback_queries;
+  const UpwardLabel from = Label(a, UpwardSearch::kForward);
+  search_.Run(b, UpwardSearch::kBackward, kInfiniteCost);
+  stats_.endpoint_settled += static_cast<int64_t>(search_.reached().size());
+  return Meet(from, search_);
+}
+
 UpwardLabel LastStopBuckets::AnchorLabel(TaxiId id) const {
   UpwardLabel label;
   for (const Handle& h : handles_[id]) {
@@ -185,7 +329,15 @@ size_t LastStopBuckets::MemoryBytes() const {
   bytes += dirty_.size() * sizeof(uint8_t);
   bytes += swept_dist_.size() * sizeof(Seconds);
   bytes += swept_epoch_.size() * sizeof(uint32_t);
-  return bytes + search_.MemoryBytes() + label_buf_.MemoryBytes();
+  bytes += (cid_epoch_.size() + cid_.size()) * sizeof(uint32_t) +
+           cid_vertex_.capacity() * sizeof(VertexId) + is_stop_.capacity() +
+           matrix_.capacity() * sizeof(Seconds) +
+           overflow_.size() * (sizeof(uint64_t) + sizeof(Seconds));
+  for (const UpwardSearch* search :
+       {&search_, &origin_out_, &origin_in_, &dest_out_, &dest_in_}) {
+    bytes += search->MemoryBytes();
+  }
+  return bytes + label_buf_.MemoryBytes();
 }
 
 }  // namespace mtshare

@@ -27,12 +27,13 @@ struct UpwardLabel {
   }
 };
 
-/// The one upward search under every contraction-hierarchy query: point
-/// queries (ChQuery), location deposits, stop labels and sweeps
-/// (LastStopBuckets), the request endpoints' searches of insertion priming
-/// (InsertionCostBatch), and the upward phase of every one-to-all row
-/// (PhastRow). A forward run follows UpArcs from the source, a backward
-/// run follows DownArcs (down-paths into the source).
+/// The one upward search under every contraction-hierarchy query. Each
+/// run belongs to one of three owners: DistanceOracle (a pooled forward/
+/// backward pair per point query), LastStopBuckets (location deposits,
+/// stop labels, sweeps and the request endpoints' searches of insertion
+/// priming) and PhastRow (the upward phase of every one-to-all row). A
+/// forward run follows UpArcs from the source, a backward run follows
+/// DownArcs (down-paths into the source).
 ///
 /// Every arc of either search graph points to a higher rank, so the graph
 /// a run explores is acyclic in rank order: a run relaxes the vertices it
@@ -43,8 +44,8 @@ struct UpwardLabel {
 /// one bit per bitset word, set while that word is nonzero, so the search
 /// for the next pending rank skips 64 empty words (4,096 ranks) at a
 /// time. Each label is the minimum over the same arc sums Dijkstra
-/// compares, and arc costs are dyadic, so the labels are exact (see
-/// ChQuery).
+/// compares, and arc costs are dyadic (QuantizeTravelCost), so every sum
+/// is exact and so is every label.
 ///
 /// Labels are epoch-stamped and every run drains its bitset, so a run
 /// costs O(search space + V / 4096), not O(V). Not thread-safe.

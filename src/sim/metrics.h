@@ -8,8 +8,8 @@
 #include "common/histogram.h"
 #include "common/types.h"
 #include "demand/request.h"
+#include "matching/dispatcher.h"
 #include "matching/phase_timers.h"
-#include "routing/one_to_many.h"
 
 namespace mtshare {
 
@@ -155,9 +155,9 @@ class Metrics {
   /// Per-phase dispatch-time breakdown harvested from the dispatcher at
   /// run end (candidate search / filter / insertion / routing).
   PhaseTimers phases;
-  /// Batched-routing counters harvested from the dispatcher at run end:
-  /// batch passes, lower-bound-pruned candidates, per-pair fallback
-  /// queries, CH and candidate-search counters.
+  /// Routing counters harvested from the dispatcher at run end:
+  /// lower-bound-pruned candidates, fallback queries, CH and
+  /// candidate-search counters.
   BatchRoutingStats routing;
   /// Dispatcher time spent probing offline encounters that were *not*
   /// served — measured by the engine but attached to no request record.

@@ -117,26 +117,13 @@ GeneratorRequestSource::GeneratorRequestSource(const DemandModel& demand,
       oracle_(&oracle),
       options_(options),
       rng_(options.seed) {
-  MTSHARE_CHECK(options.rho > 1.0);
-  MTSHARE_CHECK(options.offline_fraction >= 0.0 &&
-                options.offline_fraction <= 1.0);
-  MTSHARE_CHECK(options.t_end > options.t_begin);
-  MTSHARE_CHECK(options.num_requests >= 0);
-  // Pre-sample only the release times — the same rejection sampling
-  // against the diurnal profile DemandModel::GenerateTrips runs, without
-  // materializing the trips behind them.
-  double max_weight = 0.0;
-  for (int32_t h = 0; h < 24; ++h) {
-    max_weight =
-        std::max(max_weight, DemandModel::DiurnalWeight(demand.day(), h));
-  }
+  MTSHARE_CHECK(options.Validate().ok());
+  // Pre-sample only the release times, without materializing the trips
+  // behind them.
   release_times_.reserve(options.num_requests);
-  while (static_cast<int32_t>(release_times_.size()) < options.num_requests) {
-    Seconds t = rng_.NextUniform(options.t_begin, options.t_end);
-    double accept =
-        DemandModel::DiurnalWeight(demand.day(), HourOf(t)) / max_weight;
-    if (rng_.NextDouble() > accept) continue;
-    release_times_.push_back(t);
+  for (int32_t i = 0; i < options.num_requests; ++i) {
+    release_times_.push_back(
+        demand.SampleReleaseTime(options.t_begin, options.t_end, rng_));
   }
   std::sort(release_times_.begin(), release_times_.end());
 }

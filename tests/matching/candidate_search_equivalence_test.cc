@@ -124,8 +124,8 @@ TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
   // only when their taxi is an insertion candidate, so a taxi's labels may
   // lag its schedule, but every held label must equal a fresh label of
   // its own vertex, a taxi whose schedule is empty holds none, and
-  // No-Sharing, which never inserts, holds none. The store is built at
-  // the first sweep or prime, so it is read from then on.
+  // No-Sharing, which never inserts, holds none. The store is built with
+  // the dispatcher, so it is read from the first decision on.
   GridCityOptions gopt;
   gopt.rows = 16;
   gopt.cols = 16;
@@ -156,7 +156,7 @@ TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
                   scenario.requests.front().release_time);
     std::unique_ptr<Dispatcher> dispatcher =
         system->MakeDispatcher(scheme, &fleet);
-    EXPECT_EQ(dispatcher->buckets(), nullptr);
+    ASSERT_NE(dispatcher->buckets(), nullptr);
 
     EngineOptions eopts;
     int64_t checks = 0;
@@ -164,7 +164,6 @@ TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
     int64_t idle_checked = 0;
     eopts.on_decision = [&](const RideRequest&, const RequestRecord&) {
       const LastStopBuckets* buckets = dispatcher->buckets();
-      if (buckets == nullptr) return;  // no sweep or prime yet
       // A fresh store computes every taxi's entries from scratch.
       LastStopBuckets fresh(ch, static_cast<int32_t>(fleet.size()));
       for (const TaxiState& t : fleet) {
@@ -199,7 +198,6 @@ TEST(CandidateSearchEquivalenceTest, BucketStoreStaysConsistentMidRun) {
     VectorRequestSource source(&scenario.requests);
     Metrics m = engine.Run(source);
     EXPECT_GT(m.ServedRequests(), 0);
-    EXPECT_NE(dispatcher->buckets(), nullptr);
     EXPECT_GT(checks, 0);
     EXPECT_GT(idle_checked, 0);
     // Schemes that share hold labels for scheduled stops mid-run;

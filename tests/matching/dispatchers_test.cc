@@ -163,7 +163,7 @@ TEST_F(DispatchersTest, ProVariantUsesProbabilisticRoutes) {
 }
 
 // An encounter prices its one insertion through EvaluateCandidates: the
-// ellipse screen, the primed batch and the masked DP. On either backend it
+// ellipse screen, the primed legs and the masked DP. On either backend it
 // must find exactly the insertion the unscreened DP finds on per-pair
 // oracle costs, and every leg it reads must have been primed.
 class EncounterInsertionTest : public ::testing::TestWithParam<OracleBackend> {
@@ -189,6 +189,10 @@ TEST_P(EncounterInsertionTest, MatchesPerPairDpWithNoFallbacks) {
   DistanceOracle& oracle = system->oracle();
   std::vector<TaxiState> fleet = MakeFleet(net, 3, 4, 17, 0.0);
   auto dispatcher = system->MakeDispatcher(SchemeKind::kMtShare, &fleet);
+  // The bucket store exists from construction on the CH, never on the
+  // table.
+  EXPECT_EQ(dispatcher->buckets() != nullptr,
+            GetParam() == OracleBackend::kCh);
   TaxiState& taxi = fleet[0];
   const auto request = [&](RequestId id, VertexId o, VertexId d,
                            Seconds slack) {

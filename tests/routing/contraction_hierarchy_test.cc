@@ -11,7 +11,6 @@
 
 #include "common/random.h"
 #include "graph/graph_generators.h"
-#include "routing/ch_query.h"
 #include "routing/dijkstra.h"
 #include "routing/distance_oracle.h"
 #include "routing/upward_search.h"
@@ -58,16 +57,23 @@ void ExpectPhastRowsMatch(const ContractionHierarchy& ch,
   }
 }
 
+/// A CH oracle over `net`, its hierarchy built with `copt`.
+DistanceOracle ChOracle(const RoadNetwork& net, const ChOptions& copt = {}) {
+  OracleOptions opts;
+  opts.backend = OracleBackend::kCh;
+  opts.ch = copt;
+  return DistanceOracle(net, opts);
+}
+
 void ExpectAllPairsMatch(const RoadNetwork& net, const ChOptions& copt) {
-  ContractionHierarchy ch = ContractionHierarchy::Build(net, copt);
-  ChQuery query(ch);
+  DistanceOracle oracle = ChOracle(net, copt);
   const std::vector<std::vector<Seconds>> rows = DijkstraRows(net);
   for (VertexId s = 0; s < net.num_vertices(); ++s) {
     for (VertexId t = 0; t < net.num_vertices(); ++t) {
-      ASSERT_EQ(query.Cost(s, t), rows[s][t]) << s << "->" << t;
+      ASSERT_EQ(oracle.Cost(s, t), rows[s][t]) << s << "->" << t;
     }
   }
-  ExpectPhastRowsMatch(ch, rows);
+  ExpectPhastRowsMatch(*oracle.ch(), rows);
 }
 
 TEST(ContractionHierarchyTest, GridCityAllPairsBitIdentical) {
@@ -165,16 +171,16 @@ RoadNetwork TwoIslandsWithBridge() {
 
 TEST(ContractionHierarchyTest, DisconnectedComponentsReportInfinity) {
   RoadNetwork net = TwoIslandsWithBridge();
-  ContractionHierarchy ch = ContractionHierarchy::Build(net);
-  ChQuery query(ch);
+  DistanceOracle oracle = ChOracle(net);
+  const ContractionHierarchy& ch = *oracle.ch();
   const std::vector<std::vector<Seconds>> rows = DijkstraRows(net);
   for (VertexId s = 0; s < net.num_vertices(); ++s) {
     for (VertexId t = 0; t < net.num_vertices(); ++t) {
-      EXPECT_EQ(query.Cost(s, t), rows[s][t]) << s << "->" << t;
+      EXPECT_EQ(oracle.Cost(s, t), rows[s][t]) << s << "->" << t;
     }
   }
-  EXPECT_EQ(query.Cost(4, 0), kInfiniteCost);  // bridge is one-way
-  EXPECT_LT(query.Cost(0, 4), kInfiniteCost);
+  EXPECT_EQ(oracle.Cost(4, 0), kInfiniteCost);  // bridge is one-way
+  EXPECT_LT(oracle.Cost(0, 4), kInfiniteCost);
   ExpectPhastRowsMatch(ch, rows);
   EXPECT_EQ(PhastRow(ch, 4, UpwardSearch::kForward)[0], kInfiniteCost);
   EXPECT_EQ(PhastRow(ch, 0, UpwardSearch::kBackward)[4], kInfiniteCost);

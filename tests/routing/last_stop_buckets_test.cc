@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <span>
 #include <utility>
 #include <vector>
@@ -11,7 +12,6 @@
 #include "routing/contraction_hierarchy.h"
 #include "routing/dijkstra.h"
 #include "routing/distance_oracle.h"
-#include "routing/one_to_many.h"
 
 namespace mtshare {
 namespace {
@@ -364,20 +364,17 @@ TEST(LastStopBucketsTest, FlushLabelsOnlyNewStops) {
 /// lagged its schedule. A taxi that never was a candidate holds none.
 TEST(LastStopBucketsTest, AddCandidateHoldsOneFreshLabelPerStop) {
   RoadNetwork net = TestCity(67);
-  OracleOptions opts;
-  opts.backend = OracleBackend::kCh;
-  DistanceOracle oracle(net, opts);
-  LastStopBuckets buckets(*oracle.ch(), 2);
-  LastStopBuckets fresh(*oracle.ch(), 1);
-  InsertionCostBatch batch(net, &oracle);
+  ContractionHierarchy ch = ContractionHierarchy::Build(net);
+  LastStopBuckets buckets(ch, 2);
+  LastStopBuckets fresh(ch, 1);
   // Each walk is the taxi's location then its stops; consecutive walks
   // insert around held stops, pop executed ones, or both.
   const std::vector<std::vector<VertexId>> walks{
       {5, 10, 20}, {7, 10, 30, 20}, {8, 20}, {9, 40, 41, 20}, {20}};
   for (const std::vector<VertexId>& walk : walks) {
     buckets.MarkDirty(0);
-    batch.Begin(3, 60, &buckets);
-    batch.AddCandidate(0, walk);
+    buckets.Begin(3, 60);
+    buckets.AddCandidate(0, walk);
     EXPECT_FALSE(buckets.dirty(0));
     EXPECT_EQ(buckets.anchor(0), walk[0]);
     const std::span<const StopLabels> held = buckets.stops(0);
@@ -393,6 +390,167 @@ TEST(LastStopBucketsTest, AddCandidateHoldsOneFreshLabelPerStop) {
     }
   }
   EXPECT_TRUE(buckets.stops(1).empty());
+}
+
+// ------- Insertion legs (Begin / AddCandidate / Prime / Cost) -------
+
+/// A 13x13 city with one-way streets, so legs are asymmetric.
+RoadNetwork LegCity() {
+  GridCityOptions gopt;
+  gopt.rows = 13;
+  gopt.cols = 13;
+  gopt.seed = 25;
+  gopt.one_way_fraction = 0.25;
+  return MakeGridCity(gopt);
+}
+
+/// Registers `walk` as taxi `taxi`'s, as the engine's notifications
+/// would: a taxi whose walk changed is dirty.
+void Register(LastStopBuckets* store, TaxiId taxi,
+              const std::vector<VertexId>& walk) {
+  store->MarkDirty(taxi);
+  store->AddCandidate(taxi, walk);
+}
+
+/// Every leg an insertion DP can request over `walks` (location L then
+/// stops s): L -> o, L -> s1, o/d -> s, s -> o/d, s_k -> s_k+1 and o -> d,
+/// equals the exact table's bit for bit, and none is a fallback.
+void ExpectLegsPrimed(LastStopBuckets* store, DistanceOracle* table,
+                      VertexId origin, VertexId dest,
+                      const std::vector<std::vector<VertexId>>& walks) {
+  const int64_t fallbacks = store->stats().fallback_queries;
+  auto check = [&](VertexId a, VertexId b) {
+    EXPECT_EQ(store->Cost(a, b), table->Cost(a, b)) << a << "->" << b;
+  };
+  check(origin, dest);
+  for (const std::vector<VertexId>& walk : walks) {
+    check(walk[0], origin);
+    for (size_t i = 0; i < walk.size(); ++i) {
+      if (i > 0) {
+        check(origin, walk[i]);
+        check(dest, walk[i]);
+        check(walk[i], origin);
+        check(walk[i], dest);
+      }
+      if (i + 1 < walk.size()) check(walk[i], walk[i + 1]);
+    }
+  }
+  EXPECT_EQ(store->stats().fallback_queries, fallbacks);
+}
+
+TEST(LastStopBucketsTest, PrimedLegsMatchOracleBitwiseWithNoFallbacks) {
+  RoadNetwork net = LegCity();
+  ContractionHierarchy ch = ContractionHierarchy::Build(net);
+  DistanceOracle table(net);
+  LastStopBuckets store(ch, 4);
+  Rng rng(251);
+  for (int round = 0; round < 15; ++round) {
+    VertexId origin = VertexId(rng.NextInt(0, net.num_vertices() - 1));
+    VertexId dest = VertexId(rng.NextInt(0, net.num_vertices() - 1));
+    store.Begin(origin, dest);
+    // A few candidate walks: taxi location followed by schedule stops.
+    std::vector<std::vector<VertexId>> walks;
+    for (TaxiId taxi = 0; taxi < 4; ++taxi) {
+      std::vector<VertexId> walk;
+      int stops = static_cast<int>(rng.NextInt(1, 6));
+      for (int s = 0; s < stops; ++s) {
+        walk.push_back(VertexId(rng.NextInt(0, net.num_vertices() - 1)));
+      }
+      Register(&store, taxi, walk);
+      walks.push_back(std::move(walk));
+    }
+    // One Prime() answers every candidate registered before it.
+    const int64_t primes = store.stats().primes;
+    store.Prime();
+    EXPECT_EQ(store.stats().primes - primes, 1);
+    ExpectLegsPrimed(&store, &table, origin, dest, walks);
+  }
+  EXPECT_EQ(store.stats().fallback_queries, 0);
+  EXPECT_GT(store.stats().endpoint_settled, 0);
+  EXPECT_GT(store.stats().label_entries, 0);
+}
+
+TEST(LastStopBucketsTest, IncrementalPrimingCoversLaterCandidates) {
+  // T-Share's usage pattern: Begin once, then AddCandidate + Prime per
+  // candidate, with overlapping stop sets between candidates.
+  RoadNetwork net = LegCity();
+  ContractionHierarchy ch = ContractionHierarchy::Build(net);
+  DistanceOracle table(net);
+  LastStopBuckets store(ch, 4);
+  const VertexId origin = 3;
+  const VertexId dest = 90;
+  store.Begin(origin, dest);
+  const std::vector<std::vector<VertexId>> walks{
+      {10, 20, 30},
+      {20, 30, 40},  // shares stops with the first, adds a fresh one
+      {30, 20},      // no fresh stop, only a new base-adjacent pair
+      {3, 90, 3},    // stands on the origin; stops on both endpoints
+  };
+  // Each Prime is answered from labels, the endpoint searches run by the
+  // first.
+  for (size_t w = 0; w < walks.size(); ++w) {
+    const int64_t primes = store.stats().primes;
+    const int64_t settled = store.stats().endpoint_settled;
+    Register(&store, TaxiId(w), walks[w]);
+    store.Prime();
+    EXPECT_EQ(store.stats().primes - primes, 1) << "walk " << w;
+    if (w > 0) {
+      EXPECT_EQ(store.stats().endpoint_settled, settled) << "walk " << w;
+    }
+    // A Prime with nothing registered does nothing.
+    store.Prime();
+    EXPECT_EQ(store.stats().primes - primes, 1) << "walk " << w;
+  }
+  ExpectLegsPrimed(&store, &table, origin, dest, walks);
+  EXPECT_EQ(store.stats().fallback_queries, 0);
+  // d -> L is outside the closure (a location is only a source): it is
+  // answered by a point query and counted.
+  EXPECT_EQ(store.Cost(dest, 10), table.Cost(dest, 10));
+  EXPECT_EQ(store.stats().fallback_queries, 1);
+}
+
+TEST(LastStopBucketsTest, IncrementalPrimingGrowsPastTheDenseMatrix) {
+  // One request whose candidates bring more than 1,024 distinct vertices,
+  // primed one candidate at a time as T-Share does: the leg matrix grows
+  // from 64 rows through every doubling, re-laying the legs stored so
+  // far, and the pairs beyond its 1,024th vertex go to the overflow map.
+  // After every Prime, every leg of every candidate so far must still
+  // read the exact table's value.
+  GridCityOptions gopt;
+  gopt.rows = 40;
+  gopt.cols = 40;
+  gopt.seed = 29;
+  gopt.one_way_fraction = 0.25;
+  RoadNetwork net = MakeGridCity(gopt);
+  ASSERT_GT(net.num_vertices(), 1300);
+  ContractionHierarchy ch = ContractionHierarchy::Build(net);
+  DistanceOracle table(net);
+  constexpr int32_t kTaxis = 170;
+  LastStopBuckets store(ch, kTaxis);
+
+  // Vertices in a seeded order; each walk takes a fresh location and six
+  // fresh stops, and its first stop repeats the previous walk's last.
+  std::vector<VertexId> order(net.num_vertices());
+  std::iota(order.begin(), order.end(), 0);
+  Rng rng(291);
+  rng.Shuffle(order);
+  size_t next = 0;
+  const VertexId origin = order[next++];
+  const VertexId dest = order[next++];
+  store.Begin(origin, dest);
+  std::vector<std::vector<VertexId>> walks;
+  for (TaxiId taxi = 0; taxi < kTaxis; ++taxi) {
+    std::vector<VertexId> walk{order[next++]};
+    if (taxi > 0) walk.push_back(walks.back().back());
+    for (int s = 0; s < 6; ++s) walk.push_back(order[next++]);
+    Register(&store, taxi, walk);
+    store.Prime();
+    walks.push_back(std::move(walk));
+    ExpectLegsPrimed(&store, &table, origin, dest, walks);
+  }
+  EXPECT_GT(next, 1100u);  // distinct vertices in the request
+  EXPECT_EQ(store.stats().primes, kTaxis);
+  EXPECT_EQ(store.stats().fallback_queries, 0);
 }
 
 }  // namespace

@@ -19,8 +19,8 @@ namespace {
 // hammer one oracle with point queries at once, as concurrent RunScenario
 // calls on one system do. Each round queries one pair, then one source
 // against six targets, then three more sources against prefixes of those
-// targets, so targets repeat across sources. On the CH backend the engine
-// pool must hand every thread its own ChQuery (stateful buffers); on the
+// targets, so targets repeat across sources. On the CH backend the pool
+// must hand every thread its own search pair (stateful buffers); on the
 // exact table, threads race to fill the same cold rows, each by a PhastRow
 // over the shared hierarchy, and each row must still be filled exactly
 // once. The counters must not race, and every answer must equal the

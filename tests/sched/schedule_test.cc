@@ -350,5 +350,52 @@ TEST(FindBestInsertionDpTest, AppendAtEndWhenMidRouteFull) {
   EXPECT_EQ(dp.dropoff_pos, 2u);
 }
 
+TEST(FindBestInsertionDpTest, FallsBackToTheWalkAtAnUlpDeadline) {
+  // Non-dyadic leg costs, so the DP's algebraic arrival sum and the closing
+  // CheckSchedule walk, which add the same legs in different orders, can
+  // disagree. A seeded search found this case: the rider's deadline is the
+  // DP's sum for pickup before and dropoff after the taxi's one stop v,
+  // which the walk misses by an ulp. The DP must defer to
+  // FindBestInsertion, whose winner (pickup and dropoff before v) is
+  // walk-feasible.
+  constexpr VertexId kL = 0, kO = 1, kD = 2, kV = 3;
+  const Seconds cost[4][4] = {
+      // to: L      o      d      v
+      {0.0, 119.3, 150.0, 190.1},  // from L, the taxi's location
+      {119.3, 0.0, 115.3, 89.4},   // from o
+      {150.0, 115.3, 0.0, 100.7},  // from d
+      {190.1, 95.1, 73.2, 0.0},    // from v
+  };
+  const LegCostFn leg = [&](VertexId a, VertexId b) { return cost[a][b]; };
+  const Seconds now = 29572.7;
+  Schedule base;  // the dropoff of the one rider aboard
+  base.Append(ScheduleEvent{1, kV, false, 1e6, 1});
+  RideRequest r;
+  r.id = 2;
+  r.origin = kO;
+  r.destination = kD;
+  r.release_time = now;
+  r.direct_cost = cost[kO][kD];
+  r.passengers = 1;
+  // The DP's arrival at d: arr[0] + d1 + leg(v, d).
+  const Seconds arr0 = now + cost[kL][kV];
+  const Seconds d1 = cost[kL][kO] + cost[kO][kV] - cost[kL][kV];
+  r.deadline = arr0 + d1 + cost[kV][kD];
+  ASSERT_FALSE(CheckSchedule(Schedule::WithInsertion(base, r, 0, 1), kL, now,
+                             1, 3, leg)
+                   .feasible);
+
+  const InsertionResult walk = FindBestInsertion(base, r, kL, now, 1, 3, leg);
+  const InsertionResult dp = FindBestInsertionDp(base, r, kL, now, 1, 3, leg);
+  ASSERT_TRUE(walk.found);
+  ASSERT_TRUE(dp.found);
+  EXPECT_TRUE(dp.check.feasible);
+  EXPECT_EQ(walk.pickup_pos, 0u);
+  EXPECT_EQ(walk.dropoff_pos, 0u);
+  EXPECT_EQ(dp.pickup_pos, walk.pickup_pos);
+  EXPECT_EQ(dp.dropoff_pos, walk.dropoff_pos);
+  EXPECT_EQ(dp.detour, walk.detour);
+}
+
 }  // namespace
 }  // namespace mtshare

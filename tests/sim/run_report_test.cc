@@ -460,6 +460,25 @@ TEST(MtshareSimCliTest, RejectsOutOfRangeScenarioOptions) {
   std::remove(err.c_str());
 }
 
+TEST(MtshareSimCliTest, RejectsDegenerateCity) {
+  // A one-row or one-column grid used to abort in MakeGridCity's CHECK
+  // (SIGABRT, exit 134); the flag is now rejected before anything is
+  // built. Small values only: a huge grid allocates before any check.
+  const std::string err = testing::TempDir() + "mtshare_sim_city.err";
+  for (const char* flags : {"--rows=1 --cols=5", "--rows=2 --cols=1"}) {
+    std::remove(err.c_str());
+    const std::string cmd = std::string(MTSHARE_SIM_BINARY) + " " + flags +
+                            " --taxis=5 --requests=20 > /dev/null 2> " + err;
+    EXPECT_EQ(RunCommand(cmd), 2) << flags;
+    std::stringstream message;
+    message << std::ifstream(err).rdbuf();
+    EXPECT_NE(message.str().find("--rows and --cols must be >= 2"),
+              std::string::npos)
+        << flags << ": " << message.str();
+  }
+  std::remove(err.c_str());
+}
+
 TEST(MtshareSimCliTest, ChBucketsPathEmitsBucketCounters) {
   const std::string json = RunSim(
       "buckets",

@@ -147,6 +147,22 @@ TEST_F(ServeCliTest, RejectsMalformedFlags) {
   }
 }
 
+TEST_F(ServeCliTest, RejectsDegenerateCity) {
+  // A one-row or one-column grid used to abort in MakeGridCity's CHECK
+  // (SIGABRT, exit 134); the flag is now rejected before anything is
+  // built. Small values only: a huge grid allocates before any check.
+  const std::string err = Tmp("degenerate_city.err");
+  std::remove(err.c_str());
+  const std::string cmd = std::string(MTSHARE_SERVE_BINARY) +
+                          " --rows=5 --cols=1 < /dev/null > /dev/null 2> " +
+                          err;
+  EXPECT_EQ(RunCommand(cmd), 2);
+  EXPECT_NE(ReadFile(err).find("--rows and --cols must be >= 2"),
+            std::string::npos)
+      << ReadFile(err);
+  std::remove(err.c_str());
+}
+
 TEST_F(ServeCliTest, AcceptsFullUint64SeedRange) {
   // The whole uint64 range is a valid seed — UINT64_MAX used to lose
   // precision through the double path (2^64-1 is not representable).

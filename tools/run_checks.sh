@@ -18,8 +18,9 @@
 #      one CH oracle); an empty selection fails
 #   3. configure + build the asan preset, run the full suite (the examples
 #      and bench smokes included) under AddressSanitizer + LeakSanitizer +
-#      UndefinedBehaviorSanitizer; undefined behaviour aborts the test
-#      (-fno-sanitize-recover=undefined) and prints its stack
+#      UndefinedBehaviorSanitizer (float-cast-overflow included); undefined
+#      behaviour aborts the test (-fno-sanitize-recover) and prints its
+#      stack
 #   4. (opt-in) scale smoke: the `scale`-labelled ctest tier at reduced
 #      sizes — bench_scale trajectory schema, 10^6-request stream
 #      determinism, 10k-fleet golden decision digest

@@ -34,8 +34,9 @@ struct SharedFlags {
   std::string report_path;
 };
 
-/// Reads the shared flags. A malformed value or an unknown --scheme or
-/// --oracle prints a diagnostic and clears *ok.
+/// Reads the shared flags. A malformed value, an unknown --scheme or
+/// --oracle, or a --rows/--cols below 2 prints a diagnostic and clears
+/// *ok.
 inline SharedFlags ReadSharedFlags(FlagArgs& args, bool* ok) {
   SharedFlags f;
   std::optional<SchemeKind> scheme =
@@ -51,6 +52,10 @@ inline SharedFlags ReadSharedFlags(FlagArgs& args, bool* ok) {
   f.network_file = GetS(args, "network", "");
   f.city.rows = GetCount(args, "rows", 48, ok);
   f.city.cols = GetCount(args, "cols", 48, ok);
+  if (f.city.rows < 2 || f.city.cols < 2) {
+    std::fprintf(stderr, "--rows and --cols must be >= 2\n");
+    *ok = false;
+  }
   f.city.seed = f.seed;
 
   f.config.kappa = GetCount(args, "kappa", 120, ok);
