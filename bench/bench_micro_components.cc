@@ -138,13 +138,13 @@ void BM_UpwardSearch(benchmark::State& state, UpwardRun run) {
 BENCHMARK_CAPTURE(BM_UpwardSearch, deposit, UpwardRun::kDeposit);
 BENCHMARK_CAPTURE(BM_UpwardSearch, sweep, UpwardRun::kSweep);
 
-// One request's insertion priming on the CH (LastStopBuckets Begin,
-// AddCandidate per candidate, Prime) over a fixed, seeded set of 48 taxis:
-// random locations, a sixth of them with a four-stop schedule and a third
-// with a two-stop one, against one of 64 seeded requests per iteration.
-// It meets the request's four endpoint searches with the taxis' labels,
-// which the first iteration's AddCandidate calls compute and later ones
-// reuse.
+// One request's insertion priming on the CH (LastStopBuckets Begin, then
+// one Prime per candidate, each followed by a read of its pickup leg, as
+// its DP would) over a fixed, seeded set of 48 taxis: random locations, a
+// sixth of them with a four-stop schedule and a third with a two-stop one,
+// against one of 64 seeded requests per iteration. It meets the request's
+// four endpoint searches with the taxis' labels, which the first
+// iteration's Prime calls compute and later ones reuse.
 void BM_PrimeInsertion(benchmark::State& state) {
   OracleOptions oopt;
   oopt.backend = OracleBackend::kCh;
@@ -166,9 +166,10 @@ void BM_PrimeInsertion(benchmark::State& state) {
   for (auto _ : state) {
     const auto [origin, destination] = requests[next++ % requests.size()];
     store.Begin(origin, destination);
-    for (TaxiId id = 0; id < kTaxis; ++id) store.AddCandidate(id, walks[id]);
-    store.Prime();
-    benchmark::DoNotOptimize(store.Cost(walks[0][0], origin));
+    for (TaxiId id = 0; id < kTaxis; ++id) {
+      store.Prime(id, walks[id]);
+      benchmark::DoNotOptimize(store.Cost(walks[id][0], origin));
+    }
   }
   state.SetLabel(OracleBackendName(oracle->backend()));
 }

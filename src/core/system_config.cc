@@ -21,12 +21,6 @@ Status SystemConfig::Validate() const {
   if (matching.gamma_max_m <= 0.0) {
     return Status::InvalidArgument("gamma must be positive");
   }
-  // Reject a non-positive witness limit here so MTShareSystem::Create
-  // reports instead of misbehaving.
-  if (oracle.ch.witness_settle_limit <= 0) {
-    return Status::InvalidArgument(
-        "oracle.ch.witness_settle_limit must be positive");
-  }
   return Status::OK();
 }
 

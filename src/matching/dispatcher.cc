@@ -27,22 +27,6 @@ Dispatcher::Dispatcher(const RoadNetwork& network, DistanceOracle* oracle,
   }
 }
 
-LegCostFn Dispatcher::LegCost() {
-  if (buckets_ != nullptr) {
-    return [this](VertexId a, VertexId b) { return buckets_->Cost(a, b); };
-  }
-  return [this](VertexId a, VertexId b) { return oracle_->Cost(a, b); };
-}
-
-void Dispatcher::RegisterCandidateStops(const TaxiState& t) {
-  walk_buf_.clear();
-  walk_buf_.push_back(t.location);
-  for (const ScheduleEvent& e : t.schedule.events()) {
-    walk_buf_.push_back(e.vertex);
-  }
-  buckets_->AddCandidate(t.id, walk_buf_);
-}
-
 void Dispatcher::SweepPickupReach(const RideRequest& r, Seconds now) {
   if (buckets_ == nullptr) return;
   // Locations are read straight off the fleet, exactly as the table
@@ -194,44 +178,44 @@ Dispatcher::CandidateEval Dispatcher::EvaluateCandidates(
     std::span<const TaxiId> candidates, const RideRequest& request,
     Seconds now) {
   ScopedPhaseTimer timer(phase_timers_, DispatchPhase::kInsertion);
-  // Detour-ellipse screen first. Its P1 test at slot 0 is the landmark
-  // lower-bound pickup prune; it also masks provably infeasible insertion
-  // slots out of the DP. A candidate with no surviving slot pair could
-  // only return found == false — skip it and keep its stops out of the
-  // priming fan.
-  eval_skip_.assign(candidates.size(), 0);
-  eval_masks_.resize(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (!ComputeEllipseMask(taxi(candidates[i]), request, now,
-                            &eval_masks_[i])) {
-      eval_skip_[i] = 1;
-    }
-  }
-  // On the CH, prime every leg the insertion walks can request before any
-  // DP runs; the DPs then read the stored legs. On the exact table a leg
-  // is one table read, so there is nothing to prime.
   if (buckets_ != nullptr) {
     buckets_->Begin(request.origin, request.destination);
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (!eval_skip_[i]) RegisterCandidateStops(taxi(candidates[i]));
-    }
-    buckets_->Prime();
   }
-  const LegCostFn cost = LegCost();
   CandidateEval best;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (eval_skip_[i]) continue;
-    const TaxiState& t = taxi(candidates[i]);
-    InsertionResult ins =
-        FindBestInsertionDp(t.schedule, request, t.location, now, t.onboard,
-                            t.capacity, cost, &eval_masks_[i]);
+  for (const TaxiId id : candidates) {
+    InsertionResult ins = PriceCandidate(taxi(id), request, now);
     // Strict < in candidate order: ties go to the earliest candidate.
     if (ins.found && ins.detour < best.insertion.detour) {
-      best.taxi = candidates[i];
+      best.taxi = id;
       best.insertion = std::move(ins);
     }
   }
   return best;
+}
+
+InsertionResult Dispatcher::PriceCandidate(const TaxiState& t,
+                                           const RideRequest& r, Seconds now) {
+  // The screen's P1 test at slot 0 is the landmark lower-bound pickup
+  // prune; it also masks provably infeasible insertion slots out of the
+  // DP. A candidate with no surviving slot pair could only return
+  // found == false, so its legs are not primed.
+  if (!ComputeEllipseMask(t, r, now, &mask_)) return {};
+  // On the exact table a leg is one table read, so nothing is primed. On
+  // the CH the store meets this walk's labels into its leg table, which
+  // the DP alone reads: the next candidate's Prime replaces it.
+  LegCostFn cost = [this](VertexId a, VertexId b) {
+    return oracle_->Cost(a, b);
+  };
+  if (buckets_ != nullptr) {
+    walk_buf_.assign(1, t.location);
+    for (const ScheduleEvent& e : t.schedule.events()) {
+      walk_buf_.push_back(e.vertex);
+    }
+    buckets_->Prime(t.id, walk_buf_);
+    cost = [this](VertexId a, VertexId b) { return buckets_->Cost(a, b); };
+  }
+  return FindBestInsertionDp(t.schedule, r, t.location, now, t.onboard,
+                             t.capacity, cost, &mask_);
 }
 
 bool Dispatcher::Assign(TaxiId id, Schedule schedule, Seconds detour,

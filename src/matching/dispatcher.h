@@ -81,8 +81,8 @@ struct BatchRoutingStats {
   double ch_preprocessing_ms = 0.0;
   /// Point queries the oracle answered on the CH.
   int64_t ch_point_queries = 0;
-  /// Insertion Prime() calls answered from labels (each one with work to
-  /// do; a request's first also runs its four endpoint searches).
+  /// Insertion candidates primed from labels, one LastStopBuckets::Prime
+  /// each (a request's first also runs its four endpoint searches).
   int64_t ch_bucket_queries = 0;
   /// Vertices settled by CH upward searches: the request endpoints'
   /// searches, the stop-label searches and the point queries
@@ -284,7 +284,7 @@ class Dispatcher {
 
   /// Best feasible insertion over `candidates` for `request` (the
   /// matching hot path, paper Algorithm 1 / Table III; an encounter passes
-  /// its one taxi): each candidate's FindBestInsertionDp result is kept if
+  /// its one taxi): one PriceCandidate per candidate, each result kept if
   /// its detour is strictly lower than the best so far, so ties go to the
   /// earliest candidate. Candidate lists are emitted in deterministic
   /// order with ascending taxi ids within a bucket, so the tie-break is by
@@ -295,13 +295,15 @@ class Dispatcher {
   };
   CandidateEval EvaluateCandidates(std::span<const TaxiId> candidates,
                                    const RideRequest& request, Seconds now);
-  /// The insertion DP's leg costs: the store's primed legs on a CH
-  /// oracle, table reads on the exact table.
-  LegCostFn LegCost();
-  /// Registers `t`'s insertion walk (location + schedule stops) with the
-  /// store (CH oracle only); call buckets_->Prime() once all candidates
-  /// are registered.
-  void RegisterCandidateStops(const TaxiState& t);
+  /// Prices one candidate's insertion of `r`, the step every scheme runs
+  /// per candidate: the detour-ellipse screen, then on a CH oracle the
+  /// store's Prime of `t`'s walk (its location, then its schedule stops),
+  /// then FindBestInsertionDp over the slots the screen kept, reading its
+  /// legs from the store on the CH and from the exact table otherwise.
+  /// Returns found == false at once when no slot pair survives the
+  /// screen. On a CH oracle, call buckets_->Begin for `r` first.
+  InsertionResult PriceCandidate(const TaxiState& t, const RideRequest& r,
+                                 Seconds now);
   /// True (and counted) when the landmark lower bound proves the taxi
   /// cannot reach the request origin by the pickup deadline. The bound
   /// never exceeds the true cost, so the prune saves work without moving a
@@ -325,15 +327,6 @@ class Dispatcher {
   /// the landmark lower bound settles most violations in O(1) and only
   /// survivors pay the table read. Both accept exactly the same taxis.
   bool ReachesPickup(TaxiId id, const RideRequest& r, Seconds now);
-  /// Detour-ellipse screen (DESIGN.md §14): fills `mask` with the
-  /// insertion slots of `t`'s schedule that the landmark lower/upper
-  /// bounds cannot prove infeasible for `r`. Returns false when no
-  /// (pickup <= dropoff) pair survives — the candidate can be skipped
-  /// without exact routing. Only provably infeasible slots are cleared,
-  /// so masked insertion search returns the unmasked optimum.
-  bool ComputeEllipseMask(const TaxiState& t, const RideRequest& r,
-                          Seconds now, InsertionSlotMask* mask);
-
   /// Grid pitch of the baselines' spatial taxi index.
   static constexpr double kGridCellM = 500.0;
 
@@ -364,16 +357,6 @@ class Dispatcher {
   /// Detour-ellipse screen counters (run-report routing section).
   int64_t slots_screened_ = 0;
   int64_t ellipse_pruned_ = 0;
-  std::vector<VertexId> walk_buf_;
-  /// EvaluateCandidates scratch, reused across requests and rewritten for
-  /// every candidate before it is read: the ellipse screen's skip flags
-  /// and slot masks, one per candidate.
-  std::vector<uint8_t> eval_skip_;
-  std::vector<InsertionSlotMask> eval_masks_;
-  /// ComputeEllipseMask scratch: lower-bound arrival chain and suffix-min
-  /// deadline gaps of the candidate's base schedule.
-  std::vector<Seconds> lba_buf_;
-  std::vector<Seconds> gap_suffix_buf_;
   /// Per-phase dispatch time; schemes attribute their sections with
   /// ScopedPhaseTimer.
   PhaseTimers phase_timers_;
@@ -382,6 +365,15 @@ class Dispatcher {
   void MarkBucketsDirty(TaxiId taxi) {
     if (buckets_ != nullptr) buckets_->MarkDirty(taxi);
   }
+  /// Detour-ellipse screen (DESIGN.md §14): fills `mask` with the
+  /// insertion slots of `t`'s schedule that the landmark lower/upper
+  /// bounds cannot prove infeasible for `r`. Returns false when no
+  /// (pickup <= dropoff) pair survives — the candidate can be skipped
+  /// without exact routing. Only provably infeasible slots are cleared,
+  /// so masked insertion search returns the unmasked optimum.
+  bool ComputeEllipseMask(const TaxiState& t, const RideRequest& r,
+                          Seconds now, InsertionSlotMask* mask);
+
   /// Materializes an unrestricted shortest-path route for a schedule.
   RoutePlanner::PlannedRoute PlanShortestRoute(VertexId start,
                                                Seconds start_time,
@@ -394,6 +386,15 @@ class Dispatcher {
   int64_t route_legs_walked_ = 0;
   int64_t route_legs_prefixed_ = 0;
   int64_t route_legs_searched_ = 0;
+
+  /// PriceCandidate scratch, rewritten for every candidate: the walk it
+  /// primes and the ellipse screen's slot mask.
+  std::vector<VertexId> walk_buf_;
+  InsertionSlotMask mask_;
+  /// ComputeEllipseMask scratch: lower-bound arrival chain and suffix-min
+  /// deadline gaps of the candidate's base schedule.
+  std::vector<Seconds> lba_buf_;
+  std::vector<Seconds> gap_suffix_buf_;
 
   // Idle-cruising state (see EnableIdleCruising).
   const MapPartitioning* cruise_partitioning_ = nullptr;

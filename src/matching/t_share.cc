@@ -68,15 +68,12 @@ DispatchOutcome TShareDispatcher::Dispatch(const RideRequest& request,
 
   // T-Share's signature is first-valid (not arg-min), with route planning
   // inside the loop: the scan usually stops after one or two candidates, so
-  // scoring the whole candidate list up front, as the arg-min schemes do,
-  // would do strictly more work than the early exit. On the CH, leg costs
-  // are therefore primed incrementally, one candidate per Prime(), so the
-  // early exit keeps its win.
+  // each candidate is priced on its own, as every scheme prices them, and
+  // the early exit leaves the rest unprimed.
   if (buckets_ != nullptr) {
     buckets_->Begin(request.origin, request.destination);
   }
   for (int32_t id : candidates) {
-    const TaxiState& t = taxi(id);
     ++outcome.candidates;
     {
       ScopedPhaseTimer timer(phase_timers_, DispatchPhase::kFilter);
@@ -85,18 +82,7 @@ DispatchOutcome TShareDispatcher::Dispatch(const RideRequest& request,
     InsertionResult ins;
     {
       ScopedPhaseTimer timer(phase_timers_, DispatchPhase::kInsertion);
-      // The detour-ellipse screen skips a candidate whose every insertion
-      // slot is provably infeasible (its DP could only return found ==
-      // false) before RegisterCandidateStops/Prime, saving its label
-      // meets.
-      if (!ComputeEllipseMask(t, request, now, &mask_buf_)) continue;
-      if (buckets_ != nullptr) {
-        RegisterCandidateStops(t);
-        buckets_->Prime();
-      }
-      ins = FindBestInsertionDp(t.schedule, request, t.location, now,
-                                t.onboard, t.capacity, LegCost(),
-                                &mask_buf_);
+      ins = PriceCandidate(taxi(id), request, now);
     }
     if (!ins.found) continue;
     // First valid, not best: the scheme's signature.

@@ -33,8 +33,6 @@ class TShareDispatcher : public Dispatcher {
   void IndexScheduleCommitted(TaxiId taxi) override;
 
   DynamicGridIndex index_;  ///< positions of all taxis
-  /// Detour-ellipse scratch (Dispatch is serialized per instance).
-  InsertionSlotMask mask_buf_;
 };
 
 }  // namespace mtshare

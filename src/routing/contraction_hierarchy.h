@@ -9,9 +9,10 @@
 
 namespace mtshare {
 
-/// Preprocessing knobs. The defaults are tuned for road-like graphs
-/// (degree 2-4, near-planar); denser graphs still contract correctly, just
-/// with more shortcuts.
+/// Preprocessing knobs. Every DistanceOracle builds its hierarchy with the
+/// defaults, which are tuned for road-like graphs (degree 2-4,
+/// near-planar); denser graphs still contract correctly, just with more
+/// shortcuts.
 struct ChOptions {
   /// Witness searches give up after settling this many vertices. A missed
   /// witness only adds a redundant shortcut (correct but larger index),

@@ -48,7 +48,7 @@ DistanceOracle::DistanceOracle(const RoadNetwork& network,
     : network_(network),
       backend_(ResolveBackend(network, options)),
       ch_(std::make_unique<ContractionHierarchy>(
-          ContractionHierarchy::Build(network, options.ch))) {
+          ContractionHierarchy::Build(network))) {
   if (backend_ == OracleBackend::kExact) {
     exact_rows_.resize(network.num_vertices());
     exact_filled_ =

@@ -48,10 +48,6 @@ struct ChQueryStats {
 struct OracleOptions {
   /// Backend selection; see OracleBackend.
   OracleBackend backend = OracleBackend::kAuto;
-
-  /// Preprocessing knobs for the contraction hierarchy, which both
-  /// backends build.
-  ChOptions ch;
 };
 
 /// Shortest-path *cost* oracle with O(1) amortized queries, mirroring the

@@ -23,9 +23,6 @@ LastStopBuckets::LastStopBuckets(const ContractionHierarchy& ch,
   dirty_.assign(num_taxis, 1);  // everything deposits on the first flush
   swept_dist_.assign(num_taxis, 0.0);
   swept_epoch_.assign(num_taxis, 0);
-  cid_epoch_.assign(ch.num_vertices(), 0);
-  cid_.assign(ch.num_vertices(), 0);
-  Grow(64);
 }
 
 void LastStopBuckets::RemoveDeposits(TaxiId id) {
@@ -163,83 +160,28 @@ Seconds LastStopBuckets::FromAnchor(TaxiId id,
   return best;
 }
 
-void LastStopBuckets::Grow(int32_t needed) {
-  int32_t next = stride_ == 0 ? 64 : stride_;
-  while (next <= needed) next *= 2;
-  next = std::min(next, kDenseCap);
-  if (next <= stride_) return;
-  std::vector<Seconds> grown(size_t(next) * next, kUnprimed);
-  // Re-lay existing rows at the new stride (T-Share grows the matrix
-  // incrementally between Prime() calls, so earlier values must survive).
-  int32_t used = std::min<int32_t>(int32_t(cid_vertex_.size()), stride_);
-  for (int32_t r = 0; r < used; ++r) {
-    std::copy_n(matrix_.begin() + size_t(r) * stride_, used,
-                grown.begin() + size_t(r) * next);
-  }
-  matrix_ = std::move(grown);
-  stride_ = next;
-}
-
-int32_t LastStopBuckets::CidFor(VertexId v) {
-  if (cid_epoch_[v] == cid_epoch_id_) return cid_[v];
-  cid_epoch_[v] = cid_epoch_id_;
-  int32_t id = int32_t(cid_vertex_.size());
-  cid_[v] = id;
-  cid_vertex_.push_back(v);
-  is_stop_.push_back(0);
-  if (id >= stride_ && id < kDenseCap) Grow(id);
-  return id;
+int32_t LastStopBuckets::Slot(VertexId v) const {
+  const auto it = std::find(slots_.begin(), slots_.end(), v);
+  return it == slots_.end() ? -1 : static_cast<int32_t>(it - slots_.begin());
 }
 
 void LastStopBuckets::Store(VertexId a, VertexId b, Seconds cost) {
-  int32_t ia = cid_[a];
-  int32_t ib = cid_[b];
-  if (ia < kDenseCap && ib < kDenseCap) {
-    matrix_[size_t(ia) * stride_ + ib] = cost;
-  } else {
-    overflow_[Key(a, b)] = cost;
-  }
-}
-
-Seconds LastStopBuckets::Stored(VertexId a, VertexId b) const {
-  const int32_t ia = cid_[a];
-  const int32_t ib = cid_[b];
-  if (ia < kDenseCap && ib < kDenseCap) {
-    return matrix_[size_t(ia) * stride_ + ib];
-  }
-  auto it = overflow_.find(Key(a, b));
-  return it == overflow_.end() ? kUnprimed : it->second;
+  legs_[size_t(Slot(a)) * slots_.size() + size_t(Slot(b))] = cost;
 }
 
 void LastStopBuckets::Begin(VertexId origin, VertexId destination) {
   origin_ = origin;
   destination_ = destination;
-  pending_taxis_.clear();
   endpoints_searched_ = false;
-  // Wipe only the matrix region the previous request could have written.
-  int32_t used = std::min<int32_t>(int32_t(cid_vertex_.size()), stride_);
-  if (used > 0) {
-    std::fill_n(matrix_.begin(), size_t(used) * stride_, kUnprimed);
-  }
-  if (!overflow_.empty()) overflow_.clear();
-  cid_vertex_.clear();
-  is_stop_.clear();
-  NextEpoch(cid_epoch_id_, cid_epoch_);
-  CidFor(origin);
-  CidFor(destination);
+  slots_.clear();
+  legs_.clear();
 }
 
-void LastStopBuckets::AddCandidate(TaxiId taxi,
-                                   std::span<const VertexId> walk) {
+void LastStopBuckets::Prime(TaxiId taxi, std::span<const VertexId> walk) {
   MTSHARE_CHECK(!walk.empty());
-  // The labels Prime() reads must be those of this walk.
+  // The labels met below must be those of this walk.
   Flush(taxi, walk.front());
   SyncStops(taxi, walk.subspan(1));
-  pending_taxis_.push_back(taxi);
-}
-
-void LastStopBuckets::Prime() {
-  if (pending_taxis_.empty()) return;
   ++stats_.primes;
   if (!endpoints_searched_) {
     endpoints_searched_ = true;
@@ -251,53 +193,48 @@ void LastStopBuckets::Prime() {
          {&origin_out_, &origin_in_, &dest_out_, &dest_in_}) {
       stats_.endpoint_settled += static_cast<int64_t>(run->reached().size());
     }
-    Store(origin_, destination_, Meet(origin_out_, dest_in_));
+    ride_ = Meet(origin_out_, dest_in_);
   }
-  for (TaxiId id : pending_taxis_) {
-    MTSHARE_CHECK(!dirty_[id]);  // AddCandidate flushed it
-    const VertexId at = anchor_[id];
-    CidFor(at);
-    if (at != origin_ && Stored(at, origin_) == kUnprimed) {
-      Store(at, origin_, FromAnchor(id, origin_in_));
+  slots_.assign({origin_, destination_});
+  slots_.insert(slots_.end(), walk.begin(), walk.end());
+  legs_.assign(slots_.size() * slots_.size(), kUnprimed);
+  Store(origin_, destination_, ride_);
+  const VertexId at = walk.front();
+  if (at != origin_) Store(at, origin_, FromAnchor(taxi, origin_in_));
+  VertexId prev = at;
+  const UpwardLabel* prev_out = nullptr;  // null: prev is the location
+  for (const StopLabels& stop : stops_[taxi]) {
+    const VertexId s = stop.vertex;
+    Store(s, origin_, Meet(stop.out, origin_in_));
+    Store(s, destination_, Meet(stop.out, dest_in_));
+    Store(origin_, s, Meet(stop.in, origin_out_));
+    Store(destination_, s, Meet(stop.in, dest_out_));
+    if (prev != s) {
+      search_.Load(stop.in);
+      Store(prev, s,
+            prev_out == nullptr ? FromAnchor(taxi, search_)
+                                : Meet(*prev_out, search_));
     }
-    VertexId prev = at;
-    const UpwardLabel* prev_out = nullptr;  // null: prev is the location
-    for (const StopLabels& stop : stops_[id]) {
-      const VertexId s = stop.vertex;
-      const int32_t c = CidFor(s);
-      if (!is_stop_[c]) {
-        is_stop_[c] = 1;
-        Store(s, origin_, Meet(stop.out, origin_in_));
-        Store(s, destination_, Meet(stop.out, dest_in_));
-        Store(origin_, s, Meet(stop.in, origin_out_));
-        Store(destination_, s, Meet(stop.in, dest_out_));
-      }
-      if (prev != s && Stored(prev, s) == kUnprimed) {
-        search_.Load(stop.in);
-        Store(prev, s,
-              prev_out == nullptr ? FromAnchor(id, search_)
-                                  : Meet(*prev_out, search_));
-      }
-      prev = s;
-      prev_out = &stop.out;
-    }
+    prev = s;
+    prev_out = &stop.out;
   }
-  pending_taxis_.clear();
 }
 
 Seconds LastStopBuckets::Cost(VertexId a, VertexId b) {
   if (a == b) return 0.0;
-  if (cid_epoch_[a] == cid_epoch_id_ && cid_epoch_[b] == cid_epoch_id_) {
-    const Seconds cost = Stored(a, b);
+  const int32_t from = Slot(a);
+  const int32_t to = Slot(b);
+  if (from >= 0 && to >= 0) {
+    const Seconds cost = legs_[size_t(from) * slots_.size() + size_t(to)];
     if (cost != kUnprimed) return cost;
   }
-  // Prime() stored no such leg: a point query, a's forward label (counted
-  // as a stop label) met with a backward run from b.
+  // The last Prime() stored no such leg: a point query, a's forward label
+  // (counted as a stop label) met with a backward run from b.
   ++stats_.fallback_queries;
-  const UpwardLabel from = Label(a, UpwardSearch::kForward);
+  const UpwardLabel label = Label(a, UpwardSearch::kForward);
   search_.Run(b, UpwardSearch::kBackward, kInfiniteCost);
   stats_.endpoint_settled += static_cast<int64_t>(search_.reached().size());
-  return Meet(from, search_);
+  return Meet(label, search_);
 }
 
 UpwardLabel LastStopBuckets::AnchorLabel(TaxiId id) const {
@@ -329,10 +266,8 @@ size_t LastStopBuckets::MemoryBytes() const {
   bytes += dirty_.size() * sizeof(uint8_t);
   bytes += swept_dist_.size() * sizeof(Seconds);
   bytes += swept_epoch_.size() * sizeof(uint32_t);
-  bytes += (cid_epoch_.size() + cid_.size()) * sizeof(uint32_t) +
-           cid_vertex_.capacity() * sizeof(VertexId) + is_stop_.capacity() +
-           matrix_.capacity() * sizeof(Seconds) +
-           overflow_.size() * (sizeof(uint64_t) + sizeof(Seconds));
+  bytes += slots_.capacity() * sizeof(VertexId) +
+           legs_.capacity() * sizeof(Seconds);
   for (const UpwardSearch* search :
        {&search_, &origin_out_, &origin_in_, &dest_out_, &dest_in_}) {
     bytes += search->MemoryBytes();

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "routing/contraction_hierarchy.h"
@@ -33,17 +32,17 @@ struct LastStopBucketStats {
   int64_t label_entries = 0;
   /// Wall-clock milliseconds spent in FlushDirty (incremental upkeep of
   /// deposits — the cost per-taxi probes do not pay). Stop labels are
-  /// synced by insertion (AddCandidate), not here.
+  /// synced by insertion (Prime), not here.
   double maintenance_ms = 0.0;
-  /// Prime() calls with work to do (a request's first also runs its four
-  /// endpoint searches).
+  /// Candidates primed, one Prime() call each (a request's first also
+  /// runs its four endpoint searches).
   int64_t primes = 0;
   /// Vertices reached by the request endpoints' searches and by the
   /// backward runs of fallbacks.
   int64_t endpoint_settled = 0;
-  /// Legs Cost() was asked for that Prime() had not stored, each answered
-  /// by a point query. Expected 0: nonzero means Prime()'s closure misses
-  /// a leg the insertion DP reads.
+  /// Legs Cost() was asked for that the last Prime() had not stored, each
+  /// answered by a point query. Expected 0: nonzero means Prime()'s
+  /// closure misses a leg the insertion DP reads.
   int64_t fallback_queries = 0;
 };
 
@@ -66,7 +65,7 @@ struct StopLabels {
 ///    query per taxi (pickup reachability). Insertion priming reads the
 ///    same deposits as the taxi's location label.
 ///  - Stop labels: forward and backward labels of the scheduled stops,
-///    synced when the taxi becomes an insertion candidate (AddCandidate):
+///    synced when the taxi becomes an insertion candidate (Prime):
 ///    a stop is labelled once, the first time an insertion reads it, and
 ///    its labels are kept until the taxi executes it. A taxi that is not a
 ///    candidate holds labels that may lag its schedule, until its schedule
@@ -95,30 +94,31 @@ struct StopLabels {
 /// beyond are never reported — the caller's exact `now + d <= deadline`
 /// check rejects them, exactly as a per-taxi probe does.
 ///
-/// Insertion legs (DESIGN.md §7). Begin(origin, destination) once per
-/// request, AddCandidate + Prime for each candidate (or all candidates,
-/// then one Prime), Cost() afterwards. The legs of any insertion walk are
-/// pairs over {taxi location L, schedule stops s, request origin o,
-/// request destination d} where base-schedule adjacency is preserved
-/// (insertion never removes events), so the closure Prime() stores is
-/// L -> o, o/d -> every stop, every stop -> o/d, every base-adjacent pair
-/// (L -> s1 and s_k -> s_k+1), and o -> d. Each leg is the meet of two
-/// upward search spaces: the request's four endpoint searches, run once
-/// per request to exhaustion, and the taxi's labels:
+/// Insertion legs (DESIGN.md §7), one candidate at a time, as Algorithm 1
+/// prices them: Begin(origin, destination) once per request, then
+/// Prime(taxi, walk) right before that candidate's insertion DP, which
+/// reads Cost(). The legs of any insertion walk are pairs over {taxi
+/// location L, schedule stops s, request origin o, request destination d}
+/// where base-schedule adjacency is preserved (insertion never removes
+/// events), so the closure Prime() stores is L -> o, o/d -> every stop,
+/// every stop -> o/d, every base-adjacent pair (L -> s1 and s_k -> s_k+1),
+/// and o -> d. Each leg is the meet of two upward search spaces: the
+/// request's four endpoint searches, run once per request to exhaustion,
+/// and the taxi's labels:
 ///
 ///   L -> o      deposits against o's backward search
 ///   L -> s1     deposits against s1's backward label
 ///   s -> o, d   s's forward label against o's, d's backward searches
 ///   o, d -> s   s's backward label against o's, d's forward searches
 ///   s -> s'     s's forward label against s''s backward label
-///   o -> d      o's forward search against d's backward search
+///   o -> d      o's forward search against d's backward search, met once
+///               per request
 ///
 /// A backward label is loaded into the store's own search to meet another
 /// label. Every leg is bit-identical to DistanceOracle::Cost for the same
-/// pair. The legs live in a dense matrix over per-request compact vertex
-/// ids (epoch-stamped, so Begin() is O(used cells), not O(|V|)); a request
-/// touching more than kDenseCap distinct vertices spills the excess pairs
-/// into a hash map instead of growing the matrix quadratically.
+/// pair. A candidate's legs live in an (m + 3)^2 table over the slots
+/// {o, d, L, s1 ... sm}; a vertex that recurs in them takes its first
+/// slot, found by linear scan. The next Prime() replaces the table.
 ///
 /// Not thread-safe; one store per dispatcher, on a CH oracle only.
 class LastStopBuckets {
@@ -166,19 +166,17 @@ class LastStopBuckets {
                                                : kInfiniteCost;
   }
 
-  /// Starts one request's insertion legs: forgets the previous request's
-  /// legs and candidates.
+  /// Starts one request's insertion legs: forgets the previous
+  /// candidate's legs. The endpoints are searched at the first Prime().
   void Begin(VertexId origin, VertexId destination);
-  /// Registers taxi `taxi`'s insertion walk: its current location
-  /// followed by its schedule stops, in schedule order. Flushes the taxi's
-  /// deposits from the location and syncs its stop labels with the stops.
-  void AddCandidate(TaxiId taxi, std::span<const VertexId> walk);
-  /// Stores the closure of the candidates registered since the last
-  /// Prime(), meeting their labels with the request's endpoint searches
-  /// (run at the request's first Prime() with work) and with each other.
-  void Prime();
-  /// Leg cost a -> b: the stored cell. A pair Prime() did not store is
-  /// answered by a point query and counted in stats().fallback_queries.
+  /// Stores the closure of taxi `taxi`'s insertion walk (its current
+  /// location followed by its schedule stops, in schedule order) in place
+  /// of the previous candidate's. Flushes the taxi's deposits from the
+  /// location and syncs its stop labels with the stops first.
+  void Prime(TaxiId taxi, std::span<const VertexId> walk);
+  /// Leg cost a -> b: the stored leg of the last Prime(). A pair it did
+  /// not store is answered by a point query and counted in
+  /// stats().fallback_queries.
   Seconds Cost(VertexId a, VertexId b);
 
   /// Cost from taxi `id`'s anchor to the source of `into`'s last run (a
@@ -222,23 +220,13 @@ class LastStopBuckets {
   /// One stall-pruned label of `source`, sized exactly.
   UpwardLabel Label(VertexId source, UpwardSearch::Direction direction);
 
-  /// Leg matrix rows/cols beyond this many distinct vertices per request
-  /// go to the overflow hash map (the matrix would grow quadratically).
-  static constexpr int32_t kDenseCap = 1024;
-  /// Leg matrix cell value meaning "pair not primed" (costs are >= 0).
+  /// Leg table cell value meaning "pair not primed" (costs are >= 0).
   static constexpr Seconds kUnprimed = -1.0;
 
-  static uint64_t Key(VertexId a, VertexId b) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
-           static_cast<uint32_t>(b);
-  }
-  /// Compact id for `v` this request, assigning (and growing the matrix)
-  /// on first sight.
-  int32_t CidFor(VertexId v);
-  void Grow(int32_t needed);
+  /// The first slot holding `v`, or -1.
+  int32_t Slot(VertexId v) const;
+  /// Stores leg a -> b in the cell of their first slots.
   void Store(VertexId a, VertexId b, Seconds cost);
-  /// The stored leg a -> b, or kUnprimed.
-  Seconds Stored(VertexId a, VertexId b) const;
 
   std::vector<std::vector<BucketEntry>> buckets_;  // per vertex, unsorted
   std::vector<std::vector<Handle>> handles_;       // per taxi
@@ -258,24 +246,18 @@ class LastStopBuckets {
   uint32_t sweep_epoch_id_ = 0;
   std::vector<TaxiId> found_;
 
-  // The request's endpoints and their four searches, run at its first
-  // Prime() with work, and the candidates registered since the last
-  // Prime().
+  // The request's endpoints, their four searches and its ride o -> d, met
+  // at its first Prime().
   VertexId origin_ = kInvalidVertex;
   VertexId destination_ = kInvalidVertex;
   UpwardSearch origin_out_, origin_in_, dest_out_, dest_in_;
   bool endpoints_searched_ = false;
-  std::vector<TaxiId> pending_taxis_;
+  Seconds ride_ = kInfiniteCost;
 
-  // Leg matrix: cid_[v] is valid iff cid_epoch_[v] == cid_epoch_id_.
-  std::vector<uint32_t> cid_epoch_;
-  std::vector<int32_t> cid_;
-  uint32_t cid_epoch_id_ = 0;
-  std::vector<VertexId> cid_vertex_;  // vertex of each compact id
-  std::vector<uint8_t> is_stop_;      // per cid: stop legs stored?
-  int32_t stride_ = 0;                // matrix is stride_ x stride_
-  std::vector<Seconds> matrix_;       // kUnprimed = absent
-  std::unordered_map<uint64_t, Seconds> overflow_;  // cids >= kDenseCap
+  // The last primed candidate's legs: slots_ is {o, d, L, s1 ... sm} and
+  // legs_ the slots_.size()^2 table over it (kUnprimed = absent).
+  std::vector<VertexId> slots_;
+  std::vector<Seconds> legs_;
 
   LastStopBucketStats stats_;
 };

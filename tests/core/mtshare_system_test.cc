@@ -32,31 +32,6 @@ TEST(SystemConfigTest, RejectsBadValues) {
   EXPECT_FALSE(c.Validate().ok());
 }
 
-TEST(SystemConfigTest, RejectsBadOracleOptions) {
-  // This previously reached the oracle unchecked; Create must report it
-  // instead.
-  SystemConfig c;
-  c.oracle.ch.witness_settle_limit = 0;
-  EXPECT_FALSE(c.Validate().ok());
-
-  GridCityOptions gopt;
-  gopt.rows = 6;
-  gopt.cols = 6;
-  RoadNetwork net = MakeGridCity(gopt);
-  SystemConfig bad;
-  bad.bipartite_partitioning = false;  // isolate the oracle failure
-  bad.oracle.ch.witness_settle_limit = -1;
-  auto result = MTShareSystem::Create(net, {}, bad);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  // CreateScenarioSystem hands Create's status back.
-  DemandModel demand(net, DemandModelOptions{});
-  ScenarioOptions sopt;
-  sopt.num_historical_trips = 10;
-  EXPECT_EQ(CreateScenarioSystem(net, demand, sopt, bad).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
 TEST(SchemeNameTest, AllNamed) {
   EXPECT_STREQ(SchemeName(SchemeKind::kNoSharing), "No-Sharing");
   EXPECT_STREQ(SchemeName(SchemeKind::kTShare), "T-Share");

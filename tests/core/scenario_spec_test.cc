@@ -206,6 +206,11 @@ TEST_F(ScenarioSpecTest, CreateRejectsInvalidConfig) {
   auto result = MTShareSystem::Create(net_, scenario_.HistoricalOdPairs(), bad);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  // CreateScenarioSystem hands Create's status back.
+  ScenarioOptions sopt;
+  sopt.num_historical_trips = 10;
+  EXPECT_EQ(CreateScenarioSystem(net_, *demand_, sopt, bad).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(ScenarioSpecTest, CreateRejectsBipartiteWithoutHistory) {

@@ -57,16 +57,17 @@ void ExpectPhastRowsMatch(const ContractionHierarchy& ch,
   }
 }
 
-/// A CH oracle over `net`, its hierarchy built with `copt`.
-DistanceOracle ChOracle(const RoadNetwork& net, const ChOptions& copt = {}) {
+/// A CH oracle over `net`.
+DistanceOracle ChOracle(const RoadNetwork& net) {
   OracleOptions opts;
   opts.backend = OracleBackend::kCh;
-  opts.ch = copt;
   return DistanceOracle(net, opts);
 }
 
-void ExpectAllPairsMatch(const RoadNetwork& net, const ChOptions& copt) {
-  DistanceOracle oracle = ChOracle(net, copt);
+/// Every point query of a CH oracle over `net` and every PhastRow of its
+/// hierarchy equal Dijkstra's.
+void ExpectAllPairsMatch(const RoadNetwork& net) {
+  DistanceOracle oracle = ChOracle(net);
   const std::vector<std::vector<Seconds>> rows = DijkstraRows(net);
   for (VertexId s = 0; s < net.num_vertices(); ++s) {
     for (VertexId t = 0; t < net.num_vertices(); ++t) {
@@ -82,27 +83,43 @@ TEST(ContractionHierarchyTest, GridCityAllPairsBitIdentical) {
   gopt.cols = 8;
   gopt.one_way_fraction = 0.3;  // asymmetric distances
   gopt.seed = 41;
-  ExpectAllPairsMatch(MakeGridCity(gopt), ChOptions{});
+  ExpectAllPairsMatch(MakeGridCity(gopt));
 }
 
 TEST(ContractionHierarchyTest, RandomGeometricAllPairsBitIdentical) {
   RandomGeometricOptions ropt;
   ropt.num_vertices = 120;
   ropt.seed = 43;
-  ExpectAllPairsMatch(MakeRandomGeometric(ropt), ChOptions{});
+  ExpectAllPairsMatch(MakeRandomGeometric(ropt));
 }
 
 TEST(ContractionHierarchyTest, TinyWitnessLimitStaysCorrect) {
   // A starved witness search may only ADD redundant shortcuts — distances
-  // must not change.
+  // must not change. Every oracle builds with the default limit, so the
+  // limit-1 hierarchy is checked directly: the meet of each pair's two
+  // exhaustive upward searches, and every PhastRow.
   GridCityOptions gopt;
   gopt.rows = 7;
   gopt.cols = 7;
   gopt.one_way_fraction = 0.25;
   gopt.seed = 47;
+  const RoadNetwork net = MakeGridCity(gopt);
   ChOptions copt;
   copt.witness_settle_limit = 1;
-  ExpectAllPairsMatch(MakeGridCity(gopt), copt);
+  const ContractionHierarchy ch = ContractionHierarchy::Build(net, copt);
+  EXPECT_GT(ch.stats().shortcuts_added,
+            ContractionHierarchy::Build(net).stats().shortcuts_added);
+  const std::vector<std::vector<Seconds>> rows = DijkstraRows(net);
+  UpwardSearch forward(ch);
+  UpwardSearch backward(ch);
+  for (VertexId s = 0; s < net.num_vertices(); ++s) {
+    forward.Run(s, UpwardSearch::kForward, kInfiniteCost);
+    for (VertexId t = 0; t < net.num_vertices(); ++t) {
+      backward.Run(t, UpwardSearch::kBackward, kInfiniteCost);
+      ASSERT_EQ(Meet(forward, backward), rows[s][t]) << s << "->" << t;
+    }
+  }
+  ExpectPhastRowsMatch(ch, rows);
 }
 
 /// Runs each case (a, b, t1, t2, t3) as three sources with their targets

@@ -358,11 +358,11 @@ TEST(LastStopBucketsTest, FlushLabelsOnlyNewStops) {
   EXPECT_TRUE(buckets.dirty(1));
 }
 
-/// Insertion syncs a candidate's stop labels: right after AddCandidate the
+/// Insertion syncs a candidate's stop labels: right after its Prime the
 /// taxi holds one label pair per scheduled stop, in schedule order, each
 /// equal to a fresh label of its own vertex — also when the labels it held
 /// lagged its schedule. A taxi that never was a candidate holds none.
-TEST(LastStopBucketsTest, AddCandidateHoldsOneFreshLabelPerStop) {
+TEST(LastStopBucketsTest, PrimeHoldsOneFreshLabelPerStop) {
   RoadNetwork net = TestCity(67);
   ContractionHierarchy ch = ContractionHierarchy::Build(net);
   LastStopBuckets buckets(ch, 2);
@@ -374,7 +374,7 @@ TEST(LastStopBucketsTest, AddCandidateHoldsOneFreshLabelPerStop) {
   for (const std::vector<VertexId>& walk : walks) {
     buckets.MarkDirty(0);
     buckets.Begin(3, 60);
-    buckets.AddCandidate(0, walk);
+    buckets.Prime(0, walk);
     EXPECT_FALSE(buckets.dirty(0));
     EXPECT_EQ(buckets.anchor(0), walk[0]);
     const std::span<const StopLabels> held = buckets.stops(0);
@@ -392,7 +392,7 @@ TEST(LastStopBucketsTest, AddCandidateHoldsOneFreshLabelPerStop) {
   EXPECT_TRUE(buckets.stops(1).empty());
 }
 
-// ------- Insertion legs (Begin / AddCandidate / Prime / Cost) -------
+// ------- Insertion legs (Begin / Prime / Cost) -------
 
 /// A 13x13 city with one-way streets, so legs are asymmetric.
 RoadNetwork LegCity() {
@@ -404,36 +404,38 @@ RoadNetwork LegCity() {
   return MakeGridCity(gopt);
 }
 
-/// Registers `walk` as taxi `taxi`'s, as the engine's notifications
-/// would: a taxi whose walk changed is dirty.
-void Register(LastStopBuckets* store, TaxiId taxi,
-              const std::vector<VertexId>& walk) {
+/// Primes `walk` as taxi `taxi`'s, as the dispatcher does after the
+/// engine's notifications (a taxi whose walk changed is dirty), and
+/// expects exactly one more prime.
+void PrimeWalk(LastStopBuckets* store, TaxiId taxi,
+               const std::vector<VertexId>& walk) {
+  const int64_t primes = store->stats().primes;
   store->MarkDirty(taxi);
-  store->AddCandidate(taxi, walk);
+  store->Prime(taxi, walk);
+  EXPECT_EQ(store->stats().primes - primes, 1);
 }
 
-/// Every leg an insertion DP can request over `walks` (location L then
-/// stops s): L -> o, L -> s1, o/d -> s, s -> o/d, s_k -> s_k+1 and o -> d,
-/// equals the exact table's bit for bit, and none is a fallback.
-void ExpectLegsPrimed(LastStopBuckets* store, DistanceOracle* table,
-                      VertexId origin, VertexId dest,
-                      const std::vector<std::vector<VertexId>>& walks) {
+/// Every leg the insertion DP can read for `walk` (location L then stops
+/// s): L -> o, L -> s1, o/d -> s, s -> o/d, s_k -> s_k+1 and o -> d, equals
+/// the exact table's bit for bit, and none is a fallback. Call it right
+/// after the walk's own Prime.
+void ExpectClosurePrimed(LastStopBuckets* store, DistanceOracle* table,
+                         VertexId origin, VertexId dest,
+                         const std::vector<VertexId>& walk) {
   const int64_t fallbacks = store->stats().fallback_queries;
   auto check = [&](VertexId a, VertexId b) {
     EXPECT_EQ(store->Cost(a, b), table->Cost(a, b)) << a << "->" << b;
   };
   check(origin, dest);
-  for (const std::vector<VertexId>& walk : walks) {
-    check(walk[0], origin);
-    for (size_t i = 0; i < walk.size(); ++i) {
-      if (i > 0) {
-        check(origin, walk[i]);
-        check(dest, walk[i]);
-        check(walk[i], origin);
-        check(walk[i], dest);
-      }
-      if (i + 1 < walk.size()) check(walk[i], walk[i + 1]);
+  check(walk[0], origin);
+  for (size_t i = 0; i < walk.size(); ++i) {
+    if (i > 0) {
+      check(origin, walk[i]);
+      check(dest, walk[i]);
+      check(walk[i], origin);
+      check(walk[i], dest);
     }
+    if (i + 1 < walk.size()) check(walk[i], walk[i + 1]);
   }
   EXPECT_EQ(store->stats().fallback_queries, fallbacks);
 }
@@ -444,78 +446,100 @@ TEST(LastStopBucketsTest, PrimedLegsMatchOracleBitwiseWithNoFallbacks) {
   DistanceOracle table(net);
   LastStopBuckets store(ch, 4);
   Rng rng(251);
+  const auto any_vertex = [&] {
+    return VertexId(rng.NextInt(0, net.num_vertices() - 1));
+  };
   for (int round = 0; round < 15; ++round) {
-    VertexId origin = VertexId(rng.NextInt(0, net.num_vertices() - 1));
-    VertexId dest = VertexId(rng.NextInt(0, net.num_vertices() - 1));
+    const VertexId origin = any_vertex();
+    const VertexId dest = any_vertex();
     store.Begin(origin, dest);
     // A few candidate walks: taxi location followed by schedule stops.
-    std::vector<std::vector<VertexId>> walks;
+    // Most vertices are random; some recur, as an endpoint or as a vertex
+    // earlier in the walk.
     for (TaxiId taxi = 0; taxi < 4; ++taxi) {
       std::vector<VertexId> walk;
-      int stops = static_cast<int>(rng.NextInt(1, 6));
-      for (int s = 0; s < stops; ++s) {
-        walk.push_back(VertexId(rng.NextInt(0, net.num_vertices() - 1)));
+      const int64_t length = rng.NextInt(1, 6);
+      for (int64_t k = 0; k < length; ++k) {
+        switch (rng.NextInt(0, 7)) {
+          case 0:
+            walk.push_back(origin);
+            break;
+          case 1:
+            walk.push_back(dest);
+            break;
+          case 2:
+            walk.push_back(walk.empty() ? any_vertex()
+                                        : walk[rng.NextInt(0, k - 1)]);
+            break;
+          default:
+            walk.push_back(any_vertex());
+        }
       }
-      Register(&store, taxi, walk);
-      walks.push_back(std::move(walk));
+      PrimeWalk(&store, taxi, walk);
+      ExpectClosurePrimed(&store, &table, origin, dest, walk);
     }
-    // One Prime() answers every candidate registered before it.
-    const int64_t primes = store.stats().primes;
-    store.Prime();
-    EXPECT_EQ(store.stats().primes - primes, 1);
-    ExpectLegsPrimed(&store, &table, origin, dest, walks);
   }
   EXPECT_EQ(store.stats().fallback_queries, 0);
+  EXPECT_EQ(store.stats().primes, 15 * 4);
   EXPECT_GT(store.stats().endpoint_settled, 0);
   EXPECT_GT(store.stats().label_entries, 0);
 }
 
 TEST(LastStopBucketsTest, IncrementalPrimingCoversLaterCandidates) {
-  // T-Share's usage pattern: Begin once, then AddCandidate + Prime per
-  // candidate, with overlapping stop sets between candidates.
+  // One request, its candidates primed one after another, whose vertices
+  // recur within a walk, across walks and on the request's endpoints.
   RoadNetwork net = LegCity();
   ContractionHierarchy ch = ContractionHierarchy::Build(net);
   DistanceOracle table(net);
-  LastStopBuckets store(ch, 4);
+  LastStopBuckets store(ch, 8);
   const VertexId origin = 3;
   const VertexId dest = 90;
   store.Begin(origin, dest);
   const std::vector<std::vector<VertexId>> walks{
       {10, 20, 30},
-      {20, 30, 40},  // shares stops with the first, adds a fresh one
-      {30, 20},      // no fresh stop, only a new base-adjacent pair
-      {3, 90, 3},    // stands on the origin; stops on both endpoints
+      {20, 30, 40},      // shares vertices with the first
+      {30, 20},          // no fresh stop, only a new base-adjacent pair
+      {3, 50, 60},       // the location on the origin
+      {70, 90, 3},       // stops on both endpoints
+      {80, 20, 40, 20},  // one stop twice
+      {40, 50, 40},      // the location equal to a stop
+      {3, 90, 3, 3},     // all of it at once
   };
-  // Each Prime is answered from labels, the endpoint searches run by the
-  // first.
+  // The first Prime runs the request's endpoint searches; every later one
+  // meets labels only.
+  int64_t settled = 0;
   for (size_t w = 0; w < walks.size(); ++w) {
-    const int64_t primes = store.stats().primes;
-    const int64_t settled = store.stats().endpoint_settled;
-    Register(&store, TaxiId(w), walks[w]);
-    store.Prime();
-    EXPECT_EQ(store.stats().primes - primes, 1) << "walk " << w;
-    if (w > 0) {
-      EXPECT_EQ(store.stats().endpoint_settled, settled) << "walk " << w;
-    }
-    // A Prime with nothing registered does nothing.
-    store.Prime();
-    EXPECT_EQ(store.stats().primes - primes, 1) << "walk " << w;
+    PrimeWalk(&store, TaxiId(w), walks[w]);
+    if (w == 0) settled = store.stats().endpoint_settled;
+    EXPECT_EQ(store.stats().endpoint_settled, settled) << "walk " << w;
+    ExpectClosurePrimed(&store, &table, origin, dest, walks[w]);
   }
-  ExpectLegsPrimed(&store, &table, origin, dest, walks);
+  EXPECT_GT(settled, 0);
   EXPECT_EQ(store.stats().fallback_queries, 0);
-  // d -> L is outside the closure (a location is only a source): it is
-  // answered by a point query and counted.
-  EXPECT_EQ(store.Cost(dest, 10), table.Cost(dest, 10));
+
+  // Each Prime replaces the previous candidate's legs: after {10, 20, 30}
+  // and then {40, 50}, the leg 20 -> 30 is outside the current closure. It
+  // and d -> L (a location is only a source) are point queries, counted,
+  // that still read the table's value.
+  PrimeWalk(&store, 0, {10, 20, 30});
+  PrimeWalk(&store, 1, {40, 50});
+  EXPECT_EQ(store.Cost(20, 30), table.Cost(20, 30));
   EXPECT_EQ(store.stats().fallback_queries, 1);
+  EXPECT_EQ(store.Cost(dest, 40), table.Cost(dest, 40));
+  EXPECT_EQ(store.stats().fallback_queries, 2);
+
+  // A new request forgets the last candidate's legs too.
+  store.Begin(dest, origin);
+  EXPECT_EQ(store.Cost(40, 50), table.Cost(40, 50));
+  EXPECT_EQ(store.stats().fallback_queries, 3);
 }
 
-TEST(LastStopBucketsTest, IncrementalPrimingGrowsPastTheDenseMatrix) {
-  // One request whose candidates bring more than 1,024 distinct vertices,
-  // primed one candidate at a time as T-Share does: the leg matrix grows
-  // from 64 rows through every doubling, re-laying the legs stored so
-  // far, and the pairs beyond its 1,024th vertex go to the overflow map.
-  // After every Prime, every leg of every candidate so far must still
-  // read the exact table's value.
+TEST(LastStopBucketsTest, ManyCandidatesOfOneRequestPrimeExactly) {
+  // One request with 170 candidates, primed one at a time: each walk takes
+  // a fresh location and six fresh stops, and its first stop repeats the
+  // previous walk's last. Right after its own Prime, every leg of each
+  // candidate must read the exact table's value, and the request's
+  // endpoint searches run once.
   GridCityOptions gopt;
   gopt.rows = 40;
   gopt.cols = 40;
@@ -528,8 +552,7 @@ TEST(LastStopBucketsTest, IncrementalPrimingGrowsPastTheDenseMatrix) {
   constexpr int32_t kTaxis = 170;
   LastStopBuckets store(ch, kTaxis);
 
-  // Vertices in a seeded order; each walk takes a fresh location and six
-  // fresh stops, and its first stop repeats the previous walk's last.
+  // Vertices in a seeded order.
   std::vector<VertexId> order(net.num_vertices());
   std::iota(order.begin(), order.end(), 0);
   Rng rng(291);
@@ -538,18 +561,20 @@ TEST(LastStopBucketsTest, IncrementalPrimingGrowsPastTheDenseMatrix) {
   const VertexId origin = order[next++];
   const VertexId dest = order[next++];
   store.Begin(origin, dest);
-  std::vector<std::vector<VertexId>> walks;
+  std::vector<VertexId> walk;
+  int64_t settled = 0;
   for (TaxiId taxi = 0; taxi < kTaxis; ++taxi) {
-    std::vector<VertexId> walk{order[next++]};
-    if (taxi > 0) walk.push_back(walks.back().back());
+    const VertexId last = walk.empty() ? kInvalidVertex : walk.back();
+    walk.assign(1, order[next++]);
+    if (taxi > 0) walk.push_back(last);
     for (int s = 0; s < 6; ++s) walk.push_back(order[next++]);
-    Register(&store, taxi, walk);
-    store.Prime();
-    walks.push_back(std::move(walk));
-    ExpectLegsPrimed(&store, &table, origin, dest, walks);
+    PrimeWalk(&store, taxi, walk);
+    if (taxi == 0) settled = store.stats().endpoint_settled;
+    ExpectClosurePrimed(&store, &table, origin, dest, walk);
   }
   EXPECT_GT(next, 1100u);  // distinct vertices in the request
   EXPECT_EQ(store.stats().primes, kTaxis);
+  EXPECT_EQ(store.stats().endpoint_settled, settled);
   EXPECT_EQ(store.stats().fallback_queries, 0);
 }
 

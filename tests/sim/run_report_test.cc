@@ -426,7 +426,8 @@ TEST(MtshareSimCliTest, RejectsMalformedNumericFlags) {
   // default fleet; the removed LRU oracle backend is no longer a valid
   // --oracle, and the removed sweep core, per-pair routing,
   // candidate-path and worker-thread settings are unknown flags, whatever
-  // their value.
+  // their value. Any --window but peak or nonpeak used to run the nonpeak
+  // profile.
   for (const char* flag :
        {"--taxis=abc", "--requests=12x", "--rho=", "--taxis=-2",
         "--seed=4 2", "--seed=-1", "--seed=abc", "--seed=4.5",
@@ -435,7 +436,7 @@ TEST(MtshareSimCliTest, RejectsMalformedNumericFlags) {
         "--candidates=magic", "--candidates=", "--candidates=INDEX",
         "--candidates=buckets", "--candidates=ch-buckets",
         "--candidates=index", "--candidates=ch_buckets", "--threads=1",
-        "--threads=4"}) {
+        "--threads=4", "--window=weekend", "--window=Peak", "--window="}) {
     std::string cmd = std::string(MTSHARE_SIM_BINARY) + " \"" +
                       std::string(flag) + "\" > /dev/null 2>&1";
     EXPECT_EQ(RunCommand(cmd), 2) << flag;

@@ -131,7 +131,9 @@ TEST_F(ServeCliTest, RejectsMalformedFlags) {
   // --seed went through GetD (a double parse) for a while, so "-1" and
   // "abc" silently became seed 42; it must reject like every other flag.
   // Unknown keys ("--taxi", the removed "--engine", "--candidates" and
-  // "--threads") must not be silently ignored either, whatever their value.
+  // "--threads") must not be silently ignored either, whatever their value,
+  // and a --window other than peak or nonpeak must not fall back to
+  // nonpeak.
   for (const char* flag :
        {"--taxis=abc", "--batch-window-ms=nope", "--batch-window-ms=-3",
         "--max-queue=-1", "--gauge-every=x", "--scheme=uber-pool",
@@ -139,7 +141,7 @@ TEST_F(ServeCliTest, RejectsMalformedFlags) {
         "--seed=abc", "--seed=4.5", "--candidates=magic", "--candidates=",
         "--candidates=INDEX", "--candidates=buckets", "--candidates=index",
         "--candidates=ch_buckets", "--taxi=5", "--threads=1",
-        "--threads=4"}) {
+        "--threads=4", "--window=weekend", "--window=Peak", "--window="}) {
     std::string cmd = std::string(MTSHARE_SERVE_BINARY) + " \"" +
                       std::string(flag) +
                       "\" < /dev/null > /dev/null 2>&1";

@@ -11,7 +11,9 @@
 #      BM_UpwardSearch/deposit|sweep, BM_PrimeInsertion/ch,
 #      BM_ShortestLeg/row_walk|dijkstra, BM_KMeansTransition,
 #      BM_BipartitePartition) and
-#      bench_fleet_sweep_smoke
+#      bench_fleet_sweep_smoke; then the `scale`-labelled tests at full
+#      size (10k-fleet golden decision digest, 10^6-request stream
+#      determinism, bench_scale trajectory schema; seconds)
 #   2. configure + build the tsan preset, run the `tsan`-labelled tests
 #      (several RunScenario calls on one system sharing the oracle: exact
 #      row fills and the CH engine pool; concurrent bucket-sweep runs on
@@ -21,24 +23,25 @@
 #      UndefinedBehaviorSanitizer (float-cast-overflow included); undefined
 #      behaviour aborts the test (-fno-sanitize-recover) and prints its
 #      stack
-#   4. (opt-in) scale smoke: the `scale`-labelled ctest tier at reduced
-#      sizes — bench_scale trajectory schema, 10^6-request stream
-#      determinism, 10k-fleet golden decision digest
+#   4. (opt-in) scale smoke: the `scale`-labelled ctest tier again at
+#      reduced sizes (MTSHARE_SCALE_CI=1), which selects the reduced-size
+#      10k-fleet golden decision digest
 #
 # Run from the repo root:  tools/run_checks.sh
 # Also reachable as:       cmake --build build --target check
 # Skip the tsan leg (e.g. on toolchains without libtsan): MTSHARE_SKIP_TSAN=1
 # Skip the asan leg likewise:                             MTSHARE_SKIP_ASAN=1
-# Run the minutes-long scale leg (off by default):        MTSHARE_RUN_SCALE=1
+# Run the reduced-size scale leg (off by default):        MTSHARE_RUN_SCALE=1
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS=${MTSHARE_CHECK_JOBS:-$(nproc)}
 
-echo "==> [1/4] default preset: build + tier-1 tests"
+echo "==> [1/4] default preset: build + tier-1 tests + scale tier"
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$JOBS"
 ctest --preset default -j "$JOBS"
+ctest --preset scale -j "$JOBS"
 
 if [[ "${MTSHARE_SKIP_TSAN:-0}" != "1" ]]; then
   echo "==> [2/4] tsan preset: build + concurrency tests"

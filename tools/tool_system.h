@@ -34,9 +34,9 @@ struct SharedFlags {
   std::string report_path;
 };
 
-/// Reads the shared flags. A malformed value, an unknown --scheme or
-/// --oracle, or a --rows/--cols below 2 prints a diagnostic and clears
-/// *ok.
+/// Reads the shared flags. A malformed value, an unknown --scheme,
+/// --window or --oracle, or a --rows/--cols below 2 prints a diagnostic
+/// and clears *ok.
 inline SharedFlags ReadSharedFlags(FlagArgs& args, bool* ok) {
   SharedFlags f;
   std::optional<SchemeKind> scheme =
@@ -47,7 +47,13 @@ inline SharedFlags ReadSharedFlags(FlagArgs& args, bool* ok) {
     std::fprintf(stderr, "unknown --scheme\n");
     *ok = false;
   }
-  f.peak = GetS(args, "window", "peak") == "peak";
+  const std::string window = GetS(args, "window", "peak");
+  if (window == "peak" || window == "nonpeak") {
+    f.peak = window == "peak";
+  } else {
+    std::fprintf(stderr, "unknown --window (want peak|nonpeak)\n");
+    *ok = false;
+  }
   f.seed = GetU64(args, "seed", 42, ok);
   f.network_file = GetS(args, "network", "");
   f.city.rows = GetCount(args, "rows", 48, ok);
