@@ -276,21 +276,48 @@ BENCHMARK(BM_FilteredBasicLeg);
 
 // Algorithm 4 for one leg with a transition model: landmark-path
 // enumeration, the fine-grained vertex weights and the weighted masked
-// Dijkstra. frames_per_leg is the enumeration's DFS frames per leg.
-void BM_ProbabilisticLeg(benchmark::State& state) {
-  static MapPartitioning partitioning = GridPartition(Net(), 64);
-  static LandmarkGraph landmarks(Net(), partitioning);
+// Dijkstra, on two partitionings of Net() with a transition model from
+// 20k random trips. /grid: 64 grid partitions, whose landmark graph has
+// degree at most 4. /bipartite: a kappa = 120 bipartite partitioning of
+// those trips, whose landmark graph is as dense as the ones mT-Share-pro
+// plans on. frames_per_leg is the enumeration's DFS frames per leg and
+// landmark_degree the landmark graph's mean degree.
+enum class LegPartitioning { kGrid, kBipartite };
+
+// Built in place: the landmark graph keeps a pointer to the partitioning.
+struct ProbabilisticLegCity {
+  explicit ProbabilisticLegCity(LegPartitioning kind)
+      : trips(RandomTrips(20000, 11)),
+        partitioning(kind == LegPartitioning::kGrid
+                         ? GridPartition(Net(), 64)
+                         : BipartitePartition(Net(), trips, BipartiteOptions{})),
+        landmarks(Net(), partitioning),
+        transitions(TransitionModel::Build(
+            Net().num_vertices(), partitioning.num_partitions(),
+            partitioning.vertex_partition, trips)) {}
+
+  static std::vector<OdPair> RandomTrips(int count, uint64_t seed) {
+    Rng rng(seed);
+    std::vector<OdPair> out;
+    for (int i = 0; i < count; ++i) out.push_back(RandomPair(rng));
+    return out;
+  }
+
+  std::vector<OdPair> trips;
+  MapPartitioning partitioning;
+  LandmarkGraph landmarks;
+  TransitionModel transitions;
+};
+
+void BM_ProbabilisticLeg(benchmark::State& state, LegPartitioning kind) {
   static DistanceOracle oracle(Net());
-  static TransitionModel transitions = [] {
-    Rng rng(11);
-    std::vector<OdPair> trips;
-    for (int i = 0; i < 20000; ++i) trips.push_back(RandomPair(rng));
-    return TransitionModel::Build(Net().num_vertices(),
-                                  partitioning.num_partitions(),
-                                  partitioning.vertex_partition, trips);
-  }();
-  RoutePlanner planner(Net(), partitioning, landmarks, &transitions, &oracle,
-                       RoutePlannerOptions{});
+  static std::map<LegPartitioning, std::unique_ptr<ProbabilisticLegCity>>
+      cities;
+  std::unique_ptr<ProbabilisticLegCity>& slot = cities[kind];
+  if (slot == nullptr) slot = std::make_unique<ProbabilisticLegCity>(kind);
+  const ProbabilisticLegCity& city = *slot;
+  RoutePlanner planner(Net(), city.partitioning, city.landmarks,
+                       &city.transitions, &oracle, RoutePlannerOptions{});
   Rng rng(1);
   for (auto _ : state) {
     auto [a, b] = RandomPair(rng);
@@ -301,10 +328,15 @@ void BM_ProbabilisticLeg(benchmark::State& state) {
         a, b, Point{pb.x - pa.x, pb.y - pa.y}, budget));
   }
   state.counters["frames_per_leg"] =
-      double(planner.enumeration_frames()) /
-      double(std::max<int64_t>(1, planner.probabilistic_legs()));
+      double(planner.stats().enumeration_frames) /
+      double(std::max<int64_t>(1, planner.stats().prob_legs));
+  size_t degree = 0;
+  for (const auto& nbrs : city.landmarks.Adjacency()) degree += nbrs.size();
+  state.counters["landmark_degree"] =
+      double(degree) / double(city.landmarks.num_partitions());
 }
-BENCHMARK(BM_ProbabilisticLeg);
+BENCHMARK_CAPTURE(BM_ProbabilisticLeg, grid, LegPartitioning::kGrid);
+BENCHMARK_CAPTURE(BM_ProbabilisticLeg, bipartite, LegPartitioning::kBipartite);
 
 InsertionResult RunInsertion(bool dp, const Schedule& base,
                              const RideRequest& r, DistanceOracle& oracle) {

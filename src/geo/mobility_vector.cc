@@ -5,10 +5,7 @@
 namespace mtshare {
 
 double DirectionCosine(const Point& u, const Point& v) {
-  double nu = std::sqrt(u.x * u.x + u.y * u.y);
-  double nv = std::sqrt(v.x * v.x + v.y * v.y);
-  if (nu <= 0.0 || nv <= 0.0) return 0.0;
-  return (u.x * v.x + u.y * v.y) / (nu * nv);
+  return CosineFromNorms(u, VectorNorm(u), v, VectorNorm(v));
 }
 
 double DirectionCosine(const MobilityVector& a, const MobilityVector& b) {

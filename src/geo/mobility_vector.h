@@ -1,6 +1,8 @@
 #ifndef MTSHARE_GEO_MOBILITY_VECTOR_H_
 #define MTSHARE_GEO_MOBILITY_VECTOR_H_
 
+#include <cmath>
+
 #include "geo/latlng.h"
 
 namespace mtshare {
@@ -40,8 +42,24 @@ double CosineSimilarityRaw4d(const MobilityVector& a, const MobilityVector& b);
 /// Cosine between two planar vectors; 0.0 (incompatible) when either has
 /// zero length — a degenerate trip has no direction, so it cannot *share*
 /// one. Returning 1.0 here would admit origin == destination requests into
-/// every mobility cluster and past every direction filter.
+/// every mobility cluster and past every direction filter. Equals
+/// CosineFromNorms(u, VectorNorm(u), v, VectorNorm(v)) bit for bit.
 double DirectionCosine(const Point& u, const Point& v);
+
+/// Euclidean length of `u`, as DirectionCosine computes it.
+inline double VectorNorm(const Point& u) {
+  return std::sqrt(u.x * u.x + u.y * u.y);
+}
+
+/// DirectionCosine(u, v) given `nu` = VectorNorm(u) and `nv` =
+/// VectorNorm(v): the same operands in the same order, so the same bits.
+/// Lets a caller that tests many vectors against one direction, or reads
+/// stored norms (LandmarkGraph::DisplacementNorm), skip the square roots.
+inline double CosineFromNorms(const Point& u, double nu, const Point& v,
+                              double nv) {
+  if (nu <= 0.0 || nv <= 0.0) return 0.0;
+  return (u.x * v.x + u.y * v.y) / (nu * nv);
+}
 
 }  // namespace mtshare
 

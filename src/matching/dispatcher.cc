@@ -239,8 +239,11 @@ RoutePlanner::PlannedRoute Dispatcher::PlanShortestRoute(
   Seconds t = start_time;
   VertexId at = start;
   for (const ScheduleEvent& event : schedule.events()) {
-    Path leg = at == event.vertex ? Path::Trivial(at)
-                                  : ShortestLeg(at, event.vertex);
+    // Insertion priming has almost always filled the source's row.
+    Path leg = at == event.vertex
+                   ? Path::Trivial(at)
+                   : ShortestLeg(*oracle_, &route_dijkstra_, at, event.vertex,
+                                 &route_legs_);
     if (!leg.valid) return RoutePlanner::PlannedRoute{};
     t += leg.cost;
     if (t > event.deadline + 1e-9) return RoutePlanner::PlannedRoute{};
@@ -250,20 +253,6 @@ RoutePlanner::PlannedRoute Dispatcher::PlanShortestRoute(
   }
   out.valid = true;
   return out;
-}
-
-Path Dispatcher::ShortestLeg(VertexId from, VertexId to) {
-  // Insertion priming has almost always filled the source's row; reading
-  // it fills nothing and ticks no oracle counter.
-  const std::vector<Seconds>* row = oracle_->ResidentRow(from);
-  if (row == nullptr) {
-    ++route_legs_searched_;
-    return route_dijkstra_.FindPath(from, to);
-  }
-  Path leg = route_dijkstra_.FindPathFromRow(from, to, *row);
-  ++(route_dijkstra_.last_path_prefixed() ? route_legs_prefixed_
-                                          : route_legs_walked_);
-  return leg;
 }
 
 void Dispatcher::EnableIdleCruising(const MapPartitioning* partitioning,

@@ -15,6 +15,7 @@
 #include "routing/dijkstra.h"
 #include "routing/distance_oracle.h"
 #include "routing/last_stop_buckets.h"
+#include "routing/shortest_leg.h"
 #include "sched/route_planner.h"
 
 namespace mtshare {
@@ -114,15 +115,15 @@ struct BatchRoutingStats {
   /// Insertion slots the screen proved infeasible before exact routing.
   int64_t ellipse_pruned = 0;
 
-  // --- committed shortest-path legs (Dispatcher::PlanShortestRoute) ---
-  /// Legs walked back to their source through its resident exact-table
-  /// row.
-  int64_t route_legs_walked = 0;
-  /// Legs whose walk met a tie and searched the prefix up to it.
-  int64_t route_legs_prefixed = 0;
-  /// Legs searched by Dijkstra because their source had no resident row
-  /// (every leg on the CH backend).
-  int64_t route_legs_searched = 0;
+  /// How the legs of committed shortest-path routes
+  /// (Dispatcher::PlanShortestRoute) were built.
+  ShortestLegCounts route_legs;
+
+  // --- two-phase route planning (Algorithms 3 and 4) ---
+  /// The counters of the planner that plans mT-Share-pro's routes and
+  /// idle cruises (Dispatcher::EnableIdleCruising); all zero when no
+  /// planner is armed, as in an mT-Share run.
+  RoutePlannerStats planner;
 };
 
 /// What a matching scheme returns for one ride request.
@@ -258,9 +259,8 @@ class Dispatcher {
     }
     s.slots_screened = slots_screened_;
     s.ellipse_pruned = ellipse_pruned_;
-    s.route_legs_walked = route_legs_walked_;
-    s.route_legs_prefixed = route_legs_prefixed_;
-    s.route_legs_searched = route_legs_searched_;
+    s.route_legs = route_legs_;
+    if (cruise_planner_ != nullptr) s.planner = cruise_planner_->stats();
     return s;
   }
 
@@ -378,14 +378,8 @@ class Dispatcher {
   RoutePlanner::PlannedRoute PlanShortestRoute(VertexId start,
                                                Seconds start_time,
                                                const Schedule& schedule);
-  /// FindPath(from, to), walked back through `from`'s resident exact-table
-  /// row when there is one (DESIGN.md §5), else searched.
-  Path ShortestLeg(VertexId from, VertexId to);
-
-  /// How ShortestLeg built its legs (run-report routing section).
-  int64_t route_legs_walked_ = 0;
-  int64_t route_legs_prefixed_ = 0;
-  int64_t route_legs_searched_ = 0;
+  /// How PlanShortestRoute's legs were built (run-report routing section).
+  ShortestLegCounts route_legs_;
 
   /// PriceCandidate scratch, rewritten for every candidate: the walk it
   /// primes and the ellipse screen's slot mask.

@@ -51,15 +51,38 @@ TransitionModel TransitionModel::Build(int32_t num_vertices,
   return model;
 }
 
-double TransitionModel::MassTowards(VertexId v,
-                                    const std::vector<int32_t>& groups) const {
-  const double* row = Row(v);
-  double acc = 0.0;
-  for (int32_t g : groups) {
-    MTSHARE_CHECK(g >= 0 && g < num_groups_);
-    acc += row[g];
+void TransitionModel::MassTowards(std::span<const VertexId> vertices,
+                                  std::span<const int32_t> groups,
+                                  double* out) const {
+  for (int32_t g : groups) MTSHARE_CHECK(g >= 0 && g < num_groups_);
+  const size_t n = vertices.size();
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const double* r0 = Row(vertices[i]);
+    const double* r1 = Row(vertices[i + 1]);
+    const double* r2 = Row(vertices[i + 2]);
+    const double* r3 = Row(vertices[i + 3]);
+    double a0 = 0.0;
+    double a1 = 0.0;
+    double a2 = 0.0;
+    double a3 = 0.0;
+    for (int32_t g : groups) {
+      a0 += r0[g];
+      a1 += r1[g];
+      a2 += r2[g];
+      a3 += r3[g];
+    }
+    out[i] = a0;
+    out[i + 1] = a1;
+    out[i + 2] = a2;
+    out[i + 3] = a3;
   }
-  return acc;
+  for (; i < n; ++i) {
+    const double* row = Row(vertices[i]);
+    double acc = 0.0;
+    for (int32_t g : groups) acc += row[g];
+    out[i] = acc;
+  }
 }
 
 }  // namespace mtshare

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -47,8 +48,12 @@ class TransitionModel {
   int64_t TripCount(VertexId v) const { return trip_counts_[v]; }
   int64_t total_trips() const { return total_trips_; }
 
-  /// Probability mass flowing from v into any group of `groups`.
-  double MassTowards(VertexId v, const std::vector<int32_t>& groups) const;
+  /// Probability mass flowing from each of `vertices` into any group of
+  /// `groups`: out[i] is vertices[i]'s row summed over `groups` in the
+  /// order given, from 0.0. Rows are summed four at a time; each sum
+  /// still runs in that order, so it keeps its bits.
+  void MassTowards(std::span<const VertexId> vertices,
+                   std::span<const int32_t> groups, double* out) const;
 
   size_t MemoryBytes() const {
     return rows_.size() * sizeof(double) + trip_counts_.size() * sizeof(int64_t);

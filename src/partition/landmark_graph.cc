@@ -40,6 +40,21 @@ LandmarkGraph::LandmarkGraph(const RoadNetwork& network,
     }
   }
 
+  // Landmark geometry: each landmark's position and the length of every
+  // landmark-to-landmark displacement.
+  landmark_points_.resize(num_partitions_);
+  for (PartitionId p = 0; p < num_partitions_; ++p) {
+    landmark_points_[p] = network.coord(partitioning.landmarks[p]);
+  }
+  displacement_norms_.resize(static_cast<size_t>(num_partitions_) *
+                             num_partitions_);
+  for (PartitionId p = 0; p < num_partitions_; ++p) {
+    for (PartitionId q = 0; q < num_partitions_; ++q) {
+      displacement_norms_[static_cast<size_t>(p) * num_partitions_ + q] =
+          VectorNorm(Displacement(p, q));
+    }
+  }
+
   // Landmark-to-landmark costs: one forward row per landmark. The same
   // row (plus a backward one) also yields every member vertex's distance
   // from/to its home landmark — the per-vertex terms of the LowerBound()
@@ -97,7 +112,9 @@ bool LandmarkGraph::Adjacent(PartitionId a, PartitionId b) const {
 }
 
 size_t LandmarkGraph::MemoryBytes() const {
-  size_t bytes = costs_.size() * sizeof(Seconds);
+  size_t bytes = costs_.size() * sizeof(Seconds) +
+                 landmark_points_.size() * sizeof(Point) +
+                 displacement_norms_.size() * sizeof(double);
   bytes += (from_landmark_.size() + to_landmark_.size()) * sizeof(Seconds);
   for (const auto& nbrs : adjacency_) bytes += nbrs.size() * sizeof(PartitionId);
   return bytes;

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "geo/mobility_vector.h"
 #include "partition/map_partitioning.h"
 #include "routing/contraction_hierarchy.h"
 
@@ -13,7 +14,8 @@ namespace mtshare {
 /// adjacent when some road edge crosses between them). Carries the dense
 /// landmark-to-landmark travel-cost table used by partition filtering
 /// (Algorithm 2) and by probabilistic routing's partition-path planning
-/// (Algorithm 4 step 2).
+/// (Algorithm 4 step 2), and the dense table of landmark-to-landmark
+/// displacement lengths that both algorithms' direction tests read.
 class LandmarkGraph {
  public:
   /// Builds adjacency from crossing edges, and the cost table and the
@@ -39,6 +41,21 @@ class LandmarkGraph {
   /// network (not restricted to landmark-graph hops).
   Seconds LandmarkCost(PartitionId a, PartitionId b) const {
     return costs_[static_cast<size_t>(a) * num_partitions_ + b];
+  }
+
+  /// Displacement from the landmark of `a` to that of `b` on the city
+  /// plane: coord(l_b) - coord(l_a).
+  Point Displacement(PartitionId a, PartitionId b) const {
+    const Point& from = landmark_points_[a];
+    const Point& to = landmark_points_[b];
+    return Point{to.x - from.x, to.y - from.y};
+  }
+
+  /// VectorNorm(Displacement(a, b)), stored: the partition filter's and
+  /// Algorithm 4's direction tests read it instead of taking a square
+  /// root per landmark pair, with the same bits (CosineFromNorms).
+  double DisplacementNorm(PartitionId a, PartitionId b) const {
+    return displacement_norms_[static_cast<size_t>(a) * num_partitions_ + b];
   }
 
   /// Partitions adjacent to each partition, indexed by partition;
@@ -73,6 +90,8 @@ class LandmarkGraph {
   const MapPartitioning* partitioning_;  // outlives this (owner builds both)
   std::vector<std::vector<PartitionId>> adjacency_;
   std::vector<Seconds> costs_;  // dense num_partitions^2
+  std::vector<Point> landmark_points_;       // coord(l_p), per partition
+  std::vector<double> displacement_norms_;  // dense num_partitions^2
   /// Per-vertex distances to/from the vertex's home landmark:
   /// from_landmark_[v] = d(l_{P(v)}, v), to_landmark_[v] = d(v, l_{P(v)}).
   std::vector<Seconds> from_landmark_;

@@ -254,23 +254,37 @@ ContractionHierarchy ContractionHierarchy::Build(const RoadNetwork& network,
     ch.descending_rank_order_[n - 1 - ch.rank_[v]] = v;
   }
 
-  auto fill_csr = [n](const std::vector<std::vector<CoreArc>>& lists,
-                      std::vector<int32_t>& offsets,
-                      std::vector<SearchArc>& arcs) {
-    offsets.assign(n + 1, 0);
-    for (VertexId v = 0; v < n; ++v) {
-      offsets[v + 1] = offsets[v] + static_cast<int32_t>(lists[v].size());
+  // Each search graph by vertex, then the same arcs by sweep position:
+  // position i holds the arcs of descending_rank_order_[i], each head
+  // replaced by its position.
+  auto fill = [n, &ch](const std::vector<std::vector<CoreArc>>& lists,
+                       std::vector<int32_t>& offsets,
+                       std::vector<SearchArc>& arcs) {
+    offsets.assign(2 * (static_cast<size_t>(n) + 1), 0);
+    int32_t* by_position = offsets.data() + n + 1;
+    for (int32_t i = 0; i < n; ++i) {
+      offsets[i + 1] = offsets[i] + static_cast<int32_t>(lists[i].size());
+      by_position[i + 1] =
+          by_position[i] +
+          static_cast<int32_t>(lists[ch.descending_rank_order_[i]].size());
     }
-    arcs.resize(offsets[n]);
+    const int32_t e = offsets[n];
+    arcs.resize(2 * static_cast<size_t>(e));
     for (VertexId v = 0; v < n; ++v) {
       int32_t at = offsets[v];
       for (const CoreArc& arc : lists[v]) {
         arcs[at++] = SearchArc{arc.head, arc.cost};
       }
     }
+    for (int32_t i = 0; i < n; ++i) {
+      int32_t at = e + by_position[i];
+      for (const CoreArc& arc : lists[ch.descending_rank_order_[i]]) {
+        arcs[at++] = SearchArc{n - 1 - ch.rank_[arc.head], arc.cost};
+      }
+    }
   };
-  fill_csr(up, ch.up_offsets_, ch.up_arcs_);
-  fill_csr(down, ch.down_offsets_, ch.down_arcs_);
+  fill(up, ch.up_offsets_, ch.up_arcs_);
+  fill(down, ch.down_offsets_, ch.down_arcs_);
   ch.stats_.preprocessing_ms = timer.ElapsedMillis();
   return ch;
 }

@@ -1,7 +1,7 @@
 #include "routing/dijkstra.h"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 
 #include "common/epoch.h"
 #include "common/logging.h"
@@ -41,22 +41,28 @@ bool DijkstraSearch::Run(VertexId source, VertexId target,
                 static_cast<int32_t>(weights->size()) ==
                     network_.num_vertices());
 
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      queue;
+  // A binary min-heap with std::priority_queue's exact push and pop
+  // sequence, kept in a member so that its capacity outlives the run.
+  const std::greater<QueueEntry> later;
+  auto push = [&](const QueueEntry& entry) {
+    heap_.push_back(entry);
+    std::push_heap(heap_.begin(), heap_.end(), later);
+  };
+  heap_.clear();
   double start_objective =
       weights != nullptr ? (*weights)[source] : 0.0;
   objective_[source] = start_objective;
   travel_[source] = 0.0;
   parent_[source] = kInvalidVertex;
   epoch_[source] = current_epoch_;
-  queue.push(QueueEntry{start_objective, 0.0, source});
+  push(QueueEntry{start_objective, 0.0, source});
 
   // Settled marker: parent epoch alone cannot distinguish
   // discovered-vs-settled, so track via a lazy-deletion check on pop.
-  while (!queue.empty()) {
-    QueueEntry top = queue.top();
-    queue.pop();
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    QueueEntry top = heap_.back();
+    heap_.pop_back();
     if (top.objective > objective_[top.vertex] ||
         epoch_[top.vertex] != current_epoch_) {
       continue;  // stale entry
@@ -78,7 +84,7 @@ bool DijkstraSearch::Run(VertexId source, VertexId target,
         objective_[next] = cand;
         travel_[next] = top.travel + arc.cost;
         parent_[next] = top.vertex;
-        queue.push(QueueEntry{cand, top.travel + arc.cost, next});
+        push(QueueEntry{cand, top.travel + arc.cost, next});
       }
     }
   }

@@ -93,6 +93,7 @@ class DijkstraSearch {
   std::vector<Seconds> travel_;
   std::vector<VertexId> parent_;
   std::vector<uint32_t> epoch_;
+  std::vector<QueueEntry> heap_;  // Run's queue, cleared as each run starts
   uint32_t current_epoch_ = 0;
   int64_t last_settled_ = 0;
   bool last_prefixed_ = false;

@@ -211,22 +211,46 @@ inline Seconds Meet(const UpwardSearch& forward, const UpwardSearch& backward) {
 /// minimum over the same path sums Dijkstra minimizes, and dyadic arc
 /// costs make those sums exact: the row is bit-identical to Dijkstra's.
 /// The exact table's rows and the landmark rows both come from here.
+///
+/// The sweep runs over the hierarchy's position-indexed copy of the graph
+/// (ContractionHierarchy::SweepGraph) into a buffer indexed the same way,
+/// so it reads both in ascending address order, and gathers the buffer
+/// into the vertex-indexed row at the end. Each position's minimum is
+/// taken by two independent accumulators over alternate arcs; a minimum
+/// of exact sums does not depend on the order it is taken in, so the row
+/// keeps every bit. The buffers are local, so concurrent fills share
+/// nothing.
 inline std::vector<Seconds> PhastRow(const ContractionHierarchy& ch,
                                      VertexId source,
                                      UpwardSearch::Direction direction) {
-  std::vector<Seconds> row(ch.num_vertices(), kInfiniteCost);
+  const int32_t n = ch.num_vertices();
   UpwardSearch search(ch);
   search.Run(source, direction, kInfiniteCost);
-  for (const VertexId v : search.reached()) row[v] = search.Distance(v);
-  const bool forward = direction == UpwardSearch::kForward;
-  for (const VertexId v : ch.DescendingRankOrder()) {
-    Seconds best = row[v];
-    for (const ContractionHierarchy::SearchArc& arc :
-         forward ? ch.DownArcs(v) : ch.UpArcs(v)) {
-      best = std::min(best, row[arc.head] + arc.cost);
-    }
-    row[v] = best;
+  std::vector<Seconds> by_position(n, kInfiniteCost);
+  for (const VertexId v : search.reached()) {
+    by_position[n - 1 - ch.rank(v)] = search.Distance(v);
   }
+  const ContractionHierarchy::SweepGraph graph =
+      direction == UpwardSearch::kForward ? ch.ForwardSweep()
+                                          : ch.BackwardSweep();
+  const int32_t* offsets = graph.offsets;
+  const ContractionHierarchy::SearchArc* arcs = graph.arcs;
+  Seconds* buf = by_position.data();
+  for (int32_t i = 0; i < n; ++i) {
+    Seconds even = buf[i];
+    Seconds odd = kInfiniteCost;
+    int32_t j = offsets[i];
+    const int32_t end = offsets[i + 1];
+    for (; j + 1 < end; j += 2) {
+      even = std::min(even, buf[arcs[j].head] + arcs[j].cost);
+      odd = std::min(odd, buf[arcs[j + 1].head] + arcs[j + 1].cost);
+    }
+    if (j < end) even = std::min(even, buf[arcs[j].head] + arcs[j].cost);
+    buf[i] = std::min(even, odd);
+  }
+  std::vector<Seconds> row(n);
+  const std::span<const VertexId> order = ch.DescendingRankOrder();
+  for (int32_t i = 0; i < n; ++i) row[order[i]] = buf[i];
   return row;
 }
 

@@ -15,41 +15,39 @@ PartitionFilter::PartitionFilter(const RoadNetwork& network,
   MTSHARE_CHECK(lambda >= -1.0 && lambda <= 1.0);
 }
 
-std::vector<PartitionId> PartitionFilter::Filter(VertexId from,
-                                                 VertexId to) const {
+void PartitionFilter::Filter(VertexId from, VertexId to,
+                             std::vector<PartitionId>* kept) const {
   const PartitionId pz = partitioning_.PartitionOf(from);
   const PartitionId pz1 = partitioning_.PartitionOf(to);
-  std::vector<PartitionId> kept;
-  kept.push_back(pz);
-  if (pz1 != pz) kept.push_back(pz1);
+  kept->clear();
+  kept->push_back(pz);
   if (pz == pz1) {
     // Intra-partition leg: nothing to prune against.
-    return kept;
+    return;
   }
+  kept->push_back(pz1);
 
-  const VertexId lz = partitioning_.landmarks[pz];
-  const VertexId lz1 = partitioning_.landmarks[pz1];
-  const Point& a = network_.coord(lz);
-  const Point& b = network_.coord(lz1);
-  const Point leg_dir{b.x - a.x, b.y - a.y};
+  const Point leg_dir = landmarks_.Displacement(pz, pz1);
+  const double leg_norm = landmarks_.DisplacementNorm(pz, pz1);
   const Seconds direct = landmarks_.LandmarkCost(pz, pz1);
 
   for (PartitionId p = 0; p < partitioning_.num_partitions(); ++p) {
     if (p == pz || p == pz1) continue;
     // Travel-direction rule: vector landmark(z) -> landmark(p) vs leg.
-    const Point& c = network_.coord(partitioning_.landmarks[p]);
-    const Point via_dir{c.x - a.x, c.y - a.y};
-    if (DirectionCosine(via_dir, leg_dir) < lambda_) continue;
+    if (CosineFromNorms(landmarks_.Displacement(pz, p),
+                        landmarks_.DisplacementNorm(pz, p), leg_dir,
+                        leg_norm) < lambda_) {
+      continue;
+    }
     // Travel-cost rule: detour via p within (1 + kEpsilon) of direct.
     const Seconds via = landmarks_.LandmarkCost(pz, p) +
                         landmarks_.LandmarkCost(p, pz1);
     if (via > (1.0 + kEpsilon) * direct) continue;
-    kept.push_back(p);
+    kept->push_back(p);
   }
-  return kept;
 }
 
-void PartitionFilter::AddToMask(const std::vector<PartitionId>& partitions,
+void PartitionFilter::AddToMask(std::span<const PartitionId> partitions,
                                 std::vector<uint8_t>* mask) const {
   MTSHARE_CHECK(static_cast<int32_t>(mask->size()) ==
                 network_.num_vertices());

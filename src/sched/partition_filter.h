@@ -2,6 +2,7 @@
 #define MTSHARE_SCHED_PARTITION_FILTER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "geo/mobility_vector.h"
@@ -26,13 +27,16 @@ class PartitionFilter {
                   const MapPartitioning& partitioning,
                   const LandmarkGraph& landmark_graph, double lambda);
 
-  /// Retained partitions for a leg from `from` to `to` (vertices). The
-  /// endpoints' partitions are always retained.
-  std::vector<PartitionId> Filter(VertexId from, VertexId to) const;
+  /// Replaces `*kept` with the retained partitions for a leg from `from`
+  /// to `to` (vertices): the start's partition first, then the end's
+  /// when it differs, then the others in ascending id. The direction rule
+  /// reads the landmark graph's stored displacement lengths, so it takes
+  /// no square root.
+  void Filter(VertexId from, VertexId to, std::vector<PartitionId>* kept) const;
 
   /// Sets mask[v] = 1 for every vertex of every retained partition.
   /// `mask` must be sized to num_vertices.
-  void AddToMask(const std::vector<PartitionId>& partitions,
+  void AddToMask(std::span<const PartitionId> partitions,
                  std::vector<uint8_t>* mask) const;
 
   /// Fraction of vertices that survive filtering for the leg — the pruning

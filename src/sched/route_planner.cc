@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <limits>
+#include <span>
 
 #include "common/logging.h"
 
@@ -17,116 +18,145 @@ bool NoDirection(const Point& taxi_direction) {
 
 }  // namespace
 
-std::vector<std::vector<PartitionId>> EnumerateLandmarkPaths(
+size_t EnumerateLandmarkPaths(
     const std::vector<std::vector<PartitionId>>& adjacency,
     const std::vector<PartitionId>& kept, const std::vector<double>& mass,
     PartitionId pz, PartitionId pz1, int32_t max_paths, int32_t max_hops,
-    int64_t* frames) {
+    size_t max_out, LandmarkPathScratch* scratch, int64_t* frames) {
+  LandmarkPathScratch& s = *scratch;
   const size_t n = adjacency.size();
-  std::vector<uint8_t> in_kept(n, 0);
-  for (PartitionId p : kept) in_kept[p] = 1;
+  s.in_kept_.assign(n, 0);
+  for (PartitionId p : kept) s.in_kept_[p] = 1;
+  MTSHARE_CHECK(s.in_kept_[pz]);
+
+  // Each kept partition's kept neighbours, listed once for the whole call
+  // in adjacency order; a frame filters its list by `visited` only, so it
+  // sorts the same sequence as filtering the whole adjacency would.
+  s.nbr_begin_.resize(n);
+  s.nbr_end_.resize(n);
+  s.kept_nbrs_.clear();
+  for (PartitionId p : kept) {
+    s.nbr_begin_[p] = s.kept_nbrs_.size();
+    for (PartitionId q : adjacency[p]) {
+      if (s.in_kept_[q]) s.kept_nbrs_.push_back(q);
+    }
+    s.nbr_end_[p] = s.kept_nbrs_.size();
+  }
+  auto kept_neighbours = [&s](PartitionId p) {
+    return std::span<const PartitionId>(s.kept_nbrs_.data() + s.nbr_begin_[p],
+                                        s.kept_nbrs_.data() + s.nbr_end_[p]);
+  };
 
   // Hop distance from each kept partition to pz1 through kept partitions
   // (breadth-first from pz1; the adjacency is symmetric). It ignores the
   // DFS's visited set, so it never overestimates the hops a branch still
   // needs: a branch it rules out could not have closed a path.
   constexpr int32_t kUnreachable = std::numeric_limits<int32_t>::max();
-  std::vector<int32_t> to_target(n, kUnreachable);
-  if (in_kept[pz1]) {
-    std::vector<PartitionId> queue{pz1};
-    to_target[pz1] = 0;
-    for (size_t head = 0; head < queue.size(); ++head) {
-      PartitionId p = queue[head];
-      for (PartitionId q : adjacency[p]) {
-        if (in_kept[q] && to_target[q] == kUnreachable) {
-          to_target[q] = to_target[p] + 1;
-          queue.push_back(q);
+  s.to_target_.assign(n, kUnreachable);
+  s.queue_.clear();
+  if (s.in_kept_[pz1]) {
+    s.queue_.push_back(pz1);
+    s.to_target_[pz1] = 0;
+    for (size_t head = 0; head < s.queue_.size(); ++head) {
+      const PartitionId p = s.queue_[head];
+      for (PartitionId q : kept_neighbours(p)) {
+        if (s.to_target_[q] == kUnreachable) {
+          s.to_target_[q] = s.to_target_[p] + 1;
+          s.queue_.push_back(q);
         }
       }
     }
   }
 
   // Depth-first enumeration of simple paths, greedy-heavy-first so that
-  // early truncation keeps the strongest candidates.
-  struct PathAcc {
-    std::vector<PartitionId> path;
-    double weight;
+  // early truncation keeps the strongest candidates. A frame's sorted
+  // neighbours are a slice of `nbrs_`, which grows and shrinks with the
+  // stack. The sort stays per frame: a neighbour list sorted once per
+  // call would break mass ties differently, since std::sort is not
+  // stable.
+  s.visited_.assign(n, 0);
+  s.nbrs_.clear();
+  s.stack_.clear();
+  s.current_.clear();
+  s.found_.clear();
+  s.found_starts_.clear();
+  s.found_weights_.clear();
+  auto record = [&s, &mass]() {
+    double w = 0.0;
+    for (PartitionId p : s.current_) w += mass[p];
+    s.found_starts_.push_back(s.found_.size());
+    s.found_.insert(s.found_.end(), s.current_.begin(), s.current_.end());
+    s.found_weights_.push_back(w);
   };
-  std::vector<PathAcc> found;
-  std::vector<PartitionId> current;
-  std::vector<uint8_t> visited(n, 0);
-
-  // A frame's sorted neighbours are the slice [begin, end) of `nbrs`, which
-  // grows and shrinks with the stack.
-  struct Frame {
-    PartitionId node;
-    size_t begin;
-    size_t next;
-    size_t end;
-  };
-  std::vector<PartitionId> nbrs;
-  std::vector<Frame> stack;
   int64_t opened = 0;
   auto open = [&](PartitionId p) {
-    const size_t begin = nbrs.size();
-    for (PartitionId q : adjacency[p]) {
-      if (in_kept[q] && !visited[q]) nbrs.push_back(q);
+    const size_t begin = s.nbrs_.size();
+    for (PartitionId q : kept_neighbours(p)) {
+      if (!s.visited_[q]) s.nbrs_.push_back(q);
     }
-    std::sort(nbrs.begin() + static_cast<std::ptrdiff_t>(begin), nbrs.end(),
+    std::sort(s.nbrs_.begin() + static_cast<std::ptrdiff_t>(begin),
+              s.nbrs_.end(),
               [&](PartitionId a, PartitionId b) { return mass[a] > mass[b]; });
-    stack.push_back({p, begin, begin, nbrs.size()});
+    s.stack_.push_back({p, begin, begin, s.nbrs_.size()});
     ++opened;
   };
 
-  current.push_back(pz);
-  visited[pz] = 1;
+  s.current_.push_back(pz);
+  s.visited_[pz] = 1;
   if (pz == pz1) {
-    found.push_back({current, mass[pz]});
+    record();
   } else {
     open(pz);
-    while (!stack.empty() && static_cast<int32_t>(found.size()) < max_paths) {
-      Frame& frame = stack.back();
+    while (!s.stack_.empty() &&
+           static_cast<int32_t>(s.found_weights_.size()) < max_paths) {
+      LandmarkPathScratch::Frame& frame = s.stack_.back();
       if (frame.next >= frame.end ||
-          static_cast<int32_t>(current.size()) > max_hops) {
-        visited[frame.node] = 0;
-        current.pop_back();
-        nbrs.resize(frame.begin);
-        stack.pop_back();
+          static_cast<int32_t>(s.current_.size()) > max_hops) {
+        s.visited_[frame.node] = 0;
+        s.current_.pop_back();
+        s.nbrs_.resize(frame.begin);
+        s.stack_.pop_back();
         continue;
       }
-      PartitionId next = nbrs[frame.next++];
-      if (visited[next]) continue;
+      const PartitionId next = s.nbrs_[frame.next++];
+      if (s.visited_[next]) continue;
       // A frame at path size s expands only while s <= max_hops, so `next`,
       // pushed at size current.size() + 1, can still close a path only if
       // current.size() + to_target[next] <= max_hops. The neighbour list
       // was sorted before this test, so the sort sees the same input and
       // the found paths keep their order.
       if (next != pz1 &&
-          to_target[next] >
-              max_hops - static_cast<int32_t>(current.size())) {
+          s.to_target_[next] >
+              max_hops - static_cast<int32_t>(s.current_.size())) {
         continue;
       }
-      current.push_back(next);
+      s.current_.push_back(next);
       if (next == pz1) {
-        double w = 0.0;
-        for (PartitionId p : current) w += mass[p];
-        found.push_back({current, w});
-        current.pop_back();
+        record();
+        s.current_.pop_back();
       } else {
-        visited[next] = 1;
+        s.visited_[next] = 1;
         open(next);
       }
     }
   }
   if (frames != nullptr) *frames += opened;
+  s.found_starts_.push_back(s.found_.size());
 
-  std::stable_sort(found.begin(), found.end(),
-                   [](const PathAcc& a, const PathAcc& b) {
-                     return a.weight > b.weight;
-                   });
-  std::vector<std::vector<PartitionId>> out;
-  out.reserve(found.size());
-  for (PathAcc& acc : found) out.push_back(std::move(acc.path));
+  // The first max_out paths of the stable descending-weight order:
+  // (weight descending, discovery index ascending) is a strict total
+  // order, so a partial sort by it selects exactly those, in order.
+  const size_t found = s.found_weights_.size();
+  s.order_.resize(found);
+  for (size_t k = 0; k < found; ++k) s.order_[k] = static_cast<int32_t>(k);
+  const size_t out = std::min(found, max_out);
+  const std::vector<double>& w = s.found_weights_;
+  std::partial_sort(s.order_.begin(),
+                    s.order_.begin() + static_cast<std::ptrdiff_t>(out),
+                    s.order_.end(), [&w](int32_t a, int32_t b) {
+                      return w[a] > w[b] || (w[a] == w[b] && a < b);
+                    });
+  s.order_.resize(out);
   return out;
 }
 
@@ -160,13 +190,16 @@ RoutePlanner::RoutePlanner(const RoadNetwork& network,
       }
     }
     undirected_mass_.resize(k);
+    std::vector<int32_t> dests;
     for (PartitionId p = 0; p < k; ++p) {
-      undirected_mass_[p] =
-          DestinationMass(p, SuitableDestinations(p, Point{0, 0}));
+      SuitableDestinations(p, Point{0, 0}, 0.0, &dests);
+      undirected_mass_[p] = DestinationMass(p, dests);
     }
     dest_words_ = (static_cast<size_t>(k) + 63) / 64;
     weight_memo_.resize(k);
     leg_dests_.resize(k);
+    leg_mass_.resize(k);
+    leg_weighted_.resize(k);
   }
 }
 
@@ -178,37 +211,40 @@ void RoutePlanner::ClearMask() {
 }
 
 Path RoutePlanner::PlanBasicLeg(VertexId from, VertexId to) {
-  ++basic_legs_;
+  ++stats_.basic_legs;
   if (from == to) return Path::Trivial(from);
-  std::vector<PartitionId> kept = filter_.Filter(from, to);
+  filter_.Filter(from, to, &kept_);
   ClearMask();
-  filter_.AddToMask(kept, &mask_);
-  mask_partitions_ = kept;
+  filter_.AddToMask(kept_, &mask_);
+  mask_partitions_ = kept_;
   SearchOptions sopt;
   sopt.allowed_vertices = &mask_;
   Path path = dijkstra_.FindPath(from, to, sopt);
   if (!path.valid) {
-    // Filtered subgraph disconnected the endpoints; retry unrestricted.
-    path = dijkstra_.FindPath(from, to);
+    // Filtered subgraph disconnected the endpoints: the unrestricted leg.
+    ++stats_.basic_no_path;
+    path = ShortestLeg(*oracle_, &dijkstra_, from, to,
+                       &stats_.basic_no_path_legs);
   }
   return path;
 }
 
-std::vector<int32_t> RoutePlanner::SuitableDestinations(
-    PartitionId p, const Point& taxi_direction) const {
-  std::vector<int32_t> dests;
-  const Point& from = network_.coord(partitioning_.landmarks[p]);
+void RoutePlanner::SuitableDestinations(PartitionId p,
+                                        const Point& taxi_direction,
+                                        double taxi_norm,
+                                        std::vector<int32_t>* dests) const {
+  dests->clear();
   const bool no_direction = NoDirection(taxi_direction);
   for (PartitionId q = 0; q < partitioning_.num_partitions(); ++q) {
     if (q == p) continue;
-    if (!no_direction) {
-      const Point& to = network_.coord(partitioning_.landmarks[q]);
-      Point dir{to.x - from.x, to.y - from.y};
-      if (DirectionCosine(dir, taxi_direction) < options_.lambda) continue;
+    if (!no_direction &&
+        CosineFromNorms(landmarks_.Displacement(p, q),
+                        landmarks_.DisplacementNorm(p, q), taxi_direction,
+                        taxi_norm) < options_.lambda) {
+      continue;
     }
-    dests.push_back(q);
+    dests->push_back(q);
   }
-  return dests;
 }
 
 double RoutePlanner::DestinationMass(
@@ -225,7 +261,9 @@ double RoutePlanner::PartitionEncounterMass(
     PartitionId p, const Point& taxi_direction) const {
   if (transitions_ == nullptr) return 0.0;
   if (NoDirection(taxi_direction)) return undirected_mass_[p];
-  return DestinationMass(p, SuitableDestinations(p, taxi_direction));
+  std::vector<int32_t> dests;
+  SuitableDestinations(p, taxi_direction, VectorNorm(taxi_direction), &dests);
+  return DestinationMass(p, dests);
 }
 
 void RoutePlanner::LoadVertexWeights(PartitionId p) {
@@ -248,60 +286,61 @@ void RoutePlanner::LoadVertexWeights(PartitionId p) {
     }
   }
   memo.keys.insert(memo.keys.end(), dest_key_.begin(), dest_key_.end());
-  for (VertexId v : members) {
-    double psi = transitions_->MassTowards(v, dests);
-    vertex_weights_[v] = 1.0 / (psi + kPsiFloor);
-    memo.weights.push_back(vertex_weights_[v]);
+  const size_t base = memo.weights.size();
+  memo.weights.resize(base + members.size());
+  double* w = memo.weights.data() + base;
+  transitions_->MassTowards(members, dests, w);  // psi per member
+  for (size_t i = 0; i < members.size(); ++i) {
+    w[i] = 1.0 / (w[i] + kPsiFloor);
+    vertex_weights_[members[i]] = w[i];
   }
 }
 
 Path RoutePlanner::PlanProbabilisticLeg(VertexId from, VertexId to,
                                         const Point& taxi_direction,
                                         Seconds travel_budget) {
-  ++prob_legs_;
+  ++stats_.prob_legs;
   MTSHARE_CHECK(transitions_ != nullptr);
   if (from == to) return Path::Trivial(from);
 
   // Hopeless budgets fall back immediately (cheaper than a doomed search).
   if (oracle_->Cost(from, to) > travel_budget) {
-    ++prob_fallbacks_;
+    ++stats_.prob_fallbacks;
     return Path::Invalid();
   }
 
-  std::vector<PartitionId> kept = filter_.Filter(from, to);
+  filter_.Filter(from, to, &kept_);
   // Algorithm 4 step 1: each kept partition's suitable destinations for
-  // this direction, which step 3 reuses, and its encounter mass. `kept`
+  // this direction, which step 3 reuses, and its encounter mass. `kept_`
   // holds both endpoint partitions, so it covers every path partition.
   const bool no_direction = NoDirection(taxi_direction);
-  std::vector<double> mass(partitioning_.num_partitions(), 0.0);
-  for (PartitionId p : kept) {
-    leg_dests_[p] = SuitableDestinations(p, taxi_direction);
-    mass[p] = no_direction ? undirected_mass_[p]
-                           : DestinationMass(p, leg_dests_[p]);
+  const double taxi_norm = VectorNorm(taxi_direction);
+  for (PartitionId p : kept_) {
+    SuitableDestinations(p, taxi_direction, taxi_norm, &leg_dests_[p]);
+    leg_mass_[p] = no_direction ? undirected_mass_[p]
+                                : DestinationMass(p, leg_dests_[p]);
+    leg_weighted_[p] = 0;
   }
-  std::vector<std::vector<PartitionId>> partition_paths =
-      EnumerateLandmarkPaths(landmarks_.Adjacency(), kept, mass,
-                             partitioning_.PartitionOf(from),
-                             partitioning_.PartitionOf(to),
-                             kMaxPartitionPaths, kMaxPathHops,
-                             &enumeration_frames_);
+  const size_t attempts = EnumerateLandmarkPaths(
+      landmarks_.Adjacency(), kept_, leg_mass_,
+      partitioning_.PartitionOf(from), partitioning_.PartitionOf(to),
+      kMaxPartitionPaths, kMaxPathHops, kMaxAttempts, &paths_,
+      &stats_.enumeration_frames);
 
-  int32_t attempts = std::min<int32_t>(
-      kMaxAttempts, static_cast<int32_t>(partition_paths.size()));
-  // Attempts share partitions, and a partition's weights are fixed for the
-  // leg, so each is written once.
-  std::vector<uint8_t> weighted(partitioning_.num_partitions(), 0);
-  for (int32_t attempt = 0; attempt < attempts; ++attempt) {
-    const auto& path_partitions = partition_paths[attempt];
+  for (size_t attempt = 0; attempt < attempts; ++attempt) {
+    const std::span<const PartitionId> path_partitions = paths_.path(attempt);
     ClearMask();
     filter_.AddToMask(path_partitions, &mask_);
-    mask_partitions_ = path_partitions;
+    mask_partitions_.assign(path_partitions.begin(), path_partitions.end());
     // Fine-grained weights (Algorithm 4 step 3): 1/psi_c where psi_c is the
     // vertex's transition mass toward its partition's suitable destinations.
+    // Attempts share partitions, and a partition's weights are fixed for
+    // the leg, so each is written once.
     for (PartitionId p : path_partitions) {
-      if (!weighted[p]) LoadVertexWeights(p);
-      weighted[p] = 1;
+      if (!leg_weighted_[p]) LoadVertexWeights(p);
+      leg_weighted_[p] = 1;
     }
+    ++stats_.prob_attempts;
     SearchOptions sopt;
     sopt.allowed_vertices = &mask_;
     sopt.vertex_weights = &vertex_weights_;
@@ -309,7 +348,7 @@ Path RoutePlanner::PlanProbabilisticLeg(VertexId from, VertexId to,
     Path path = dijkstra_.FindPath(from, to, sopt);
     if (path.valid && path.cost <= travel_budget) return path;
   }
-  ++prob_fallbacks_;
+  ++stats_.prob_fallbacks;
   return Path::Invalid();
 }
 

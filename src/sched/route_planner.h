@@ -1,31 +1,106 @@
 #ifndef MTSHARE_SCHED_ROUTE_PLANNER_H_
 #define MTSHARE_SCHED_ROUTE_PLANNER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mobility/transition_model.h"
 #include "routing/dijkstra.h"
 #include "routing/distance_oracle.h"
+#include "routing/shortest_leg.h"
 #include "sched/partition_filter.h"
 #include "sched/schedule.h"
 
 namespace mtshare {
 
+class LandmarkPathScratch;
+
 /// Algorithm 4 step 2: simple paths from `pz` to `pz1` through the `kept`
 /// partitions of an undirected graph (`adjacency[p]` lists p's neighbours
 /// and q is in p's list exactly when p is in q's, as in the landmark
-/// graph). Depth-first, heaviest `mass` neighbour first, so that stopping
-/// at `max_paths` found paths keeps the strongest candidates; a path has at
-/// most `max_hops` hops. Returns the paths by descending summed `mass`
-/// (ties keep discovery order). A branch whose breadth-first hop distance
-/// to `pz1` inside `kept` cannot close within `max_hops` is never opened;
-/// `frames`, when given, is advanced by the DFS frames that were.
-std::vector<std::vector<PartitionId>> EnumerateLandmarkPaths(
+/// graph); `kept` must hold `pz`. Depth-first, heaviest `mass` neighbour
+/// first (each frame sorts its unvisited kept neighbours, listed in
+/// adjacency order, with std::sort), so that stopping at `max_paths`
+/// found paths keeps the strongest candidates; a path has at most
+/// `max_hops` hops. A branch whose breadth-first hop distance to `pz1`
+/// inside `kept` cannot close within `max_hops` is never opened; `frames`,
+/// when given, is advanced by the DFS frames that were. Keeps the first
+/// `max_out` paths by descending summed `mass` (ties keep discovery
+/// order) in `scratch` and returns how many it kept.
+size_t EnumerateLandmarkPaths(
     const std::vector<std::vector<PartitionId>>& adjacency,
     const std::vector<PartitionId>& kept, const std::vector<double>& mass,
     PartitionId pz, PartitionId pz1, int32_t max_paths, int32_t max_hops,
-    int64_t* frames = nullptr);
+    size_t max_out, LandmarkPathScratch* scratch, int64_t* frames = nullptr);
+
+/// Buffers of EnumerateLandmarkPaths and the paths of its last call. A
+/// caller that keeps one across calls enumerates without allocating once
+/// the buffers have grown.
+class LandmarkPathScratch {
+ public:
+  /// Paths the last call kept, best first.
+  size_t num_paths() const { return order_.size(); }
+  /// The partitions of kept path `i`, from the start to the target.
+  std::span<const PartitionId> path(size_t i) const {
+    const size_t k = static_cast<size_t>(order_[i]);
+    return {found_.data() + found_starts_[k],
+            found_.data() + found_starts_[k + 1]};
+  }
+
+ private:
+  friend size_t EnumerateLandmarkPaths(
+      const std::vector<std::vector<PartitionId>>& adjacency,
+      const std::vector<PartitionId>& kept, const std::vector<double>& mass,
+      PartitionId pz, PartitionId pz1, int32_t max_paths, int32_t max_hops,
+      size_t max_out, LandmarkPathScratch* scratch, int64_t* frames);
+
+  struct Frame {
+    PartitionId node;
+    size_t begin;  // the frame's sorted neighbours are nbrs_[begin, end)
+    size_t next;
+    size_t end;
+  };
+  std::vector<uint8_t> in_kept_;
+  std::vector<uint8_t> visited_;
+  std::vector<int32_t> to_target_;
+  std::vector<PartitionId> queue_;
+  // Each kept partition p's kept neighbours, in adjacency order:
+  // kept_nbrs_[nbr_begin_[p], nbr_end_[p]).
+  std::vector<PartitionId> kept_nbrs_;
+  std::vector<size_t> nbr_begin_;
+  std::vector<size_t> nbr_end_;
+  std::vector<PartitionId> nbrs_;
+  std::vector<Frame> stack_;
+  std::vector<PartitionId> current_;
+  // Every path found, in discovery order: path k is
+  // found_[found_starts_[k], found_starts_[k + 1]) of summed mass
+  // found_weights_[k].
+  std::vector<PartitionId> found_;
+  std::vector<size_t> found_starts_;
+  std::vector<double> found_weights_;
+  std::vector<int32_t> order_;  // the kept paths' discovery indices
+};
+
+/// Counters of one RoutePlanner (run report, routing section).
+struct RoutePlannerStats {
+  /// Algorithm 4 legs planned, trivial ones (start == end) included.
+  int64_t prob_legs = 0;
+  /// Weighted masked searches those legs ran, at most kMaxAttempts each.
+  int64_t prob_attempts = 0;
+  /// Algorithm 4 legs that returned no path: a hopeless budget or no
+  /// attempt within it. The caller falls back to a basic leg.
+  int64_t prob_fallbacks = 0;
+  /// DFS frames Algorithm 4's landmark-path enumeration opened.
+  int64_t enumeration_frames = 0;
+  /// Algorithm 3 legs planned, trivial ones included.
+  int64_t basic_legs = 0;
+  /// Basic legs whose partition-filtered search found no path, and how
+  /// their unrestricted legs were built (ShortestLeg).
+  int64_t basic_no_path = 0;
+  ShortestLegCounts basic_no_path_legs;
+};
 
 struct RoutePlannerOptions {
   /// Direction threshold lambda shared by partition filtering and the
@@ -66,8 +141,9 @@ class RoutePlanner {
                const RoutePlannerOptions& options);
 
   /// Algorithm 3 for one leg: shortest path on the partition-filtered
-  /// subgraph; falls back to the unrestricted graph if the filtered
-  /// subgraph disconnects the endpoints.
+  /// subgraph; if the filtered subgraph disconnects the endpoints, the
+  /// unrestricted shortest path, walked through the start's resident
+  /// exact-table row when there is one (ShortestLeg).
   Path PlanBasicLeg(VertexId from, VertexId to);
 
   /// Algorithm 4 for one leg: maximize the probability of encountering
@@ -104,17 +180,15 @@ class RoutePlanner {
   double PartitionEncounterMass(PartitionId p,
                                 const Point& taxi_direction) const;
 
-  int64_t basic_legs() const { return basic_legs_; }
-  int64_t probabilistic_legs() const { return prob_legs_; }
-  /// DFS frames Algorithm 4's landmark-path enumeration has opened.
-  int64_t enumeration_frames() const { return enumeration_frames_; }
-  int64_t probabilistic_fallbacks() const { return prob_fallbacks_; }
+  const RoutePlannerStats& stats() const { return stats_; }
 
  private:
-  /// Destination partitions compatible with the taxi direction from
-  /// partition p.
-  std::vector<int32_t> SuitableDestinations(PartitionId p,
-                                            const Point& taxi_direction) const;
+  /// Replaces `*dests` with the destination partitions compatible with
+  /// the taxi direction from partition p, ascending. `taxi_norm` is
+  /// VectorNorm(taxi_direction).
+  void SuitableDestinations(PartitionId p, const Point& taxi_direction,
+                            double taxi_norm,
+                            std::vector<int32_t>* dests) const;
 
   /// Summed partition transition mass from `p` into `dests`.
   double DestinationMass(PartitionId p,
@@ -156,18 +230,22 @@ class RoutePlanner {
   size_t dest_words_ = 0;
   std::vector<WeightMemo> weight_memo_;
   std::vector<uint64_t> dest_key_;  // key buffer of the current lookup
-  /// The current probabilistic leg's suitable destinations per kept
-  /// partition (Algorithm 4 step 1), reused by step 3.
+
+  // Per-leg scratch, rewritten by every leg; only the entries of the
+  // leg's kept partitions are read.
+  std::vector<PartitionId> kept_;  // the leg's filtered partitions
+  /// Suitable destinations per kept partition (Algorithm 4 step 1),
+  /// reused by step 3.
   std::vector<std::vector<int32_t>> leg_dests_;
+  std::vector<double> leg_mass_;      // encounter mass per kept partition
+  std::vector<uint8_t> leg_weighted_;  // weights already written this leg
+  LandmarkPathScratch paths_;
 
   std::vector<uint8_t> mask_;
   std::vector<PartitionId> mask_partitions_;  // partitions currently set
   std::vector<double> vertex_weights_;
 
-  int64_t basic_legs_ = 0;
-  int64_t prob_legs_ = 0;
-  int64_t enumeration_frames_ = 0;
-  int64_t prob_fallbacks_ = 0;
+  RoutePlannerStats stats_;
 };
 
 }  // namespace mtshare

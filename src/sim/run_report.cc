@@ -134,7 +134,7 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   JsonWriter w(indent);
   w.BeginObject();
   w.Key("schema_version");
-  w.Int(11);
+  w.Int(12);
   w.Key("experiment");
   w.String(context.experiment);
   w.Key("scheme");
@@ -259,11 +259,36 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   // row, walked to a tie and the prefix searched, or searched for lack of
   // a row (every leg on the CH backend).
   w.Key("route_legs_walked");
-  w.Int(m.routing.route_legs_walked);
+  w.Int(m.routing.route_legs.walked);
   w.Key("route_legs_prefixed");
-  w.Int(m.routing.route_legs_prefixed);
+  w.Int(m.routing.route_legs.prefixed);
   w.Key("route_legs_searched");
-  w.Int(m.routing.route_legs_searched);
+  w.Int(m.routing.route_legs.searched);
+  // schema_version 12 adds two-phase route planning (DESIGN.md §5), from
+  // the planner that plans mT-Share-pro's routes and idle cruises (all
+  // zero without one): Algorithm 4 legs, their weighted searches, the
+  // legs that fell back and the landmark-path DFS frames; Algorithm 3
+  // legs, those whose filtered search found no path, and how those
+  // unrestricted legs were built, as for route_legs_* above.
+  const RoutePlannerStats& planner = m.routing.planner;
+  w.Key("prob_legs");
+  w.Int(planner.prob_legs);
+  w.Key("prob_attempts");
+  w.Int(planner.prob_attempts);
+  w.Key("prob_fallbacks");
+  w.Int(planner.prob_fallbacks);
+  w.Key("prob_enumeration_frames");
+  w.Int(planner.enumeration_frames);
+  w.Key("basic_legs");
+  w.Int(planner.basic_legs);
+  w.Key("basic_no_path");
+  w.Int(planner.basic_no_path);
+  w.Key("basic_no_path_walked");
+  w.Int(planner.basic_no_path_legs.walked);
+  w.Key("basic_no_path_prefixed");
+  w.Int(planner.basic_no_path_legs.prefixed);
+  w.Key("basic_no_path_searched");
+  w.Int(planner.basic_no_path_legs.searched);
   w.EndObject();
 
   // schema_version 4 adds the engine block: the advancement core's work

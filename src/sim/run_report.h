@@ -23,7 +23,7 @@ struct RunReportContext {
 };
 
 /// Serializes context + metrics as a structured JSON run report
-/// (schema_version 11; layout documented in EXPERIMENTS.md). `indent` > 0
+/// (schema_version 12; layout documented in EXPERIMENTS.md). `indent` > 0
 /// pretty-prints with that many spaces per level; `indent` == 0 emits one
 /// line (the BENCH_*.json trajectory format).
 std::string RunReportJson(const RunReportContext& context, const Metrics& m,

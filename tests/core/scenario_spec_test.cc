@@ -109,8 +109,8 @@ TEST_F(ScenarioSpecTest, BatchedRoutingPrimesEveryLeg) {
       EXPECT_GT(m.routing.lb_pruned, 0) << SchemeName(scheme);
     }
     EXPECT_GT(m.routing.ellipse_pruned, 0) << SchemeName(scheme);
-    EXPECT_GT(m.routing.route_legs_walked, 0) << SchemeName(scheme);
-    EXPECT_EQ(m.routing.route_legs_searched, 0) << SchemeName(scheme);
+    EXPECT_GT(m.routing.route_legs.walked, 0) << SchemeName(scheme);
+    EXPECT_EQ(m.routing.route_legs.searched, 0) << SchemeName(scheme);
   }
   // No-Sharing primes no insertion, but its pickup reachability probe on
   // the exact table takes the same admissible landmark prune.

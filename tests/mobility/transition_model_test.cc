@@ -46,12 +46,26 @@ TEST(TransitionModelTest, NoTripsAtAllGivesUniform) {
 }
 
 TEST(TransitionModelTest, MassTowardsSumsSelectedGroups) {
-  std::vector<OdPair> trips = {{0, 0}, {0, 2}, {0, 3}, {0, 3}};
+  std::vector<OdPair> trips = {{0, 0}, {0, 2}, {0, 3}, {0, 3}, {1, 2}};
   TransitionModel m = TransitionModel::Build(4, 2, kGroups, trips);
-  EXPECT_DOUBLE_EQ(m.MassTowards(0, {0}), 0.25);
-  EXPECT_DOUBLE_EQ(m.MassTowards(0, {1}), 0.75);
-  EXPECT_DOUBLE_EQ(m.MassTowards(0, {0, 1}), 1.0);
-  EXPECT_DOUBLE_EQ(m.MassTowards(0, {}), 0.0);
+  auto mass = [&](VertexId v, std::vector<int32_t> groups) {
+    double out = -1.0;
+    m.MassTowards({&v, 1}, groups, &out);
+    return out;
+  };
+  EXPECT_DOUBLE_EQ(mass(0, {0}), 0.25);
+  EXPECT_DOUBLE_EQ(mass(0, {1}), 0.75);
+  EXPECT_DOUBLE_EQ(mass(0, {0, 1}), 1.0);
+  EXPECT_DOUBLE_EQ(mass(0, {}), 0.0);
+  // Six vertices take one four-row block and two single rows; each sum
+  // equals the one-vertex sum over the same groups in the same order.
+  const std::vector<VertexId> vertices = {0, 1, 2, 3, 0, 2};
+  const std::vector<int32_t> groups = {1, 0, 1};
+  std::vector<double> out(vertices.size(), -1.0);
+  m.MassTowards(vertices, groups, out.data());
+  for (size_t i = 0; i < vertices.size(); ++i) {
+    EXPECT_EQ(out[i], mass(vertices[i], groups)) << i;
+  }
 }
 
 TEST(TransitionModelTest, MemoryAccounting) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "common/random.h"
@@ -202,9 +203,65 @@ TEST_F(LandmarkGraphTest, BoundsEqualTheirFormulasOnDijkstraRows) {
   EXPECT_GT(lb_positive, 0);  // the bound bites somewhere
 }
 
+TEST_F(LandmarkGraphTest, StoredNormsGiveDirectionCosineBitForBit) {
+  // Partition filtering and Algorithm 4 test landmark displacements
+  // against a direction through the stored norms (CosineFromNorms)
+  // instead of DirectionCosine's two square roots. For every landmark
+  // pair, over directions that are zero, axis-aligned, and at angles whose
+  // cosine is within 1e-12 of lambda, both must give the same bits, so
+  // every `< lambda` test agrees.
+  GridCityOptions opt;
+  opt.rows = 20;
+  opt.cols = 20;
+  opt.seed = 29;
+  const RoadNetwork net = MakeGridCity(opt);
+  const MapPartitioning parts = GridPartition(net, 49);
+  const LandmarkGraph lg(net, parts);
+  const double lambda = 0.707;
+  int64_t near_below = 0;
+  int64_t near_above = 0;
+  for (PartitionId p = 0; p < lg.num_partitions(); ++p) {
+    for (PartitionId q = 0; q < lg.num_partitions(); ++q) {
+      const Point& a = net.coord(parts.landmarks[p]);
+      const Point& b = net.coord(parts.landmarks[q]);
+      const Point d{b.x - a.x, b.y - a.y};
+      ASSERT_EQ(lg.Displacement(p, q).x, d.x);
+      ASSERT_EQ(lg.Displacement(p, q).y, d.y);
+      ASSERT_EQ(lg.DisplacementNorm(p, q), std::sqrt(d.x * d.x + d.y * d.y));
+      std::vector<Point> directions = {{0, 0},  {1, 0},   {-1, 0},
+                                       {0, 1},  {0, -1},  {250, 0},
+                                       {0, -3.5}};
+      for (const double e : {-1e-12, -1e-13, 0.0, 1e-13, 1e-12}) {
+        const double angle = std::acos(lambda + e);
+        for (const double turn : {angle, -angle}) {
+          const double c = std::cos(turn);
+          const double s = std::sin(turn);
+          directions.push_back(
+              Point{1.7 * (d.x * c - d.y * s), 1.7 * (d.x * s + d.y * c)});
+        }
+      }
+      for (const Point& dir : directions) {
+        const double want = DirectionCosine(d, dir);
+        const double got = CosineFromNorms(lg.Displacement(p, q),
+                                           lg.DisplacementNorm(p, q), dir,
+                                           VectorNorm(dir));
+        ASSERT_EQ(got, want) << p << "->" << q;
+        ASSERT_EQ(got < lambda, want < lambda) << p << "->" << q;
+        if (std::abs(want - lambda) <= 1e-11) {
+          ++(want < lambda ? near_below : near_above);
+        }
+      }
+    }
+  }
+  // The near-lambda directions land on both sides of the threshold.
+  EXPECT_GT(near_below, 1000);
+  EXPECT_GT(near_above, 1000);
+}
+
 TEST_F(LandmarkGraphTest, MemoryAccounting) {
+  // The cost table and the displacement-norm table.
   EXPECT_GE(lg_->MemoryBytes(),
-            size_t(lg_->num_partitions()) * lg_->num_partitions() *
+            2 * size_t(lg_->num_partitions()) * lg_->num_partitions() *
                 sizeof(Seconds));
 }
 

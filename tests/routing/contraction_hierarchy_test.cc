@@ -33,11 +33,47 @@ std::vector<std::vector<Seconds>> DijkstraRows(const RoadNetwork& net) {
   return rows;
 }
 
+/// PhastRow's sweep graphs hold exactly the search graphs' arcs by
+/// position: position i = V-1-rank holds DownArcs (forward) or UpArcs
+/// (backward) of DescendingRankOrder()[i], in order, each head replaced
+/// by its position, which is lower than i. MemoryBytes counts them.
+void ExpectSweepGraphsMatch(const ContractionHierarchy& ch) {
+  const int32_t n = ch.num_vertices();
+  const std::span<const VertexId> order = ch.DescendingRankOrder();
+  size_t bytes = 0;
+  for (const bool forward : {true, false}) {
+    const ContractionHierarchy::SweepGraph g =
+        forward ? ch.ForwardSweep() : ch.BackwardSweep();
+    ASSERT_EQ(g.offsets[0], 0);
+    for (int32_t i = 0; i < n; ++i) {
+      ASSERT_EQ(n - 1 - ch.rank(order[i]), i);
+      const std::span<const ContractionHierarchy::SearchArc> arcs =
+          forward ? ch.DownArcs(order[i]) : ch.UpArcs(order[i]);
+      ASSERT_EQ(size_t(g.offsets[i + 1] - g.offsets[i]), arcs.size()) << i;
+      for (size_t k = 0; k < arcs.size(); ++k) {
+        const ContractionHierarchy::SearchArc& arc =
+            g.arcs[g.offsets[i] + int32_t(k)];
+        ASSERT_LT(arc.head, i) << "arc " << k << " of position " << i;
+        ASSERT_GE(arc.head, 0);
+        ASSERT_EQ(order[arc.head], arcs[k].head) << i;
+        ASSERT_EQ(arc.cost, arcs[k].cost) << i;
+      }
+    }
+    // Both layouts of the graph: its offsets and arcs, twice.
+    bytes += 2 * ((size_t(n) + 1) * sizeof(int32_t) +
+                  size_t(g.offsets[n]) *
+                      sizeof(ContractionHierarchy::SearchArc));
+  }
+  EXPECT_GT(ch.MemoryBytes(), bytes);
+}
+
 /// Every PhastRow in both directions, kInfiniteCost entries included: the
 /// forward row of each source is Dijkstra's row, the backward row of each
-/// target is Dijkstra's column.
+/// target is Dijkstra's column. The rows come from the sweep graphs, which
+/// are checked first.
 void ExpectPhastRowsMatch(const ContractionHierarchy& ch,
                           const std::vector<std::vector<Seconds>>& rows) {
+  ExpectSweepGraphsMatch(ch);
   const VertexId n = ch.num_vertices();
   for (VertexId s = 0; s < n; ++s) {
     const std::vector<Seconds> forward =

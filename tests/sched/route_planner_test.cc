@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
 
 #include "common/random.h"
 #include "graph/graph_generators.h"
@@ -154,7 +156,7 @@ TEST_F(RoutePlannerTest, ProbabilisticFailsOnImpossibleBudget) {
   Point dir{1.0, 1.0};
   Path leg = planner_->PlanProbabilisticLeg(a, b, dir, 1.0 /*one second*/);
   EXPECT_FALSE(leg.valid);
-  EXPECT_GT(planner_->probabilistic_fallbacks(), 0);
+  EXPECT_GT(planner_->stats().prob_fallbacks, 0);
 }
 
 TEST_F(RoutePlannerTest, ProbabilisticRouteFollowsMass) {
@@ -191,16 +193,19 @@ TEST_F(RoutePlannerTest, ProbPlanRouteFallsBackAndStaysFeasible) {
 }
 
 TEST_F(RoutePlannerTest, LegCountersAdvance) {
-  int64_t b0 = planner_->basic_legs();
+  int64_t b0 = planner_->stats().basic_legs;
   planner_->PlanBasicLeg(0, 20);
-  EXPECT_EQ(planner_->basic_legs(), b0 + 1);
-  int64_t p0 = planner_->probabilistic_legs();
-  int64_t f0 = planner_->enumeration_frames();
+  EXPECT_EQ(planner_->stats().basic_legs, b0 + 1);
+  const RoutePlannerStats before = planner_->stats();
   planner_->PlanProbabilisticLeg(0, 20, Point{1, 0}, 1e9);
-  EXPECT_EQ(planner_->probabilistic_legs(), p0 + 1);
-  // 0 and 20 lie in different partitions, so the leg enumerates paths.
+  EXPECT_EQ(planner_->stats().prob_legs, before.prob_legs + 1);
+  // 0 and 20 lie in different partitions, so the leg enumerates paths and
+  // runs at least one weighted search.
   ASSERT_NE(partitioning_.PartitionOf(0), partitioning_.PartitionOf(20));
-  EXPECT_GT(planner_->enumeration_frames(), f0);
+  EXPECT_GT(planner_->stats().enumeration_frames, before.enumeration_frames);
+  EXPECT_GT(planner_->stats().prob_attempts, before.prob_attempts);
+  EXPECT_LE(planner_->stats().prob_attempts,
+            before.prob_attempts + RoutePlanner::kMaxAttempts);
 }
 
 TEST_F(RoutePlannerTest, DirectionFreeMassIsTheDirectSum) {
@@ -272,6 +277,76 @@ TEST_F(RoutePlannerTest, WarmedPlannerMatchesFreshPlanner) {
     if (want.valid) ++valid;
   }
   EXPECT_GT(valid, static_cast<int32_t>(legs.size()) / 2);
+}
+
+TEST(RoutePlannerRetryTest, UnfilteredRetryIsFindPathBitForBit) {
+  // A bipartite partitioning fragments partitions, so the filtered
+  // subgraph often disconnects a leg, and PlanBasicLeg retries it
+  // unrestricted: walked through the start's resident exact-table row when
+  // there is one, searched otherwise (always on a CH oracle). Every retry
+  // must return FindPath's vertices and cost bit for bit.
+  GridCityOptions opt;
+  opt.rows = 18;
+  opt.cols = 18;
+  opt.one_way_fraction = 0.2;
+  opt.seed = 53;
+  const RoadNetwork net = MakeGridCity(opt);
+  Rng rng(59);
+  std::vector<OdPair> trips;
+  for (int i = 0; i < 4000; ++i) {
+    trips.emplace_back(VertexId(rng.NextInt(0, net.num_vertices() - 1)),
+                       VertexId(rng.NextInt(0, net.num_vertices() - 1)));
+  }
+  BipartiteOptions bopt;
+  bopt.kappa = 36;
+  bopt.kt = 8;
+  const MapPartitioning parts = BipartitePartition(net, trips, bopt);
+  const LandmarkGraph lg(net, parts);
+  DijkstraSearch reference(net);
+  for (const OracleBackend backend :
+       {OracleBackend::kExact, OracleBackend::kCh}) {
+    OracleOptions oopt;
+    oopt.backend = backend;
+    DistanceOracle oracle(net, oopt);
+    RoutePlanner planner(net, parts, lg, nullptr, &oracle,
+                         RoutePlannerOptions{});
+    int64_t with_row = 0;
+    int64_t without_row = 0;
+    for (int i = 0; i < 400; ++i) {
+      const VertexId a = VertexId(rng.NextInt(0, net.num_vertices() - 1));
+      const VertexId b = VertexId(rng.NextInt(0, net.num_vertices() - 1));
+      if (a == b) continue;
+      // Every other leg fills its start's row first (on the exact table).
+      if (i % 2 == 0) oracle.Cost(a, b);
+      const bool resident = oracle.ResidentRow(a) != nullptr;
+      const RoutePlannerStats before = planner.stats();
+      const Path got = planner.PlanBasicLeg(a, b);
+      const RoutePlannerStats& after = planner.stats();
+      if (after.basic_no_path == before.basic_no_path) continue;
+      const Path want = reference.FindPath(a, b);
+      ASSERT_EQ(got.valid, want.valid) << a << "->" << b;
+      EXPECT_EQ(got.vertices, want.vertices) << a << "->" << b;
+      EXPECT_EQ(got.cost, want.cost) << a << "->" << b;
+      const ShortestLegCounts& c0 = before.basic_no_path_legs;
+      const ShortestLegCounts& c1 = after.basic_no_path_legs;
+      if (resident) {
+        ++with_row;
+        EXPECT_EQ(c1.walked + c1.prefixed, c0.walked + c0.prefixed + 1);
+        EXPECT_EQ(c1.searched, c0.searched);
+      } else {
+        ++without_row;
+        EXPECT_EQ(c1.searched, c0.searched + 1);
+      }
+    }
+    if (backend == OracleBackend::kExact) {
+      EXPECT_GT(with_row, 20);
+      EXPECT_GT(without_row, 20);
+      EXPECT_GT(planner.stats().basic_no_path_legs.walked, 0);
+    } else {
+      EXPECT_EQ(with_row, 0);
+      EXPECT_GT(without_row, 40);
+    }
+  }
 }
 
 // Algorithm 4's landmark-path DFS as it ran before the hop-distance prune:
@@ -350,6 +425,31 @@ std::vector<std::vector<PartitionId>> UnprunedLandmarkPaths(
 
 using Adjacency = std::vector<std::vector<PartitionId>>;
 using Edges = std::vector<std::pair<PartitionId, PartitionId>>;
+using Paths = std::vector<std::vector<PartitionId>>;
+
+/// The paths `scratch` holds after an EnumerateLandmarkPaths call.
+Paths PathsOf(const LandmarkPathScratch& scratch) {
+  Paths out;
+  for (size_t i = 0; i < scratch.num_paths(); ++i) {
+    const std::span<const PartitionId> path = scratch.path(i);
+    out.emplace_back(path.begin(), path.end());
+  }
+  return out;
+}
+
+/// EnumerateLandmarkPaths keeping every path it finds, on a fresh scratch.
+Paths AllLandmarkPaths(const Adjacency& adjacency,
+                       const std::vector<PartitionId>& kept,
+                       const std::vector<double>& mass, PartitionId pz,
+                       PartitionId pz1, int32_t max_paths, int32_t max_hops,
+                       int64_t* frames) {
+  LandmarkPathScratch scratch;
+  const size_t kept_paths =
+      EnumerateLandmarkPaths(adjacency, kept, mass, pz, pz1, max_paths,
+                             max_hops, SIZE_MAX, &scratch, frames);
+  EXPECT_EQ(kept_paths, scratch.num_paths());
+  return PathsOf(scratch);
+}
 
 Adjacency FromEdges(int32_t n, const Edges& edges) {
   std::vector<std::vector<uint8_t>> matrix(n, std::vector<uint8_t>(n, 0));
@@ -394,17 +494,40 @@ std::vector<PartitionId> All(int32_t n) {
 }
 
 TEST(PartitionPathEnumerationTest, PrunedMatchesUnprunedOnRandomGraphs) {
-  // Masses come from a four-value set so that neighbour ties (resolved by
+  // Masses come from small level sets so that neighbour ties (resolved by
   // std::sort) and path-weight ties (resolved by discovery order) occur.
-  const std::vector<double> levels = {0.0, 0.25, 0.5, 1.0};
+  // Every third trial is dense (degree 17-64, as bipartite landmark graphs
+  // are), so kept-neighbour lists pass 16 entries and std::sort takes its
+  // introsort path, where ties land in an order only the same input
+  // reproduces. Each trial keeps the first max_out paths; one scratch
+  // serves every trial, and a fresh one must agree with it.
+  const std::vector<std::vector<double>> level_sets = {{0.0, 0.25, 0.5, 1.0},
+                                                       {0.5, 1.0}};
   const std::vector<int32_t> path_caps = {1, 3, 64};
+  const std::vector<size_t> out_caps = {1, 2, size_t(RoutePlanner::kMaxAttempts),
+                                        SIZE_MAX};
   Rng rng(17);
+  LandmarkPathScratch shared;
   int64_t pruned_frames = 0;
   int64_t unpruned_frames = 0;
   int32_t with_paths = 0;
-  for (int trial = 0; trial < 300; ++trial) {
+  int32_t dense_with_long_lists = 0;
+  for (int trial = 0; trial < 450; ++trial) {
+    const bool dense = trial % 3 == 2;
     Adjacency adjacency;
-    if (trial % 2 == 0) {
+    if (dense) {
+      const int32_t n = int32_t(rng.NextInt(18, 65));
+      const double degree = double(rng.NextInt(17, n - 1));
+      Edges edges;
+      for (PartitionId a = 0; a < n; ++a) {
+        for (PartitionId b = a + 1; b < n; ++b) {
+          if (rng.NextDouble() < degree / double(n - 1)) {
+            edges.emplace_back(a, b);
+          }
+        }
+      }
+      adjacency = FromEdges(n, edges);
+    } else if (trial % 2 == 0) {
       adjacency = Grid(int32_t(rng.NextInt(1, 5)), int32_t(rng.NextInt(2, 5)),
                        0.85, 0.15, rng);
     } else {
@@ -422,34 +545,54 @@ TEST(PartitionPathEnumerationTest, PrunedMatchesUnprunedOnRandomGraphs) {
     const PartitionId pz = PartitionId(rng.NextInt(0, n - 1));
     const PartitionId pz1 = PartitionId(rng.NextInt(0, n - 1));
     // As PartitionFilter does, kept holds both endpoints; now and then the
-    // target is dropped so that it cannot be reached.
+    // target is dropped so that it cannot be reached (never on a dense
+    // graph, where the unpruned reference would walk every simple path).
     std::vector<PartitionId> kept;
     const double keep = rng.NextUniform(0.5, 1.0);
     for (PartitionId p = 0; p < n; ++p) {
-      if (p == pz || (p == pz1 && trial % 10 != 3) ||
+      if (p == pz || (p == pz1 && (dense || trial % 10 != 3)) ||
           rng.NextDouble() < keep) {
         kept.push_back(p);
       }
     }
     rng.Shuffle(kept);
+    const std::vector<double>& levels = level_sets[dense ? trial % 2 : 0];
     std::vector<double> mass(n);
     for (double& m : mass) m = levels[rng.NextInt(0, levels.size() - 1)];
     const int32_t max_paths = path_caps[rng.NextInt(0, path_caps.size() - 1)];
     const int32_t max_hops = int32_t(rng.NextInt(1, 10));
+    const size_t max_out = out_caps[rng.NextInt(0, out_caps.size() - 1)];
+    if (dense) {
+      int32_t kept_degree = 0;
+      for (PartitionId q : adjacency[pz]) {
+        kept_degree += std::count(kept.begin(), kept.end(), q) > 0 ? 1 : 0;
+      }
+      if (kept_degree > 16) ++dense_with_long_lists;
+    }
 
     int64_t frames = 0;
+    int64_t shared_frames = 0;
     int64_t reference_frames = 0;
-    auto got = EnumerateLandmarkPaths(adjacency, kept, mass, pz, pz1,
-                                      max_paths, max_hops, &frames);
-    auto want = UnprunedLandmarkPaths(adjacency, kept, mass, pz, pz1,
-                                      max_paths, max_hops, &reference_frames);
-    ASSERT_EQ(got, want) << "trial " << trial;
+    LandmarkPathScratch fresh;
+    const size_t kept_paths =
+        EnumerateLandmarkPaths(adjacency, kept, mass, pz, pz1, max_paths,
+                               max_hops, max_out, &fresh, &frames);
+    EnumerateLandmarkPaths(adjacency, kept, mass, pz, pz1, max_paths,
+                           max_hops, max_out, &shared, &shared_frames);
+    Paths want = UnprunedLandmarkPaths(adjacency, kept, mass, pz, pz1,
+                                       max_paths, max_hops, &reference_frames);
+    if (want.size() > max_out) want.resize(max_out);
+    ASSERT_EQ(kept_paths, want.size()) << "trial " << trial;
+    ASSERT_EQ(PathsOf(fresh), want) << "trial " << trial;
+    ASSERT_EQ(PathsOf(shared), want) << "trial " << trial;
+    EXPECT_EQ(shared_frames, frames) << "trial " << trial;
     EXPECT_LE(frames, reference_frames) << "trial " << trial;
     pruned_frames += frames;
     unpruned_frames += reference_frames;
     if (!want.empty()) ++with_paths;
   }
-  EXPECT_GT(with_paths, 100);
+  EXPECT_GT(with_paths, 150);
+  EXPECT_GT(dense_with_long_lists, 75);
   EXPECT_LT(pruned_frames, unpruned_frames);
 }
 
@@ -462,7 +605,7 @@ TEST(PartitionPathEnumerationTest, PathOfExactlyMaxHopsIsFound) {
   exact.pop_back();
 
   int64_t frames = 0;
-  auto found = EnumerateLandmarkPaths(line, kept, mass, 0, max_hops, 64,
+  auto found = AllLandmarkPaths(line, kept, mass, 0, max_hops, 64,
                                       max_hops, &frames);
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0], exact);
@@ -471,7 +614,7 @@ TEST(PartitionPathEnumerationTest, PathOfExactlyMaxHopsIsFound) {
 
   frames = 0;
   int64_t reference_frames = 0;
-  EXPECT_TRUE(EnumerateLandmarkPaths(line, kept, mass, 0, max_hops + 1, 64,
+  EXPECT_TRUE(AllLandmarkPaths(line, kept, mass, 0, max_hops + 1, 64,
                                      max_hops, &frames)
                   .empty());
   EXPECT_TRUE(UnprunedLandmarkPaths(line, kept, mass, 0, max_hops + 1, 64,
@@ -487,7 +630,7 @@ TEST(PartitionPathEnumerationTest, StartIsTarget) {
   const Adjacency line = Line(4);
   const std::vector<double> mass = {0.5, 1.0, 0.25, 0.0};
   int64_t frames = 0;
-  auto found = EnumerateLandmarkPaths(line, All(4), mass, 2, 2, 64, 10,
+  auto found = AllLandmarkPaths(line, All(4), mass, 2, 2, 64, 10,
                                       &frames);
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0], std::vector<PartitionId>{2});
@@ -502,14 +645,14 @@ TEST(PartitionPathEnumerationTest, TargetUnreachableInsideKept) {
   int64_t frames = 0;
   int64_t reference_frames = 0;
   EXPECT_TRUE(
-      EnumerateLandmarkPaths(line, kept, mass, 0, 3, 64, 10, &frames).empty());
+      AllLandmarkPaths(line, kept, mass, 0, 3, 64, 10, &frames).empty());
   EXPECT_TRUE(UnprunedLandmarkPaths(line, kept, mass, 0, 3, 64, 10,
                                     &reference_frames)
                   .empty());
   EXPECT_EQ(frames, 1);
   // From the far side the target is reachable but 2's dead end is not
   // entered: 3 is adjacent, so the pruned walk still finds 2 -> 3.
-  auto found = EnumerateLandmarkPaths(line, kept, mass, 2, 3, 64, 10, nullptr);
+  auto found = AllLandmarkPaths(line, kept, mass, 2, 3, 64, 10, nullptr);
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0], (std::vector<PartitionId>{2, 3}));
 }
@@ -532,7 +675,7 @@ TEST(PartitionPathEnumerationTest, TruncationKeepsTheSameFirstPaths) {
   reference_frames = 0;
   auto want = UnprunedLandmarkPaths(grid, kept, mass, 0, 15, max_paths,
                                     max_hops, &reference_frames);
-  auto got = EnumerateLandmarkPaths(grid, kept, mass, 0, 15, max_paths,
+  auto got = AllLandmarkPaths(grid, kept, mass, 0, 15, max_paths,
                                     max_hops, &frames);
   ASSERT_EQ(got.size(), static_cast<size_t>(max_paths));
   EXPECT_EQ(got, want);

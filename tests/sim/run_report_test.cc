@@ -65,7 +65,7 @@ std::vector<std::string> KeysOf(const std::string& json,
 }
 
 void ValidateReportSchema(const std::string& json) {
-  EXPECT_EQ(NumberAfter(json, "", "schema_version"), 11.0);
+  EXPECT_EQ(NumberAfter(json, "", "schema_version"), 12.0);
   for (const char* key :
        {"experiment", "scheme", "window", "num_taxis", "num_requests",
         "seed", "requests", "response_ms", "waiting_min", "detour_min",
@@ -77,15 +77,19 @@ void ValidateReportSchema(const std::string& json) {
 
   // Insertion-routing section (schema_version 2). It holds exactly these
   // keys: schema_version 11 drops the count of exact-table batch calls,
-  // since exact-table legs are plain table reads. The routing section
-  // follows the oracle one (the phases block has a "routing" key too).
+  // since exact-table legs are plain table reads, and schema_version 12
+  // adds the route planner's. The routing section follows the oracle one
+  // (the phases block has a "routing" key too).
   const std::vector<std::string> routing_keys = {
       "lb_pruned",           "fallback_queries",      "ch_active",
       "ch_shortcuts",        "ch_preprocessing_ms",   "ch_point_queries",
       "ch_bucket_queries",   "ch_upward_settled",     "ch_bucket_entries",
       "candidate_search",    "bucket_candidates",     "bucket_maintenance_ms",
       "slots_screened",      "ellipse_pruned",        "route_legs_walked",
-      "route_legs_prefixed", "route_legs_searched"};
+      "route_legs_prefixed", "route_legs_searched",   "prob_legs",
+      "prob_attempts",       "prob_fallbacks",        "prob_enumeration_frames",
+      "basic_legs",          "basic_no_path",         "basic_no_path_walked",
+      "basic_no_path_prefixed", "basic_no_path_searched"};
   EXPECT_EQ(KeysOf(json.substr(json.find("\"oracle\":")), "routing"),
             routing_keys);
   // Counters are cumulative and non-negative; fallbacks mean the CH
@@ -127,6 +131,18 @@ void ValidateReportSchema(const std::string& json) {
        {"route_legs_walked", "route_legs_prefixed", "route_legs_searched"}) {
     EXPECT_GE(NumberAfter(json, "routing", key), 0.0) << key;
   }
+  // Route-planner counters (added in schema_version 12): every basic leg
+  // whose filtered search found no path got exactly one unrestricted leg,
+  // and a leg falls back at most once.
+  const std::string routing = json.substr(json.find("\"oracle\":"));
+  EXPECT_EQ(NumberAfter(routing, "routing", "basic_no_path_walked") +
+                NumberAfter(routing, "routing", "basic_no_path_prefixed") +
+                NumberAfter(routing, "routing", "basic_no_path_searched"),
+            NumberAfter(routing, "routing", "basic_no_path"));
+  EXPECT_LE(NumberAfter(routing, "routing", "basic_no_path"),
+            NumberAfter(routing, "routing", "basic_legs"));
+  EXPECT_LE(NumberAfter(routing, "routing", "prob_fallbacks"),
+            NumberAfter(routing, "routing", "prob_legs"));
 
   // Simulation-core counters (added in schema_version 4). A run with any
   // requests crosses at least one release boundary and one drain round.
@@ -411,6 +427,12 @@ TEST(MtshareSimCliTest, ReportFlagEmitsValidJson) {
   EXPECT_GT(RouteLegsWalked(json), 0.0);
   EXPECT_GT(NumberAfter(json, "serve", "admitted"), 0.0);
   EXPECT_GT(NumberAfter(json, "setup", "partition_s"), 0.0);
+  // mT-Share commits shortest legs and cruises nowhere: no route planner
+  // is armed, so its counters read zero.
+  const std::string routing = json.substr(json.find("\"oracle\":"));
+  for (const char* key : {"prob_legs", "prob_attempts", "basic_legs"}) {
+    EXPECT_EQ(NumberAfter(routing, "routing", key), 0.0) << key;
+  }
   // mtshare_sim's decisions, pinned: ServeCliTest compares mtshare_serve
   // with mtshare_sim, and a drift in the history both train on moves both.
   EXPECT_EQ(NumberAfter(json, "requests", "served"), 72.0);
@@ -519,6 +541,17 @@ TEST(MtshareSimCliTest, MtShareProNonpeakServesStreetHails) {
   ValidateReportSchema(json);
   EXPECT_TRUE(StringIs(json, "scheme", "mT-Share-pro"));
   EXPECT_GT(NumberAfter(json, "requests", "served_offline"), 0.0);
+  // Its planner's counters reach the report: Algorithm 4 ran weighted
+  // searches, and each basic leg without a filtered path was built once,
+  // walked (the exact table holds rows) or searched.
+  const std::string routing = json.substr(json.find("\"oracle\":"));
+  EXPECT_GT(NumberAfter(routing, "routing", "prob_legs"), 0.0);
+  EXPECT_GT(NumberAfter(routing, "routing", "prob_attempts"), 0.0);
+  EXPECT_GT(NumberAfter(routing, "routing", "prob_enumeration_frames"), 0.0);
+  EXPECT_EQ(NumberAfter(routing, "routing", "basic_no_path_walked") +
+                NumberAfter(routing, "routing", "basic_no_path_prefixed") +
+                NumberAfter(routing, "routing", "basic_no_path_searched"),
+            NumberAfter(routing, "routing", "basic_no_path"));
   EXPECT_EQ(NumberAfter(json, "requests", "served"), 42.0);
   EXPECT_EQ(RowsDigest(rows), 0x468e31ba6bfeafc1ull)
       << std::hex << RowsDigest(rows);

@@ -6,7 +6,7 @@
 #      mtshare_sim's pinned decisions) and ServeCliTest (a
 #      --save-requests log piped through mtshare_serve), and the bench
 #      smokes: one micro_smoke_* test per micro-bench filter
-#      (BM_EngineAdvance/fleet:100, BM_ProbabilisticLeg,
+#      (BM_EngineAdvance/fleet:100, BM_ProbabilisticLeg/grid|bipartite,
 #      BM_ExactRowFill/phast|dijkstra, BM_OracleBackends/,
 #      BM_UpwardSearch/deposit|sweep, BM_PrimeInsertion/ch,
 #      BM_ShortestLeg/row_walk|dijkstra, BM_KMeansTransition,
